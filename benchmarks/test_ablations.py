@@ -20,7 +20,12 @@ import pytest
 from repro.core.program import HauberkProgram
 from repro.core.translator import TranslatorOptions
 from repro.harness.reporting import format_table, pct
-from repro.swifi import Campaign, FaultSpec, build_fault_specs, enumerate_targets
+from repro.swifi import (
+    FaultSpec,
+    build_fault_specs,
+    enumerate_targets,
+    run_campaign,
+)
 from repro.workloads import get_workload
 
 
@@ -31,13 +36,14 @@ def _coverage_and_overhead(name, options, scale, seed=11):
     inp = wl.generate_input(0)
     baseline = prog.measure_time("original", inp=inp)
     ft_time = prog.measure_time("ft", inp=inp)
-    campaign = Campaign(prog.trial_runner("fift"))
     sites = enumerate_targets(wl.kernel)[: scale.max_targets]
     specs = build_fault_specs(
         sites, n_threads=inp.n_threads,
         masks_per_site=scale.masks_per_site, bit_counts=(1, 6), seed=seed,
     )
-    result = campaign.run(specs)
+    result = run_campaign(
+        None, specs, runner_factory=lambda: prog.trial_runner("fift")
+    )
     return result.counts.coverage, 100.0 * (ft_time / baseline - 1.0)
 
 

@@ -51,7 +51,6 @@ from repro.swifi import (
     run_campaign,
     select_targets,
 )
-from repro.swifi.campaign import Campaign
 from repro.workloads import get_workload
 from repro.workloads.cp import CPWorkload
 
@@ -201,7 +200,7 @@ def _engine_comparison(scale, scale_name):
         runner = prog.trial_runner("fi", 0)
         runner(specs[0])  # warm every shared cache outside the timer
         start = time.perf_counter()
-        campaign = Campaign(runner).run(specs)
+        campaign = run_campaign(None, specs, runner_factory=lambda: runner)
         camp_seconds[engine] = time.perf_counter() - start
         camp_summaries[engine] = campaign.summary()
     assert camp_summaries["vector"] == camp_summaries["closure"], \

@@ -11,7 +11,7 @@ Run:  python examples/fault_injection_campaign.py
 
 from repro.core.program import HauberkProgram
 from repro.harness.reporting import pct, print_table
-from repro.swifi import Campaign, build_fault_specs, select_targets
+from repro.swifi import build_fault_specs, run_campaign, select_targets
 from repro.swifi.outcomes import Outcome
 from repro.workloads import get_workload
 
@@ -36,14 +36,16 @@ def main():
 
     rows = []
     for mode, label in (("fi", "baseline"), ("fift", "HAUBERK")):
-        campaign = Campaign(prog.trial_runner(mode))
-        campaign.golden_check()
+        runner = prog.trial_runner(mode)
+        golden = runner(None)  # a fault-free run must be clean
+        assert not golden.failure and golden.output_ok, \
+            f"{mode} fault-free run is not clean: campaign would be meaningless"
         for bits in BITS:
             specs = build_fault_specs(
                 sites, n_threads=inp.n_threads,
                 masks_per_site=MASKS_PER_SITE, bit_counts=(bits,), seed=bits,
             )
-            result = campaign.run(specs)
+            result = run_campaign(None, specs, runner_factory=lambda: runner)
             c = result.counts
             rows.append(
                 (label, bits, c.total,

@@ -7,10 +7,16 @@ script performs the real experiment CI runs:
 1. spawn a child process running a journaled campaign
    (``CampaignOptions(run_dir=...)``) over a small but non-trivial
    workload;
-2. poll the journal and ``SIGKILL`` the child mid-campaign — no atexit,
-   no flush-on-close, exactly the failure the journal exists for;
+2. poll the journal and ``SIGKILL`` the child's whole process group
+   mid-campaign — no atexit, no flush-on-close, exactly the failure the
+   journal exists for;
 3. resume the campaign in this process (``CampaignOptions(resume=...)``)
    and assert the result is bit-identical to an uninterrupted run.
+
+The default mode runs that cycle twice: once with a ``workers=1``
+victim (the parent runs every trial itself) and once with a
+``workers=2`` victim, whose forked lease workers die in the same
+``killpg``; each resume uses the victim's worker count.
 
 With ``--fleet`` the victim is a whole fleet instead: a ``repro serve``
 coordinator (plus its spawned worker) takes a submitted campaign, the
@@ -105,8 +111,8 @@ def _specs():
     )
 
 
-def _options(**overrides) -> CampaignOptions:
-    return CampaignOptions(workers=1, **overrides)
+def _options(workers: int = 1, **overrides) -> CampaignOptions:
+    return CampaignOptions(workers=workers, **overrides)
 
 
 def _journal_path(root: str) -> str | None:
@@ -127,20 +133,32 @@ def _journal_lines(root: str) -> int:
         return fh.read().count(b"\n")
 
 
-def run_child(root: str) -> int:
+def run_child(root: str, workers: int) -> int:
     """Child mode: run the journaled campaign to completion (if allowed)."""
     wl, specs = _specs()
     run_campaign(HauberkProgram(wl), specs, mode="fi",
-                 options=_options(run_dir=root))
+                 options=_options(workers, run_dir=root))
     return 0
 
 
-def run_check(root: str) -> int:
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL a child started in its own session, and everything it forked."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        pass
+    proc.wait()
+
+
+def run_check(root: str, workers: int = 1) -> int:
     wl, specs = _specs()
-    print(f"[parity] campaign plan: {len(specs)} specs")
+    print(f"[parity] campaign plan: {len(specs)} specs, "
+          f"victim workers={workers}")
 
     child = subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--child", root],
+        [sys.executable, os.path.abspath(__file__), "--child", root,
+         str(workers)],
+        start_new_session=True,  # killpg reaches forked workers too
         env={**os.environ,
              "PYTHONPATH": os.pathsep.join(
                  p for p in ("src", os.environ.get("PYTHONPATH", "")) if p)},
@@ -150,13 +168,11 @@ def run_check(root: str) -> int:
         if child.poll() is not None:
             break
         if _journal_lines(root) >= KILL_AFTER_RECORDS:
-            child.send_signal(signal.SIGKILL)
-            child.wait()
+            _kill_group(child)
             break
         time.sleep(0.05)
     else:
-        child.kill()
-        child.wait()
+        _kill_group(child)
         print("[parity] FAIL: child produced no journal records in time")
         return 1
 
@@ -172,7 +188,7 @@ def run_check(root: str) -> int:
         return 1
 
     resumed = run_campaign(HauberkProgram(ParityWorkload()), specs, mode="fi",
-                           options=_options(resume=root))
+                           options=_options(workers, resume=root))
     baseline = run_campaign(HauberkProgram(ParityWorkload()), specs,
                             mode="fi", options=_options())
 
@@ -194,9 +210,18 @@ def run_check(root: str) -> int:
         for failure in failures[:10]:
             print(f"[parity]   {failure}")
         return 1
-    print(f"[parity] OK: resumed campaign ({journaled} replayed + "
-          f"{len(specs) - journaled} re-executed trials) is bit-identical "
-          f"to the uninterrupted run")
+    print(f"[parity] OK: resumed workers={workers} campaign ({journaled} "
+          f"replayed + {len(specs) - journaled} re-executed trials) is "
+          f"bit-identical to the uninterrupted run")
+    return 0
+
+
+def run_checks(root: str) -> int:
+    """The default mode: a ``workers=1`` victim, then a ``workers=2`` one."""
+    for workers in (1, 2):
+        status = run_check(os.path.join(root, f"workers{workers}"), workers)
+        if status:
+            return status
     return 0
 
 
@@ -288,12 +313,7 @@ def run_fleet_check(root: str) -> int:
             print("[parity/fleet] FAIL: no journal records in time")
             return 1
     finally:
-        # SIGKILL coordinator *and* its spawned worker: nobody flushes
-        try:
-            os.killpg(serve.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
-        serve.wait()
+        _kill_group(serve)  # coordinator *and* its spawned worker
 
     journaled = _journal_lines(root)
     print(f"[parity/fleet] fleet SIGKILLed with {journaled}/{len(specs)} "
@@ -312,11 +332,7 @@ def run_fleet_check(root: str) -> int:
         resumed = rebuild_result(specs, done)
         resumed_serve.wait(timeout=30)  # --max-runs 1: exits on its own
     finally:
-        try:
-            os.killpg(resumed_serve.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
-        resumed_serve.wait()
+        _kill_group(resumed_serve)
 
     baseline = run_campaign(recipe.build_program(), specs, mode="fi",
                             options=_options(seed=options.seed))
@@ -348,7 +364,7 @@ def run_fleet_check(root: str) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--child", metavar="ROOT",
+    parser.add_argument("--child", nargs=2, metavar=("ROOT", "WORKERS"),
                         help="(internal) run the journaled campaign child")
     parser.add_argument("--root", metavar="DIR",
                         help="journal root (default: a fresh temp dir)")
@@ -356,8 +372,8 @@ def main() -> int:
                         help="SIGKILL a repro serve coordinator instead")
     args = parser.parse_args()
     if args.child:
-        return run_child(args.child)
-    check = run_fleet_check if args.fleet else run_check
+        return run_child(args.child[0], int(args.child[1]))
+    check = run_fleet_check if args.fleet else run_checks
     if args.root:
         return check(args.root)
     with tempfile.TemporaryDirectory(prefix="resume-parity-") as root:

@@ -25,7 +25,7 @@ The ten-line tour::
     assert not result.alarm
 
 The campaign surface below is the **frozen v1 API**: everything a
-campaign-driven harness — local, pooled, or fleet — needs is importable
+campaign-driven harness — in-process, forked, or fleet — needs is importable
 from ``repro`` directly, and the fleet wire protocol
 (:mod:`repro.fleet.wire`) is defined in terms of exactly these types.
 """

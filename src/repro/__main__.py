@@ -97,10 +97,6 @@ def _campaign_parent() -> argparse.ArgumentParser:
                      help="kernel execution engine (default auto: "
                           "vectorized array programs where bit-exact, "
                           "scalar fallback otherwise)")
-    grp.add_argument("--fleet", type=int, metavar="N",
-                     help="run campaigns through an in-process fleet "
-                          "coordinator with N spawned worker processes "
-                          "(bit-identical to --workers)")
     grp.add_argument("--endpoint", metavar="HOST:PORT",
                      help="submit campaigns to a running "
                           "'python -m repro serve' coordinator instead "
@@ -111,7 +107,7 @@ def _campaign_parent() -> argparse.ArgumentParser:
 def _resolve_scale(args):
     """The preset named by --scale, with the campaign flags folded in."""
     if getattr(args, "engine", None):
-        # runtimes (including fork workers) consult the env at build
+        # runtimes (including forked workers) consult the env at build
         # time, so one setting covers every launch of the invocation
         import os
 
@@ -148,8 +144,6 @@ def _resolve_scale(args):
         changes["progress"] = True
     if getattr(args, "profile", False):
         changes["profile"] = True
-    if getattr(args, "fleet", None) is not None:
-        changes["fleet"] = args.fleet
     if getattr(args, "endpoint", None):
         changes["endpoint"] = args.endpoint
     if changes:
@@ -512,7 +506,7 @@ def main(argv=None) -> int:
                        help="TCP port to bind (default 0 = ephemeral; the "
                             "bound endpoint is announced on stderr)")
     srv_p.add_argument("--fleet", type=int, default=0, metavar="N",
-                       help="also launch N local worker processes "
+                       help="also spawn N local worker processes "
                             "(default 0: coordination only)")
     srv_p.add_argument("--run-dir", metavar="DIR",
                        help="journal every landed trial under DIR")

@@ -1,30 +1,26 @@
 """``repro.exec`` — process-level execution utilities.
 
-Two small modules shared by the scale-out layers:
+Four small modules shared by the campaign scheduler
+(:mod:`repro.swifi.scheduler`):
 
-* :mod:`repro.exec.pool` — a fork-based worker pool with warm
-  per-worker initialisation, deterministic order-preserving chunk
-  mapping, and hard-crash surfacing (a dead worker raises instead of
-  hanging the campaign).
-* :mod:`repro.exec.retry` — the fault-tolerance layer on top of the
-  pool: resilient chunk mapping (dead-worker chunks are split and
-  retried on fresh pools with exponential backoff, repeat offenders
-  quarantined) and :func:`trial_deadline`, a wall-clock budget that
-  degrades hung work items to a catchable timeout.
+* :mod:`repro.exec.pool` — worker-count and chunk-size helpers, and
+  start-method probes (``fork`` for warm local workers).
+* :mod:`repro.exec.lease` — :class:`LeaseTable`, heartbeat-backed TTL
+  leases: the unit of work ownership for every worker kind.
+* :mod:`repro.exec.retry` — the fault-tolerance vocabulary:
+  :class:`RetryPolicy`, the :class:`BlameLedger` that turns lost
+  leases into strikes and quarantines, the injectable :class:`Clock`,
+  and :func:`trial_deadline`, a wall-clock budget that degrades hung
+  work items to a catchable timeout.
 * :mod:`repro.exec.cache` — :class:`EphemeralCache`, a dict that
   resets itself across ``deepcopy`` and pickling so hot-path caches
   can live *on* the objects they describe (kernels) without leaking
   compiled state into clones or child processes.
-
-The SWIFI parallel campaign engine (:mod:`repro.swifi.parallel`) is
-the first consumer; the utilities are deliberately generic so future
-sharded workloads (multi-device sweeps, batched profiling) can reuse
-them.
 """
 
 from repro.exec.cache import EphemeralCache, ephemeral_cache
+from repro.exec.lease import DEFAULT_LEASE_TTL, Lease, LeaseTable
 from repro.exec.pool import (
-    ForkPool,
     chunk_slices,
     default_chunk_size,
     fork_available,
@@ -39,14 +35,15 @@ from repro.exec.retry import (
     FakeClock,
     RetryPolicy,
     TrialTimeout,
-    map_resilient,
     trial_deadline,
 )
 
 __all__ = [
+    "DEFAULT_LEASE_TTL",
     "EphemeralCache",
     "ephemeral_cache",
-    "ForkPool",
+    "Lease",
+    "LeaseTable",
     "chunk_slices",
     "default_chunk_size",
     "fork_available",
@@ -59,6 +56,5 @@ __all__ = [
     "FakeClock",
     "RetryPolicy",
     "TrialTimeout",
-    "map_resilient",
     "trial_deadline",
 ]

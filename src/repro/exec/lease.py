@@ -1,14 +1,15 @@
-"""Heartbeat-backed chunk leases: the fleet's unit of work ownership.
+"""Heartbeat-backed chunk leases: the scheduler's unit of work ownership.
 
-A fork pool learns about a dead worker synchronously — the broken
-executor raises.  A fleet worker is a separate process behind a socket;
-the only death signal is *silence*.  Leases turn silence into an event:
-every chunk granted to a worker carries a TTL deadline, every beat the
-worker sends extends it, and a lease whose deadline passes is treated
-exactly like a ``BrokenProcessPool`` — the chunk is split and reissued,
-and a single-item lease counts as an attributable strike in the shared
-:class:`~repro.exec.retry.BlameLedger` (the worker was running nothing
-else, so the blame is beyond doubt).
+Every chunk of spec indices the campaign scheduler hands to a worker is
+a lease.  A forked worker that dies ends its lease at once (its pipe
+reaches EOF, and :meth:`LeaseTable.release_worker` returns what it
+held).  A TCP worker is a separate process behind a socket whose only
+death signal is *silence*: every lease carries a TTL deadline, every
+beat the worker sends extends it, and :meth:`LeaseTable.expired`
+returns the leases whose deadline passed.  Either way the scheduler
+splits the lost chunk and reissues it, and a single-item lease counts
+as an attributable strike in the shared
+:class:`~repro.exec.retry.BlameLedger`.
 
 Time flows through the injectable :class:`~repro.exec.retry.Clock`
 seam, so lease-expiry tests run in milliseconds on a

@@ -1,29 +1,19 @@
-"""Fork-based worker pool: warm initialisation, ordered chunk mapping.
+"""Worker-count and chunking helpers for the campaign scheduler.
 
-The pool is built for one pattern: a parent holds a fully-constructed,
-*unpicklable* object graph (a :class:`~repro.core.program.HauberkProgram`
-with compiled kernels and device memory), and wants N worker processes
-that each inherit that graph once, warm their own caches in an
-initializer, and then chew through chunks of small picklable work
-items.  ``fork`` start method only: the initializer arguments are
-inherited through the forked address space, never pickled.  On
-platforms without ``fork`` callers should drop to their serial path
-(see :func:`fork_available`).
-
-Crash semantics: a worker that dies hard (``os._exit``, OOM kill,
-segfault) breaks the pool; :meth:`ForkPool.map_ordered` converts that
-into the caller-supplied exception type instead of hanging.  An
-exception *raised* inside a work function propagates unchanged, the
-same as it would on the serial path.
+The scheduler (:mod:`repro.swifi.scheduler`) leases chunks of spec
+indices to workers; these helpers size those chunks and normalise the
+``workers`` request.  Local workers are *forked* after the parent warms
+its caches, so they inherit the parent's unpicklable object graph (a
+:class:`~repro.core.program.HauberkProgram` with compiled kernels and
+device memory) instead of rebuilding it; :func:`fork_available` tells
+callers when to stay in-process instead.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 
 def fork_available() -> bool:
@@ -76,93 +66,3 @@ def chunk_slices(n_items: int, chunk_size: int) -> List[Tuple[int, int]]:
     if n_items < 0:
         raise ValueError(f"n_items must be non-negative, got {n_items}")
     return [(a, min(a + chunk_size, n_items)) for a in range(0, n_items, chunk_size)]
-
-
-class ForkPool:
-    """Thin wrapper over process pools with a chosen start method.
-
-    Holds the worker count, warm initializer, crash-error type, and
-    start method for a family of executors: :meth:`executor` mints a
-    fresh ``ProcessPoolExecutor`` each call, which is what lets the
-    retry layer (:mod:`repro.exec.retry`) replace a broken pool with a
-    new one — same initializer, same inherited address space — instead
-    of giving up.
-
-    Two start methods are supported behind the same seam:
-
-    * ``"fork"`` (the default, and the campaign pool's mode): workers
-      inherit the parent's warm, *unpicklable* object graph through the
-      forked address space; ``initargs`` are never pickled.
-    * ``"spawn"``: workers are fresh interpreters — long-lived
-      processes that share nothing with the parent.  Everything
-      submitted (and ``initargs``) must be picklable.  This is the
-      executor the campaign fleet uses to launch its leased workers
-      (:mod:`repro.fleet`): one single-worker spawn executor per fleet
-      worker, so a ``kill -9`` breaks only that worker's executor.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        initializer: Optional[Callable] = None,
-        initargs: Tuple = (),
-        crash_error: Callable[[str], Exception] = RuntimeError,
-        start_method: str = "fork",
-    ):
-        if workers < 1:
-            raise ValueError(f"pool needs at least one worker, got {workers}")
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                f"ForkPool requires the {start_method!r} start method, "
-                f"which this platform does not provide"
-            )
-        self.workers = workers
-        self.initializer = initializer
-        self.initargs = initargs
-        self.crash_error = crash_error
-        self.start_method = start_method
-
-    def executor(self, max_workers: Optional[int] = None) -> ProcessPoolExecutor:
-        """A fresh executor with this pool's initializer and start method."""
-        return ProcessPoolExecutor(
-            max_workers=max_workers if max_workers is not None else self.workers,
-            mp_context=multiprocessing.get_context(self.start_method),
-            initializer=self.initializer,
-            initargs=self.initargs,
-        )
-
-    def map_ordered(
-        self,
-        fn: Callable,
-        payloads: Sequence,
-        on_result: Optional[Callable[[int, object], None]] = None,
-    ) -> List:
-        """Run ``fn`` over ``payloads``; results in submission order.
-
-        Work is dispatched eagerly so idle workers steal ahead, and
-        futures are consumed in *completion* order so
-        ``on_result(index, result)`` fires the moment a payload lands —
-        the live-progress/heartbeat hook — while the returned list
-        still matches ``payloads`` element-for-element.  A
-        worker-process death surfaces as ``crash_error`` on the first
-        affected payload rather than a hang.
-        """
-        with self.executor() as pool:
-            futures = {
-                pool.submit(fn, payload): i
-                for i, payload in enumerate(payloads)
-            }
-            results: List = [None] * len(payloads)
-            for future in as_completed(futures):
-                i = futures[future]
-                try:
-                    results[i] = future.result()
-                except BrokenProcessPool as exc:
-                    raise self.crash_error(
-                        f"worker process died while running chunk {i} of "
-                        f"{len(payloads)} (see stderr for the worker's "
-                        f"traceback, if any)"
-                    ) from exc
-                if on_result is not None:
-                    on_result(i, results[i])
-            return results

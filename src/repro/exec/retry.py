@@ -1,35 +1,26 @@
-"""Fault-tolerant chunk execution: retry, split, isolate, quarantine.
+"""Worker-death accounting and per-trial deadlines.
 
-The fork pool (:mod:`repro.exec.pool`) surfaces a dead worker as an
-exception, which turns one bad spec — an OOM-killed trial, a segfault
-in a C extension, an ``os._exit`` — into a lost campaign.  This module
-adds the recovery layer on top:
+The campaign scheduler (:mod:`repro.swifi.scheduler`) learns that a
+worker is gone in one of two ways: a forked worker's pipe reaches EOF,
+or a TCP worker's lease outlives its TTL in silence.  Both feed the
+same accounting here:
 
-* **Retry with splitting** — when a worker process dies, every chunk
-  the broken pool had not finished is re-dispatched on a *fresh* pool
-  after an exponential backoff; multi-item chunks are split in half
-  first, so the blast radius of the killer item shrinks by half each
-  round (binary search for the culprit).
-* **Isolation for blame** — a ``BrokenProcessPool`` marks *every*
-  unfinished future, so a shared pool cannot attribute a death to one
-  chunk.  A single-item chunk that has failed once therefore re-runs in
-  its own single-worker pool, where a death is attributable beyond
-  doubt.
-* **Quarantine** — an item implicated in ``RetryPolicy.max_deaths``
-  worker deaths (at least one of them in isolation) is dropped from the
-  work list and reported as a :class:`DeathRecord` instead of being
-  retried forever; the caller decides what a quarantined item means
-  (the SWIFI campaign layer turns it into a ``WorkerKilled`` outcome).
+* **Blame** — :class:`BlameLedger` gives each implicated spec a
+  *strike*; a strike is *attributable* when the spec was alone in the
+  lost lease (the worker ran nothing else).  Multi-spec leases are
+  split in half instead of struck, so the blast radius of a killer
+  spec halves with each loss (binary search for the culprit).
+* **Quarantine** — a spec whose strikes reach ``RetryPolicy.max_deaths``
+  (at least one attributable) is given up on and reported as a
+  :class:`DeathRecord`; the scheduler turns it into a ``WorkerKilled``
+  trial instead of retrying forever.
 
-Termination is unconditional: each round either completes chunks,
-halves a failed chunk, or advances an item's death count toward the
-quarantine threshold, so the number of rounds is bounded by
-``log2(chunk size) + max_deaths + 1`` even when every item is a killer.
+Termination is unconditional: each lost lease either halves a chunk or
+advances one spec's strike count toward the threshold.
 
 :func:`trial_deadline` is the sibling per-trial guard: a wall-clock
 ``SIGALRM`` budget that converts a hung trial into a
-:class:`TrialTimeout` instead of stalling the worker (or the serial
-loop) forever.
+:class:`TrialTimeout` instead of stalling the worker forever.
 """
 
 from __future__ import annotations
@@ -37,27 +28,21 @@ from __future__ import annotations
 import contextlib
 import signal
 import time
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.exec.pool import ForkPool, chunk_slices
+from typing import Any, Callable, Dict, List, Optional
 
 
 @dataclass(frozen=True)
 class Clock:
     """Injectable time source for every wall-clock decision in this layer.
 
-    Backoff sleeps, lease TTLs, and expiry checks all read time through
-    one of these instead of calling :mod:`time` directly, so tests can
-    drive retry rounds and lease expiry in milliseconds with a fake
-    clock instead of actually sleeping (see ``tests/test_retry.py`` and
+    Lease TTLs and expiry checks read time through one of these instead
+    of calling :mod:`time` directly, so tests can drive lease expiry in
+    milliseconds with a fake clock instead of actually waiting (see
     ``tests/test_fleet.py``).
     """
 
     now: Callable[[], float] = time.monotonic
-    sleep: Callable[[float], None] = time.sleep
 
 
 #: The real wall clock — the default everywhere a :class:`Clock` is taken.
@@ -84,48 +69,25 @@ class FakeClock:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the resilient mapper reacts to worker-process deaths.
+    """How the campaign scheduler reacts to lost workers.
 
     ``max_deaths`` is the quarantine threshold: the number of worker
-    deaths an item may be implicated in before it is given up on.  With
-    the default of 2, an item that shared a broken pool once (possibly
-    as an innocent bystander of another item's kill) always gets one
-    isolated retry before quarantine.  ``0`` disables fault tolerance
-    entirely — the first dead worker surfaces as an exception, the
-    pre-retry behaviour.
+    deaths a spec may be implicated in before it is given up on.  With
+    the default of 2, a killer spec runs alone twice before quarantine.
+    ``0`` disables fault tolerance entirely — the first lost worker
+    fails the campaign with :class:`~repro.errors.InjectionError`.
     """
 
     max_deaths: int = 2
-    #: Delay before the first retry round, in seconds.
-    backoff_base: float = 0.05
-    #: Multiplier applied to the delay each further round.
-    backoff_factor: float = 2.0
-    #: Upper bound on any single backoff delay, in seconds.
-    backoff_max: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_deaths < 0:
             raise ValueError(f"max_deaths must be >= 0, got {self.max_deaths}")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
 
     @property
     def tolerant(self) -> bool:
         """Whether worker deaths are handled instead of raised."""
         return self.max_deaths > 0
-
-    def backoff(self, round_no: int) -> float:
-        """Backoff delay before retry round ``round_no`` (1-based)."""
-        if round_no <= 0:
-            return 0.0
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (round_no - 1),
-        )
 
 
 @dataclass
@@ -135,7 +97,7 @@ class DeathRecord:
     item: Any
     #: Worker deaths the item was implicated in (shared + isolated).
     deaths: int
-    #: Isolated (single-worker pool) deaths — attributable beyond doubt.
+    #: Deaths while the item ran alone — attributable beyond doubt.
     isolated_deaths: int
     #: Retry round on which the item was quarantined.
     round_no: int
@@ -144,16 +106,15 @@ class DeathRecord:
 
 @dataclass
 class BlameLedger:
-    """Death bookkeeping shared by the retry mapper and the fleet.
+    """Death bookkeeping for every kind of campaign worker.
 
-    Both failure detectors — a ``BrokenProcessPool`` from a shared fork
-    pool and an expired fleet lease — feed the same accounting: each
-    implicated item earns a *strike*; a strike is *attributable* when
-    the item was alone in the failure domain (a single-worker pool, or
-    a fleet lease whose chunk had shrunk to one item).  An item is
-    quarantined once its strikes reach ``policy.max_deaths`` with at
-    least one attributable strike, exactly the pre-fleet semantics of
-    :func:`map_resilient`.
+    Both failure detectors — a forked worker's pipe EOF and an expired
+    TCP lease — feed the same accounting: each implicated item earns a
+    *strike*; a strike is *attributable* when the item was alone in the
+    lost lease.  An item is quarantined once its strikes reach
+    ``policy.max_deaths`` with at least one attributable strike.  The
+    quarantine note comes from :meth:`record` alone, so a killed spec
+    reads the same whichever worker kind lost it.
     """
 
     policy: RetryPolicy
@@ -178,8 +139,8 @@ class BlameLedger:
         return DeathRecord(
             item=item, deaths=self.deaths[key],
             isolated_deaths=self.isolated.get(key, 0), round_no=round_no,
-            note=f"worker process died {self.deaths[key]}x "
-                 f"({self.isolated.get(key, 0)}x in isolation)",
+            note=f"worker lost {self.deaths[key]}x "
+                 f"({self.isolated.get(key, 0)}x running this spec alone)",
         )
 
 
@@ -216,140 +177,3 @@ def trial_deadline(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def map_resilient(
-    pool: ForkPool,
-    fn: Callable,
-    items: Sequence,
-    chunk_size: int,
-    policy: RetryPolicy,
-    *,
-    clock: Clock = SYSTEM_CLOCK,
-    on_event: Optional[Callable[..., None]] = None,
-    on_result: Optional[Callable[[Sequence, Any], None]] = None,
-) -> Tuple[List[Tuple[Sequence, Any]], List[DeathRecord]]:
-    """Run ``fn`` over chunks of ``items``, surviving worker deaths.
-
-    ``fn`` receives a tuple of consecutive items (one chunk) and runs in
-    a worker of ``pool``; a chunk whose worker dies is split and retried
-    per ``policy``.  Exceptions *raised by* ``fn`` propagate unchanged —
-    only hard worker deaths (``BrokenProcessPool``) are retried.
-
-    Returns ``(completed, dead)``: ``completed`` is a list of
-    ``(chunk_items, fn_result)`` pairs covering every non-quarantined
-    item exactly once (in no particular order — callers reassemble by
-    item identity), and ``dead`` holds a :class:`DeathRecord` per
-    quarantined item.  With ``policy.max_deaths == 0`` the first worker
-    death raises ``pool.crash_error`` instead, preserving the strict
-    crash-surfacing behaviour.
-
-    ``clock`` and ``on_event`` exist for tests and observability:
-    backoff sleeps go through ``clock.sleep`` so retry rounds run in
-    milliseconds under a :class:`FakeClock`; ``on_event(kind, **attrs)``
-    fires with ``kind`` in
-    ``{"worker_death", "retry", "quarantine"}``.  ``on_result`` fires
-    with each ``(chunk_items, fn_result)`` the moment the chunk
-    completes, so callers can persist partial progress (the campaign
-    journal) before the map — or the process — finishes.
-    """
-
-    def emit(kind: str, **attrs: Any) -> None:
-        if on_event is not None:
-            on_event(kind, **attrs)
-
-    def finish(chunk: Sequence, result: Any) -> None:
-        completed.append((chunk, result))
-        if on_result is not None:
-            on_result(chunk, result)
-
-    chunks: List[Tuple] = [
-        tuple(items[a:b]) for a, b in chunk_slices(len(items), chunk_size)
-    ]
-    completed: List[Tuple[Sequence, Any]] = []
-    dead: List[DeathRecord] = []
-    ledger = BlameLedger(policy)
-    # positional identity: items may not be hashable or unique
-    index_of = {id(item): i for i, item in enumerate(items)}
-
-    def run_shared(pending: List[Tuple]) -> List[Tuple]:
-        """One shared pool over ``pending``; returns the failed chunks.
-
-        Futures are consumed in *completion* order so ``on_result``
-        fires the moment a chunk lands — live progress and journal
-        durability must not wait behind a slow earlier chunk.  Callers
-        reassemble by item identity, so the order is free to vary.
-        """
-        failed: List[Tuple] = []
-        with pool.executor() as ex:
-            future_chunks = {ex.submit(fn, chunk): chunk for chunk in pending}
-            for future in as_completed(future_chunks):
-                chunk = future_chunks[future]
-                try:
-                    finish(chunk, future.result())
-                except BrokenProcessPool as exc:
-                    if not policy.tolerant:
-                        raise pool.crash_error(
-                            f"worker process died while running a chunk of "
-                            f"{len(chunk)} item(s) (retries disabled)"
-                        ) from exc
-                    failed.append(chunk)
-        # completion order is nondeterministic; keep the retry rounds'
-        # split/blame sequence deterministic by re-sorting on position
-        failed.sort(key=lambda chunk: index_of[id(chunk[0])])
-        if failed:
-            emit("worker_death", phase="shared",
-                 failed_chunks=len(failed),
-                 failed_items=sum(len(c) for c in failed))
-        return failed
-
-    def run_isolated(chunk: Tuple) -> bool:
-        """Run one suspect chunk alone; True when it completed."""
-        with pool.executor(max_workers=1) as ex:
-            try:
-                finish(chunk, ex.submit(fn, chunk).result())
-                return True
-            except BrokenProcessPool:
-                pass
-        emit("worker_death", phase="isolated", failed_chunks=1, failed_items=1)
-        return False
-
-    suspects: List[Tuple] = []
-    pending = chunks
-    round_no = 0
-    while pending or suspects:
-        if round_no > 0:
-            delay = policy.backoff(round_no)
-            emit("retry", round_no=round_no, delay=delay,
-                 chunks=len(pending), suspects=len(suspects))
-            if delay > 0:
-                clock.sleep(delay)
-        failed = run_shared(pending) if pending else []
-
-        next_suspects: List[Tuple] = []
-        for chunk in suspects:
-            if run_isolated(chunk):
-                continue
-            key = index_of[id(chunk[0])]
-            ledger.strike(key, attributable=True)
-            if ledger.condemned(key):
-                record = ledger.record(chunk[0], key, round_no)
-                dead.append(record)
-                emit("quarantine", deaths=record.deaths, round_no=round_no)
-            else:
-                next_suspects.append(chunk)
-
-        pending = []
-        for chunk in failed:
-            if len(chunk) == 1:
-                # implicated, but unattributable in a shared pool: the
-                # item earns a strike and an isolated day in court
-                ledger.strike(index_of[id(chunk[0])])
-                next_suspects.append(chunk)
-            else:
-                mid = len(chunk) // 2
-                pending.extend((chunk[:mid], chunk[mid:]))
-        suspects = next_suspects
-        round_no += 1
-
-    return completed, dead

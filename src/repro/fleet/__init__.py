@@ -1,45 +1,33 @@
-"""Campaign fleet service: a sharded multi-worker injection farm.
+"""Campaign fleet service: the campaign scheduler over TCP.
 
-The fleet promotes :func:`repro.swifi.run_campaign` from a single
-process with a fork pool to a coordinator + N long-lived spawned worker
-processes connected by a line-delimited JSON socket protocol:
+The fleet serves :func:`repro.swifi.run_campaign`'s lease scheduler
+(:mod:`repro.swifi.scheduler`) to long-lived worker processes over a
+line-delimited JSON socket protocol:
 
 * :mod:`repro.fleet.wire` — the versioned wire schema
   (:class:`ProgramRecipe`, :class:`CampaignEnvelope`, spec/observation
   codecs, framing).
-* :mod:`repro.fleet.lease` — heartbeat-backed TTL leases, the fleet's
-  unit of work ownership and its only death signal.
-* :mod:`repro.fleet.coordinator` — :class:`FleetCoordinator`: sharding,
-  scheduling, dedup, blame/quarantine, the durable journal, and the
-  deterministic merge.
+* :mod:`repro.fleet.coordinator` — :class:`FleetCoordinator`: the TCP
+  server around the scheduler, lease expiry (a silent worker's only
+  death signal) and ``repro status``.
 * :mod:`repro.fleet.worker` — :func:`worker_main`, the lease/execute/
-  report loop a spawned worker runs.
+  report loop a TCP worker runs.
 * :mod:`repro.fleet.client` — :class:`FleetClient` for ``repro
-  submit``/``status`` against a running ``repro serve``.
-* :mod:`repro.fleet.service` — the glue: :func:`run_fleet_campaign`
-  (what ``run_campaign`` delegates to for ``options.fleet`` /
-  ``options.endpoint``) and :func:`serve_forever` (``repro serve``).
+  submit``/``status``, and :func:`submit_campaign`, what
+  ``run_campaign`` does with ``options.endpoint``.
+* :mod:`repro.fleet.service` — :func:`serve_forever` (``repro serve``).
 
 The invariant the whole package is built around: coordinator + N
-workers is **bit-identical** to ``workers=1`` — every observation lands
-through the same ``absorb_trial`` merge in original spec order, and the
-same durable journal makes killed workers and killed coordinators
-resumable without re-running finished trials.
+workers is **bit-identical** to ``workers=1`` — the same scheduler
+merges every observation in original spec order, and the same durable
+journal makes killed workers and killed coordinators resumable without
+re-running finished trials.
 """
 
-from repro.fleet.client import FleetClient, rebuild_result
-from repro.fleet.coordinator import (
-    STATUS_VERSION,
-    FleetCoordinator,
-    FleetError,
-    FleetRun,
-)
-from repro.fleet.lease import DEFAULT_LEASE_TTL, Lease, LeaseTable
-from repro.fleet.service import (
-    LocalWorkerFleet,
-    run_fleet_campaign,
-    serve_forever,
-)
+from repro.exec.lease import DEFAULT_LEASE_TTL, Lease, LeaseTable
+from repro.fleet.client import FleetClient, rebuild_result, submit_campaign
+from repro.fleet.coordinator import STATUS_VERSION, FleetCoordinator, FleetError
+from repro.fleet.service import serve_forever
 from repro.fleet.wire import (
     WIRE_VERSION,
     CampaignEnvelope,
@@ -56,10 +44,8 @@ __all__ = [
     "FleetClient",
     "FleetCoordinator",
     "FleetError",
-    "FleetRun",
     "Lease",
     "LeaseTable",
-    "LocalWorkerFleet",
     "ProgramRecipe",
     "STATUS_VERSION",
     "WIRE_VERSION",
@@ -67,7 +53,7 @@ __all__ = [
     "envelope_for",
     "parse_endpoint",
     "rebuild_result",
-    "run_fleet_campaign",
     "serve_forever",
+    "submit_campaign",
     "worker_main",
 ]

@@ -19,6 +19,7 @@ from repro.fleet.wire import (
     CampaignEnvelope,
     connect,
     decode_observation,
+    envelope_for,
     parse_endpoint,
     send_message,
     recv_message,
@@ -32,6 +33,7 @@ from repro.swifi.campaign import (
     absorb_trial,
 )
 from repro.swifi.faultmodel import FaultSpec
+from repro.swifi.options import CampaignOptions
 
 
 class FleetClient:
@@ -141,3 +143,25 @@ def rebuild_result(spec_list: List[FaultSpec],
             f"(local {result.summary()!r} vs remote {remote_summary!r})"
         )
     return result
+
+
+def submit_campaign(program, spec_list: List[FaultSpec], mode: str,
+                    options: CampaignOptions,
+                    runner_factory=None) -> CampaignResult:
+    """Run a campaign on the coordinator at ``options.endpoint``.
+
+    What :func:`repro.swifi.run_campaign` does with an endpoint.
+    Journaling happens coordinator-side (under ``repro serve``'s
+    ``--run-dir``); the submitter's own ``run_dir``/``resume`` are not
+    shipped.
+    """
+    if runner_factory is not None:
+        raise FleetError(
+            "fleet campaigns cannot carry a runner_factory: workers "
+            "rebuild the trial runner from the program's ProgramRecipe"
+        )
+    envelope = envelope_for(program, spec_list, mode, options)
+    with FleetClient(options.endpoint) as client:
+        run_id = client.submit(envelope, chunk_size=options.chunk_size)
+        done = client.wait(run_id)
+    return rebuild_result(spec_list, done)

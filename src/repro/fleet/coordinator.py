@@ -1,48 +1,33 @@
-"""The fleet coordinator: shard campaigns, lease chunks, merge results.
+"""The fleet coordinator: the campaign scheduler behind a TCP socket.
 
-One coordinator owns the authoritative state of every submitted
-campaign: the spec plan, the durable journal, the lease table, and the
-deterministic merge.  Workers are stateless executors — they lease a
-chunk, run it, stream the result back, and everything else (dedup,
-blame, quarantine, resume) happens here.  The design constraints, in
-order:
+``repro serve`` runs one :class:`FleetCoordinator`, a thin JSONL-over-TCP
+server around a :class:`~repro.swifi.scheduler.LeaseScheduler`.  Every
+handler calls the scheduler under one lock, and the scheduler does the
+rest — queueing, leasing, dedup, blame and quarantine, the durable
+journal and the spec-order merge — exactly as it does for in-process
+and forked workers, so ``coordinator + N workers`` is bit-identical to
+``workers=1``.  The coordinator adds only what sockets need:
 
-1. **Bit-identical results.**  Every observation — whether it arrived
-   over a socket, was replayed from the journal, or was synthesized by
-   quarantine — is merged through the same
-   :func:`~repro.swifi.campaign.absorb_trial` path in original spec
-   order.  ``coordinator + N workers`` therefore equals ``workers=1``
-   exactly, for any worker count, any lease reissue history, and any
-   kill/resume split.
-2. **Silence is a death signal.**  A lease whose TTL expires without a
-   beat is treated like a broken fork pool: multi-item chunks are split
-   in half and requeued (binary search for a poisonous spec); a
-   single-item lease is an *attributable* strike in the shared
-   :class:`~repro.exec.retry.BlameLedger`, and a condemned spec is
-   quarantined into the result as a ``WORKER_KILLED`` trial — the same
-   policy, ledger, and record types the in-process retry layer uses.
-3. **Duplicates are harmless.**  A slow-but-alive worker may race its
-   own reissued lease; the first result for a chunk index wins and
-   later copies are dropped.  Trials are deterministic, so the dropped
-   copy is bit-identical to the kept one — dedup is bookkeeping, not
-   arbitration.
-4. **The journal is the recovery story.**  Chunks are journaled the
-   moment they land; a SIGKILLed coordinator restarted with ``resume``
-   replays the journaled prefix through the normal resume machinery and
-   only leases out the remainder.
+* accepting connections and decoding wire messages;
+* a reaper thread that turns a silent worker into expired leases (the
+  only death signal a TCP worker gives);
+* failing a run at once when a worker reports that a trial raised;
+* the worker registry and the ``repro status`` document.
+
+The journal is the recovery story: a SIGKILLed coordinator restarted
+with ``resume`` replays the journaled prefix and only leases out the
+remainder.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.exec.retry import SYSTEM_CLOCK, BlameLedger, Clock, RetryPolicy
-from repro.fleet.lease import DEFAULT_LEASE_TTL, Lease, LeaseTable
+from repro.exec.lease import DEFAULT_LEASE_TTL, Lease
+from repro.exec.retry import SYSTEM_CLOCK, Clock, RetryPolicy
 from repro.fleet.wire import (
     CampaignEnvelope,
     WireError,
@@ -52,32 +37,9 @@ from repro.fleet.wire import (
     recv_message,
     send_message,
 )
-from repro.obs.instrument import (
-    record_campaign,
-    record_fleet_queue_depth,
-    record_fleet_workers,
-    record_journal_activity,
-    record_lease,
-    record_quarantine,
-    record_worker_death,
-)
 from repro.obs.events import get_tracer
-from repro.swifi.campaign import (
-    CampaignResult,
-    QuarantineReport,
-    TrialObservation,
-    absorb_quarantined,
-    absorb_trial,
-)
-from repro.swifi.journal import campaign_fingerprint
-from repro.swifi.options import CampaignOptions
-from repro.swifi.outcomes import Outcome, classify_outcome
-from repro.swifi.parallel import (
-    _absorb_replayed,
-    _open_journal,
-    _open_monitor,
-    _section_context,
-)
+from repro.obs.instrument import record_fleet_queue_depth, record_fleet_workers
+from repro.swifi.scheduler import CampaignRun, LeaseScheduler
 
 #: Status / wire schema version for ``repro status`` consumers.
 STATUS_VERSION = 1
@@ -87,43 +49,11 @@ class FleetError(ReproError):
     """Coordinator-side fleet failure (bad submit, dead run, …)."""
 
 
-@dataclass
-class FleetRun:
-    """Everything the coordinator tracks for one submitted campaign."""
-
-    run_id: str
-    envelope: CampaignEnvelope
-    spec_list: List[Any]
-    options: CampaignOptions
-    program: Any = None
-    journal: Any = None
-    replayed: Dict[int, Any] = field(default_factory=dict)
-    monitor: Any = None
-    sec_of: Optional[List[Optional[str]]] = None
-    #: Chunks awaiting a lease, as tuples of global spec indices.
-    queue: "deque[Tuple[int, ...]]" = field(default_factory=deque)
-    obs_by_index: Dict[int, TrialObservation] = field(default_factory=dict)
-    quarantines: Dict[int, QuarantineReport] = field(default_factory=dict)
-    ledger: Optional[BlameLedger] = None
-    reap_rounds: int = 0
-    state: str = "running"
-    error: str = ""
-    result: Optional[CampaignResult] = None
-    done: threading.Event = field(default_factory=threading.Event)
-
-    @property
-    def finished_trials(self) -> int:
-        return (len(self.replayed) + len(self.obs_by_index)
-                + len(self.quarantines))
-
-
 class FleetCoordinator:
-    """A campaign fleet's brain: socket server + scheduler + merger.
+    """A lease scheduler served over TCP.
 
     ``run_root``/``resume`` configure the durable journal exactly like
-    :class:`~repro.swifi.options.CampaignOptions` ``run_dir``/``resume``
-    — the coordinator journals every landed chunk immediately and
-    replays journaled trials on resume instead of re-leasing them.
+    :class:`~repro.swifi.options.CampaignOptions` ``run_dir``/``resume``.
     """
 
     def __init__(
@@ -142,21 +72,19 @@ class FleetCoordinator:
         self.requested_port = port
         self.run_root = run_root
         self.resume = resume
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.clock = clock
-        self.leases = LeaseTable(ttl=lease_ttl, clock=clock)
-        #: Seconds between reaper sweeps (wall clock; ``None`` = no
+        self.scheduler = LeaseScheduler(
+            retry=retry, lease_ttl=lease_ttl, clock=clock
+        )
+        self.leases = self.scheduler.leases
+        self._runs = self.scheduler.runs
+        #: Seconds between reaper sweeps (wall clock; ``0`` = no
         #: background reaper — tests with a FakeClock call :meth:`reap`).
         self.reap_interval = reap_interval if reap_interval is not None \
             else max(0.05, min(0.5, lease_ttl / 4.0))
         self._lock = threading.RLock()
-        self._runs: Dict[str, FleetRun] = {}
-        self._run_order: List[str] = []
         self._workers: Dict[str, Dict[str, Any]] = {}
         self._server: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
-        self._run_seq = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -177,17 +105,13 @@ class FleetCoordinator:
         server.bind((self.host, self.requested_port))
         server.listen(64)
         self._server = server
-        accept = threading.Thread(
+        threading.Thread(
             target=self._accept_loop, name="fleet-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
+        ).start()
         if self.reap_interval > 0:
-            reaper = threading.Thread(
+            threading.Thread(
                 target=self._reap_loop, name="fleet-reaper", daemon=True
-            )
-            reaper.start()
-            self._threads.append(reaper)
+            ).start()
         return self
 
     def stop(self) -> None:
@@ -201,8 +125,7 @@ class FleetCoordinator:
             self._server = None
         with self._lock:
             for run in self._runs.values():
-                if run.state == "running":
-                    self._close_run(run, state="stopped")
+                self.scheduler.close(run, "stopped")
 
     def __enter__(self) -> "FleetCoordinator":
         return self.start()
@@ -210,86 +133,38 @@ class FleetCoordinator:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- submission -----------------------------------------------------
+    # -- scheduler calls, serialized ------------------------------------
 
     def submit(self, envelope: CampaignEnvelope, program: Any = None,
                chunk_size: Optional[int] = None) -> str:
-        """Register one campaign: build, fingerprint, journal, enqueue.
+        """Register one campaign; returns its run id.
 
         ``program`` short-circuits the recipe rebuild when the caller
-        already holds the built program (the in-process fleet path); a
-        wire submission always rebuilds from the recipe.  ``chunk_size``
-        overrides the lease granularity (default: sized for the
-        currently registered workers) — a scheduling hint, never part
-        of the campaign's identity.
+        already holds the built program; a wire submission always
+        rebuilds from the recipe.  ``chunk_size`` overrides the lease
+        granularity (default: sized for the registered workers) — a
+        scheduling hint, never part of the campaign's identity.
         """
         if self._stopping.is_set():
             raise FleetError("coordinator is stopping; submission refused")
         if program is None:
             program = envelope.recipe.build_program()
-        spec_list = list(envelope.specs)
-        run_options = envelope.options.evolve(
+        options = envelope.options.evolve(
             run_dir=self.run_root,
             resume=self.run_root if self.resume else None,
         )
-        fingerprint, _meta = campaign_fingerprint(
-            program, spec_list, envelope.mode, run_options.seed
-        )
-        sec_of, affected_fn = (None, None) if run_options.journal_root is None \
-            else _section_context(program, spec_list)
-        journal, replayed = _open_journal(
-            program, spec_list, envelope.mode, run_options,
-            sec_of=sec_of, affected_fn=affected_fn,
-        )
-        monitor = _open_monitor(program, spec_list, run_options, journal)
         with self._lock:
-            self._run_seq += 1
-            run_id = f"run-{self._run_seq:03d}-{fingerprint[:8]}"
-            run = FleetRun(
-                run_id=run_id, envelope=envelope, spec_list=spec_list,
-                options=run_options, program=program, journal=journal,
-                replayed=replayed, monitor=monitor, sec_of=sec_of,
-                ledger=BlameLedger(self.retry),
+            run = self.scheduler.open_run(
+                program, list(envelope.specs), envelope.mode, options,
+                chunk_size=chunk_size, workers=len(self._workers) or 2,
+                envelope=envelope,
             )
-            pending = [i for i in range(len(spec_list)) if i not in replayed]
-            if journal is not None:
-                record_journal_activity(replayed=len(replayed))
-            if replayed and monitor is not None:
-                tally: Dict[str, int] = {}
-                for record in replayed.values():
-                    tally[record.outcome] = tally.get(record.outcome, 0) + 1
-                monitor.advance(len(replayed), tally, source="replay")
-            for chunk in self._chunk(pending, chunk_size):
-                run.queue.append(chunk)
-            self._runs[run_id] = run
-            self._run_order.append(run_id)
-            record_fleet_queue_depth(self._queue_depth_locked())
+            record_fleet_queue_depth(self._queue_depth())
             get_tracer().event(
-                "fleet.submit", run=run_id, trials=len(spec_list),
-                replayed=len(replayed), chunks=len(run.queue),
+                "fleet.submit", run=run.run_id, trials=len(run.spec_list),
+                replayed=len(run.replayed), chunks=len(run.queue),
             )
-            self._maybe_finish(run)
-            return run_id
-
-    def _chunk(self, pending: List[int],
-               chunk_size: Optional[int]) -> List[Tuple[int, ...]]:
-        from repro.exec.pool import chunk_slices, default_chunk_size
-
-        if not pending:
-            return []
-        size = chunk_size if chunk_size is not None else \
-            default_chunk_size(len(pending), max(1, len(self._workers) or 2))
-        return [tuple(pending[a:b])
-                for a, b in chunk_slices(len(pending), size)]
-
-    # -- scheduling -----------------------------------------------------
-
-    def _active_run(self) -> Optional[FleetRun]:
-        for run_id in self._run_order:
-            run = self._runs[run_id]
-            if run.state == "running":
-                return run
-        return None
+            return run.run_id
 
     def grant(self, worker_id: str,
               worker_run: Optional[str]) -> Dict[str, Any]:
@@ -297,28 +172,26 @@ class FleetCoordinator:
         with self._lock:
             if self._stopping.is_set():
                 return {"type": "drain"}
-            run = self._active_run()
-            if run is None or not run.queue:
+            lease = self.scheduler.grant(worker_id)
+            if lease is None:
                 return {"type": "idle"}
-            indices = run.queue.popleft()
-            lease = self.leases.grant(worker_id, run.run_id, indices)
-            record_lease("granted")
-            record_fleet_queue_depth(self._queue_depth_locked())
+            record_fleet_queue_depth(self._queue_depth())
             worker = self._workers.get(worker_id)
             if worker is not None:
-                worker["leases"] = worker.get("leases", 0) + 1
+                worker["leases"] += 1
+            run = self._runs[lease.run_id]
             response: Dict[str, Any] = {
                 "type": "grant",
                 "lease": lease.lease_id,
                 "run": run.run_id,
-                "indices": list(indices),
-                "specs": [encode_spec(run.spec_list[i]) for i in indices],
+                "indices": list(lease.indices),
+                "specs": [encode_spec(run.spec_list[i]) for i in lease.indices],
             }
             if worker_run != run.run_id:
                 response["envelope"] = run.envelope.to_dict()
             get_tracer().event(
                 "fleet.lease", lease=lease.lease_id, worker=worker_id,
-                run=run.run_id, items=len(indices),
+                run=run.run_id, items=len(lease.indices),
             )
             return response
 
@@ -326,176 +199,39 @@ class FleetCoordinator:
         with self._lock:
             return self.leases.beat(lease_id)
 
-    def absorb_result(
-        self, worker_id: str, lease_id: str, run_id: str,
-        indices: List[int], observations: List[TrialObservation],
-        worker_pid: int = 0,
-    ) -> None:
-        """Land one chunk result: dedup, journal, account, retire lease."""
+    def absorb(self, message: Dict[str, Any]) -> None:
+        """Apply one decoded worker message (see ``LeaseScheduler.absorb``)."""
         with self._lock:
-            run = self._runs.get(run_id)
-            if run is None:
-                raise FleetError(f"result for unknown run {run_id!r}")
-            if len(indices) != len(observations):
-                raise FleetError(
-                    f"chunk carried {len(observations)} observations for "
-                    f"{len(indices)} indices"
-                )
-            lease = self.leases.complete(lease_id)
-            if lease is not None:
-                record_lease("completed")
-            fresh = [
-                (idx, obs) for idx, obs in zip(indices, observations)
-                if idx not in run.obs_by_index
-                and idx not in run.quarantines
-                and idx not in run.replayed
-            ]
-            # duplicates (a reissued lease racing its slow original) are
-            # dropped: trials are deterministic, so the copies agree
-            tally: Dict[str, int] = {}
-            for idx, obs in fresh:
-                run.obs_by_index[idx] = obs
-                outcome = classify_outcome(
-                    obs.failure, obs.detected, obs.output_ok
-                )
-                tally[outcome.value] = tally.get(outcome.value, 0) + 1
-                if run.journal is not None:
-                    run.journal.append_trial(
-                        idx, run.spec_list[idx], outcome.value, obs,
-                        section=run.sec_of[idx]
-                        if run.sec_of is not None else None,
-                    )
-            if fresh and run.monitor is not None:
-                run.monitor.advance(
-                    len(fresh), tally, pid=worker_pid or None,
-                    source="lease", lease=lease_id,
-                )
-            self._maybe_finish(run)
+            self.scheduler.absorb(message)
 
-    # -- lease expiry: the fleet's death signal -------------------------
+    def absorb_result(self, worker_id: str, lease_id: str, run_id: str,
+                      indices: List[int], observations: List[Any],
+                      worker_pid: int = 0) -> None:
+        """Land one chunk's observations under ``lease_id``."""
+        self.absorb({
+            "type": "result", "worker": worker_id, "lease": lease_id,
+            "run": run_id, "indices": indices,
+            "observations": observations, "pid": worker_pid,
+        })
 
     def reap(self) -> List[Lease]:
         """Expire overdue leases: split/requeue chunks, blame singletons."""
         with self._lock:
-            dead = self.leases.expired()
-            if not dead:
-                return []
-            for lease in dead:
-                record_lease("expired")
-                record_worker_death("lease", 1)
-                get_tracer().event(
-                    "fleet.lease_expired", lease=lease.lease_id,
-                    worker=lease.worker_id, run=lease.run_id,
-                    items=len(lease.indices),
-                )
-                run = self._runs.get(lease.run_id)
-                if run is None or run.state != "running":
-                    continue
-                run.reap_rounds += 1
-                # results may have landed right before expiry; only the
-                # still-missing indices go back on the queue
-                missing = tuple(
-                    i for i in lease.indices
-                    if i not in run.obs_by_index
-                    and i not in run.quarantines
-                    and i not in run.replayed
-                )
-                if not missing:
-                    continue
-                if len(missing) > 1:
-                    mid = len(missing) // 2
-                    run.queue.append(missing[:mid])
-                    run.queue.append(missing[mid:])
-                    record_lease("reissued", 2)
-                    continue
-                # a single-item lease: the worker ran nothing else, so
-                # the strike is attributable (same bar as an isolated
-                # fork-pool death)
-                idx = missing[0]
-                run.ledger.strike(idx, attributable=True)
-                if run.ledger.condemned(idx):
-                    self._quarantine(run, idx)
-                else:
-                    run.queue.append(missing)
-                    record_lease("reissued")
-            record_fleet_queue_depth(self._queue_depth_locked())
-            active = self._active_run()
-            if active is not None:
-                self._maybe_finish(active)
+            dead = self.scheduler.reap()
+            if dead:
+                record_fleet_queue_depth(self._queue_depth())
             return dead
 
-    def _quarantine(self, run: FleetRun, idx: int) -> None:
-        record = run.ledger.record(
-            item=(idx, run.spec_list[idx]), key=idx, round_no=run.reap_rounds
-        )
-        report = QuarantineReport(
-            spec=run.spec_list[idx], index=idx, deaths=record.deaths,
-            rounds=record.round_no,
-            note=f"fleet lease expired {record.deaths}x",
-        )
-        run.quarantines[idx] = report
-        record_quarantine()
-        if run.journal is not None:
-            run.journal.append_quarantine(
-                report,
-                section=run.sec_of[idx] if run.sec_of is not None else None,
-            )
-        if run.monitor is not None:
-            run.monitor.advance(
-                1, {Outcome.WORKER_KILLED.value: 1}, source="lease"
-            )
-
-    # -- completion -----------------------------------------------------
-
-    def _maybe_finish(self, run: FleetRun) -> None:
-        if run.state != "running":
-            return
-        if run.finished_trials < len(run.spec_list) or len(
-            [l for l in self.leases.active.values()
-             if l.run_id == run.run_id]
-        ):
-            return
-        tracer = get_tracer()
-        result = CampaignResult()
-        with tracer.span(
-            "swifi.campaign", workers=f"fleet:{len(self._workers)}",
-            planned_trials=len(run.spec_list), replayed=len(run.replayed),
-        ) as span:
-            # the deterministic merge: original spec order, one absorb
-            # per spec, same helpers as the serial and pooled paths
-            for i, spec in enumerate(run.spec_list):
-                record = run.replayed.get(i)
-                if record is not None:
-                    _absorb_replayed(result, spec, record, tracer)
-                elif i in run.quarantines:
-                    absorb_quarantined(result, run.quarantines[i], tracer)
-                else:
-                    absorb_trial(result, spec, run.obs_by_index[i], tracer)
-            record_campaign(result)
-            span.set(**result.summary())
-        run.result = result
-        self._close_run(run, state="done")
-
-    def _close_run(self, run: FleetRun, state: str) -> None:
-        run.state = state
-        if run.monitor is not None:
-            run.monitor.close()
-            run.monitor = None
-        if run.journal is not None:
-            record_journal_activity(appended=run.journal.appended)
-            run.journal.close()
-            run.journal = None
-        run.done.set()
-        get_tracer().event("fleet.run_closed", run=run.run_id, state=state)
-
-    def wait(self, run_id: str, timeout: Optional[float] = None):
-        """Block until a run completes; returns its ``CampaignResult``."""
+    def wait(self, run_id: str, timeout: Optional[float] = None) -> CampaignRun:
+        """Block until a run completes; returns it (``run.result`` set)."""
         with self._lock:
             run = self._runs.get(run_id)
         if run is None:
             raise FleetError(f"unknown run {run_id!r}")
         if not run.done.wait(timeout):
             raise FleetError(f"run {run_id!r} still executing after timeout")
+        if run.error is not None:
+            raise FleetError(f"run {run_id!r} failed: {run.error}")
         if run.result is None:
             raise FleetError(
                 f"run {run_id!r} ended without a result (state={run.state})"
@@ -504,7 +240,7 @@ class FleetCoordinator:
 
     # -- status ---------------------------------------------------------
 
-    def _queue_depth_locked(self) -> int:
+    def _queue_depth(self) -> int:
         return sum(len(r.queue) for r in self._runs.values()
                    if r.state == "running")
 
@@ -515,23 +251,22 @@ class FleetCoordinator:
                 "type": "status",
                 "v": STATUS_VERSION,
                 "state": "stopping" if self._stopping.is_set() else "serving",
-                "queue_depth": self._queue_depth_locked(),
+                "queue_depth": self._queue_depth(),
                 "active_leases": len(self.leases),
                 "lease_ttl": self.leases.ttl,
                 "workers": [
-                    {"id": wid, "pid": info.get("pid", 0),
-                     "leases": info.get("leases", 0)}
+                    {"id": wid, "pid": info["pid"], "leases": info["leases"]}
                     for wid, info in sorted(self._workers.items())
                 ],
                 "runs": [
                     {
-                        "run": run_id,
-                        "state": self._runs[run_id].state,
-                        "done": self._runs[run_id].finished_trials,
-                        "total": len(self._runs[run_id].spec_list),
-                        "quarantined": len(self._runs[run_id].quarantines),
+                        "run": run.run_id,
+                        "state": run.state,
+                        "done": run.finished_trials,
+                        "total": len(run.spec_list),
+                        "quarantined": len(run.quarantines),
                     }
-                    for run_id in self._run_order
+                    for run in self._runs.values()
                 ],
             }
 
@@ -546,22 +281,17 @@ class FleetCoordinator:
                 conn, _addr = server.accept()
             except OSError:
                 return
-            handler = threading.Thread(
+            threading.Thread(
                 target=self._serve_connection, args=(conn,),
                 name="fleet-conn", daemon=True,
-            )
-            handler.start()
+            ).start()
 
     def _reap_loop(self) -> None:
-        import time as _time
-
-        while not self._stopping.is_set():
-            _time.sleep(self.reap_interval)
+        while not self._stopping.wait(self.reap_interval):
             try:
                 self.reap()
             except Exception:  # the reaper must outlive bad state
-                if self._stopping.is_set():
-                    return
+                pass
 
     def _serve_connection(self, conn: socket.socket) -> None:
         stream = conn.makefile("rwb")
@@ -575,7 +305,7 @@ class FleetCoordinator:
                     return
                 try:
                     reply = self._dispatch(message)
-                except (FleetError, WireError) as exc:
+                except ReproError as exc:
                     reply = {"type": "error", "error": str(exc)}
                 if reply is not None:
                     try:
@@ -604,16 +334,21 @@ class FleetCoordinator:
             self.beat(str(message["lease"]))
             return None  # fire-and-forget
         if kind == "result":
-            self.absorb_result(
-                worker_id=str(message.get("worker", "")),
-                lease_id=str(message["lease"]),
-                run_id=str(message["run"]),
-                indices=[int(i) for i in message["indices"]],
-                observations=[
+            self.absorb({
+                **message,
+                "indices": [int(i) for i in message["indices"]],
+                "observations": [
                     decode_observation(o) for o in message["observations"]
                 ],
-                worker_pid=int(message.get("pid", 0)),
-            )
+            })
+            return {"type": "ack"}
+        if kind == "error":
+            # a trial raised on the worker: fail the run now rather
+            # than let its lease time out and reissue the same trial
+            self.absorb({**message, "exception": FleetError(
+                f"worker raised {message.get('kind', 'Exception')}: "
+                f"{message.get('error', '')}"
+            )})
             return {"type": "ack"}
         if kind == "submit":
             envelope = CampaignEnvelope.from_dict(message["envelope"])
@@ -626,43 +361,38 @@ class FleetCoordinator:
         if kind == "status":
             return self.status()
         if kind == "wait":
-            run = self.wait(
+            return self._done_document(self.wait(
                 str(message["run"]), timeout=message.get("timeout")
-            )
-            # the complete merged picture, replayed prefix included, so
-            # a remote submitter can rebuild the CampaignResult through
-            # the same absorb path and land bit-identical to local runs
-            observations: Dict[str, Any] = {
-                str(i): encode_observation(o)
-                for i, o in run.obs_by_index.items()
-            }
-            quarantines = [
-                {"index": r.index, "deaths": r.deaths,
-                 "rounds": r.rounds, "note": r.note}
-                for r in (run.quarantines[i]
-                          for i in sorted(run.quarantines))
-            ]
-            for i in sorted(run.replayed):
-                record = run.replayed[i]
-                if record.observation is not None:
-                    observations[str(i)] = encode_observation(
-                        record.observation
-                    )
-                else:
-                    report = record.to_report(run.spec_list[i])
-                    quarantines.append(
-                        {"index": report.index, "deaths": report.deaths,
-                         "rounds": report.rounds, "note": report.note}
-                    )
-            return {
-                "type": "done",
-                "run": run.run_id,
-                "state": run.state,
-                "summary": run.result.summary(),
-                "observations": observations,
-                "quarantines": quarantines,
-            }
+            ))
         if kind == "shutdown":
             threading.Thread(target=self.stop, daemon=True).start()
             return {"type": "bye"}
         raise WireError(f"unknown fleet message type {kind!r}")
+
+    @staticmethod
+    def _done_document(run: CampaignRun) -> Dict[str, Any]:
+        """The complete merged picture of a finished run, replayed prefix
+        included, so a remote submitter can rebuild the CampaignResult
+        through the same absorb path and land bit-identical to local runs."""
+        observations: Dict[str, Any] = {
+            str(i): encode_observation(o) for i, o in run.obs_by_index.items()
+        }
+        reports = [run.quarantines[i] for i in sorted(run.quarantines)]
+        for i in sorted(run.replayed):
+            record = run.replayed[i]
+            if record.observation is not None:
+                observations[str(i)] = encode_observation(record.observation)
+            else:
+                reports.append(record.to_report(run.spec_list[i]))
+        return {
+            "type": "done",
+            "run": run.run_id,
+            "state": run.state,
+            "summary": run.result.summary(),
+            "observations": observations,
+            "quarantines": [
+                {"index": r.index, "deaths": r.deaths, "rounds": r.rounds,
+                 "note": r.note}
+                for r in reports
+            ],
+        }

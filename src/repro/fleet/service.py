@@ -1,215 +1,24 @@
-"""Fleet service glue: local worker fleets and the ``run_campaign`` bridge.
+"""``repro serve``: a standing coordinator, optionally with its own workers.
 
-Two consumers share this module:
-
-* :func:`run_fleet_campaign` — what
-  :func:`repro.swifi.run_campaign` delegates to when
-  ``options.fleet``/``options.endpoint`` is set.  The ``fleet=N`` path
-  stands up an in-process :class:`FleetCoordinator` plus a
-  :class:`LocalWorkerFleet` of N spawned processes, runs the campaign
-  through leases, and returns the coordinator's merged result; the
-  ``endpoint`` path submits to an already-running ``repro serve`` and
-  rebuilds the result from the wire.  Both are bit-identical to
-  ``workers=1``.
-* :func:`serve_forever` — the ``repro serve`` driver: a standing
-  coordinator (optionally with its own local worker fleet) accepting
-  ``repro submit`` campaigns until interrupted.
-
-Worker processes ride the existing executor seam: each fleet worker is
-one single-worker **spawn** executor
-(``ForkPool(1, start_method="spawn").executor()``), so a ``kill -9``
-of a worker breaks exactly one executor — the others keep leasing, and
-the dead worker's leases expire back onto the queue.
+:func:`serve_forever` runs a :class:`FleetCoordinator` accepting
+``repro submit`` campaigns until interrupted.  With ``fleet=N`` it also
+*spawns* N TCP workers (:func:`~repro.fleet.worker.worker_main`) next
+to it — the single-host farm.  They are spawned rather than forked
+because a standing coordinator has no warm campaign to fork from: each
+worker rebuilds every submitted program from its recipe.  A ``kill -9``
+of one worker only silences its leases, which expire and reissue.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import multiprocessing
+from typing import Optional
 
-from repro.errors import InjectionError
-from repro.exec.pool import ForkPool, spawn_available
+from repro.exec.lease import DEFAULT_LEASE_TTL
 from repro.exec.retry import RetryPolicy
-from repro.fleet.coordinator import FleetCoordinator, FleetError
-from repro.fleet.lease import DEFAULT_LEASE_TTL
-from repro.fleet.wire import envelope_for
-from repro.obs.instrument import record_fleet_workers, record_plan
-from repro.obs.events import get_tracer
-from repro.swifi.campaign import CampaignResult
-from repro.swifi.faultmodel import FaultSpec
-from repro.swifi.options import CampaignOptions
-
-
-class LocalWorkerFleet:
-    """N fleet workers, each in its own single-worker spawn executor.
-
-    The per-worker executor is the fault-isolation boundary: a hard
-    death (``kill -9``, OOM) breaks only that worker's executor, which
-    this class quietly retires — recovery is the coordinator's job (the
-    dead worker's leases expire and reissue), not the launcher's.
-    """
-
-    def __init__(self, workers: int, host: str, port: int,
-                 name_prefix: str = "w"):
-        if workers < 1:
-            raise FleetError(f"fleet needs at least one worker, got {workers}")
-        if not spawn_available():  # pragma: no cover - spawn is universal
-            raise FleetError("fleet workers need the spawn start method")
-        self.workers = workers
-        self.host = host
-        self.port = port
-        self.name_prefix = name_prefix
-        self._executors = []
-        self._futures = []
-
-    def start(self) -> "LocalWorkerFleet":
-        from repro.fleet.worker import worker_main
-
-        for k in range(self.workers):
-            pool = ForkPool(1, crash_error=InjectionError,
-                            start_method="spawn")
-            executor = pool.executor()
-            future = executor.submit(
-                worker_main, self.host, self.port, f"{self.name_prefix}{k}"
-            )
-            self._executors.append(executor)
-            self._futures.append(future)
-        record_fleet_workers(self.workers)
-        return self
-
-    def alive(self) -> int:
-        """Workers whose futures are still running.
-
-        A healthy worker blocks in its lease loop until drained, so a
-        *finished* future mid-campaign means the worker returned early
-        or its process died.
-        """
-        return sum(1 for f in self._futures if not f.done())
-
-    def first_error(self) -> Optional[BaseException]:
-        """The first dead worker's exception, if any future failed."""
-        for future in self._futures:
-            if future.done() and future.exception() is not None:
-                return future.exception()
-        return None
-
-    def stop(self) -> None:
-        """Retire every worker executor; dead ones are already broken."""
-        for executor in self._executors:
-            try:
-                executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-        self._executors = []
-        self._futures = []
-        record_fleet_workers(0)
-
-    def __enter__(self) -> "LocalWorkerFleet":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def run_fleet_campaign(
-    program,
-    specs: List[FaultSpec],
-    mode: str,
-    options: CampaignOptions,
-    *,
-    runner_factory=None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-) -> CampaignResult:
-    """The fleet back half of :func:`repro.swifi.run_campaign`.
-
-    Resolves the statistical plan locally (the planner needs only the
-    kernel), then either submits to ``options.endpoint`` or stands up
-    an in-process coordinator with ``options.fleet`` spawned workers.
-    """
-    if runner_factory is not None:
-        raise FleetError(
-            "fleet campaigns cannot carry a runner_factory: workers "
-            "rebuild the trial runner from the program's ProgramRecipe"
-        )
-    spec_list = list(specs)
-    plan = None
-    if options.budget is not None and spec_list:
-        from repro.swifi.parallel import _build_campaign_plan
-
-        plan = _build_campaign_plan(program, spec_list, mode, options, None)
-        record_plan(len(plan.strata), plan.trials_saved)
-        get_tracer().event(
-            "swifi.plan", method=plan.method, budget=plan.budget,
-            population=plan.population, strata=len(plan.strata),
-            trials_saved=plan.trials_saved,
-        )
-        spec_list = plan.selected_specs(spec_list)
-
-    if options.endpoint is not None:
-        result = _run_remote(program, spec_list, mode, options)
-    else:
-        result = _run_local_fleet(
-            program, spec_list, mode, options, lease_ttl=lease_ttl
-        )
-    if plan is not None:
-        from repro.swifi.planner import estimate_plan
-
-        result.plan = estimate_plan(plan, result.trials)
-    return result
-
-
-def _run_remote(program, spec_list, mode, options) -> CampaignResult:
-    """Submit to a running coordinator and rebuild its merged result.
-
-    Journaling happens coordinator-side (under ``repro serve``'s
-    ``--run-dir``); the submitter's own ``run_dir``/``resume`` are not
-    shipped.
-    """
-    from repro.fleet.client import FleetClient, rebuild_result
-
-    envelope = envelope_for(program, spec_list, mode, options)
-    with FleetClient(options.endpoint) as client:
-        run_id = client.submit(envelope, chunk_size=options.chunk_size)
-        done = client.wait(run_id)
-    return rebuild_result(spec_list, done)
-
-
-def _run_local_fleet(program, spec_list, mode, options,
-                     lease_ttl: float) -> CampaignResult:
-    """In-process coordinator + ``options.fleet`` spawned workers."""
-    envelope = envelope_for(program, spec_list, mode, options)
-    coordinator = FleetCoordinator(
-        run_root=options.journal_root,
-        resume=options.resuming,
-        retry=options.retry,
-        lease_ttl=lease_ttl,
-    )
-    coordinator.start()
-    fleet: Optional[LocalWorkerFleet] = None
-    try:
-        run_id = coordinator.submit(
-            envelope, program=program, chunk_size=options.chunk_size
-        )
-        run = coordinator._runs[run_id]
-        if not run.done.is_set():
-            fleet = LocalWorkerFleet(
-                options.fleet, coordinator.host, coordinator.port
-            ).start()
-        # lease expiry covers a *partially* dead fleet; a fully dead
-        # fleet would leave the queue unleased forever, so watch for it
-        while not run.done.wait(0.1):
-            if fleet is not None and fleet.alive() == 0:
-                error = fleet.first_error()
-                raise FleetError(
-                    "every fleet worker exited before the campaign "
-                    f"finished: {error!r}" if error is not None else
-                    "every fleet worker exited before the campaign finished"
-                )
-        run = coordinator.wait(run_id)
-        return run.result
-    finally:
-        coordinator.stop()
-        if fleet is not None:
-            fleet.stop()
+from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.worker import worker_main
+from repro.obs.instrument import record_fleet_workers
 
 
 def serve_forever(
@@ -226,43 +35,40 @@ def serve_forever(
 ) -> int:
     """The ``repro serve`` loop: coordinate until interrupted.
 
-    ``fleet`` > 0 also launches that many local workers next to the
-    coordinator (the single-host farm); 0 serves coordination only
-    (bring your own workers).  ``max_runs`` exits after that many runs
-    complete — the hook CI smoke tests and the resume parity script use
-    to terminate deterministically.  ``announce`` (a callable) receives
-    the bound endpoint string once serving.
+    ``fleet`` > 0 also spawns that many local workers; 0 serves
+    coordination only (bring your own workers).  ``max_runs`` exits
+    after that many runs end — the hook CI smoke tests and the resume
+    parity script use to terminate deterministically.  ``announce`` (a
+    callable) receives the bound endpoint string once serving.
     """
-    import time as _time
-
     coordinator = FleetCoordinator(
         host, port, run_root=run_root, resume=resume,
         lease_ttl=lease_ttl, retry=retry,
-    )
-    coordinator.start()
-    workers: Optional[LocalWorkerFleet] = None
-    if fleet > 0:
-        workers = LocalWorkerFleet(
-            fleet, coordinator.host, coordinator.port
-        ).start()
+    ).start()
+    ctx = multiprocessing.get_context("spawn")
+    workers = [
+        ctx.Process(target=worker_main, daemon=True,
+                    args=(coordinator.host, coordinator.port, f"w{k}"))
+        for k in range(fleet)
+    ]
+    for proc in workers:
+        proc.start()
+    record_fleet_workers(len(workers))
     if announce is not None:
         announce(coordinator.endpoint)
     try:
-        while True:
-            _time.sleep(0.1)
-            if coordinator._stopping.is_set():
-                return 0
+        while not coordinator._stopping.wait(0.1):
             if max_runs is not None:
                 with coordinator._lock:
-                    finished = sum(
-                        1 for r in coordinator._runs.values()
-                        if r.state in ("done", "stopped")
-                    )
-                if finished >= max_runs:
-                    return 0
+                    ended = sum(1 for r in coordinator._runs.values()
+                                if r.state != "running")
+                if ended >= max_runs:
+                    break
+        return 0
     except KeyboardInterrupt:
         return 0
     finally:
         coordinator.stop()
-        if workers is not None:
-            workers.stop()
+        for proc in workers:
+            proc.terminate()
+            proc.join()

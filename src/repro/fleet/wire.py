@@ -1,9 +1,8 @@
 """Fleet wire protocol: program recipes, campaign envelopes, framing.
 
 The fleet's processes share no address space — workers are *spawned*
-interpreters (:class:`repro.exec.pool.ForkPool` with
-``start_method="spawn"``), possibly on the far side of a TCP socket
-from the coordinator.  Everything that crosses that boundary is defined
+interpreters, possibly on the far side of a TCP socket from the
+coordinator.  Everything that crosses that boundary is defined
 here, in terms of the frozen v1 campaign types:
 
 :class:`ProgramRecipe`
@@ -19,7 +18,7 @@ here, in terms of the frozen v1 campaign types:
     fault-spec plan, and the *execution-relevant* slice of
     :class:`~repro.swifi.options.CampaignOptions` (seed, differential,
     trial timeout).  Coordinator-local knobs (``run_dir``/``resume``,
-    ``workers``, ``fleet``, ``endpoint``, ``profile``, ``progress``,
+    ``workers``, ``endpoint``, ``profile``, ``progress``,
     planner fields) never ship: the coordinator resolves them before
     sharding, so a worker cannot disagree with the submitter about what
     a trial means.
@@ -217,7 +216,7 @@ def envelope_for(program, specs: List[FaultSpec], mode: str,
         recipe=recipe, mode=mode, specs=tuple(specs),
         options=options.evolve(
             run_dir=None, resume=None, profile=False, progress=False,
-            budget=None, plan=None, workers=1, fleet=None, endpoint=None,
+            budget=None, plan=None, workers=1, endpoint=None,
             chunk_size=None,
         ),
     )

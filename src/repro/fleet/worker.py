@@ -1,17 +1,19 @@
 """Fleet worker: a long-lived spawned process that leases and runs chunks.
 
-``worker_main`` is the entry point the service submits into a
-single-worker *spawn* executor (:class:`repro.exec.pool.ForkPool` with
-``start_method="spawn"``): a fresh interpreter that shares nothing with
-the coordinator.  Everything it needs arrives over the wire — the first
-lease of a new run carries the :class:`CampaignEnvelope`, from which
-the worker deterministically rebuilds the program
+``worker_main`` is the entry point of a TCP worker — a process
+``repro serve --fleet N`` *spawns*, or one started by hand against a
+coordinator: a fresh interpreter that shares nothing with it.
+Everything it needs arrives over the wire — the first lease of a new
+run carries the :class:`CampaignEnvelope`, from which the worker
+deterministically rebuilds the program
 (:meth:`ProgramRecipe.build_program`) and the trial runner
 (:func:`repro.swifi.parallel.build_trial_runner`, the same constructor
-every other execution path uses).  Trials then run through
+every worker kind uses).  Trials then run through
 :func:`repro.swifi.parallel.execute_chunk` — the identical chunk body
-the fork pool runs — so a fleet worker's observations are bit-identical
-to any other path's.
+forked and in-process workers run — and the result goes back in the
+same envelope, so a fleet worker's observations are bit-identical to
+any other worker's.  A trial that raises is reported as an ``error``
+message, which fails the run at once.
 
 Liveness: while a chunk executes, a daemon thread sends fire-and-forget
 ``beat`` messages (each on its own short-lived connection, so beats
@@ -128,34 +130,36 @@ def worker_main(host: str, port: int, worker_id: str,
                 continue
             if reply["type"] != "grant":
                 return completed
-            if reply["run"] != current_run:
-                if "envelope" not in reply:
-                    continue  # protocol hiccup: re-request with our run id
-                envelope = CampaignEnvelope.from_dict(reply["envelope"])
-                program = envelope.recipe.build_program()
-                runner = build_trial_runner(
-                    program, envelope.mode, envelope.options
-                )
-                current_run = reply["run"]
-            indices = [int(i) for i in reply["indices"]]
-            specs = [decode_spec(s) for s in reply["specs"]]
-            with _Beater(host, port, worker_id, reply["lease"],
-                         interval=ttl * BEAT_FRACTION):
-                chunk = execute_chunk(
-                    runner, list(zip(indices, specs)),
-                    isolate_metrics=detach,
-                )
-            send_message(stream, {
-                "type": "result",
-                "worker": worker_id,
-                "lease": reply["lease"],
-                "run": reply["run"],
-                "indices": indices,
-                "observations": [
+            try:
+                if reply["run"] != current_run:
+                    if "envelope" not in reply:
+                        continue  # protocol hiccup: re-request with our run id
+                    envelope = CampaignEnvelope.from_dict(reply["envelope"])
+                    program = envelope.recipe.build_program()
+                    runner = build_trial_runner(
+                        program, envelope.mode, envelope.options
+                    )
+                    current_run = reply["run"]
+                indices = [int(i) for i in reply["indices"]]
+                specs = [decode_spec(s) for s in reply["specs"]]
+                with _Beater(host, port, worker_id, reply["lease"],
+                             interval=ttl * BEAT_FRACTION):
+                    chunk = execute_chunk(
+                        runner, list(zip(indices, specs)), isolate=detach,
+                    )
+                message = chunk.message(reply["lease"], reply["run"], indices)
+                message["observations"] = [
                     encode_observation(o) for o in chunk.observations
-                ],
-                "pid": os.getpid(),
-            })
+                ]
+            except Exception as exc:
+                current_run = None  # rebuild before running anything else
+                message = {
+                    "type": "error", "lease": reply["lease"],
+                    "run": reply["run"], "kind": type(exc).__name__,
+                    "error": str(exc),
+                }
+            message["worker"] = worker_id
+            send_message(stream, message)
             ack = recv_message(stream)
             if ack is None:
                 return completed

@@ -33,7 +33,6 @@ repro_swifi_plan_strata_total               counter    --
 repro_swifi_plan_trials_saved_total         counter    --
 repro_swifi_sections_stale_total            counter    --
 repro_swifi_worker_deaths_total             counter    phase
-repro_swifi_retry_rounds_total              counter    --
 repro_swifi_quarantined_total               counter    --
 repro_swifi_trial_timeouts_total            counter    --
 repro_fleet_leases_total                    counter    event
@@ -179,7 +178,7 @@ def record_campaign(result) -> None:
 
 
 def record_parallel_campaign(workers: int, chunks: int) -> None:
-    """A campaign dispatched to a worker pool (swifi/parallel.py)."""
+    """A campaign dispatched to forked workers (swifi/parallel.py)."""
     reg = get_registry()
     reg.gauge(
         "repro_swifi_parallel_workers",
@@ -258,23 +257,15 @@ def record_stale_sections(count: int) -> None:
 
 
 def record_worker_death(phase: str, count: int = 1) -> None:
-    """Worker-pool deaths observed by the resilient mapper.
+    """Campaign workers lost while holding a lease.
 
-    ``phase`` is ``shared`` (death in the common pool, blame unknown) or
-    ``isolated`` (death in a single-worker blame pool, spec convicted).
+    ``phase`` is ``exit`` (a forked worker's pipe reached EOF) or
+    ``lease`` (a TCP worker's lease expired in silence).
     """
     get_registry().counter(
         "repro_swifi_worker_deaths_total",
-        "Worker process deaths during resilient campaign mapping",
+        "Campaign workers lost while holding a lease",
     ).inc(count, phase=phase)
-
-
-def record_retry_round() -> None:
-    """One backoff-and-retry round of the resilient mapper."""
-    get_registry().counter(
-        "repro_swifi_retry_rounds_total",
-        "Retry rounds of the resilient campaign mapper",
-    ).inc()
 
 
 def record_quarantine() -> None:
@@ -293,19 +284,19 @@ def record_trial_timeout() -> None:
     ).inc()
 
 
-# -- campaign fleet service (repro/fleet) --------------------------------
+# -- campaign scheduler leases and the fleet service ---------------------
 
 def record_lease(event: str, count: int = 1) -> None:
-    """One fleet lease lifecycle event.
+    """One lease lifecycle event of the campaign scheduler.
 
     ``event`` is ``granted`` (a chunk handed to a worker), ``completed``
-    (its result landed), ``expired`` (the TTL lapsed without a result —
-    the fleet's worker-death signal), or ``reissued`` (an expired
-    chunk requeued for another worker).
+    (its result landed), ``expired`` (a TCP worker's TTL lapsed without
+    a result), ``released`` (a forked worker's process ended while
+    holding it), or ``reissued`` (a lost chunk requeued).
     """
     get_registry().counter(
         "repro_fleet_leases_total",
-        "Fleet chunk-lease lifecycle events",
+        "Campaign chunk-lease lifecycle events",
     ).inc(count, event=event)
 
 

@@ -21,11 +21,9 @@ stack:
     Whole-grid array-program execution inside a launch (the
     vectorized engine), including any FI-targeted scalar replay.
 ``merge``
-    The parent's deterministic result merge (absorb in spec order).
+    The scheduler's deterministic result merge (absorb in spec order).
 ``journal_append``
     Durable journal writes.
-``retry_backoff``
-    Sleeps between resilient-map retry rounds.
 ``quarantine``
     Specs given up on (counted; no meaningful duration).
 
@@ -63,7 +61,6 @@ PHASE_FULL_RUN = "full_run"
 PHASE_VECTOR_RUN = "vector_run"
 PHASE_MERGE = "merge"
 PHASE_JOURNAL_APPEND = "journal_append"
-PHASE_RETRY_BACKOFF = "retry_backoff"
 PHASE_QUARANTINE = "quarantine"
 
 #: The fixed phase taxonomy (docs/observability.md).
@@ -75,7 +72,6 @@ PHASES = (
     PHASE_VECTOR_RUN,
     PHASE_MERGE,
     PHASE_JOURNAL_APPEND,
-    PHASE_RETRY_BACKOFF,
     PHASE_QUARANTINE,
 )
 
@@ -136,7 +132,7 @@ class PhaseProfiler:
     """Attributes wall-clock to campaign phases; cheap enough to leave on.
 
     One instance is campaign-local: the parent owns one for the whole
-    run, each fork worker owns one per process and ships per-chunk
+    run, each forked worker owns one per process and ships per-chunk
     deltas back through :meth:`take_totals` / :meth:`absorb_totals`.
     """
 

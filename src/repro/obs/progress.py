@@ -1,18 +1,18 @@
 """Live campaign progress: heartbeat records and a TTY progress line.
 
-A fleet (ROADMAP item 3) cannot be operated blind: the parent needs to
-know, while a campaign runs, how many trials have landed, at what rate,
-and from which worker pids.  This module supplies the two halves:
+A campaign cannot be operated blind: the scheduler needs to report,
+while a campaign runs, how many trials have landed, at what rate, and
+from which worker pids.  This module supplies the two halves:
 
 :class:`Heartbeat`
-    One liveness record.  Workers already ship per-chunk results over
-    the fork-pool result channel; the parent's ``on_result`` hook turns
-    each landed chunk into a heartbeat — monotonically increasing
+    One liveness record.  Workers ship per-chunk results to the
+    campaign scheduler, which turns each landed chunk into a
+    heartbeat — monotonically increasing
     ``seq``, trials ``done`` / ``total``, per-outcome tallies, smoothed
     ``rate`` (trials/sec), ``elapsed`` seconds, and the worker ``pid``
     that produced the chunk.  Heartbeats are appended to
-    ``heartbeats.jsonl`` next to the campaign journal (the lease /
-    liveness primitive a fleet scheduler polls) and emitted as
+    ``heartbeats.jsonl`` next to the campaign journal (the liveness
+    record an operator polls) and emitted as
     ``swifi.heartbeat`` tracer events.
 
 :class:`ProgressRenderer`
@@ -63,11 +63,11 @@ class Heartbeat:
     #: Seconds since the monitor was opened.
     elapsed: float
     #: What produced this heartbeat: ``chunk``, ``serial``, ``replay``,
-    #: ``lease``, or ``final``.
+    #: or ``final``.
     source: str = "chunk"
-    #: Fleet lease id the progress was produced under (``None`` outside
-    #: fleet campaigns; see :mod:`repro.fleet`).  Lets an operator join
-    #: ``heartbeats.jsonl`` against the coordinator's lease lifecycle.
+    #: Lease id the progress was produced under (``None`` for replay
+    #: and final beats).  Lets an operator join ``heartbeats.jsonl``
+    #: against the scheduler's lease lifecycle.
     lease: Optional[str] = None
 
     def to_record(self) -> Dict[str, Any]:
@@ -165,10 +165,10 @@ class ProgressRenderer:
 class HeartbeatMonitor:
     """Parent-side progress accountant for one campaign.
 
-    ``advance`` is called as results land — per chunk on the pooled
-    path, per trial on the serial path (time-throttled so serial
-    campaigns do not write one heartbeat per trial), and once for the
-    journal-replayed prefix on resume.  Each emitted heartbeat fans out
+    ``advance`` is called as results land — per leased chunk
+    (time-throttled so a ``workers=1`` campaign, which leases one trial
+    at a time, does not write one heartbeat per trial), and once for
+    the journal-replayed prefix on resume.  Each emitted heartbeat fans out
     to the heartbeat file, the tracer, and the renderer.
     """
 
@@ -199,7 +199,7 @@ class HeartbeatMonitor:
                 force: bool = True) -> Optional[Heartbeat]:
         """Account ``count`` finished trials and maybe emit a heartbeat.
 
-        ``force=False`` (serial path) batches updates until
+        ``force=False`` (every scheduler result) batches updates until
         ``min_interval`` has passed; counts are never lost — only the
         emission is deferred.
         """

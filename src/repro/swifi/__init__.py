@@ -13,7 +13,6 @@ from repro.swifi.targets import enumerate_targets, select_targets
 from repro.swifi.injector import FaultInjectionLibrary, instrument_for_fi
 from repro.swifi.outcomes import Outcome, classify_outcome, OutcomeCounts
 from repro.swifi.campaign import (
-    Campaign,
     CampaignResult,
     QuarantineReport,
     TrialObservation,
@@ -59,7 +58,6 @@ __all__ = [
     "Outcome",
     "classify_outcome",
     "OutcomeCounts",
-    "Campaign",
     "CampaignResult",
     "QuarantineReport",
     "TrialObservation",

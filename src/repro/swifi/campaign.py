@@ -1,25 +1,26 @@
 """Campaign runner: many single-fault trials, classified and tallied.
 
 The paper runs ~10,000 experiments per application — each executes the
-program once and injects exactly one fault (Section VIII).  A
-:class:`Campaign` does the same against any trial runner; the workload
-layer supplies the runner (set up device memory, launch, read output,
-check correctness).  Campaign sizes here are scaled down and fully
+program once and injects exactly one fault (Section VIII).  This module
+holds the campaign's data model — observations, results, quarantine
+reports — and the absorb helpers every trial enters a result through;
+:func:`repro.swifi.run_campaign` schedules the trials, and the workload
+layer supplies the trial runner (set up device memory, launch, read
+output, check correctness).  Campaign sizes here are scaled down and fully
 seeded; see ``repro.harness.config.ExperimentScale``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.bits import MaskGenerator
 from repro.errors import InjectionError
 from repro.kir.analysis.dataflow import SiteInfo
-from repro.obs.events import get_tracer
-from repro.obs.instrument import record_campaign, record_trial
+from repro.obs.instrument import record_trial
 from repro.swifi.faultmodel import FaultSpec
 from repro.swifi.outcomes import Outcome, OutcomeCounts, classify_outcome
 
@@ -45,11 +46,11 @@ class TrialResult:
 
 @dataclass
 class QuarantineReport:
-    """Structured evidence for one spec the retry engine gave up on.
+    """Structured evidence for one spec the scheduler gave up on.
 
-    Attached to :attr:`CampaignResult.quarantined` when a spec's worker
-    process died ``deaths`` times in isolation (see
-    :mod:`repro.exec.retry`); the spec still enters the result as a
+    Attached to :attr:`CampaignResult.quarantined` when the workers
+    running a spec were lost ``deaths`` times (see
+    :mod:`repro.swifi.scheduler`); the spec still enters the result as a
     :data:`Outcome.WORKER_KILLED` trial so campaigns complete with a
     full per-spec accounting instead of aborting.
     """
@@ -59,7 +60,7 @@ class QuarantineReport:
     index: int
     #: Isolated worker deaths attributed to this spec.
     deaths: int
-    #: Total executor rounds the campaign needed while retrying.
+    #: Leases the campaign had lost when the spec was quarantined.
     rounds: int
     #: Free-form detail (exit description of the last death, if known).
     note: str = ""
@@ -71,7 +72,7 @@ class CampaignResult:
 
     trials: List[TrialResult] = field(default_factory=list)
     counts: OutcomeCounts = field(default_factory=OutcomeCounts)
-    #: Reports for specs quarantined by the fault-tolerant pool; their
+    #: Reports for specs quarantined by the scheduler; their
     #: trials carry :data:`Outcome.WORKER_KILLED` in :attr:`trials`.
     quarantined: List[QuarantineReport] = field(default_factory=list)
     #: Planner payload (:func:`repro.swifi.planner.estimate_plan`) when
@@ -160,10 +161,10 @@ def absorb_trial(
     """Classify, tally, and record one trial observation.
 
     The single place a trial enters a :class:`CampaignResult` — the
-    serial :meth:`Campaign.run` loop and the parallel merge in
-    :mod:`repro.swifi.parallel` both go through it, which is what makes
-    the two paths bit-identical (same classification, same metric
-    increments, same ``swifi.trial`` event stream, same order).
+    scheduler's spec-order merge and the fleet client's rebuild both go
+    through it, which is what makes every worker kind bit-identical
+    (same classification, same metric increments, same ``swifi.trial``
+    event stream, same order).
     """
     outcome = classify_outcome(obs.failure, obs.detected, obs.output_ok)
     result.add(TrialResult(spec=spec, outcome=outcome, observation=obs))
@@ -200,39 +201,6 @@ def absorb_quarantined(
         index=report.index, deaths=report.deaths, rounds=report.rounds,
     )
     return obs
-
-
-class Campaign:
-    """Drives single-fault trials through a runner callable.
-
-    ``runner(spec)`` must execute the whole program once with the fault
-    armed (or pristine when ``spec`` is None) and report a
-    :class:`TrialObservation`.
-    """
-
-    def __init__(self, runner: Callable[[Optional[FaultSpec]], TrialObservation]):
-        self.runner = runner
-
-    def golden_check(self) -> TrialObservation:
-        """Run once with no fault; used to sanity-check the runner."""
-        obs = self.runner(None)
-        if obs.failure or not obs.output_ok:
-            raise InjectionError(
-                f"fault-free run is not clean (failure={obs.failure}, "
-                f"ok={obs.output_ok}): campaign would be meaningless"
-            )
-        return obs
-
-    def run(self, specs: Iterable[FaultSpec]) -> CampaignResult:
-        result = CampaignResult()
-        tracer = get_tracer()
-        with tracer.span("swifi.campaign") as span:
-            for spec in specs:
-                obs = self.runner(spec)
-                absorb_trial(result, spec, obs, tracer)
-            record_campaign(result)
-            span.set(**result.summary())
-        return result
 
 
 def build_fault_specs(

@@ -6,7 +6,7 @@ and each knob was threaded separately through ``run_campaign``,
 ``ExperimentScale``, and the CLI.  This module collapses them into one
 frozen, picklable dataclass: harnesses carry a ``CampaignOptions``,
 ``ExperimentScale.campaign`` holds one, the CLI parses straight into
-one, and fork workers inherit the same object their parent planned
+one, and forked workers inherit the same object their parent planned
 with.
 
 ``options=CampaignOptions(...)`` is the *only* way to configure a
@@ -35,8 +35,9 @@ class CampaignOptions:
     :meth:`evolve`.
     """
 
-    #: Worker processes (``1`` = in-process, ``"auto"`` = one per CPU;
-    #: see :func:`repro.exec.pool.resolve_workers`).
+    #: Worker processes (``1`` = in-process, ``N`` = N forked local
+    #: workers, ``"auto"`` = one per CPU; see
+    #: :func:`repro.exec.pool.resolve_workers`).
     workers: Union[int, str, None] = 1
     #: Campaign input seed (``HauberkProgram.campaign_io``).
     seed: int = 0
@@ -55,7 +56,8 @@ class CampaignOptions:
     #: instead of re-executed.  Takes precedence over ``run_dir``.
     resume: Optional[str] = None
     #: Worker-death handling (:class:`repro.exec.retry.RetryPolicy`);
-    #: ``RetryPolicy(max_deaths=0)`` restores strict crash surfacing.
+    #: ``RetryPolicy(max_deaths=0)`` fails the campaign at the first
+    #: lost worker instead of retrying and quarantining.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Per-trial wall-clock budget in seconds; a trial exceeding it is
     #: classified as a hang (the existing failure class).  ``None``
@@ -80,16 +82,8 @@ class CampaignOptions:
     plan: Optional[str] = None
     #: Confidence level for the planner's reported intervals.
     confidence: float = 0.95
-    #: Run this campaign on a fleet of N *spawned* worker processes
-    #: behind an in-process coordinator (:mod:`repro.fleet`): chunks
-    #: are leased to long-lived workers over the wire protocol and the
-    #: result is bit-identical to ``workers=1``.  Requires a program
-    #: built from a :class:`~repro.fleet.wire.ProgramRecipe`.  ``None``
-    #: (the default) keeps the fork-pool / serial paths.
-    fleet: Optional[int] = None
     #: Submit the campaign to an already-running fleet coordinator at
     #: ``"host:port"`` (``repro serve``) instead of executing locally.
-    #: Takes precedence over ``fleet``.
     endpoint: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -110,10 +104,6 @@ class CampaignOptions:
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(
                 f"confidence must be in (0, 1), got {self.confidence}"
-            )
-        if self.fleet is not None and self.fleet < 1:
-            raise ValueError(
-                f"fleet needs at least one worker, got {self.fleet}"
             )
         if self.endpoint is not None and ":" not in self.endpoint:
             raise ValueError(

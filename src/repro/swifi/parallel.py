@@ -1,112 +1,74 @@
-"""Campaign execution engine: parallel, fault-tolerant, resumable.
+"""Campaign execution: one entry point, one scheduler, three worker kinds.
 
 The paper's measurement apparatus runs ~10,000 single-fault experiments
 per application (Section VIII); every trial is an independent program
-execution, which makes campaigns embarrassingly parallel.  This module
-is the single entry point every campaign-driven harness uses —
+execution, which makes campaigns embarrassingly parallel.
 :func:`run_campaign` with a :class:`~repro.swifi.options.CampaignOptions`
-— and composes four layers:
+is the single entry point every campaign-driven harness uses.  It does
+the set-up once — statistical plan, phase profiler, journal and
+heartbeats (via :meth:`LeaseScheduler.open_run
+<repro.swifi.scheduler.LeaseScheduler.open_run>`) — and then drives the
+one lease scheduler (:mod:`repro.swifi.scheduler`) with one of three
+kinds of worker, all running the same lease → :func:`execute_chunk` →
+result loop:
 
-* **Warm per-worker caches** — each worker process inherits the
-  parent's :class:`~repro.core.program.HauberkProgram` through ``fork``
-  and is warm-started exactly once by the pool initializer: the
-  instrumented build, the compiled kernel, the fixed campaign input,
-  and the golden output are all constructed (or cache-hit) before the
-  first trial, then reused for every chunk the worker executes.
-* **Deterministic merge** — workers return serialized per-trial
-  observations plus their local tallies, metrics snapshot, and captured
-  trace records; the parent absorbs every observation *in original spec
-  order* through the same :func:`~repro.swifi.campaign.absorb_trial`
-  helper the serial loop uses.  ``CampaignResult`` (trial order,
-  tallies, ``summary()``) is therefore bit-identical for any worker
-  count, any chunk fragmentation the retry layer produced, and any
-  journal-replay split.
-* **Fault tolerance** — a dead worker no longer aborts the campaign:
-  its in-flight chunks are split and retried on fresh pools with
-  exponential backoff (:mod:`repro.exec.retry`); a spec that keeps
-  killing workers is quarantined into the result as a
-  :data:`~repro.swifi.outcomes.Outcome.WORKER_KILLED` trial with a
-  structured :class:`~repro.swifi.campaign.QuarantineReport`.  A
-  per-trial wall-clock deadline (``options.trial_timeout``) degrades
-  hung trials to the existing hang classification.
-  ``RetryPolicy(max_deaths=0)`` restores strict crash surfacing
-  (:class:`~repro.errors.InjectionError` on the parent).
-* **Durable journal / resume** — with ``options.run_dir`` every
-  classified trial is appended to a JSONL journal the moment its chunk
-  lands (:mod:`repro.swifi.journal`); with ``options.resume`` the
-  journaled trials are *replayed* through ``absorb_trial`` instead of
-  re-executed, so a killed-and-resumed campaign produces a result
-  bit-identical to an uninterrupted one.
+* ``workers=1`` — the parent itself, leasing one trial at a time on the
+  main thread: each trial is journaled the moment it lands, the
+  ``SIGALRM`` trial deadline works, the trial runner is only built once
+  a trial needs it (a fully journaled resume builds nothing), and an
+  exception raised inside a trial propagates unchanged.  No process,
+  socket or thread is created.
+* ``workers=N`` — N children forked after the parent warmed its caches
+  (instrumented build, compiled kernel, campaign input, golden launch),
+  so each child inherits them instead of rebuilding.  Each child leases
+  over its own pipe; a pipe EOF hands the dead child's lease back to
+  the scheduler's split/strike/quarantine path and a fresh fork takes
+  its place.  ``RetryPolicy(max_deaths=0)`` instead raises
+  :class:`~repro.errors.InjectionError` at the first death, and an
+  exception a child's trial raises is re-raised here with its type and
+  text.
+* ``options.endpoint`` — the campaign is shipped to a ``repro serve``
+  coordinator whose TCP workers run the same loop (:mod:`repro.fleet`).
 
-``workers=1`` (or a platform without ``fork``) short-circuits to an
-in-process loop with the same journal/timeout semantics; exceptions
-raised *inside* a trial propagate unchanged on both paths.
+Whichever kind ran it, the result is bit-identical: the scheduler
+merges every observation in original spec order through
+:func:`~repro.swifi.campaign.absorb_trial`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import multiprocessing
 import os
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING,
 )
 
 from repro.errors import InjectionError
-from repro.exec.pool import (
-    ForkPool,
-    chunk_slices,
-    default_chunk_size,
-    fork_available,
-    resolve_workers,
-)
-from repro.exec.retry import TrialTimeout, map_resilient, trial_deadline
+from repro.exec.pool import fork_available, resolve_workers
+from repro.exec.retry import TrialTimeout, trial_deadline
 from repro.obs.events import RingBufferSink, Tracer, get_tracer, set_tracer, use_tracer
 from repro.obs.instrument import (
-    record_campaign,
-    record_journal_activity,
     record_parallel_campaign,
     record_plan,
-    record_quarantine,
-    record_retry_round,
-    record_stale_sections,
     record_trial_timeout,
-    record_worker_death,
 )
-from repro.obs.metrics import fresh_registry, get_registry
+from repro.obs.metrics import fresh_registry
 from repro.obs.profile import (
     PHASE_FULL_RUN,
-    PHASE_MERGE,
     PHASE_PARSE_BUILD,
-    PHASE_QUARANTINE,
-    PHASE_RETRY_BACKOFF,
     PhaseProfiler,
     get_profiler,
-    served_tag,
     set_profiler,
     use_profiler,
 )
-from repro.obs.progress import (
-    HEARTBEAT_FILENAME,
-    HeartbeatMonitor,
-    ProgressRenderer,
-)
-from repro.swifi.campaign import (
-    CampaignResult,
-    QuarantineReport,
-    TrialObservation,
-    absorb_quarantined,
-    absorb_trial,
-)
+from repro.swifi.campaign import CampaignResult, TrialObservation
 from repro.swifi.faultmodel import FaultSpec
-from repro.swifi.journal import (
-    CampaignJournal,
-    JournalRecord,
-    campaign_fingerprint,
-    spec_fingerprint,
-)
 from repro.swifi.options import CampaignOptions
-from repro.swifi.outcomes import Outcome, OutcomeCounts, classify_outcome
+from repro.swifi.scheduler import CampaignRun, LeaseScheduler
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.core.program
     from repro.core.program import HauberkProgram
@@ -118,20 +80,14 @@ WORKER_TRACE_CAPACITY = 8192
 
 @dataclass
 class ChunkResult:
-    """Everything one worker ships back for one chunk of work items."""
+    """Everything one worker ships back for one leased chunk."""
 
-    #: Global spec index of the chunk's first item (stable chunk id).
-    index: int
     observations: List[TrialObservation]
-    #: Outcome values the worker classified (parent re-derives its own;
-    #: kept for journaling, chunk-span attribution, and cross-checking).
-    outcomes: List[str]
-    counts: OutcomeCounts
     #: ``MetricsRegistry.as_dict()`` snapshot of the worker-side metrics
     #: recorded while running this chunk (kernel launches, failures).
-    metrics: Dict[str, Any]
+    metrics: Dict[str, Any] = field(default_factory=dict)
     #: Raw span/event records captured in the worker (empty unless the
-    #: parent tracer was enabled when the pool was created).
+    #: parent tracer was enabled when the worker was forked).
     trace_records: List[Dict[str, Any]] = field(default_factory=list)
     worker_pid: int = 0
     #: Per-trial cost records (``PhaseProfiler.end_trial``), parallel to
@@ -141,14 +97,16 @@ class ChunkResult:
     #: (``PhaseProfiler.take_totals``); empty when profiling is off.
     phase_totals: Dict[str, List[float]] = field(default_factory=dict)
 
-
-@dataclass
-class _WorkerState:
-    runner: Callable[[Optional[FaultSpec]], TrialObservation]
-    capture_trace: bool
-
-
-_STATE: Optional[_WorkerState] = None
+    def message(self, lease_id: str, run_id: str,
+                indices: Iterable[int]) -> Dict[str, Any]:
+        """The result envelope :meth:`LeaseScheduler.absorb` applies."""
+        return {
+            "type": "result", "lease": lease_id, "run": run_id,
+            "pid": self.worker_pid, "indices": list(indices),
+            "observations": self.observations, "costs": self.costs,
+            "metrics": self.metrics, "phase_totals": self.phase_totals,
+            "trace": self.trace_records,
+        }
 
 
 def _make_runner(program, mode, seed, differential):
@@ -210,13 +168,11 @@ def build_trial_runner(
     program, mode: str, options: CampaignOptions,
     runner_factory: Optional[Callable[[], Callable]] = None,
 ) -> Callable[[Optional[FaultSpec]], TrialObservation]:
-    """Build the deadline-guarded trial runner every execution path uses.
+    """Build the deadline-guarded trial runner every worker kind uses.
 
-    One definition of "how a trial runs" shared by the serial loop, the
-    fork-pool initializer, and the fleet workers: build (or accept) the
-    base runner, then wrap it in ``options.trial_timeout``.  Callers
-    that fork should invoke this parent-side first so the build/golden
-    caches are warm in every child.
+    Build (or accept) the base runner, then wrap it in
+    ``options.trial_timeout``.  The forked driver calls this parent-side
+    first so the build/golden caches are warm in every child.
     """
     if runner_factory is not None:
         base = runner_factory()
@@ -232,40 +188,29 @@ def execute_chunk(
     runner: Callable[[Optional[FaultSpec]], TrialObservation],
     items: List[Tuple[int, FaultSpec]],
     capture_trace: bool = False,
-    isolate_metrics: bool = True,
+    isolate: bool = True,
 ) -> ChunkResult:
-    """Run one chunk of ``(index, spec)`` items through ``runner``.
+    """Run one leased chunk of ``(index, spec)`` items through ``runner``.
 
-    The single chunk-execution body shared by fork-pool workers and
-    fleet workers: metrics land in a fresh registry snapshot, trials
-    are profiled/classified, and (when asked) tracer records are
-    captured in a bounded ring.  The returned :class:`ChunkResult` is
-    what the parent merges — identical regardless of which process
-    architecture ran it.
-
-    ``isolate_metrics=False`` skips the registry snapshot (and returns
-    empty chunk metrics) — for callers running in a *thread* of a
-    process whose global registry must survive, like in-process test
-    workers.  Worker processes keep the default: the snapshot is how
-    the fork-pool parent computes per-chunk metric deltas.
+    The single chunk body of every worker kind: trials are profiled,
+    and (when asked) tracer records are captured in a bounded ring.
+    With ``isolate`` the chunk's metrics land in a fresh registry and
+    its phase totals are taken from the worker's profiler, both shipped
+    back for the scheduler to merge — what a worker *process* needs.
+    ``isolate=False`` leaves both in the process-global registry and
+    profiler, for a worker running inside the scheduler's own process
+    (the ``workers=1`` parent, or a test's worker thread).
     """
-    registry = fresh_registry() if isolate_metrics else None
+    registry = fresh_registry() if isolate else None
     profiler = get_profiler()
     observations: List[TrialObservation] = []
-    outcomes: List[str] = []
     costs: List[Optional[Dict[str, Any]]] = []
-    counts = OutcomeCounts()
 
     def execute() -> None:
         for index, spec in items:
             profiler.begin_trial(index)
-            obs = runner(spec)
-            cost = profiler.end_trial()
-            outcome = classify_outcome(obs.failure, obs.detected, obs.output_ok)
-            counts.add(outcome)
-            observations.append(obs)
-            outcomes.append(outcome.value)
-            costs.append(cost)
+            observations.append(runner(spec))
+            costs.append(profiler.end_trial())
 
     trace_records: List[Dict[str, Any]] = []
     if capture_trace:
@@ -276,77 +221,138 @@ def execute_chunk(
     else:
         execute()
     return ChunkResult(
-        index=items[0][0] if items else -1,
         observations=observations,
-        outcomes=outcomes,
-        counts=counts,
         metrics=registry.as_dict() if registry is not None else {},
         trace_records=trace_records,
         worker_pid=os.getpid(),
         costs=costs if profiler.enabled else [],
-        phase_totals=profiler.take_totals(),
+        phase_totals=profiler.take_totals() if isolate else {},
     )
 
 
-def _init_worker(program, mode, options: CampaignOptions, runner_factory,
-                 capture_trace) -> None:
-    """Pool initializer: warm this worker's caches exactly once.
+# -- the local drivers -----------------------------------------------------
 
-    Runs in the child right after ``fork``.  The inherited tracer is
-    detached first so workers never write into the parent's trace sink
-    (a shared open file under ``--trace``); metrics start from a fresh
-    registry so the parent can merge clean per-worker snapshots.  The
-    :class:`CampaignOptions` object arrives through the forked address
-    space, so the worker executes with exactly the options the parent
-    planned with (seed, differential, trial timeout).
+
+def _drive_inline(scheduler: LeaseScheduler, run: CampaignRun,
+                  build_runner: Callable[[], Callable]) -> None:
+    """``workers=1``: the parent is the only worker, one trial per lease."""
+    runner = None
+    while run.state == "running":
+        lease = scheduler.grant("parent")
+        if runner is None:
+            runner = build_runner()
+        items = [(i, run.spec_list[i]) for i in lease.indices]
+        chunk = execute_chunk(runner, items, isolate=False)
+        scheduler.absorb(
+            chunk.message(lease.lease_id, run.run_id, lease.indices),
+            source="serial",
+        )
+
+
+def _fork_worker(conn, inherited, run_id, program, mode,
+                 options: CampaignOptions, runner_factory,
+                 capture_trace) -> None:
+    """A forked child: run each leased chunk until told to stop.
+
+    The inherited tracer is detached first so children never write into
+    the parent's trace sink (a shared open file under ``--trace``), and
+    metrics start from a fresh registry so every result ships a clean
+    delta.  A trial exception goes back as an ``error`` message.
     """
-    global _STATE
+    for other in inherited:  # parent-side pipe ends: a parent death must
+        other.close()        # reach this child as EOF
     set_tracer(None)
     fresh_registry()
     set_profiler(PhaseProfiler() if options.profile else None)
-    _STATE = _WorkerState(
-        runner=build_trial_runner(program, mode, options, runner_factory),
-        capture_trace=capture_trace,
-    )
+    lease_id = None
+    try:
+        runner = build_trial_runner(program, mode, options, runner_factory)
+        for lease_id, items in iter(conn.recv, None):
+            chunk = execute_chunk(runner, items, capture_trace)
+            conn.send(chunk.message(lease_id, run_id, (i for i, _ in items)))
+    except EOFError:
+        return  # the parent is gone
+    except Exception as exc:
+        error = {"type": "error", "run": run_id, "lease": lease_id,
+                 "exception": exc}
+        try:
+            conn.send(error)
+        except Exception:  # an unpicklable exception still fails the run
+            error["exception"] = InjectionError(f"{type(exc).__name__}: {exc}")
+            conn.send(error)
 
 
-def _run_chunk(items) -> ChunkResult:
-    """Execute one chunk of ``(index, spec)`` items on this worker."""
-    state = _STATE
-    if state is None:
-        raise InjectionError("campaign worker used before initialization")
-    return execute_chunk(state.runner, items, state.capture_trace)
+def _drive_forked(scheduler: LeaseScheduler, run: CampaignRun,
+                  n_workers: int, worker_args: Tuple) -> None:
+    """``workers=N``: forked children lease chunks over their own pipes."""
+    ctx = multiprocessing.get_context("fork")
+    record_parallel_campaign(n_workers, len(run.queue))
+    children: Dict[Any, Tuple[str, Any]] = {}  # pipe -> (worker id, process)
+    idle: List[Any] = []
+    serial = itertools.count(1)
+
+    def fork() -> None:
+        worker_id = f"fork-{next(serial)}"
+        conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(
+            target=_fork_worker,
+            args=(child_conn, [conn, *children], run.run_id, *worker_args),
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        children[conn] = (worker_id, proc)
+        idle.append(conn)
+
+    try:
+        for _ in range(n_workers):
+            fork()
+        while run.state == "running":
+            while idle:
+                lease = scheduler.grant(children[idle[-1]][0])
+                if lease is None:
+                    break
+                items = [(i, run.spec_list[i]) for i in lease.indices]
+                try:
+                    idle.pop().send((lease.lease_id, items))
+                except OSError:
+                    pass  # died while idle: its EOF surfaces below
+            for conn in wait(list(children)):
+                worker_id, proc = children[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    del children[conn]
+                    if conn in idle:
+                        idle.remove(conn)
+                    conn.close()
+                    proc.join()
+                    scheduler.release_worker(worker_id)
+                    if run.state == "running":
+                        fork()
+                    continue
+                scheduler.absorb(message)
+                idle.append(conn)
+    finally:
+        for conn, (_worker_id, proc) in children.items():
+            if conn not in idle:
+                proc.terminate()
+                continue
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+        for conn, (_worker_id, proc) in children.items():
+            proc.join(5.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            conn.close()
+    if run.error is not None:
+        raise run.error
 
 
-# -- journal plumbing ------------------------------------------------------
-
-
-def _section_context(program, spec_list):
-    """Per-spec section names plus the staleness-closure callback.
-
-    Returns ``(sec_of, affected_fn)``: ``sec_of[i]`` is the dataflow
-    section of ``spec_list[i]``'s injection site, and ``affected_fn``
-    closes a set of changed section names over the section dependency
-    graph.  Program-less campaigns have no kernel to partition —
-    ``(None, None)``.
-    """
-    if program is None:
-        return None, None
-    from repro.kir.analysis.sections import (
-        affected_sections,
-        kernel_sections,
-        site_section_map,
-    )
-
-    kernel = program.workload.kernel
-    sections = kernel_sections(kernel)
-    site_map = site_section_map(kernel, sections)
-    sec_of = [site_map.get(spec.site) for spec in spec_list]
-
-    def affected_fn(changed):
-        return affected_sections(sections, changed)
-
-    return sec_of, affected_fn
+# -- the entry point -------------------------------------------------------
 
 
 def _build_campaign_plan(program, spec_list, mode, options: CampaignOptions,
@@ -373,8 +379,7 @@ def _build_campaign_plan(program, spec_list, mode, options: CampaignOptions,
         )
         pilot_options = options.evolve(
             budget=None, plan=None, run_dir=None, resume=None,
-            profile=False, progress=False, workers=1,
-            fleet=None, endpoint=None,
+            profile=False, progress=False, workers=1, endpoint=None,
         )
         pilot_result = run_campaign(
             program, pilot_plan.selected_specs(spec_list), mode,
@@ -387,287 +392,46 @@ def _build_campaign_plan(program, spec_list, mode, options: CampaignOptions,
     )
 
 
-def _open_journal(
-    program, spec_list, mode, options: CampaignOptions,
-    plan=None, sec_of=None, affected_fn=None,
-) -> Tuple[Optional[CampaignJournal], Dict[int, JournalRecord]]:
-    """Open the campaign journal and index its replayable records.
-
-    On resume, plan positions the exact-fingerprint journal cannot
-    serve are offered to sibling journals for **incremental adoption**
-    (:meth:`CampaignJournal.adopt_compatible`): records from sections
-    whose fingerprint and dependency closure survived the edit replay
-    instead of re-executing.
-    """
-    root = options.journal_root
-    if root is None:
-        return None, {}
-    fingerprint, meta = campaign_fingerprint(
-        program, spec_list, mode, options.seed
-    )
-    if plan is not None:
-        meta["plan"] = plan.meta()
-    journal = CampaignJournal.open(
-        root, fingerprint, meta, resume=options.resuming
-    )
-    replayed: Dict[int, JournalRecord] = {}
-    for i, spec in enumerate(spec_list):
-        record = journal.match(i, spec_fingerprint(spec))
-        if record is not None:
-            replayed[i] = record
-    if options.resuming and sec_of is not None and affected_fn is not None:
-        wanted = [(i, spec_fingerprint(spec), sec_of[i])
-                  for i, spec in enumerate(spec_list) if i not in replayed]
-        if wanted:
-            adopted, stale = journal.adopt_compatible(
-                root, meta, wanted, affected_fn
-            )
-            record_stale_sections(len(stale))
-            replayed.update(adopted)
-    return journal, replayed
-
-
-def _absorb_replayed(result, spec, record: JournalRecord, tracer) -> None:
-    """Merge one journaled trial exactly as the live path would have."""
-    if record.observation is None:
-        absorb_quarantined(result, record.to_report(spec), tracer)
-    else:
-        absorb_trial(result, spec, record.observation, tracer)
-
-
-# -- flight recorder plumbing ----------------------------------------------
-
-
-def _open_monitor(
-    program, spec_list, options: CampaignOptions,
-    journal: Optional[CampaignJournal],
-) -> Optional[HeartbeatMonitor]:
-    """The campaign's heartbeat monitor, or ``None`` when nothing listens.
-
-    Heartbeats exist whenever there is a consumer: a ``--progress``
-    renderer, or a journal directory (where ``heartbeats.jsonl`` is the
-    liveness record a fleet scheduler polls).  A fresh — non-resumed —
-    run truncates stale heartbeats, mirroring the journal's semantics.
-    """
-    renderer = None
-    if options.progress:
-        label = program.workload.name if program is not None else "campaign"
-        renderer = ProgressRenderer(label=label)
-    path: Optional[str] = None
-    if journal is not None:
-        heartbeat_path = journal.directory / HEARTBEAT_FILENAME
-        if not options.resuming and heartbeat_path.exists():
-            heartbeat_path.unlink()
-        path = str(heartbeat_path)
-    if renderer is None and path is None:
-        return None
-    return HeartbeatMonitor(total=len(spec_list), path=path, renderer=renderer)
-
-
-def _outcome_tally(counts: OutcomeCounts) -> Dict[str, int]:
-    """Non-zero outcome tallies keyed by outcome value."""
-    return {o.value: c for o, c in counts.counts.items() if c}
-
-
-def _replayed_tally(replayed: Dict[int, JournalRecord]) -> Dict[str, int]:
-    """Outcome tallies of the journal-replayed prefix."""
-    tally: Dict[str, int] = {}
-    for record in replayed.values():
-        tally[record.outcome] = tally.get(record.outcome, 0) + 1
-    return tally
-
-
-def _write_profile(journal: CampaignJournal, profiler: PhaseProfiler) -> None:
-    """Persist the campaign's phase totals next to its journal."""
-    payload = {"version": 1, "phases": profiler.snapshot()}
-    path = journal.directory / "profile.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-# -- execution paths -------------------------------------------------------
-
-
-def _run_serial(
-    program, spec_list, mode, options: CampaignOptions, runner_factory,
-    journal, replayed, monitor: Optional[HeartbeatMonitor] = None,
-    sec_of: Optional[List[Optional[str]]] = None,
-) -> CampaignResult:
-    """In-process path: journal-aware, deadline-guarded trial loop.
-
-    The runner is built lazily so a fully-journaled resume absorbs its
-    records without constructing (or golden-running) the program at
-    all.
-    """
-    runner = None
-
-    def get_runner():
-        nonlocal runner
-        if runner is None:
-            runner = build_trial_runner(program, mode, options, runner_factory)
-        return runner
-
-    result = CampaignResult()
+def _run_local(program, spec_list, mode, options: CampaignOptions,
+               runner_factory, plan, profiler) -> CampaignResult:
+    """Open one scheduler run and drive it with in-process or forked workers."""
+    n_workers = resolve_workers(options.workers) if fork_available() else 1
+    scheduler = LeaseScheduler(retry=options.retry)
     tracer = get_tracer()
-    profiler = get_profiler()
     with tracer.span(
-        "swifi.campaign", workers=1, planned_trials=len(spec_list),
-        replayed=len(replayed),
+        "swifi.campaign", workers=n_workers, planned_trials=len(spec_list),
     ) as span:
-        for i, spec in enumerate(spec_list):
-            record = replayed.get(i)
-            if record is not None:
-                with profiler.phase(PHASE_MERGE):
-                    _absorb_replayed(result, spec, record, tracer)
-                continue
-            profiler.begin_trial(i)
-            obs = get_runner()(spec)
-            cost = profiler.end_trial()
-            with profiler.phase(PHASE_MERGE):
-                outcome = absorb_trial(result, spec, obs, tracer)
-            if journal is not None:
-                journal.append_trial(
-                    i, spec, outcome.value, obs, served=served_tag(cost),
-                    section=sec_of[i] if sec_of is not None else None,
-                )
-            if monitor is not None:
-                monitor.advance(
-                    1, {outcome.value: 1}, source="serial", force=False
-                )
-        record_campaign(result)
-        span.set(**result.summary())
-    return result
-
-
-def _run_pooled(
-    program, spec_list, pending, mode, options: CampaignOptions,
-    runner_factory, journal, replayed, n_workers,
-    monitor: Optional[HeartbeatMonitor] = None,
-    sec_of: Optional[List[Optional[str]]] = None,
-) -> CampaignResult:
-    """Fork-pool path: resilient chunk map, then ordered merge."""
-    profiler = get_profiler()
-    if runner_factory is None:
-        # Warm the parent before forking: the translated build, the
-        # compiled kernel, the campaign input/golden, and (under
-        # differential execution) the recorded golden launch are
-        # inherited by every worker, so per-worker init is a cache hit
-        # and the translator/golden metrics are recorded once,
-        # parent-side.
-        with profiler.phase(PHASE_PARSE_BUILD):
-            build = program.build(mode)
-            program.runtime.prepare(build.kernel)
-        _make_runner(program, mode, options.seed, options.differential)
-
-    tracer = get_tracer()
-    size = options.chunk_size if options.chunk_size is not None else \
-        default_chunk_size(len(pending), n_workers)
-    record_parallel_campaign(n_workers, len(chunk_slices(len(pending), size)))
-
-    pool = ForkPool(
-        n_workers,
-        initializer=_init_worker,
-        initargs=(program, mode, options, runner_factory, tracer.enabled),
-        crash_error=InjectionError,
-    )
-
-    def on_result(chunk_items, chunk: ChunkResult) -> None:
-        # journal the moment a chunk lands — durability must not wait
-        # for the campaign (or the process) to finish
-        if len(chunk.observations) != len(chunk_items):
-            raise InjectionError(
-                f"chunk {chunk.index} returned {len(chunk.observations)} "
-                f"trials, expected {len(chunk_items)}"
-            )
-        if journal is not None:
-            costs = chunk.costs or [None] * len(chunk_items)
-            for (idx, spec), obs, outcome, cost in zip(
-                chunk_items, chunk.observations, chunk.outcomes, costs
-            ):
-                journal.append_trial(
-                    idx, spec, outcome, obs, served=served_tag(cost),
-                    section=sec_of[idx] if sec_of is not None else None,
-                )
-        if monitor is not None:
-            monitor.advance(
-                len(chunk_items), _outcome_tally(chunk.counts),
-                pid=chunk.worker_pid, source="chunk",
-            )
-
-    def on_event(kind: str, **attrs: Any) -> None:
-        if kind == "worker_death":
-            record_worker_death(attrs.get("phase", ""),
-                                attrs.get("failed_chunks", 1))
-            tracer.event("swifi.worker_death", **attrs)
-        elif kind == "retry":
-            record_retry_round()
-            profiler.add(PHASE_RETRY_BACKOFF, attrs.get("delay", 0.0))
-            tracer.event("swifi.retry", **attrs)
-
-    result = CampaignResult()
-    with tracer.span(
-        "swifi.campaign", workers=n_workers, chunk_size=size,
-        planned_trials=len(spec_list), replayed=len(replayed),
-    ) as span:
-        completed, dead = map_resilient(
-            pool, _run_chunk, pending, size, options.retry,
-            on_event=on_event, on_result=on_result,
+        run = scheduler.open_run(
+            program, spec_list, mode, options,
+            chunk_size=1 if n_workers == 1 else options.chunk_size,
+            workers=n_workers, plan=plan,
         )
-
-        registry = get_registry()
-        obs_by_index: Dict[int, TrialObservation] = {}
-        for chunk_items, chunk in sorted(completed, key=lambda pair: pair[1].index):
-            with tracer.span(
-                "swifi.chunk", chunk=chunk.index, size=len(chunk_items),
-                worker_pid=chunk.worker_pid,
-            ) as cspan:
-                for (idx, _spec), obs in zip(chunk_items, chunk.observations):
-                    obs_by_index[idx] = obs
-                registry.merge_dict(chunk.metrics)
-                profiler.absorb_totals(chunk.phase_totals)
-                for record in chunk.trace_records:
-                    tracer.event(
-                        "swifi.worker.trace", chunk=chunk.index, record=record
-                    )
-                cspan.set(
-                    outcomes={o.value: chunk.counts.counts[o] for o in Outcome}
+        journal_dir = run.journal.directory if run.journal is not None else None
+        span.set(replayed=len(run.replayed))
+        try:
+            if n_workers == 1:
+                _drive_inline(scheduler, run, lambda: build_trial_runner(
+                    program, mode, options, runner_factory))
+            elif run.queue:
+                if runner_factory is None:
+                    # warm the parent before forking: the build, kernel,
+                    # input, golden and recorded golden launch are then
+                    # inherited, and their metrics recorded once
+                    build_trial_runner(program, mode, options)
+                _drive_forked(
+                    scheduler, run, min(n_workers, len(run.queue)),
+                    (program, mode, options, runner_factory, tracer.enabled),
                 )
-
-        quarantines: Dict[int, QuarantineReport] = {}
-        for death in dead:
-            idx, spec = death.item
-            report = QuarantineReport(
-                spec=spec, index=idx, deaths=death.deaths,
-                rounds=death.round_no, note=death.note,
-            )
-            quarantines[idx] = report
-            record_quarantine()
-            profiler.add(PHASE_QUARANTINE, 0.0)
-            if journal is not None:
-                journal.append_quarantine(
-                    report, section=sec_of[idx] if sec_of is not None else None
+        finally:
+            scheduler.close(run, "failed")  # no-op unless a trial raised
+            if journal_dir is not None and profiler is not None:
+                payload = {"version": 1, "phases": profiler.snapshot()}
+                (journal_dir / "profile.json").write_text(
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8",
                 )
-            if monitor is not None:
-                monitor.advance(
-                    1, {Outcome.WORKER_KILLED.value: 1}, source="chunk"
-                )
-
-        # the deterministic merge: original spec order, one absorb per
-        # spec, regardless of which path (journal, chunk, quarantine)
-        # produced it
-        with profiler.phase(PHASE_MERGE):
-            for i, spec in enumerate(spec_list):
-                record = replayed.get(i)
-                if record is not None:
-                    _absorb_replayed(result, spec, record, tracer)
-                elif i in quarantines:
-                    absorb_quarantined(result, quarantines[i], tracer)
-                else:
-                    absorb_trial(result, spec, obs_by_index[i], tracer)
-        record_campaign(result)
-        span.set(**result.summary())
-    return result
+        span.set(**run.result.summary())
+    return run.result
 
 
 def run_campaign(
@@ -684,14 +448,14 @@ def run_campaign(
     frozen v1 surface: every execution knob lives on
     :class:`~repro.swifi.options.CampaignOptions` (workers, seed,
     chunking, differential replay, journal/resume directories, retry
-    policy, trial timeout, fleet/endpoint routing).
+    policy, trial timeout, endpoint routing).
 
-    Guarantees, for any worker count, chunk size, and fleet shape:
+    Guarantees, for any worker count, chunk size, and worker kind:
 
     * the returned :class:`CampaignResult` is bit-identical to the
-      serial in-process run;
+      ``workers=1`` run;
     * with ``options.run_dir`` every classified trial is durably
-      journaled as soon as it exists, and with ``options.resume`` the
+      journaled as soon as it lands, and with ``options.resume`` the
       journaled prefix is replayed instead of re-executed —
       killed-and-resumed equals uninterrupted;
     * a worker-killing spec is retried per ``options.retry`` and, on
@@ -706,27 +470,17 @@ def run_campaign(
     population-extrapolated estimates with confidence intervals in
     ``result.plan`` / ``summary()["plan"]``.
 
-    With ``options.fleet`` the campaign runs on N spawned worker
-    processes behind an in-process fleet coordinator, and with
-    ``options.endpoint`` it is submitted to an already-running
-    ``repro serve`` coordinator — both delegate to :mod:`repro.fleet`
-    and are bit-identical to the local paths (the fleet requires a
-    program built from a :class:`~repro.fleet.wire.ProgramRecipe` and
-    no ``runner_factory``).
+    With ``options.endpoint`` the campaign is submitted to an
+    already-running ``repro serve`` coordinator (:mod:`repro.fleet`);
+    that needs a program built from a
+    :class:`~repro.fleet.wire.ProgramRecipe` and no ``runner_factory``.
 
     ``runner_factory`` overrides ``program.trial_runner`` (used by
-    tests to exercise the pool without a full program; the factory is
-    called once per worker, inside the worker).
+    tests to exercise the scheduler without a full program; the factory
+    is called once per worker, inside the worker).
     """
     if options is None:
         options = CampaignOptions()
-    if options.endpoint is not None or options.fleet is not None:
-        from repro.fleet.service import run_fleet_campaign
-
-        return run_fleet_campaign(
-            program, list(specs), mode, options,
-            runner_factory=runner_factory,
-        )
     spec_list = list(specs)
     plan = None
     if options.budget is not None and spec_list:
@@ -742,45 +496,19 @@ def run_campaign(
         spec_list = plan.selected_specs(spec_list)
     profiler = PhaseProfiler() if options.profile else None
     with use_profiler(profiler):
-        sec_of, affected_fn = (None, None) if options.journal_root is None \
-            else _section_context(program, spec_list)
-        journal, replayed = _open_journal(
-            program, spec_list, mode, options,
-            plan=plan, sec_of=sec_of, affected_fn=affected_fn,
-        )
-        monitor = _open_monitor(program, spec_list, options, journal)
-        try:
-            pending = [(i, spec) for i, spec in enumerate(spec_list)
-                       if i not in replayed]
-            if journal is not None:
-                record_journal_activity(replayed=len(replayed))
-            if replayed and monitor is not None:
-                monitor.advance(
-                    len(replayed), _replayed_tally(replayed), source="replay"
-                )
-            n_workers = resolve_workers(options.workers)
-            n_workers = min(n_workers, max(1, len(pending)))
-            if n_workers <= 1 or not fork_available():
-                result = _run_serial(
-                    program, spec_list, mode, options, runner_factory,
-                    journal, replayed, monitor, sec_of,
-                )
-            else:
-                result = _run_pooled(
-                    program, spec_list, pending, mode, options,
-                    runner_factory, journal, replayed, n_workers, monitor,
-                    sec_of,
-                )
-            if plan is not None:
-                from repro.swifi.planner import estimate_plan
+        if options.endpoint is not None:
+            from repro.fleet.client import submit_campaign
 
-                result.plan = estimate_plan(plan, result.trials)
-            return result
-        finally:
-            if monitor is not None:
-                monitor.close()
-            if journal is not None:
-                if profiler is not None:
-                    _write_profile(journal, profiler)
-                record_journal_activity(appended=journal.appended)
-                journal.close()
+            result = submit_campaign(
+                program, spec_list, mode, options, runner_factory
+            )
+        else:
+            result = _run_local(
+                program, spec_list, mode, options, runner_factory, plan,
+                profiler,
+            )
+    if plan is not None:
+        from repro.swifi.planner import estimate_plan
+
+        result.plan = estimate_plan(plan, result.trials)
+    return result

@@ -13,7 +13,7 @@ from repro.core.program import HauberkProgram
 from repro.exec.pool import fork_available
 from repro.gpu.memory import ReplayConflict, ReplayMemoryGuard
 from repro.obs.metrics import fresh_registry, get_registry
-from repro.swifi.campaign import Campaign, build_fault_specs
+from repro.swifi.campaign import build_fault_specs
 from repro.swifi.differential import (
     DifferentialEngine,
     _Ineligible,
@@ -54,8 +54,8 @@ def _run_both(name, mode, specs=None, check_golden=False):
         # the fault-free spec=None trial routes through the full path
         # and must not disturb the engine's memoized state
         assert full_runner(None) == diff_runner(None)
-    full = Campaign(full_runner).run(specs)
-    diff = Campaign(diff_runner).run(specs)
+    full = run_campaign(None, specs, runner_factory=lambda: full_runner)
+    diff = run_campaign(None, specs, runner_factory=lambda: diff_runner)
     return full, diff
 
 
@@ -117,8 +117,10 @@ class TestParityAllWorkloads:
         prog_diff = HauberkProgram(get_workload("RPES"))
         for seed in (3, 4):
             specs = _campaign_specs(prog_full.workload, n=10, seed=seed)
-            full = Campaign(prog_full.trial_runner("fift", 0)).run(specs)
-            diff = Campaign(differential_runner(prog_diff, "fift", 0)).run(specs)
+            full = run_campaign(None, specs, runner_factory=lambda:
+                                prog_full.trial_runner("fift", 0))
+            diff = run_campaign(None, specs, runner_factory=lambda:
+                                differential_runner(prog_diff, "fift", 0))
             _assert_identical(full, diff)
 
 
@@ -155,7 +157,8 @@ class TestPointerFaultFallback:
         wl = get_workload("CP")
         specs = self._pointer_specs(wl)
         prog = HauberkProgram(get_workload("CP"))
-        Campaign(differential_runner(prog, "fi", 0)).run(specs)
+        run_campaign(None, specs, runner_factory=lambda:
+                     differential_runner(prog, "fi", 0))
         metrics = get_registry().as_dict()
         hits = metrics.get("repro_swifi_diff_hits_total")
         fallbacks = metrics.get("repro_swifi_diff_fallbacks_total")
@@ -219,12 +222,14 @@ class TestMetricsParity:
 
         fresh_registry()
         prog_full = HauberkProgram(get_workload("MRI-FHD"))
-        Campaign(prog_full.trial_runner("fi", 0)).run(specs)
+        run_campaign(None, specs, runner_factory=lambda:
+                     prog_full.trial_runner("fi", 0))
         full_metrics = get_registry().as_dict()
 
         fresh_registry()
         prog_diff = HauberkProgram(get_workload("MRI-FHD"))
-        Campaign(differential_runner(prog_diff, "fi", 0)).run(specs)
+        run_campaign(None, specs, runner_factory=lambda:
+                     differential_runner(prog_diff, "fi", 0))
         diff_metrics = get_registry().as_dict()
 
         assert full_metrics["repro_trial_outcomes_total"] == \

@@ -10,7 +10,7 @@ comparisons over every float the campaign produces).
 Workers come in two flavours: *threaded* (``worker_main(detach=False)``
 in a thread of this process — full socket protocol, no spawn cost) for
 the broad parity matrix, and *spawned* (real separate interpreters) for
-the end-to-end ``options.fleet`` path and the kill -9 test.
+the end-to-end ``repro serve`` path and the kill -9 test.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ import time
 
 import pytest
 
-from repro.exec.pool import spawn_available
+from repro.exec.pool import fork_available, spawn_available
 from repro.exec.retry import FakeClock, RetryPolicy
 from repro.fleet import (
     STATUS_VERSION,
     CampaignEnvelope,
+    FleetClient,
     FleetCoordinator,
     FleetError,
     LeaseTable,
@@ -34,6 +35,8 @@ from repro.fleet import (
     WireError,
     envelope_for,
     parse_endpoint,
+    rebuild_result,
+    serve_forever,
     worker_main,
 )
 from repro.fleet.wire import (
@@ -183,17 +186,12 @@ class TestWireCodecs:
 
 
 class TestOptionsKnobs:
-    def test_fleet_must_be_positive(self):
-        with pytest.raises(ValueError, match="fleet"):
-            CampaignOptions(fleet=0)
-
     def test_endpoint_must_be_host_port(self):
         with pytest.raises(ValueError, match="endpoint"):
             CampaignOptions(endpoint="just-a-host")
 
     def test_valid_knobs_pass(self):
-        options = CampaignOptions(fleet=2, endpoint="127.0.0.1:7070")
-        assert options.fleet == 2
+        options = CampaignOptions(endpoint="127.0.0.1:7070")
         assert options.endpoint == "127.0.0.1:7070"
 
 
@@ -270,6 +268,22 @@ class TestCoordinator:
         assert run.result.summary() == baseline.summary()
         assert _trial_outcomes(run.result) == _trial_outcomes(baseline)
 
+    def test_endpoint_option_runs_on_the_coordinator(self):
+        program = _program()
+        specs = _specs(program, n=4)
+        baseline = run_campaign(_program(), specs, "fi", CampaignOptions())
+        with FleetCoordinator() as coordinator:
+            threads = _threaded_workers(coordinator, 2)
+            result = run_campaign(
+                program, specs, "fi",
+                CampaignOptions(endpoint=coordinator.endpoint),
+            )
+        for thread in threads:
+            thread.join(timeout=10)
+        assert result.summary() == baseline.summary()
+        assert [t.observation for t in result.trials] == \
+            [t.observation for t in baseline.trials]
+
     def test_duplicate_results_are_deduplicated(self):
         program = _program()
         specs = _specs(program, n=4)
@@ -340,7 +354,7 @@ class TestCoordinator:
         specs = _specs(program, n=2)
         coordinator = FleetCoordinator(
             lease_ttl=5.0, clock=clock, reap_interval=0,
-            retry=RetryPolicy(max_deaths=2, backoff_base=0.0),
+            retry=RetryPolicy(max_deaths=2),
         )
         coordinator.start()
         try:
@@ -373,10 +387,92 @@ class TestCoordinator:
             coordinator.reap()
             assert run.ledger.deaths.get(0, 0) == 2
             assert 0 in run.quarantines
-            assert run.quarantines[0].note == "fleet lease expired 2x"
+            assert run.quarantines[0].note == \
+                "worker lost 2x (2x running this spec alone)"
             result = coordinator.wait(run_id, timeout=30).result
             assert result.summary()["quarantined"] == 1
             assert result.summary()["outcomes"]["worker_killed"] == 1
+        finally:
+            coordinator.stop()
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="requires the fork start method")
+    def test_quarantine_matches_forked_workers(self):
+        # the same killer spec, lost by forked workers (pipe EOF) and by
+        # a TCP worker (singleton lease expiry), reads the same
+        program = _program()
+        specs = _specs(program, n=2)
+        retry = RetryPolicy(max_deaths=2)
+
+        def killer_factory():
+            runner = build_trial_runner(program, "fi", CampaignOptions())
+
+            def run(spec):
+                if spec == specs[0]:
+                    os._exit(13)
+                return runner(spec)
+
+            return run
+
+        forked = run_campaign(
+            None, specs, "fi",
+            CampaignOptions(workers=2, chunk_size=1, retry=retry),
+            runner_factory=killer_factory,
+        )
+        clock = FakeClock()
+        coordinator = FleetCoordinator(
+            lease_ttl=5.0, clock=clock, reap_interval=0, retry=retry,
+        )
+        coordinator.start()
+        try:
+            envelope = envelope_for(program, specs, "fi", CampaignOptions())
+            run_id = coordinator.submit(
+                envelope, program=program, chunk_size=1
+            )
+            runner = build_trial_runner(program, "fi", CampaignOptions())
+            assert coordinator.grant("w0", run_id)["indices"] == [0]
+            clock.advance(5.1)
+            coordinator.reap()
+            grant = coordinator.grant("w1", run_id)
+            chunk = execute_chunk(runner, [(1, specs[1])])
+            coordinator.absorb_result(
+                "w1", grant["lease"], run_id, [1], chunk.observations,
+            )
+            assert coordinator.grant("w0", run_id)["indices"] == [0]
+            clock.advance(5.1)
+            coordinator.reap()
+            fleet = coordinator.wait(run_id, timeout=30).result
+        finally:
+            coordinator.stop()
+        assert len(forked.quarantined) == 1
+        assert fleet.quarantined == forked.quarantined
+        assert [t.observation for t in fleet.trials] == \
+            [t.observation for t in forked.trials]
+
+    def test_worker_error_fails_the_run_promptly(self):
+        program = _program()
+        specs = _specs(program, n=2)
+        coordinator = FleetCoordinator(reap_interval=0)
+        coordinator.start()
+        try:
+            envelope = envelope_for(program, specs, "fi", CampaignOptions())
+            run_id = coordinator.submit(
+                envelope, program=program, chunk_size=1
+            )
+            grant = coordinator.grant("w0", run_id)
+            reply = coordinator._dispatch({
+                "type": "error", "worker": "w0", "lease": grant["lease"],
+                "run": run_id, "kind": "ValueError",
+                "error": "trial exploded",
+            })
+            assert reply == {"type": "ack"}
+            start = time.monotonic()
+            with pytest.raises(FleetError,
+                               match="ValueError: trial exploded"):
+                coordinator.wait(run_id, timeout=30)
+            assert time.monotonic() - start < 5.0
+            assert coordinator._runs[run_id].state == "failed"
+            assert len(coordinator.leases) == 0
         finally:
             coordinator.stop()
 
@@ -519,7 +615,7 @@ class TestCoordinatorResume:
 @needs_spawn
 @pytest.mark.slow
 class TestSpawnFleet:
-    """Real multi-process fleets: options.fleet end-to-end and kill -9."""
+    """Real multi-process fleets: repro serve end-to-end and kill -9."""
 
     def test_fleet_option_bit_identical_to_workers_one(self):
         program = _program()
@@ -527,9 +623,25 @@ class TestSpawnFleet:
         baseline = run_campaign(
             _program(), specs, "fi", CampaignOptions(workers=1)
         )
-        result = run_campaign(
-            program, specs, "fi", CampaignOptions(fleet=2)
+        endpoints = []
+        announced = threading.Event()
+
+        def announce(endpoint):
+            endpoints.append(endpoint)
+            announced.set()
+
+        server = threading.Thread(
+            target=serve_forever, daemon=True,
+            kwargs={"fleet": 2, "max_runs": 1, "announce": announce},
         )
+        server.start()
+        assert announced.wait(60), "repro serve never announced"
+        with FleetClient(endpoints[0], timeout=120) as client:
+            envelope = envelope_for(program, specs, "fi", CampaignOptions())
+            done = client.wait(client.submit(envelope), timeout=120)
+        result = rebuild_result(specs, done)
+        server.join(timeout=30)
+        assert not server.is_alive()
         assert result.summary() == baseline.summary()
         assert _trial_outcomes(result) == _trial_outcomes(baseline)
 

@@ -350,22 +350,6 @@ class TestCampaignFlightRecorder:
         _assert_identical(serial, result)
 
 
-def _square(x):
-    return x * x
-
-
-class TestPoolLiveResults:
-    @needs_fork
-    def test_map_ordered_streams_results_and_keeps_order(self):
-        from repro.exec.pool import ForkPool
-
-        landed = []
-        results = ForkPool(2).map_ordered(
-            _square, [3, 1, 2], on_result=lambda i, r: landed.append((i, r)))
-        assert results == [9, 1, 4]  # submission order preserved
-        assert sorted(landed) == [(0, 9), (1, 1), (2, 4)]
-
-
 # -- repro report ---------------------------------------------------------
 
 

@@ -37,7 +37,7 @@ needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
 )
 
-FAST_RETRY = RetryPolicy(max_deaths=2, backoff_base=0.001, backoff_max=0.002)
+FAST_RETRY = RetryPolicy(max_deaths=2)
 
 
 def _journal_path(root) -> str:

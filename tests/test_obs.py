@@ -22,7 +22,7 @@ from repro.obs import (
     use_tracer,
     validate_trace,
 )
-from repro.swifi import Campaign, FaultSpec
+from repro.swifi import FaultSpec, run_campaign
 from repro.swifi.campaign import TrialObservation
 
 from conftest import launch_saxpy
@@ -264,7 +264,7 @@ class TestCampaignInstrumentation:
         sink = RingBufferSink()
         specs = [FaultSpec(site=s, mask=m) for s, m in ((0, 2), (1, 3), (2, 4))]
         with use_tracer(Tracer(sink)):
-            result = Campaign(runner).run(specs)
+            result = run_campaign(None, specs, runner_factory=lambda: runner)
 
         summary = result.summary()
         assert summary["trials"] == 3
@@ -416,7 +416,8 @@ class TestAcceptance:
         sink = RingBufferSink(capacity=65536)
         with use_tracer(Tracer(sink)):
             run_fig04(SMOKE)
-            Campaign(runner).run([FaultSpec(site=0, mask=1)])
+            run_campaign(None, [FaultSpec(site=0, mask=1)],
+                         runner_factory=lambda: runner)
             Guardian(node=GPUNode(num_devices=1)).supervise(
                 lambda device, budget: TestGuardianInstrumentation._FakeResult(
                     RunStatus.OK

@@ -28,7 +28,8 @@ from repro.gpu.paging import PagedSnapshot, PagedWords
 from repro.gpu.runtime import GPURuntime
 from repro.harness.fig02_memory import run_gb_scale
 from repro.kir.types import DType
-from repro.swifi.campaign import Campaign, build_fault_specs
+from repro.swifi.campaign import build_fault_specs
+from repro.swifi.parallel import run_campaign
 from repro.swifi.targets import enumerate_targets
 from repro.workloads import all_workloads, get_workload
 
@@ -157,7 +158,8 @@ def _campaign_results(name, mode, paged, n=10, seed=11):
     inp = wl.generate_input(0)
     specs = build_fault_specs(sites, inp.n_threads, masks_per_site=2,
                               bit_counts=(1, 6), seed=seed)[:n]
-    result = Campaign(prog.trial_runner(mode, 0)).run(specs)
+    result = run_campaign(None, specs, runner_factory=lambda:
+                          prog.trial_runner(mode, 0))
     return prog, result
 
 

@@ -138,9 +138,19 @@ class TestParity:
             [t.outcome for t in serial.trials]
 
     def test_workers_one_short_circuits(self, monkeypatch):
-        # with workers=1 the pool machinery must never be touched
-        import repro.swifi.parallel as par
-        monkeypatch.setattr(par, "ForkPool", None)
+        # workers=1 is the parent leasing to itself: no process, socket
+        # or thread may be created
+        import multiprocessing
+        import socket
+        import threading
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("workers=1 must stay in-process")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process",
+                            forbidden)
+        monkeypatch.setattr(socket, "socket", forbidden)
+        monkeypatch.setattr(threading.Thread, "start", forbidden)
         wl, specs = _tiny_specs(masks_per_site=1)
         result = run_campaign(HauberkProgram(wl), specs, mode="fi",
                               options=CampaignOptions(workers=1))

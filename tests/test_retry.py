@@ -1,11 +1,11 @@
-"""Fault-tolerance layer tests: retry policy, resilient map, deadlines.
+"""Fault-tolerance layer tests: retry policy, blame, deadlines.
 
-Covers ``repro.exec.retry`` in isolation (policy math, blame and
-quarantine mechanics of ``map_resilient``, the ``trial_deadline``
-guard) and its integration with ``run_campaign`` (worker-killing specs
-quarantined into ``WORKER_KILLED`` trials, strict mode preserved,
-options object surviving the trip into fork workers) plus the clock
-seam (``Clock``/``FakeClock``) and the shared ``BlameLedger``.
+Covers ``repro.exec.retry`` in isolation (policy, the ``trial_deadline``
+guard, the shared ``BlameLedger``, the ``Clock``/``FakeClock`` seam)
+and its integration with ``run_campaign`` (worker-killing specs
+quarantined into ``WORKER_KILLED`` trials, dead forked workers
+replaced, strict mode preserved, options object surviving the trip
+into forked workers).
 """
 
 from __future__ import annotations
@@ -16,17 +16,13 @@ import time
 
 import pytest
 
-from repro.errors import InjectionError
 from repro.exec import (
     BlameLedger,
     Clock,
-    DeathRecord,
     FakeClock,
-    ForkPool,
     RetryPolicy,
     TrialTimeout,
     fork_available,
-    map_resilient,
     trial_deadline,
 )
 from repro.swifi import CampaignOptions, FaultSpec, Outcome, run_campaign
@@ -36,8 +32,7 @@ needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
 )
 
-#: Tiny backoff so retry tests stay fast.
-FAST_RETRY = RetryPolicy(max_deaths=2, backoff_base=0.001, backoff_max=0.002)
+FAST_RETRY = RetryPolicy(max_deaths=2)
 
 
 # -- RetryPolicy ----------------------------------------------------------
@@ -52,22 +47,9 @@ class TestRetryPolicy:
     def test_zero_deaths_is_strict(self):
         assert not RetryPolicy(max_deaths=0).tolerant
 
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0,
-                             backoff_max=0.3)
-        assert policy.backoff(0) == 0.0
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.3)  # capped
-        assert policy.backoff(9) == pytest.approx(0.3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_deaths=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
 
 
 # -- trial_deadline -------------------------------------------------------
@@ -99,88 +81,23 @@ class TestTrialDeadline:
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
-# -- map_resilient --------------------------------------------------------
-
-#: Items whose processing hard-kills the worker process.
-KILLERS = frozenset({13})
-
-
-def _chunk_fn(chunk):
-    for item in chunk:
-        if item in KILLERS:
-            os._exit(1)
-    return [item * 10 for item in chunk]
-
-
-def _raising_chunk_fn(chunk):
-    raise ValueError("chunk exploded")
-
-
-@needs_fork
-class TestMapResilient:
-    def _pool(self, workers=2):
-        return ForkPool(workers, crash_error=InjectionError)
-
-    def test_clean_run_completes_every_item(self):
-        items = list(range(8))
-        completed, dead = map_resilient(
-            self._pool(), _chunk_fn, items, 3, FAST_RETRY, clock=FakeClock()
-        )
-        assert dead == []
-        done = {i: r for chunk, result in completed
-                for i, r in zip(chunk, result)}
-        assert done == {i: i * 10 for i in items}
-
-    def test_killer_item_quarantined_others_complete(self):
-        items = [1, 2, 13, 4, 5, 6]
-        completed, dead = map_resilient(
-            self._pool(), _chunk_fn, items, 3, FAST_RETRY, clock=FakeClock()
-        )
-        assert [d.item for d in dead] == [13]
-        assert dead[0].deaths >= FAST_RETRY.max_deaths
-        assert dead[0].isolated_deaths >= 1
-        done = {i for chunk, _result in completed for i in chunk}
-        assert done == {1, 2, 4, 5, 6}
-
-    def test_strict_policy_raises_crash_error(self):
-        with pytest.raises(InjectionError):
-            map_resilient(
-                self._pool(), _chunk_fn, [13], 1,
-                RetryPolicy(max_deaths=0), clock=FakeClock(),
-            )
-
-    def test_fn_exceptions_propagate(self):
-        with pytest.raises(ValueError, match="chunk exploded"):
-            map_resilient(
-                self._pool(), _raising_chunk_fn, [1, 2], 2, FAST_RETRY,
-                clock=FakeClock(),
-            )
-
-    def test_events_and_results_stream(self):
-        events = []
-        results = []
-        map_resilient(
-            self._pool(), _chunk_fn, [1, 13, 3], 3, FAST_RETRY,
-            clock=FakeClock(),
-            on_event=lambda kind, **attrs: events.append(kind),
-            on_result=lambda chunk, result: results.append(tuple(chunk)),
-        )
-        assert "worker_death" in events
-        assert "retry" in events
-        assert "quarantine" in events
-        assert {i for chunk in results for i in chunk} == {1, 3}
-
-    def test_death_record_shape(self):
-        record = DeathRecord(item=7, deaths=2, isolated_deaths=1, round_no=3)
-        assert record.note == ""
-
-
 # -- run_campaign integration --------------------------------------------
 
 
 def _selective_crash_factory():
     def runner(spec):
         if spec.site == 666:
+            os._exit(13)
+        return TrialObservation(
+            failure=False, detected=True, output_ok=False, activated=True
+        )
+
+    return runner
+
+
+def _two_killers_factory():
+    def runner(spec):
+        if spec.site in (666, 667):
             os._exit(13)
         return TrialObservation(
             failure=False, detected=True, output_ok=False, activated=True
@@ -225,6 +142,41 @@ class TestCampaignFaultTolerance:
         assert report.index == 2
         assert report.spec.site == 666
         assert report.deaths >= FAST_RETRY.max_deaths
+
+    @needs_fork
+    def test_dead_workers_replaced_and_killers_quarantined(self):
+        from repro.obs.events import RingBufferSink, Tracer, use_tracer
+        from repro.obs.metrics import fresh_registry
+
+        registry = fresh_registry()
+        specs = _specs([1, 666, 3, 4, 667, 6, 7])
+        sink = RingBufferSink()
+        try:
+            with use_tracer(Tracer(sink)):
+                result = run_campaign(
+                    None, specs,
+                    options=CampaignOptions(workers=2, chunk_size=2,
+                                            retry=FAST_RETRY),
+                    runner_factory=_two_killers_factory,
+                )
+            names = [r["name"] for r in sink.records]
+            deaths = registry.counter("repro_swifi_worker_deaths_total")
+            death_count = deaths.value(phase="exit")
+        finally:
+            fresh_registry()
+        # every death was replaced by a fresh fork, so the campaign
+        # finished with every healthy spec executed
+        assert result.summary()["trials"] == len(specs)
+        assert [t.spec for t in result.trials] == specs
+        assert [r.spec.site for r in result.quarantined] == [666, 667]
+        assert all(r.deaths == FAST_RETRY.max_deaths
+                   for r in result.quarantined)
+        assert [t.outcome for t in result.trials].count(
+            Outcome.WORKER_KILLED) == 2
+        # two split deaths plus two strikes per killer
+        assert names.count("swifi.worker_death") == 6
+        assert names.count("swifi.quarantine") == 2
+        assert death_count == 6
 
     def test_serial_trial_timeout_degrades_to_hang(self):
         specs = _specs([1, 777, 3])
@@ -330,20 +282,6 @@ class TestClockSeam:
         a = clock.now()
         b = clock.now()
         assert b >= a
-
-    @needs_fork
-    def test_backoff_sleeps_recorded_not_slept(self):
-        # a worker-killing item forces retry rounds; the fake clock
-        # must absorb every backoff without wall-clock delay
-        clock = FakeClock()
-        policy = RetryPolicy(max_deaths=2, backoff_base=5.0, backoff_max=9.0)
-        start = time.monotonic()
-        map_resilient(
-            ForkPool(2, crash_error=InjectionError), _chunk_fn,
-            [1, 13, 3], 3, policy, clock=clock,
-        )
-        assert time.monotonic() - start < 5.0  # never actually slept
-        assert any(s > 0 for s in clock.sleeps)
 
 
 class TestBlameLedger:

@@ -26,7 +26,8 @@ from repro.kir.interp.vector import (
 )
 from repro.kir.types import DType
 from repro.obs.metrics import fresh_registry, get_registry
-from repro.swifi.campaign import Campaign, build_fault_specs
+from repro.swifi.campaign import build_fault_specs
+from repro.swifi.parallel import run_campaign
 from repro.swifi.targets import enumerate_targets
 from repro.workloads import all_workloads, get_workload
 
@@ -76,7 +77,8 @@ def _campaign_results(name, mode, engine, n=16, seed=11, bit_counts=(1, 6)):
     inp = wl.generate_input(0)
     specs = build_fault_specs(sites, inp.n_threads, masks_per_site=2,
                               bit_counts=bit_counts, seed=seed)[:n]
-    result = Campaign(prog.trial_runner(mode, 0)).run(specs)
+    result = run_campaign(None, specs, runner_factory=lambda:
+                          prog.trial_runner(mode, 0))
     return prog, result
 
 
