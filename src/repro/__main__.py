@@ -93,8 +93,8 @@ def _campaign_parent() -> argparse.ArgumentParser:
                      help="confidence level for planned-campaign interval "
                           "estimates, in (0, 1) (default 0.95)")
     grp.add_argument("--engine",
-                     choices=("auto", "vector", "closure", "lockstep"),
-                     help="kernel execution engine (default auto: "
+                     choices=("vector", "closure", "lockstep"),
+                     help="kernel execution engine (default vector: "
                           "vectorized array programs where bit-exact, "
                           "scalar fallback otherwise)")
     grp.add_argument("--endpoint", metavar="HOST:PORT",

@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.errors import CompileError, KernelCrash, KernelHang, LaunchError
 from repro.exec.cache import ephemeral_cache
 from repro.gpu.costmodel import CostModel
@@ -27,12 +25,9 @@ from repro.kir.interp.compiler import CompiledKernel
 from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.interp.vector import (
-    BAIL_REPLAY_FAILURE,
     FALLBACK_LIBRARY,
-    FALLBACK_RECORDER,
     VectorBailout,
     VectorizedKernel,
-    VectorReplayGuard,
     vectorize_obstacle,
 )
 from repro.kir.types import DType
@@ -62,17 +57,15 @@ PREPARED_CACHE_ATTR = "_hauberk_prepared"
 VECTOR_CACHE_ATTR = "_hauberk_vector"
 LOCKSTEP_CACHE_ATTR = "_hauberk_lockstep"
 
-#: Engine-selection seam.  ``auto`` serves eligible launches from the
-#: vectorized engine and falls back to the scalar engines (closure, or
-#: lockstep for barrier kernels); ``vector`` is ``auto`` in intent but
-#: the explicit spelling for tests/benches; ``closure`` forces the
-#: legacy scalar selection; ``lockstep`` forces the lockstep
+#: Engine-selection seam.  ``vector`` (the default) serves eligible
+#: launches from the vectorized engine and falls back to the scalar
+#: engines (closure, or lockstep for barrier kernels); ``closure``
+#: forces the scalar selection; ``lockstep`` forces the lockstep
 #: interpreter for every kernel.
-ENGINE_AUTO = "auto"
 ENGINE_VECTOR = "vector"
 ENGINE_CLOSURE = "closure"
 ENGINE_LOCKSTEP = "lockstep"
-ENGINES = (ENGINE_AUTO, ENGINE_VECTOR, ENGINE_CLOSURE, ENGINE_LOCKSTEP)
+ENGINES = (ENGINE_VECTOR, ENGINE_CLOSURE, ENGINE_LOCKSTEP)
 
 #: Environment override consulted when a runtime is built without an
 #: explicit ``engine`` (the harness/CLI plumb ``--engine`` through it).
@@ -81,7 +74,7 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 def default_engine() -> str:
     """Engine used when neither runtime nor launch names one."""
-    return os.environ.get(ENGINE_ENV_VAR, ENGINE_AUTO)
+    return os.environ.get(ENGINE_ENV_VAR, ENGINE_VECTOR)
 
 
 def _normalize_dim(dim: Dim, what: str) -> Tuple[int, int]:
@@ -134,22 +127,15 @@ class GPURuntime:
             raise LaunchError(f"unknown execution engine {self.engine!r}")
 
     # -- preparation -----------------------------------------------------
-    def prepare(self, kernel: Kernel):
-        """Compile (and resource-check) a kernel; cached on the kernel.
+    def _cached(self, kernel: Kernel, attr: str, build):
+        """``build()``, memoized on ``kernel`` under ``attr`` per cost model.
 
-        The compiled program depends only on the kernel and the cost
-        model, so the cache lives on the kernel object keyed by cost
-        model (the stored strong reference keeps the key's ``id``
-        stable) and is shared by every runtime using the same model.
-        The device resource check always runs — different runtimes may
-        sit on differently-sized devices.
+        Compiled programs depend only on the kernel and the cost model,
+        so each cache lives on the kernel object keyed by
+        ``id(costmodel)`` (the stored strong reference keeps the key's
+        ``id`` stable) and is shared by every runtime using that model.
         """
-        if kernel.shared_mem_words > self.device.spec.shared_mem_words:
-            raise CompileError(
-                f"kernel {kernel.name} needs {kernel.shared_mem_words} words of "
-                f"shared memory; device has {self.device.spec.shared_mem_words}"
-            )
-        cache = ephemeral_cache(kernel, PREPARED_CACHE_ATTR)
+        cache = ephemeral_cache(kernel, attr)
         key = id(self.costmodel)
         hit = cache.get(key)
         if hit is not None:
@@ -158,13 +144,30 @@ class GPURuntime:
             # a dead cost model's id was recycled by this one: drop the
             # stale entry so it cannot shadow the rebuilt one below
             del cache[key]
-        if kernel.uses_sync:
-            prog = LockstepProgram(kernel, self.costmodel)
-        else:
-            prog = CompiledKernel(kernel, self.costmodel)
-        entry = (prog, register_pressure(kernel))
-        cache[id(self.costmodel)] = (self.costmodel, entry)
+        entry = build()
+        cache[key] = (self.costmodel, entry)
         return entry
+
+    def prepare(self, kernel: Kernel):
+        """Compile (and resource-check) a kernel; cached on the kernel.
+
+        The device resource check always runs — different runtimes may
+        sit on differently-sized devices.
+        """
+        if kernel.shared_mem_words > self.device.spec.shared_mem_words:
+            raise CompileError(
+                f"kernel {kernel.name} needs {kernel.shared_mem_words} words of "
+                f"shared memory; device has {self.device.spec.shared_mem_words}"
+            )
+
+        def build():
+            if kernel.uses_sync:
+                prog = LockstepProgram(kernel, self.costmodel)
+            else:
+                prog = CompiledKernel(kernel, self.costmodel)
+            return prog, register_pressure(kernel)
+
+        return self._cached(kernel, PREPARED_CACHE_ATTR, build)
 
     def prepare_vector(self, kernel: Kernel):
         """Vector-compile a kernel (cached); ``(program, obstacle)``.
@@ -175,39 +178,26 @@ class GPURuntime:
         kernel cannot vectorize.  The obstacle is cached too, so
         ineligible kernels pay the AST walk once.
         """
-        cache = ephemeral_cache(kernel, VECTOR_CACHE_ATTR)
-        key = id(self.costmodel)
-        hit = cache.get(key)
-        if hit is not None:
-            if hit[0] is self.costmodel:
-                return hit[1]
-            del cache[key]
-        obstacle = vectorize_obstacle(kernel)
-        if obstacle is not None:
-            entry = (None, obstacle)
-        else:
+
+        def build():
+            obstacle = vectorize_obstacle(kernel)
+            if obstacle is not None:
+                return None, obstacle
             with get_tracer().span("kir.vector.compile", kernel=kernel.name) as span:
                 vprog = VectorizedKernel(kernel, self.costmodel)
                 span.set(
                     divergent_branches=vprog.divergent_branches,
                     varying_names=len(vprog.varying),
                 )
-            entry = (vprog, None)
-        cache[key] = (self.costmodel, entry)
-        return entry
+            return vprog, None
+
+        return self._cached(kernel, VECTOR_CACHE_ATTR, build)
 
     def prepare_lockstep(self, kernel: Kernel):
         """Lockstep-compile any kernel (cached); for forced-engine runs."""
-        cache = ephemeral_cache(kernel, LOCKSTEP_CACHE_ATTR)
-        key = id(self.costmodel)
-        hit = cache.get(key)
-        if hit is not None:
-            if hit[0] is self.costmodel:
-                return hit[1]
-            del cache[key]
-        entry = (LockstepProgram(kernel, self.costmodel), register_pressure(kernel))
-        cache[key] = (self.costmodel, entry)
-        return entry
+        return self._cached(kernel, LOCKSTEP_CACHE_ATTR, lambda: (
+            LockstepProgram(kernel, self.costmodel), register_pressure(kernel)
+        ))
 
     # -- launching ---------------------------------------------------------
     def launch(
@@ -234,14 +224,14 @@ class GPURuntime:
         run against, and ``begin_thread(ctx)`` / ``end_thread(ctx)``
         bracket each thread.  The normal path pays nothing — the hooks
         are per-thread branches, and memory stays unwrapped.  A
-        recorder exposing ``absorb_vector_records(vres)`` can instead
-        be fed one vectorized sweep's per-lane records.
+        vectorized launch instead feeds the recorder one sweep's
+        per-lane records through ``absorb_vector_records(vres)``.
 
         ``engine`` overrides the runtime's engine for this launch (see
         :data:`ENGINES`).  The vectorized engine is bit-exact with the
         scalar interpreters: any launch it cannot serve exactly
-        (library side effects, cross-lane data flow, lane failures)
-        falls back transparently, counted in
+        (library hooks that are not no-ops, cross-lane data flow, lane
+        failures) falls back transparently, counted in
         ``repro_kir_vector_fallbacks_total``.
         """
         if not self.device.enabled:
@@ -278,7 +268,7 @@ class GPURuntime:
             "gpu.launch", kernel=kernel.name, device=self.device.device_id,
             grid=[gx, gy], block=[bx, by], n_threads=n_threads,
         ) as span:
-            if eng in (ENGINE_AUTO, ENGINE_VECTOR):
+            if eng == ENGINE_VECTOR:
                 result = self._attempt_vector(
                     kernel, pressure, base_frame, gx, gy, bx, by,
                     n_threads, lib, budget, recorder,
@@ -340,74 +330,32 @@ class GPURuntime:
     ) -> Optional[LaunchResult]:
         """Serve the launch from the vectorized engine, or ``None``.
 
-        Gating happens first (static obstacle, incompatible library,
-        recorder without vector support); a gated launch costs one
-        counter bump.  An eligible launch runs all lanes as one array
-        program — with an FI-targeted lane excluded and replayed
-        scalar afterwards behind :class:`VectorReplayGuard`.  Any
+        Gating happens first (static obstacle, or a library whose hooks
+        are not all no-ops — an armed fault injector, detectors, a
+        profiler); a gated launch costs one counter bump.  An eligible
+        launch runs the whole grid as one array program.  Any
         :class:`VectorBailout` restores the pre-launch memory snapshot
         and returns ``None`` so the scalar engines rerun the launch
         from scratch, reproducing failures (and their post-crash
         memory) exactly as the sequential semantics dictate.
         """
         vprog, reason = self.prepare_vector(kernel)
-        excluded = None
-        if reason is None and lib is not None:
-            if not getattr(lib, "vector_compatible", False):
-                reason = FALLBACK_LIBRARY
-            else:
-                excluded = lib.vector_excluded_gtid(n_threads)
-        if reason is None and recorder is not None:
-            if not hasattr(recorder, "absorb_vector_records"):
-                reason = FALLBACK_RECORDER
-            elif excluded is not None:
-                # golden recording is fault-free by construction; a
-                # recorder plus an armed injector is a scalar-path job
-                reason = FALLBACK_RECORDER
+        if reason is None and lib is not None and not lib.hooks_are_noops():
+            reason = FALLBACK_LIBRARY
         if reason is not None:
             record_vector_fallback(kernel.name, reason)
             return None
 
         memory = self.device.memory
         snapshot = memory.snapshot()
-        lanes = np.arange(n_threads, dtype=np.int64)
-        if excluded is not None:
-            lanes = np.delete(lanes, excluded)
-        guard = None
         try:
             with get_profiler().phase(PHASE_VECTOR_RUN):
                 vres = vprog.run_lanes(
-                    memory, base_frame, gx, gy, bx, by, lanes, budget,
+                    memory, base_frame, gx, gy, bx, by, budget,
                     record_footprints=recorder is not None,
                 )
-                extra_cycles = 0.0
-                extra_loop = 0.0
-                extra_steps = 0
-                if excluded is not None:
-                    guard = VectorReplayGuard(memory, excluded, vres)
-                    ctx = ExecContext(guard, lib=lib, budget=budget)
-                    blk, tib = divmod(excluded, bx * by)
-                    fr = dict(base_frame)
-                    fr["blockIdx.x"] = blk % gx
-                    fr["blockIdx.y"] = blk // gx
-                    fr["threadIdx.x"] = tib % bx
-                    fr["threadIdx.y"] = tib // bx
-                    compiled, _ = self.prepare(kernel)
-                    try:
-                        compiled.run_thread_at(fr, ctx, blk, tib)
-                    except (KernelCrash, KernelHang):
-                        # rerun sequentially so the failure surfaces
-                        # with its exact scalar-path memory state
-                        raise VectorBailout(BAIL_REPLAY_FAILURE)
-                    extra_cycles = ctx.cycles
-                    extra_loop = ctx.loop_cycles
-                    extra_steps = ctx.steps
         except VectorBailout as exc:
-            if guard is not None:
-                guard.rollback()
             memory.restore(snapshot)
-            if lib is not None:
-                lib.vector_reset()
             record_vector_fallback(kernel.name, exc.reason)
             return None
 
@@ -417,16 +365,16 @@ class GPURuntime:
         spill = self.costmodel.spill_factor(
             pressure, self.device.spec.registers_per_thread
         )
-        total = vres.total_cycles + extra_cycles
+        total = vres.total_cycles
         result = LaunchResult(
             kernel_name=kernel.name,
             n_threads=n_threads,
             total_cycles=total,
-            loop_cycles=vres.total_loop_cycles + extra_loop,
+            loop_cycles=vres.total_loop_cycles,
             kernel_time=total / lanes_hw * spill,
             register_pressure=pressure,
             spill_factor=spill,
-            max_thread_steps=max(vres.max_steps, extra_steps),
+            max_thread_steps=vres.max_steps,
         )
         record_vectorized_launch(kernel.name)
         record_launch(result)

@@ -211,20 +211,14 @@ class InstrumentationLibrary:
 
     PREFIX = "__hauberk_"
 
-    #: Vectorized-engine eligibility (duck-typed so ``gpu.runtime``
-    #: never imports concrete libraries).  A compatible library promises
-    #: its hooks are pure no-ops on every lane except at most one
-    #: (``vector_excluded_gtid``), and implements ``vector_reset`` to
-    #: restore pre-launch state when a vectorized attempt bails out and
-    #: the launch reruns sequentially.  Default: opt out.
-    vector_compatible = False
+    def hooks_are_noops(self) -> bool:
+        """True when every hook is a no-op for the next launch.
 
-    def vector_excluded_gtid(self, n_threads: int) -> "Optional[int]":
-        """The one gtid whose hooks have effects (None: all are no-ops)."""
-        return None
-
-    def vector_reset(self) -> None:
-        """Undo any hook state before a scalar rerun of the launch."""
+        The vectorized engine serves only such launches (it charges a
+        hook's cost and never calls it); any other launch runs on the
+        scalar engines.  Default: no.
+        """
+        return False
 
     def invoke(self, func: str, ctx: "ExecContext", frame: dict, args: Sequence) -> None:
         if not func.startswith(self.PREFIX):
@@ -243,7 +237,8 @@ class InstrumentationLibrary:
 class NullLibrary(InstrumentationLibrary):
     """Ignores every instrumentation call (original-binary behaviour)."""
 
-    vector_compatible = True
+    def hooks_are_noops(self) -> bool:
+        return True
 
     def invoke(self, func: str, ctx: "ExecContext", frame: dict, args: Sequence) -> None:
         return None

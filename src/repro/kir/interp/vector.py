@@ -40,12 +40,13 @@ engines for that launch.  Same for any in-lane crash or watchdog
 overrun — sequential failure semantics (lowest-gtid failing thread,
 earlier threads' stores visible) are reproduced by a scalar rerun.
 
-Fault injection composes by exclusion: ``__hauberk_fi`` hooks are
-no-ops for every lane but the targeted gtid, so the untargeted lanes
-vectorize (hooks charge cost only) and the targeted lane replays
-scalar afterwards behind :class:`VectorReplayGuard`, splicing its
-cycles/steps into the vector totals — mirroring the differential
-engine's undo/replay machinery.
+Instrumentation hooks are never called here: the runtime serves only
+launches whose library reports every hook a no-op (the null library,
+or an unarmed fault injector), so a hook charges its cost and nothing
+else.  An armed fault-injection launch runs on the scalar engines;
+the fast path for a one-fault trial is differential single-thread
+replay (:mod:`repro.swifi.differential`), whose fault-free golden
+recording this engine serves with per-lane footprints.
 """
 
 from __future__ import annotations
@@ -99,28 +100,24 @@ from repro.kir.interp.evalcore import (
     truthy,
 )
 from repro.kir.types import DType
-from repro.memspace import WordReinterpret
 
 NAN = float("nan")
 INF = float("inf")
 _U32 = 0xFFFFFFFF
 _I32_SIGN = 0x80000000
 
-#: Fallback taxonomy — static obstacles (mirrors the differential
+#: Fallback taxonomy — static obstacles (also the differential
 #: engine's replay obstacles: cross-thread channels besides global
-#: memory defeat lane-parallel execution).
+#: memory defeat both lane-parallel execution and isolated replay).
 OBSTACLE_SYNC = "uses_sync"
 OBSTACLE_SHARED = "shared_memory"
 OBSTACLE_ATOMICS = "atomics"
 #: Fallback taxonomy — per-launch conditions.
 BAIL_LANE_FAILURE = "lane_failure"
 BAIL_HAZARD = "cross_lane_hazard"
-BAIL_REPLAY_HAZARD = "replay_hazard"
-BAIL_REPLAY_FAILURE = "replay_failure"
 BAIL_UNTRACKED = "untracked_address"
 BAIL_ANALYSIS = "divergence_analysis"
 FALLBACK_LIBRARY = "library"
-FALLBACK_RECORDER = "recorder"
 
 
 class VectorBailout(Exception):
@@ -137,11 +134,12 @@ class VectorBailout(Exception):
 
 
 def vectorize_obstacle(kernel: Kernel) -> Optional[str]:
-    """Why this kernel cannot vectorize at all (None if it can).
+    """Why this kernel cannot vectorize or replay (None if it can).
 
-    Same taxonomy as ``kernel_replay_obstacle``: barriers, shared
-    arrays, and atomics are cross-thread channels the lane-parallel
-    model cannot order correctly.
+    Barriers, shared arrays, and atomics are cross-thread channels
+    besides global memory: the lane-parallel model cannot order them,
+    and differential replay cannot footprint them, so one rule gates
+    both engines.
     """
     if kernel.uses_sync:
         return OBSTACLE_SYNC
@@ -849,10 +847,9 @@ class _VectorCompiler:
             cost = cm.libcall_cost(s.func) * s.cost_scale
 
             def libcall(vf, vc, m):
-                # the engine only serves launches whose library is a
-                # no-op for every vectorized lane (null library, or FI
-                # with the targeted gtid excluded from the lane set),
-                # so hooks charge their cost and nothing else
+                # the engine only serves launches whose library hooks
+                # are all no-ops, so hooks charge their cost and
+                # nothing else
                 vc.tick(m)
                 if cost:
                     vc.charge(m, cost, in_loop)
@@ -984,16 +981,9 @@ class _VectorCompiler:
 class VectorRunResult:
     """Per-lane outcome of one vectorized grid sweep."""
 
-    lanes: np.ndarray          #: gtids executed (int64)
-    steps: np.ndarray          #: per-lane statement counts
+    steps: np.ndarray          #: per-lane statement counts (gtid order)
     cycles: np.ndarray         #: per-lane cost-model cycles
     loop_cycles: np.ndarray    #: per-lane cycles inside loops
-    #: Per-word last-writer gtid (-1 none): an ndarray over dense
-    #: memory, a sparse ``PagedWords`` map over paged memory (same
-    #: indexing spelling either way).
-    owner: object
-    read_by: object            #: per-word reader gtid (-1 none, -2 many)
-    tracked: int               #: words covered by owner/read_by
     footprints: Optional[List[ThreadFootprint]] = None
 
     @property
@@ -1041,17 +1031,17 @@ class VectorizedKernel:
         gy: int,
         bx: int,
         by: int,
-        lanes: np.ndarray,
         budget: int,
         record_footprints: bool = False,
     ) -> VectorRunResult:
-        """Execute ``lanes`` (an int64 gtid array) as one array program.
+        """Execute every thread of the grid as one array program.
 
         Raises :class:`VectorBailout` whenever bit-exact sequential
         semantics cannot be guaranteed; the caller falls back to the
         scalar engines against the pre-launch memory snapshot.
         """
         block_size = bx * by
+        lanes = np.arange(gx * gy * block_size, dtype=np.int64)
         block = lanes // block_size
         tib = lanes % block_size
         vf = dict(base_frame)
@@ -1069,85 +1059,9 @@ class VectorizedKernel:
                 # attributes it to the lowest gtid at the right point
                 raise VectorBailout(BAIL_LANE_FAILURE)
         return VectorRunResult(
-            lanes=lanes,
             steps=vc.steps,
             cycles=vc.cycles,
             loop_cycles=vc.loop_cycles,
-            owner=vc.owner,
-            read_by=vc.read_by,
-            tracked=vc.tracked,
             footprints=vc.footprints,
         )
 
-
-class VectorReplayGuard(WordReinterpret):
-    """Memory view for the targeted lane's scalar replay.
-
-    After the untargeted lanes ran vectorized, the FI-targeted gtid
-    re-executes scalar against true device memory.  Sequential
-    equivalence holds only while the target touches no word another
-    lane wrote (load/store) or read (store); any conflict raises
-    :class:`VectorBailout` and the whole launch reruns scalar.  Stores
-    are journaled so a bailed replay unwinds its own writes.
-    """
-
-    __slots__ = ("mem", "lane", "owner", "read_by", "tracked", "journal")
-
-    def __init__(self, mem: GlobalMemory, lane: int, vres: VectorRunResult):
-        self.mem = mem
-        self.lane = lane
-        self.owner = vres.owner
-        self.read_by = vres.read_by
-        self.tracked = vres.tracked
-        self.journal: Dict[int, int] = {}
-
-    def _check_load(self, addr: int) -> None:
-        if 0 <= addr < self.tracked:
-            ow = self.owner[addr]
-            if ow != -1 and ow != self.lane:
-                raise VectorBailout(BAIL_REPLAY_HAZARD)
-
-    def load_word(self, addr: int) -> int:
-        self._check_load(addr)
-        return self.mem.load_word(addr)
-
-    def load_f32(self, addr: int) -> float:
-        self._check_load(addr)
-        return self.mem.load_f32(addr)
-
-    def load_i32(self, addr: int) -> int:
-        self._check_load(addr)
-        return self.mem.load_i32(addr)
-
-    def store_word(self, addr: int, bits: int) -> None:
-        if 0 <= addr < self.tracked:
-            ow = self.owner[addr]
-            rb = self.read_by[addr]
-            if (ow != -1 and ow != self.lane) or (rb != -1 and rb != self.lane):
-                raise VectorBailout(BAIL_REPLAY_HAZARD)
-            if addr not in self.journal:
-                self.journal[addr] = self.mem.load_word(addr)
-        elif addr < 0 or addr >= self.mem.capacity:
-            self.mem.store_word(addr, bits)  # raises the scalar error
-            return
-        else:
-            if addr not in self.journal:
-                self.journal[addr] = self.mem.load_word(addr)
-        self.mem.store_word(addr, bits)
-
-    def store_f32(self, addr: int, value: float) -> None:
-        # route through store_word for journaling; float_to_bits is
-        # bit-identical to the GlobalMemory fast path
-        self.store_word(addr, float_to_bits(value))
-
-    def store_i32(self, addr: int, value: int) -> None:
-        self.store_word(addr, value & _U32)
-
-    def rollback(self) -> None:
-        if not self.journal:
-            return
-        n = len(self.journal)
-        self.mem.scatter_words(
-            np.fromiter(self.journal.keys(), np.int64, count=n),
-            np.fromiter(self.journal.values(), np.uint32, count=n),
-        )

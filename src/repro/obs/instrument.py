@@ -140,10 +140,10 @@ def record_vector_fallback(kernel_name: str, reason: str) -> None:
 
     ``reason`` is the fallback taxonomy of
     :mod:`repro.kir.interp.vector`: static obstacles (``uses_sync``,
-    ``shared_memory``, ``atomics``), gating (``library``,
-    ``recorder``), or runtime bailouts (``lane_failure``,
-    ``cross_lane_hazard``, ``replay_hazard``, ``replay_failure``,
-    ``untracked_address``, ``divergence_analysis``).
+    ``shared_memory``, ``atomics``), gating (``library``: a hook that
+    is not a no-op, e.g. an armed fault injector), or runtime bailouts
+    (``lane_failure``, ``cross_lane_hazard``, ``untracked_address``,
+    ``divergence_analysis``).
     """
     get_registry().counter(
         "repro_kir_vector_fallbacks_total",

@@ -19,7 +19,7 @@ stack:
     ineligibility reasons, ...).
 ``vector_run``
     Whole-grid array-program execution inside a launch (the
-    vectorized engine), including any FI-targeted scalar replay.
+    vectorized engine; fault-free launches only).
 ``merge``
     The scheduler's deterministic result merge (absorb in spec order).
 ``journal_append``

@@ -38,7 +38,6 @@ from repro.swifi.planner import (
 from repro.swifi.differential import (
     DifferentialEngine,
     differential_runner,
-    kernel_replay_obstacle,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "DifferentialEngine",
     "campaign_fingerprint",
     "differential_runner",
-    "kernel_replay_obstacle",
     "spec_fingerprint",
     "FaultSpec",
     "ActivationRecord",

@@ -18,7 +18,8 @@ loop-cycle / step totals plus a global-memory footprint (addresses read;
 
 Soundness gates (anything else falls back to full execution):
 
-* **Kernel eligibility** — closure-path kernels only: no
+* **Kernel eligibility** — the vectorized engine's rule
+  (:func:`~repro.kir.interp.vector.vectorize_obstacle`): no
   ``__syncthreads``, no atomics, no shared-memory declarations (in the
   sequential grid model those are cross-thread channels).
 * **Campaign eligibility** — every golden-stored address has exactly
@@ -55,8 +56,8 @@ from repro.gpu.memory import (
     ThreadFootprint,
 )
 from repro.gpu.runtime import GPURuntime, LaunchResult
-from repro.kir.astnodes import AtomicAdd, Kernel, walk_stmts
 from repro.kir.interp.evalcore import ExecContext
+from repro.kir.interp.vector import vectorize_obstacle
 from repro.obs.instrument import (
     record_differential_trial,
     record_launch,
@@ -91,23 +92,6 @@ class ThreadRecord:
     loop_cycles: float
     steps: int
     footprint: ThreadFootprint
-
-
-def kernel_replay_obstacle(kernel: Kernel) -> Optional[str]:
-    """Why this kernel cannot be replayed thread-at-a-time (None if it can).
-
-    Only global memory is footprinted, so any cross-thread channel
-    besides global memory — barriers, atomics, shared arrays — makes
-    isolated re-execution unsound.
-    """
-    if kernel.uses_sync:
-        return "uses_sync"
-    if kernel.shared:
-        return "shared_memory"
-    for stmt, _depth in walk_stmts(kernel.body):
-        if isinstance(stmt, AtomicAdd):
-            return "atomics"
-    return None
 
 
 def control_block_token(cb: ControlBlock) -> tuple:
@@ -459,7 +443,7 @@ def get_engine(program: "HauberkProgram", mode: str, seed: int = 0):
 def _build_engine(program: "HauberkProgram", mode: str, seed: int):
     if mode not in ("fi", "fift"):
         return _Ineligible(f"mode {mode!r} has no FI trials")
-    obstacle = kernel_replay_obstacle(program.build(mode).kernel)
+    obstacle = vectorize_obstacle(program.build(mode).kernel)
     if obstacle is not None:
         return _Ineligible(obstacle)
     engine = DifferentialEngine(program, mode, seed)

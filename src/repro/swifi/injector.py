@@ -155,22 +155,13 @@ class FaultInjectionLibrary(InstrumentationLibrary):
     def activation(self) -> Optional[ActivationRecord]:
         return self.state.activation
 
-    # -- vectorized-engine protocol --------------------------------------
-    #: ``lib_fi``/``_delayed`` are pure no-ops on every gtid except
-    #: ``spec.thread`` (counters only mutate after the gtid check), so
-    #: the vectorized engine may run all other lanes without invoking
-    #: hooks and replay the targeted lane scalar.
-    vector_compatible = True
+    def hooks_are_noops(self) -> bool:
+        """Unarmed, ``lib_fi`` returns at once for every thread.
 
-    def vector_excluded_gtid(self, n_threads: int) -> Optional[int]:
-        spec = self.state.spec
-        if spec is not None and 0 <= spec.thread < n_threads:
-            return spec.thread
-        return None
-
-    def vector_reset(self) -> None:
-        """Re-arm for the sequential rerun after a vector bailout."""
-        self.state.reset(self.state.spec)
+        So a fault-free launch (e.g. a differential golden recording)
+        may run vectorized; an armed one runs on the scalar engines.
+        """
+        return self.state.spec is None
 
     # -- instrumentation entry point ------------------------------------
     def lib_fi(self, ctx: ExecContext, frame: dict, site: int, name: str) -> None:

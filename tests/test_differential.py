@@ -12,6 +12,7 @@ import pytest
 from repro.core.program import HauberkProgram
 from repro.exec.pool import fork_available
 from repro.gpu.memory import ReplayConflict, ReplayMemoryGuard
+from repro.kir.interp.vector import vectorize_obstacle
 from repro.obs.metrics import fresh_registry, get_registry
 from repro.swifi.campaign import build_fault_specs
 from repro.swifi.differential import (
@@ -19,7 +20,6 @@ from repro.swifi.differential import (
     _Ineligible,
     differential_runner,
     get_engine,
-    kernel_replay_obstacle,
 )
 from repro.swifi.faultmodel import FaultSpec
 from repro.swifi.options import CampaignOptions
@@ -71,10 +71,10 @@ def _assert_identical(full, diff):
 class TestEligibility:
     def test_closure_kernels_eligible(self):
         for name in ("CP", "MRI-Q", "MRI-FHD", "PNS", "RPES", "SAD"):
-            assert kernel_replay_obstacle(get_workload(name).kernel) is None
+            assert vectorize_obstacle(get_workload(name).kernel) is None
 
     def test_sync_kernel_ineligible(self):
-        assert kernel_replay_obstacle(get_workload("TPACF").kernel) == "uses_sync"
+        assert vectorize_obstacle(get_workload("TPACF").kernel) == "uses_sync"
 
     def test_ineligible_campaign_still_runs_and_matches(self):
         full, diff = _run_both("TPACF", "fi", specs=_campaign_specs(

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.program import HauberkProgram
 from repro.gpu.device import Device
-from repro.gpu.runtime import ENGINES, GPURuntime, LaunchError
+from repro.gpu.runtime import ENGINE_ENV_VAR, ENGINES, GPURuntime, LaunchError
 from repro.kir import parse_kernel
 from repro.kir.interp.vector import (
     BAIL_HAZARD,
@@ -27,12 +27,19 @@ from repro.kir.interp.vector import (
 from repro.kir.types import DType
 from repro.obs.metrics import fresh_registry, get_registry
 from repro.swifi.campaign import build_fault_specs
+from repro.swifi.differential import DifferentialEngine, get_engine
+from repro.swifi.faultmodel import FaultSpec
+from repro.swifi.injector import FaultInjectionLibrary, instrument_for_fi
 from repro.swifi.parallel import run_campaign
 from repro.swifi.targets import enumerate_targets
 from repro.workloads import all_workloads, get_workload
 
 SCALAR_ENGINES = ("closure", "lockstep")
 FI_MODES = ("fi", "fift")
+VECTOR_ELIGIBLE = tuple(
+    name for name in all_workloads()
+    if vectorize_obstacle(get_workload(name).kernel) is None
+)
 
 
 def _launch(src_or_kernel, args, engine, grid=1, block=4, n_out=8,
@@ -109,6 +116,12 @@ class TestWorkloadLaunchParity:
             GPURuntime(Device(), engine="warp9")
         runtime = GPURuntime(Device())
         assert runtime.engine in ENGINES
+
+    def test_vector_is_the_default_and_auto_is_gone(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        assert GPURuntime(Device()).engine == "vector"
+        with pytest.raises(LaunchError):
+            GPURuntime(Device(), engine="auto")
 
 
 class TestCampaignParity:
@@ -329,3 +342,64 @@ class TestGatingAndMetrics:
         assert obstacle1 is None and obstacle2 is None
         assert prog1 is prog2
         assert isinstance(prog1, VectorizedKernel)
+
+    def test_armed_fault_injection_runs_scalar(self):
+        # an armed injector's hooks are not no-ops: the launch goes to
+        # the closure engine whole, exactly as if it had been asked for
+        wl = get_workload("CP")
+        inp = wl.generate_input(0)
+        kernel = instrument_for_fi(wl.kernel)
+        # a mantissa flip in thread 5's ``coorx``: the launch completes
+        spec = FaultSpec(site=7, mask=1 << 20, thread=5)
+        runs = {}
+        for engine in ("vector", "closure"):
+            fresh_registry()
+            device = Device()
+            runtime = GPURuntime(device, engine=engine)
+            args, _ = wl.setup_memory(device, inp)
+            lib = FaultInjectionLibrary(wl.kernel, spec)
+            result = runtime.launch(kernel, inp.grid, inp.block, args,
+                                    lib=lib, budget=wl.hang_budget)
+            runs[engine] = (result, device.memory.snapshot(), lib.activation)
+            if engine == "vector":
+                reg = get_registry()
+                assert reg.counter("repro_kir_vector_fallbacks_total").value(
+                    kernel=kernel.name, reason=FALLBACK_LIBRARY) == 1
+                assert reg.counter(
+                    "repro_kir_vectorized_launches_total").value(
+                    kernel=kernel.name) == 0
+        res_v, words_v, act_v = runs["vector"]
+        res_c, words_c, act_c = runs["closure"]
+        assert act_v is not None and act_v == act_c
+        assert res_v == res_c
+        assert np.array_equal(words_v, words_c)
+
+
+class TestVectorGoldenRecording:
+    """The fi-mode differential golden launch: vectorized, closure-exact."""
+
+    @pytest.mark.parametrize("name", VECTOR_ELIGIBLE)
+    def test_fi_golden_records_match_closure(self, name):
+        engines = {}
+        for engine in ("vector", "closure"):
+            prog = HauberkProgram(get_workload(name))
+            prog.runtime.engine = engine
+            prog.golden_record(0)  # input + golden output, outside the count
+            fresh_registry()
+            entry = get_engine(prog, "fi", 0)
+            assert isinstance(entry, DifferentialEngine), entry
+            vectorized = get_registry().counter(
+                "repro_kir_vectorized_launches_total").value(
+                kernel=entry.kernel.name)
+            assert vectorized == (1 if engine == "vector" else 0)
+            engines[engine] = entry
+        vec, clo = engines["vector"], engines["closure"]
+        assert vec.launch == clo.launch
+        assert len(vec.records) == len(clo.records) == clo.n_threads
+        for gtid, (a, b) in enumerate(zip(vec.records, clo.records)):
+            assert (a.cycles, a.loop_cycles, a.steps) == \
+                (b.cycles, b.loop_cycles, b.steps), f"{name} thread {gtid}"
+            assert a.footprint.loads == b.footprint.loads, \
+                f"{name} thread {gtid} loads"
+            assert a.footprint.stores == b.footprint.stores, \
+                f"{name} thread {gtid} stores"
