@@ -204,16 +204,6 @@ class FleetCoordinator:
         with self._lock:
             self.scheduler.absorb(message)
 
-    def absorb_result(self, worker_id: str, lease_id: str, run_id: str,
-                      indices: List[int], observations: List[Any],
-                      worker_pid: int = 0) -> None:
-        """Land one chunk's observations under ``lease_id``."""
-        self.absorb({
-            "type": "result", "worker": worker_id, "lease": lease_id,
-            "run": run_id, "indices": indices,
-            "observations": observations, "pid": worker_pid,
-        })
-
     def reap(self) -> List[Lease]:
         """Expire overdue leases: split/requeue chunks, blame singletons."""
         with self._lock:
@@ -334,13 +324,12 @@ class FleetCoordinator:
             self.beat(str(message["lease"]))
             return None  # fire-and-forget
         if kind == "result":
-            self.absorb({
-                **message,
-                "indices": [int(i) for i in message["indices"]],
-                "observations": [
-                    decode_observation(o) for o in message["observations"]
-                ],
-            })
+            try:
+                observations = [decode_observation(o)
+                                for o in message["observations"]]
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise WireError(f"malformed result: {exc!r}") from exc
+            self.absorb({**message, "observations": observations})
             return {"type": "ack"}
         if kind == "error":
             # a trial raised on the worker: fail the run now rather

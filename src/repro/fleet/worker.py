@@ -93,13 +93,11 @@ def worker_main(host: str, port: int, worker_id: str,
 
     if detach:
         # a spawned interpreter starts clean, but make the isolation
-        # explicit: no inherited tracer sink, fresh metrics, no profiler
+        # explicit (execute_chunk gives each chunk a fresh registry)
         from repro.obs.events import set_tracer
-        from repro.obs.metrics import fresh_registry
         from repro.obs.profile import set_profiler
 
         set_tracer(None)
-        fresh_registry()
         set_profiler(None)
 
     try:
@@ -144,12 +142,12 @@ def worker_main(host: str, port: int, worker_id: str,
                 specs = [decode_spec(s) for s in reply["specs"]]
                 with _Beater(host, port, worker_id, reply["lease"],
                              interval=ttl * BEAT_FRACTION):
-                    chunk = execute_chunk(
-                        runner, list(zip(indices, specs)), isolate=detach,
+                    message = execute_chunk(
+                        runner, list(zip(indices, specs)), reply["lease"],
+                        reply["run"], isolate=detach,
                     )
-                message = chunk.message(reply["lease"], reply["run"], indices)
                 message["observations"] = [
-                    encode_observation(o) for o in chunk.observations
+                    encode_observation(o) for o in message["observations"]
                 ]
             except Exception as exc:
                 current_run = None  # rebuild before running anything else

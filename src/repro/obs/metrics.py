@@ -17,9 +17,12 @@ tests swap it with :func:`set_registry` / :func:`fresh_registry`.
 
 from __future__ import annotations
 
+import copy
 import json
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -270,8 +273,28 @@ class MetricsRegistry:
         snapshots back, and the parent merges them in chunk order.
         Counters and histograms *add*; gauges take the incoming value
         (last merge wins — deterministic given a deterministic merge
-        order); histogram bucket bounds must match exactly.
+        order); histogram bucket bounds must match exactly.  A snapshot
+        :meth:`prepare_merge` rejects changes nothing.
         """
+        self.prepare_merge(snapshot)()
+
+    def prepare_merge(self, snapshot: Dict[str, Any]) -> Callable[[], None]:
+        """Check ``snapshot`` and return its merge, which cannot then fail.
+
+        A dry run into empty copies of this registry's metrics (same
+        kinds and buckets) raises ``ValueError`` here, changing nothing.
+        """
+        scratch = MetricsRegistry()
+        try:
+            for name in set(snapshot) & set(self._metrics):
+                scratch._metrics[name] = shape = copy.copy(self._metrics[name])
+                shape._samples = {}
+            scratch._merge(snapshot)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed metrics snapshot: {exc!r}") from exc
+        return lambda: self._merge(snapshot)
+
+    def _merge(self, snapshot: Dict[str, Any]) -> None:
         for name, data in snapshot.items():
             kind = data.get("type")
             help_text = data.get("help", "")

@@ -27,16 +27,15 @@ stack:
 ``quarantine``
     Specs given up on (counted; no meaningful duration).
 
-Observations land in three places:
+Observations land in two places:
 
-* a campaign-local ``totals`` table (``{phase_key: [count, seconds]}``)
-  that workers ship back with each chunk and the parent absorbs, so a
-  campaign's ``profile.json`` is exact for any worker count;
 * the process-wide metrics registry, as the
   ``repro_campaign_phase_seconds`` histogram labelled by ``phase`` /
-  ``reason``;
-* per-trial cost records on the existing trace-sink path
-  (``profile.trial`` events), when a tracer is installed.
+  ``reason`` — the one store of phase totals.  A worker ships it in its
+  chunk's metrics delta, and :attr:`PhaseProfiler.totals` reads back the
+  rows recorded since the profiler was created (``profile.json``);
+* per-trial cost records, which ride in the chunk's result message; the
+  scheduler emits each once as a ``profile.trial`` trace event.
 
 The module mirrors the tracer's process-global pattern: a zero-overhead
 :class:`NullPhaseProfiler` is installed by default, call-sites resolve
@@ -51,7 +50,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.events import get_tracer
 from repro.obs.metrics import get_registry
 
 PHASE_PARSE_BUILD = "parse_build"
@@ -74,6 +72,8 @@ PHASES = (
     PHASE_JOURNAL_APPEND,
     PHASE_QUARANTINE,
 )
+
+PHASE_HISTOGRAM = "repro_campaign_phase_seconds"
 
 #: Buckets for ``repro_campaign_phase_seconds``: phases range from
 #: sub-millisecond journal appends to multi-second golden recordings.
@@ -132,45 +132,52 @@ class PhaseProfiler:
     """Attributes wall-clock to campaign phases; cheap enough to leave on.
 
     One instance is campaign-local: the parent owns one for the whole
-    run, each forked worker owns one per process and ships per-chunk
-    deltas back through :meth:`take_totals` / :meth:`absorb_totals`.
+    run, each forked worker owns one per process, whose phases reach the
+    parent in each chunk's metrics delta.
     """
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 registry_histograms: bool = True):
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
-        self._registry_histograms = registry_histograms
-        #: ``{phase_key: [count, seconds]}`` since the last take_totals().
-        self.totals: Dict[str, List[float]] = {}
         self._trial: Optional[Dict[str, Any]] = None
+        # rows recorded before this profiler existed are not its own
+        self._baseline = (get_registry(), {})
+        self._baseline = (get_registry(), self.totals)
+
+    @property
+    def totals(self) -> Dict[str, List[float]]:
+        """``{phase_key: [count, seconds]}`` recorded since creation."""
+        registry, base = self._baseline
+        if registry is not get_registry():
+            registry, base = get_registry(), {}
+        histogram = registry.get(PHASE_HISTOGRAM)
+        totals: Dict[str, List[float]] = {}
+        for labels in histogram.labelsets() if histogram else ():
+            key = phase_key(labels["phase"], labels.get("reason", ""))
+            count0, seconds0 = base.get(key, (0, 0.0))
+            count = histogram.count(**labels) - count0
+            if count:
+                totals[key] = [count, histogram.sum(**labels) - seconds0]
+        return totals
 
     # -- phase accounting -------------------------------------------------
     def phase(self, phase: str, reason: str = "") -> _PhaseHandle:
         """Time a phase occurrence; use as a context manager."""
         return _PhaseHandle(self, phase, reason)
 
-    def add(self, phase: str, seconds: float, reason: str = "",
-            count: int = 1) -> None:
+    def add(self, phase: str, seconds: float, reason: str = "") -> None:
         """Record ``seconds`` of ``phase`` directly (known-duration work)."""
-        key = phase_key(phase, reason)
-        slot = self.totals.get(key)
-        if slot is None:
-            self.totals[key] = [count, seconds]
-        else:
-            slot[0] += count
-            slot[1] += seconds
         trial = self._trial
         if trial is not None:
+            key = phase_key(phase, reason)
             phases = trial["phases"]
             phases[key] = phases.get(key, 0.0) + seconds
-        if self._registry_histograms:
-            get_registry().histogram(
-                "repro_campaign_phase_seconds",
-                "Wall-clock seconds attributed to campaign phases",
-                buckets=PHASE_SECONDS_BUCKETS,
-            ).observe(seconds, phase=phase, reason=reason)
+        get_registry().histogram(
+            PHASE_HISTOGRAM,
+            "Wall-clock seconds attributed to campaign phases",
+            buckets=PHASE_SECONDS_BUCKETS,
+        ).observe(seconds, phase=phase, reason=reason)
 
     # -- per-trial cost records -------------------------------------------
     def begin_trial(self, index: int) -> None:
@@ -187,44 +194,23 @@ class PhaseProfiler:
             self._trial["reason"] = reason
 
     def end_trial(self) -> Optional[Dict[str, Any]]:
-        """Close the trial record; emit it on the trace-sink path.
+        """Close the trial record and return it.
 
-        Returns the compact cost record (``index``, ``dur``, ``served``,
-        ``reason``, per-phase seconds) shipped back in ``ChunkResult``
-        and summarised by ``repro report``.
+        The compact cost record (``index``, ``dur``, ``served``,
+        ``reason``, per-phase seconds) rides in the chunk's result
+        message and is summarised by ``repro report``.
         """
         trial = self._trial
         if trial is None:
             return None
         self._trial = None
-        record = {
+        return {
             "index": trial["index"],
             "dur": self._clock() - trial["t0"],
             "served": trial["served"],
             "reason": trial["reason"],
             "phases": trial["phases"],
         }
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.event("profile.trial", **record)
-        return record
-
-    # -- cross-process aggregation ----------------------------------------
-    def take_totals(self) -> Dict[str, List[float]]:
-        """Return and reset the accumulated totals (per-chunk shipping)."""
-        totals = self.totals
-        self.totals = {}
-        return totals
-
-    def absorb_totals(self, totals: Dict[str, List[float]]) -> None:
-        """Fold a shipped totals table into this profiler."""
-        for key, (count, seconds) in totals.items():
-            slot = self.totals.get(key)
-            if slot is None:
-                self.totals[key] = [count, seconds]
-            else:
-                slot[0] += count
-                slot[1] += seconds
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """JSON-ready view of the totals (``profile.json`` payload)."""
@@ -239,14 +225,14 @@ class NullPhaseProfiler(PhaseProfiler):
 
     enabled = False
 
-    def __init__(self):
-        super().__init__(registry_histograms=False)
+    @property
+    def totals(self) -> Dict[str, List[float]]:
+        return {}
 
     def phase(self, phase: str, reason: str = "") -> _NullPhase:  # type: ignore[override]
         return _NULL_PHASE
 
-    def add(self, phase: str, seconds: float, reason: str = "",
-            count: int = 1) -> None:
+    def add(self, phase: str, seconds: float, reason: str = "") -> None:
         pass
 
     def begin_trial(self, index: int) -> None:

@@ -208,7 +208,8 @@ def _campaign_timing(directory: Path) -> Dict[str, Any]:
 
 
 def _trace_aggregates(trace_path: str) -> Dict[str, Any]:
-    """Per-name span durations and event counts from a trace JSONL."""
+    """Per-name span durations and event counts from a trace JSONL; a
+    forked worker's ``swifi.worker.trace`` record counts as its own."""
     spans: Dict[str, List[float]] = {}
     events: Dict[str, int] = {}
     with open(trace_path, "r", encoding="utf-8") as fh:
@@ -220,6 +221,8 @@ def _trace_aggregates(trace_path: str) -> Dict[str, Any]:
                 record = json.loads(line)
             except ValueError:
                 continue
+            if record.get("name") == "swifi.worker.trace":
+                record = record.get("attrs", {}).get("record", {})
             name = record.get("name", "")
             if record.get("type") == "span":
                 slot = spans.setdefault(name, [0.0, 0.0])

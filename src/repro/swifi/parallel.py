@@ -30,6 +30,10 @@ result loop:
 * ``options.endpoint`` — the campaign is shipped to a ``repro serve``
   coordinator whose TCP workers run the same loop (:mod:`repro.fleet`).
 
+A chunk's telemetry crosses to the parent once, in the ``result``
+message :func:`execute_chunk` builds, so metrics, ``profile.json`` and
+trace counts read the same whichever worker ran it.
+
 Whichever kind ran it, the result is bit-identical: the scheduler
 merges every observation in original spec order through
 :func:`~repro.swifi.campaign.absorb_trial`.
@@ -41,7 +45,6 @@ import itertools
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING,
@@ -76,37 +79,6 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with repro.core.program
 #: Ring capacity for per-chunk worker trace capture (only allocated
 #: when the parent tracer is enabled).
 WORKER_TRACE_CAPACITY = 8192
-
-
-@dataclass
-class ChunkResult:
-    """Everything one worker ships back for one leased chunk."""
-
-    observations: List[TrialObservation]
-    #: ``MetricsRegistry.as_dict()`` snapshot of the worker-side metrics
-    #: recorded while running this chunk (kernel launches, failures).
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Raw span/event records captured in the worker (empty unless the
-    #: parent tracer was enabled when the worker was forked).
-    trace_records: List[Dict[str, Any]] = field(default_factory=list)
-    worker_pid: int = 0
-    #: Per-trial cost records (``PhaseProfiler.end_trial``), parallel to
-    #: ``observations``; empty when profiling is off.
-    costs: List[Optional[Dict[str, Any]]] = field(default_factory=list)
-    #: Phase totals accumulated on this worker since its previous chunk
-    #: (``PhaseProfiler.take_totals``); empty when profiling is off.
-    phase_totals: Dict[str, List[float]] = field(default_factory=dict)
-
-    def message(self, lease_id: str, run_id: str,
-                indices: Iterable[int]) -> Dict[str, Any]:
-        """The result envelope :meth:`LeaseScheduler.absorb` applies."""
-        return {
-            "type": "result", "lease": lease_id, "run": run_id,
-            "pid": self.worker_pid, "indices": list(indices),
-            "observations": self.observations, "costs": self.costs,
-            "metrics": self.metrics, "phase_totals": self.phase_totals,
-            "trace": self.trace_records,
-        }
 
 
 def _make_runner(program, mode, seed, differential):
@@ -187,18 +159,19 @@ def build_trial_runner(
 def execute_chunk(
     runner: Callable[[Optional[FaultSpec]], TrialObservation],
     items: List[Tuple[int, FaultSpec]],
+    lease_id: Optional[str], run_id: str,
     capture_trace: bool = False,
     isolate: bool = True,
-) -> ChunkResult:
+) -> Dict[str, Any]:
     """Run one leased chunk of ``(index, spec)`` items through ``runner``.
 
-    The single chunk body of every worker kind: trials are profiled,
+    The single chunk body of every worker kind; returns the ``result``
+    message :meth:`LeaseScheduler.absorb` applies.  Trials are profiled,
     and (when asked) tracer records are captured in a bounded ring.
-    With ``isolate`` the chunk's metrics land in a fresh registry and
-    its phase totals are taken from the worker's profiler, both shipped
-    back for the scheduler to merge — what a worker *process* needs.
-    ``isolate=False`` leaves both in the process-global registry and
-    profiler, for a worker running inside the scheduler's own process
+    With ``isolate`` the chunk's metrics, phase timings included, land
+    in a fresh registry shipped in the message — what a worker
+    *process* needs.  ``isolate=False`` leaves them in the process-global
+    registry, for a worker running inside the scheduler's own process
     (the ``workers=1`` parent, or a test's worker thread).
     """
     registry = fresh_registry() if isolate else None
@@ -220,14 +193,14 @@ def execute_chunk(
         trace_records = sink.records
     else:
         execute()
-    return ChunkResult(
-        observations=observations,
-        metrics=registry.as_dict() if registry is not None else {},
-        trace_records=trace_records,
-        worker_pid=os.getpid(),
-        costs=costs if profiler.enabled else [],
-        phase_totals=profiler.take_totals() if isolate else {},
-    )
+    return {
+        "type": "result", "lease": lease_id, "run": run_id,
+        "pid": os.getpid(), "indices": [index for index, _ in items],
+        "observations": observations,
+        "costs": costs if profiler.enabled else [],
+        "metrics": registry.as_dict() if registry is not None else {},
+        "trace": trace_records,
+    }
 
 
 # -- the local drivers -----------------------------------------------------
@@ -242,11 +215,9 @@ def _drive_inline(scheduler: LeaseScheduler, run: CampaignRun,
         if runner is None:
             runner = build_runner()
         items = [(i, run.spec_list[i]) for i in lease.indices]
-        chunk = execute_chunk(runner, items, isolate=False)
-        scheduler.absorb(
-            chunk.message(lease.lease_id, run.run_id, lease.indices),
-            source="serial",
-        )
+        message = execute_chunk(runner, items, lease.lease_id, run.run_id,
+                                isolate=False)
+        scheduler.absorb(message, source="serial")
 
 
 def _fork_worker(conn, inherited, run_id, program, mode,
@@ -255,21 +226,20 @@ def _fork_worker(conn, inherited, run_id, program, mode,
     """A forked child: run each leased chunk until told to stop.
 
     The inherited tracer is detached first so children never write into
-    the parent's trace sink (a shared open file under ``--trace``), and
-    metrics start from a fresh registry so every result ships a clean
-    delta.  A trial exception goes back as an ``error`` message.
+    the parent's trace sink (a shared open file under ``--trace``); each
+    chunk's metrics start from a fresh registry, so every result ships
+    a clean delta.  A trial exception goes back as an ``error`` message.
     """
     for other in inherited:  # parent-side pipe ends: a parent death must
         other.close()        # reach this child as EOF
     set_tracer(None)
-    fresh_registry()
     set_profiler(PhaseProfiler() if options.profile else None)
     lease_id = None
     try:
         runner = build_trial_runner(program, mode, options, runner_factory)
         for lease_id, items in iter(conn.recv, None):
-            chunk = execute_chunk(runner, items, capture_trace)
-            conn.send(chunk.message(lease_id, run_id, (i for i, _ in items)))
+            conn.send(execute_chunk(runner, items, lease_id, run_id,
+                                    capture_trace))
     except EOFError:
         return  # the parent is gone
     except Exception as exc:

@@ -18,9 +18,9 @@ sockets or processes:
    result is the same for any worker kind, worker count, lease history
    and kill/resume split.
 2. **One absorb.**  :meth:`LeaseScheduler.absorb` applies a single
-   result message: dedup, one journal line per trial with served-by
-   and section tags, a heartbeat, and the worker's metrics delta,
-   phase totals and trace records.
+   result message, checked whole first: dedup, one journal line (with
+   served-by and section tags) and ``profile.trial`` event per trial, a
+   heartbeat, and the worker's metrics delta and trace records.
 3. **A lost lease is a death signal.**  Whether a forked worker's pipe
    hit EOF (:meth:`LeaseScheduler.release_worker`) or a TCP worker's
    lease expired in silence (:meth:`LeaseScheduler.reap`), a multi-item
@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InjectionError
 from repro.exec.lease import DEFAULT_LEASE_TTL, Lease, LeaseTable
@@ -218,6 +218,33 @@ class CampaignRun:
                 or index in self.replayed)
 
 
+def _check_result(run: CampaignRun,
+                  message: Dict[str, Any]) -> Callable[[], None]:
+    """Validate a result message whole and return its metrics merge.
+
+    Indices must name specs of ``run``, each with one observation and
+    (when profiled) one cost record or ``None``; the metrics must merge.
+    """
+    indices = message.get("indices")
+    observations = message.get("observations")
+    costs = message.get("costs") or []
+    well_formed = (
+        isinstance(indices, list) and isinstance(observations, list)
+        and isinstance(costs, list) and len(observations) == len(indices)
+        and len(costs) in (0, len(indices))
+        and all(type(i) is int and 0 <= i < len(run.spec_list)
+                for i in indices)
+        and all(isinstance(o, TrialObservation) for o in observations)
+        and all(c is None or isinstance(c, dict) for c in costs))
+    problem = "indices, observations and costs must pair up, one per spec"
+    if well_formed:
+        try:
+            return get_registry().prepare_merge(message.get("metrics") or {})
+        except ValueError as exc:
+            problem = f"metrics: {exc}"
+    raise InjectionError(f"malformed result for {run.run_id}: {problem}")
+
+
 class LeaseScheduler:
     """Queue, lease, absorb and merge campaign runs — no I/O of its own.
 
@@ -288,29 +315,32 @@ class LeaseScheduler:
     def absorb(self, message: Dict[str, Any], source: str = "chunk") -> None:
         """Apply one worker message: a chunk's result, or its error.
 
-        ``message["observations"]`` holds decoded
-        :class:`~repro.swifi.campaign.TrialObservation` objects.  An
+        A result is what :func:`~repro.swifi.parallel.execute_chunk`
+        returns, observations decoded; a malformed one raises
+        :class:`~repro.errors.InjectionError` and applies nothing.  An
         ``error`` message carries the worker's exception and fails the
         run.  ``source`` labels the heartbeat (``"serial"`` when the
         parent ran the chunk itself).
         """
-        run = self.runs.get(message["run"])
+        run_id = message.get("run")
+        run = self.runs.get(run_id)
         if run is None:
-            raise InjectionError(f"result for unknown run {message['run']!r}")
+            raise InjectionError(f"result for unknown run {run_id!r}")
+        failed = message.get("type") == "error"
+        merge_metrics = None if failed else _check_result(run, message)
         if self.leases.complete(message.get("lease")) is not None:
             record_lease("completed")
         if run.state != "running":
             return  # a late copy for a run that already ended
-        if message["type"] == "error":
+        if failed:
             self.fail(run, message["exception"])
             return
         indices, observations = message["indices"], message["observations"]
-        if len(indices) != len(observations):
-            raise InjectionError(
-                f"chunk carried {len(observations)} observations for "
-                f"{len(indices)} indices"
-            )
         costs = message.get("costs") or [None] * len(indices)
+        if not all(run.landed(idx) for idx in indices):
+            # worker telemetry: merged once, and never from a duplicate
+            merge_metrics()
+        tracer = get_tracer()
         tally: Dict[str, int] = {}
         for idx, obs, cost in zip(indices, observations, costs):
             if run.landed(idx):
@@ -326,14 +356,10 @@ class LeaseScheduler:
                     served=served_tag(cost),
                     section=run.sec_of[idx] if run.sec_of else None,
                 )
+            if cost is not None and tracer.enabled:
+                tracer.event("profile.trial", **cost)
         fresh = sum(tally.values())
         if fresh:
-            # worker telemetry: merged once, and never from a duplicate
-            if message.get("metrics"):
-                get_registry().merge_dict(message["metrics"])
-            if message.get("phase_totals"):
-                get_profiler().absorb_totals(message["phase_totals"])
-            tracer = get_tracer()
             for record in message.get("trace") or ():
                 tracer.event("swifi.worker.trace", chunk=indices[0],
                              record=record)

@@ -40,12 +40,15 @@ from repro.fleet import (
     worker_main,
 )
 from repro.fleet.wire import (
+    connect,
     decode_observation,
     decode_options,
     decode_spec,
     encode_observation,
     encode_options,
     encode_spec,
+    recv_message,
+    send_message,
 )
 from repro.obs.metrics import fresh_registry, get_registry
 from repro.swifi.campaign import build_fault_specs
@@ -105,8 +108,8 @@ class TestWireCodecs:
         program = _program()
         specs = _specs(program, n=2)
         runner = build_trial_runner(program, "fi", CampaignOptions())
-        chunk = execute_chunk(runner, list(enumerate(specs)))
-        for obs in chunk.observations:
+        message = execute_chunk(runner, list(enumerate(specs)), None, "r")
+        for obs in message["observations"]:
             assert decode_observation(encode_observation(obs)) == obs
 
     def test_options_ship_execution_fields_only(self):
@@ -297,21 +300,16 @@ class TestCoordinator:
             first = True
             while run.queue:
                 indices = tuple(run.queue.popleft())
-                chunk = execute_chunk(
-                    runner, [(i, specs[i]) for i in indices]
-                )
                 lease = coordinator.leases.grant("wA", run_id, indices)
-                coordinator.absorb_result(
-                    "wA", lease.lease_id, run_id, list(indices),
-                    chunk.observations,
+                message = execute_chunk(
+                    runner, [(i, specs[i]) for i in indices],
+                    lease.lease_id, run_id,
                 )
+                coordinator.absorb(message)
                 if first:
                     # a slow twin reports the same chunk under a stale
                     # lease; the duplicate must not double-count
-                    coordinator.absorb_result(
-                        "wB", "L999999", run_id, list(indices),
-                        chunk.observations,
-                    )
+                    coordinator.absorb({**message, "lease": "L999999"})
                     first = False
             run = coordinator.wait(run_id, timeout=30)
             assert run.result.summary()["trials"] == len(specs)
@@ -374,13 +372,10 @@ class TestCoordinator:
             runner = build_trial_runner(program, "fi", CampaignOptions())
             grant = coordinator.grant("w1", run_id)
             assert grant["indices"] == [1]
-            chunk = execute_chunk(
-                runner, [(i, specs[i]) for i in grant["indices"]]
-            )
-            coordinator.absorb_result(
-                "w1", grant["lease"], run_id, grant["indices"],
-                chunk.observations,
-            )
+            coordinator.absorb(execute_chunk(
+                runner, [(i, specs[i]) for i in grant["indices"]],
+                grant["lease"], run_id,
+            ))
             # stranding the reissued lease condemns and quarantines
             assert coordinator.grant("w0", run_id)["indices"] == [0]
             clock.advance(5.1)
@@ -434,10 +429,9 @@ class TestCoordinator:
             clock.advance(5.1)
             coordinator.reap()
             grant = coordinator.grant("w1", run_id)
-            chunk = execute_chunk(runner, [(1, specs[1])])
-            coordinator.absorb_result(
-                "w1", grant["lease"], run_id, [1], chunk.observations,
-            )
+            coordinator.absorb(execute_chunk(
+                runner, [(1, specs[1])], grant["lease"], run_id,
+            ))
             assert coordinator.grant("w0", run_id)["indices"] == [0]
             clock.advance(5.1)
             coordinator.reap()
@@ -473,6 +467,53 @@ class TestCoordinator:
             assert time.monotonic() - start < 5.0
             assert coordinator._runs[run_id].state == "failed"
             assert len(coordinator.leases) == 0
+        finally:
+            coordinator.stop()
+
+    def test_malformed_result_frame_gets_error_reply(self):
+        program = _program()
+        specs = _specs(program, n=2)
+        runner = build_trial_runner(program, "fi", CampaignOptions())
+        coordinator = FleetCoordinator(reap_interval=0)
+        coordinator.start()
+        try:
+            envelope = envelope_for(program, specs, "fi", CampaignOptions())
+            run_id = coordinator.submit(
+                envelope, program=program, chunk_size=2
+            )
+            sock, stream = connect(*parse_endpoint(coordinator.endpoint),
+                                   timeout=30)
+            try:
+                send_message(stream, {
+                    "type": "lease", "worker": "w0", "run": None,
+                })
+                grant = recv_message(stream)
+                items = list(zip(grant["indices"],
+                                 map(decode_spec, grant["specs"])))
+                message = execute_chunk(runner, items, grant["lease"], run_id)
+                message["observations"] = [
+                    encode_observation(o) for o in message["observations"]
+                ]
+                for bad in (
+                    {**message, "metrics": {"bad": {"type": "nope"}}},
+                    {k: v for k, v in message.items() if k != "indices"},
+                    {**message, "observations": [{}, {}]},
+                ):
+                    send_message(stream, bad)
+                    reply = recv_message(stream)
+                    assert reply["type"] == "error"
+                    assert "malformed result" in reply["error"]
+                run = coordinator._runs[run_id]
+                assert run.state == "running"
+                assert run.obs_by_index == {}
+                assert get_registry().get("bad") is None
+                send_message(stream, message)
+                assert recv_message(stream) == {"type": "ack"}
+            finally:
+                stream.close()
+                sock.close()
+            result = coordinator.wait(run_id, timeout=30).result
+            assert result.summary()["trials"] == len(specs)
         finally:
             coordinator.stop()
 
@@ -545,10 +586,9 @@ class TestCoordinatorResume:
         run = first._runs[run_id]
         indices = tuple(run.queue.popleft())
         lease = first.leases.grant("w0", run_id, indices)
-        chunk = execute_chunk(runner, [(i, specs[i]) for i in indices])
-        first.absorb_result(
-            "w0", lease.lease_id, run_id, list(indices), chunk.observations
-        )
+        first.absorb(execute_chunk(
+            runner, [(i, specs[i]) for i in indices], lease.lease_id, run_id,
+        ))
         first.stop()
         assert first._runs[run_id].state == "stopped"
 

@@ -26,7 +26,7 @@ import os
 import pytest
 
 from repro.core.program import HauberkProgram
-from repro.obs import RingBufferSink
+from repro.obs import JsonlSink, RingBufferSink, Tracer, use_tracer
 from repro.obs.metrics import MetricsRegistry, fresh_registry
 from repro.obs.profile import (
     PHASE_DIFF_REPLAY,
@@ -42,6 +42,7 @@ from repro.obs.progress import Heartbeat, HeartbeatMonitor, ProgressRenderer
 from repro.obs.report import build_report, render_json, render_markdown
 from repro.swifi import CampaignJournal, CampaignOptions, run_campaign
 from repro.swifi.journal import spec_fingerprint
+from repro.workloads.base import _PARSE_CACHE
 
 from test_journal import _assert_identical, _truncate_journal
 from test_parallel_campaign import TinyWorkload, _tiny_specs, needs_fork
@@ -103,22 +104,41 @@ class TestPhaseProfiler:
         assert served_tag({"served": "full", "reason": "atomics"}) \
             == "full:atomics"
 
-    def test_take_and_absorb_totals(self, registry):
-        worker = PhaseProfiler()
-        worker.add("merge", 1.0)
-        worker.add("merge", 2.0)
-        shipped = worker.take_totals()
-        assert worker.totals == {}
-        parent = PhaseProfiler()
-        parent.add("merge", 0.5)
-        parent.absorb_totals(shipped)
-        assert parent.totals["merge"] == [3, 3.5]
-        snap = parent.snapshot()
-        assert snap["merge"] == {"count": 3, "seconds": 3.5}
+    def test_totals_count_only_rows_since_creation(self, registry):
+        earlier = PhaseProfiler()
+        earlier.add("merge", 1.0)
+        prof = PhaseProfiler()
+        prof.add("merge", 2.0)
+        prof.add("merge", 0.5)
+        assert earlier.totals["merge"] == [3, 3.5]
+        assert prof.totals == {"merge": [2, 2.5]}
+        assert prof.snapshot() == {"merge": {"count": 2, "seconds": 2.5}}
+
+    @needs_fork
+    def test_forked_worker_phases_reach_profile_through_metrics(
+            self, tmp_path):
+        # the parent runs no trial itself: every diff_replay/full_run
+        # in profile.json came over in a worker's metrics delta (each
+        # trial tries a replay first; a conflict then runs in full)
+        wl, specs = _tiny_specs(masks_per_site=1)
+        root = tmp_path / "runs"
+        run_campaign(
+            HauberkProgram(wl), specs, mode="fi",
+            options=CampaignOptions(
+                workers=2, chunk_size=2, run_dir=str(root), profile=True
+            ),
+        )
+        (entry,) = [d for d in root.iterdir() if d.is_dir()]
+        phases = json.loads((entry / "profile.json").read_text())["phases"]
+        records = CampaignJournal._load_records(entry / "journal.jsonl")
+        assert phases[PHASE_DIFF_REPLAY]["count"] == len(specs)
+        assert sum(v["count"] for k, v in phases.items()
+                   if k.startswith(PHASE_FULL_RUN)) == \
+            sum(r.served.startswith("full") for r in records.values())
 
     def test_use_profiler_scopes_and_restores(self):
         before = get_profiler()
-        prof = PhaseProfiler(registry_histograms=False)
+        prof = PhaseProfiler()
         with use_profiler(prof) as installed:
             assert installed is prof
             assert get_profiler() is prof
@@ -334,20 +354,45 @@ class TestCampaignFlightRecorder:
             ),
         )
         (entry,) = [d for d in root.iterdir() if d.is_dir()]
-        phases = json.loads((entry / "profile.json").read_text())["phases"]
-        served = phases.get("diff_replay", {"count": 0})["count"] + sum(
-            v["count"] for k, v in phases.items() if k.startswith("full_run")
-        )
-        assert served >= len(specs)
         beats = [json.loads(line) for line in
                  (entry / "heartbeats.jsonl").read_text().splitlines()]
         assert beats[-1]["done"] == len(specs)
         assert any(b["source"] == "chunk" for b in beats)
+        solo_root = tmp_path / "solo"
         serial = run_campaign(
             HauberkProgram(TinyWorkload()), specs, mode="fi",
-            options=CampaignOptions(),
+            options=CampaignOptions(run_dir=str(solo_root), profile=True),
         )
         _assert_identical(serial, result)
+        # every phase count is the same fact whichever worker kind ran it
+        assert _phase_counts(entry) == _phase_counts(
+            next(d for d in solo_root.iterdir() if d.is_dir())
+        )
+
+    @needs_fork
+    def test_pooled_trace_has_one_profile_trial_per_trial(self, tmp_path):
+        _wl, specs = _tiny_specs(masks_per_site=1)
+        for workers in (1, 2):
+            sink = RingBufferSink(capacity=100_000)
+            with use_tracer(Tracer(sink)):
+                run_campaign(
+                    HauberkProgram(TinyWorkload()), specs, mode="fi",
+                    options=CampaignOptions(workers=workers, chunk_size=2,
+                                            profile=True),
+                )
+            trials = [r["attrs"] for r in sink.records
+                      if r["type"] == "event" and r["name"] == "profile.trial"]
+            assert sorted(t["index"] for t in trials) == \
+                list(range(len(specs)))
+            assert all(t["served"] for t in trials)
+            wrapped = [r["attrs"]["record"] for r in sink.records
+                       if r["name"] == "swifi.worker.trace"]
+            assert not any(r["name"] == "profile.trial" for r in wrapped)
+
+
+def _phase_counts(entry):
+    phases = json.loads((entry / "profile.json").read_text())["phases"]
+    return {key: value["count"] for key, value in phases.items()}
 
 
 # -- repro report ---------------------------------------------------------
@@ -382,6 +427,28 @@ class TestReport:
         second = build_report(str(root))
         assert render_json(first) == render_json(second)
         assert render_markdown(first) == render_markdown(second)
+
+    @needs_fork
+    def test_trace_counts_match_for_any_worker_count(self, tmp_path):
+        counts = []
+        for workers in (1, 2):
+            _PARSE_CACHE.clear()  # both runs build the kernel afresh
+            trace = tmp_path / f"trace-{workers}.jsonl"
+            tracer = Tracer(JsonlSink(str(trace)))
+            with use_tracer(tracer):
+                root, _specs, _ = _run_journaled(
+                    tmp_path, name=f"w{workers}", workers=workers,
+                    chunk_size=2,
+                )
+            tracer.close()
+            aggregates = build_report(str(root), trace=str(trace))["trace"]
+            # heartbeats are time-throttled, so their count is not a fact
+            aggregates["events"].pop("swifi.heartbeat", None)
+            spans = {name: span["count"]
+                     for name, span in aggregates["spans"].items()}
+            counts.append((spans, aggregates["events"]))
+        assert counts[0] == counts[1]
+        assert "swifi.worker.trace" not in counts[1][1]
 
     def test_killed_and_resumed_reports_like_uninterrupted(self, tmp_path):
         root_a, specs, result_a = _run_journaled(tmp_path, name="a")

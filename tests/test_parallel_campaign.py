@@ -25,12 +25,15 @@ from repro.kir.types import DType
 from repro.obs.metrics import MetricsRegistry, fresh_registry
 from repro.exec import RetryPolicy
 from repro.swifi import (
+    CampaignJournal,
     CampaignOptions,
     FaultSpec,
     build_fault_specs,
     enumerate_targets,
     run_campaign,
 )
+from repro.swifi.parallel import build_trial_runner, execute_chunk
+from repro.swifi.scheduler import LeaseScheduler
 from repro.workloads.base import BufferSpec, Workload, WorkloadInput
 
 needs_fork = pytest.mark.skipif(
@@ -215,6 +218,39 @@ class TestFailures:
                 None, specs, options=CampaignOptions(workers=2),
                 runner_factory=_raising_runner_factory,
             )
+
+    def test_malformed_result_applies_nothing(self, tmp_path, registry):
+        wl, specs = _tiny_specs(masks_per_site=1)
+        program, specs = HauberkProgram(wl), specs[:2]
+        scheduler = LeaseScheduler()
+        run = scheduler.open_run(
+            program, specs, "fi", CampaignOptions(run_dir=str(tmp_path)),
+            chunk_size=2,
+        )
+        lease = scheduler.grant("w0")
+        runner = build_trial_runner(program, "fi", CampaignOptions())
+        good = execute_chunk(runner, list(enumerate(specs)), lease.lease_id,
+                             run.run_id, isolate=False)
+        journal = run.journal.path
+        for bad in (
+            {**good, "metrics": {"bad": {"type": "nope"}}},
+            {**good, "metrics": {"c": {"type": "counter", "samples": [
+                {"labels": {}, "value": 1}]}, "bad": {"type": "nope"}}},
+            {key: value for key, value in good.items() if key != "indices"},
+            {**good, "indices": [0, len(specs)]},
+            {**good, "observations": [None, None]},
+            {**good, "costs": [None]},
+        ):
+            with pytest.raises(InjectionError, match="malformed result"):
+                scheduler.absorb(bad)
+        # no trial, journal line or metric landed; the lease is still out
+        assert run.obs_by_index == {}
+        assert CampaignJournal._load_records(journal) == {}
+        assert registry.get("bad") is None and registry.get("c") is None
+        assert lease.lease_id in scheduler.leases.active
+        scheduler.absorb(good)
+        assert run.state == "done"
+        assert run.result.summary()["trials"] == len(specs)
 
 
 # -- spec planning --------------------------------------------------------
