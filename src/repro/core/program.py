@@ -81,12 +81,12 @@ class CombinedLibrary(InstrumentationLibrary):
     def __init__(self, members: Sequence[InstrumentationLibrary]):
         self.members = list(members)
 
-    def invoke(self, func, ctx, frame, args):
+    def hook(self, func):
         for member in self.members:
-            if member.handles(func):
-                member.invoke(func, ctx, frame, args)
-                return
-        super().invoke(func, ctx, frame, args)  # raises helpful error
+            fn = member.hook(func)
+            if fn is not None:
+                return fn
+        return None
 
 
 class HauberkProgram:

@@ -7,6 +7,12 @@ and a float divide to IEEE ``fdiv`` with no per-call dispatch.  Every
 statement inlines the watchdog bump and cycle accounting; loop-body and
 loop-condition cycles are attributed separately so the Figure 4 loop
 fraction and the Figure 13 overheads fall out of execution directly.
+
+An instrumentation call (``__hauberk_<op>``) looks its handler up in
+the context's per-launch hook table, which
+:meth:`~repro.kir.interp.evalcore.ExecContext.bind_hook` fills on the
+call's first execution; a call whose arguments are all constants (every
+FI hook) passes an argument tuple built here, at compile time.
 """
 
 from __future__ import annotations
@@ -304,20 +310,7 @@ class _KernelCompiler:
                 "kernels with __syncthreads need the lockstep interpreter"
             )
         if isinstance(s, CallStmt):
-            fns = [compile_expr(a) for a in s.args]
-            func = s.func
-            cost = self.cm.libcall_cost(func) * s.cost_scale
-
-            def libcall(fr, ctx):
-                ctx.steps += 1
-                if ctx.steps > ctx.budget:
-                    raise KernelHang()
-                if cost:
-                    ctx.cycles += cost
-                    if in_loop:
-                        ctx.loop_cycles += cost
-                ctx.lib.invoke(func, ctx, fr, [f(fr, ctx) for f in fns])
-            return libcall
+            return self._compile_call(s)
         raise KIRError(f"cannot compile statement {type(s).__name__}")
 
     # -- leaf wrappers -------------------------------------------------
@@ -354,6 +347,38 @@ class _KernelCompiler:
                 ctx.loop_cycles += cost
             fr[name] = conv(val(fr, ctx))
         return run
+
+    def _compile_call(self, s: CallStmt) -> StmtFn:
+        func = s.func
+        cost = self.cm.libcall_cost(func) * s.cost_scale
+        in_loop = s.in_loop
+        if all(isinstance(a, Const) for a in s.args):
+            # every FI hook: (site, "name") never changes
+            args = tuple(a.value for a in s.args)
+
+            def libcall_const(fr, ctx):
+                ctx.steps += 1
+                if ctx.steps > ctx.budget:
+                    raise KernelHang()
+                if cost:
+                    ctx.cycles += cost
+                    if in_loop:
+                        ctx.loop_cycles += cost
+                (ctx.hooks.get(func) or ctx.bind_hook(func))(ctx, fr, *args)
+            return libcall_const
+        fns = [compile_expr(a) for a in s.args]
+
+        def libcall(fr, ctx):
+            ctx.steps += 1
+            if ctx.steps > ctx.budget:
+                raise KernelHang()
+            if cost:
+                ctx.cycles += cost
+                if in_loop:
+                    ctx.loop_cycles += cost
+            values = [f(fr, ctx) for f in fns]
+            (ctx.hooks.get(func) or ctx.bind_hook(func))(ctx, fr, *values)
+        return libcall
 
     # -- compound statements -------------------------------------------
     def _compile_atomic(self, s: AtomicAdd) -> StmtFn:

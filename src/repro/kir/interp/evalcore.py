@@ -14,10 +14,10 @@ Arithmetic follows C-on-GPU conventions from the paper:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.bits import wrap_i32
-from repro.errors import KernelCrash, KernelHang
+from repro.errors import KernelCrash
 
 NAN = float("nan")
 INF = float("inf")
@@ -201,12 +201,16 @@ INTRINSIC_IMPL: Dict[str, Callable] = {
 class InstrumentationLibrary:
     """Base class for libraries bound at kernel launch (Figure 12).
 
-    A ``CallStmt`` whose function name is ``__hauberk_<op>`` dispatches
-    to the method ``lib_<op>(ctx, frame, *args)``.  Arguments are
-    evaluated values; string constants arrive as ``str`` (the FI
-    library receives variable names this way so it can read and write
-    the calling frame directly — the mutation-based injection of
-    Section VII).
+    A ``CallStmt`` whose function name is ``__hauberk_<op>`` calls the
+    method ``lib_<op>(ctx, frame, *args)``.  Arguments are evaluated
+    values; string constants arrive as ``str`` (the FI library receives
+    variable names this way so it can read and write the calling frame
+    directly — the mutation-based injection of Section VII).
+
+    The engines never look a handler up by name per call: each call
+    site asks :meth:`hook` once per launch, through
+    :meth:`ExecContext.bind_hook`, and calls the bound method it gets
+    back on every later execution.
     """
 
     PREFIX = "__hauberk_"
@@ -220,18 +224,15 @@ class InstrumentationLibrary:
         """
         return False
 
-    def invoke(self, func: str, ctx: "ExecContext", frame: dict, args: Sequence) -> None:
+    def hook(self, func: str) -> Optional[Callable]:
+        """The bound ``lib_<op>`` handler of ``func``, or ``None``."""
         if not func.startswith(self.PREFIX):
-            raise KernelCrash(f"unbound library call {func}")
-        method = getattr(self, "lib_" + func[len(self.PREFIX):], None)
-        if method is None:
-            raise KernelCrash(f"library has no handler for {func}")
-        method(ctx, frame, *args)
+            return None
+        return getattr(self, "lib_" + func[len(self.PREFIX):], None)
 
-    def handles(self, func: str) -> bool:
-        return func.startswith(self.PREFIX) and hasattr(
-            self, "lib_" + func[len(self.PREFIX):]
-        )
+
+def _no_hook(ctx: "ExecContext", frame: dict, *args) -> None:
+    return None
 
 
 class NullLibrary(InstrumentationLibrary):
@@ -240,8 +241,8 @@ class NullLibrary(InstrumentationLibrary):
     def hooks_are_noops(self) -> bool:
         return True
 
-    def invoke(self, func: str, ctx: "ExecContext", frame: dict, args: Sequence) -> None:
-        return None
+    def hook(self, func: str) -> Optional[Callable]:
+        return _no_hook
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +252,9 @@ class NullLibrary(InstrumentationLibrary):
 
 class ExecContext:
     """Mutable per-launch execution state shared by all threads.
+
+    One is built per grid launch and per differentially replayed
+    trial, so hook bindings never outlive the library they came from.
 
     Attributes of note:
 
@@ -262,8 +266,11 @@ class ExecContext:
       (``ctx.memory.load_f32``), keeping the layered protocol off the
       hot path;
     * ``lib`` — bound instrumentation library (FI / profiler / FT);
-    * ``budget`` — per-thread statement budget; exceeding it raises
-      :class:`~repro.errors.KernelHang` (the watchdog);
+    * ``hooks`` — call name -> handler resolved from ``lib``, filled by
+      :meth:`bind_hook` the first time each call executes;
+    * ``budget`` — per-thread statement budget; the engines count each
+      thread's statements against it inline and raise
+      :class:`~repro.errors.KernelHang` on overrun (the watchdog);
     * ``cycles`` / ``loop_cycles`` — cost-model accounting used for
       Figure 4 and all of Figure 13.
     """
@@ -275,6 +282,7 @@ class ExecContext:
         "store_f32",
         "store_i32",
         "lib",
+        "hooks",
         "budget",
         "steps",
         "max_steps",
@@ -294,6 +302,7 @@ class ExecContext:
     ):
         self._bind_memory(memory)
         self.lib = lib if lib is not None else NullLibrary()
+        self.hooks: Dict[str, Callable] = {}
         self.budget = budget
         self.steps = 0
         self.max_steps = 0
@@ -304,14 +313,19 @@ class ExecContext:
         self.block = -1
         self.spill_factor = 1.0
 
-    def tick(self) -> None:
-        """Per-statement watchdog bump (inlined by the compiler)."""
-        self.steps += 1
-        if self.steps > self.budget:
-            raise KernelHang(
-                f"thread {self.thread} in block {self.block} exceeded "
-                f"{self.budget} statements"
-            )
+    def bind_hook(self, func: str) -> Callable:
+        """Resolve ``func`` against ``lib`` and memoize it for this launch.
+
+        Called on a call's first execution, so an unbound call in code
+        that never runs does not crash the kernel.
+        """
+        fn = self.lib.hook(func)
+        if fn is None:
+            if not func.startswith(InstrumentationLibrary.PREFIX):
+                raise KernelCrash(f"unbound library call {func}")
+            raise KernelCrash(f"library has no handler for {func}")
+        self.hooks[func] = fn
+        return fn
 
     def reset_thread(self, block: int, thread: int) -> None:
         if self.steps > self.max_steps:

@@ -176,28 +176,36 @@ class LockstepProgram:
             return
         if isinstance(s, AtomicAdd):
             self._tick(st, ctx)
-            value = self._fn(s.value)(fr, ctx)
-            idx = self._fn(s.index)(fr, ctx)
-            if s.space == "shared":
-                ctx.cycles += self.cm.atomic_shared
+            shared = s.space == "shared"
+            if shared:
+                cost = self._cost(s.index) + self._cost(s.value) + self.cm.atomic_shared
+            else:
+                cost = (
+                    self._cost(s.target) + self._cost(s.index) + self._cost(s.value)
+                    + self.cm.atomic_global
+                )
+            ctx.cycles += cost
+            if s.in_loop:
+                ctx.loop_cycles += cost
+            # operands evaluate in the closure compiler's order, so a
+            # crash in either surfaces with the same message
+            if shared:
                 arr = ctx.shared[s.array]
+                idx = self._fn(s.index)(fr, ctx)
                 if not 0 <= idx < len(arr):
                     raise KernelCrash(
                         f"shared memory OOB atomic {s.array}[{idx}]", st.thread, ctx.block
                     )
-                result = arr[idx] + value
+                result = arr[idx] + self._fn(s.value)(fr, ctx)
                 arr[idx] = wrap_i32(result) if isinstance(result, int) else result
             else:
-                ctx.cycles += self.cm.atomic_global
-                addr = self._fn(s.target)(fr, ctx) + idx
+                addr = self._fn(s.target)(fr, ctx) + self._fn(s.index)(fr, ctx)
                 if s.target.dtype.element is DType.FLOAT32:
-                    ctx.store_f32(addr, ctx.load_f32(addr) + value)
+                    ctx.store_f32(addr, ctx.load_f32(addr) + self._fn(s.value)(fr, ctx))
                 else:
                     ctx.store_i32(
-                        addr, wrap_i32(ctx.load_i32(addr) + value)
+                        addr, wrap_i32(ctx.load_i32(addr) + self._fn(s.value)(fr, ctx))
                     )
-            if s.in_loop:
-                ctx.loop_cycles += self.cm.atomic_shared
             return
         if isinstance(s, For):
             if s.init is not None:
@@ -259,12 +267,12 @@ class LockstepProgram:
             raise ReturnSignal()
         if isinstance(s, CallStmt):
             self._tick(st, ctx)
-            cost = self.cm.libcall_cost(s.func)
+            cost = self.cm.libcall_cost(s.func) * s.cost_scale
             if cost:
                 ctx.cycles += cost
                 if s.in_loop:
                     ctx.loop_cycles += cost
             args = [self._fn(a)(fr, ctx) for a in s.args]
-            ctx.lib.invoke(s.func, ctx, fr, args)
+            (ctx.hooks.get(s.func) or ctx.bind_hook(s.func))(ctx, fr, *args)
             return
         raise KIRValidationError(f"lockstep cannot execute {type(s).__name__}")

@@ -287,6 +287,22 @@ kernel reduce(float* data, float* out, int n) {
         out_slow = device_b.memory.memcpy_dtoh(ay)
         assert np.array_equal(out_fast, out_slow)
 
+    def test_atomic_crash_message_matches_compiler(self):
+        # index out of bounds and value dividing by zero: the engine
+        # that evaluates the index first reports the OOB access
+        src = ("kernel k(int n, int* out) { shared int s[4];"
+               " atomicAdd(&s[n], 1 / (n - n)); out[0] = s[0]; }")
+        messages = []
+        for engine in ("closure", "lockstep"):
+            device = Device()
+            out = device.memory.alloc("out", 1, DType.INT32)
+            with pytest.raises(KernelCrash) as exc:
+                GPURuntime(device, engine=engine).launch(
+                    parse_kernel(src), 1, 1, {"n": 9, "out": out})
+            messages.append(str(exc.value))
+        assert "shared memory OOB atomic s[9]" in messages[0]
+        assert messages[1] == messages[0]
+
     def test_lockstep_hang_detection(self):
         device = Device()
         runtime = GPURuntime(device)

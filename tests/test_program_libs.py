@@ -28,23 +28,24 @@ class _B(InstrumentationLibrary):
         self.calls.append(("b-alpha", x))
 
 
-def _ctx():
-    return ExecContext(GlobalMemory(16))
+def _ctx(lib=None):
+    return ExecContext(GlobalMemory(16), lib=lib)
 
 
 class TestCombinedLibrary:
     def test_routes_to_first_handler(self):
         a, b = _A(), _B()
         lib = CombinedLibrary([a, b])
-        lib.invoke("__hauberk_alpha", _ctx(), {}, [1])
-        lib.invoke("__hauberk_beta", _ctx(), {}, [2])
+        lib.hook("__hauberk_alpha")(_ctx(), {}, 1)
+        lib.hook("__hauberk_beta")(_ctx(), {}, 2)
         assert a.calls == [("a", 1)]
         assert b.calls == [("b", 2)]  # alpha went to _A, not _B
 
     def test_unknown_call_crashes(self):
         lib = CombinedLibrary([_A()])
-        with pytest.raises(KernelCrash):
-            lib.invoke("__hauberk_gamma", _ctx(), {}, [])
+        assert lib.hook("__hauberk_gamma") is None
+        with pytest.raises(KernelCrash, match="library has no handler for __hauberk_gamma"):
+            _ctx(lib).bind_hook("__hauberk_gamma")
 
 
 class TestProgramEdgeCases:

@@ -2,19 +2,65 @@
 
 The closure compiler (fast path) and the lockstep generator interpreter
 implement the same semantics twice; hypothesis-generated kernels must
-produce identical frames and outputs through both.
+produce identical frames and outputs through both, and hand a
+recording instrumentation library the same call sequence.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.device import Device
+from repro.kir.astnodes import Assign, BinOp, CallStmt, Const, Decl, For, If, Var
 from repro.kir.interp.compiler import CompiledKernel
-from repro.kir.interp.evalcore import ExecContext
+from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
+from repro.kir.validate import validate_kernel
 
 from test_property_checksum import _KernelGen
+
+#: Hook cost charged per recorded call, so hook accounting is compared too.
+REC_COST = 3.0
+
+
+class _Recorder(InstrumentationLibrary):
+    def __init__(self):
+        self.calls = []
+
+    def lib_rec(self, ctx, frame, *args):
+        # repr: NaN arguments compare equal
+        self.calls.append((ctx.thread, repr(args)))
+
+
+def _with_hooks(kernel):
+    """Open the kernel and follow every definition with a recording
+    call, and revalidate.
+
+    Each call mixes constant arguments (a tag and the variable's name,
+    as an FI hook passes them) with computed ones.
+    """
+    tags = iter(range(1_000_000))
+
+    def instrument(stmts):
+        out = []
+        for s in stmts:
+            out.append(s)
+            if isinstance(s, For):
+                s.body = instrument(s.body)
+            elif isinstance(s, If):
+                s.then = instrument(s.then)
+                s.els = instrument(s.els)
+            elif isinstance(s, (Decl, Assign)):
+                tag = next(tags)
+                out.append(CallStmt(func="__hauberk_rec", args=[
+                    Const(tag), Const(s.name), Var(s.name),
+                    BinOp("+", Var("n"), Const(tag)),
+                ]))
+        return out
+
+    entry = CallStmt(func="__hauberk_rec", args=[Var("n"), Const(-1), Var("seedv")])
+    kernel.body = [entry] + instrument(kernel.body)
+    return validate_kernel(kernel)
 
 
 def _frames(kernel, device, n_threads, out_alloc, n, seedv):
@@ -46,12 +92,13 @@ def _frames(kernel, device, n_threads, out_alloc, n, seedv):
     seed_value=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
 )
 def test_compiler_and_lockstep_agree(plan, n_stmts, n_value, seed_value):
-    kernel = _KernelGen(plan).build(n_stmts)
+    kernel = _with_hooks(_KernelGen(plan).build(n_stmts))
 
     device_fast = Device()
     out_fast = device_fast.memory.alloc("out", 4, DType.FLOAT32)
     compiled = CompiledKernel(kernel, costmodel=_cm())
-    ctx_fast = ExecContext(device_fast.memory)
+    rec_fast = _Recorder()
+    ctx_fast = ExecContext(device_fast.memory, lib=rec_fast)
     frames_fast = _frames(kernel, device_fast, 2, out_fast, n_value, seed_value)
     for t, fr in enumerate(frames_fast):
         ctx_fast.reset_thread(0, t)
@@ -60,7 +107,8 @@ def test_compiler_and_lockstep_agree(plan, n_stmts, n_value, seed_value):
     device_slow = Device()
     out_slow = device_slow.memory.alloc("out", 4, DType.FLOAT32)
     prog = LockstepProgram(kernel, costmodel=_cm())
-    ctx_slow = ExecContext(device_slow.memory)
+    rec_slow = _Recorder()
+    ctx_slow = ExecContext(device_slow.memory, lib=rec_slow)
     frames_slow = _frames(kernel, device_slow, 2, out_slow, n_value, seed_value)
     prog.run_block(frames_slow, ctx_slow)
 
@@ -77,6 +125,9 @@ def test_compiler_and_lockstep_agree(plan, n_stmts, n_value, seed_value):
                 assert other != other
             else:
                 assert value == other, key
+    # identical hook call sequence
+    assert rec_fast.calls
+    assert rec_fast.calls == rec_slow.calls
     # identical cycle accounting
     assert ctx_fast.cycles == ctx_slow.cycles
     assert ctx_fast.loop_cycles == ctx_slow.loop_cycles
@@ -85,4 +136,6 @@ def test_compiler_and_lockstep_agree(plan, n_stmts, n_value, seed_value):
 def _cm():
     from repro.gpu.costmodel import CostModel
 
-    return CostModel()
+    cm = CostModel()
+    cm.libcall_costs["__hauberk_rec"] = REC_COST
+    return cm

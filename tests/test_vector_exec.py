@@ -208,6 +208,21 @@ class TestDivergenceAndLoops:
                                        n_out=16)
         assert res.loop_cycles > 0
 
+    @pytest.mark.parametrize("src", [
+        "kernel k(int* out, int n) {"
+        " for (int i = 0; i < n; i++) { atomicAdd(&out[i % 2], i + 1); } }",
+        "kernel k(int* out, int n) { shared int s[2]; s[0] = 0; s[1] = 0;"
+        " for (int i = 0; i < n; i++) { atomicAdd(&s[i % 2], i + 1); }"
+        " out[threadIdx.x] = s[threadIdx.x % 2]; }",
+    ], ids=["global", "shared"])
+    def test_atomic_cost_parity(self, src):
+        # atomics are a vector obstacle, so this pins the scalar
+        # engines' charges: operand costs, and loop cycles for the
+        # atomic's own space
+        res, _ = _assert_engines_agree(src, {"n": 5}, grid=1, block=4,
+                                       n_out=4, out_dtype=DType.INT32)
+        assert res.loop_cycles > 0
+
     def test_cross_lane_hazard_falls_back_identically(self):
         # lane tid reads the word lane tid-1 wrote: sequential
         # semantics require in-order execution, so the vector engine
