@@ -18,28 +18,19 @@ victim (the parent runs every trial itself) and once with a
 ``workers=2`` victim, whose forked lease workers die in the same
 ``killpg``; each resume uses the victim's worker count.
 
-With ``--fleet`` the victim is a whole fleet instead: a ``repro serve``
-coordinator (plus its spawned worker) takes a submitted campaign, the
-entire process group is SIGKILLed mid-run, and a second
-``repro serve --resume`` must finish the run bit-identically to a
-single-process ``workers=1`` baseline.
-
 Exit status 0 on parity, 1 on any mismatch.  Usage::
 
     PYTHONPATH=src python scripts/resume_parity_check.py
-    PYTHONPATH=src python scripts/resume_parity_check.py --fleet
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 import numpy as np
@@ -225,159 +216,19 @@ def run_checks(root: str) -> int:
     return 0
 
 
-# -- fleet mode: SIGKILL the coordinator ------------------------------------
-
-FLEET_MAX_SPECS = 120
-FLEET_LEASE_TTL = 5.0
-_ANNOUNCE_RE = re.compile(r"serving on ([0-9A-Za-z_.:\-]+:\d+)\]")
-
-
-def _spawn_serve(root: str, resume: bool) -> subprocess.Popen:
-    argv = [
-        sys.executable, "-m", "repro", "serve",
-        "--host", "127.0.0.1", "--port", "0", "--fleet", "1",
-        "--run-dir", root, "--lease-ttl", str(FLEET_LEASE_TTL),
-    ]
-    if resume:
-        argv += ["--resume", "--max-runs", "1"]
-    return subprocess.Popen(
-        argv,
-        stderr=subprocess.PIPE,
-        start_new_session=True,  # killpg reaches the worker too
-        env={**os.environ,
-             "PYTHONPATH": os.pathsep.join(
-                 p for p in ("src", os.environ.get("PYTHONPATH", "")) if p)},
-    )
-
-
-def _serve_endpoint(proc: subprocess.Popen, deadline_s: float = 60.0) -> str:
-    """The endpoint from the coordinator's stderr announce line."""
-    found: list = []
-    ready = threading.Event()
-
-    def scan() -> None:
-        for raw in proc.stderr:
-            line = raw.decode("utf-8", "replace")
-            match = _ANNOUNCE_RE.search(line)
-            if match and not found:
-                found.append(match.group(1))
-                ready.set()
-        ready.set()  # EOF: serve died before announcing
-
-    threading.Thread(target=scan, daemon=True).start()
-    ready.wait(deadline_s)
-    if not found:
-        raise RuntimeError("repro serve never announced its endpoint")
-    return found[0]
-
-
-def _fleet_campaign():
-    from repro.fleet import ProgramRecipe, envelope_for
-
-    recipe = ProgramRecipe(workload="CP")
-    program = recipe.build_program()
-    inp = program.workload.generate_input(0)
-    specs = build_fault_specs(
-        enumerate_targets(program.workload.kernel),
-        n_threads=inp.n_threads,
-        masks_per_site=MASKS_PER_SITE,
-        bit_counts=(1, 3),
-        seed=11,
-    )[:FLEET_MAX_SPECS]
-    options = CampaignOptions(seed=0)
-    return recipe, specs, envelope_for(program, specs, "fi", options), options
-
-
-def run_fleet_check(root: str) -> int:
-    from repro.fleet import FleetClient, rebuild_result
-
-    recipe, specs, envelope, options = _fleet_campaign()
-    print(f"[parity/fleet] campaign plan: {len(specs)} specs")
-
-    serve = _spawn_serve(root, resume=False)
-    try:
-        endpoint = _serve_endpoint(serve)
-        print(f"[parity/fleet] coordinator up at {endpoint}")
-        with FleetClient(endpoint, timeout=30.0) as client:
-            run_id = client.submit(envelope, chunk_size=1)
-        print(f"[parity/fleet] submitted {run_id}")
-
-        deadline = time.monotonic() + KILL_DEADLINE_S
-        while time.monotonic() < deadline:
-            if serve.poll() is not None:
-                break
-            if _journal_lines(root) >= KILL_AFTER_RECORDS:
-                break
-            time.sleep(0.02)
-        else:
-            print("[parity/fleet] FAIL: no journal records in time")
-            return 1
-    finally:
-        _kill_group(serve)  # coordinator *and* its spawned worker
-
-    journaled = _journal_lines(root)
-    print(f"[parity/fleet] fleet SIGKILLed with {journaled}/{len(specs)} "
-          f"records journaled")
-    if journaled == 0:
-        print("[parity/fleet] FAIL: no durable records survived the kill")
-        return 1
-
-    resumed_serve = _spawn_serve(root, resume=True)
-    try:
-        endpoint = _serve_endpoint(resumed_serve)
-        print(f"[parity/fleet] resumed coordinator up at {endpoint}")
-        with FleetClient(endpoint, timeout=30.0) as client:
-            run_id = client.submit(envelope, chunk_size=1)
-            done = client.wait(run_id, timeout=KILL_DEADLINE_S)
-        resumed = rebuild_result(specs, done)
-        resumed_serve.wait(timeout=30)  # --max-runs 1: exits on its own
-    finally:
-        _kill_group(resumed_serve)
-
-    baseline = run_campaign(recipe.build_program(), specs, mode="fi",
-                            options=_options(seed=options.seed))
-
-    failures = []
-    if resumed.summary() != baseline.summary():
-        failures.append(f"summary mismatch:\n  resumed:  "
-                        f"{resumed.summary()}\n  baseline: "
-                        f"{baseline.summary()}")
-    for i, (a, b) in enumerate(zip(resumed.trials, baseline.trials)):
-        if a.outcome != b.outcome or a.observation != b.observation \
-                or a.spec != b.spec:
-            failures.append(f"trial {i} mismatch: {a} != {b}")
-    if len(resumed.trials) != len(baseline.trials):
-        failures.append(f"trial count {len(resumed.trials)} != "
-                        f"{len(baseline.trials)}")
-
-    if failures:
-        print("[parity/fleet] FAIL: killed-and-resumed fleet differs from "
-              "workers=1")
-        for failure in failures[:10]:
-            print(f"[parity/fleet]   {failure}")
-        return 1
-    print(f"[parity/fleet] OK: resumed fleet run ({journaled} replayed + "
-          f"{len(specs) - journaled} re-executed trials) is bit-identical "
-          f"to workers=1")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--child", nargs=2, metavar=("ROOT", "WORKERS"),
                         help="(internal) run the journaled campaign child")
     parser.add_argument("--root", metavar="DIR",
                         help="journal root (default: a fresh temp dir)")
-    parser.add_argument("--fleet", action="store_true",
-                        help="SIGKILL a repro serve coordinator instead")
     args = parser.parse_args()
     if args.child:
         return run_child(args.child[0], int(args.child[1]))
-    check = run_fleet_check if args.fleet else run_checks
     if args.root:
-        return check(args.root)
+        return run_checks(args.root)
     with tempfile.TemporaryDirectory(prefix="resume-parity-") as root:
-        return check(root)
+        return run_checks(root)
 
 
 if __name__ == "__main__":

@@ -15,12 +15,6 @@ Usage::
     python -m repro metrics fig04             # Prometheus metrics dump
     python -m repro workloads                 # benchmark inventory
     python -m repro inspect CP --mode ft      # show instrumented source
-    python -m repro serve --port 7070 --fleet 2 --run-dir runs
-                                              # campaign fleet coordinator
-    python -m repro submit --endpoint 127.0.0.1:7070 --workload cp
-                                              # ship a campaign to it
-    python -m repro status --endpoint 127.0.0.1:7070
-                                              # fleet queue/lease/run state
 """
 
 from __future__ import annotations
@@ -97,10 +91,6 @@ def _campaign_parent() -> argparse.ArgumentParser:
                      help="kernel execution engine (default vector: "
                           "vectorized array programs where bit-exact, "
                           "scalar fallback otherwise)")
-    grp.add_argument("--endpoint", metavar="HOST:PORT",
-                     help="submit campaigns to a running "
-                          "'python -m repro serve' coordinator instead "
-                          "of executing locally")
     return parent
 
 
@@ -144,8 +134,6 @@ def _resolve_scale(args):
         changes["progress"] = True
     if getattr(args, "profile", False):
         changes["profile"] = True
-    if getattr(args, "endpoint", None):
-        changes["endpoint"] = args.endpoint
     if changes:
         scale = dataclasses.replace(
             scale, campaign=scale.campaign.evolve(**changes)
@@ -347,100 +335,6 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    """Run the campaign fleet coordinator until interrupted."""
-    from repro.exec import RetryPolicy
-    from repro.fleet import serve_forever
-
-    retry = None
-    if args.retries is not None:
-        retry = RetryPolicy(max_deaths=args.retries)
-
-    def announce(endpoint: str) -> None:
-        print(f"[fleet coordinator serving on {endpoint}]", file=sys.stderr,
-              flush=True)
-
-    return serve_forever(
-        args.host, args.port,
-        fleet=args.fleet,
-        run_root=args.run_dir,
-        resume=args.resume,
-        lease_ttl=args.lease_ttl,
-        retry=retry,
-        max_runs=args.max_runs,
-        announce=announce,
-    )
-
-
-def _submit_envelope(args):
-    """Build the (program, specs, envelope) triple for ``repro submit``."""
-    from repro.fleet import ProgramRecipe, envelope_for
-    from repro.swifi.campaign import build_fault_specs
-    from repro.swifi.options import CampaignOptions
-    from repro.swifi.targets import enumerate_targets
-
-    train_seeds = tuple(
-        int(s) for s in args.train_seeds.split(",") if s.strip()
-    ) if args.train_seeds else ()
-    recipe = ProgramRecipe(
-        workload=args.workload, train_seeds=train_seeds, alpha=args.alpha
-    )
-    program = recipe.build_program()
-    inp = program.workload.generate_input(0)
-    specs = build_fault_specs(
-        enumerate_targets(program.workload.kernel), inp.n_threads,
-        masks_per_site=args.masks_per_site, seed=args.seed,
-    )
-    if args.max_specs is not None:
-        specs = specs[:args.max_specs]
-    options = CampaignOptions(
-        seed=args.seed,
-        differential=not args.no_differential,
-        trial_timeout=args.trial_timeout,
-    )
-    return program, specs, envelope_for(program, specs, args.mode, options)
-
-
-def cmd_submit(args) -> int:
-    """Submit a campaign to a running coordinator and wait for the result."""
-    from repro.fleet import FleetClient, FleetError, rebuild_result
-
-    try:
-        _program, specs, envelope = _submit_envelope(args)
-        with FleetClient(args.endpoint, timeout=args.timeout) as client:
-            run_id = client.submit(envelope)
-            print(f"[submitted {len(specs)} trials as {run_id}]",
-                  file=sys.stderr)
-            if args.no_wait:
-                print(run_id)
-                return 0
-            done = client.wait(run_id, timeout=args.timeout)
-        result = rebuild_result(specs, done)
-    except (FleetError, OSError) as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 2
-    import json
-
-    print(json.dumps({"run": run_id, **result.summary()}, sort_keys=True))
-    return 0
-
-
-def cmd_status(args) -> int:
-    """Print a running coordinator's status document."""
-    import json
-
-    from repro.fleet import FleetClient, FleetError
-
-    try:
-        with FleetClient(args.endpoint, timeout=args.timeout) as client:
-            status = client.status()
-    except (FleetError, OSError) as exc:
-        print(f"repro status: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(status, indent=2, sort_keys=True))
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -497,67 +391,6 @@ def main(argv=None) -> int:
     sub.add_parser("workloads", help="benchmark inventory").set_defaults(
         fn=cmd_workloads
     )
-
-    srv_p = sub.add_parser(
-        "serve", help="run the campaign fleet coordinator",
-    )
-    srv_p.add_argument("--host", default="127.0.0.1")
-    srv_p.add_argument("--port", type=int, default=0,
-                       help="TCP port to bind (default 0 = ephemeral; the "
-                            "bound endpoint is announced on stderr)")
-    srv_p.add_argument("--fleet", type=int, default=0, metavar="N",
-                       help="also spawn N local worker processes "
-                            "(default 0: coordination only)")
-    srv_p.add_argument("--run-dir", metavar="DIR",
-                       help="journal every landed trial under DIR")
-    srv_p.add_argument("--resume", action="store_true",
-                       help="replay journaled trials from --run-dir instead "
-                            "of re-leasing them")
-    srv_p.add_argument("--lease-ttl", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="seconds of silence before a lease is declared "
-                            "dead and reissued (default 30)")
-    srv_p.add_argument("--retries", type=int, metavar="N",
-                       help="lease expiries tolerated per fault spec before "
-                            "quarantine (default 2)")
-    srv_p.add_argument("--max-runs", type=int, metavar="N",
-                       help="exit after N runs complete (CI smoke hook; "
-                            "default: serve until interrupted)")
-    srv_p.set_defaults(fn=cmd_serve)
-
-    sbm_p = sub.add_parser(
-        "submit", help="submit a campaign to a running coordinator",
-    )
-    sbm_p.add_argument("--endpoint", required=True, metavar="HOST:PORT")
-    sbm_p.add_argument("--workload", required=True,
-                       help="workload name (see 'python -m repro workloads')")
-    sbm_p.add_argument("--mode", choices=("fi", "fift"), default="fi")
-    sbm_p.add_argument("--train-seeds", metavar="S1,S2,...",
-                       help="comma-separated training seeds (fift detector "
-                            "ranges; default: untrained)")
-    sbm_p.add_argument("--alpha", type=float,
-                       help="loosen trained detector bounds by this factor "
-                            "(>= 1; paper Section VI(iii))")
-    sbm_p.add_argument("--masks-per-site", type=int, default=2, metavar="M")
-    sbm_p.add_argument("--max-specs", type=int, metavar="N",
-                       help="truncate the spec list to N trials")
-    sbm_p.add_argument("--seed", type=int, default=0)
-    sbm_p.add_argument("--no-differential", action="store_true")
-    sbm_p.add_argument("--trial-timeout", type=float, metavar="SECONDS")
-    sbm_p.add_argument("--timeout", type=float, metavar="SECONDS",
-                       help="socket timeout for submit/wait")
-    sbm_p.add_argument("--no-wait", action="store_true",
-                       help="print the run id and exit instead of waiting "
-                            "for the merged result")
-    sbm_p.set_defaults(fn=cmd_submit)
-
-    sts_p = sub.add_parser(
-        "status", help="print a running coordinator's status",
-    )
-    sts_p.add_argument("--endpoint", required=True, metavar="HOST:PORT")
-    sts_p.add_argument("--timeout", type=float, default=10.0,
-                       metavar="SECONDS")
-    sts_p.set_defaults(fn=cmd_status)
 
     ins_p = sub.add_parser("inspect", help="print an instrumented kernel")
     ins_p.add_argument("workload")

@@ -107,22 +107,6 @@ class HauberkProgram:
         self._configured = False
         #: seed -> golden campaign state, fixed across a campaign.
         self._trial_io: Dict[int, GoldenRecord] = {}
-        #: How to rebuild this program in another process, when known.
-        #: The fleet requires it: spawn workers share no address space,
-        #: so the program must be reconstructed — deterministically —
-        #: from its recipe on the far side.  Auto-derived for workloads
-        #: built through the registry (:func:`get_workload`) and kept
-        #: current by :meth:`train` / :meth:`set_alpha`;
-        #: :meth:`repro.fleet.wire.ProgramRecipe.build_program` installs
-        #: the exact recipe it followed.
-        self.recipe = None
-        if getattr(workload, "registry_kwargs", None) is not None:
-            from repro.fleet.wire import ProgramRecipe
-
-            self.recipe = ProgramRecipe(
-                workload=workload.name,
-                workload_kwargs=dict(workload.registry_kwargs),
-            )
 
     # -- builds ---------------------------------------------------------
     def build(self, mode: str) -> InstrumentedKernel:
@@ -157,15 +141,6 @@ class HauberkProgram:
                 lib=prof, budget=self.workload.hang_budget,
             )
         self.install_ranges(prof)
-        if self.recipe is not None:
-            import dataclasses
-
-            # incremental training (a caller-held profiler) accumulates
-            # seeds; a fresh profiler replaces them
-            base = self.recipe.train_seeds if profiler is not None else ()
-            self.recipe = dataclasses.replace(
-                self.recipe, train_seeds=tuple(base) + tuple(seeds)
-            )
         return prof
 
     def install_ranges(self, profiler: RangeProfiler) -> None:
@@ -177,16 +152,11 @@ class HauberkProgram:
     def set_alpha(self, alpha: float) -> None:
         """Loosen every trained detector bound by ``alpha`` (Section VI(iii)).
 
-        Equivalent to ``cb.set_alpha_all`` after an ``ft`` build, but
-        also records the factor on the program's recipe so fleet workers
-        rebuild the program with identical bounds.
+        ``cb.set_alpha_all`` after an ``ft`` build, so the detectors it
+        loosens are configured.
         """
         self.build("ft")
         self.cb.set_alpha_all(alpha)
-        if self.recipe is not None:
-            import dataclasses
-
-            self.recipe = dataclasses.replace(self.recipe, alpha=alpha)
 
     # -- execution --------------------------------------------------------
     def run(

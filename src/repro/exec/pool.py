@@ -21,11 +21,6 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def spawn_available() -> bool:
-    """Whether the ``spawn`` start method exists (it does everywhere)."""
-    return "spawn" in multiprocessing.get_all_start_methods()
-
-
 def resolve_workers(workers: Union[int, str, None]) -> int:
     """Normalise a worker-count request to a positive integer.
 

@@ -1,9 +1,8 @@
 """Worker-death accounting and per-trial deadlines.
 
 The campaign scheduler (:mod:`repro.swifi.scheduler`) learns that a
-worker is gone in one of two ways: a forked worker's pipe reaches EOF,
-or a TCP worker's lease outlives its TTL in silence.  Both feed the
-same accounting here:
+forked worker is gone when its pipe reaches EOF; the leases it held
+feed the accounting here:
 
 * **Blame** — :class:`BlameLedger` gives each implicated spec a
   *strike*; a strike is *attributable* when the spec was alone in the
@@ -27,44 +26,8 @@ from __future__ import annotations
 
 import contextlib
 import signal
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
-
-
-@dataclass(frozen=True)
-class Clock:
-    """Injectable time source for every wall-clock decision in this layer.
-
-    Lease TTLs and expiry checks read time through one of these instead
-    of calling :mod:`time` directly, so tests can drive lease expiry in
-    milliseconds with a fake clock instead of actually waiting (see
-    ``tests/test_fleet.py``).
-    """
-
-    now: Callable[[], float] = time.monotonic
-
-
-#: The real wall clock — the default everywhere a :class:`Clock` is taken.
-SYSTEM_CLOCK = Clock()
-
-
-class FakeClock:
-    """Deterministic clock for tests: ``sleep`` advances ``now`` instantly."""
-
-    def __init__(self, start: float = 0.0):
-        self.time = start
-        self.sleeps: List[float] = []
-
-    def now(self) -> float:
-        return self.time
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.time += seconds
-
-    def advance(self, seconds: float) -> None:
-        self.time += seconds
+from typing import Any, Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -106,15 +69,13 @@ class DeathRecord:
 
 @dataclass
 class BlameLedger:
-    """Death bookkeeping for every kind of campaign worker.
+    """Death bookkeeping for the campaign's forked workers.
 
-    Both failure detectors — a forked worker's pipe EOF and an expired
-    TCP lease — feed the same accounting: each implicated item earns a
-    *strike*; a strike is *attributable* when the item was alone in the
-    lost lease.  An item is quarantined once its strikes reach
-    ``policy.max_deaths`` with at least one attributable strike.  The
-    quarantine note comes from :meth:`record` alone, so a killed spec
-    reads the same whichever worker kind lost it.
+    Each item implicated in a lost lease earns a *strike*; a strike is
+    *attributable* when the item was alone in the lost lease.  An item
+    is quarantined once its strikes reach ``policy.max_deaths`` with at
+    least one attributable strike.  The quarantine note comes from
+    :meth:`record` alone.
     """
 
     policy: RetryPolicy
@@ -122,7 +83,7 @@ class BlameLedger:
     isolated: Dict[Any, int] = field(default_factory=dict)
 
     def strike(self, key: Any, attributable: bool = False) -> None:
-        """Implicate ``key`` in one worker death / lease expiry."""
+        """Implicate ``key`` in one worker death."""
         self.deaths[key] = self.deaths.get(key, 0) + 1
         if attributable:
             self.isolated[key] = self.isolated.get(key, 0) + 1

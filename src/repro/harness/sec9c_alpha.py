@@ -67,8 +67,7 @@ def run_sec9c(
     result = Sec9cResult()
     for alpha in alphas:
         # set_alpha precedes the campaign, so parallel workers (forked
-        # per campaign) inherit the updated control block — and fleet
-        # workers rebuild it from the recipe the call keeps current
+        # per campaign) inherit the updated control block
         prog.set_alpha(alpha)
         cell = run_campaign(prog, specs, mode="fift", options=scale.campaign)
         result.coverage[alpha] = cell.counts.coverage

@@ -35,9 +35,7 @@ repro_swifi_sections_stale_total            counter    --
 repro_swifi_worker_deaths_total             counter    phase
 repro_swifi_quarantined_total               counter    --
 repro_swifi_trial_timeouts_total            counter    --
-repro_fleet_leases_total                    counter    event
-repro_fleet_queue_depth                     gauge      --
-repro_fleet_workers                         gauge      --
+repro_campaign_leases_total                 counter    event
 repro_guardian_attempts_total               counter    --
 repro_guardian_restarts_total               counter    --
 repro_guardian_hang_kills_total             counter    --
@@ -259,8 +257,7 @@ def record_stale_sections(count: int) -> None:
 def record_worker_death(phase: str, count: int = 1) -> None:
     """Campaign workers lost while holding a lease.
 
-    ``phase`` is ``exit`` (a forked worker's pipe reached EOF) or
-    ``lease`` (a TCP worker's lease expired in silence).
+    ``phase`` is ``exit``: a forked worker's pipe reached EOF.
     """
     get_registry().counter(
         "repro_swifi_worker_deaths_total",
@@ -284,36 +281,19 @@ def record_trial_timeout() -> None:
     ).inc()
 
 
-# -- campaign scheduler leases and the fleet service ---------------------
+# -- campaign scheduler leases ---------------------------------------------
 
 def record_lease(event: str, count: int = 1) -> None:
     """One lease lifecycle event of the campaign scheduler.
 
     ``event`` is ``granted`` (a chunk handed to a worker), ``completed``
-    (its result landed), ``expired`` (a TCP worker's TTL lapsed without
-    a result), ``released`` (a forked worker's process ended while
-    holding it), or ``reissued`` (a lost chunk requeued).
+    (its result landed), ``released`` (a forked worker's process ended
+    while holding it), or ``reissued`` (a lost chunk requeued).
     """
     get_registry().counter(
-        "repro_fleet_leases_total",
+        "repro_campaign_leases_total",
         "Campaign chunk-lease lifecycle events",
     ).inc(count, event=event)
-
-
-def record_fleet_queue_depth(depth: int) -> None:
-    """Chunks waiting for a worker lease on the fleet coordinator."""
-    get_registry().gauge(
-        "repro_fleet_queue_depth",
-        "Unleased campaign chunks queued on the fleet coordinator",
-    ).set(depth)
-
-
-def record_fleet_workers(count: int) -> None:
-    """Distinct workers the coordinator has seen for the current run."""
-    get_registry().gauge(
-        "repro_fleet_workers",
-        "Distinct fleet workers that have requested leases",
-    ).set(count)
 
 
 # -- guardian supervision (core/guardian.py) ----------------------------

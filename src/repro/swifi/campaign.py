@@ -161,10 +161,10 @@ def absorb_trial(
     """Classify, tally, and record one trial observation.
 
     The single place a trial enters a :class:`CampaignResult` — the
-    scheduler's spec-order merge and the fleet client's rebuild both go
-    through it, which is what makes every worker kind bit-identical
-    (same classification, same metric increments, same ``swifi.trial``
-    event stream, same order).
+    scheduler's spec-order merge goes through it for every trial,
+    journaled or executed, in-process or forked, which is what makes
+    every worker count bit-identical (same classification, same metric
+    increments, same ``swifi.trial`` event stream, same order).
     """
     outcome = classify_outcome(obs.failure, obs.detected, obs.output_ok)
     result.add(TrialResult(spec=spec, outcome=outcome, observation=obs))

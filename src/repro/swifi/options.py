@@ -11,10 +11,7 @@ with.
 
 ``options=CampaignOptions(...)`` is the *only* way to configure a
 campaign — the pre-v1 per-knob keywords (``run_campaign(...,
-workers=4)``) are gone.  This object is also half of the fleet wire
-protocol: :mod:`repro.fleet.wire` serializes the execution-relevant
-fields into every submitted campaign envelope, so a remote worker runs
-with exactly the options the submitter planned with.
+workers=4)``) are gone.
 """
 
 from __future__ import annotations
@@ -82,9 +79,6 @@ class CampaignOptions:
     plan: Optional[str] = None
     #: Confidence level for the planner's reported intervals.
     confidence: float = 0.95
-    #: Submit the campaign to an already-running fleet coordinator at
-    #: ``"host:port"`` (``repro serve``) instead of executing locally.
-    endpoint: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.trial_timeout is not None and self.trial_timeout <= 0:
@@ -104,10 +98,6 @@ class CampaignOptions:
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(
                 f"confidence must be in (0, 1), got {self.confidence}"
-            )
-        if self.endpoint is not None and ":" not in self.endpoint:
-            raise ValueError(
-                f"endpoint must be 'host:port', got {self.endpoint!r}"
             )
 
     @property

@@ -1,4 +1,4 @@
-"""Campaign execution: one entry point, one scheduler, three worker kinds.
+"""Campaign execution: one entry point, one scheduler, two worker kinds.
 
 The paper's measurement apparatus runs ~10,000 single-fault experiments
 per application (Section VIII); every trial is an independent program
@@ -8,8 +8,8 @@ is the single entry point every campaign-driven harness uses.  It does
 the set-up once — statistical plan, phase profiler, journal and
 heartbeats (via :meth:`LeaseScheduler.open_run
 <repro.swifi.scheduler.LeaseScheduler.open_run>`) — and then drives the
-one lease scheduler (:mod:`repro.swifi.scheduler`) with one of three
-kinds of worker, all running the same lease → :func:`execute_chunk` →
+one lease scheduler (:mod:`repro.swifi.scheduler`) with one of two
+kinds of worker, both running the same lease → :func:`execute_chunk` →
 result loop:
 
 * ``workers=1`` — the parent itself, leasing one trial at a time on the
@@ -17,7 +17,7 @@ result loop:
   ``SIGALRM`` trial deadline works, the trial runner is only built once
   a trial needs it (a fully journaled resume builds nothing), and an
   exception raised inside a trial propagates unchanged.  No process,
-  socket or thread is created.
+  pipe or thread is created.
 * ``workers=N`` — N children forked after the parent warmed its caches
   (instrumented build, compiled kernel, campaign input, golden launch),
   so each child inherits them instead of rebuilding.  Each child leases
@@ -27,8 +27,6 @@ result loop:
   :class:`~repro.errors.InjectionError` at the first death, and an
   exception a child's trial raises is re-raised here with its type and
   text.
-* ``options.endpoint`` — the campaign is shipped to a ``repro serve``
-  coordinator whose TCP workers run the same loop (:mod:`repro.fleet`).
 
 A chunk's telemetry crosses to the parent once, in the ``result``
 message :func:`execute_chunk` builds, so metrics, ``profile.json`` and
@@ -349,7 +347,7 @@ def _build_campaign_plan(program, spec_list, mode, options: CampaignOptions,
         )
         pilot_options = options.evolve(
             budget=None, plan=None, run_dir=None, resume=None,
-            profile=False, progress=False, workers=1, endpoint=None,
+            profile=False, progress=False, workers=1,
         )
         pilot_result = run_campaign(
             program, pilot_plan.selected_specs(spec_list), mode,
@@ -418,9 +416,9 @@ def run_campaign(
     frozen v1 surface: every execution knob lives on
     :class:`~repro.swifi.options.CampaignOptions` (workers, seed,
     chunking, differential replay, journal/resume directories, retry
-    policy, trial timeout, endpoint routing).
+    policy, trial timeout).
 
-    Guarantees, for any worker count, chunk size, and worker kind:
+    Guarantees, for any worker count and chunk size:
 
     * the returned :class:`CampaignResult` is bit-identical to the
       ``workers=1`` run;
@@ -439,11 +437,6 @@ def run_campaign(
     campaign runs only the sample, and the result carries
     population-extrapolated estimates with confidence intervals in
     ``result.plan`` / ``summary()["plan"]``.
-
-    With ``options.endpoint`` the campaign is submitted to an
-    already-running ``repro serve`` coordinator (:mod:`repro.fleet`);
-    that needs a program built from a
-    :class:`~repro.fleet.wire.ProgramRecipe` and no ``runner_factory``.
 
     ``runner_factory`` overrides ``program.trial_runner`` (used by
     tests to exercise the scheduler without a full program; the factory
@@ -466,17 +459,10 @@ def run_campaign(
         spec_list = plan.selected_specs(spec_list)
     profiler = PhaseProfiler() if options.profile else None
     with use_profiler(profiler):
-        if options.endpoint is not None:
-            from repro.fleet.client import submit_campaign
-
-            result = submit_campaign(
-                program, spec_list, mode, options, runner_factory
-            )
-        else:
-            result = _run_local(
-                program, spec_list, mode, options, runner_factory, plan,
-                profiler,
-            )
+        result = _run_local(
+            program, spec_list, mode, options, runner_factory, plan,
+            profiler,
+        )
     if plan is not None:
         from repro.swifi.planner import estimate_plan
 

@@ -1,48 +1,47 @@
 """The campaign scheduler: one lease loop for every kind of worker.
 
 The paper's study is ~10,000 independent single-fault trials per
-application (Section VIII).  Every campaign — run in-process, on forked
-local workers, or on TCP workers behind ``repro serve`` — is scheduled
-by one :class:`LeaseScheduler`.  It owns each run's authoritative
-state: the spec plan, the durable journal, the queue of unleased
-chunks, the :class:`~repro.exec.lease.LeaseTable` and the
+application (Section VIII).  Every campaign — run in-process or on
+forked local workers — is scheduled by one :class:`LeaseScheduler`.
+It owns each run's authoritative state: the spec plan, the durable
+journal, the queue of unleased chunks, the
+:class:`~repro.exec.lease.LeaseTable` and the
 :class:`~repro.exec.retry.BlameLedger`.  A worker only leases a chunk,
 runs it through :func:`repro.swifi.parallel.execute_chunk`, and sends
 one result message back; everything else happens here, without
-sockets or processes:
+pipes or processes:
 
 1. **Bit-identical results.**  Every observation — shipped by a
    worker, replayed from the journal, or synthesized by quarantine —
    enters the :class:`~repro.swifi.campaign.CampaignResult` through one
    merge in original spec order (:meth:`LeaseScheduler._finish`), so the
-   result is the same for any worker kind, worker count, lease history
-   and kill/resume split.
+   result is the same for any worker count, lease history and
+   kill/resume split.
 2. **One absorb.**  :meth:`LeaseScheduler.absorb` applies a single
-   result message, checked whole first: dedup, one journal line (with
-   served-by and section tags) and ``profile.trial`` event per trial, a
-   heartbeat, and the worker's metrics delta and trace records.
-3. **A lost lease is a death signal.**  Whether a forked worker's pipe
-   hit EOF (:meth:`LeaseScheduler.release_worker`) or a TCP worker's
-   lease expired in silence (:meth:`LeaseScheduler.reap`), a multi-item
-   chunk is split in half and requeued, a single-item one is an
+   worker message, checked whole first (anything malformed raises
+   :class:`~repro.errors.InjectionError` and applies nothing): dedup,
+   one journal line (with served-by and section tags) and
+   ``profile.trial`` event per trial, a heartbeat, and the worker's
+   metrics delta and trace records.
+3. **A lost lease is a death signal.**  When a forked worker's pipe
+   hits EOF (:meth:`LeaseScheduler.release_worker`), each multi-item
+   chunk it held is split in half and requeued, a single-item one is an
    attributable strike, and a condemned spec is quarantined as a
    ``WORKER_KILLED`` trial.
-4. **Duplicates are harmless.**  A slow-but-alive worker may race its
-   own reissued lease; the first result for an index wins.  Trials are
-   deterministic, so the dropped copy equals the kept one.
+4. **Duplicates are harmless.**  The first result for an index wins.
+   Trials are deterministic, so a dropped copy equals the kept one.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InjectionError
-from repro.exec.lease import DEFAULT_LEASE_TTL, Lease, LeaseTable
+from repro.exec.lease import Lease, LeaseTable
 from repro.exec.pool import chunk_slices, default_chunk_size
-from repro.exec.retry import SYSTEM_CLOCK, BlameLedger, Clock, RetryPolicy
+from repro.exec.retry import BlameLedger, RetryPolicy
 from repro.obs.events import get_tracer
 from repro.obs.instrument import (
     record_campaign,
@@ -196,16 +195,13 @@ class CampaignRun:
     obs_by_index: Dict[int, TrialObservation] = field(default_factory=dict)
     quarantines: Dict[int, QuarantineReport] = field(default_factory=dict)
     ledger: Optional[BlameLedger] = None
-    #: Leases of this run lost to a dead or silent worker so far.
+    #: Leases of this run lost to a dead worker so far.
     lost: int = 0
-    #: ``running``, then ``done``, ``failed`` or ``stopped``.
+    #: ``running``, then ``done`` or ``failed``.
     state: str = "running"
     #: Why a ``failed`` run failed; its driver re-raises it.
     error: Optional[BaseException] = None
     result: Optional[CampaignResult] = None
-    done: threading.Event = field(default_factory=threading.Event)
-    #: Wire envelope of a TCP-submitted run (shipped with its leases).
-    envelope: Any = None
 
     @property
     def finished_trials(self) -> int:
@@ -223,20 +219,25 @@ def _check_result(run: CampaignRun,
     """Validate a result message whole and return its metrics merge.
 
     Indices must name specs of ``run``, each with one observation and
-    (when profiled) one cost record or ``None``; the metrics must merge.
+    (when profiled) one cost record or ``None``; the worker pid is an
+    int and the trace a list; the metrics must merge.
     """
     indices = message.get("indices")
     observations = message.get("observations")
     costs = message.get("costs") or []
+    pid = message.get("pid")
     well_formed = (
         isinstance(indices, list) and isinstance(observations, list)
         and isinstance(costs, list) and len(observations) == len(indices)
+        and (pid is None or type(pid) is int)
+        and isinstance(message.get("trace") or [], list)
         and len(costs) in (0, len(indices))
         and all(type(i) is int and 0 <= i < len(run.spec_list)
                 for i in indices)
         and all(isinstance(o, TrialObservation) for o in observations)
         and all(c is None or isinstance(c, dict) for c in costs))
-    problem = "indices, observations and costs must pair up, one per spec"
+    problem = ("indices, observations and costs must pair up, one per "
+               "spec, beside an int pid and a list trace")
     if well_formed:
         try:
             return get_registry().prepare_merge(message.get("metrics") or {})
@@ -248,23 +249,20 @@ def _check_result(run: CampaignRun,
 class LeaseScheduler:
     """Queue, lease, absorb and merge campaign runs — no I/O of its own.
 
-    Not thread-safe by itself: a single driver thread calls it (the
-    in-process and forked drivers in :mod:`repro.swifi.parallel`), or
-    the TCP coordinator serializes its handlers under one lock.
+    Not thread-safe: a single driver thread calls it (the in-process
+    and forked drivers in :mod:`repro.swifi.parallel`).
     """
 
-    def __init__(self, retry: Optional[RetryPolicy] = None,
-                 lease_ttl: float = DEFAULT_LEASE_TTL,
-                 clock: Clock = SYSTEM_CLOCK):
+    def __init__(self, retry: Optional[RetryPolicy] = None):
         self.retry = retry if retry is not None else RetryPolicy()
-        self.leases = LeaseTable(ttl=lease_ttl, clock=clock)
+        self.leases = LeaseTable()
         #: Runs in submission order; leases go to the oldest first.
         self.runs: Dict[str, CampaignRun] = {}
 
     def open_run(
         self, program, spec_list: List[Any], mode: str,
         options: CampaignOptions, *, chunk_size: Optional[int] = None,
-        workers: int = 1, plan=None, envelope: Any = None,
+        workers: int = 1, plan=None,
     ) -> CampaignRun:
         """Register one campaign: journal, heartbeats, queued chunks.
 
@@ -286,7 +284,7 @@ class LeaseScheduler:
         run = CampaignRun(
             run_id=run_id, spec_list=spec_list, journal=journal,
             replayed=replayed, monitor=monitor, sec_of=sec_of,
-            ledger=BlameLedger(self.retry), envelope=envelope,
+            ledger=BlameLedger(self.retry),
         )
         pending = [i for i in range(len(spec_list)) if i not in replayed]
         if pending:
@@ -316,23 +314,18 @@ class LeaseScheduler:
         """Apply one worker message: a chunk's result, or its error.
 
         A result is what :func:`~repro.swifi.parallel.execute_chunk`
-        returns, observations decoded; a malformed one raises
-        :class:`~repro.errors.InjectionError` and applies nothing.  An
-        ``error`` message carries the worker's exception and fails the
-        run.  ``source`` labels the heartbeat (``"serial"`` when the
-        parent ran the chunk itself).
+        returns.  An ``error`` message carries the worker's exception
+        and fails the run.  A malformed message of either kind raises
+        :class:`~repro.errors.InjectionError` and applies nothing.
+        ``source`` labels the heartbeat (``"serial"`` when the parent
+        ran the chunk itself).
         """
-        run_id = message.get("run")
-        run = self.runs.get(run_id)
-        if run is None:
-            raise InjectionError(f"result for unknown run {run_id!r}")
-        failed = message.get("type") == "error"
-        merge_metrics = None if failed else _check_result(run, message)
+        run, merge_metrics = self._check_message(message)
         if self.leases.complete(message.get("lease")) is not None:
             record_lease("completed")
         if run.state != "running":
             return  # a late copy for a run that already ended
-        if failed:
+        if merge_metrics is None:
             self.fail(run, message["exception"])
             return
         indices, observations = message["indices"], message["observations"]
@@ -370,28 +363,54 @@ class LeaseScheduler:
                 )
         self._maybe_finish(run)
 
+    def _check_message(
+        self, message: Any,
+    ) -> Tuple[CampaignRun, Optional[Callable[[], None]]]:
+        """Validate a worker message whole before anything is applied.
+
+        Returns its run and, for a result, the metrics merge
+        (``None`` for an ``error`` message).
+        """
+        if not isinstance(message, dict):
+            raise InjectionError(
+                f"malformed result: a {type(message).__name__}, not a dict"
+            )
+        run_id, lease_id = message.get("run"), message.get("lease")
+        if not isinstance(run_id, str) or not (
+                lease_id is None or isinstance(lease_id, str)):
+            raise InjectionError(
+                f"malformed result: run {run_id!r}, lease {lease_id!r}"
+            )
+        run = self.runs.get(run_id)
+        if run is None:
+            raise InjectionError(f"result for unknown run {run_id!r}")
+        if message.get("type") != "error":
+            return run, _check_result(run, message)
+        if not isinstance(message.get("exception"), BaseException):
+            raise InjectionError(
+                f"malformed result for {run_id}: an error message needs "
+                f"an exception, got {message.get('exception')!r}"
+            )
+        return run, None
+
     # -- lost leases: the death signal ------------------------------------
 
-    def reap(self) -> List[Lease]:
-        """Expire overdue leases (TCP workers that went silent)."""
-        dead = self.leases.expired()
-        for lease in dead:
-            self._lose(lease, "lease")
-        return dead
-
     def release_worker(self, worker_id: str) -> List[Lease]:
-        """Give back every lease of a worker whose process ended."""
+        """Give back every lease of a worker whose process ended.
+
+        Each lost lease's unlanded part is split, struck or quarantined.
+        """
         held = self.leases.release_worker(worker_id)
         for lease in held:
-            self._lose(lease, "exit")
+            self._lose(lease)
         return held
 
-    def _lose(self, lease: Lease, phase: str) -> None:
+    def _lose(self, lease: Lease) -> None:
         """Split, strike or quarantine the unlanded part of a lost lease."""
-        record_lease("expired" if phase == "lease" else "released")
-        record_worker_death(phase, 1)
+        record_lease("released")
+        record_worker_death("exit", 1)
         get_tracer().event(
-            "swifi.worker_death", phase=phase, worker=lease.worker_id,
+            "swifi.worker_death", phase="exit", worker=lease.worker_id,
             lease=lease.lease_id, run=lease.run_id, items=len(lease.indices),
         )
         run = self.runs.get(lease.run_id)
@@ -489,4 +508,3 @@ class LeaseScheduler:
             record_journal_activity(appended=run.journal.appended)
             run.journal.close()
             run.journal = None
-        run.done.set()

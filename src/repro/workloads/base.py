@@ -206,12 +206,7 @@ def get_workload(name: str, **kwargs) -> Workload:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise WorkloadError(f"unknown workload {name!r}; known: {known}") from None
-    workload = cls(**kwargs)
-    # remember how this instance was made: programs wrapping a
-    # registry-built workload are rebuildable in other processes, which
-    # is what lets the fleet auto-derive a ProgramRecipe for them
-    workload.registry_kwargs = dict(kwargs)
-    return workload
+    return cls(**kwargs)
 
 
 def all_workloads() -> List[str]:

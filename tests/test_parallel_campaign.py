@@ -9,6 +9,7 @@ the same ``absorb_trial`` helper the serial loop uses).
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro.core.program import HauberkProgram
 from repro.errors import InjectionError
 from repro.exec import (
+    LeaseTable,
     chunk_slices,
     default_chunk_size,
     fork_available,
@@ -197,6 +199,36 @@ def _raising_runner_factory():
     return runner
 
 
+def _error_message(good, **extra):
+    return {"type": "error", "run": good["run"], "lease": good["lease"],
+            **extra}
+
+
+#: Corruptions of a good two-trial result message, each of which must
+#: raise a typed error and apply nothing.
+_MALFORMED = {
+    "metrics-unknown-kind": lambda good: {
+        **good, "metrics": {"bad": {"type": "nope"}}},
+    "metrics-partly-bad": lambda good: {**good, "metrics": {
+        "c": {"type": "counter", "samples": [{"labels": {}, "value": 1}]},
+        "bad": {"type": "nope"}}},
+    "no-indices": lambda good: {
+        key: value for key, value in good.items() if key != "indices"},
+    "index-out-of-range": lambda good: {**good, "indices": [0, 2]},
+    "observations-not-observations": lambda good: {
+        **good, "observations": [None, None]},
+    "costs-short": lambda good: {**good, "costs": [None]},
+    "pid-not-int": lambda good: {**good, "pid": "4242"},
+    "trace-not-list": lambda good: {**good, "trace": 5},
+    "not-a-dict": lambda good: [good],
+    "unhashable-run": lambda good: {"run": [1]},
+    "unhashable-lease": lambda good: {**good, "lease": [good["lease"]]},
+    "error-without-exception": _error_message,
+    "error-exception-not-an-exception": lambda good: _error_message(
+        good, exception="trial exploded"),
+}
+
+
 class TestFailures:
     @needs_fork
     def test_worker_crash_raises_injection_error(self):
@@ -219,7 +251,10 @@ class TestFailures:
                 runner_factory=_raising_runner_factory,
             )
 
-    def test_malformed_result_applies_nothing(self, tmp_path, registry):
+    @pytest.mark.parametrize("corrupt", list(_MALFORMED.values()),
+                             ids=list(_MALFORMED))
+    def test_malformed_result_applies_nothing(self, corrupt, tmp_path,
+                                              registry):
         wl, specs = _tiny_specs(masks_per_site=1)
         program, specs = HauberkProgram(wl), specs[:2]
         scheduler = LeaseScheduler()
@@ -232,18 +267,10 @@ class TestFailures:
         good = execute_chunk(runner, list(enumerate(specs)), lease.lease_id,
                              run.run_id, isolate=False)
         journal = run.journal.path
-        for bad in (
-            {**good, "metrics": {"bad": {"type": "nope"}}},
-            {**good, "metrics": {"c": {"type": "counter", "samples": [
-                {"labels": {}, "value": 1}]}, "bad": {"type": "nope"}}},
-            {key: value for key, value in good.items() if key != "indices"},
-            {**good, "indices": [0, len(specs)]},
-            {**good, "observations": [None, None]},
-            {**good, "costs": [None]},
-        ):
-            with pytest.raises(InjectionError, match="malformed result"):
-                scheduler.absorb(bad)
+        with pytest.raises(InjectionError, match="malformed result"):
+            scheduler.absorb(corrupt(good))
         # no trial, journal line or metric landed; the lease is still out
+        assert run.state == "running" and run.error is None
         assert run.obs_by_index == {}
         assert CampaignJournal._load_records(journal) == {}
         assert registry.get("bad") is None and registry.get("c") is None
@@ -251,6 +278,114 @@ class TestFailures:
         scheduler.absorb(good)
         assert run.state == "done"
         assert run.result.summary()["trials"] == len(specs)
+
+
+# -- the lease scheduler, driven directly ----------------------------------
+
+
+def _tiny_program_specs(n):
+    wl, specs = _tiny_specs(masks_per_site=1)
+    return HauberkProgram(wl), specs[:n]
+
+
+class TestLeaseScheduler:
+    def test_duplicate_results_are_deduplicated(self):
+        program, specs = _tiny_program_specs(4)
+        runner = build_trial_runner(program, "fi", CampaignOptions())
+        scheduler = LeaseScheduler()
+        run = scheduler.open_run(program, specs, "fi", CampaignOptions())
+        first = True
+        while run.state == "running":
+            lease = scheduler.grant("wA")
+            message = execute_chunk(
+                runner, [(i, specs[i]) for i in lease.indices],
+                lease.lease_id, run.run_id, isolate=False,
+            )
+            scheduler.absorb(message)
+            if first:
+                # a slow twin reports the same chunk under a stale
+                # lease; the duplicate must not double-count
+                scheduler.absorb({**message, "lease": "L999999"})
+                first = False
+        assert run.result.summary()["trials"] == len(specs)
+        assert len(run.obs_by_index) == len(specs)
+
+    def test_lost_multi_item_lease_splits_in_half(self, registry):
+        program, specs = _tiny_program_specs(4)
+        scheduler = LeaseScheduler()
+        run = scheduler.open_run(program, specs, "fi", CampaignOptions(),
+                                 chunk_size=4)
+        assert scheduler.grant("w0").indices == (0, 1, 2, 3)
+        assert len(scheduler.release_worker("w0")) == 1
+        assert [tuple(c) for c in run.queue] == [(0, 1), (2, 3)]
+        counters = registry.counter("repro_campaign_leases_total")
+        assert counters.value(event="released") == 1
+        assert counters.value(event="reissued") == 2
+
+    def test_singleton_loss_is_blamed_then_quarantined(self):
+        program, specs = _tiny_program_specs(2)
+        scheduler = LeaseScheduler(retry=RetryPolicy(max_deaths=2))
+        run = scheduler.open_run(program, specs, "fi", CampaignOptions(),
+                                 chunk_size=1)
+        # lose the singleton lease on index 0: the first loss is an
+        # attributable strike and a reissue
+        assert scheduler.grant("w0").indices == (0,)
+        scheduler.release_worker("w0")
+        assert run.ledger.deaths.get(0, 0) == 1
+        assert 0 not in run.quarantines
+        # the surviving spec runs normally in between
+        runner = build_trial_runner(program, "fi", CampaignOptions())
+        lease = scheduler.grant("w1")
+        assert lease.indices == (1,)
+        scheduler.absorb(execute_chunk(
+            runner, [(1, specs[1])], lease.lease_id, run.run_id,
+            isolate=False,
+        ))
+        # losing the reissued lease condemns and quarantines
+        assert scheduler.grant("w0").indices == (0,)
+        scheduler.release_worker("w0")
+        assert run.ledger.deaths.get(0, 0) == 2
+        assert 0 in run.quarantines
+        assert run.quarantines[0].note == \
+            "worker lost 2x (2x running this spec alone)"
+        assert run.state == "done"
+        assert run.result.summary()["quarantined"] == 1
+        assert run.result.summary()["outcomes"]["worker_killed"] == 1
+
+    def test_worker_error_fails_the_run_promptly(self):
+        program, specs = _tiny_program_specs(2)
+        scheduler = LeaseScheduler()
+        run = scheduler.open_run(program, specs, "fi", CampaignOptions(),
+                                 chunk_size=1)
+        lease = scheduler.grant("w0")
+        scheduler.grant("w1")
+        start = time.monotonic()
+        scheduler.absorb({
+            "type": "error", "lease": lease.lease_id, "run": run.run_id,
+            "exception": ValueError("trial exploded"),
+        })
+        assert time.monotonic() - start < 5.0
+        assert run.state == "failed"
+        assert isinstance(run.error, ValueError)
+        assert str(run.error) == "trial exploded"
+        assert len(scheduler.leases) == 0
+
+
+class TestLeaseTable:
+    def test_grant_ids_are_sequential_and_deterministic(self):
+        table = LeaseTable()
+        a = table.grant("w0", "run-1", (0, 1))
+        b = table.grant("w1", "run-1", (2,))
+        assert (a.lease_id, b.lease_id) == ("L000001", "L000002")
+        assert len(table) == 2
+
+    def test_release_worker_drops_only_its_leases(self):
+        table = LeaseTable()
+        table.grant("w0", "run-1", (0,))
+        keep = table.grant("w1", "run-1", (1,))
+        dropped = table.release_worker("w0")
+        assert len(dropped) == 1
+        assert list(table.active) == [keep.lease_id]
 
 
 # -- spec planning --------------------------------------------------------

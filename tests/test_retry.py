@@ -1,11 +1,10 @@
 """Fault-tolerance layer tests: retry policy, blame, deadlines.
 
 Covers ``repro.exec.retry`` in isolation (policy, the ``trial_deadline``
-guard, the shared ``BlameLedger``, the ``Clock``/``FakeClock`` seam)
-and its integration with ``run_campaign`` (worker-killing specs
-quarantined into ``WORKER_KILLED`` trials, dead forked workers
-replaced, strict mode preserved, options object surviving the trip
-into forked workers).
+guard, the shared ``BlameLedger``) and its integration with
+``run_campaign`` (worker-killing specs quarantined into
+``WORKER_KILLED`` trials, dead forked workers replaced, strict mode
+preserved, options object surviving the trip into forked workers).
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import pytest
 
 from repro.exec import (
     BlameLedger,
-    Clock,
-    FakeClock,
     RetryPolicy,
     TrialTimeout,
     fork_available,
@@ -265,23 +262,6 @@ def _counting_runner_factory():
         )
 
     return runner
-
-
-class TestClockSeam:
-    def test_fake_clock_advances_on_sleep(self):
-        clock = FakeClock(start=10.0)
-        assert clock.now() == 10.0
-        clock.sleep(2.5)
-        assert clock.now() == 12.5
-        assert clock.sleeps == [2.5]
-        clock.advance(0.5)
-        assert clock.now() == 13.0
-
-    def test_default_clock_is_monotonic_wall(self):
-        clock = Clock()
-        a = clock.now()
-        b = clock.now()
-        assert b >= a
 
 
 class TestBlameLedger:
