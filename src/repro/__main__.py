@@ -86,24 +86,11 @@ def _campaign_parent() -> argparse.ArgumentParser:
     grp.add_argument("--confidence", type=float, metavar="LEVEL",
                      help="confidence level for planned-campaign interval "
                           "estimates, in (0, 1) (default 0.95)")
-    grp.add_argument("--engine",
-                     choices=("vector", "closure", "lockstep"),
-                     help="kernel execution engine (default vector: "
-                          "vectorized array programs where bit-exact, "
-                          "scalar fallback otherwise)")
     return parent
 
 
 def _resolve_scale(args):
     """The preset named by --scale, with the campaign flags folded in."""
-    if getattr(args, "engine", None):
-        # runtimes (including forked workers) consult the env at build
-        # time, so one setting covers every launch of the invocation
-        import os
-
-        from repro.gpu.runtime import ENGINE_ENV_VAR
-
-        os.environ[ENGINE_ENV_VAR] = args.engine
     scale = _SCALES[args.scale]
     changes = {}
     workers = getattr(args, "workers", None)

@@ -282,57 +282,6 @@ class GlobalMemory(WordReinterpret):
             return
         raise DeviceMemoryError(f"store outside device memory: {addr}")
 
-    # -- bulk typed access (vectorized engine gather/scatter) -----------
-    #
-    # Same bounds policy and error text as the scalar accessors: the
-    # whole device space is addressable, the first out-of-range address
-    # in array order (= lowest lane, since the engine compresses masks
-    # in gtid order) names the crash.  Bit-for-bit equivalent to a
-    # Python loop over the scalar accessors, including NaN payload
-    # preservation on both directions of the f32 reinterpretation.
-
-    def _check_bulk(self, addrs: np.ndarray, verb: str) -> None:
-        bad = (addrs < 0) | (addrs >= self.capacity)
-        if bad.any():
-            addr = int(addrs[int(np.argmax(bad))])
-            raise DeviceMemoryError(f"{verb} outside device memory: {addr}")
-
-    def gather_f32(self, addrs: np.ndarray) -> np.ndarray:
-        """Vector ``load_f32``: float64 values for an int address array."""
-        self._check_bulk(addrs, "load")
-        values = self.f32[addrs].astype(np.float64)
-        nan = values != values
-        if nan.any():
-            # re-widen NaN lanes bitwise (cast quietens sNaN payloads)
-            idx = np.flatnonzero(nan)
-            values[idx] = [bits_to_float(int(b)) for b in self.words[addrs[idx]]]
-        return values
-
-    def gather_i32(self, addrs: np.ndarray) -> np.ndarray:
-        """Vector ``load_i32``: int64 values for an int address array."""
-        self._check_bulk(addrs, "load")
-        return self.i32[addrs].astype(np.int64)
-
-    def scatter_f32(self, addrs: np.ndarray, values: np.ndarray) -> None:
-        """Vector ``store_f32``; duplicate addresses resolve last-wins."""
-        self._check_bulk(addrs, "store")
-        finite = (values >= -_F32_MAX) & (values <= _F32_MAX)
-        if finite.all():
-            self.f32[addrs] = values
-            return
-        with np.errstate(over="ignore", invalid="ignore"):
-            bits = values.astype(np.float32).view(np.uint32)
-        special = np.flatnonzero(~finite)
-        # NaN / out-of-binary32-range lanes go through the same
-        # payload-preserving slow path as the scalar store
-        bits[special] = [float_to_bits(float(v)) for v in values[special]]
-        self.words[addrs] = bits
-
-    def scatter_i32(self, addrs: np.ndarray, values: np.ndarray) -> None:
-        """Vector ``store_i32``; duplicate addresses resolve last-wins."""
-        self._check_bulk(addrs, "store")
-        self.words[addrs] = (values & 0xFFFFFFFF).astype(np.uint32)
-
     # -- bulk transfer (cudaMemcpy equivalents) --------------------------
     def memcpy_htod(self, dst: Allocation, array: np.ndarray) -> None:
         """Copy a host NumPy array into a device buffer (vectorized)."""
@@ -538,39 +487,6 @@ class PagedGlobalMemory(GlobalMemory):
             self._store.set_item(addr, value & 0xFFFFFFFF)
             return
         raise DeviceMemoryError(f"store outside device memory: {addr}")
-
-    # -- bulk typed access (page-resolving gather/scatter) ---------------
-
-    def gather_f32(self, addrs: np.ndarray) -> np.ndarray:
-        self._check_bulk(addrs, "load")
-        bits = self._store.gather(addrs)
-        values = bits.view(np.float32).astype(np.float64)
-        nan = values != values
-        if nan.any():
-            # re-widen NaN lanes bitwise (cast quietens sNaN payloads)
-            idx = np.flatnonzero(nan)
-            values[idx] = [bits_to_float(int(b)) for b in bits[idx]]
-        return values
-
-    def gather_i32(self, addrs: np.ndarray) -> np.ndarray:
-        self._check_bulk(addrs, "load")
-        return self._store.gather(addrs).view(np.int32).astype(np.int64)
-
-    def scatter_f32(self, addrs: np.ndarray, values: np.ndarray) -> None:
-        self._check_bulk(addrs, "store")
-        with np.errstate(over="ignore", invalid="ignore"):
-            bits = values.astype(np.float32).view(np.uint32)
-        finite = (values >= -_F32_MAX) & (values <= _F32_MAX)
-        if not finite.all():
-            special = np.flatnonzero(~finite)
-            # NaN / out-of-binary32-range lanes go through the same
-            # payload-preserving slow path as the scalar store
-            bits[special] = [float_to_bits(float(v)) for v in values[special]]
-        self._store.scatter(addrs, bits)
-
-    def scatter_i32(self, addrs: np.ndarray, values: np.ndarray) -> None:
-        self._check_bulk(addrs, "store")
-        self._store.scatter(addrs, (values & 0xFFFFFFFF).astype(np.uint32))
 
     # -- whole-state snapshots -------------------------------------------
 

@@ -15,10 +15,10 @@ pages) pointers, not O(address space) bytes, and diffing two snapshots
 skips pages that are still the *same object* — page-granular golden
 diffs.
 
-The store is dtype-generic (``fill`` sets the lazy default) so the
-vector engine's per-word hazard maps — ``int64`` arrays as large as
-the allocated region — can ride the same sparse backing instead of
-materializing GB-scale ``np.full`` arrays.
+The store is dtype-generic: ``fill`` sets the lazy default, so a
+per-word side table (e.g. an ``int64`` map filled with ``-1``) can ride
+the same sparse backing instead of materializing a GB-scale
+``np.full`` array.
 """
 
 from __future__ import annotations
@@ -133,20 +133,6 @@ class PagedWords:
                 page[addrs[sel] & self.page_mask] = vals
             else:
                 page[addrs[sel] & self.page_mask] = vals[sel]
-
-    # hazard maps index with plain ``map[addrs]`` / ``map[addr]``; keep
-    # that spelling working so the vector engine code reads identically
-    # over dense ndarrays and paged stores
-    def __getitem__(self, idx):
-        if isinstance(idx, np.ndarray):
-            return self.gather(idx)
-        return self.item(int(idx))
-
-    def __setitem__(self, idx, value) -> None:
-        if isinstance(idx, np.ndarray):
-            self.scatter(idx, value)
-        else:
-            self.set_item(int(idx), value)
 
     def __len__(self) -> int:
         return self.capacity

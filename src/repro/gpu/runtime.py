@@ -6,11 +6,14 @@ surrounding measurement harness: it executes every thread of the grid
 and hangs the way the GPU runtime + guardian watchdog do in the paper,
 and converts accumulated thread-cycles into a kernel time via the
 device's parallel width and register-spill factor.
+
+``GPURuntime(engine="lockstep")`` runs every kernel on the lockstep
+interpreter instead: the reference the closure compiler's parity tests
+compare against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -24,21 +27,9 @@ from repro.kir.astnodes import Kernel
 from repro.kir.interp.compiler import CompiledKernel
 from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
-from repro.kir.interp.vector import (
-    FALLBACK_LIBRARY,
-    VectorBailout,
-    VectorizedKernel,
-    vectorize_obstacle,
-)
 from repro.kir.types import DType
 from repro.obs.events import get_tracer
-from repro.obs.instrument import (
-    record_launch,
-    record_launch_failure,
-    record_vector_fallback,
-    record_vectorized_launch,
-)
-from repro.obs.profile import PHASE_VECTOR_RUN, get_profiler
+from repro.obs.instrument import record_launch, record_launch_failure
 
 Dim = Union[int, Tuple[int, int]]
 
@@ -52,29 +43,17 @@ MAX_THREADS_PER_BLOCK = 512
 #: across ``Kernel.clone()`` and pickling (see ``repro.exec.cache``).
 PREPARED_CACHE_ATTR = "_hauberk_prepared"
 
-#: Sibling caches for the vectorized program and a forced lockstep
-#: program (same lifetime rules as ``PREPARED_CACHE_ATTR``).
-VECTOR_CACHE_ATTR = "_hauberk_vector"
+#: Sibling cache for a forced lockstep program (same lifetime rules as
+#: ``PREPARED_CACHE_ATTR``).
 LOCKSTEP_CACHE_ATTR = "_hauberk_lockstep"
 
-#: Engine-selection seam.  ``vector`` (the default) serves eligible
-#: launches from the vectorized engine and falls back to the scalar
-#: engines (closure, or lockstep for barrier kernels); ``closure``
-#: forces the scalar selection; ``lockstep`` forces the lockstep
-#: interpreter for every kernel.
-ENGINE_VECTOR = "vector"
+#: Engine-selection seam.  ``closure`` (the default) runs closure-
+#: compiled kernels, and lockstep for barrier kernels; ``lockstep``
+#: forces the lockstep interpreter for every kernel (the reference the
+#: parity tests compare against).
 ENGINE_CLOSURE = "closure"
 ENGINE_LOCKSTEP = "lockstep"
-ENGINES = (ENGINE_VECTOR, ENGINE_CLOSURE, ENGINE_LOCKSTEP)
-
-#: Environment override consulted when a runtime is built without an
-#: explicit ``engine`` (the harness/CLI plumb ``--engine`` through it).
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-
-def default_engine() -> str:
-    """Engine used when neither runtime nor launch names one."""
-    return os.environ.get(ENGINE_ENV_VAR, ENGINE_VECTOR)
+ENGINES = (ENGINE_CLOSURE, ENGINE_LOCKSTEP)
 
 
 def _normalize_dim(dim: Dim, what: str) -> Tuple[int, int]:
@@ -122,7 +101,7 @@ class GPURuntime:
     ):
         self.device = device if device is not None else Device()
         self.costmodel = costmodel if costmodel is not None else CostModel()
-        self.engine = engine if engine is not None else default_engine()
+        self.engine = engine if engine is not None else ENGINE_CLOSURE
         if self.engine not in ENGINES:
             raise LaunchError(f"unknown execution engine {self.engine!r}")
 
@@ -169,30 +148,6 @@ class GPURuntime:
 
         return self._cached(kernel, PREPARED_CACHE_ATTR, build)
 
-    def prepare_vector(self, kernel: Kernel):
-        """Vector-compile a kernel (cached); ``(program, obstacle)``.
-
-        Exactly one of the pair is ``None``: either the compiled
-        :class:`~repro.kir.interp.vector.VectorizedKernel`, or the
-        static reason (``uses_sync``/``shared_memory``/``atomics``) the
-        kernel cannot vectorize.  The obstacle is cached too, so
-        ineligible kernels pay the AST walk once.
-        """
-
-        def build():
-            obstacle = vectorize_obstacle(kernel)
-            if obstacle is not None:
-                return None, obstacle
-            with get_tracer().span("kir.vector.compile", kernel=kernel.name) as span:
-                vprog = VectorizedKernel(kernel, self.costmodel)
-                span.set(
-                    divergent_branches=vprog.divergent_branches,
-                    varying_names=len(vprog.varying),
-                )
-            return vprog, None
-
-        return self._cached(kernel, VECTOR_CACHE_ATTR, build)
-
     def prepare_lockstep(self, kernel: Kernel):
         """Lockstep-compile any kernel (cached); for forced-engine runs."""
         return self._cached(kernel, LOCKSTEP_CACHE_ATTR, lambda: (
@@ -209,7 +164,6 @@ class GPURuntime:
         lib: Optional[InstrumentationLibrary] = None,
         budget: int = 2_000_000,
         recorder=None,
-        engine: Optional[str] = None,
     ) -> LaunchResult:
         """Run the kernel over the whole grid.
 
@@ -223,22 +177,11 @@ class GPURuntime:
         execution: ``attach(memory)`` returns the memory view threads
         run against, and ``begin_thread(ctx)`` / ``end_thread(ctx)``
         bracket each thread.  The normal path pays nothing — the hooks
-        are per-thread branches, and memory stays unwrapped.  A
-        vectorized launch instead feeds the recorder one sweep's
-        per-lane records through ``absorb_vector_records(vres)``.
-
-        ``engine`` overrides the runtime's engine for this launch (see
-        :data:`ENGINES`).  The vectorized engine is bit-exact with the
-        scalar interpreters: any launch it cannot serve exactly
-        (library hooks that are not no-ops, cross-lane data flow, lane
-        failures) falls back transparently, counted in
-        ``repro_kir_vector_fallbacks_total``.
+        are per-thread branches, and memory stays unwrapped.
         """
         if not self.device.enabled:
             raise LaunchError(f"device {self.device.device_id} is disabled")
-        eng = engine if engine is not None else self.engine
-        if eng not in ENGINES:
-            raise LaunchError(f"unknown execution engine {eng!r}")
+        lockstep = self.engine == ENGINE_LOCKSTEP
         gx, gy = _normalize_dim(grid, "grid")
         bx, by = _normalize_dim(block, "block")
         if bx * by > MAX_THREADS_PER_BLOCK:
@@ -250,9 +193,9 @@ class GPURuntime:
                 f"kernel {kernel.name} uses __syncthreads; per-thread "
                 "recording needs the closure path"
             )
-        if recorder is not None and eng == ENGINE_LOCKSTEP:
+        if recorder is not None and lockstep:
             raise LaunchError("per-thread recording needs the closure path")
-        if eng == ENGINE_LOCKSTEP:
+        if lockstep:
             prog, pressure = self.prepare_lockstep(kernel)
         else:
             prog, pressure = self.prepare(kernel)
@@ -268,22 +211,6 @@ class GPURuntime:
             "gpu.launch", kernel=kernel.name, device=self.device.device_id,
             grid=[gx, gy], block=[bx, by], n_threads=n_threads,
         ) as span:
-            if eng == ENGINE_VECTOR:
-                result = self._attempt_vector(
-                    kernel, pressure, base_frame, gx, gy, bx, by,
-                    n_threads, lib, budget, recorder,
-                )
-                if result is not None:
-                    span.set(
-                        engine=ENGINE_VECTOR,
-                        total_cycles=result.total_cycles,
-                        kernel_time=result.kernel_time,
-                        loop_fraction=result.loop_fraction,
-                        spill_factor=result.spill_factor,
-                        register_pressure=pressure,
-                    )
-                    return result
-
             ctx = ExecContext(self.device.memory, lib=lib, budget=budget)
             if recorder is not None:
                 ctx.swap_memory(recorder.attach(self.device.memory))
@@ -322,62 +249,6 @@ class GPURuntime:
                 spill_factor=spill,
                 register_pressure=pressure,
             )
-        return result
-
-    def _attempt_vector(
-        self, kernel, pressure, base_frame, gx, gy, bx, by,
-        n_threads, lib, budget, recorder,
-    ) -> Optional[LaunchResult]:
-        """Serve the launch from the vectorized engine, or ``None``.
-
-        Gating happens first (static obstacle, or a library whose hooks
-        are not all no-ops — an armed fault injector, detectors, a
-        profiler); a gated launch costs one counter bump.  An eligible
-        launch runs the whole grid as one array program.  Any
-        :class:`VectorBailout` restores the pre-launch memory snapshot
-        and returns ``None`` so the scalar engines rerun the launch
-        from scratch, reproducing failures (and their post-crash
-        memory) exactly as the sequential semantics dictate.
-        """
-        vprog, reason = self.prepare_vector(kernel)
-        if reason is None and lib is not None and not lib.hooks_are_noops():
-            reason = FALLBACK_LIBRARY
-        if reason is not None:
-            record_vector_fallback(kernel.name, reason)
-            return None
-
-        memory = self.device.memory
-        snapshot = memory.snapshot()
-        try:
-            with get_profiler().phase(PHASE_VECTOR_RUN):
-                vres = vprog.run_lanes(
-                    memory, base_frame, gx, gy, bx, by, budget,
-                    record_footprints=recorder is not None,
-                )
-        except VectorBailout as exc:
-            memory.restore(snapshot)
-            record_vector_fallback(kernel.name, exc.reason)
-            return None
-
-        if recorder is not None:
-            recorder.absorb_vector_records(vres)
-        lanes_hw = min(n_threads, self.device.spec.parallel_lanes)
-        spill = self.costmodel.spill_factor(
-            pressure, self.device.spec.registers_per_thread
-        )
-        total = vres.total_cycles
-        result = LaunchResult(
-            kernel_name=kernel.name,
-            n_threads=n_threads,
-            total_cycles=total,
-            loop_cycles=vres.total_loop_cycles,
-            kernel_time=total / lanes_hw * spill,
-            register_pressure=pressure,
-            spill_factor=spill,
-            max_thread_steps=vres.max_steps,
-        )
-        record_vectorized_launch(kernel.name)
-        record_launch(result)
         return result
 
     def _run_grid(self, kernel, prog, ctx, base_frame, gx, gy, bx, by,

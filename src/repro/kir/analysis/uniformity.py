@@ -68,29 +68,6 @@ def _expr_tainted(e: Expr, tainted: Set[str], seeds: Tuple[str, ...]) -> bool:
     return False
 
 
-def expr_varies(
-    expr: Expr, varying: Set[str], seeds: Tuple[str, ...] = THREAD_SEEDS
-) -> bool:
-    """Whether ``expr`` may evaluate differently across ``seeds`` lanes.
-
-    ``varying`` is a taint set from :func:`thread_varying_names`
-    computed with the same ``seeds``.  This is the per-expression query
-    the vectorizing engine uses to decide which branches keep scalar
-    control flow and which need predication masks.
-    """
-    return _expr_tainted(expr, varying, seeds)
-
-
-def grid_varying_names(kernel: Kernel) -> Set[str]:
-    """Names that may differ between *any* two threads of the grid.
-
-    Convenience wrapper over :func:`thread_varying_names` with
-    ``GRID_SEEDS`` — the taint the whole-grid vectorizer needs, where
-    lanes span blocks and ``blockIdx`` varies too.
-    """
-    return thread_varying_names(kernel, GRID_SEEDS)
-
-
 def thread_varying_names(
     kernel: Kernel, seeds: Tuple[str, ...] = THREAD_SEEDS
 ) -> Set[str]:

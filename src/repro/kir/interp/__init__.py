@@ -1,11 +1,15 @@
 """KIR interpreters.
 
-Two execution paths over the same semantics:
+Two execution engines over the same semantics:
 
 * :mod:`repro.kir.interp.compiler` — AST compiled to Python closures;
   the fast path used for every kernel without ``__syncthreads``.
 * :mod:`repro.kir.interp.lockstep` — generator-based lockstep execution
-  of all threads in a block, required for barrier semantics.
+  of all threads in a block, required for barrier semantics and the
+  reference the closure compiler's parity tests compare against.
+
+Both count each thread's statements in ``ExecContext.steps`` and raise
+the same :class:`~repro.errors.KernelHang` when it overruns the budget.
 
 Shared runtime pieces (C-semantics arithmetic, intrinsics, the
 instrumentation-library protocol, execution context) live in

@@ -1,4 +1,4 @@
-"""Runtime semantics shared by both interpreters.
+"""Runtime semantics shared by both interpreters (closure and lockstep).
 
 Arithmetic follows C-on-GPU conventions from the paper:
 
@@ -215,15 +215,6 @@ class InstrumentationLibrary:
 
     PREFIX = "__hauberk_"
 
-    def hooks_are_noops(self) -> bool:
-        """True when every hook is a no-op for the next launch.
-
-        The vectorized engine serves only such launches (it charges a
-        hook's cost and never calls it); any other launch runs on the
-        scalar engines.  Default: no.
-        """
-        return False
-
     def hook(self, func: str) -> Optional[Callable]:
         """The bound ``lib_<op>`` handler of ``func``, or ``None``."""
         if not func.startswith(self.PREFIX):
@@ -237,9 +228,6 @@ def _no_hook(ctx: "ExecContext", frame: dict, *args) -> None:
 
 class NullLibrary(InstrumentationLibrary):
     """Ignores every instrumentation call (original-binary behaviour)."""
-
-    def hooks_are_noops(self) -> bool:
-        return True
 
     def hook(self, func: str) -> Optional[Callable]:
         return _no_hook

@@ -11,7 +11,11 @@ modeled via the per-thread statement budget).
 
 This path is an order of magnitude slower than the closure compiler,
 and is selected automatically only for ``kernel.uses_sync`` kernels
-(TPACF's shared-memory histogram in this repository).
+(TPACF's shared-memory histogram in this repository).  Being the
+simplest engine, it is also the reference the parity tests compare the
+closure compiler against (``GPURuntime(engine="lockstep")`` forces it
+for every kernel); both count steps, charge cycles and fire the
+watchdog identically.
 """
 
 from __future__ import annotations
@@ -49,14 +53,6 @@ from repro.kir.types import DType
 from repro.bits import wrap_i32
 
 
-class _ThreadState:
-    __slots__ = ("steps", "thread")
-
-    def __init__(self, thread: int):
-        self.steps = 0
-        self.thread = thread
-
-
 class LockstepProgram:
     """A kernel prepared for lockstep execution (exprs precompiled)."""
 
@@ -89,49 +85,52 @@ class LockstepProgram:
 
     # -- execution ------------------------------------------------------
     def run_block(self, frames: List[dict], ctx: ExecContext) -> None:
-        """Run all threads of one block in lockstep until completion."""
-        states = [_ThreadState(t) for t in range(len(frames))]
-        gens = [
-            self._thread_gen(frames[t], states[t], ctx) for t in range(len(frames))
-        ]
+        """Run all threads of one block in lockstep until completion.
+
+        Each resumed thread gets its own statement count back in
+        ``ctx.steps`` (the watchdog count hooks read, as on the closure
+        path) and it is saved again when the thread parks or finishes.
+        """
+        gens = [self._thread_gen(fr, ctx) for fr in frames]
+        steps = [0] * len(frames)
         active = list(range(len(frames)))
         while active:
             still: List[int] = []
             for t in active:
-                ctx.thread = t
+                ctx.reset_thread(ctx.block, t)  # folds the last thread's count
+                ctx.steps = steps[t]
                 try:
                     next(gens[t])
                     still.append(t)  # parked at a barrier
                 except StopIteration:
                     pass
+                steps[t] = ctx.steps
             active = still
-        for st in states:
-            if st.steps > ctx.max_steps:
-                ctx.max_steps = st.steps
 
-    def _thread_gen(self, fr: dict, st: _ThreadState, ctx: ExecContext) -> Iterator:
+    def _thread_gen(self, fr: dict, ctx: ExecContext) -> Iterator:
         try:
-            yield from self._exec_block(self.kernel.body, fr, st, ctx)
+            yield from self._exec_block(self.kernel.body, fr, ctx)
         except ReturnSignal:
             return
 
-    def _exec_block(self, stmts: List[Stmt], fr: dict, st: _ThreadState, ctx) -> Iterator:
+    def _exec_block(self, stmts: List[Stmt], fr: dict, ctx) -> Iterator:
         for s in stmts:
-            yield from self._exec_stmt(s, fr, st, ctx)
+            yield from self._exec_stmt(s, fr, ctx)
 
-    def _tick(self, st: _ThreadState, ctx: ExecContext) -> None:
-        st.steps += 1
-        if st.steps > ctx.budget:
-            raise KernelHang(f"thread {st.thread} exceeded {ctx.budget} statements")
+    @staticmethod
+    def _tick(ctx: ExecContext) -> None:
+        ctx.steps += 1
+        if ctx.steps > ctx.budget:
+            raise KernelHang()
 
-    def _exec_stmt(self, s: Stmt, fr: dict, st: _ThreadState, ctx) -> Iterator:
+    def _exec_stmt(self, s: Stmt, fr: dict, ctx) -> Iterator:
         if isinstance(s, SyncThreads):
-            self._tick(st, ctx)
+            self._tick(ctx)
             ctx.cycles += self.cm.sync_cost
             yield "sync"
             return
         if isinstance(s, (Decl, Assign)):
-            self._tick(st, ctx)
+            self._tick(ctx)
             if isinstance(s, Decl):
                 rhs, target = s.init, s.var_dtype
             else:
@@ -145,7 +144,7 @@ class LockstepProgram:
             fr[s.name] = value if conv is None else conv(value)
             return
         if isinstance(s, Store):
-            self._tick(st, ctx)
+            self._tick(ctx)
             cost = (
                 self._cost(s.ptr) + self._cost(s.index) + self._cost(s.value)
                 + self.cm.mem_global
@@ -161,7 +160,7 @@ class LockstepProgram:
                 ctx.store_i32(addr, value)
             return
         if isinstance(s, SharedStore):
-            self._tick(st, ctx)
+            self._tick(ctx)
             cost = self._cost(s.index) + self._cost(s.value) + self.cm.mem_shared
             ctx.cycles += cost
             if s.in_loop:
@@ -170,12 +169,12 @@ class LockstepProgram:
             idx = self._fn(s.index)(fr, ctx)
             if not 0 <= idx < len(arr):
                 raise KernelCrash(
-                    f"shared memory OOB write {s.array}[{idx}]", st.thread, ctx.block
+                    f"shared memory OOB write {s.array}[{idx}]", ctx.thread, ctx.block
                 )
             arr[idx] = self._fn(s.value)(fr, ctx)
             return
         if isinstance(s, AtomicAdd):
-            self._tick(st, ctx)
+            self._tick(ctx)
             shared = s.space == "shared"
             if shared:
                 cost = self._cost(s.index) + self._cost(s.value) + self.cm.atomic_shared
@@ -194,7 +193,7 @@ class LockstepProgram:
                 idx = self._fn(s.index)(fr, ctx)
                 if not 0 <= idx < len(arr):
                     raise KernelCrash(
-                        f"shared memory OOB atomic {s.array}[{idx}]", st.thread, ctx.block
+                        f"shared memory OOB atomic {s.array}[{idx}]", ctx.thread, ctx.block
                     )
                 result = arr[idx] + self._fn(s.value)(fr, ctx)
                 arr[idx] = wrap_i32(result) if isinstance(result, int) else result
@@ -209,22 +208,22 @@ class LockstepProgram:
             return
         if isinstance(s, For):
             if s.init is not None:
-                yield from self._exec_stmt(s.init, fr, st, ctx)
+                yield from self._exec_stmt(s.init, fr, ctx)
             cond_fn = self._fn(s.cond)
             cond_cost = self._cost(s.cond) + self.cm.branch_cost
             try:
                 while True:
-                    self._tick(st, ctx)
+                    self._tick(ctx)
                     ctx.cycles += cond_cost
                     ctx.loop_cycles += cond_cost
                     if not truthy(cond_fn(fr, ctx)):
                         break
                     try:
-                        yield from self._exec_block(s.body, fr, st, ctx)
+                        yield from self._exec_block(s.body, fr, ctx)
                     except ContinueSignal:
                         pass
                     if s.update is not None:
-                        yield from self._exec_stmt(s.update, fr, st, ctx)
+                        yield from self._exec_stmt(s.update, fr, ctx)
             except BreakSignal:
                 pass
             return
@@ -233,40 +232,40 @@ class LockstepProgram:
             cond_cost = self._cost(s.cond) + self.cm.branch_cost
             try:
                 while True:
-                    self._tick(st, ctx)
+                    self._tick(ctx)
                     ctx.cycles += cond_cost
                     ctx.loop_cycles += cond_cost
                     if not truthy(cond_fn(fr, ctx)):
                         break
                     try:
-                        yield from self._exec_block(s.body, fr, st, ctx)
+                        yield from self._exec_block(s.body, fr, ctx)
                     except ContinueSignal:
                         pass
             except BreakSignal:
                 pass
             return
         if isinstance(s, If):
-            self._tick(st, ctx)
+            self._tick(ctx)
             cost = (self._cost(s.cond) + self.cm.branch_cost) * s.cost_scale
             ctx.cycles += cost
             if s.in_loop:
                 ctx.loop_cycles += cost
             if truthy(self._fn(s.cond)(fr, ctx)):
-                yield from self._exec_block(s.then, fr, st, ctx)
+                yield from self._exec_block(s.then, fr, ctx)
             else:
-                yield from self._exec_block(s.els, fr, st, ctx)
+                yield from self._exec_block(s.els, fr, ctx)
             return
         if isinstance(s, Break):
-            self._tick(st, ctx)
+            ctx.steps += 1  # unchecked, as in the closure compiler
             raise BreakSignal()
         if isinstance(s, Continue):
-            self._tick(st, ctx)
+            ctx.steps += 1  # unchecked, as in the closure compiler
             raise ContinueSignal()
         if isinstance(s, Return):
-            self._tick(st, ctx)
+            ctx.steps += 1  # unchecked, as in the closure compiler
             raise ReturnSignal()
         if isinstance(s, CallStmt):
-            self._tick(st, ctx)
+            self._tick(ctx)
             cost = self.cm.libcall_cost(s.func) * s.cost_scale
             if cost:
                 ctx.cycles += cost

@@ -17,8 +17,6 @@ repro_launch_cycles_total                   counter    kernel
 repro_launch_failures_total                 counter    kernel, kind
 repro_launch_loop_fraction                  histogram  kernel
 repro_launch_spill_factor                   gauge      kernel
-repro_kir_vectorized_launches_total         counter    kernel
-repro_kir_vector_fallbacks_total            counter    kernel, reason
 repro_trial_outcomes_total                  counter    outcome
 repro_trial_activation_ratio                gauge      --
 repro_trial_site_faults                     histogram  --
@@ -123,30 +121,6 @@ def record_launch_failure(kernel_name: str, kind: str) -> None:
     get_registry().counter(
         "repro_launch_failures_total", "Kernel launches ending in crash or hang"
     ).inc(kernel=kernel_name, kind=kind)
-
-
-def record_vectorized_launch(kernel_name: str) -> None:
-    """One launch served end-to-end by the vectorized engine."""
-    get_registry().counter(
-        "repro_kir_vectorized_launches_total",
-        "Kernel launches served by the vectorized array-program engine",
-    ).inc(kernel=kernel_name)
-
-
-def record_vector_fallback(kernel_name: str, reason: str) -> None:
-    """One launch the vectorized engine declined or abandoned.
-
-    ``reason`` is the fallback taxonomy of
-    :mod:`repro.kir.interp.vector`: static obstacles (``uses_sync``,
-    ``shared_memory``, ``atomics``), gating (``library``: a hook that
-    is not a no-op, e.g. an armed fault injector), or runtime bailouts
-    (``lane_failure``, ``cross_lane_hazard``, ``untracked_address``,
-    ``divergence_analysis``).
-    """
-    get_registry().counter(
-        "repro_kir_vector_fallbacks_total",
-        "Kernel launches that fell back from the vectorized engine",
-    ).inc(kernel=kernel_name, reason=reason)
 
 
 # -- fault-injection campaigns (swifi/campaign.py) ----------------------

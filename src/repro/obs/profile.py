@@ -17,9 +17,6 @@ stack:
     Full grid execution of a trial; labelled with the fallback
     ``reason`` (``differential_off``, ``replay_conflict``, kernel
     ineligibility reasons, ...).
-``vector_run``
-    Whole-grid array-program execution inside a launch (the
-    vectorized engine; fault-free launches only).
 ``merge``
     The scheduler's deterministic result merge (absorb in spec order).
 ``journal_append``
@@ -56,7 +53,6 @@ PHASE_PARSE_BUILD = "parse_build"
 PHASE_GOLDEN_RECORD = "golden_record"
 PHASE_DIFF_REPLAY = "diff_replay"
 PHASE_FULL_RUN = "full_run"
-PHASE_VECTOR_RUN = "vector_run"
 PHASE_MERGE = "merge"
 PHASE_JOURNAL_APPEND = "journal_append"
 PHASE_QUARANTINE = "quarantine"
@@ -67,7 +63,6 @@ PHASES = (
     PHASE_GOLDEN_RECORD,
     PHASE_DIFF_REPLAY,
     PHASE_FULL_RUN,
-    PHASE_VECTOR_RUN,
     PHASE_MERGE,
     PHASE_JOURNAL_APPEND,
     PHASE_QUARANTINE,

@@ -18,8 +18,7 @@ loop-cycle / step totals plus a global-memory footprint (addresses read;
 
 Soundness gates (anything else falls back to full execution):
 
-* **Kernel eligibility** — the vectorized engine's rule
-  (:func:`~repro.kir.interp.vector.vectorize_obstacle`): no
+* **Kernel eligibility** — :func:`replay_obstacle`: no
   ``__syncthreads``, no atomics, no shared-memory declarations (in the
   sequential grid model those are cross-thread channels).
 * **Campaign eligibility** — every golden-stored address has exactly
@@ -56,8 +55,8 @@ from repro.gpu.memory import (
     ThreadFootprint,
 )
 from repro.gpu.runtime import GPURuntime, LaunchResult
+from repro.kir.astnodes import AtomicAdd, Kernel, walk_stmts
 from repro.kir.interp.evalcore import ExecContext
-from repro.kir.interp.vector import vectorize_obstacle
 from repro.obs.instrument import (
     record_differential_trial,
     record_launch,
@@ -75,6 +74,29 @@ from repro.swifi.injector import FaultInjectionLibrary
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.core.program
     from repro.core.program import HauberkProgram
+
+
+#: Why a kernel cannot replay one thread in isolation; the reasons label
+#: ``repro_swifi_diff_fallbacks_total``.
+OBSTACLE_SYNC = "uses_sync"
+OBSTACLE_SHARED = "shared_memory"
+OBSTACLE_ATOMICS = "atomics"
+
+
+def replay_obstacle(kernel: Kernel) -> Optional[str]:
+    """Why this kernel cannot replay single threads (None if it can).
+
+    Barriers, shared arrays and atomics are cross-thread channels
+    besides global memory, which a per-thread footprint cannot capture.
+    """
+    if kernel.uses_sync:
+        return OBSTACLE_SYNC
+    if kernel.shared:
+        return OBSTACLE_SHARED
+    for stmt, _depth in walk_stmts(kernel.body):
+        if isinstance(stmt, AtomicAdd):
+            return OBSTACLE_ATOMICS
+    return None
 
 
 @dataclass
@@ -134,25 +156,6 @@ class _GoldenRecorder:
             steps=ctx.steps,
             footprint=self.memory.fp,
         ))
-
-    def absorb_vector_records(self, vres) -> None:
-        """Fill ``threads`` from one vectorized sweep's per-lane records.
-
-        The vectorized engine produces the whole grid's cost columns
-        and footprints in one pass (lanes are gtid-ordered), replacing
-        the per-thread ``begin_thread``/``end_thread`` bracketing.
-        """
-        self.threads = [
-            ThreadRecord(
-                cycles=float(c),
-                loop_cycles=float(lc),
-                steps=int(s),
-                footprint=fp,
-            )
-            for c, lc, s, fp in zip(
-                vres.cycles, vres.loop_cycles, vres.steps, vres.footprints
-            )
-        ]
 
 
 class DifferentialEngine:
@@ -443,7 +446,7 @@ def get_engine(program: "HauberkProgram", mode: str, seed: int = 0):
 def _build_engine(program: "HauberkProgram", mode: str, seed: int):
     if mode not in ("fi", "fift"):
         return _Ineligible(f"mode {mode!r} has no FI trials")
-    obstacle = vectorize_obstacle(program.build(mode).kernel)
+    obstacle = replay_obstacle(program.build(mode).kernel)
     if obstacle is not None:
         return _Ineligible(obstacle)
     engine = DifferentialEngine(program, mode, seed)

@@ -155,14 +155,6 @@ class FaultInjectionLibrary(InstrumentationLibrary):
     def activation(self) -> Optional[ActivationRecord]:
         return self.state.activation
 
-    def hooks_are_noops(self) -> bool:
-        """Unarmed, ``lib_fi`` returns at once for every thread.
-
-        So a fault-free launch (e.g. a differential golden recording)
-        may run vectorized; an armed one runs on the scalar engines.
-        """
-        return self.state.spec is None
-
     # -- instrumentation entry point ------------------------------------
     def lib_fi(self, ctx: ExecContext, frame: dict, site: int, name: str) -> None:
         spec = self.state.spec

@@ -12,7 +12,7 @@ import pytest
 from repro.core.program import HauberkProgram
 from repro.exec.pool import fork_available
 from repro.gpu.memory import ReplayConflict, ReplayMemoryGuard
-from repro.kir.interp.vector import vectorize_obstacle
+from repro.kir import parse_kernel
 from repro.obs.metrics import fresh_registry, get_registry
 from repro.swifi.campaign import build_fault_specs
 from repro.swifi.differential import (
@@ -20,6 +20,7 @@ from repro.swifi.differential import (
     _Ineligible,
     differential_runner,
     get_engine,
+    replay_obstacle,
 )
 from repro.swifi.faultmodel import FaultSpec
 from repro.swifi.options import CampaignOptions
@@ -71,10 +72,20 @@ def _assert_identical(full, diff):
 class TestEligibility:
     def test_closure_kernels_eligible(self):
         for name in ("CP", "MRI-Q", "MRI-FHD", "PNS", "RPES", "SAD"):
-            assert vectorize_obstacle(get_workload(name).kernel) is None
+            assert replay_obstacle(get_workload(name).kernel) is None
 
     def test_sync_kernel_ineligible(self):
-        assert vectorize_obstacle(get_workload("TPACF").kernel) == "uses_sync"
+        assert replay_obstacle(get_workload("TPACF").kernel) == "uses_sync"
+
+    @pytest.mark.parametrize("src, reason", [
+        ("kernel k(int* out) { shared int s[2]; s[0] = 1; out[0] = s[0]; }",
+         "shared_memory"),
+        ("kernel k(int* out) { for (int i = 0; i < 2; i++) {"
+         " atomicAdd(&out[0], i); } }", "atomics"),
+    ], ids=["shared", "atomics"])
+    def test_cross_thread_channels_ineligible(self, src, reason):
+        # the reasons label repro_swifi_diff_fallbacks_total
+        assert replay_obstacle(parse_kernel(src)) == reason
 
     def test_ineligible_campaign_still_runs_and_matches(self):
         full, diff = _run_both("TPACF", "fi", specs=_campaign_specs(

@@ -4,7 +4,9 @@ Both scalar engines (closure and lockstep) look a ``__hauberk_<op>``
 handler up through ``ExecContext.bind_hook`` the first time a call
 executes and reuse it for every later execution in the same launch.
 These tests pin down what that must not change: when an unbound call
-crashes, with which message, and which values a hook receives.
+crashes, with which message, and which values a hook receives —
+including the calling thread's live statement count in ``ctx.steps``,
+which ``ActivationRecord.at_step`` records.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ class _Counting(InstrumentationLibrary):
     def __init__(self):
         self.resolved = []
         self.calls = []
+        self.steps = []
 
     def hook(self, func):
         self.resolved.append(func)
@@ -33,6 +36,7 @@ class _Counting(InstrumentationLibrary):
 
     def lib_probe(self, ctx, frame, *args):
         self.calls.append(args)
+        self.steps.append(ctx.steps)
 
 
 def _launch(src, args, lib, engine, block=1):
@@ -52,6 +56,9 @@ class TestHookBinding:
         _launch(src, {"n": 5}, lib, engine, block=3)
         assert lib.resolved == ["__hauberk_probe"]
         assert len(lib.calls) == 15
+        # init, then (condition, probe, update) per iteration: each of
+        # the three threads counts its own statements from zero
+        assert lib.steps == [3, 6, 9, 12, 15] * 3
         _launch(src, {"n": 5}, lib, engine, block=3)
         assert lib.resolved == ["__hauberk_probe"] * 2  # fresh per launch
 

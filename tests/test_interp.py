@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import KernelCrash, KernelHang, KIRValidationError
+from repro.core.program import HauberkProgram
+from repro.errors import KernelCrash, KernelHang, KIRValidationError, LaunchError
 from repro.gpu.device import Device
-from repro.gpu.runtime import GPURuntime
+from repro.gpu.runtime import ENGINES, GPURuntime
 from repro.kir import parse_kernel
 from repro.kir.interp.compiler import CompiledKernel
 from repro.kir.interp.evalcore import (
@@ -21,6 +22,10 @@ from repro.kir.interp.evalcore import (
 )
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
+from repro.swifi.campaign import build_fault_specs
+from repro.swifi.parallel import run_campaign
+from repro.swifi.targets import enumerate_targets
+from repro.workloads import all_workloads, get_workload
 
 from conftest import launch_saxpy
 
@@ -303,6 +308,37 @@ kernel reduce(float* data, float* out, int n) {
         assert "shared memory OOB atomic s[9]" in messages[0]
         assert messages[1] == messages[0]
 
+    def test_hang_message_matches_compiler(self):
+        # one watchdog: a hang trial's observation note must not depend
+        # on which engine ran the kernel
+        src = ("kernel k(int n, int* out) { int i = 0;"
+               " while (n < 10) { i++; } out[0] = i; }")
+        messages = []
+        for engine in ("closure", "lockstep"):
+            device = Device()
+            out = device.memory.alloc("out", 1, DType.INT32)
+            with pytest.raises(KernelHang) as exc:
+                GPURuntime(device, engine=engine).launch(
+                    parse_kernel(src), 1, 2, {"n": 1, "out": out}, budget=100)
+            messages.append(str(exc.value))
+        assert messages[0] == "kernel hang: instruction budget exhausted"
+        assert messages[1] == messages[0]
+
+    def test_exit_statements_count_without_watchdog_check(self):
+        # break/continue/return bump the step count but, as in the
+        # closure compiler, do not trip the watchdog themselves: a
+        # thread whose return is statement budget+1 still completes
+        src = ("kernel k(int* out) { for (int i = 0; i < 3; i++) {"
+               " if (i == 0) { continue; } break; } out[0] = 1; return; }")
+        results = []
+        for engine in ("closure", "lockstep"):
+            device = Device()
+            out = device.memory.alloc("out", 1, DType.INT32)
+            results.append(GPURuntime(device, engine=engine).launch(
+                parse_kernel(src), 1, 1, {"out": out}, budget=9))
+        assert results[0].max_thread_steps == 10
+        assert results[1] == results[0]
+
     def test_lockstep_hang_detection(self):
         device = Device()
         runtime = GPURuntime(device)
@@ -353,3 +389,232 @@ class TestCycleAccounting:
             return runtime.launch(k, 1, 1, {"n": 1, "out": out}).total_cycles
 
         assert cycles(k2) < cycles(k1)
+
+
+# ---------------------------------------------------------------------------
+# closure vs lockstep: bit-identical results, lockstep as the reference
+# ---------------------------------------------------------------------------
+
+
+def _launch_on(src, args, engine, grid, block, n_out,
+               out_dtype=DType.FLOAT32):
+    """One launch on a fresh device; returns (LaunchResult, words)."""
+    device = Device()
+    full_args = dict(args)
+    full_args["out"] = device.memory.alloc("out", n_out, out_dtype)
+    result = GPURuntime(device, engine=engine).launch(
+        parse_kernel(src), grid, block, full_args)
+    return result, device.memory.snapshot()
+
+
+def _assert_engines_agree(src, args, **kw):
+    ref_res, ref_words = _launch_on(src, args, "lockstep", **kw)
+    res, words = _launch_on(src, args, "closure", **kw)
+    assert res == ref_res, f"closure vs lockstep: {res} != {ref_res}"
+    assert np.array_equal(words, ref_words), (
+        "closure vs lockstep: memory diverged at words "
+        f"{np.nonzero(words != ref_words)[0][:5]}"
+    )
+    return ref_res, ref_words
+
+
+def _campaign_results(name, mode, engine, n=16, seed=11):
+    """A seeded full-execution campaign under one engine."""
+    wl = get_workload(name)
+    prog = HauberkProgram(wl)
+    prog.runtime.engine = engine
+    if mode == "fift":
+        prog.train(seeds=[0])
+    sites = enumerate_targets(wl.kernel)
+    inp = wl.generate_input(0)
+    specs = build_fault_specs(sites, inp.n_threads, masks_per_site=2,
+                              bit_counts=(1, 6), seed=seed)[:n]
+    result = run_campaign(None, specs, runner_factory=lambda:
+                          prog.trial_runner(mode, 0))
+    return prog, result
+
+
+class TestEngineParity:
+    def test_engine_validation(self):
+        assert ENGINES == ("closure", "lockstep")
+        for engine in ENGINES:
+            assert GPURuntime(Device(), engine=engine).engine == engine
+        with pytest.raises(LaunchError):
+            GPURuntime(Device(), engine="warp9")
+
+    def test_closure_is_the_default_and_vector_is_gone(self):
+        assert GPURuntime(Device()).engine == "closure"
+        for engine in ("vector", "auto"):
+            with pytest.raises(LaunchError):
+                GPURuntime(Device(), engine=engine)
+
+    @pytest.mark.parametrize("name", all_workloads())
+    def test_workload_launch_parity(self, name):
+        # original-mode launch of every workload, closure vs lockstep
+        wl = get_workload(name)
+        inp = wl.generate_input(seed=7)
+        outcomes = {}
+        for engine in ENGINES:
+            device = Device()
+            args, _handles = wl.setup_memory(device, inp)
+            result = GPURuntime(device, engine=engine).launch(
+                wl.kernel, inp.grid, inp.block, args, budget=wl.hang_budget)
+            outcomes[engine] = (result, device.memory.snapshot())
+        (res_c, words_c), (res_l, words_l) = (
+            outcomes["closure"], outcomes["lockstep"])
+        assert res_c == res_l, f"{name}: LaunchResult diverged closure vs lockstep"
+        assert np.array_equal(words_c, words_l), \
+            f"{name}: device words diverged closure vs lockstep"
+
+    def test_divergent_branch_parity(self):
+        # odd/even threads take different arms; nested divergent If
+        src = """
+        kernel div(float* out, int n) {
+            int tid = blockIdx.x * blockDim.x + threadIdx.x;
+            float v = 0.0;
+            if (tid % 2 == 0) {
+                v = float(tid) * 2.0;
+                if (tid > 4) { v = v + 100.0; }
+            } else {
+                v = 0.0 - float(tid);
+            }
+            if (tid < n) { out[tid] = v; }
+        }
+        """
+        _assert_engines_agree(src, {"n": 12}, grid=4, block=4, n_out=16)
+
+    def test_loop_drain_parity(self):
+        # per-thread trip counts, break and continue
+        src = """
+        kernel drain(float* out, int n) {
+            int tid = blockIdx.x * blockDim.x + threadIdx.x;
+            float acc = 0.0;
+            for (int i = 0; i < tid + 1; i++) {
+                acc = acc + float(i) * 0.5;
+                if (acc > 6.0) { break; }
+            }
+            int j = 0;
+            while (j < tid) {
+                if (j == 3) { j = j + 2; continue; }
+                acc = acc + 1.0;
+                j = j + 1;
+            }
+            if (tid < n) { out[tid] = acc; }
+        }
+        """
+        res, _ = _assert_engines_agree(src, {"n": 16}, grid=4, block=4,
+                                       n_out=16)
+        assert res.loop_cycles > 0
+
+    @pytest.mark.parametrize("src", [
+        "kernel k(int* out, int n) {"
+        " for (int i = 0; i < n; i++) { atomicAdd(&out[i % 2], i + 1); } }",
+        "kernel k(int* out, int n) { shared int s[2]; s[0] = 0; s[1] = 0;"
+        " for (int i = 0; i < n; i++) { atomicAdd(&s[i % 2], i + 1); }"
+        " out[threadIdx.x] = s[threadIdx.x % 2]; }",
+    ], ids=["global", "shared"])
+    def test_atomic_cost_parity(self, src):
+        # operand costs, and loop cycles for the atomic's own space
+        res, _ = _assert_engines_agree(src, {"n": 5}, grid=1, block=4,
+                                       n_out=4, out_dtype=DType.INT32)
+        assert res.loop_cycles > 0
+
+    def test_snan_denormal_payloads_roundtrip(self):
+        # sNaN payloads, denormals, -0.0 and infinities copied through
+        # a kernel must keep their raw bit patterns
+        patterns = np.array(
+            [
+                0x7F800001,  # sNaN, payload 1
+                0x7FBFFFFF,  # sNaN, max payload
+                0xFFA5A5A5,  # negative sNaN, patterned payload
+                0x7FC00001,  # qNaN with payload
+                0x00000001,  # smallest denormal
+                0x807FFFFF,  # largest negative denormal
+                0x80000000,  # -0.0
+                0x7F800000,  # +inf
+                0xFF800000,  # -inf
+                0x00800000,  # smallest normal
+                0x3F800000,  # 1.0
+                0xDEADBEEF,  # arbitrary normal bits
+            ],
+            dtype=np.uint32,
+        )
+        kernel = parse_kernel("""
+        kernel copybits(float* src, float* out, int n) {
+            int tid = blockIdx.x * blockDim.x + threadIdx.x;
+            if (tid < n) { out[tid] = src[tid]; }
+        }
+        """)
+        n = len(patterns)
+        for engine in ENGINES:
+            device = Device()
+            runtime = GPURuntime(device, engine=engine)
+            src_buf = device.memory.alloc("src", n, DType.FLOAT32)
+            out_buf = device.memory.alloc("out", n, DType.FLOAT32)
+            device.memory.write_words(src_buf.base, patterns)
+            runtime.launch(kernel, 1, n, {"src": src_buf, "out": out_buf,
+                                          "n": n})
+            out = device.memory.read_words(out_buf.base, n)
+            assert np.array_equal(out, patterns), engine
+
+    def test_float_as_int_bit_parity(self):
+        kernel = parse_kernel("""
+        kernel f2i(float* src, int* out, int n) {
+            int tid = blockIdx.x * blockDim.x + threadIdx.x;
+            if (tid < n) { out[tid] = __float_as_int(src[tid] * 3.0); }
+        }
+        """)
+        vals = np.array([0.0, -0.0, 1.5, -2.25, 3.4e38, 1e-40, float("inf")],
+                        dtype=np.float32)
+        n = len(vals)
+        outs = {}
+        for engine in ENGINES:
+            device = Device()
+            runtime = GPURuntime(device, engine=engine)
+            src_buf = device.memory.alloc("src", n, DType.FLOAT32)
+            out_buf = device.memory.alloc("out", n, DType.INT32)
+            device.memory.memcpy_htod(src_buf, vals)
+            runtime.launch(kernel, 1, n,
+                           {"src": src_buf, "out": out_buf, "n": n})
+            outs[engine] = device.memory.read_words(out_buf.base, n)
+        assert np.array_equal(outs["closure"], outs["lockstep"])
+        # 3.4e38 * 3 overflows binary32 to +inf
+        assert int(outs["closure"][4]) == 0x7F800000
+
+    @pytest.mark.parametrize("mode", ("fi", "fift"))
+    @pytest.mark.parametrize("name", ("CP", "PNS", "SAD", "TPACF"))
+    def test_campaign_outcomes_identical(self, name, mode):
+        prog_l, ref = _campaign_results(name, mode, "lockstep")
+        prog_c, clo = _campaign_results(name, mode, "closure")
+        assert clo.summary() == ref.summary()
+        for a, b in zip(clo.trials, ref.trials):
+            assert a.spec == b.spec
+            assert a.outcome == b.outcome
+            assert a.observation == b.observation
+        if mode == "fift":
+            assert prog_c.cb.alarm_raised == prog_l.cb.alarm_raised
+            assert prog_c.cb.sdc_bit == prog_l.cb.sdc_bit
+            assert list(prog_c.cb.events) == list(prog_l.cb.events)
+
+    def test_fi_activation_records_identical(self):
+        # ActivationRecord.at_step is the thread's ctx.steps at the
+        # strike, so this also pins the engines' per-thread step counts
+        wl = get_workload("CP")
+        inp = wl.generate_input(0)
+        sites = enumerate_targets(wl.kernel)
+        specs = build_fault_specs(sites, inp.n_threads, masks_per_site=2,
+                                  bit_counts=(1, 3), seed=3)[:12]
+        for spec in specs:
+            runs = {}
+            for engine in ENGINES:
+                prog = HauberkProgram(get_workload("CP"))
+                prog.runtime.engine = engine
+                runs[engine] = prog.run(mode="fi", seed=0, fault=spec)
+            c, lk = runs["closure"], runs["lockstep"]
+            assert c.status == lk.status
+            assert c.activation == lk.activation
+            if c.output is not None:
+                assert np.array_equal(
+                    np.asarray(c.output).view(np.uint64),
+                    np.asarray(lk.output).view(np.uint64),
+                ), f"outputs diverged for {spec}"

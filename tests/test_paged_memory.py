@@ -36,7 +36,7 @@ from repro.workloads import all_workloads, get_workload
 #: Deliberately tiny pages so every workload's buffers straddle many.
 SMALL_PAGE = 1 << 8
 
-ENGINES = ("vector", "closure", "lockstep")
+ENGINES = ("closure", "lockstep")
 
 # Interesting binary32 patterns (see test_memory_space.py): signaling
 # NaN payloads, denormals, -0.0 — the bits that die in any backing
@@ -111,7 +111,7 @@ class TestBackingSelection:
 
 
 # ---------------------------------------------------------------------------
-# workload launch parity: all 9 workloads x 3 engines
+# workload launch parity: all 9 workloads x 2 engines x 2 backings
 # ---------------------------------------------------------------------------
 
 
@@ -202,8 +202,9 @@ class TestPageBoundaries:
     def test_bulk_gather_scatter_across_pages(self):
         mem = _paged_memory()
         addrs = np.array([0, SMALL_PAGE - 1, SMALL_PAGE, 999], np.int64)
-        mem.scatter_f32(addrs, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert mem.gather_f32(addrs).tolist() == [1.0, 2.0, 3.0, 4.0]
+        bits = np.array([1.0, 2.0, 3.0, 4.0], np.float32).view(np.uint32)
+        mem.scatter_words(addrs, bits)
+        assert mem.gather_words(addrs).tolist() == bits.tolist()
         # scalar loads agree with the bulk path
         assert [mem.load_f32(int(a)) for a in addrs] == [1.0, 2.0, 3.0, 4.0]
 
@@ -228,7 +229,7 @@ class TestPageBoundaries:
         mem = PagedGlobalMemory(1 << 20, page_words=SMALL_PAGE)
         mem.alloc("big", 1 << 20, DType.FLOAT32)
         addrs = np.arange(0, 1 << 20, 1 << 10, dtype=np.int64)
-        assert not mem.gather_i32(addrs).any()
+        assert not mem.gather_words(addrs).any()
         assert mem.resident_pages == 0  # reads never materialize
 
 
@@ -261,17 +262,16 @@ class TestBitPatternFidelity:
             for a, b in zip(addrs, bits):
                 mem.store_word(int(a), b)
         np.testing.assert_array_equal(
-            dense.gather_f32(addrs).view(np.uint64),
-            paged.gather_f32(addrs).view(np.uint64),
-        )
-        np.testing.assert_array_equal(
-            dense.gather_i32(addrs), paged.gather_i32(addrs))
-        # and writing those float values back keeps bit parity
-        vals = dense.gather_f32(addrs)
-        dense.scatter_f32(addrs, vals)
-        paged.scatter_f32(addrs, vals)
+            dense.gather_words(addrs), paged.gather_words(addrs))
+        # and scattering those bits back at reversed addresses keeps
+        # bit parity (sNaN payloads, denormals, -0.0 included)
+        bits_back = dense.gather_words(addrs)
+        dense.scatter_words(addrs[::-1], bits_back)
+        paged.scatter_words(addrs[::-1], bits_back)
         np.testing.assert_array_equal(
             dense.gather_words(addrs), paged.gather_words(addrs))
+        assert paged.gather_words(addrs[::-1]).tolist() == [
+            int(b) for b in bits]
 
     def test_snapshot_materialize_preserves_patterns(self):
         mem = _paged_memory()
@@ -354,22 +354,22 @@ class TestCopyOnWriteSnapshots:
 
 
 # ---------------------------------------------------------------------------
-# the generic PagedWords store (hazard-map duty)
+# the generic PagedWords store (any dtype, any lazy fill)
 # ---------------------------------------------------------------------------
 
 
 class TestPagedWordsStore:
     def test_int64_fill_minus_one(self):
-        # the vector engine's owner/read_by maps over paged memory
+        # a per-word side table: absent pages read as the fill value
         store = PagedWords(1 << 20, page_words=SMALL_PAGE,
                            dtype=np.int64, fill=-1)
         addrs = np.array([0, 12345, 999999], np.int64)
-        assert store[addrs].tolist() == [-1, -1, -1]
-        store[addrs] = np.array([7, 8, 9], np.int64)
-        assert store[addrs].tolist() == [7, 8, 9]
-        assert store[12345] == 8
-        store[addrs[:2]] = -2  # scalar broadcast (multi-reader demotion)
-        assert store[addrs].tolist() == [-2, -2, 9]
+        assert store.gather(addrs).tolist() == [-1, -1, -1]
+        store.scatter(addrs, np.array([7, 8, 9], np.int64))
+        assert store.gather(addrs).tolist() == [7, 8, 9]
+        assert store.item(12345) == 8
+        store.scatter(addrs[:2], np.int64(-2))  # scalar broadcast
+        assert store.gather(addrs).tolist() == [-2, -2, 9]
         assert store.resident_pages == 3
 
     def test_duplicate_scatter_is_last_wins(self):
