@@ -13,8 +13,8 @@ an entry can never describe a different object than the one it is
 attached to.  The cache also deliberately refuses to travel:
 ``deepcopy`` (used by ``Kernel.clone`` in every translator pass) and
 pickling (used when specs/results cross process boundaries) both
-produce an *empty* cache, because compiled closures reference the
-original AST nodes and would be stale on a copy.
+produce an *empty* cache, because compiled programs are built from
+the original AST nodes and would be stale on a copy.
 """
 
 from __future__ import annotations

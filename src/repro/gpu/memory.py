@@ -584,7 +584,7 @@ class ThreadFootprint:
 class FootprintRecordingMemory(WordReinterpret):
     """Memory layer that logs every typed access into a footprint.
 
-    Compiled closures bind accessors from ``ctx`` on each launch, so
+    The compiled engine copies accessors from ``ctx`` per thread, so
     swapping this layer in for one launch records footprints with zero
     cost on the normal (unwrapped) path — the same enable/disable
     idiom as the obs layer.  Loads delegate typed (the recorded fact

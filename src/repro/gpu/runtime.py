@@ -2,13 +2,13 @@
 
 ``GPURuntime.launch`` plays the role of ``cudaLaunchKernel`` plus the
 surrounding measurement harness: it executes every thread of the grid
-(fast closure path, or lockstep for barrier kernels), detects crashes
+(compiled scalar engine, or lockstep for barrier kernels), detects crashes
 and hangs the way the GPU runtime + guardian watchdog do in the paper,
 and converts accumulated thread-cycles into a kernel time via the
 device's parallel width and register-spill factor.
 
 ``GPURuntime(engine="lockstep")`` runs every kernel on the lockstep
-interpreter instead: the reference the closure compiler's parity tests
+interpreter instead: the reference the compiled engine's parity tests
 compare against.
 """
 
@@ -24,7 +24,7 @@ from repro.gpu.device import Device
 from repro.gpu.memory import Allocation
 from repro.kir.analysis.liveness import register_pressure
 from repro.kir.astnodes import Kernel
-from repro.kir.interp.compiler import CompiledKernel
+from repro.kir.interp.codegen import CompiledKernel
 from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
@@ -47,8 +47,9 @@ PREPARED_CACHE_ATTR = "_hauberk_prepared"
 #: ``PREPARED_CACHE_ATTR``).
 LOCKSTEP_CACHE_ATTR = "_hauberk_lockstep"
 
-#: Engine-selection seam.  ``closure`` (the default) runs closure-
-#: compiled kernels, and lockstep for barrier kernels; ``lockstep``
+#: Engine-selection seam.  ``closure`` (the default) runs kernels
+#: compiled to generated Python functions (``repro.kir.interp.codegen``),
+#: and lockstep for barrier kernels; ``lockstep``
 #: forces the lockstep interpreter for every kernel (the reference the
 #: parity tests compare against).
 ENGINE_CLOSURE = "closure"
@@ -173,7 +174,7 @@ class GPURuntime:
         :class:`~repro.errors.KernelHang` on failure — the GPU-runtime
         detected failures of the paper's outcome taxonomy.
 
-        ``recorder`` (closure-path kernels only) observes per-thread
+        ``recorder`` (compiled-path kernels only) observes per-thread
         execution: ``attach(memory)`` returns the memory view threads
         run against, and ``begin_thread(ctx)`` / ``end_thread(ctx)``
         bracket each thread.  The normal path pays nothing — the hooks

@@ -10,8 +10,9 @@ typed, CUDA-shaped AST with
 * static analyses — def/use virtual variables, loop nests and trip
   counts, cumulative backward dataflow dependency (the Figure 9
   metric), and live-range register pressure (:mod:`repro.kir.analysis`),
-* two interpreters — a fast closure-compiled path and a lockstep
-  generator path for ``__syncthreads`` (:mod:`repro.kir.interp`).
+* two interpreters — a compiled scalar engine that turns each kernel
+  into one generated Python function, and a lockstep generator path
+  for ``__syncthreads`` (:mod:`repro.kir.interp`).
 """
 
 from repro.kir.types import DType

@@ -2,11 +2,12 @@
 
 Two execution engines over the same semantics:
 
-* :mod:`repro.kir.interp.compiler` — AST compiled to Python closures;
-  the fast path used for every kernel without ``__syncthreads``.
+* :mod:`repro.kir.interp.codegen` — each kernel compiled to one
+  generated Python function; the fast path used for every kernel
+  without ``__syncthreads``.
 * :mod:`repro.kir.interp.lockstep` — generator-based lockstep execution
   of all threads in a block, required for barrier semantics and the
-  reference the closure compiler's parity tests compare against.
+  reference the compiled engine's parity tests compare against.
 
 Both count each thread's statements in ``ExecContext.steps`` and raise
 the same :class:`~repro.errors.KernelHang` when it overruns the budget.
@@ -23,7 +24,7 @@ from repro.kir.interp.evalcore import (
     ContinueSignal,
     ReturnSignal,
 )
-from repro.kir.interp.compiler import CompiledKernel, compile_kernel
+from repro.kir.interp.codegen import CompiledKernel, compile_kernel
 from repro.kir.interp.lockstep import LockstepProgram
 
 __all__ = [

@@ -1,0 +1,434 @@
+"""AST -> Python source compilation (the scalar engine).
+
+Every validated kernel without ``__syncthreads`` becomes one Python
+function ``run_thread(fr, ctx)``, emitted as source text and
+``compile()``d once per kernel and cost model.  The function runs one
+thread to completion, crash or hang.  Its shape::
+
+    def run_thread(fr, ctx):
+        steps = ctx.steps; budget = ctx.budget
+        cycles = ctx.cycles; loop_cycles = ctx.loop_cycles
+        load_f32 = ctx.load_f32; ...       # only what the body uses
+        _h0 = ctx.hooks.get('__hauberk_fi') # one local per hook name
+        try:
+            steps += 1
+            if steps > budget: raise KernelHang()
+            cycles += 7.0
+            fr['x'] = (fr['a'] * fr['b'])
+            ...
+        finally:
+            ctx.steps = steps; ctx.cycles = cycles
+            ctx.loop_cycles = loop_cycles
+
+Every statement keeps its own step bump, budget check and
+``cycles``/``loop_cycles`` adds, with the costs the cost model gives
+it; loop-body and loop-condition cycles are attributed separately so
+the Figure 4 loop fraction and the Figure 13 overheads fall out of
+execution directly.  KIR expressions become inline Python expressions
+(the int32 wrap is inline arithmetic), and ``break``/``continue``/
+``return`` become native statements that still charge their unchecked
+step.  KIR variables stay in the frame dict ``fr``, which fault
+injection writes.
+
+The counter contract with instrumentation hooks: ``ctx.steps`` is
+current at every hook call (``ActivationRecord.at_step`` reads it);
+``cycles``/``loop_cycles`` reach ``ctx`` when the thread ends; hooks
+must not write any of the three.  Each instrumentation call name
+(``__hauberk_<op>``) has a local holding its handler, read from the
+context's per-launch hook table when the thread starts and filled by
+:meth:`~repro.kir.interp.evalcore.ExecContext.bind_hook` on the call's
+first execution, so an unbound call in code that never runs stays
+harmless.
+
+Identifiers and ``str`` constants enter the source only through
+``repr()``; intrinsics, and constants that are not a finite ``int``,
+``float`` or ``str``, are bound in the function's namespace.  CPython
+limits static nesting (about 20 loops deep) and parenthesis depth (200;
+an int operation takes three), so a kernel nested deeper than that
+raises :class:`~repro.errors.KIRValidationError`.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Dict, List, Optional
+
+from repro.bits import bits_to_int, float_to_bits
+from repro.errors import KernelCrash, KernelHang, KIRError, KIRValidationError
+from repro.kir.astnodes import (
+    Assign,
+    AtomicAdd,
+    BinOp,
+    Break,
+    Call,
+    CallStmt,
+    Const,
+    Continue,
+    Decl,
+    Expr,
+    For,
+    If,
+    Kernel,
+    Load,
+    Return,
+    SharedLoad,
+    SharedStore,
+    SpecialReg,
+    Stmt,
+    Store,
+    UnOp,
+    Var,
+    While,
+)
+from repro.kir.interp.evalcore import (
+    ExecContext,
+    INTRINSIC_IMPL,
+    c_int_cast,
+    fdiv,
+    idiv,
+    imod,
+)
+from repro.kir.types import DType
+
+ExprFn = Callable[[dict, ExecContext], object]
+
+#: Locals the thread function reads from ``ctx`` when its body uses them.
+_CTX_LOCALS = ("load_f32", "load_i32", "store_f32", "store_i32", "shared")
+_COMPARE = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def _wrap(src: str) -> str:
+    """Inline int32 two's-complement wrap of ``src`` (``wrap_i32``)."""
+    return f"((({src}) + 2147483648 & 4294967295) - 2147483648)"
+
+
+def _shared_oob(what: str, name: str, idx: int, ctx: ExecContext) -> None:
+    raise KernelCrash(f"shared memory OOB {what} {name}[{idx}]", ctx.thread, ctx.block)
+
+
+def _shared_load(arr: list, idx: int, name: str, ctx: ExecContext):
+    if 0 <= idx < len(arr):
+        return arr[idx]
+    _shared_oob("read", name, idx, ctx)
+
+
+def _float_as_int(x) -> int:
+    return bits_to_int(float_to_bits(float(x)))
+
+
+def _converter(target: DType, source: DType):
+    """Implicit conversion applied on assignment, C-style."""
+    if target is DType.FLOAT32 and source is DType.INT32:
+        return float
+    if target is DType.INT32 and source is DType.FLOAT32:
+        return c_int_cast
+    return None
+
+
+class _Emitter:
+    """Emits Python source for KIR expressions and statements.
+
+    ``in_thread`` selects how the context is reached: the thread
+    function holds the memory accessors, hook handlers and shared
+    arrays in locals; a lone expression lambda reads them off ``ctx``.
+    """
+
+    def __init__(self, costmodel=None, in_thread: bool = False):
+        self.cm = costmodel
+        self.in_thread = in_thread
+        self.ns: Dict[str, object] = {
+            "KernelHang": KernelHang, "idiv": idiv, "imod": imod,
+            "fdiv": fdiv, "c_int_cast": c_int_cast,
+            "_shared_load": _shared_load, "_shared_oob": _shared_oob,
+        }
+        self._bound: Dict[int, str] = {}  # id(value) -> namespace name
+        self.used = set()
+        #: hook name -> the thread function's local holding its handler
+        self.hooks: Dict[str, str] = {}
+        self.lines: List[str] = []
+
+    # -- names ------------------------------------------------------------
+    def bind(self, value) -> str:
+        """Name ``value`` in the function's namespace."""
+        name = self._bound.get(id(value))
+        if name is None:
+            name = self._bound[id(value)] = f"_k{len(self._bound)}"
+            self.ns[name] = value
+        return name
+
+    def const(self, v) -> str:
+        if type(v) is str or type(v) is int or (type(v) is float and math.isfinite(v)):
+            text = repr(v)
+            return f"({text})" if text.startswith("-") else text
+        return self.bind(v)
+
+    def ctx_local(self, name: str) -> str:
+        if self.in_thread:
+            self.used.add(name)
+            return name
+        return "ctx." + name
+
+    # -- expressions --------------------------------------------------------
+    def expr(self, e: Expr) -> str:
+        if isinstance(e, Const):
+            return self.const(e.value)
+        if isinstance(e, (Var, SpecialReg)):
+            return f"fr[{e.name!r}]"
+        if isinstance(e, BinOp):
+            return self._binop(e)
+        if isinstance(e, UnOp):
+            if e.op == "!":
+                return f"(0 if {self.cond(e.operand)} else 1)"
+            x = self.expr(e.operand)
+            if e.op == "-":
+                return _wrap(f"-{x}") if e.dtype is DType.INT32 else f"(-{x})"
+            if e.op == "~":
+                return _wrap(f"~{x}")
+            raise KIRError(f"cannot compile unary {e.op!r}")
+        if isinstance(e, Call):
+            impl = _float_as_int if e.func == "__float_as_int" else INTRINSIC_IMPL.get(e.func)
+            if impl is None:
+                raise KIRError(f"cannot compile intrinsic {e.func!r}")
+            args = ", ".join(self.expr(a) for a in e.args)
+            return f"{self.bind(impl)}({args})"
+        if isinstance(e, Load):
+            load = "load_f32" if e.dtype is DType.FLOAT32 else "load_i32"
+            return f"{self.ctx_local(load)}({self.expr(e.ptr)} + {self.expr(e.index)})"
+        if isinstance(e, SharedLoad):
+            return (f"_shared_load({self.ctx_local('shared')}[{e.array!r}], "
+                    f"{self.expr(e.index)}, {e.array!r}, ctx)")
+        raise KIRError(f"cannot compile expression {type(e).__name__}")
+
+    def cond(self, e: Expr) -> str:
+        """``e`` as a Python condition: truthy exactly when ``e != 0``."""
+        if isinstance(e, BinOp) and e.op in _COMPARE:
+            return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"
+        if isinstance(e, BinOp) and e.op in ("&&", "||"):
+            op = "and" if e.op == "&&" else "or"
+            return f"({self.cond(e.left)} {op} {self.cond(e.right)})"
+        if isinstance(e, UnOp) and e.op == "!":
+            return f"(not {self.cond(e.operand)})"
+        return self.expr(e)
+
+    def _binop(self, e: BinOp) -> str:
+        op = e.op
+        if op in _COMPARE or op in ("&&", "||"):
+            return f"(1 if {self.cond(e)} else 0)"
+        l, r = self.expr(e.left), self.expr(e.right)  # noqa: E741
+        int_arith = (e.dtype is DType.INT32 and e.left.dtype is DType.INT32
+                     and e.right.dtype is DType.INT32)
+        if op in ("+", "-", "*"):
+            return _wrap(f"{l} {op} {r}") if int_arith else f"({l} {op} {r})"
+        if op == "/":
+            return f"idiv({l}, {r})" if int_arith else f"fdiv({l}, {r})"
+        if op == "%":
+            return f"imod({l}, {r})"
+        if op in ("&", "|", "^"):
+            return _wrap(f"{l} {op} {r}")
+        if op in ("<<", ">>"):
+            return _wrap(f"{l} {op} ({r} & 31)")
+        raise KIRError(f"cannot compile operator {op!r}")
+
+    # -- statements ---------------------------------------------------------
+    def emit(self, ind: int, line: str) -> None:
+        self.lines.append("    " * ind + line)
+
+    def tick(self, ind: int, cost=None, in_loop: bool = False) -> None:
+        """One checked step, then the statement's cycle charge."""
+        self.emit(ind, "steps += 1")
+        self.emit(ind, "if steps > budget: raise KernelHang()")
+        if cost is not None:
+            c = self.const(cost)
+            self.emit(ind, f"cycles += {c}")
+            if in_loop:
+                self.emit(ind, f"loop_cycles += {c}")
+
+    def block(self, stmts: List[Stmt], ind: int, update: Optional[Stmt]) -> None:
+        """Emit ``stmts``; ``update`` is the innermost ``for`` loop's
+        update statement, which a ``continue`` runs first."""
+        if not stmts:
+            self.emit(ind, "pass")
+        for s in stmts:
+            self.stmt(s, ind, update)
+
+    def stmt(self, s: Stmt, ind: int, update: Optional[Stmt] = None) -> None:
+        cm = self.cm
+        if isinstance(s, (Decl, Assign)):
+            rhs, target = (s.init, s.var_dtype) if isinstance(s, Decl) else (s.value, s.target_dtype)
+            self.tick(ind, (cm.expr_cost(rhs) + cm.write_cost) * s.cost_scale, s.in_loop)
+            value = self.expr(rhs)
+            conv = _converter(target, rhs.dtype)
+            if conv is not None:
+                value = f"{self.bind(conv)}({value})"
+            self.emit(ind, f"fr[{s.name!r}] = {value}")
+        elif isinstance(s, Store):
+            cost = (cm.expr_cost(s.ptr) + cm.expr_cost(s.index) + cm.expr_cost(s.value)
+                    + cm.mem_global) * s.cost_scale
+            self.tick(ind, cost, s.in_loop)
+            store = "store_f32" if s.ptr.dtype.element is DType.FLOAT32 else "store_i32"
+            self.emit(ind, f"{self.ctx_local(store)}({self.expr(s.ptr)} + "
+                           f"{self.expr(s.index)}, {self.expr(s.value)})")
+        elif isinstance(s, SharedStore):
+            self.tick(ind, cm.expr_cost(s.index) + cm.expr_cost(s.value) + cm.mem_shared,
+                      s.in_loop)
+            self._shared_slot(s.array, s.index, "write", ind)
+            self.emit(ind, f"_t_arr[_t_idx] = {self.expr(s.value)}")
+        elif isinstance(s, AtomicAdd):
+            self._atomic(s, ind)
+        elif isinstance(s, For):
+            if s.init is not None:
+                self.stmt(s.init, ind, update)
+            self._loop(s.cond, s.body, ind, s.update)
+        elif isinstance(s, While):
+            self._loop(s.cond, s.body, ind, None)
+        elif isinstance(s, If):
+            self.tick(ind, (cm.expr_cost(s.cond) + cm.branch_cost) * s.cost_scale, s.in_loop)
+            self.emit(ind, f"if {self.cond(s.cond)}:")
+            self.block(s.then, ind + 1, update)
+            if s.els:
+                self.emit(ind, "else:")
+                self.block(s.els, ind + 1, update)
+        elif isinstance(s, (Break, Continue, Return)):
+            self.emit(ind, "steps += 1")  # unchecked, and no cycles
+            if isinstance(s, Continue) and update is not None:
+                self.stmt(update, ind)
+            self.emit(ind, {Break: "break", Continue: "continue", Return: "return"}[type(s)])
+        elif isinstance(s, CallStmt):
+            self._call(s, ind)
+        else:
+            raise KIRError(f"cannot compile statement {type(s).__name__}")
+
+    def _loop(self, cond: Expr, body: List[Stmt], ind: int, update: Optional[Stmt]) -> None:
+        cond_cost = self.cm.expr_cost(cond) + self.cm.branch_cost
+        self.emit(ind, "while True:")
+        self.tick(ind + 1, cond_cost, True)
+        self.emit(ind + 1, f"if not {self.cond(cond)}: break")
+        self.block(body, ind + 1, update)
+        if update is not None:
+            self.stmt(update, ind + 1)
+
+    def _shared_slot(self, array: str, index: Expr, what: str, ind: int) -> None:
+        """Bind ``_t_arr``/``_t_idx`` to a bounds-checked shared slot."""
+        self.emit(ind, f"_t_arr = {self.ctx_local('shared')}[{array!r}]")
+        self.emit(ind, f"_t_idx = {self.expr(index)}")
+        self.emit(ind, "if not 0 <= _t_idx < len(_t_arr): "
+                       f"_shared_oob({what!r}, {array!r}, _t_idx, ctx)")
+
+    def _atomic(self, s: AtomicAdd, ind: int) -> None:
+        cm = self.cm
+        if s.space == "shared":
+            self.tick(ind, cm.expr_cost(s.index) + cm.expr_cost(s.value) + cm.atomic_shared,
+                      s.in_loop)
+            self._shared_slot(s.array, s.index, "atomic", ind)
+            self.emit(ind, f"_t_val = _t_arr[_t_idx] + {self.expr(s.value)}")
+            self.emit(ind, f"_t_arr[_t_idx] = {_wrap('_t_val')} "
+                           "if isinstance(_t_val, int) else _t_val")
+            return
+        cost = (cm.expr_cost(s.target) + cm.expr_cost(s.index) + cm.expr_cost(s.value)
+                + cm.atomic_global)
+        self.tick(ind, cost, s.in_loop)
+        self.emit(ind, f"_t_addr = {self.expr(s.target)} + {self.expr(s.index)}")
+        value = self.expr(s.value)
+        if s.target.dtype.element is DType.FLOAT32:
+            store, total = "store_f32", f"{self.ctx_local('load_f32')}(_t_addr) + {value}"
+        else:
+            store, total = "store_i32", _wrap(f"{self.ctx_local('load_i32')}(_t_addr) + {value}")
+        self.emit(ind, f"{self.ctx_local(store)}(_t_addr, {total})")
+
+    def _call(self, s: CallStmt, ind: int) -> None:
+        cost = self.cm.libcall_cost(s.func) * s.cost_scale
+        self.tick(ind, cost if cost else None, s.in_loop)
+        args = [self.expr(a) for a in s.args]
+        if not all(isinstance(a, (Const, Var, SpecialReg)) for a in s.args):
+            # arguments evaluate (and may crash) before the handler binds
+            for k, a in enumerate(args):
+                self.emit(ind, f"_t_arg{k} = {a}")
+            args = [f"_t_arg{k}" for k in range(len(args))]
+        self.emit(ind, "ctx.steps = steps")
+        if self.in_thread:
+            # one local per hook name, bound on the call's first execution
+            handler = self.hooks.setdefault(s.func, f"_h{len(self.hooks)}")
+            self.emit(ind, f"if {handler} is None: {handler} = bind_hook({s.func!r})")
+        else:
+            handler = f"(ctx.hooks.get({s.func!r}) or ctx.bind_hook({s.func!r}))"
+        self.emit(ind, f"{handler}(ctx, fr{''.join(', ' + a for a in args)})")
+
+    def thread_function(self, kernel: Kernel) -> str:
+        """Source of ``run_thread(fr, ctx)`` for ``kernel``."""
+        self.block(kernel.body, 2, None)
+        body, self.lines = self.lines, []
+        self.emit(0, "def run_thread(fr, ctx):")
+        for name in ("steps", "budget", "cycles", "loop_cycles"):
+            self.emit(1, f"{name} = ctx.{name}")
+        for name in _CTX_LOCALS:
+            if name in self.used:
+                self.emit(1, f"{name} = ctx.{name}")
+        if self.hooks:
+            self.emit(1, "bind_hook = ctx.bind_hook")
+        for func, handler in self.hooks.items():
+            self.emit(1, f"{handler} = ctx.hooks.get({func!r})")
+        self.emit(1, "try:")
+        self.lines.extend(body)
+        self.emit(1, "finally:")
+        for name in ("steps", "cycles", "loop_cycles"):
+            self.emit(2, f"ctx.{name} = {name}")
+        return "\n".join(self.lines) + "\n"
+
+
+def _compile(source: str, what: str, mode: str):
+    """``compile()`` ``source``, with CPython's nesting limits (blocks,
+    indentation, parentheses, recursion) as a typed error."""
+    try:
+        return compile(source, f"<{what}>", mode)
+    except (SyntaxError, RecursionError) as exc:
+        raise KIRValidationError(f"{what} is nested too deeply to compile: {exc}") from exc
+
+
+def compile_expr(e: Expr) -> ExprFn:
+    """``e`` as a function ``f(frame, ctx) -> value``."""
+    em = _Emitter()
+    code = _compile(f"lambda fr, ctx: {em.expr(e)}", "KIR expression", "eval")
+    return eval(code, em.ns)
+
+
+class CompiledKernel:
+    """A kernel compiled to one Python function, reusable across launches.
+
+    ``run_thread(frame, ctx)`` executes one thread to completion (or
+    crash/hang); it is the generated function itself, so the grid loop
+    calls it with no method dispatch.  ``source`` holds its text.
+    """
+
+    def __init__(self, kernel: Kernel, costmodel):
+        if not kernel.validated:
+            raise KIRValidationError("validate the kernel before compiling")
+        if kernel.uses_sync:
+            raise KIRValidationError(
+                f"kernel {kernel.name} uses __syncthreads; use LockstepProgram"
+            )
+        self.kernel = kernel
+        self.costmodel = costmodel
+        em = _Emitter(costmodel, in_thread=True)
+        self.source = em.thread_function(kernel)
+        exec(_compile(self.source, f"kernel {kernel.name}", "exec"), em.ns)
+        self.run_thread: Callable[[dict, ExecContext], None] = em.ns["run_thread"]
+
+    def run_thread_at(self, frame: dict, ctx: ExecContext, block: int,
+                      thread: int) -> None:
+        """Position ``ctx`` on (block, thread-in-block) and run the thread.
+
+        Replay entry point: one faulted thread re-executed in isolation
+        gets the same ``ctx.block``/``ctx.thread`` it had in the full
+        grid, so FI gtid targeting and crash attribution are identical.
+        """
+        ctx.reset_thread(block, thread)
+        self.run_thread(frame, ctx)
+
+
+def compile_kernel(kernel: Kernel, costmodel=None) -> CompiledKernel:
+    """Compile a validated kernel; uses the default GPU cost model."""
+    if costmodel is None:
+        from repro.gpu.costmodel import CostModel
+
+        costmodel = CostModel()
+    return CompiledKernel(kernel, costmodel)

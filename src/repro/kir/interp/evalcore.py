@@ -1,4 +1,4 @@
-"""Runtime semantics shared by both interpreters (closure and lockstep).
+"""Runtime semantics shared by both interpreters (compiled and lockstep).
 
 Arithmetic follows C-on-GPU conventions from the paper:
 
@@ -29,15 +29,15 @@ INF = float("inf")
 
 
 class BreakSignal(Exception):
-    """Raised by a compiled ``break``; caught by the innermost loop."""
+    """Raised by a lockstep ``break``; caught by the innermost loop."""
 
 
 class ContinueSignal(Exception):
-    """Raised by a compiled ``continue``; caught by the loop body."""
+    """Raised by a lockstep ``continue``; caught by the loop body."""
 
 
 class ReturnSignal(Exception):
-    """Raised by a compiled ``return``; ends the thread."""
+    """Raised by a lockstep ``return``; ends the thread."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +106,8 @@ def _safe_sqrt(x: float) -> float:
 def _safe_rsqrt(x: float) -> float:
     if x != x or x < 0.0:
         return NAN
-    if x == 0.0:
-        return INF
+    if x == 0.0:  # CUDA rsqrtf(-0) is -inf
+        return math.copysign(INF, x)
     if x == INF:
         return 0.0
     return 1.0 / math.sqrt(x)
@@ -151,11 +151,15 @@ def _safe_cos(x: float) -> float:
 
 
 def _safe_pow(a: float, b: float) -> float:
+    """C99 Annex F ``powf``: poles and overflow give signed infinities."""
     try:
-        r = math.pow(a, b)
-    except (ValueError, OverflowError):
-        return NAN
-    return r
+        return math.pow(a, b)
+    except OverflowError:
+        return -INF if a < 0.0 and b % 2 == 1 else INF
+    except ValueError:
+        if a == 0.0:  # pow(+-0, y < 0)
+            return math.copysign(INF, a) if b % 2 == 1 else INF
+        return NAN  # negative base, non-integer exponent
 
 
 def _safe_floor(x: float) -> float:
@@ -208,9 +212,17 @@ class InstrumentationLibrary:
     directly — the mutation-based injection of Section VII).
 
     The engines never look a handler up by name per call: each call
-    site asks :meth:`hook` once per launch, through
-    :meth:`ExecContext.bind_hook`, and calls the bound method it gets
-    back on every later execution.
+    name is resolved by :meth:`hook` once per launch, through
+    :meth:`ExecContext.bind_hook`, and the bound method it gives back
+    is called on every later execution.
+
+    Counter contract: ``ctx.steps`` is current at every hook call (the
+    thread's statement count, which ``ActivationRecord.at_step``
+    records); ``ctx.cycles`` and ``ctx.loop_cycles`` are written back
+    only when the thread ends, so a hook must not read them for the
+    running thread; and a hook must not write any of the three, since
+    the compiled engine keeps them in locals and overwrites ``ctx``
+    when the thread ends.  Writing the calling frame is allowed.
     """
 
     PREFIX = "__hauberk_"
@@ -249,8 +261,8 @@ class ExecContext:
     * ``memory`` — the installed :class:`~repro.memspace.MemorySpace`
       (normally the device :class:`~repro.gpu.memory.GlobalMemory`);
     * ``load_f32`` .. ``store_i32`` — the four accessors of that space,
-      bound as instance attributes so compiled closures reach device
-      memory in one attribute lookup (``ctx.load_f32``) instead of two
+      bound as instance attributes so the engines reach device memory
+      in one attribute lookup (``ctx.load_f32``) instead of two
       (``ctx.memory.load_f32``), keeping the layered protocol off the
       hot path;
     * ``lib`` — bound instrumentation library (FI / profiler / FT);
@@ -332,11 +344,12 @@ class ExecContext:
     def swap_memory(self, memory):
         """Install a different memory space; returns the old one.
 
-        Compiled closures fetch the bound ``ctx.load_f32`` (etc.)
-        accessors on every access, and this rebinds all four — so
-        recording/guarded layers (footprint capture, the differential
-        replay guard) slot in for one launch or one replayed thread
-        without touching the zero-cost normal path.
+        The compiled engine copies the bound ``ctx.load_f32`` (etc.)
+        accessors into locals when a thread starts, and this rebinds
+        all four — so recording/guarded layers (footprint capture, the
+        differential replay guard) slot in for one launch or one
+        replayed thread without touching the zero-cost normal path.
+        Swap between threads, never from inside a hook.
         """
         previous = self.memory
         self._bind_memory(memory)

@@ -9,13 +9,13 @@ threads — so a fault that diverts one thread around a barrier degrades
 results rather than deadlocking the simulator (a real hang is still
 modeled via the per-thread statement budget).
 
-This path is an order of magnitude slower than the closure compiler,
-and is selected automatically only for ``kernel.uses_sync`` kernels
-(TPACF's shared-memory histogram in this repository).  Being the
-simplest engine, it is also the reference the parity tests compare the
-closure compiler against (``GPURuntime(engine="lockstep")`` forces it
-for every kernel); both count steps, charge cycles and fire the
-watchdog identically.
+This path is several times slower than the compiled scalar engine
+(:mod:`repro.kir.interp.codegen`), and is selected automatically only
+for ``kernel.uses_sync`` kernels (TPACF's shared-memory histogram in
+this repository).  Being the simplest engine, it is also the reference
+the parity tests compare the compiled engine against
+(``GPURuntime(engine="lockstep")`` forces it for every kernel); both
+count steps, charge cycles and fire the watchdog identically.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.kir.astnodes import (
     SyncThreads,
     While,
 )
-from repro.kir.interp.compiler import ExprFn, compile_expr, _converter
+from repro.kir.interp.codegen import ExprFn, compile_expr, _converter
 from repro.kir.interp.evalcore import (
     BreakSignal,
     ContinueSignal,
@@ -88,7 +88,7 @@ class LockstepProgram:
         """Run all threads of one block in lockstep until completion.
 
         Each resumed thread gets its own statement count back in
-        ``ctx.steps`` (the watchdog count hooks read, as on the closure
+        ``ctx.steps`` (the watchdog count hooks read, as on the compiled
         path) and it is saved again when the thread parks or finishes.
         """
         gens = [self._thread_gen(fr, ctx) for fr in frames]
@@ -186,7 +186,7 @@ class LockstepProgram:
             ctx.cycles += cost
             if s.in_loop:
                 ctx.loop_cycles += cost
-            # operands evaluate in the closure compiler's order, so a
+            # operands evaluate in the compiled engine's order, so a
             # crash in either surfaces with the same message
             if shared:
                 arr = ctx.shared[s.array]
@@ -256,13 +256,13 @@ class LockstepProgram:
                 yield from self._exec_block(s.els, fr, ctx)
             return
         if isinstance(s, Break):
-            ctx.steps += 1  # unchecked, as in the closure compiler
+            ctx.steps += 1  # unchecked, as in the compiled engine
             raise BreakSignal()
         if isinstance(s, Continue):
-            ctx.steps += 1  # unchecked, as in the closure compiler
+            ctx.steps += 1  # unchecked, as in the compiled engine
             raise ContinueSignal()
         if isinstance(s, Return):
-            ctx.steps += 1  # unchecked, as in the closure compiler
+            ctx.steps += 1  # unchecked, as in the compiled engine
             raise ReturnSignal()
         if isinstance(s, CallStmt):
             self._tick(ctx)

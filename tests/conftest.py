@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.gpu.device import Device
 from repro.gpu.runtime import GPURuntime
 from repro.kir.parser import parse_kernel
 from repro.kir.types import DType
+
+#: Long engine-parity fuzz run (``--hypothesis-profile engine-fuzz``);
+#: ``tests/test_property_interp_parity.py`` runs a few dozen examples
+#: under any other profile.
+settings.register_profile("engine-fuzz", max_examples=20_000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

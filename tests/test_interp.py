@@ -10,7 +10,8 @@ from repro.errors import KernelCrash, KernelHang, KIRValidationError, LaunchErro
 from repro.gpu.device import Device
 from repro.gpu.runtime import ENGINES, GPURuntime
 from repro.kir import parse_kernel
-from repro.kir.interp.compiler import CompiledKernel
+from repro.kir.astnodes import CallStmt, Const, Kernel, KernelParam
+from repro.kir.interp.codegen import CompiledKernel
 from repro.kir.interp.evalcore import (
     ExecContext,
     InstrumentationLibrary,
@@ -22,6 +23,7 @@ from repro.kir.interp.evalcore import (
 )
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
+from repro.kir.validate import validate_kernel
 from repro.swifi.campaign import build_fault_specs
 from repro.swifi.parallel import run_campaign
 from repro.swifi.targets import enumerate_targets
@@ -230,6 +232,40 @@ class TestInstrumentationCalls:
         with pytest.raises(KernelCrash):
             runtime.launch(k, 1, 1, {"n": 1}, lib=InstrumentationLibrary())
 
+    def test_string_constant_reaches_hook_unchanged(self):
+        # the compiled engine writes constants into Python source
+        tricky = "a'b\"c\\d\ne'''"
+        seen = []
+
+        class Probe(InstrumentationLibrary):
+            def lib_probe(self, ctx, frame, text):
+                seen.append(text)
+
+        k = validate_kernel(Kernel(name="k", params=[KernelParam("n", DType.INT32)],
+                                   body=[CallStmt("__hauberk_probe", [Const(tricky)])]))
+        GPURuntime(Device()).launch(k, 1, 1, {"n": 1}, lib=Probe())
+        assert seen == [tricky]
+
+
+class TestCompileLimits:
+    def test_deep_loop_nest_raises_typed_error(self):
+        # CPython allows about 20 statically nested blocks
+        depth = 25
+        loops = "".join(f"for (int i{d} = 0; i{d} < 1; i{d}++) {{ " for d in range(depth))
+        k = parse_kernel(f"kernel deep(int n) {{ {loops} n = n + 1; {'} ' * depth}}}")
+        with pytest.raises(KIRValidationError, match="kernel deep"):
+            GPURuntime(Device()).prepare(k)
+
+    @pytest.mark.parametrize("engine", ["closure", "lockstep"])
+    def test_deep_expression_raises_typed_error(self, engine):
+        # CPython allows 200 nested parentheses; an int add takes three
+        k = parse_kernel("kernel deep(int n, int* out) { out[0] = "
+                         + " + ".join(["n"] * 100) + "; }")
+        device = Device()
+        out = device.memory.alloc("out", 1, DType.INT32)
+        with pytest.raises(KIRValidationError, match="nested too deeply"):
+            GPURuntime(device, engine=engine).launch(k, 1, 1, {"n": 1, "out": out})
+
 
 class TestLockstep:
     SYNC_SRC = """
@@ -325,8 +361,8 @@ kernel reduce(float* data, float* out, int n) {
         assert messages[1] == messages[0]
 
     def test_exit_statements_count_without_watchdog_check(self):
-        # break/continue/return bump the step count but, as in the
-        # closure compiler, do not trip the watchdog themselves: a
+        # break/continue/return bump the step count but, as on the
+        # compiled engine, do not trip the watchdog themselves: a
         # thread whose return is statement budget+1 still completes
         src = ("kernel k(int* out) { for (int i = 0; i < 3; i++) {"
                " if (i == 0) { continue; } break; } out[0] = 1; return; }")

@@ -17,7 +17,7 @@ from repro.kir.analysis.dependency import (
     cumulative_backward_dependency,
 )
 from repro.kir.analysis.loops import top_level_loops
-from repro.kir.interp.compiler import compile_expr
+from repro.kir.interp.codegen import compile_expr
 
 
 LOOP_SRC = """

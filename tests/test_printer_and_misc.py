@@ -86,8 +86,20 @@ class TestEvalcoreIntrinsics:
         assert _safe_log(0.0) == -math.inf
         assert math.isnan(_safe_log(-1.0))
         assert _safe_rsqrt(0.0) == math.inf
+        assert _safe_rsqrt(-0.0) == -math.inf
         assert _safe_rsqrt(4.0) == 0.5
         assert math.isnan(_safe_pow(-1.0, 0.5))
+        # C99 Annex F: overflow and poles give signed infinities
+        assert _safe_pow(10.0, 400.0) == math.inf
+        assert _safe_pow(-10.0, 400.0) == math.inf
+        assert _safe_pow(-10.0, 401.0) == -math.inf
+        assert _safe_pow(0.1, -400.0) == math.inf
+        assert _safe_pow(-0.1, -401.0) == -math.inf
+        assert _safe_pow(0.0, -1.0) == math.inf
+        assert _safe_pow(-0.0, -1.0) == -math.inf
+        assert _safe_pow(-0.0, -2.0) == math.inf
+        assert _safe_pow(-0.0, -0.5) == math.inf
+        assert math.isnan(_safe_pow(-8.0, 1.0 / 3.0))
 
     def test_intrinsic_table_complete(self):
         from repro.kir.validate import INTRINSICS
