@@ -1,10 +1,10 @@
 """Sparse paged word store: GB-scale address spaces, resident-on-touch.
 
 :class:`PagedWords` keeps a word-addressed space as a dict of
-fixed-size NumPy pages that materialize only when written.  Reads of
-absent pages return the fill value (zero for device memory) without
-allocating anything, so a 1 GB-128 GB address space costs memory
-proportional to the pages a kernel actually touches — the same move
+fixed-size ``np.uint32`` pages that materialize only when written.
+Reads of absent pages return zero without allocating anything, so a
+1 GB-128 GB address space costs memory proportional to the pages a
+kernel actually touches — the same move
 the Error-Code-Correction repo's 128 Gb sparse-memory-map simulator
 makes (ROADMAP item 5).
 
@@ -14,11 +14,6 @@ to a shared page copies it first.  A snapshot is therefore O(resident
 pages) pointers, not O(address space) bytes, and diffing two snapshots
 skips pages that are still the *same object* — page-granular golden
 diffs.
-
-The store is dtype-generic: ``fill`` sets the lazy default, so a
-per-word side table (e.g. an ``int64`` map filled with ``-1``) can ride
-the same sparse backing instead of materializing a GB-scale
-``np.full`` array.
 """
 
 from __future__ import annotations
@@ -33,6 +28,8 @@ from repro.errors import GPUError
 #: indexing amortizes the per-page Python dispatch, small enough that
 #: a sparse kernel's resident set stays proportional to its touch set).
 DEFAULT_PAGE_WORDS = 1 << 16
+#: Bytes per word: device memory is binary32 bit patterns.
+_WORD_BYTES = 4
 
 
 def _require_power_of_two(page_words: int) -> None:
@@ -42,13 +39,12 @@ def _require_power_of_two(page_words: int) -> None:
 
 
 class PagedWords:
-    """A sparse, paged, word-addressed array with COW snapshots."""
+    """A sparse, paged ``uint32`` word array with COW snapshots."""
 
     __slots__ = ("capacity", "page_words", "page_bits", "page_mask",
-                 "dtype", "fill", "pages", "_shared")
+                 "pages", "_shared")
 
-    def __init__(self, capacity: int, page_words: int = DEFAULT_PAGE_WORDS,
-                 dtype=np.uint32, fill=0):
+    def __init__(self, capacity: int, page_words: int = DEFAULT_PAGE_WORDS):
         if capacity < 0:
             raise GPUError(f"invalid paged capacity {capacity}")
         _require_power_of_two(page_words)
@@ -56,9 +52,7 @@ class PagedWords:
         self.page_words = page_words
         self.page_bits = page_words.bit_length() - 1
         self.page_mask = page_words - 1
-        self.dtype = np.dtype(dtype)
-        self.fill = fill
-        #: page index -> page array (``page_words`` long, ``dtype``).
+        #: page index -> page array (``page_words`` long, ``uint32``).
         self.pages: Dict[int, np.ndarray] = {}
         #: Pages referenced by a live snapshot: copy before writing.
         self._shared: Set[int] = set()
@@ -69,7 +63,7 @@ class PagedWords:
         """The page at index ``p``, materialized and safe to mutate."""
         page = self.pages.get(p)
         if page is None:
-            page = np.full(self.page_words, self.fill, self.dtype)
+            page = np.zeros(self.page_words, np.uint32)
             self.pages[p] = page
         elif p in self._shared:
             page = page.copy()
@@ -83,7 +77,7 @@ class PagedWords:
 
     @property
     def resident_bytes(self) -> int:
-        return len(self.pages) * self.page_words * self.dtype.itemsize
+        return len(self.pages) * self.page_words * _WORD_BYTES
 
     # -- scalar access --------------------------------------------------
 
@@ -91,7 +85,7 @@ class PagedWords:
         """The word at ``addr`` as a Python scalar (no bounds check)."""
         page = self.pages.get(addr >> self.page_bits)
         if page is None:
-            return self.fill
+            return 0
         return page.item(addr & self.page_mask)
 
     def set_item(self, addr: int, value) -> None:
@@ -102,7 +96,7 @@ class PagedWords:
     def gather(self, addrs: np.ndarray) -> np.ndarray:
         """Values at ``addrs`` (any order, duplicates fine); fresh array."""
         addrs = np.asarray(addrs, np.int64)
-        out = np.full(addrs.shape, self.fill, self.dtype)
+        out = np.zeros(addrs.shape, np.uint32)
         if addrs.size == 0:
             return out
         pg = addrs >> self.page_bits
@@ -113,7 +107,7 @@ class PagedWords:
                 out[sel] = page[addrs[sel] & self.page_mask]
         return out
 
-    def scatter(self, addrs: np.ndarray, values) -> None:
+    def scatter(self, addrs: np.ndarray, values: np.ndarray) -> None:
         """Write ``values`` at ``addrs``; duplicate addresses last-wins.
 
         Per-page fancy assignment preserves the relative order of each
@@ -124,15 +118,10 @@ class PagedWords:
         if addrs.size == 0:
             return
         pg = addrs >> self.page_bits
-        vals = np.asarray(values)
-        scalar_value = vals.ndim == 0
+        values = np.asarray(values)
         for p in np.unique(pg):
             sel = pg == p
-            page = self._writable(int(p))
-            if scalar_value:
-                page[addrs[sel] & self.page_mask] = vals
-            else:
-                page[addrs[sel] & self.page_mask] = vals[sel]
+            self._writable(int(p))[addrs[sel] & self.page_mask] = values[sel]
 
     def __len__(self) -> int:
         return self.capacity
@@ -152,7 +141,7 @@ class PagedWords:
 
     def read_range(self, start: int, n: int) -> np.ndarray:
         """A fresh contiguous array of ``n`` words from ``start``."""
-        out = np.full(n, self.fill, self.dtype)
+        out = np.zeros(n, np.uint32)
         for p, lo, hi, off in self._range_pages(start, n):
             page = self.pages.get(p)
             if page is not None:
@@ -162,30 +151,29 @@ class PagedWords:
     def write_range(self, start: int, values: np.ndarray) -> None:
         """Write a contiguous array at ``start``.
 
-        Spans that are entirely the fill value skip absent pages, so
-        restoring a mostly-zero image into a sparse store does not
-        materialize untouched space.
+        All-zero spans skip absent pages, so restoring a mostly-zero
+        image into a sparse store does not materialize untouched space.
         """
-        values = np.asarray(values, self.dtype)
+        values = np.asarray(values, np.uint32)
         for p, lo, hi, off in self._range_pages(start, values.size):
             chunk = values[off:off + (hi - lo)]
-            if p not in self.pages and not chunk.any() and self.fill == 0:
+            if p not in self.pages and not chunk.any():
                 continue
             self._writable(p)[lo:hi] = chunk
 
     def zero_range(self, start: int, n: int) -> None:
-        """Reset ``[start, start+n)`` to the fill value.
+        """Reset ``[start, start+n)`` to zero.
 
         Pages fully inside the range are dropped (back to lazy);
-        partially-covered resident pages are filled in place.  Absent
-        pages already read as fill and stay absent.
+        partially-covered resident pages are zeroed in place.  Absent
+        pages already read as zero and stay absent.
         """
         for p, lo, hi, _off in self._range_pages(start, n):
             if lo == 0 and hi == self.page_words:
                 self.pages.pop(p, None)
                 self._shared.discard(p)
             elif p in self.pages:
-                self._writable(p)[lo:hi] = self.fill
+                self._writable(p)[lo:hi] = 0
 
     # -- snapshots (copy-on-write) ---------------------------------------
 
@@ -197,15 +185,14 @@ class PagedWords:
         the snapshot is immutable from the store's point of view.
         """
         if length == 0:
-            return PagedSnapshot({}, 0, self.page_words, self.dtype, self.fill)
+            return PagedSnapshot({}, 0, self.page_words)
         last = (length - 1) >> self.page_bits
         snap: Dict[int, np.ndarray] = {}
         for p, page in self.pages.items():
             if p <= last:
                 snap[p] = page
                 self._shared.add(p)
-        return PagedSnapshot(snap, length, self.page_words, self.dtype,
-                             self.fill)
+        return PagedSnapshot(snap, length, self.page_words)
 
     def restore_range(self, snap: "PagedSnapshot") -> None:
         """Overwrite ``[0, len(snap))`` with a snapshot's content.
@@ -215,13 +202,12 @@ class PagedWords:
         left untouched, matching the dense ``words[:brk] = snapshot``
         semantics.  Full pages are adopted by reference (re-shared);
         resident pages absent from the snapshot are dropped back to
-        lazy fill.
+        lazy zero.
         """
-        if snap.page_words != self.page_words or snap.dtype != self.dtype:
+        if snap.page_words != self.page_words:
             raise GPUError(
-                f"snapshot page geometry ({snap.page_words} words, "
-                f"{snap.dtype}) does not match store "
-                f"({self.page_words} words, {self.dtype})"
+                f"snapshot page geometry ({snap.page_words} words) does not "
+                f"match store ({self.page_words} words)"
             )
         length = snap.length
         if length == 0:
@@ -243,7 +229,7 @@ class PagedWords:
             if src is not None:
                 self._writable(boundary)[:lo_words] = src[:lo_words]
             elif boundary in self.pages:
-                self._writable(boundary)[:lo_words] = self.fill
+                self._writable(boundary)[:lo_words] = 0
 
 
 class PagedSnapshot:
@@ -254,18 +240,15 @@ class PagedSnapshot:
     :meth:`materialize` produces the equivalent contiguous array.
     """
 
-    __slots__ = ("pages", "length", "page_words", "page_bits", "page_mask",
-                 "dtype", "fill")
+    __slots__ = ("pages", "length", "page_words", "page_bits", "page_mask")
 
     def __init__(self, pages: Dict[int, np.ndarray], length: int,
-                 page_words: int, dtype, fill):
+                 page_words: int):
         self.pages = pages
         self.length = length
         self.page_words = page_words
         self.page_bits = page_words.bit_length() - 1
         self.page_mask = page_words - 1
-        self.dtype = np.dtype(dtype)
-        self.fill = fill
 
     def __len__(self) -> int:
         return self.length
@@ -276,12 +259,12 @@ class PagedSnapshot:
 
     @property
     def resident_bytes(self) -> int:
-        return len(self.pages) * self.page_words * self.dtype.itemsize
+        return len(self.pages) * self.page_words * _WORD_BYTES
 
     def gather(self, addrs: np.ndarray) -> np.ndarray:
         """Snapshot values at ``addrs`` (no bounds check)."""
         addrs = np.asarray(addrs, np.int64)
-        out = np.full(addrs.shape, self.fill, self.dtype)
+        out = np.zeros(addrs.shape, np.uint32)
         if addrs.size == 0:
             return out
         pg = addrs >> self.page_bits
@@ -294,7 +277,7 @@ class PagedSnapshot:
 
     def materialize(self) -> np.ndarray:
         """The snapshot as one contiguous array (small footprints only)."""
-        out = np.full(self.length, self.fill, self.dtype)
+        out = np.zeros(self.length, np.uint32)
         for p, page in self.pages.items():
             start = p << self.page_bits
             if start >= self.length:
@@ -327,7 +310,7 @@ class PagedSnapshot:
                 continue  # unchanged since snapshot (COW identity)
             if mine is None or theirs is None:
                 if zeros is None:
-                    zeros = np.full(self.page_words, self.fill, self.dtype)
+                    zeros = np.zeros(self.page_words, np.uint32)
                 mine = zeros if mine is None else mine
                 theirs = zeros if theirs is None else theirs
             start = p << self.page_bits

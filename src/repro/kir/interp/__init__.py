@@ -20,6 +20,7 @@ instrumentation-library protocol, execution context) live in
 from repro.kir.interp.evalcore import (
     ExecContext,
     InstrumentationLibrary,
+    RETIRE,
     BreakSignal,
     ContinueSignal,
     ReturnSignal,
@@ -30,6 +31,7 @@ from repro.kir.interp.lockstep import LockstepProgram
 __all__ = [
     "ExecContext",
     "InstrumentationLibrary",
+    "RETIRE",
     "BreakSignal",
     "ContinueSignal",
     "ReturnSignal",

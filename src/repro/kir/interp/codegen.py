@@ -15,6 +15,13 @@ thread to completion, crash or hang.  Its shape::
             if steps > budget: raise KernelHang()
             cycles += 7.0
             fr['x'] = (fr['a'] * fr['b'])
+            steps += 1                      # a hook statement
+            if steps > budget: raise KernelHang()
+            cycles += 4.0
+            if _h0 is not RETIRE:
+                ctx.steps = steps
+                if _h0 is None: _h0 = bind_hook('__hauberk_fi')
+                if _h0(ctx, fr, 3, 'x') is RETIRE: _h0 = RETIRE
             ...
         finally:
             ctx.steps = steps; ctx.cycles = cycles
@@ -38,7 +45,12 @@ must not write any of the three.  Each instrumentation call name
 context's per-launch hook table when the thread starts and filled by
 :meth:`~repro.kir.interp.evalcore.ExecContext.bind_hook` on the call's
 first execution, so an unbound call in code that never runs stays
-harmless.
+harmless.  A handler that returns
+:data:`~repro.kir.interp.evalcore.RETIRE` is not called again in that
+thread: its local becomes ``RETIRE``, and the guard skips the call
+while the statement's step, budget check and cycle charge, which sit
+outside the guard, still run.  The local is re-read from the hook
+table when the next thread starts.
 
 Identifiers and ``str`` constants enter the source only through
 ``repr()``; intrinsics, and constants that are not a finite ``int``,
@@ -83,6 +95,7 @@ from repro.kir.astnodes import (
 from repro.kir.interp.evalcore import (
     ExecContext,
     INTRINSIC_IMPL,
+    RETIRE,
     c_int_cast,
     fdiv,
     idiv,
@@ -130,7 +143,8 @@ class _Emitter:
 
     ``in_thread`` selects how the context is reached: the thread
     function holds the memory accessors, hook handlers and shared
-    arrays in locals; a lone expression lambda reads them off ``ctx``.
+    arrays in locals; a lone expression lambda reads them off ``ctx``
+    and holds no statements, so no instrumentation calls.
     """
 
     def __init__(self, costmodel=None, in_thread: bool = False):
@@ -140,6 +154,7 @@ class _Emitter:
             "KernelHang": KernelHang, "idiv": idiv, "imod": imod,
             "fdiv": fdiv, "c_int_cast": c_int_cast,
             "_shared_load": _shared_load, "_shared_oob": _shared_oob,
+            "RETIRE": RETIRE,
         }
         self._bound: Dict[int, str] = {}  # id(value) -> namespace name
         self.used = set()
@@ -336,22 +351,25 @@ class _Emitter:
         self.emit(ind, f"{self.ctx_local(store)}(_t_addr, {total})")
 
     def _call(self, s: CallStmt, ind: int) -> None:
+        if not self.in_thread:
+            raise KIRError(f"call {s.func!r} outside a thread function")
         cost = self.cm.libcall_cost(s.func) * s.cost_scale
         self.tick(ind, cost if cost else None, s.in_loop)
         args = [self.expr(a) for a in s.args]
         if not all(isinstance(a, (Const, Var, SpecialReg)) for a in s.args):
-            # arguments evaluate (and may crash) before the handler binds
+            # arguments evaluate (and may crash) before the handler binds,
+            # and still do once it has retired
             for k, a in enumerate(args):
                 self.emit(ind, f"_t_arg{k} = {a}")
             args = [f"_t_arg{k}" for k in range(len(args))]
-        self.emit(ind, "ctx.steps = steps")
-        if self.in_thread:
-            # one local per hook name, bound on the call's first execution
-            handler = self.hooks.setdefault(s.func, f"_h{len(self.hooks)}")
-            self.emit(ind, f"if {handler} is None: {handler} = bind_hook({s.func!r})")
-        else:
-            handler = f"(ctx.hooks.get({s.func!r}) or ctx.bind_hook({s.func!r}))"
-        self.emit(ind, f"{handler}(ctx, fr{''.join(', ' + a for a in args)})")
+        # one local per hook name, bound on the call's first execution
+        # and set to RETIRE for the rest of the thread when asked
+        handler = self.hooks.setdefault(s.func, f"_h{len(self.hooks)}")
+        self.emit(ind, f"if {handler} is not RETIRE:")
+        self.emit(ind + 1, "ctx.steps = steps")
+        self.emit(ind + 1, f"if {handler} is None: {handler} = bind_hook({s.func!r})")
+        self.emit(ind + 1, f"if {handler}(ctx, fr{''.join(', ' + a for a in args)}) "
+                           f"is RETIRE: {handler} = RETIRE")
 
     def thread_function(self, kernel: Kernel) -> str:
         """Source of ``run_thread(fr, ctx)`` for ``kernel``."""

@@ -223,6 +223,17 @@ class InstrumentationLibrary:
     running thread; and a hook must not write any of the three, since
     the compiled engine keeps them in locals and overwrites ``ctx``
     when the thread ends.  Writing the calling frame is allowed.
+
+    Retire contract: a handler returns :data:`RETIRE` (any other
+    return value is ignored) when every later call of the same call
+    name in the running thread would be a no-op: it would write no
+    frame slot, change no library state that can be observed, and
+    raise nothing.  The compiled engine then stops calling that
+    handler until the thread ends; the call's step, budget check and
+    cycle charge still run, and so does evaluating its arguments.
+    The next thread calls it again.  The lockstep interpreter ignores
+    the return value and calls every hook, so each engine-parity test
+    checks every ``RETIRE`` claim a library makes.
     """
 
     PREFIX = "__hauberk_"
@@ -232,6 +243,12 @@ class InstrumentationLibrary:
         if not func.startswith(self.PREFIX):
             return None
         return getattr(self, "lib_" + func[len(self.PREFIX):], None)
+
+
+#: Returned by a hook handler whose later calls in the running thread
+#: are all no-ops (see :class:`InstrumentationLibrary`); compared by
+#: identity.
+RETIRE = object()
 
 
 def _no_hook(ctx: "ExecContext", frame: dict, *args) -> None:

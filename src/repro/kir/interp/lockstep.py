@@ -272,6 +272,8 @@ class LockstepProgram:
                 if s.in_loop:
                     ctx.loop_cycles += cost
             args = [self._fn(a)(fr, ctx) for a in s.args]
+            # the reference calls every hook: a RETIRE return is ignored,
+            # so parity with the compiled engine checks each such claim
             (ctx.hooks.get(s.func) or ctx.bind_hook(s.func))(ctx, fr, *args)
             return
         raise KIRValidationError(f"lockstep cannot execute {type(s).__name__}")

@@ -90,7 +90,8 @@ class InjectionState:
 
     spec: Optional[FaultSpec] = None
     activation: Optional[ActivationRecord] = None
-    #: Dynamic occurrence counters keyed by (site, global thread id).
+    #: Dynamic occurrence counters keyed by (site, global thread id),
+    #: kept for the victim thread only and stopped at the last strike.
     counters: dict = field(default_factory=dict)
 
     @property

@@ -41,7 +41,7 @@ from repro.kir.astnodes import (
     Stmt,
     While,
 )
-from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
+from repro.kir.interp.evalcore import RETIRE, ExecContext, InstrumentationLibrary
 from repro.kir.validate import validate_kernel
 from repro.swifi.faultmodel import ActivationRecord, FaultSpec, InjectionState
 
@@ -156,29 +156,37 @@ class FaultInjectionLibrary(InstrumentationLibrary):
         return self.state.activation
 
     # -- instrumentation entry point ------------------------------------
-    def lib_fi(self, ctx: ExecContext, frame: dict, site: int, name: str) -> None:
+    def lib_fi(self, ctx: ExecContext, frame: dict, site: int, name: str):
+        """Corrupt ``name`` if this call is the armed one.
+
+        Returns :data:`RETIRE` once no later call in this thread can
+        act: nothing is armed, the thread is not the victim, or the
+        fault has struck for the last time.
+        """
         spec = self.state.spec
         if spec is None:
-            return
-        if spec.timing == "delayed":
-            self._delayed(ctx, frame, spec)
-            return
-        if site != spec.site:
-            return
+            return RETIRE
         block_size = frame["blockDim.x"] * frame["blockDim.y"]
-        gtid = ctx.block * block_size + ctx.thread
-        if gtid != spec.thread:
-            return
-        key = (site, gtid)
-        count = self.state.counters.get(key, 0) + 1
-        self.state.counters[key] = count
+        if ctx.block * block_size + ctx.thread != spec.thread:
+            return RETIRE
+        if spec.timing == "delayed":
+            return self._delayed(ctx, frame, spec)
+        if site != spec.site:
+            return None
         # a transient fault hits one occurrence; an intermittent fault
-        # stays active for `burst` consecutive occurrences (Section II.A)
-        if not spec.occurrence <= count < spec.occurrence + spec.burst:
-            return
-        self._corrupt(ctx, frame, spec, name)
+        # stays active for `burst` consecutive occurrences (Section II.A);
+        # the counter stops at the last one
+        key = (site, spec.thread)
+        count = self.state.counters.get(key, 0) + 1
+        last = spec.occurrence + spec.burst - 1
+        if count > last:
+            return RETIRE
+        self.state.counters[key] = count
+        if count >= spec.occurrence:
+            self._corrupt(ctx, frame, spec, name)
+        return RETIRE if count == last else None
 
-    def _delayed(self, ctx: ExecContext, frame: dict, spec: FaultSpec) -> None:
+    def _delayed(self, ctx: ExecContext, frame: dict, spec: FaultSpec):
         """Delayed timing: strike at the thread's k-th hook event.
 
         The target variable is corrupted wherever the thread happens to
@@ -187,20 +195,17 @@ class FaultInjectionLibrary(InstrumentationLibrary):
         pointer-fault failure ratios moderate (Figure 1).
         """
         if self.state.activation is not None:
-            return
-        block_size = frame["blockDim.x"] * frame["blockDim.y"]
-        gtid = ctx.block * block_size + ctx.thread
-        if gtid != spec.thread:
-            return
-        key = ("__events__", gtid)
+            return RETIRE
+        key = ("__events__", spec.thread)
         count = self.state.counters.get(key, 0) + 1
         self.state.counters[key] = count
         if count < spec.occurrence:
-            return
+            return None
         target = self.sites[spec.site].name
         if target not in frame:
-            return  # not yet live; strike at the next event
+            return None  # not yet live; strike at the next event
         self._corrupt(ctx, frame, spec, target)
+        return RETIRE
 
     def _corrupt(self, ctx: ExecContext, frame: dict, spec: FaultSpec, name: str) -> None:
         info = self.sites[spec.site]

@@ -7,17 +7,36 @@ These tests pin down what that must not change: when an unbound call
 crashes, with which message, and which values a hook receives —
 including the calling thread's live statement count in ``ctx.steps``,
 which ``ActivationRecord.at_step`` records.
+
+A handler that returns ``RETIRE`` is not called again in its thread by
+the compiled engine; lockstep ignores the return value.  The retire
+tests below run fault-injection launches on both engines and compare
+everything observable, so each ``RETIRE`` the FI library returns is
+checked against a run that kept calling it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.errors import KernelCrash
+from repro.core.ftlib import HauberkFTLibrary
+from repro.core.program import CombinedLibrary, HauberkProgram
+from repro.errors import KernelCrash, KernelHang, KIRError
+from repro.gpu.costmodel import CostModel
 from repro.gpu.device import Device
 from repro.gpu.runtime import GPURuntime
 from repro.kir import parse_kernel
-from repro.kir.interp.evalcore import InstrumentationLibrary
+from repro.kir.astnodes import CallStmt, Const
+from repro.kir.interp.codegen import _Emitter
+from repro.kir.interp.evalcore import RETIRE, InstrumentationLibrary
+from repro.kir.interp.lockstep import LockstepProgram
+from repro.kir.types import DType
+from repro.swifi.faultmodel import FaultSpec
+from repro.swifi.injector import FaultInjectionLibrary, instrument_for_fi
+from repro.swifi.targets import enumerate_targets
+from repro.workloads import get_workload
 
 ENGINES = ("closure", "lockstep")
 
@@ -97,3 +116,246 @@ class TestHookBinding:
         _launch(src, {"n": 2, "x": 1.25}, lib, engine)
         assert lib.calls == [(7, "m", 2.5), (7, "m", 2.5, 4)]
         assert [type(v) for v in lib.calls[1]] == [int, str, float, int]
+
+
+# ---------------------------------------------------------------------------
+# the retire contract
+# ---------------------------------------------------------------------------
+
+
+class _Retiring(InstrumentationLibrary):
+    """Records every call; ``probe`` retires after ``limit`` calls in a
+    thread, ``other`` never retires."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.calls = []
+        self.per_thread = {}
+
+    def lib_probe(self, ctx, frame, i):
+        self.calls.append(("probe", ctx.block, ctx.thread, i, ctx.steps))
+        key = (ctx.block, ctx.thread)
+        self.per_thread[key] = self.per_thread.get(key, 0) + 1
+        return RETIRE if self.per_thread[key] >= self.limit else None
+
+    def lib_other(self, ctx, frame, i):
+        self.calls.append(("other", ctx.block, ctx.thread, i, ctx.steps))
+
+
+RETIRE_SRC = """
+kernel k(int n, int* out) {
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        __hauberk_probe(i);
+        __hauberk_other(i);
+        acc = acc + i;
+    }
+    out[blockIdx.x * blockDim.x + threadIdx.x] = acc;
+}
+"""
+
+
+class TestRetiringLibrary:
+    @staticmethod
+    def _run(engine, limit):
+        device = Device()
+        out = device.memory.alloc("out", 6, DType.INT32)
+        lib = _Retiring(limit)
+        result = GPURuntime(device, engine=engine).launch(
+            parse_kernel(RETIRE_SRC), 2, 3, {"n": 4, "out": out}, lib=lib)
+        return result, device.memory.memcpy_dtoh(out).tolist(), lib.calls
+
+    def test_retired_hook_is_skipped_for_the_rest_of_its_thread(self):
+        result, words, calls = self._run("closure", limit=2)
+        probes = [c[1:4] for c in calls if c[0] == "probe"]
+        # two calls in each of the six threads: every thread calls again
+        assert probes == [(b, t, i) for b in range(2) for t in range(3) for i in range(2)]
+        # the hook that never retires is called on every iteration, at
+        # the same step counts as when nothing retires
+        ref_result, ref_words, ref_calls = self._run("closure", limit=99)
+        others = [c for c in calls if c[0] == "other"]
+        assert len(others) == 6 * 4
+        assert others == [c for c in ref_calls if c[0] == "other"]
+        # steps, budget and cycles do not depend on retirement
+        assert (result, words) == (ref_result, ref_words)
+
+    def test_lockstep_ignores_retire(self):
+        assert self._run("lockstep", limit=2) == self._run("closure", limit=99)
+
+    def test_call_outside_a_thread_function_is_rejected(self):
+        call = CallStmt(func="__hauberk_probe", args=[Const(1)])
+        with pytest.raises(KIRError, match="outside a thread function"):
+            _Emitter(CostModel()).stmt(call, 0)
+
+
+HAND_SRC = """
+kernel hand(float* out, int n) {
+    int tid = blockIdx.x * blockDim.x + threadIdx.x;
+    float acc = 0.0;
+    for (int i = 0; i < n; i++) {
+        float v = float(i + tid);
+        acc = acc + v;
+    }
+    int late = tid * 2;
+    out[tid] = acc + float(late);
+}
+"""
+
+
+class _HandBuild:
+    """A small FI build: two blocks of three threads, budget 400."""
+
+    grid, block, budget = 2, 3, 400
+
+    def __init__(self):
+        self.kernel = parse_kernel(HAND_SRC)
+        self.fi_kernel = instrument_for_fi(self.kernel)
+        self.n_threads = 6
+
+    def setup(self, device):
+        out = device.memory.alloc("out", self.n_threads, DType.FLOAT32)
+        return {"out": out, "n": 6}
+
+    def library(self, spec):
+        fi = FaultInjectionLibrary(self.kernel, spec)
+        return fi, fi, None
+
+
+class _CPBuild:
+    """CP's FI&FT build, trained on input 0, as fig14 attacks it."""
+
+    def __init__(self):
+        self.program = HauberkProgram(get_workload("CP"))
+        self.program.train([0])
+        self.kernel = self.program.workload.kernel
+        self.fi_kernel = self.program.build("fift").kernel
+        self.inp = self.program.workload.generate_input(0)
+        self.grid, self.block = self.inp.grid, self.inp.block
+        self.n_threads = self.inp.n_threads
+        self.budget = self.program.workload.hang_budget
+
+    def setup(self, device):
+        return self.program.workload.setup_memory(device, self.inp)[0]
+
+    def library(self, spec):
+        cb = self.program.cb.copy_to_device()
+        fi = FaultInjectionLibrary(self.kernel, spec)
+        return CombinedLibrary([HauberkFTLibrary(cb), fi]), fi, cb
+
+
+def _site(kernel, name, kind):
+    return next(s.site for s in enumerate_targets(kernel)
+                if s.name == name and s.kind == kind)
+
+
+def _watch(prog, seen):
+    """Wrap ``prog``'s entry point to keep every thread frame and the
+    final ``ctx.steps``; returns the undo."""
+    attr = "run_block" if isinstance(prog, LockstepProgram) else "run_thread"
+    inner = getattr(prog, attr)
+
+    def watched(frames, ctx):
+        seen["frames"].extend(frames if attr == "run_block" else [frames])
+        try:
+            inner(frames, ctx)
+        finally:
+            seen["steps"] = ctx.steps
+
+    setattr(prog, attr, watched)
+    return lambda: setattr(prog, attr, inner)
+
+
+def _observe_fi(build, engine, spec):
+    """Launch ``build`` with ``spec`` armed; everything observable."""
+    device = Device()
+    runtime = GPURuntime(device, engine=engine)
+    args = build.setup(device)
+    lib, fi, cb = build.library(spec)
+    prepare = runtime.prepare_lockstep if engine == "lockstep" else runtime.prepare
+    seen = {"frames": [], "steps": None}
+    undo = _watch(prepare(build.fi_kernel)[0], seen)
+    launch = error = None
+    try:
+        launch = runtime.launch(build.fi_kernel, build.grid, build.block, args,
+                                lib=lib, budget=build.budget)
+    except (KernelHang, KernelCrash) as exc:
+        error = (type(exc).__name__, str(exc))
+    finally:
+        undo()
+    return {
+        "launch": launch,
+        "error": error,
+        "words": device.memory.read_words(0, device.memory.used_words).tolist(),
+        # repr: NaN compares equal, -0.0 differs from 0.0
+        "frames": [sorted((k, repr(v)) for k, v in fr.items()) for fr in seen["frames"]],
+        "steps": seen["steps"],
+        # every ActivationRecord field; repr: a NaN value compares equal
+        "activation": None if fi.activation is None else {
+            k: repr(v) if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(fi.activation).items()},
+        "counters": dict(fi.state.counters),
+        "detections": None if cb is None else (repr(cb.events), cb.sdc_bit),
+    }
+
+
+#: (label, site name, site kind, FaultSpec keywords, expected error,
+#: activated variable, n_injections); ``thread`` may be "last" or
+#: "outside" the grid.
+RETIRE_CASES = {
+    "hand": [
+        ("transient-in-loop", "v", "decl", dict(occurrence=3, thread=4, mask=1 << 23),
+         None, "v", 1),
+        ("intermittent", "acc", "assign",
+         dict(occurrence=2, burst=3, thread=1, mask=1 << 30), None, "acc", 3),
+        ("delayed-not-yet-live", "late", "decl",
+         dict(timing="delayed", occurrence=2, thread=3, mask=1 << 4), None, "late", 1),
+        ("non-victim-hang", "i", "assign", dict(occurrence=2, thread="last", mask=1 << 31),
+         "KernelHang", "i", 1),
+        ("victim-outside-grid", "acc", "decl", dict(thread="outside", mask=1),
+         None, None, None),
+        ("delayed-pointer-crash", "out", "param",
+         dict(timing="delayed", occurrence=5, thread=2, mask=1 << 28),
+         "DeviceMemoryError", "out", 1),
+        ("unarmed", None, None, None, None, None, None),
+    ],
+    "cp": [
+        ("transient-in-loop", "dx1", "decl", dict(occurrence=3, thread=5, mask=1 << 22),
+         None, "dx1", 1),
+        ("intermittent", "energyx1", "assign",
+         dict(occurrence=2, burst=3, thread=9, mask=1 << 30), None, "energyx1", 3),
+        ("delayed-not-yet-live", "outidx", "decl",
+         dict(timing="delayed", occurrence=3, thread=7, mask=1 << 3), None, "outidx", 1),
+        ("non-victim", "energyx2", "assign",
+         dict(occurrence=1, thread="last", mask=1 << 29), None, "energyx2", 1),
+        ("victim-outside-grid", "dx2", "decl", dict(thread="outside", mask=1),
+         None, None, None),
+        ("unarmed", None, None, None, None, None, None),
+    ],
+}
+_BUILDS = {"hand": _HandBuild, "cp": _CPBuild}
+
+
+@pytest.mark.parametrize("build_name, name, kind, spec_kw, error, variable, n_injections", [
+    pytest.param(b, *case[1:], id=f"{b}-{case[0]}")
+    for b, cases in RETIRE_CASES.items() for case in cases
+])
+def test_fi_retire_matches_lockstep(build_name, name, kind, spec_kw, error, variable,
+                                    n_injections):
+    build = _BUILDS[build_name]()
+    spec = None
+    if spec_kw is not None:
+        spec_kw = dict(spec_kw)
+        thread = spec_kw.pop("thread")
+        thread = {"last": build.n_threads - 1, "outside": build.n_threads + 5}.get(thread, thread)
+        spec = FaultSpec(site=_site(build.kernel, name, kind), thread=thread, **spec_kw)
+    fast = _observe_fi(build, "closure", spec)
+    slow = _observe_fi(build, "lockstep", spec)
+    for key in slow:
+        assert fast[key] == slow[key], key
+    # the case does what its name says
+    assert (fast["error"] or (None,))[0] == error
+    if variable is None:
+        assert fast["activation"] is None
+    else:
+        assert fast["activation"]["variable"] == variable
+        assert fast["activation"]["n_injections"] == n_injections

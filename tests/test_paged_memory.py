@@ -354,24 +354,11 @@ class TestCopyOnWriteSnapshots:
 
 
 # ---------------------------------------------------------------------------
-# the generic PagedWords store (any dtype, any lazy fill)
+# the PagedWords store itself
 # ---------------------------------------------------------------------------
 
 
 class TestPagedWordsStore:
-    def test_int64_fill_minus_one(self):
-        # a per-word side table: absent pages read as the fill value
-        store = PagedWords(1 << 20, page_words=SMALL_PAGE,
-                           dtype=np.int64, fill=-1)
-        addrs = np.array([0, 12345, 999999], np.int64)
-        assert store.gather(addrs).tolist() == [-1, -1, -1]
-        store.scatter(addrs, np.array([7, 8, 9], np.int64))
-        assert store.gather(addrs).tolist() == [7, 8, 9]
-        assert store.item(12345) == 8
-        store.scatter(addrs[:2], np.int64(-2))  # scalar broadcast
-        assert store.gather(addrs).tolist() == [-2, -2, 9]
-        assert store.resident_pages == 3
-
     def test_duplicate_scatter_is_last_wins(self):
         store = PagedWords(1 << 12, page_words=SMALL_PAGE)
         dense = np.zeros(1 << 12, np.uint32)

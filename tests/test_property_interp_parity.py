@@ -10,6 +10,12 @@ output words, cycle and loop-cycle counts, exceptions, final step
 counts, and hand a recording instrumentation library the same call
 sequence at the same step counts.
 
+The same kernels, passed through ``instrument_for_fi`` with a random
+``FaultSpec`` armed, check the retire contract: the compiled engine
+stops calling ``__hauberk_fi`` in a thread once the FI library returns
+``RETIRE``, lockstep keeps calling it, and the two must still agree on
+all of the above plus every ``ActivationRecord`` field.
+
 Tier-1 runs a few dozen examples.  The ``engine-fuzz`` hypothesis
 profile (``tests/conftest.py``) runs twenty thousand::
 
@@ -17,25 +23,33 @@ profile (``tests/conftest.py``) runs twenty thousand::
         --hypothesis-profile engine-fuzz
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.program import CombinedLibrary
 from repro.gpu.device import Device
 from repro.kir.astnodes import (
     Assign, BinOp, Break, CallStmt, Const, Continue, Decl, For, If, Kernel,
     KernelParam, Return, Store, Var, While,
 )
+from repro.kir.analysis.dataflow import collect_sites
 from repro.kir.interp.codegen import CompiledKernel
 from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
 from repro.kir.validate import validate_kernel
+from repro.swifi.faultmodel import FaultSpec
+from repro.swifi.injector import FaultInjectionLibrary, instrument_for_fi
 
 from test_property_checksum import _KernelGen, _flat
 
 #: Hook cost charged per recorded call, so hook accounting is compared too.
 REC_COST = 3.0
 N_THREADS = 2
+#: Blocks of the fault-injection launches (one block elsewhere).
+FI_BLOCKS = 2
 #: Examples per tier-1 run; the ``engine-fuzz`` profile replaces it.
 TIER1_EXAMPLES = 40
 
@@ -141,16 +155,16 @@ def _with_hooks(kernel):
     return validate_kernel(kernel)
 
 
-def _frames(out_alloc, n, seedv):
+def _frames(out_alloc, n, seedv, block=0, n_blocks=1):
     base = {
         "n": n,
         "seedv": seedv,
         "out": out_alloc.base,
-        "gridDim.x": 1,
+        "gridDim.x": n_blocks,
         "gridDim.y": 1,
         "blockDim.x": N_THREADS,
         "blockDim.y": 1,
-        "blockIdx.x": 0,
+        "blockIdx.x": block,
         "blockIdx.y": 0,
         "threadIdx.y": 0,
     }
@@ -162,26 +176,48 @@ def _frames(out_alloc, n, seedv):
     return frames
 
 
-def _observe(kernel, engine, n, seedv, budget):
-    """Run one block of ``kernel`` and return everything observable."""
+def _canonical_nan(word):
+    """``word``, with every float32 NaN pattern replaced by one.
+
+    A bit-flip fault can make both a positive and a negative NaN in one
+    thread, and for a float ``+``/``*`` of two NaNs CPython 3.11 returns
+    a different operand's NaN once the instruction is specialized, so
+    the sign of such a result depends on how warm a code object is, not
+    on the engine's semantics.
+    """
+    if word & 0x7F800000 == 0x7F800000 and word & 0x007FFFFF:
+        return 0x7FC00000
+    return word
+
+
+def _observe(kernel, engine, n, seedv, budget, fi=None, n_blocks=1):
+    """Run ``n_blocks`` blocks of ``kernel`` and return everything
+    observable; ``fi`` is a fresh armed FI library, or None."""
     device = Device()
     out = device.memory.alloc("out", 4, DType.FLOAT32)
     rec = _Recorder()
-    ctx = ExecContext(device.memory, lib=rec, budget=budget)
-    ctx.block = 0
-    frames = _frames(out, n, seedv)
+    lib = rec if fi is None else CombinedLibrary([rec, fi])
+    ctx = ExecContext(device.memory, lib=lib, budget=budget)
+    frames = []
     error = None
     try:
         if engine == "lockstep":
-            LockstepProgram(kernel, costmodel=_cm()).run_block(frames, ctx)
+            prog = LockstepProgram(kernel, costmodel=_cm())
         else:
             compiled = CompiledKernel(kernel, costmodel=_cm())
-            for t, fr in enumerate(frames):
-                ctx.reset_thread(0, t)
+        for b in range(n_blocks):
+            ctx.block = b
+            block_frames = _frames(out, n, seedv, b, n_blocks)
+            frames.extend(block_frames)
+            if engine == "lockstep":
+                prog.run_block(block_frames, ctx)
+                continue
+            for t, fr in enumerate(block_frames):
+                ctx.reset_thread(b, t)
                 compiled.run_thread(fr, ctx)
     except Exception as exc:  # every failure must match, typed or not
         error = (type(exc).__name__, str(exc))
-    return {
+    seen = {
         "error": error,
         "steps": ctx.steps,
         "cycles": ctx.cycles,
@@ -189,13 +225,22 @@ def _observe(kernel, engine, n, seedv, budget):
         "calls": rec.calls,
         # repr: NaN compares equal, -0.0 differs from 0.0
         "frames": [sorted((k, repr(v)) for k, v in fr.items()) for fr in frames],
-        "out": device.memory.memcpy_dtoh(out).view(np.uint32).tolist(),
+        "out": [_canonical_nan(w) for w in
+                device.memory.memcpy_dtoh(out).view(np.uint32).tolist()],
     }
+    if fi is not None:
+        act = fi.activation
+        seen["activation"] = None if act is None else {
+            k: repr(v) if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(act).items()}
+        seen["counters"] = dict(fi.state.counters)
+    return seen
 
 
-def _assert_engines_agree(kernel, n, seedv, budget=2_000_000):
-    fast = _observe(kernel, "codegen", n, seedv, budget)
-    slow = _observe(kernel, "lockstep", n, seedv, budget)
+def _assert_engines_agree(kernel, n, seedv, budget=2_000_000, make_fi=None, n_blocks=1):
+    """``make_fi`` builds a fresh FI library per engine, or is None."""
+    fast = _observe(kernel, "codegen", n, seedv, budget, make_fi and make_fi(), n_blocks)
+    slow = _observe(kernel, "lockstep", n, seedv, budget, make_fi and make_fi(), n_blocks)
     assert fast["calls"]
     for key in slow:
         assert fast[key] == slow[key], key
@@ -213,6 +258,35 @@ def _assert_engines_agree(kernel, n, seedv, budget=2_000_000):
 def test_compiler_and_lockstep_agree(plan, n_stmts, n_value, seed_value, budget):
     kernel = _with_hooks(_ControlFlowGen(plan).build(n_stmts))
     _assert_engines_agree(kernel, n_value, seed_value, budget)
+
+
+@_fuzz_settings()
+@given(
+    plan=st.lists(st.integers(min_value=0, max_value=1000), min_size=30, max_size=120),
+    n_stmts=st.integers(min_value=1, max_value=5),
+    n_value=st.integers(min_value=0, max_value=6),
+    seed_value=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    budget=st.integers(min_value=10, max_value=400),
+    site_pick=st.integers(min_value=0, max_value=10_000),
+    timing=st.sampled_from(["definition", "delayed"]),
+    occurrence=st.integers(min_value=1, max_value=8),
+    burst=st.integers(min_value=1, max_value=3),
+    victim=st.integers(min_value=0, max_value=FI_BLOCKS * N_THREADS - 1),
+    bit=st.integers(min_value=0, max_value=31),
+)
+def test_fi_spec_retire_agrees_with_lockstep(plan, n_stmts, n_value, seed_value, budget,
+                                             site_pick, timing, occurrence, burst,
+                                             victim, bit):
+    # recording calls as in the test above, then an FI hook after every
+    # definition; the recorder's step counts show retired FI calls
+    # still charge their statement
+    kernel = _with_hooks(_ControlFlowGen(plan).build(n_stmts))
+    sites = collect_sites(kernel)
+    spec = FaultSpec(site=sites[site_pick % len(sites)].site, mask=1 << bit,
+                     thread=victim, occurrence=occurrence, burst=burst, timing=timing)
+    _assert_engines_agree(instrument_for_fi(kernel), n_value, seed_value, budget,
+                          make_fi=lambda: FaultInjectionLibrary(kernel, spec),
+                          n_blocks=FI_BLOCKS)
 
 
 def _kernel(*body):
