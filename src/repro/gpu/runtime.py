@@ -212,7 +212,8 @@ class GPURuntime:
             "gpu.launch", kernel=kernel.name, device=self.device.device_id,
             grid=[gx, gy], block=[bx, by], n_threads=n_threads,
         ) as span:
-            ctx = ExecContext(self.device.memory, lib=lib, budget=budget)
+            ctx = ExecContext(self.device.memory, lib=lib, budget=budget,
+                              block_size=bx * by)
             if recorder is not None:
                 ctx.swap_memory(recorder.attach(self.device.memory))
             try:

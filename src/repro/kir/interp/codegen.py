@@ -3,29 +3,38 @@
 Every validated kernel without ``__syncthreads`` becomes one Python
 function ``run_thread(fr, ctx)``, emitted as source text and
 ``compile()``d once per kernel and cost model.  The function runs one
-thread to completion, crash or hang.  Its shape::
+thread to completion, crash or hang.  Every KIR variable, parameter
+and special register the kernel uses is a Python local of it.  Its
+shape::
 
     def run_thread(fr, ctx):
         steps = ctx.steps; budget = ctx.budget
         cycles = ctx.cycles; loop_cycles = ctx.loop_cycles
         load_f32 = ctx.load_f32; ...       # only what the body uses
+        v0, v1 = _k0(fr)                   # 'a', 'b': read from fr
+        v2 = UNSET                         # 'x': not assigned yet
+        _fv = FrameView(fr, _k1, _k2)      # only if there are hooks
         _h0 = ctx.hooks.get('__hauberk_fi') # one local per hook name
         try:
             steps += 1
             if steps > budget: raise KernelHang()
             cycles += 7.0
-            fr['x'] = (fr['a'] * fr['b'])
-            steps += 1                      # a hook statement
+            v2 = (v0 * v1)                 # x = a * b
+            steps += 1                     # a hook statement
             if steps > budget: raise KernelHang()
             cycles += 4.0
             if _h0 is not RETIRE:
                 ctx.steps = steps
                 if _h0 is None: _h0 = bind_hook('__hauberk_fi')
-                if _h0(ctx, fr, 3, 'x') is RETIRE: _h0 = RETIRE
+                _fv.values = (v2,)
+                if _h0(ctx, _fv, 3, 'x') is RETIRE: _h0 = RETIRE
+                if _fv.written: v0, v1, v2 = _fv.reload()
             ...
         finally:
             ctx.steps = steps; ctx.cycles = cycles
             ctx.loop_cycles = loop_cycles
+            _write_back(fr, _k3, (v2,))    # 'x', unless still UNSET
+            if _fv.written: fr.update(_fv.written)
 
 Every statement keeps its own step bump, budget check and
 ``cycles``/``loop_cycles`` adds, with the costs the cost model gives
@@ -34,8 +43,24 @@ the Figure 4 loop fraction and the Figure 13 overheads fall out of
 execution directly.  KIR expressions become inline Python expressions
 (the int32 wrap is inline arithmetic), and ``break``/``continue``/
 ``return`` become native statements that still charge their unchecked
-step.  KIR variables stay in the frame dict ``fr``, which fault
-injection writes.
+step.
+
+The frame contract.  Parameters and special registers are read from
+``fr`` when the thread starts; the names the kernel assigns start as
+:data:`UNSET`.  When the thread ends, by return, crash or hang, the
+locals of the names it assigned are written back to ``fr``, so the
+final frame is the lockstep interpreter's dict.  A live hook call
+sees the frame through a :class:`FrameView`: before the call the
+thread stores the locals of every name it may have assigned by then
+(in program order, and every name a loop assigns once the loop is
+entered) in ``_fv.values``, one tuple build; the view answers reads
+and ``in`` from that tuple for those names and from ``fr`` for the
+rest, so a name is present exactly when the thread has assigned it,
+a loop-body variable stays present after its loop, and a parameter
+or special register is present from the start.  A hook that writes
+leaves ``_fv.written`` set, and the thread reloads its locals from
+the view before the next statement; a hook that raises after writing
+has its writes applied to ``fr`` when the thread ends.
 
 The counter contract with instrumentation hooks: ``ctx.steps`` is
 current at every hook call (``ActivationRecord.at_step`` reads it);
@@ -48,21 +73,25 @@ first execution, so an unbound call in code that never runs stays
 harmless.  A handler that returns
 :data:`~repro.kir.interp.evalcore.RETIRE` is not called again in that
 thread: its local becomes ``RETIRE``, and the guard skips the call
-while the statement's step, budget check and cycle charge, which sit
-outside the guard, still run.  The local is re-read from the hook
-table when the next thread starts.
+(and the frame view with it) while the statement's step, budget check
+and cycle charge, which sit outside the guard, still run.  The local
+is re-read from the hook table when the next thread starts.
 
 Identifiers and ``str`` constants enter the source only through
-``repr()``; intrinsics, and constants that are not a finite ``int``,
-``float`` or ``str``, are bound in the function's namespace.  CPython
-limits static nesting (about 20 loops deep) and parenthesis depth (200;
-an int operation takes three), so a kernel nested deeper than that
-raises :class:`~repro.errors.KIRValidationError`.
+``repr()``: a KIR name becomes a local ``v<n>`` and appears as text
+only in the frame reads and writes.  Intrinsics, and constants that
+are not a finite ``int``, ``float`` or ``str``, are bound in the
+function's namespace.  CPython limits static nesting (about 20 loops
+deep) and parenthesis depth (200; an int operation takes three), so a
+kernel nested deeper than that raises
+:class:`~repro.errors.KIRValidationError`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.bits import bits_to_int, float_to_bits
@@ -91,6 +120,7 @@ from repro.kir.astnodes import (
     UnOp,
     Var,
     While,
+    defining_statements,
 )
 from repro.kir.interp.evalcore import (
     ExecContext,
@@ -108,6 +138,11 @@ ExprFn = Callable[[dict, ExecContext], object]
 #: Locals the thread function reads from ``ctx`` when its body uses them.
 _CTX_LOCALS = ("load_f32", "load_i32", "store_f32", "store_i32", "shared")
 _COMPARE = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def _seq(items: List[str]) -> str:
+    """``items`` as the body of a tuple display or unpacking target."""
+    return ", ".join(items) + ("," if len(items) == 1 else "")
 
 
 def _wrap(src: str) -> str:
@@ -138,6 +173,101 @@ def _converter(target: DType, source: DType):
     return None
 
 
+#: Value of a thread-function local whose KIR variable the thread has
+#: not assigned yet; the variable is absent from its frame.  Compared
+#: by identity.
+UNSET = object()
+
+
+class FrameView(Mapping):
+    """The calling thread's frame as a live hook call sees it.
+
+    The thread function keeps KIR variables in Python locals, so its
+    frame dict ``fr`` is only current for the names the kernel never
+    assigns (the *base* names: parameters and special registers, read
+    once when the thread starts) and for names the thread has not
+    assigned yet.  Before each live hook call the thread function stores
+    the locals of the names it may have assigned by then into
+    :attr:`values`, a tuple in :attr:`index` order; a local still
+    holding :data:`UNSET` stands for an unassigned name.  Reads and
+    membership tests consult ``values`` for those names and ``fr`` for
+    the rest, so the view shows what the lockstep interpreter's dict
+    shows, and a call that writes nothing costs one tuple build.
+
+    A write to a name the thread has assigned goes into ``values`` (now
+    a list); a write to a base name goes into ``fr``.  Either way it is
+    recorded in :attr:`written`, and after the call the thread function
+    reloads its locals from :meth:`reload`.  A write to any other name
+    goes into ``fr`` alone: no local holds it yet.  Names cannot be
+    deleted.  The view is valid for the duration of one call.
+    """
+
+    __slots__ = ("fr", "index", "base", "values", "written")
+
+    def __init__(self, fr: dict, index: Dict[str, int], base: tuple):
+        self.fr = fr
+        #: name -> position in ``values``; -1 marks a base name
+        self.index = index
+        self.base = base
+        self.values = ()
+        #: name -> value of every write to a name a local holds, or
+        #: None when there is none since the last reload
+        self.written: Optional[dict] = None
+
+    def _slot(self, name):
+        """Position in ``values`` of a name the thread has assigned, or None."""
+        i = self.index.get(name)
+        if i is not None and 0 <= i < len(self.values) and self.values[i] is not UNSET:
+            return i
+        return None
+
+    def __getitem__(self, name):
+        i = self._slot(name)
+        return self.fr[name] if i is None else self.values[i]
+
+    def __contains__(self, name) -> bool:
+        return self._slot(name) is not None or name in self.fr
+
+    def __setitem__(self, name, value) -> None:
+        i = self._slot(name)
+        if i is not None:
+            if type(self.values) is tuple:
+                self.values = list(self.values)
+            self.values[i] = value
+        else:
+            self.fr[name] = value
+            if self.index.get(name) != -1:
+                return  # no local holds the name yet
+        if self.written is None:
+            self.written = {}
+        self.written[name] = value
+
+    def reload(self) -> list:
+        """The base names' values, then ``values``; clears ``written``."""
+        self.written = None
+        fr = self.fr
+        return [fr[name] for name in self.base] + list(self.values)
+
+    def _snapshot(self) -> dict:
+        snap = dict(self.fr)
+        for name in self.index:
+            i = self._slot(name)
+            if i is not None:
+                snap[name] = self.values[i]
+        return snap
+
+    def __iter__(self):
+        return iter(self._snapshot())
+
+    def __len__(self) -> int:
+        return len(self._snapshot())
+
+
+def _write_back(fr: dict, names: tuple, values: tuple) -> None:
+    """``fr[name] = value`` for each pair whose value is not UNSET."""
+    fr.update((name, value) for name, value in zip(names, values) if value is not UNSET)
+
+
 class _Emitter:
     """Emits Python source for KIR expressions and statements.
 
@@ -154,13 +284,23 @@ class _Emitter:
             "KernelHang": KernelHang, "idiv": idiv, "imod": imod,
             "fdiv": fdiv, "c_int_cast": c_int_cast,
             "_shared_load": _shared_load, "_shared_oob": _shared_oob,
-            "RETIRE": RETIRE,
+            "RETIRE": RETIRE, "UNSET": UNSET, "FrameView": FrameView,
+            "_write_back": _write_back,
         }
         self._bound: Dict[int, str] = {}  # id(value) -> namespace name
         self.used = set()
         #: hook name -> the thread function's local holding its handler
         self.hooks: Dict[str, str] = {}
-        self.lines: List[str] = []
+        #: KIR name -> the thread function's local holding it
+        self.locals: Dict[str, str] = {}
+        #: assigned KIR names -> position in a frame view's ``values``,
+        #: in the order emission reaches them; a hook call packs the
+        #: locals in ``packed`` so far
+        self.order: Dict[str, int] = {}
+        self.packed: List[str] = []
+        #: emitted lines; a hook call's reload is ``(indent, packed)``
+        #: until the base names are known
+        self.lines: list = []
 
     # -- names ------------------------------------------------------------
     def bind(self, value) -> str:
@@ -177,6 +317,22 @@ class _Emitter:
             return f"({text})" if text.startswith("-") else text
         return self.bind(v)
 
+    def var(self, name: str) -> str:
+        """The Python expression holding KIR variable ``name``."""
+        if not self.in_thread:
+            return f"fr[{name!r}]"
+        local = self.locals.get(name)
+        if local is None:
+            local = self.locals[name] = f"v{len(self.locals)}"
+        return local
+
+    def assigned(self, names) -> None:
+        """Note that the thread may have assigned ``names`` from here on."""
+        for name in names:
+            if name not in self.order:
+                self.order[name] = len(self.order)
+                self.packed.append(self.var(name))
+
     def ctx_local(self, name: str) -> str:
         if self.in_thread:
             self.used.add(name)
@@ -188,7 +344,7 @@ class _Emitter:
         if isinstance(e, Const):
             return self.const(e.value)
         if isinstance(e, (Var, SpecialReg)):
-            return f"fr[{e.name!r}]"
+            return self.var(e.name)
         if isinstance(e, BinOp):
             return self._binop(e)
         if isinstance(e, UnOp):
@@ -275,7 +431,8 @@ class _Emitter:
             conv = _converter(target, rhs.dtype)
             if conv is not None:
                 value = f"{self.bind(conv)}({value})"
-            self.emit(ind, f"fr[{s.name!r}] = {value}")
+            self.assigned((s.name,))
+            self.emit(ind, f"{self.var(s.name)} = {value}")
         elif isinstance(s, Store):
             cost = (cm.expr_cost(s.ptr) + cm.expr_cost(s.index) + cm.expr_cost(s.value)
                     + cm.mem_global) * s.cost_scale
@@ -315,6 +472,9 @@ class _Emitter:
 
     def _loop(self, cond: Expr, body: List[Stmt], ind: int, update: Optional[Stmt]) -> None:
         cond_cost = self.cm.expr_cost(cond) + self.cm.branch_cost
+        # a hook anywhere in the loop may follow any assignment in it
+        tail = [update] if update is not None else []
+        self.assigned(d.name for d, _depth in defining_statements(body + tail))
         self.emit(ind, "while True:")
         self.tick(ind + 1, cond_cost, True)
         self.emit(ind + 1, f"if not {self.cond(cond)}: break")
@@ -368,28 +528,67 @@ class _Emitter:
         self.emit(ind, f"if {handler} is not RETIRE:")
         self.emit(ind + 1, "ctx.steps = steps")
         self.emit(ind + 1, f"if {handler} is None: {handler} = bind_hook({s.func!r})")
-        self.emit(ind + 1, f"if {handler}(ctx, fr{''.join(', ' + a for a in args)}) "
+        # the handler sees the frame through _fv; reload after it writes
+        self.emit(ind + 1, f"_fv.values = ({_seq(self.packed)})")
+        self.emit(ind + 1, f"if {handler}(ctx, _fv{''.join(', ' + a for a in args)}) "
                            f"is RETIRE: {handler} = RETIRE")
+        self.lines.append((ind + 1, list(self.packed)))
 
     def thread_function(self, kernel: Kernel) -> str:
         """Source of ``run_thread(fr, ctx)`` for ``kernel``."""
+        params = {p.name for p in kernel.params}
+        assigned = {d.name for d, _depth in defining_statements(kernel.body)}
+        # assigned parameters are present from the start, so every hook
+        # call packs them
+        self.assigned(p.name for p in kernel.params if p.name in assigned)
         self.block(kernel.body, 2, None)
         body, self.lines = self.lines, []
+        # base names: the parameters and special registers the kernel
+        # reads and never assigns, which stay current in fr
+        base_names = [n for n in self.locals if n not in self.order]
+        base = [self.locals[n] for n in base_names]
         self.emit(0, "def run_thread(fr, ctx):")
         for name in ("steps", "budget", "cycles", "loop_cycles"):
             self.emit(1, f"{name} = ctx.{name}")
         for name in _CTX_LOCALS:
             if name in self.used:
                 self.emit(1, f"{name} = ctx.{name}")
+        # KIR variables: read from fr, or UNSET until assigned
+        read = [n for n in self.locals if n in params or n not in assigned]
+        if len(read) == 1:
+            self.emit(1, f"{self.locals[read[0]]} = fr[{read[0]!r}]")
+        elif read:
+            self.emit(1, f"{_seq([self.locals[n] for n in read])} = "
+                         f"{self.bind(itemgetter(*read))}(fr)")
+        unset = [local for n, local in self.locals.items() if n not in read]
+        if unset:
+            self.emit(1, f"{' = '.join(unset)} = UNSET")
         if self.hooks:
+            index = dict.fromkeys(base_names, -1)
+            index.update(self.order)
+            self.emit(1, f"_fv = FrameView(fr, {self.bind(index)}, "
+                         f"{self.bind(tuple(base_names))})")
             self.emit(1, "bind_hook = ctx.bind_hook")
         for func, handler in self.hooks.items():
             self.emit(1, f"{handler} = ctx.hooks.get({func!r})")
         self.emit(1, "try:")
-        self.lines.extend(body)
+        for line in body:
+            if type(line) is tuple:  # a hook call's reload
+                ind, packed = line
+                if base or packed:
+                    self.emit(ind, f"if _fv.written: {_seq(base + packed)} = _fv.reload()")
+            else:
+                self.lines.append(line)
         self.emit(1, "finally:")
         for name in ("steps", "cycles", "loop_cycles"):
             self.emit(2, f"ctx.{name} = {name}")
+        # write back what the thread assigned, then what a hook that
+        # raised wrote before its locals were reloaded
+        if self.order:
+            self.emit(2, f"_write_back(fr, {self.bind(tuple(self.order))}, "
+                         f"({_seq(self.packed)}))")
+        if self.hooks:
+            self.emit(2, "if _fv.written: fr.update(_fv.written)")
         return "\n".join(self.lines) + "\n"
 
 

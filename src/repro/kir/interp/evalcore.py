@@ -222,7 +222,26 @@ class InstrumentationLibrary:
     only when the thread ends, so a hook must not read them for the
     running thread; and a hook must not write any of the three, since
     the compiled engine keeps them in locals and overwrites ``ctx``
-    when the thread ends.  Writing the calling frame is allowed.
+    when the thread ends.
+
+    Frame contract: ``frame`` is the calling thread's frame, a mapping
+    from KIR names (parameters, special registers such as
+    ``"threadIdx.x"``, and variables) to their current values.  The
+    lockstep interpreter passes its dict; the compiled engine passes a
+    :class:`~repro.kir.interp.codegen.FrameView` over its locals, which
+    behaves the same for what a hook may do:
+
+    * ``name in frame`` is true exactly when the thread has assigned
+      ``name`` so far, or it is a parameter or special register;
+      leaving a variable's scope does not remove it (a loop-body
+      variable is still present after its loop);
+    * ``frame[name]`` reads the current value, and ``KeyError`` for an
+      absent name; ``get``, ``keys``, ``items`` and iteration work too;
+    * ``frame[name] = value`` writes, and the next KIR statement of the
+      thread reads the new value; writing any name is allowed, a
+      parameter or one the call does not mention included;
+    * deleting a name is not supported, and the mapping is only valid
+      for the duration of the call: read it then, do not keep it.
 
     Retire contract: a handler returns :data:`RETIRE` (any other
     return value is ignored) when every later call of the same call
@@ -285,6 +304,9 @@ class ExecContext:
     * ``lib`` — bound instrumentation library (FI / profiler / FT);
     * ``hooks`` — call name -> handler resolved from ``lib``, filled by
       :meth:`bind_hook` the first time each call executes;
+    * ``block`` / ``thread`` — the running thread's block and its index
+      in the block; ``block_size`` — threads per block of the launch, so
+      ``block * block_size + thread`` is the global thread id;
     * ``budget`` — per-thread statement budget; the engines count each
       thread's statements against it inline and raise
       :class:`~repro.errors.KernelHang` on overrun (the watchdog);
@@ -308,7 +330,7 @@ class ExecContext:
         "shared",
         "thread",
         "block",
-        "spill_factor",
+        "block_size",
     )
 
     def __init__(
@@ -316,6 +338,7 @@ class ExecContext:
         memory,
         lib: Optional[InstrumentationLibrary] = None,
         budget: int = 2_000_000,
+        block_size: int = 1,
     ):
         self._bind_memory(memory)
         self.lib = lib if lib is not None else NullLibrary()
@@ -328,7 +351,7 @@ class ExecContext:
         self.shared: Dict[str, List] = {}
         self.thread = -1
         self.block = -1
-        self.spill_factor = 1.0
+        self.block_size = block_size
 
     def bind_hook(self, func: str) -> Callable:
         """Resolve ``func`` against ``lib`` and memoize it for this launch.

@@ -324,7 +324,8 @@ class DifferentialEngine:
             self.memory, target, self.store_owner, self.load_readers
         )
         lib, device_cb = self._fresh_library(spec)
-        ctx = ExecContext(guard, lib=lib, budget=self.workload.hang_budget)
+        ctx = ExecContext(guard, lib=lib, budget=self.workload.hang_budget,
+                          block_size=self.block_size)
 
         block, tib = divmod(target, self.block_size)
         frame = dict(self.base_frame)

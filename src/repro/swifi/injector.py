@@ -166,8 +166,7 @@ class FaultInjectionLibrary(InstrumentationLibrary):
         spec = self.state.spec
         if spec is None:
             return RETIRE
-        block_size = frame["blockDim.x"] * frame["blockDim.y"]
-        if ctx.block * block_size + ctx.thread != spec.thread:
+        if ctx.block * ctx.block_size + ctx.thread != spec.thread:
             return RETIRE
         if spec.timing == "delayed":
             return self._delayed(ctx, frame, spec)

@@ -13,12 +13,18 @@ the compiled engine; lockstep ignores the return value.  The retire
 tests below run fault-injection launches on both engines and compare
 everything observable, so each ``RETIRE`` the FI library returns is
 checked against a run that kept calling it.
+
+The compiled engine keeps KIR variables in Python locals and hands a
+live hook a ``FrameView`` of them; the write-back tests below check
+that a hook sees and writes the frame exactly as it does the lockstep
+interpreter's dict.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.ftlib import HauberkFTLibrary
@@ -265,19 +271,18 @@ def _watch(prog, seen):
     return lambda: setattr(prog, attr, inner)
 
 
-def _observe_fi(build, engine, spec):
-    """Launch ``build`` with ``spec`` armed; everything observable."""
+def _observe_launch(kernel, engine, grid, block, setup, lib, budget):
+    """Launch ``kernel`` with ``lib``; the observables every engine must
+    agree on.  ``setup(device)`` allocates and returns the arguments."""
     device = Device()
     runtime = GPURuntime(device, engine=engine)
-    args = build.setup(device)
-    lib, fi, cb = build.library(spec)
+    args = setup(device)
     prepare = runtime.prepare_lockstep if engine == "lockstep" else runtime.prepare
     seen = {"frames": [], "steps": None}
-    undo = _watch(prepare(build.fi_kernel)[0], seen)
+    undo = _watch(prepare(kernel)[0], seen)
     launch = error = None
     try:
-        launch = runtime.launch(build.fi_kernel, build.grid, build.block, args,
-                                lib=lib, budget=build.budget)
+        launch = runtime.launch(kernel, grid, block, args, lib=lib, budget=budget)
     except (KernelHang, KernelCrash) as exc:
         error = (type(exc).__name__, str(exc))
     finally:
@@ -289,13 +294,21 @@ def _observe_fi(build, engine, spec):
         # repr: NaN compares equal, -0.0 differs from 0.0
         "frames": [sorted((k, repr(v)) for k, v in fr.items()) for fr in seen["frames"]],
         "steps": seen["steps"],
-        # every ActivationRecord field; repr: a NaN value compares equal
-        "activation": None if fi.activation is None else {
-            k: repr(v) if isinstance(v, float) else v
-            for k, v in dataclasses.asdict(fi.activation).items()},
-        "counters": dict(fi.state.counters),
-        "detections": None if cb is None else (repr(cb.events), cb.sdc_bit),
     }
+
+
+def _observe_fi(build, engine, spec):
+    """Launch ``build`` with ``spec`` armed; everything observable."""
+    lib, fi, cb = build.library(spec)
+    seen = _observe_launch(build.fi_kernel, engine, build.grid, build.block, build.setup,
+                           lib, build.budget)
+    # every ActivationRecord field; repr: a NaN value compares equal
+    seen["activation"] = None if fi.activation is None else {
+        k: repr(v) if isinstance(v, float) else v
+        for k, v in dataclasses.asdict(fi.activation).items()}
+    seen["counters"] = dict(fi.state.counters)
+    seen["detections"] = None if cb is None else (repr(cb.events), cb.sdc_bit)
+    return seen
 
 
 #: (label, site name, site kind, FaultSpec keywords, expected error,
@@ -313,6 +326,8 @@ RETIRE_CASES = {
          "KernelHang", "i", 1),
         ("victim-outside-grid", "acc", "decl", dict(thread="outside", mask=1),
          None, None, None),
+        ("delayed-param-hang", "n", "param",
+         dict(timing="delayed", occurrence=3, thread=2, mask=1 << 30), "KernelHang", "n", 1),
         ("delayed-pointer-crash", "out", "param",
          dict(timing="delayed", occurrence=5, thread=2, mask=1 << 28),
          "DeviceMemoryError", "out", 1),
@@ -359,3 +374,141 @@ def test_fi_retire_matches_lockstep(build_name, name, kind, spec_kw, error, vari
     else:
         assert fast["activation"]["variable"] == variable
         assert fast["activation"]["n_injections"] == n_injections
+
+
+# ---------------------------------------------------------------------------
+# the frame write-back contract
+# ---------------------------------------------------------------------------
+
+
+class _Poking(InstrumentationLibrary):
+    """Runs ``action(frame, tag, ctx)`` at every ``__hauberk_poke(tag)``
+    and keeps what it returns."""
+
+    def __init__(self, action):
+        self.action = action
+        self.seen = []
+
+    def lib_poke(self, ctx, frame, tag):
+        self.seen.append((ctx.block, ctx.thread, tag, ctx.steps,
+                          self.action(frame, tag, ctx)))
+
+
+def _observe_writes(src, engine, action, n, grid=1, block=2, budget=400):
+    """Launch ``src`` with a ``_Poking(action)`` library; everything
+    observable."""
+    def setup(device):
+        return {"n": n, "out": device.memory.alloc("out", grid * block, DType.FLOAT32)}
+
+    lib = _Poking(action)
+    seen = _observe_launch(parse_kernel(src), engine, grid, block, setup, lib, budget)
+    seen["seen"] = lib.seen
+    return seen
+
+
+def _writes_agree(src, action, n, **kw):
+    fast = _observe_writes(src, "closure", action, n, **kw)
+    slow = _observe_writes(src, "lockstep", action, n, **kw)
+    for key in slow:
+        assert fast[key] == slow[key], key
+    return fast
+
+
+WRITE_SRC = """
+kernel w(int n, float* out) {
+    float acc = 0.0;
+    __hauberk_poke(0);
+    for (int i = 0; i < n; i++) {
+        acc = acc + 1.0;
+        __hauberk_poke(1);
+    }
+    out[blockIdx.x * blockDim.x + threadIdx.x] = acc;
+}
+"""
+
+
+class TestFrameWriteBack:
+    def test_parameter_write_not_named_by_the_call_changes_the_trip_count(self):
+        def action(frame, tag, ctx):
+            if tag == 0 and ctx.thread == 1:
+                frame["n"] = 1 << 30  # the loop now runs to the budget
+            return frame["n"]
+
+        seen = _writes_agree(WRITE_SRC, action, 3)
+        assert seen["error"] == ("KernelHang", "kernel hang: instruction budget exhausted")
+        # thread 0 ran its three iterations; thread 1 hung
+        assert [s[4] for s in seen["seen"] if s[1] == 0] == [3] * 4
+        assert len(seen["frames"]) == 2
+        assert ("n", repr(1 << 30)) in seen["frames"][1]
+        assert seen["steps"] == 401
+
+    def test_loop_counter_write_mid_loop(self):
+        def action(frame, tag, ctx):
+            if tag == 1 and frame["i"] == 1:
+                frame["i"] = 5
+            return frame.get("i")
+
+        seen = _writes_agree(WRITE_SRC, action, 8)
+        assert seen["error"] is None
+        # i = 0, 1 -> 5, 6, 7: four iterations instead of eight
+        assert [s[4] for s in seen["seen"] if s[1] == 0] == [None, 0, 5, 6, 7]
+        assert np.array(seen["words"][:2], dtype=np.uint32).view(np.float32).tolist() == [4.0] * 2
+        assert ("i", "8") in seen["frames"][0]
+
+    def test_membership_follows_assignment_not_scope(self):
+        src = """
+        kernel p(int n, float* out) {
+            __hauberk_poke(0);
+            for (int i = 0; i < n - threadIdx.x; i++) {
+                float v = float(i);
+                __hauberk_poke(1);
+            }
+            __hauberk_poke(2);
+            int late = n * 2;
+            __hauberk_poke(3);
+        }
+        """
+
+        def action(frame, tag, ctx):
+            return tuple(name in frame for name in ("n", "threadIdx.x", "i", "v", "late"))
+
+        seen = _writes_agree(src, action, 1)
+        assert seen["error"] is None
+        assert [s[2:5:2] for s in seen["seen"]] == [
+            # thread 0: one iteration, so v is still present after the loop
+            (0, (True, True, False, False, False)),
+            (1, (True, True, True, True, False)),
+            (2, (True, True, True, True, False)),
+            (3, (True, True, True, True, True)),
+            # thread 1: no iteration, so v was never assigned
+            (0, (True, True, False, False, False)),
+            (2, (True, True, True, False, False)),
+            (3, (True, True, True, False, True)),
+        ]
+        names = [[k for k, _ in fr] for fr in seen["frames"]]
+        assert "v" in names[0] and "v" not in names[1]
+
+    def test_write_of_an_unassigned_name_reaches_the_frame(self):
+        def action(frame, tag, ctx):
+            if tag == 0:
+                frame["i"] = 40  # declared later: the for init overwrites it
+                frame["extra"] = 2.5  # not a kernel variable at all
+            return (frame["i"], frame["extra"])
+
+        seen = _writes_agree(WRITE_SRC, action, 2)
+        assert seen["error"] is None
+        assert [s[4] for s in seen["seen"] if s[1] == 0] == [(40, 2.5), (0, 2.5), (1, 2.5)]
+        assert ("extra", "2.5") in seen["frames"][0]
+
+    def test_write_then_raise_keeps_the_write(self):
+        def action(frame, tag, ctx):
+            if tag == 1 and ctx.thread == 1:
+                frame["acc"] = -7.0
+                frame["n"] = 99
+                raise KernelCrash("hook gave up", ctx.thread, ctx.block)
+            return None
+
+        seen = _writes_agree(WRITE_SRC, action, 2)
+        assert seen["error"][0] == "KernelCrash"
+        assert ("acc", "-7.0") in seen["frames"][1]
+        assert ("n", "99") in seen["frames"][1]

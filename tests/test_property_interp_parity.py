@@ -8,7 +8,10 @@ int ``/`` and ``%`` by operands that can be zero, run under a small
 statement budget so some of them hang -- must give identical frames,
 output words, cycle and loop-cycle counts, exceptions, final step
 counts, and hand a recording instrumentation library the same call
-sequence at the same step counts.
+sequence at the same step counts, with the same frame at every call.
+The recorder also overwrites a frame variable now and then, on a
+schedule drawn from the generated plan, so the compiled engine's frame
+view and its write-back are fuzzed against the lockstep dict.
 
 The same kernels, passed through ``instrument_for_fi`` with a random
 ``FaultSpec`` armed, check the retire contract: the compiled engine
@@ -62,12 +65,23 @@ def _fuzz_settings():
 
 
 class _Recorder(InstrumentationLibrary):
-    def __init__(self):
+    """Records every call with the frame it is handed.  On a schedule
+    drawn from the generated plan it also overwrites one variable of
+    that frame, so the engines must agree on hook writes too."""
+
+    def __init__(self, plan=None):
         self.calls = []
+        self.every = 2 + plan[0] % 5 if plan else 0
+        self.pick = plan[1] if plan else 0
 
     def lib_rec(self, ctx, frame, *args):
-        # repr: NaN arguments compare equal
-        self.calls.append((ctx.thread, ctx.steps, repr(args)))
+        # repr: NaN arguments and values compare equal
+        items = sorted((k, repr(v)) for k, v in frame.items())
+        self.calls.append((ctx.thread, ctx.steps, repr(args), items))
+        if self.every and len(self.calls) % self.every == 0:
+            name = items[(self.pick + len(self.calls)) % len(items)][0]
+            value = frame[name]
+            frame[name] = value ^ 1 if isinstance(value, int) else value + 1.0
 
 
 class _ControlFlowGen(_KernelGen):
@@ -190,14 +204,14 @@ def _canonical_nan(word):
     return word
 
 
-def _observe(kernel, engine, n, seedv, budget, fi=None, n_blocks=1):
+def _observe(kernel, engine, n, seedv, budget, plan, fi=None, n_blocks=1):
     """Run ``n_blocks`` blocks of ``kernel`` and return everything
     observable; ``fi`` is a fresh armed FI library, or None."""
     device = Device()
     out = device.memory.alloc("out", 4, DType.FLOAT32)
-    rec = _Recorder()
+    rec = _Recorder(plan)
     lib = rec if fi is None else CombinedLibrary([rec, fi])
-    ctx = ExecContext(device.memory, lib=lib, budget=budget)
+    ctx = ExecContext(device.memory, lib=lib, budget=budget, block_size=N_THREADS)
     frames = []
     error = None
     try:
@@ -237,10 +251,14 @@ def _observe(kernel, engine, n, seedv, budget, fi=None, n_blocks=1):
     return seen
 
 
-def _assert_engines_agree(kernel, n, seedv, budget=2_000_000, make_fi=None, n_blocks=1):
-    """``make_fi`` builds a fresh FI library per engine, or is None."""
-    fast = _observe(kernel, "codegen", n, seedv, budget, make_fi and make_fi(), n_blocks)
-    slow = _observe(kernel, "lockstep", n, seedv, budget, make_fi and make_fi(), n_blocks)
+def _assert_engines_agree(kernel, n, seedv, budget=2_000_000, make_fi=None, n_blocks=1,
+                          plan=None):
+    """``make_fi`` builds a fresh FI library per engine, or is None;
+    ``plan`` schedules the recorder's frame writes (None: no writes)."""
+    fast = _observe(kernel, "codegen", n, seedv, budget, plan, make_fi and make_fi(),
+                    n_blocks)
+    slow = _observe(kernel, "lockstep", n, seedv, budget, plan, make_fi and make_fi(),
+                    n_blocks)
     assert fast["calls"]
     for key in slow:
         assert fast[key] == slow[key], key
@@ -257,7 +275,7 @@ def _assert_engines_agree(kernel, n, seedv, budget=2_000_000, make_fi=None, n_bl
 )
 def test_compiler_and_lockstep_agree(plan, n_stmts, n_value, seed_value, budget):
     kernel = _with_hooks(_ControlFlowGen(plan).build(n_stmts))
-    _assert_engines_agree(kernel, n_value, seed_value, budget)
+    _assert_engines_agree(kernel, n_value, seed_value, budget, plan=plan)
 
 
 @_fuzz_settings()
@@ -286,7 +304,7 @@ def test_fi_spec_retire_agrees_with_lockstep(plan, n_stmts, n_value, seed_value,
                      thread=victim, occurrence=occurrence, burst=burst, timing=timing)
     _assert_engines_agree(instrument_for_fi(kernel), n_value, seed_value, budget,
                           make_fi=lambda: FaultInjectionLibrary(kernel, spec),
-                          n_blocks=FI_BLOCKS)
+                          n_blocks=FI_BLOCKS, plan=plan)
 
 
 def _kernel(*body):
