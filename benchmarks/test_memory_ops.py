@@ -16,15 +16,6 @@ The "old" numbers come from a faithful in-file shim of the previous
 interpreter and machine and the recorded ratios are honest.  Snapshot,
 restore, and golden-diff must each clear **5x**; results land in
 ``BENCH_memory.json`` at the repo root.
-
-The **paged** section measures the same lifecycle at a GB-scale
-*sparse* footprint: a 2^28-word (1 GB) address space with a few
-thousand touched words, dense ndarray vs sparse paged backing on the
-same machine.  Snapshot/restore are O(resident pages) vs O(footprint)
-copies and golden-diff is page-granular vs a full-array compare, so
-the ratios grow with sparseness; ``resident_ratio`` records how many
-addressable bytes each resident byte carries.  The dense section is
-untouched — its 5x floors still gate the PR-5 wins.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ from typing import List
 import numpy as np
 
 from repro.bits import bits_to_float, bits_to_int, float_to_bits, int_to_bits
-from repro.gpu.memory import GlobalMemory, PagedGlobalMemory
+from repro.gpu.memory import GlobalMemory
 from repro.harness.reporting import format_table
 from repro.kir.types import DType
 
@@ -98,73 +89,6 @@ def _best_seconds(fn, repeats: int = 5) -> float:
 
 def _per_op_ns(fn_once, n_ops: int, repeats: int = 5) -> float:
     return _best_seconds(fn_once, repeats) / n_ops * 1e9
-
-
-def _paged_section(smoke: bool) -> dict:
-    """Dense vs sparse-paged lifecycle at a GB-scale sparse footprint.
-
-    Both backings hold the identical sparse content (a strided touch
-    set over the full address space), so every timed operation does
-    the same logical work; only the backing differs.  Smoke scale
-    drops to a 2^26-word footprint so the dense comparator fits CI.
-    """
-    footprint = 1 << 26 if smoke else 1 << 28
-    page_words = 1 << 10
-    stride = footprint // 2048  # 2048 touched words, one per page span
-    touch = np.arange(0, footprint, stride, dtype=np.int64)
-    pattern = np.random.default_rng(99).integers(
-        1, 1 << 32, size=touch.size, dtype=np.uint32)
-
-    dense = GlobalMemory(footprint)
-    dense.alloc("state", footprint, DType.FLOAT32)
-    paged = PagedGlobalMemory(footprint, page_words=page_words)
-    paged.alloc("state", footprint, DType.FLOAT32)
-    for mem in (dense, paged):
-        mem.scatter_words(touch, pattern)
-
-    results = {
-        "footprint_words": footprint,
-        "touched_words": int(touch.size),
-        "page_words": page_words,
-        "resident_pages": paged.resident_pages,
-        "resident_bytes": paged.resident_bytes,
-        "resident_ratio": round(footprint * 4 / paged.resident_bytes, 1),
-    }
-
-    dense_snap = dense.snapshot()
-    paged_snap = paged.snapshot()
-    results["snapshot"] = {
-        "dense_seconds": _best_seconds(lambda: dense.snapshot()),
-        "paged_seconds": _best_seconds(lambda: paged.snapshot()),
-    }
-    results["restore"] = {
-        "dense_seconds": _best_seconds(lambda: dense.restore(dense_snap)),
-        "paged_seconds": _best_seconds(lambda: paged.restore(paged_snap)),
-    }
-
-    corrupt = touch[:: 16]
-    for mem in (dense, paged):
-        mem.scatter_words(corrupt, mem.gather_words(corrupt) ^ (1 << 20))
-    d_count = dense.golden_diff(dense_snap)
-    p_count = paged.golden_diff(paged_snap)
-    assert d_count == p_count == corrupt.size  # same logical work
-    results["golden_diff"] = {
-        "dense_seconds": _best_seconds(lambda: dense.golden_diff(dense_snap)),
-        "paged_seconds": _best_seconds(lambda: paged.golden_diff(paged_snap)),
-    }
-    # content digests agree across backings after restoring golden
-    dense.restore(dense_snap)
-    paged.restore(paged_snap)
-    results["digest_seconds"] = round(_best_seconds(paged.digest, repeats=3), 6)
-    assert dense.digest() == paged.digest()
-
-    for op in ("snapshot", "restore", "golden_diff"):
-        entry = results[op]
-        entry["speedup_vs_dense"] = round(
-            entry["dense_seconds"] / max(entry["paged_seconds"], 1e-9), 1)
-        entry["dense_seconds"] = round(entry["dense_seconds"], 6)
-        entry["paged_seconds"] = round(entry["paged_seconds"], 6)
-    return results
 
 
 def test_memory_ops(scale, report):
@@ -262,16 +186,12 @@ def test_memory_ops(scale, report):
                      f"{entry['new_ns_per_op']:.0f}ns",
                      f"{entry['speedup']:.2f}x"))
 
-    # -- GB-scale sparse footprint: dense ndarray vs paged backing --------
-    paged = _paged_section(smoke)
-
     payload = {
         "benchmark": "memory_ops",
         "nwords": nwords,
         "scalar_ops": n_scalar,
         "cpu_count": os.cpu_count(),
         "operations": results,
-        "paged": paged,
     }
     (REPO_ROOT / "BENCH_memory.json").write_text(
         json.dumps(payload, indent=2) + "\n"
@@ -282,18 +202,6 @@ def test_memory_ops(scale, report):
         ["operation", "old (List[int])", "new (uint32 ndarray)", "speedup"],
         rows,
     ))
-    report(format_table(
-        f"Sparse paged backing - {paged['footprint_words']} addressable words"
-        f" ({paged['touched_words']} touched,"
-        f" {paged['resident_ratio']:.0f}x resident ratio)",
-        ["operation", "dense ndarray", "paged store", "speedup"],
-        [
-            (op, f"{paged[op]['dense_seconds'] * 1e3:.3f}ms",
-             f"{paged[op]['paged_seconds'] * 1e3:.3f}ms",
-             f"{paged[op]['speedup_vs_dense']:.1f}x")
-            for op in ("snapshot", "restore", "golden_diff")
-        ],
-    ))
 
     # the refactor's reason to exist: whole-state ops are vectorized
     for op in ("snapshot", "restore", "golden_diff"):
@@ -303,10 +211,3 @@ def test_memory_ops(scale, report):
     for op in ("load_f32", "store_f32"):
         assert results[op]["speedup"] >= 1.0, \
             f"{op} slower than the legacy struct path"
-    # the paged tier's reason to exist: lifecycle cost follows the
-    # touched pages, not the addressable footprint
-    for op in ("snapshot", "restore", "golden_diff"):
-        assert paged[op]["speedup_vs_dense"] >= 5.0, \
-            f"paged {op} only {paged[op]['speedup_vs_dense']}x vs dense"
-    assert paged["resident_ratio"] >= 16.0, \
-        f"resident ratio {paged['resident_ratio']}x below the 16x floor"

@@ -28,9 +28,8 @@ class Checkpoint:
     #: Opaque extra state (e.g. a ControlBlock) stored by deep copy.
     extra: Dict[str, object] = field(default_factory=dict)
     #: Raw device-memory snapshot (``GlobalMemory.snapshot()``): a
-    #: ``uint32`` ndarray from the dense backing or a COW
-    #: ``PagedSnapshot`` page set from the sparse one, captured at a
-    #: kernel boundary; ``None`` when host-state only.
+    #: ``uint32`` ndarray captured at a kernel boundary; ``None`` when
+    #: host-state only.
     device_words: Optional[object] = None
 
     @classmethod
@@ -46,11 +45,9 @@ class Checkpoint:
 
         ``memory`` is any object with a ``snapshot()`` (the GPU's
         :class:`~repro.gpu.memory.GlobalMemory`): the whole allocated
-        device state is captured — one vectorized ``uint32`` copy on
-        the dense backing, a copy-on-write page set (O(resident pages),
-        never the full address space) on the paged backing.  Either
-        way it is raw bit patterns, so NaN payloads and denormals
-        written by the kernel survive a restore bit-exactly.
+        device state is captured as one vectorized ``uint32`` copy of
+        raw bit patterns, so NaN payloads and denormals written by the
+        kernel survive a restore bit-exactly.
         """
         return cls(
             tag=tag,

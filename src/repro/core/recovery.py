@@ -104,12 +104,9 @@ class DeviceCheckpointer:
     memory as one raw-bits snapshot (plus any registered host extras,
     e.g. the control block), and :meth:`restore` writes it back before
     a restart, so recovery resumes from the last kernel boundary
-    instead of re-running host setup.  On the dense backing snapshot
-    and restore are each a single vectorized ``uint32`` copy of the
-    allocated words; on the sparse paged backing they are
-    copy-on-write page sets, O(resident pages) even for GB-scale
-    address spaces — cheap enough to take before every launch either
-    way.
+    instead of re-running host setup.  Snapshot and restore are each a
+    single vectorized ``uint32`` copy of the allocated words — cheap
+    enough to take before every launch.
     """
 
     def __init__(self, program: HauberkProgram, extra_fn: Optional[Callable] = None):

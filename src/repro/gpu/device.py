@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.gpu.memory import GlobalMemory
 
@@ -35,12 +34,6 @@ class DeviceSpec:
     global_mem_words: int = 1 << 20
     #: Core clock in Hz (used to convert cycles to simulated seconds).
     clock_hz: float = 1.3e9
-    #: Memory backing: ``True`` forces the sparse paged store, ``False``
-    #: the dense ndarray, ``None`` auto-selects by capacity (see
-    #: :meth:`repro.gpu.memory.GlobalMemory.create`).
-    paged: Optional[bool] = None
-    #: Page size in words for the paged backing (``None`` = default).
-    page_words: Optional[int] = None
 
     @property
     def parallel_lanes(self) -> int:
@@ -70,11 +63,7 @@ class Device:
 
     def __post_init__(self) -> None:
         if self.memory is None:
-            self.memory = GlobalMemory.create(
-                self.spec.global_mem_words,
-                paged=self.spec.paged,
-                page_words=self.spec.page_words,
-            )
+            self.memory = GlobalMemory(self.spec.global_mem_words)
 
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.spec.clock_hz

@@ -18,19 +18,9 @@ fault injection bit-exactly, and whole-state operations
 (``snapshot``/``restore``/``memcpy``/golden diffs) are vectorized
 NumPy ops instead of per-word Python loops.
 
-Two backings implement the same semantics:
-
-* :class:`GlobalMemory` — one contiguous ``np.uint32`` array with
-  zero-copy ``float32``/``int32`` dtype views.  The default for small
-  footprints, and the fastest for them.
-* :class:`PagedGlobalMemory` — a sparse
-  :class:`~repro.gpu.paging.PagedWords` store for GB-scale address
-  spaces: pages materialize on first write, snapshots are
-  copy-on-write page sets, golden diffs are page-granular.  Selected
-  by :meth:`GlobalMemory.create` above a density threshold, by
-  ``DeviceSpec(paged=True)``, or by ``REPRO_PAGED_MEMORY=1``.
-
-All device-memory views here implement the
+The backing is one contiguous ``np.uint32`` array with zero-copy
+``float32``/``int32`` dtype views (:class:`GlobalMemory`).  All
+device-memory views here implement the
 :class:`~repro.memspace.MemorySpace` protocol, so the footprint
 recorder and the replay guard compose as layers over
 :class:`GlobalMemory` rather than ad-hoc look-alikes.
@@ -38,34 +28,16 @@ recorder and the replay guard compose as layers over
 
 from __future__ import annotations
 
-import hashlib
-import os
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.bits import bits_to_float, bits_to_int, float_to_bits
+from repro.bits import bits_to_float, float_to_bits
 from repro.errors import DeviceMemoryError, GPUError
-from repro.gpu.paging import DEFAULT_PAGE_WORDS, PagedSnapshot, PagedWords
 from repro.kir.types import DType
 from repro.memspace import MemorySpace, WordReinterpret  # noqa: F401 (re-export)
-
-#: Either snapshot form: the dense ndarray or the COW page set.
-Snapshot = Union[np.ndarray, PagedSnapshot]
-
-#: ``GlobalMemory.create`` switches to the paged backing at or above
-#: this capacity (2^22 words = 16 MB): big enough that the dense
-#: zero-fill and whole-array snapshots start to hurt, small enough
-#: that every GB-scale spec gets sparse backing automatically.
-PAGED_THRESHOLD_WORDS = 1 << 22
-
-#: Canonical chunk size (words) for content digests.  Fixed regardless
-#: of backing or page size so dense and paged memories holding the
-#: same content produce the same digest.
-_CANON_CHUNK = 1 << 16
 
 #: Largest finite binary32 magnitude: float64 values inside this bound
 #: cast to float32 without overflow, so the fast store path can write
@@ -102,15 +74,16 @@ class GlobalMemory(WordReinterpret):
     word primitives remain the reference implementation).
     """
 
-    #: Class flag: layers that need page-awareness (hazard maps, golden
-    #: diffs) branch on it instead of isinstance checks.
-    is_paged = False
-
     def __init__(self, capacity_words: int = 1 << 20):
         if capacity_words <= 0:
             raise GPUError(f"invalid memory capacity {capacity_words}")
         self.capacity = capacity_words
-        self._init_backing(capacity_words)
+        #: Raw 32-bit word patterns — the single backing store.
+        self.words: np.ndarray = np.zeros(capacity_words, dtype=np.uint32)
+        #: Zero-copy binary32 view of :attr:`words`.
+        self.f32: np.ndarray = self.words.view(np.float32)
+        #: Zero-copy two's-complement view of :attr:`words`.
+        self.i32: np.ndarray = self.words.view(np.int32)
         self.allocations: Dict[str, Allocation] = {}
         #: Allocation records ordered by base address (bump allocation
         #: appends in address order), for bisect lookups.
@@ -119,41 +92,6 @@ class GlobalMemory(WordReinterpret):
         self._brk = 0
         #: Highest mapped address + 1; accesses past this crash.
         self.mapped_end = 0
-
-    def _init_backing(self, capacity_words: int) -> None:
-        #: Raw 32-bit word patterns — the single backing store.
-        self.words: np.ndarray = np.zeros(capacity_words, dtype=np.uint32)
-        #: Zero-copy binary32 view of :attr:`words`.
-        self.f32: np.ndarray = self.words.view(np.float32)
-        #: Zero-copy two's-complement view of :attr:`words`.
-        self.i32: np.ndarray = self.words.view(np.int32)
-
-    @classmethod
-    def create(
-        cls,
-        capacity_words: int = 1 << 20,
-        paged: Optional[bool] = None,
-        page_words: Optional[int] = None,
-    ) -> "GlobalMemory":
-        """Build the right backing for a capacity.
-
-        ``paged=None`` auto-selects: the ``REPRO_PAGED_MEMORY``
-        environment variable (any value but ``""``/``"0"``) forces the
-        sparse store, otherwise capacities at or above
-        :data:`PAGED_THRESHOLD_WORDS` go paged and everything smaller
-        stays on the dense array (the PR-5 fast path).
-        """
-        if paged is None:
-            env = os.environ.get("REPRO_PAGED_MEMORY", "")
-            if env not in ("", "0"):
-                paged = True
-            else:
-                paged = capacity_words >= PAGED_THRESHOLD_WORDS
-        if paged:
-            return PagedGlobalMemory(
-                capacity_words, page_words=page_words or DEFAULT_PAGE_WORDS
-            )
-        return GlobalMemory(capacity_words)
 
     # -- allocation ----------------------------------------------------
     def alloc(self, name: str, nwords: int, dtype: DType = DType.FLOAT32) -> Allocation:
@@ -177,7 +115,7 @@ class GlobalMemory(WordReinterpret):
 
     def reset(self) -> None:
         """Free everything (between program runs)."""
-        self._zero_allocated()
+        self.words[: self._brk] = 0
         self.allocations.clear()
         self._ordered.clear()
         self._bases.clear()
@@ -203,12 +141,8 @@ class GlobalMemory(WordReinterpret):
     #
     # The differential engine, replay guards, and fault injectors move
     # raw bit patterns in and out by address array or contiguous range.
-    # These four primitives are the only seam they need: the dense
-    # backing implements them as single ndarray ops, the paged backing
-    # as page-resolving equivalents — callers never touch ``.words``.
-
-    def _zero_allocated(self) -> None:
-        self.words[: self._brk] = 0
+    # These four primitives, each a single ndarray op, are the only
+    # seam they need — callers never touch ``.words``.
 
     def gather_words(self, addrs: np.ndarray) -> np.ndarray:
         """Raw bits at ``addrs`` as a fresh ``uint32`` array (no checks)."""
@@ -328,203 +262,30 @@ class GlobalMemory(WordReinterpret):
         return self._brk
 
     # -- whole-state snapshots (differential trials, checkpoints) --------
-    def snapshot(self) -> Snapshot:
+    def snapshot(self) -> np.ndarray:
         """Raw bits of every allocated word (golden-state checkpoint).
 
-        One vectorized ``uint32`` copy on the dense backing, a COW page
-        set on the paged one; either way the result is independent of
-        later stores and feeds :meth:`restore` and the differential
-        engine's golden-diff compares.
+        One vectorized ``uint32`` copy, independent of later stores; it
+        feeds :meth:`restore` and the differential engine's golden
+        compares.
         """
         return self.words[: self._brk].copy()
 
-    def _check_restore(self, words: Snapshot) -> None:
+    def restore(self, words: np.ndarray) -> None:
+        """Overwrite allocated words with a prior :meth:`snapshot`.
+
+        The allocation table must already match the snapshot's layout
+        (callers re-run the same deterministic ``setup_memory`` first);
+        the error on a length mismatch names the memory class and both
+        lengths.
+        """
         if len(words) != self._brk:
             raise GPUError(
                 f"cannot restore {type(self).__name__}: "
                 f"{type(words).__name__} snapshot of {len(words)} words "
                 f"does not match {self._brk} allocated words"
             )
-
-    def restore(self, words: Snapshot) -> None:
-        """Overwrite allocated words with a prior :meth:`snapshot`.
-
-        The allocation table must already match the snapshot's layout
-        (callers re-run the same deterministic ``setup_memory`` first).
-        Either snapshot form restores into either backing; the error on
-        a length mismatch names the concrete memory class and both
-        lengths so dense-vs-paged mix-ups diagnose themselves.
-        """
-        self._check_restore(words)
-        if isinstance(words, PagedSnapshot):
-            # cross-backing restore: dense memories are small, so
-            # materializing the page set is cheap
-            words = words.materialize()
         self.words[: self._brk] = words
-
-    def golden_diff(self, snap: Snapshot) -> int:
-        """Count of allocated words deviating from a snapshot."""
-        if isinstance(snap, PagedSnapshot):
-            snap = snap.materialize()
-        return int(np.count_nonzero(self.words[: len(snap)] != snap))
-
-    # -- canonical content digest ---------------------------------------
-
-    def _content_spans(self) -> Iterator[Tuple[int, int]]:
-        """``(start, n)`` chunks of allocated space that may be nonzero."""
-        for start in range(0, self._brk, _CANON_CHUNK):
-            yield start, min(_CANON_CHUNK, self._brk - start)
-
-    def digest(self) -> str:
-        """SHA-256 over the allocated content, backing-independent.
-
-        Hashes the word count plus each fixed-size chunk that holds any
-        nonzero word (prefixed by its start address), so a dense and a
-        paged memory holding the same bits produce the same digest —
-        and the paged side only visits chunks overlapping resident
-        pages, never materializing the full address space.  This is
-        what campaign journals and parity checks fingerprint device
-        state with.
-        """
-        h = hashlib.sha256()
-        h.update(struct.pack("<Q", self._brk))
-        for start, n in self._content_spans():
-            chunk = self.read_words(start, n)
-            if chunk.any():
-                h.update(struct.pack("<Q", start))
-                h.update(chunk.tobytes())
-        return h.hexdigest()
-
-
-class PagedGlobalMemory(GlobalMemory):
-    """Sparse paged device memory: GB-scale capacity, resident-on-touch.
-
-    Same allocator, bounds policy, and bit semantics as the dense
-    :class:`GlobalMemory` — the scalar accessors use the
-    :mod:`repro.bits` struct codecs (the
-    :class:`~repro.memspace.WordReinterpret` reference semantics the
-    dense fast paths are verified against), and the bulk accessors
-    mirror the dense NaN-payload/saturation handling lane for lane —
-    but backed by a :class:`~repro.gpu.paging.PagedWords` store.
-    Untouched space costs nothing; snapshots are COW page sets; golden
-    diffs skip pages that haven't been written since the snapshot.
-
-    There is deliberately no ``.words`` array: any layer still
-    assuming one flat ndarray fails loudly with ``AttributeError``
-    instead of silently materializing gigabytes.
-    """
-
-    is_paged = True
-
-    def __init__(self, capacity_words: int = 1 << 20,
-                 page_words: int = DEFAULT_PAGE_WORDS):
-        self.page_words = page_words
-        super().__init__(capacity_words)
-
-    def _init_backing(self, capacity_words: int) -> None:
-        self._store = PagedWords(capacity_words, self.page_words)
-
-    @property
-    def resident_pages(self) -> int:
-        return self._store.resident_pages
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._store.resident_bytes
-
-    # -- raw word-range primitives --------------------------------------
-
-    def _zero_allocated(self) -> None:
-        # page-dropping reset: full pages inside the allocated range go
-        # back to lazy-zero, the boundary page is zeroed in place, and
-        # space beyond ``mapped_end`` is left as-is — exactly the dense
-        # ``words[:brk] = 0``
-        self._store.zero_range(0, self._brk)
-
-    def gather_words(self, addrs: np.ndarray) -> np.ndarray:
-        return self._store.gather(addrs)
-
-    def scatter_words(self, addrs: np.ndarray, bits: np.ndarray) -> None:
-        self._store.scatter(addrs, bits)
-
-    def read_words(self, start: int, n: int) -> np.ndarray:
-        return self._store.read_range(start, n)
-
-    def write_words(self, start: int, bits: np.ndarray) -> None:
-        self._store.write_range(start, np.asarray(bits, np.uint32))
-
-    # -- scalar access ---------------------------------------------------
-
-    def load_word(self, addr: int) -> int:
-        if 0 <= addr < self.capacity:
-            return self._store.item(addr)
-        raise DeviceMemoryError(f"load outside device memory: {addr}")
-
-    def store_word(self, addr: int, bits: int) -> None:
-        if 0 <= addr < self.capacity:
-            self._store.set_item(addr, bits & 0xFFFFFFFF)
-            return
-        raise DeviceMemoryError(f"store outside device memory: {addr}")
-
-    def load_f32(self, addr: int) -> float:
-        if 0 <= addr < self.capacity:
-            return bits_to_float(self._store.item(addr))
-        raise DeviceMemoryError(f"load outside device memory: {addr}")
-
-    def load_i32(self, addr: int) -> int:
-        if 0 <= addr < self.capacity:
-            return bits_to_int(self._store.item(addr))
-        raise DeviceMemoryError(f"load outside device memory: {addr}")
-
-    def store_f32(self, addr: int, value: float) -> None:
-        if 0 <= addr < self.capacity:
-            self._store.set_item(addr, float_to_bits(value))
-            return
-        raise DeviceMemoryError(f"store outside device memory: {addr}")
-
-    def store_i32(self, addr: int, value: int) -> None:
-        if 0 <= addr < self.capacity:
-            self._store.set_item(addr, value & 0xFFFFFFFF)
-            return
-        raise DeviceMemoryError(f"store outside device memory: {addr}")
-
-    # -- whole-state snapshots -------------------------------------------
-
-    def snapshot(self) -> PagedSnapshot:
-        """COW page-set snapshot of the allocated space: O(resident)."""
-        return self._store.snapshot_pages(self._brk)
-
-    def restore(self, words: Snapshot) -> None:
-        self._check_restore(words)
-        if isinstance(words, PagedSnapshot):
-            self._store.restore_range(words)
-        else:
-            # dense snapshot into the sparse store: all-zero spans over
-            # absent pages are skipped, so this stays O(content)
-            self._store.zero_range(0, self._brk)
-            self._store.write_range(0, np.asarray(words, np.uint32))
-
-    def golden_diff(self, snap: Snapshot) -> int:
-        if isinstance(snap, PagedSnapshot):
-            return snap.diff_count(self._store, self._brk)
-        snap = np.asarray(snap, np.uint32)
-        return int(np.count_nonzero(self.read_words(0, len(snap)) != snap))
-
-    def _content_spans(self) -> Iterator[Tuple[int, int]]:
-        # only chunks overlapping a resident page can hold nonzero
-        # content; everything else digests as absent (all-zero chunks
-        # are skipped on both backings, keeping digests equal)
-        chunks: Set[int] = set()
-        for p in self._store.pages:
-            lo = p << self._store.page_bits
-            if lo >= self._brk:
-                continue
-            hi = min(lo + self.page_words, self._brk)
-            chunks.update(range(lo // _CANON_CHUNK,
-                                (hi - 1) // _CANON_CHUNK + 1))
-        for c in sorted(chunks):
-            start = c * _CANON_CHUNK
-            yield start, min(_CANON_CHUNK, self._brk - start)
 
 
 # ---------------------------------------------------------------------------
@@ -719,23 +480,20 @@ class ReplayMemoryGuard(WordReinterpret):
             self._undo_bits.append(mem.load_word(addr))
         mem.store_word(addr, bits)
 
-    def deferred_mismatch(self, golden_words: Snapshot) -> bool:
+    def deferred_mismatch(self, golden_words: np.ndarray) -> bool:
         """Whether any later-read stored address ended up non-golden.
 
         Called once after a replay completes; ``True`` means a later
         thread would have observed a changed value and the trial must
         fall back to full execution.  One vectorized gather + compare
-        against either snapshot form (dense ndarray or COW page set).
+        against the golden snapshot.
         """
         if not self.deferred:
             return False
         addrs = np.fromiter(self.deferred, dtype=np.int64, count=len(self.deferred))
         if bool((addrs >= len(golden_words)).any()):
             return True
-        if isinstance(golden_words, PagedSnapshot):
-            golden_bits = golden_words.gather(addrs)
-        else:
-            golden_bits = np.asarray(golden_words, dtype=np.uint32)[addrs]
+        golden_bits = np.asarray(golden_words, dtype=np.uint32)[addrs]
         return not np.array_equal(self.mem.gather_words(addrs), golden_bits)
 
     def rollback(self) -> None:

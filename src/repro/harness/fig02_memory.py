@@ -5,20 +5,13 @@ pointer and integer data taken together" in the HPC FP programs.  Both
 paper-scale footprints (full Parboil problem sizes, from each
 workload's ``paper_scale_bytes``) and the scaled-down simulated
 footprints are reported.
-
-The GB-scale row exercises the figure at paper-realistic Parboil
-sizes: a kernel addresses a ≥ 2^28-word (1 GB) floating-point state
-buffer on a sparse paged device memory, and the row records that the
-*resident* backing stays proportional to the pages actually touched —
-plus a snapshot / fault-inject / golden-diff / restore cycle at that
-footprint, all without ever materializing the full address space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.harness.config import BENCH, ExperimentScale
 from repro.harness.reporting import print_table
@@ -46,39 +39,9 @@ class Fig02Row:
 
 
 @dataclass
-class GBScaleRow:
-    """One GB-scale launch on the sparse paged backing."""
-
-    footprint_words: int      #: addressable FP state, in words
-    touched_words: int        #: words the kernel actually wrote
-    page_words: int           #: page size of the sparse backing
-    resident_pages: int       #: pages materialized by the launch
-    resident_bytes: int       #: bytes actually backing the footprint
-    snapshot_resident_bytes: int   #: COW snapshot cost (page refs)
-    injected_faults: int      #: words corrupted across distinct pages
-    golden_diff_words: int    #: page-granular diff vs the snapshot
-    restore_clean: bool       #: diff == 0 after restoring the snapshot
-    output_ok: bool           #: kernel output verified
-    digest: str               #: backing-independent content digest
-
-    @property
-    def footprint_bytes(self) -> float:
-        return 4.0 * self.footprint_words
-
-    @property
-    def resident_ratio(self) -> float:
-        """Addressable bytes per resident byte (sparseness win)."""
-        if self.resident_bytes <= 0:
-            return 0.0
-        return self.footprint_bytes / self.resident_bytes
-
-
-@dataclass
 class Fig02Result:
     paper_scale: List[Fig02Row] = field(default_factory=list)
     simulated: List[Fig02Row] = field(default_factory=list)
-    #: Paper-realistic footprint demonstration on the paged backing.
-    gb_scale: Optional[GBScaleRow] = None
 
 
 def _aggregate(names, group: str, scale: ExperimentScale, use_paper: bool) -> Fig02Row:
@@ -96,92 +59,12 @@ def _aggregate(names, group: str, scale: ExperimentScale, use_paper: bool) -> Fi
     return Fig02Row(group=group, fp_bytes=fp / n, int_bytes=ii / n, ptr_bytes=pp / n)
 
 
-#: Strided-touch kernel: each thread reads-modifies-writes one word of
-#: a GB-scale FP state buffer, landing every lane on a distinct page.
-_GB_KERNEL = """
-kernel gb_touch(float* state, float* out, int stride, int n) {
-    int tid = blockIdx.x * blockDim.x + threadIdx.x;
-    if (tid < n) {
-        int addr = tid * stride;
-        state[addr] = state[addr] + 1.0;
-        out[tid] = state[addr];
-    }
-}
-"""
-
-
-def run_gb_scale(
-    n_threads: int = 512,
-    stride_words: int = 1 << 19,
-    page_words: int = 1 << 12,
-) -> GBScaleRow:
-    """Launch a kernel over a ≥ 2^28-word FP buffer on paged memory.
-
-    Defaults address ``511 * 2^19 + 1`` ≈ 2^28 words (1 GB of binary32
-    state) while touching one word per half-MiB stride, so the
-    resident backing is ~``n_threads`` 16 KiB pages (≈ 8 MiB).  After
-    the launch, a snapshot / bulk fault-injection / golden-diff /
-    restore cycle runs at the same footprint — the whole-campaign
-    memory lifecycle at paper-realistic Parboil scale.
-    """
-    import numpy as np
-
-    from repro.gpu.device import Device, DeviceSpec
-    from repro.gpu.faults import inject_word_faults
-    from repro.gpu.runtime import GPURuntime
-    from repro.kir.parser import parse_kernel
-    from repro.kir.types import DType
-
-    # at least 2^28 words (1 GB of binary32 state): paper-realistic
-    state_words = max((n_threads - 1) * stride_words + 1, 1 << 28)
-    capacity = state_words + n_threads + page_words
-    device = Device(spec=DeviceSpec(
-        global_mem_words=capacity, paged=True, page_words=page_words,
-    ))
-    mem = device.memory
-    state = mem.alloc("state", state_words, DType.FLOAT32)
-    out = mem.alloc("out", n_threads, DType.FLOAT32)
-
-    block = 64
-    grid = (n_threads + block - 1) // block
-    runtime = GPURuntime(device)
-    runtime.launch(
-        parse_kernel(_GB_KERNEL), (grid, 1), (block, 1),
-        {"state": state, "out": out, "stride": stride_words, "n": n_threads},
-    )
-    output_ok = bool(np.all(mem.memcpy_dtoh(out) == 1.0))
-    launch_resident = mem.resident_bytes
-
-    golden = mem.snapshot()
-    fault_addrs = [state.base + i * stride_words
-                   for i in range(0, n_threads, 7)]
-    inject_word_faults(mem, fault_addrs, [1 << 20] * len(fault_addrs))
-    diff = mem.golden_diff(golden)
-    mem.restore(golden)
-    restore_clean = mem.golden_diff(golden) == 0
-
-    return GBScaleRow(
-        footprint_words=state_words,
-        touched_words=n_threads,
-        page_words=page_words,
-        resident_pages=mem.resident_pages,
-        resident_bytes=launch_resident,
-        snapshot_resident_bytes=golden.resident_bytes,
-        injected_faults=len(fault_addrs),
-        golden_diff_words=diff,
-        restore_clean=restore_clean,
-        output_ok=output_ok,
-        digest=mem.digest(),
-    )
-
-
 def run_fig02(scale: ExperimentScale = BENCH) -> Fig02Result:
     result = Fig02Result()
     for use_paper, store in ((True, result.paper_scale), (False, result.simulated)):
         store.append(_aggregate(FP_PROGRAMS, "HPC FP programs", scale, use_paper))
         store.append(_aggregate((INT_PROGRAM,), "HPC integer program", scale, use_paper))
         store.append(_aggregate(GRAPHICS, "3D graphics programs", scale, use_paper))
-    result.gb_scale = run_gb_scale()
     return result
 
 
@@ -195,25 +78,5 @@ def print_fig02(result: Fig02Result) -> None:
                 (r.group, f"{r.fp_bytes:.3g}", f"{r.int_bytes:.3g}",
                  f"{r.ptr_bytes:.3g}", f"{r.fp_dominance_orders:.2f}")
                 for r in rows
-            ],
-        )
-    gb = result.gb_scale
-    if gb is not None:
-        print_table(
-            "Figure 2 - GB-scale footprint on sparse paged memory",
-            ["metric", "value"],
-            [
-                ("addressable FP state", f"{gb.footprint_bytes:.3g} bytes"
-                                         f" ({gb.footprint_words} words)"),
-                ("resident backing", f"{gb.resident_bytes} bytes"
-                                     f" ({gb.resident_pages} pages of "
-                                     f"{gb.page_words} words)"),
-                ("addressable : resident", f"{gb.resident_ratio:.0f}x"),
-                ("COW snapshot resident", f"{gb.snapshot_resident_bytes} bytes"),
-                ("faults injected / diffed",
-                 f"{gb.injected_faults} / {gb.golden_diff_words}"),
-                ("restore clean", str(gb.restore_clean)),
-                ("kernel output verified", str(gb.output_ok)),
-                ("content digest", gb.digest[:16]),
             ],
         )

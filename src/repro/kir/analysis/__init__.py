@@ -50,24 +50,6 @@ __all__ = [
     "register_pressure",
 ]
 
-from repro.kir.analysis.uniformity import (  # noqa: E402
-    DivergenceReport,
-    GRID_SEEDS,
-    THREAD_SEEDS,
-    branch_divergence,
-    is_warp_uniform,
-    thread_varying_names,
-)
-
-__all__ += [
-    "DivergenceReport",
-    "GRID_SEEDS",
-    "THREAD_SEEDS",
-    "branch_divergence",
-    "is_warp_uniform",
-    "thread_varying_names",
-]
-
 from repro.kir.analysis.sections import (  # noqa: E402
     Section,
     affected_sections,

@@ -57,10 +57,12 @@ def live_intervals(kernel: Kernel) -> List[LiveInterval]:
         if name in first_def:
             last_use[name] = max(last_use.get(name, pos), pos)
 
+    # uses at each statement (shallow: compound stmts contribute their
+    # own children when visited), computed once for both passes
+    reads = [_shallow_reads(stmt) for stmt, _depth in order]
+
     for pos, (stmt, _depth) in enumerate(order):
-        # uses at this statement (shallow: compound stmts contribute
-        # their own children when visited)
-        for name in _shallow_reads(stmt):
+        for name in reads[pos]:
             note_use(name, pos)
         if isinstance(stmt, Decl) and stmt.name not in first_def:
             first_def[stmt.name] = pos
@@ -72,13 +74,10 @@ def live_intervals(kernel: Kernel) -> List[LiveInterval]:
     # Loop extension: any variable used inside a loop but defined before
     # it stays live through the loop's entire span.
     for span in spans.values():
+        span_reads = frozenset().union(*(reads[p] for p in span))
         for name, fd in first_def.items():
-            if fd < span.start:
-                # used anywhere within the loop?
-                if any(
-                    name in _shallow_reads(order[p][0]) for p in span
-                ):
-                    last_use[name] = max(last_use[name], span.stop - 1)
+            if fd < span.start and name in span_reads:
+                last_use[name] = max(last_use[name], span.stop - 1)
 
     return [
         LiveInterval(name=n, start=first_def[n], end=last_use.get(n, first_def[n]))

@@ -143,21 +143,6 @@ def campaign_fingerprint(
     fingerprint = _digest(components)
     meta = {"version": JOURNAL_VERSION, "fingerprint": fingerprint,
             "components": components}
-    if program is not None:
-        # backing descriptor is meta-only (never digested): dense and
-        # sparse-paged device memories produce bit-identical trials, so
-        # campaigns on either deliberately share a fingerprint — the
-        # journal of a dense run resumes a paged one and vice versa.
-        # Device *state* digests (``GlobalMemory.digest()``) are
-        # likewise backing-independent and only visit resident pages.
-        mem = program.device.memory
-        backing: Dict[str, object] = {
-            "memory": type(mem).__name__,
-            "capacity_words": mem.capacity,
-        }
-        if mem.is_paged:
-            backing["page_words"] = mem.page_words
-        meta["backing"] = backing
     if sections is not None:
         # per-section content fingerprints plus a golden-free input
         # digest: the incremental-resume compatibility check (meta-only

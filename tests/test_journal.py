@@ -86,6 +86,44 @@ class TestFingerprints:
         fp4, _ = campaign_fingerprint(prog, specs[:-1], "fi", 0)
         assert fp4 != fp1  # plan participates
 
+    def test_campaign_fingerprint_is_pinned(self):
+        # a changed fingerprint orphans every existing run dir, so the
+        # digest of a fixed plan is pinned to its literal value
+        wl, specs = _tiny_specs()
+        fp, meta = campaign_fingerprint(HauberkProgram(wl), specs, "fi", 0)
+        assert fp == ("076ba3aac0a366c58113d85342e710d1"
+                      "6191fef7259d5b41322a76da02c80847")
+        assert "backing" not in meta
+
+    def test_meta_with_backing_block_resumes(self, tmp_path):
+        """A run dir whose ``meta.json`` still carries the retired
+        ``backing`` descriptor resumes: only the fingerprint is read."""
+        wl, specs = _tiny_specs(masks_per_site=1)
+        root = str(tmp_path / "runs")
+        opts = CampaignOptions(workers=1, differential=False)
+        first = run_campaign(HauberkProgram(wl), specs, mode="fi",
+                             options=opts.evolve(run_dir=root))
+        meta_path = os.path.join(os.path.dirname(_journal_path(root)),
+                                 "meta.json")
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        meta["backing"] = {"capacity_words": 1 << 20,
+                           "memory": "GlobalMemory"}
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+
+        def exploding_factory():
+            def runner(spec):
+                raise AssertionError("resume should not execute trials")
+
+            return runner
+
+        prog = HauberkProgram(TinyWorkload())
+        prog.trial_runner = lambda mode, seed: exploding_factory()
+        resumed = run_campaign(prog, specs, mode="fi",
+                               options=opts.evolve(resume=root))
+        _assert_identical(resumed, first)
+
     def test_runner_campaigns_fingerprint_plan_only(self):
         specs = [FaultSpec(site=1, mask=1, thread=0, occurrence=1)]
         fp, meta = campaign_fingerprint(None, specs, "fi", 0)

@@ -1,6 +1,8 @@
 """Analysis tests: dataflow sites, loops/trip counts, dependency, liveness."""
 
+import pytest
 
+from repro.core.translator import HauberkTranslator
 from repro.kir import parse_kernel
 from repro.kir.analysis import (
     collect_sites,
@@ -18,6 +20,7 @@ from repro.kir.analysis.dependency import (
 )
 from repro.kir.analysis.loops import top_level_loops
 from repro.kir.interp.codegen import compile_expr
+from repro.workloads import all_workloads, get_workload
 
 
 LOOP_SRC = """
@@ -259,6 +262,37 @@ kernel k(int n, int* o) {
 """
         )
         assert register_pressure(dup) > register_pressure(base)
+
+
+#: ``register_pressure`` of every workload build, pinned: the GPU cost
+#: model's spill penalty is a function of these numbers, so any change
+#: to the live-interval estimate must show up here first.
+PINNED_PRESSURE = {
+    "CP": (16, 21, 16, 21),
+    "MRI-FHD": (21, 30, 21, 30),
+    "MRI-Q": (17, 25, 17, 25),
+    "PNS": (14, 18, 14, 18),
+    "RPES": (14, 19, 14, 19),
+    "SAD": (15, 23, 15, 23),
+    "TPACF": (12, 18, 12, 18),
+    "OCEAN": (15, 20, 15, 20),
+    "RAYTRACE": (17, 22, 17, 22),
+}
+
+
+class TestPinnedPressure:
+    def test_every_workload_is_pinned(self):
+        assert sorted(PINNED_PRESSURE) == sorted(all_workloads())
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PRESSURE))
+    def test_register_pressure_of_each_build(self, name):
+        kernel = get_workload(name).kernel
+        translator = HauberkTranslator()
+        got = tuple(
+            register_pressure(translator.build(kernel, mode).kernel)
+            for mode in ("original", "ft", "fi", "fift")
+        )
+        assert got == PINNED_PRESSURE[name]
 
 
 def _validated_expr(kernel, expr):

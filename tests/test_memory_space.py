@@ -287,6 +287,22 @@ class TestBulkInjection:
             inject_word_faults(mem, [0, 1], [1])
 
 
+class TestBulkWordPrimitives:
+    def test_duplicate_scatter_is_last_wins(self):
+        mem = fresh_memory()
+        addrs = np.array([3, 3, 30, 3, 30], np.int64)
+        mem.scatter_words(addrs, np.array([1, 2, 3, 4, 5], np.uint32))
+        assert mem.load_word(3) == 4
+        assert mem.load_word(30) == 5
+
+    def test_restore_mismatch_names_class_and_lengths(self):
+        mem = fresh_memory()
+        with pytest.raises(GPUError, match=(
+                r"cannot restore GlobalMemory: ndarray snapshot of 5 words "
+                r"does not match 64 allocated words")):
+            mem.restore(np.zeros(5, np.uint32))
+
+
 class TestFootprintNetArrays:
     def test_net_arrays_collapse_duplicate_addresses(self):
         fp = ThreadFootprint()
