@@ -76,13 +76,16 @@ def inject_word_faults(
     """XOR error masks into many device words at once.
 
     ``memory`` is a :class:`~repro.gpu.memory.GlobalMemory`; ``addrs``
-    and ``masks`` are parallel sequences.  Returns ``(old_bits,
-    new_bits)`` ``uint32`` arrays so callers can journal and undo the
-    corruption exactly.  Works on raw bit patterns: XOR into a
-    NaN-holding word perturbs exactly the masked payload bits.  Every
-    address is validated against the mapped range first — all-or-
-    nothing, matching the single-word
-    :meth:`~repro.gpu.memory.GlobalMemory.inject_word_fault`.
+    and ``masks`` are parallel sequences.  The masks of a repeated
+    address XOR together, so the call leaves memory as one
+    :meth:`~repro.gpu.memory.GlobalMemory.inject_word_fault` per lane
+    would.  Returns ``(old_bits, new_bits)`` ``uint32`` arrays, one
+    lane per address: its word before and after the whole call, so
+    callers can journal and undo the corruption exactly.  Works on raw
+    bit patterns: XOR into a NaN-holding word perturbs exactly the
+    masked payload bits.  Every address is validated against the
+    mapped range first — all-or-nothing, matching the single-word
+    form.
     """
     addr_arr = np.asarray(addrs, dtype=np.int64).reshape(-1)
     mask_arr = np.asarray(masks, dtype=np.uint64).reshape(-1).astype(np.uint32)
@@ -98,6 +101,11 @@ def inject_word_faults(
     if bool(bad.any()):
         addr = int(addr_arr[bad][0])
         raise DeviceMemoryError(f"fault injection outside mapped memory: {addr}")
+    uniq, lane_of = np.unique(addr_arr, return_inverse=True)
+    if uniq.size < addr_arr.size:
+        combined = np.zeros(uniq.size, dtype=np.uint32)
+        np.bitwise_xor.at(combined, lane_of, mask_arr)
+        mask_arr = combined[lane_of]
     old_bits = memory.gather_words(addr_arr)
     new_bits = old_bits ^ mask_arr
     memory.scatter_words(addr_arr, new_bits)

@@ -1,7 +1,7 @@
 """`CampaignOptions` — the single parameter object for campaign runs.
 
-Campaign execution grew knob by knob — worker counts, chunk sizes,
-differential replay, and now journaling, retries, and trial timeouts —
+Campaign execution grew knob by knob — worker counts, differential
+replay, and now journaling, retries, and trial timeouts —
 and each knob was threaded separately through ``run_campaign``,
 ``ExperimentScale``, and the CLI.  This module collapses them into one
 frozen, picklable dataclass: harnesses carry a ``CampaignOptions``,
@@ -38,9 +38,6 @@ class CampaignOptions:
     workers: Union[int, str, None] = 1
     #: Campaign input seed (``HauberkProgram.campaign_io``).
     seed: int = 0
-    #: Specs per worker chunk; ``None`` picks
-    #: :func:`repro.exec.pool.default_chunk_size`.
-    chunk_size: Optional[int] = None
     #: Serve eligible trials via golden-run memoization + single-thread
     #: replay (:mod:`repro.swifi.differential`).
     differential: bool = True

@@ -157,7 +157,7 @@ def build_trial_runner(
 def execute_chunk(
     runner: Callable[[Optional[FaultSpec]], TrialObservation],
     items: List[Tuple[int, FaultSpec]],
-    lease_id: Optional[str], run_id: str,
+    lease_id: str,
     capture_trace: bool = False,
     isolate: bool = True,
 ) -> Dict[str, Any]:
@@ -192,8 +192,8 @@ def execute_chunk(
     else:
         execute()
     return {
-        "type": "result", "lease": lease_id, "run": run_id,
-        "pid": os.getpid(), "indices": [index for index, _ in items],
+        "type": "result", "lease": lease_id, "pid": os.getpid(),
+        "indices": [index for index, _ in items],
         "observations": observations,
         "costs": costs if profiler.enabled else [],
         "metrics": registry.as_dict() if registry is not None else {},
@@ -213,36 +213,36 @@ def _drive_inline(scheduler: LeaseScheduler, run: CampaignRun,
         if runner is None:
             runner = build_runner()
         items = [(i, run.spec_list[i]) for i in lease.indices]
-        message = execute_chunk(runner, items, lease.lease_id, run.run_id,
-                                isolate=False)
-        scheduler.absorb(message, source="serial")
+        message = execute_chunk(runner, items, lease.lease_id, isolate=False)
+        scheduler.absorb(message, "parent", source="serial")
 
 
-def _fork_worker(conn, inherited, run_id, program, mode,
-                 options: CampaignOptions, runner_factory,
-                 capture_trace) -> None:
+def _fork_worker(conn, inherited, program, mode, options: CampaignOptions,
+                 runner_factory, capture_trace) -> None:
     """A forked child: run each leased chunk until told to stop.
 
     The inherited tracer is detached first so children never write into
     the parent's trace sink (a shared open file under ``--trace``); each
     chunk's metrics start from a fresh registry, so every result ships
-    a clean delta.  A trial exception goes back as an ``error`` message.
+    a clean delta.  The runner is built once the first lease arrives,
+    so every message answers the lease it names: a trial exception (or
+    a failed build) goes back as that lease's ``error`` message.
     """
     for other in inherited:  # parent-side pipe ends: a parent death must
         other.close()        # reach this child as EOF
     set_tracer(None)
     set_profiler(PhaseProfiler() if options.profile else None)
-    lease_id = None
+    runner = lease_id = None
     try:
-        runner = build_trial_runner(program, mode, options, runner_factory)
         for lease_id, items in iter(conn.recv, None):
-            conn.send(execute_chunk(runner, items, lease_id, run_id,
-                                    capture_trace))
+            if runner is None:
+                runner = build_trial_runner(program, mode, options,
+                                            runner_factory)
+            conn.send(execute_chunk(runner, items, lease_id, capture_trace))
     except EOFError:
         return  # the parent is gone
     except Exception as exc:
-        error = {"type": "error", "run": run_id, "lease": lease_id,
-                 "exception": exc}
+        error = {"type": "error", "lease": lease_id, "exception": exc}
         try:
             conn.send(error)
         except Exception:  # an unpicklable exception still fails the run
@@ -264,7 +264,7 @@ def _drive_forked(scheduler: LeaseScheduler, run: CampaignRun,
         conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_fork_worker,
-            args=(child_conn, [conn, *children], run.run_id, *worker_args),
+            args=(child_conn, [conn, *children], *worker_args),
             daemon=True,
         )
         proc.start()
@@ -299,7 +299,7 @@ def _drive_forked(scheduler: LeaseScheduler, run: CampaignRun,
                     if run.state == "running":
                         fork()
                     continue
-                scheduler.absorb(message)
+                scheduler.absorb(message, worker_id)
                 idle.append(conn)
     finally:
         for conn, (_worker_id, proc) in children.items():
@@ -371,8 +371,8 @@ def _run_local(program, spec_list, mode, options: CampaignOptions,
     ) as span:
         run = scheduler.open_run(
             program, spec_list, mode, options,
-            chunk_size=1 if n_workers == 1 else options.chunk_size,
-            workers=n_workers, plan=plan,
+            chunk_size=1 if n_workers == 1 else None, workers=n_workers,
+            plan=plan,
         )
         journal_dir = run.journal.directory if run.journal is not None else None
         span.set(replayed=len(run.replayed))
@@ -415,10 +415,10 @@ def run_campaign(
     The shared entry point for every campaign-driven harness — and the
     frozen v1 surface: every execution knob lives on
     :class:`~repro.swifi.options.CampaignOptions` (workers, seed,
-    chunking, differential replay, journal/resume directories, retry
-    policy, trial timeout).
+    differential replay, journal/resume directories, retry policy,
+    trial timeout).
 
-    Guarantees, for any worker count and chunk size:
+    Guarantees, for any worker count:
 
     * the returned :class:`CampaignResult` is bit-identical to the
       ``workers=1`` run;

@@ -1,15 +1,14 @@
-"""The campaign scheduler: one lease loop for every kind of worker.
+"""The campaign scheduler: one run, one lease per worker.
 
 The paper's study is ~10,000 independent single-fault trials per
 application (Section VIII).  Every campaign — run in-process or on
-forked local workers — is scheduled by one :class:`LeaseScheduler`.
-It owns each run's authoritative state: the spec plan, the durable
-journal, the queue of unleased chunks, the
-:class:`~repro.exec.lease.LeaseTable` and the
-:class:`~repro.exec.retry.BlameLedger`.  A worker only leases a chunk,
-runs it through :func:`repro.swifi.parallel.execute_chunk`, and sends
-one result message back; everything else happens here, without
-pipes or processes:
+forked local workers — is scheduled by its own :class:`LeaseScheduler`.
+It owns the run's authoritative state: the spec plan, the durable
+journal, the queue of unleased chunks, the lease each worker holds and
+each spec's worker-death count.  A worker only leases a chunk, runs it
+through :func:`repro.swifi.parallel.execute_chunk`, and sends one
+message back; everything else happens here, without pipes or
+processes:
 
 1. **Bit-identical results.**  Every observation — shipped by a
    worker, replayed from the journal, or synthesized by quarantine —
@@ -17,31 +16,31 @@ pipes or processes:
    merge in original spec order (:meth:`LeaseScheduler._finish`), so the
    result is the same for any worker count, lease history and
    kill/resume split.
-2. **One absorb.**  :meth:`LeaseScheduler.absorb` applies a single
-   worker message, checked whole first (anything malformed raises
-   :class:`~repro.errors.InjectionError` and applies nothing): dedup,
-   one journal line (with served-by and section tags) and
+2. **One absorb per lease.**  A worker holds at most one lease, and
+   each lease ends in exactly one message or a pipe EOF.
+   :meth:`LeaseScheduler.absorb` checks a message whole against the
+   lease its worker holds (anything else raises
+   :class:`~repro.errors.InjectionError` and applies nothing), then
+   applies it: one journal line (with served-by and section tags) and
    ``profile.trial`` event per trial, a heartbeat, and the worker's
-   metrics delta and trace records.
+   metrics delta and trace records.  A message that arrives after the
+   run ended is ignored.
 3. **A lost lease is a death signal.**  When a forked worker's pipe
-   hits EOF (:meth:`LeaseScheduler.release_worker`), each multi-item
-   chunk it held is split in half and requeued, a single-item one is an
-   attributable strike, and a condemned spec is quarantined as a
-   ``WORKER_KILLED`` trial.
-4. **Duplicates are harmless.**  The first result for an index wins.
-   Trials are deterministic, so a dropped copy equals the kept one.
+   hits EOF (:meth:`LeaseScheduler.release_worker`), a multi-item chunk
+   it held is split in half and requeued, and a single-item one counts
+   a death against its spec; a spec with ``RetryPolicy.max_deaths``
+   deaths is quarantined as a ``WORKER_KILLED`` trial.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import InjectionError
-from repro.exec.lease import Lease, LeaseTable
 from repro.exec.pool import chunk_slices, default_chunk_size
-from repro.exec.retry import BlameLedger, RetryPolicy
+from repro.exec.retry import RetryPolicy
 from repro.obs.events import get_tracer
 from repro.obs.instrument import (
     record_campaign,
@@ -180,10 +179,20 @@ def _open_monitor(
 # -- the scheduler ---------------------------------------------------------
 
 
+class Lease(NamedTuple):
+    """One granted chunk: who holds which spec indices."""
+
+    lease_id: str
+    worker_id: str
+    #: Global spec indices of the leased chunk (original plan order).
+    indices: Tuple[int, ...]
+
+
 @dataclass
 class CampaignRun:
-    """Everything the scheduler tracks for one campaign."""
+    """Everything the scheduler tracks for its campaign."""
 
+    #: A label for trace events.
     run_id: str
     spec_list: List[Any]
     journal: Optional[CampaignJournal] = None
@@ -194,8 +203,9 @@ class CampaignRun:
     queue: "deque[Tuple[int, ...]]" = field(default_factory=deque)
     obs_by_index: Dict[int, TrialObservation] = field(default_factory=dict)
     quarantines: Dict[int, QuarantineReport] = field(default_factory=dict)
-    ledger: Optional[BlameLedger] = None
-    #: Leases of this run lost to a dead worker so far.
+    #: Worker deaths per spec index, each while running that spec alone.
+    deaths: "Counter[int]" = field(default_factory=Counter)
+    #: Leases lost to a dead worker so far.
     lost: int = 0
     #: ``running``, then ``done`` or ``failed``.
     state: str = "running"
@@ -208,46 +218,44 @@ class CampaignRun:
         return (len(self.replayed) + len(self.obs_by_index)
                 + len(self.quarantines))
 
-    def landed(self, index: int) -> bool:
-        """Whether spec ``index`` already has its final entry."""
-        return (index in self.obs_by_index or index in self.quarantines
-                or index in self.replayed)
 
-
-def _check_result(run: CampaignRun,
+def _check_result(run: CampaignRun, lease: Lease,
                   message: Dict[str, Any]) -> Callable[[], None]:
     """Validate a result message whole and return its metrics merge.
 
-    Indices must name specs of ``run``, each with one observation and
-    (when profiled) one cost record or ``None``; the worker pid is an
-    int and the trace a list; the metrics must merge.
+    Every key :func:`~repro.swifi.parallel.execute_chunk` writes must be
+    there: indices exactly ``lease``'s, each with one observation and
+    (when profiled) one cost record or ``None``, an int pid, a list
+    trace, and metrics that merge.
     """
     indices = message.get("indices")
     observations = message.get("observations")
-    costs = message.get("costs") or []
-    pid = message.get("pid")
+    costs = message.get("costs")
     well_formed = (
-        isinstance(indices, list) and isinstance(observations, list)
-        and isinstance(costs, list) and len(observations) == len(indices)
-        and (pid is None or type(pid) is int)
-        and isinstance(message.get("trace") or [], list)
-        and len(costs) in (0, len(indices))
-        and all(type(i) is int and 0 <= i < len(run.spec_list)
-                for i in indices)
+        message.get("type") == "result"
+        and isinstance(indices, list) and all(type(i) is int for i in indices)
+        and tuple(indices) == lease.indices
+        and isinstance(observations, list)
+        and len(observations) == len(indices)
         and all(isinstance(o, TrialObservation) for o in observations)
-        and all(c is None or isinstance(c, dict) for c in costs))
-    problem = ("indices, observations and costs must pair up, one per "
-               "spec, beside an int pid and a list trace")
+        and isinstance(costs, list) and len(costs) in (0, len(indices))
+        and all(c is None or isinstance(c, dict) for c in costs)
+        and type(message.get("pid")) is int
+        and isinstance(message.get("trace"), list)
+        and isinstance(message.get("metrics"), dict))
+    problem = (f"a result needs lease {lease.lease_id}'s indices "
+               f"{list(lease.indices)}, one observation and cost per spec, "
+               "an int pid, a list trace and a metrics dict")
     if well_formed:
         try:
-            return get_registry().prepare_merge(message.get("metrics") or {})
+            return get_registry().prepare_merge(message["metrics"])
         except ValueError as exc:
             problem = f"metrics: {exc}"
     raise InjectionError(f"malformed result for {run.run_id}: {problem}")
 
 
 class LeaseScheduler:
-    """Queue, lease, absorb and merge campaign runs — no I/O of its own.
+    """Queue, lease, absorb and merge one campaign run — no I/O of its own.
 
     Not thread-safe: a single driver thread calls it (the in-process
     and forked drivers in :mod:`repro.swifi.parallel`).
@@ -255,16 +263,19 @@ class LeaseScheduler:
 
     def __init__(self, retry: Optional[RetryPolicy] = None):
         self.retry = retry if retry is not None else RetryPolicy()
-        self.leases = LeaseTable()
-        #: Runs in submission order; leases go to the oldest first.
-        self.runs: Dict[str, CampaignRun] = {}
+        self.run: Optional[CampaignRun] = None
+        #: The lease each worker holds; a worker holds at most one.
+        self.held: Dict[str, Lease] = {}
+        #: Leases granted so far; ids are sequential (``L000001``), never
+        #: random, so logs and tests replay.
+        self.issued = 0
 
     def open_run(
         self, program, spec_list: List[Any], mode: str,
         options: CampaignOptions, *, chunk_size: Optional[int] = None,
         workers: int = 1, plan=None,
     ) -> CampaignRun:
-        """Register one campaign: journal, heartbeats, queued chunks.
+        """Register the campaign: journal, heartbeats, queued chunks.
 
         Journaled trials (``options.resume``) are replayed instead of
         queued.  ``chunk_size`` is the lease granularity; ``None``
@@ -277,14 +288,13 @@ class LeaseScheduler:
             program, spec_list, mode, options, plan, sec_of, affected_fn,
         )
         monitor = _open_monitor(program, spec_list, options, journal)
-        run_id = f"run-{len(self.runs) + 1:03d}"
+        run_id = "run-001"
         if journal is not None:
             run_id += f"-{journal.directory.name[:8]}"
             record_journal_activity(replayed=len(replayed))
         run = CampaignRun(
             run_id=run_id, spec_list=spec_list, journal=journal,
             replayed=replayed, monitor=monitor, sec_of=sec_of,
-            ledger=BlameLedger(self.retry),
         )
         pending = [i for i in range(len(spec_list)) if i not in replayed]
         if pending:
@@ -294,50 +304,51 @@ class LeaseScheduler:
         if replayed and monitor is not None:
             tally = Counter(record.outcome for record in replayed.values())
             monitor.advance(len(replayed), dict(tally), source="replay")
-        self.runs[run_id] = run
+        self.run = run
         self._maybe_finish(run)
         return run
 
     # -- leasing ----------------------------------------------------------
 
     def grant(self, worker_id: str) -> Optional[Lease]:
-        """Lease the next queued chunk of the oldest running run."""
-        for run in self.runs.values():
-            if run.state == "running" and run.queue:
-                record_lease("granted")
-                return self.leases.grant(
-                    worker_id, run.run_id, run.queue.popleft()
-                )
-        return None
+        """Lease the next queued chunk to ``worker_id``, which holds none."""
+        run = self.run
+        if run.state != "running" or not run.queue:
+            return None
+        self.issued += 1
+        lease = Lease(f"L{self.issued:06d}", worker_id, run.queue.popleft())
+        self.held[worker_id] = lease
+        record_lease("granted")
+        return lease
 
-    def absorb(self, message: Dict[str, Any], source: str = "chunk") -> None:
-        """Apply one worker message: a chunk's result, or its error.
+    def absorb(self, message: Dict[str, Any], worker_id: str,
+               source: str = "chunk") -> None:
+        """Apply the message that ends ``worker_id``'s lease.
 
         A result is what :func:`~repro.swifi.parallel.execute_chunk`
         returns.  An ``error`` message carries the worker's exception
-        and fails the run.  A malformed message of either kind raises
-        :class:`~repro.errors.InjectionError` and applies nothing.
+        and fails the run.  A message that is malformed, or is not for
+        the lease the worker holds, raises
+        :class:`~repro.errors.InjectionError` and applies nothing.  A
+        message that arrives after the run ended is ignored.
         ``source`` labels the heartbeat (``"serial"`` when the parent
         ran the chunk itself).
         """
-        run, merge_metrics = self._check_message(message)
-        if self.leases.complete(message.get("lease")) is not None:
-            record_lease("completed")
+        run = self.run
         if run.state != "running":
-            return  # a late copy for a run that already ended
+            return
+        merge_metrics = self._check_message(message, worker_id)
+        del self.held[worker_id]
+        record_lease("completed")
         if merge_metrics is None:
             self.fail(run, message["exception"])
             return
+        merge_metrics()
         indices, observations = message["indices"], message["observations"]
-        costs = message.get("costs") or [None] * len(indices)
-        if not all(run.landed(idx) for idx in indices):
-            # worker telemetry: merged once, and never from a duplicate
-            merge_metrics()
+        costs = message["costs"] or [None] * len(indices)
         tracer = get_tracer()
         tally: Dict[str, int] = {}
         for idx, obs, cost in zip(indices, observations, costs):
-            if run.landed(idx):
-                continue
             run.obs_by_index[idx] = obs
             outcome = classify_outcome(
                 obs.failure, obs.detected, obs.output_ok
@@ -351,71 +362,66 @@ class LeaseScheduler:
                 )
             if cost is not None and tracer.enabled:
                 tracer.event("profile.trial", **cost)
-        fresh = sum(tally.values())
-        if fresh:
-            for record in message.get("trace") or ():
-                tracer.event("swifi.worker.trace", chunk=indices[0],
-                             record=record)
-            if run.monitor is not None:
-                run.monitor.advance(
-                    fresh, tally, pid=message.get("pid"), source=source,
-                    lease=message.get("lease"), force=False,
-                )
+        for record in message["trace"]:
+            tracer.event("swifi.worker.trace", chunk=indices[0],
+                         record=record)
+        if run.monitor is not None:
+            run.monitor.advance(
+                len(indices), tally, pid=message["pid"], source=source,
+                lease=message["lease"], force=False,
+            )
         self._maybe_finish(run)
 
-    def _check_message(
-        self, message: Any,
-    ) -> Tuple[CampaignRun, Optional[Callable[[], None]]]:
+    def _check_message(self, message: Any,
+                       worker_id: str) -> Optional[Callable[[], None]]:
         """Validate a worker message whole before anything is applied.
 
-        Returns its run and, for a result, the metrics merge
-        (``None`` for an ``error`` message).
+        Returns, for a result, its metrics merge (``None`` for an
+        ``error`` message).
         """
         if not isinstance(message, dict):
             raise InjectionError(
                 f"malformed result: a {type(message).__name__}, not a dict"
             )
-        run_id, lease_id = message.get("run"), message.get("lease")
-        if not isinstance(run_id, str) or not (
-                lease_id is None or isinstance(lease_id, str)):
+        lease = self.held.get(worker_id)
+        lease_id = message.get("lease")
+        if lease is None or not isinstance(lease_id, str) \
+                or lease_id != lease.lease_id:
             raise InjectionError(
-                f"malformed result: run {run_id!r}, lease {lease_id!r}"
+                f"malformed result from {worker_id}: lease {lease_id!r}, "
+                f"but it holds {lease.lease_id if lease else None!r}"
             )
-        run = self.runs.get(run_id)
-        if run is None:
-            raise InjectionError(f"result for unknown run {run_id!r}")
         if message.get("type") != "error":
-            return run, _check_result(run, message)
+            return _check_result(self.run, lease, message)
         if not isinstance(message.get("exception"), BaseException):
             raise InjectionError(
-                f"malformed result for {run_id}: an error message needs "
-                f"an exception, got {message.get('exception')!r}"
+                f"malformed result for {self.run.run_id}: an error message "
+                f"needs an exception, got {message.get('exception')!r}"
             )
-        return run, None
+        return None
 
     # -- lost leases: the death signal ------------------------------------
 
-    def release_worker(self, worker_id: str) -> List[Lease]:
-        """Give back every lease of a worker whose process ended.
+    def release_worker(self, worker_id: str) -> Optional[Lease]:
+        """Give back the lease of a worker whose process ended.
 
-        Each lost lease's unlanded part is split, struck or quarantined.
+        The lost chunk is split, its spec's death counted, or the spec
+        quarantined.
         """
-        held = self.leases.release_worker(worker_id)
-        for lease in held:
+        lease = self.held.pop(worker_id, None)
+        if lease is not None:
             self._lose(lease)
-        return held
+        return lease
 
     def _lose(self, lease: Lease) -> None:
-        """Split, strike or quarantine the unlanded part of a lost lease."""
+        """Split a lost chunk, or count a death against its one spec."""
+        run = self.run
         record_lease("released")
         record_worker_death("exit", 1)
         get_tracer().event(
             "swifi.worker_death", phase="exit", worker=lease.worker_id,
-            lease=lease.lease_id, run=lease.run_id, items=len(lease.indices),
+            lease=lease.lease_id, run=run.run_id, items=len(lease.indices),
         )
-        run = self.runs.get(lease.run_id)
-        if run is None or run.state != "running":
-            return
         if not self.retry.tolerant:
             self.fail(run, InjectionError(
                 f"worker {lease.worker_id} was lost while running "
@@ -423,29 +429,27 @@ class LeaseScheduler:
             ))
             return
         run.lost += 1
-        # results may have landed before the loss; only the missing
-        # indices go back on the queue
-        missing = tuple(i for i in lease.indices if not run.landed(i))
-        if len(missing) > 1:
-            mid = len(missing) // 2
-            run.queue.extend((missing[:mid], missing[mid:]))
+        if len(lease.indices) > 1:
+            mid = len(lease.indices) // 2
+            run.queue.extend((lease.indices[:mid], lease.indices[mid:]))
             record_lease("reissued", 2)
-        elif missing:
-            # a single-item lease: the worker ran nothing else, so the
-            # strike is attributable
-            idx = missing[0]
-            run.ledger.strike(idx, attributable=True)
-            if run.ledger.condemned(idx):
-                self._quarantine(run, idx)
-            else:
-                run.queue.append(missing)
-                record_lease("reissued")
+            return
+        # a single-item lease: the worker ran nothing else, so the death
+        # is this spec's
+        (idx,) = lease.indices
+        run.deaths[idx] += 1
+        if run.deaths[idx] >= self.retry.max_deaths:
+            self._quarantine(run, idx)
+        else:
+            run.queue.append(lease.indices)
+            record_lease("reissued")
 
     def _quarantine(self, run: CampaignRun, idx: int) -> None:
-        record = run.ledger.record(item=idx, key=idx, round_no=run.lost)
+        deaths = run.deaths[idx]
         report = QuarantineReport(
-            spec=run.spec_list[idx], index=idx, deaths=record.deaths,
-            rounds=record.round_no, note=record.note,
+            spec=run.spec_list[idx], index=idx, deaths=deaths,
+            rounds=run.lost,
+            note=f"worker lost {deaths}x ({deaths}x running this spec alone)",
         )
         run.quarantines[idx] = report
         record_quarantine()
@@ -493,14 +497,11 @@ class LeaseScheduler:
         self.close(run, "failed")
 
     def close(self, run: CampaignRun, state: str) -> None:
-        """Retire a running run: drop its leases, flush its files."""
+        """Retire the running run: drop its leases, flush its files."""
         if run.state != "running":
             return
         run.state = state
-        for lease_id in [lease_id for lease_id, lease
-                         in self.leases.active.items()
-                         if lease.run_id == run.run_id]:
-            self.leases.complete(lease_id)
+        self.held.clear()
         if run.monitor is not None:
             run.monitor.close()
             run.monitor = None

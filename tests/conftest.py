@@ -33,6 +33,24 @@ def _isolate_shared_kernel_caches():
 
 
 @pytest.fixture
+def fix_chunk_size(monkeypatch):
+    """Lease a forked campaign's specs in chunks of a given size.
+
+    ``run_campaign`` sizes a forked run's chunks from the spec and
+    worker counts (:func:`repro.exec.pool.default_chunk_size`); a test
+    that needs a particular lease granularity calls
+    ``fix_chunk_size(n)`` first.  ``workers=1`` always leases one spec.
+    """
+    from repro.swifi import scheduler
+
+    def fix(size: int) -> None:
+        monkeypatch.setattr(scheduler, "default_chunk_size",
+                            lambda n_items, workers: size)
+
+    return fix
+
+
+@pytest.fixture
 def device():
     return Device()
 

@@ -116,16 +116,17 @@ class TestPhaseProfiler:
 
     @needs_fork
     def test_forked_worker_phases_reach_profile_through_metrics(
-            self, tmp_path):
+            self, tmp_path, fix_chunk_size):
         # the parent runs no trial itself: every diff_replay/full_run
         # in profile.json came over in a worker's metrics delta (each
         # trial tries a replay first; a conflict then runs in full)
         wl, specs = _tiny_specs(masks_per_site=1)
         root = tmp_path / "runs"
+        fix_chunk_size(2)
         run_campaign(
             HauberkProgram(wl), specs, mode="fi",
             options=CampaignOptions(
-                workers=2, chunk_size=2, run_dir=str(root), profile=True
+                workers=2, run_dir=str(root), profile=True
             ),
         )
         (entry,) = [d for d in root.iterdir() if d.is_dir()]
@@ -344,13 +345,15 @@ class TestCampaignFlightRecorder:
                    for r in records.values())
 
     @needs_fork
-    def test_pooled_profile_merges_worker_phase_totals(self, tmp_path):
+    def test_pooled_profile_merges_worker_phase_totals(self, tmp_path,
+                                                       fix_chunk_size):
         wl, specs = _tiny_specs()
         root = tmp_path / "runs"
+        fix_chunk_size(3)
         result = run_campaign(
             HauberkProgram(wl), specs, mode="fi",
             options=CampaignOptions(
-                workers=2, chunk_size=3, run_dir=str(root), profile=True
+                workers=2, run_dir=str(root), profile=True
             ),
         )
         (entry,) = [d for d in root.iterdir() if d.is_dir()]
@@ -370,15 +373,16 @@ class TestCampaignFlightRecorder:
         )
 
     @needs_fork
-    def test_pooled_trace_has_one_profile_trial_per_trial(self, tmp_path):
+    def test_pooled_trace_has_one_profile_trial_per_trial(self, tmp_path,
+                                                          fix_chunk_size):
         _wl, specs = _tiny_specs(masks_per_site=1)
+        fix_chunk_size(2)
         for workers in (1, 2):
             sink = RingBufferSink(capacity=100_000)
             with use_tracer(Tracer(sink)):
                 run_campaign(
                     HauberkProgram(TinyWorkload()), specs, mode="fi",
-                    options=CampaignOptions(workers=workers, chunk_size=2,
-                                            profile=True),
+                    options=CampaignOptions(workers=workers, profile=True),
                 )
             trials = [r["attrs"] for r in sink.records
                       if r["type"] == "event" and r["name"] == "profile.trial"]
@@ -429,8 +433,10 @@ class TestReport:
         assert render_markdown(first) == render_markdown(second)
 
     @needs_fork
-    def test_trace_counts_match_for_any_worker_count(self, tmp_path):
+    def test_trace_counts_match_for_any_worker_count(self, tmp_path,
+                                                     fix_chunk_size):
         counts = []
+        fix_chunk_size(2)
         for workers in (1, 2):
             _PARSE_CACHE.clear()  # both runs build the kernel afresh
             trace = tmp_path / f"trace-{workers}.jsonl"
@@ -438,7 +444,6 @@ class TestReport:
             with use_tracer(tracer):
                 root, _specs, _ = _run_journaled(
                     tmp_path, name=f"w{workers}", workers=workers,
-                    chunk_size=2,
                 )
             tracer.close()
             aggregates = build_report(str(root), trace=str(trace))["trace"]

@@ -312,17 +312,19 @@ class TestResumeParity:
         _assert_identical(resumed, first)
 
     @needs_fork
-    def test_quarantine_records_replay_on_resume(self, tmp_path):
+    def test_quarantine_records_replay_on_resume(self, tmp_path,
+                                                 fix_chunk_size):
         import test_retry
 
         specs = [FaultSpec(site=s, mask=1, thread=0, occurrence=1)
                  for s in (1, 666, 3)]
         root = str(tmp_path / "runs")
+        fix_chunk_size(1)
         first = run_campaign(
             None, specs,
             runner_factory=test_retry._selective_crash_factory,
-            options=CampaignOptions(workers=2, chunk_size=1,
-                                    retry=FAST_RETRY, run_dir=root),
+            options=CampaignOptions(workers=2, retry=FAST_RETRY,
+                                    run_dir=root),
         )
         assert first.summary()["quarantined"] == 1
 
@@ -334,8 +336,8 @@ class TestResumeParity:
 
         resumed = run_campaign(
             None, specs, runner_factory=healthy_factory,
-            options=CampaignOptions(workers=2, chunk_size=1,
-                                    retry=FAST_RETRY, resume=root),
+            options=CampaignOptions(workers=2, retry=FAST_RETRY,
+                                    resume=root),
         )
         _assert_identical(resumed, first)
         assert resumed.trials[1].outcome is Outcome.WORKER_KILLED

@@ -286,6 +286,33 @@ class TestBulkInjection:
         with pytest.raises(DeviceMemoryError, match="addresses"):
             inject_word_faults(mem, [0, 1], [1])
 
+    def test_repeated_address_equals_sequential_single_words(self):
+        addrs, masks = [5, 9, 5, 5, 9, 2], [1, 0x100, 2, 0x8000_0000, 7, 4]
+        bulk, single = fresh_memory(), fresh_memory()
+        for i in range(12):
+            bulk.store_word(i, 0x1234_5670 + i)
+            single.store_word(i, 0x1234_5670 + i)
+        old_bits, new_bits = inject_word_faults(bulk, addrs, masks)
+        for addr, mask in zip(addrs, masks):
+            single.inject_word_fault(addr, mask)
+        assert np.array_equal(bulk.snapshot(), single.snapshot())
+        assert bulk.load_word(5) == (0x1234_5675 ^ 1 ^ 2 ^ 0x8000_0000)
+        # each lane reports its word before and after the whole call
+        assert list(old_bits) == [0x1234_5670 + a for a in addrs]
+        assert list(new_bits) == [single.load_word(a) for a in addrs]
+
+    def test_repeated_address_undo_is_exact(self):
+        mem = fresh_memory()
+        mem.store_word(5, QNAN_BITS)
+        before = mem.snapshot()
+        injector = MemoryFaultInjector(mem)
+        injector.inject([5, 5], [1, 2])
+        assert mem.load_word(5) == QNAN_BITS ^ 3
+        injector.inject([5, 6, 5], [0x10, 0x20, 0x10])
+        assert mem.load_word(5) == QNAN_BITS ^ 3
+        injector.undo()
+        assert np.array_equal(mem.snapshot(), before)
+
 
 class TestBulkWordPrimitives:
     def test_duplicate_scatter_is_last_wins(self):

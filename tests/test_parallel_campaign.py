@@ -13,18 +13,23 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.program import HauberkProgram
 from repro.errors import InjectionError
 from repro.exec import (
-    LeaseTable,
     chunk_slices,
     default_chunk_size,
     fork_available,
     resolve_workers,
 )
 from repro.kir.types import DType
-from repro.obs.metrics import MetricsRegistry, fresh_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    fresh_registry,
+    get_registry,
+    set_registry,
+)
 from repro.exec import RetryPolicy
 from repro.swifi import (
     CampaignJournal,
@@ -130,13 +135,14 @@ class TestParity:
 
     @needs_fork
     @pytest.mark.parametrize("chunk_size", [1, 3, 1000])
-    def test_any_chunk_size_matches_serial(self, chunk_size):
+    def test_any_chunk_size_matches_serial(self, chunk_size, fix_chunk_size):
         wl, specs = _tiny_specs()
         serial = run_campaign(HauberkProgram(wl), specs, mode="fi",
                               options=CampaignOptions(workers=1))
+        fix_chunk_size(chunk_size)
         chunked = run_campaign(
             HauberkProgram(TinyWorkload()), specs, mode="fi",
-            options=CampaignOptions(workers=2, chunk_size=chunk_size),
+            options=CampaignOptions(workers=2),
         )
         assert chunked.summary() == serial.summary()
         assert [t.outcome for t in chunked.trials] == \
@@ -200,13 +206,12 @@ def _raising_runner_factory():
 
 
 def _error_message(good, **extra):
-    return {"type": "error", "run": good["run"], "lease": good["lease"],
-            **extra}
+    return {"type": "error", "lease": good["lease"], **extra}
 
 
 #: Corruptions of a good two-trial result message, each of which must
 #: raise a typed error and apply nothing.
-_MALFORMED = {
+_CORRUPTIONS = {
     "metrics-unknown-kind": lambda good: {
         **good, "metrics": {"bad": {"type": "nope"}}},
     "metrics-partly-bad": lambda good: {**good, "metrics": {
@@ -214,19 +219,80 @@ _MALFORMED = {
         "bad": {"type": "nope"}}},
     "no-indices": lambda good: {
         key: value for key, value in good.items() if key != "indices"},
-    "index-out-of-range": lambda good: {**good, "indices": [0, 2]},
+    "index-out-of-range": lambda good: {**good, "indices": [0, 6]},
     "observations-not-observations": lambda good: {
         **good, "observations": [None, None]},
     "costs-short": lambda good: {**good, "costs": [None]},
     "pid-not-int": lambda good: {**good, "pid": "4242"},
     "trace-not-list": lambda good: {**good, "trace": 5},
     "not-a-dict": lambda good: [good],
+    # no lease, only a field workers no longer send
     "unhashable-run": lambda good: {"run": [1]},
     "unhashable-lease": lambda good: {**good, "lease": [good["lease"]]},
     "error-without-exception": _error_message,
     "error-exception-not-an-exception": lambda good: _error_message(
         good, exception="trial exploded"),
 }
+
+#: Messages that are not for the lease their sender holds (see
+#: :func:`_leased_run`): each maps ``(good, landed)`` to a sender and a
+#: message, and must raise a typed error and apply nothing.
+_MISADDRESSED = {
+    "result-from-worker-without-lease": lambda good, landed: ("w9", good),
+    "wrong-lease-id": lambda good, landed: (
+        "w0", {**good, "lease": "L999999"}),
+    "indices-not-the-held-chunks": lambda good, landed: (
+        "w0", {**good, "indices": [1, 0]}),
+    "resend-of-landed-chunk": lambda good, landed: ("w1", landed),
+    "landed-chunk-under-held-lease": lambda good, landed: (
+        "w1", {**landed, "lease": "L000003"}),
+}
+
+#: Keys of a result message, each required (see ``execute_chunk``).
+_RESULT_KEYS = ("type", "lease", "pid", "indices", "observations", "costs",
+                "metrics", "trace")
+_DROP = object()
+
+
+def _worker_result(runner, specs, lease):
+    """The result message a worker process sends for ``lease``."""
+    registry = get_registry()
+    try:
+        return execute_chunk(
+            runner, [(i, specs[i]) for i in lease.indices], lease.lease_id,
+        )
+    finally:
+        set_registry(registry)  # its metrics travel in the message only
+
+
+def _leased_run(tmp_path):
+    """A journaled six-spec run leased in chunks of two.
+
+    ``w1`` has landed lease ``L000002`` (its message is ``landed``) and
+    holds ``L000003``; ``w0`` holds ``L000001``, whose result ``good``
+    is not absorbed yet.  Returns ``(scheduler, run, runner, good,
+    landed)``.
+    """
+    wl, specs = _tiny_specs(masks_per_site=1)
+    program, specs = HauberkProgram(wl), specs[:6]
+    scheduler = LeaseScheduler()
+    run = scheduler.open_run(
+        program, specs, "fi", CampaignOptions(run_dir=str(tmp_path)),
+        chunk_size=2,
+    )
+    runner = build_trial_runner(program, "fi", CampaignOptions())
+    good = _worker_result(runner, specs, scheduler.grant("w0"))
+    landed = _worker_result(runner, specs, scheduler.grant("w1"))
+    scheduler.absorb(landed, "w1")
+    assert scheduler.grant("w1").lease_id == "L000003"
+    return scheduler, run, runner, good, landed
+
+
+def _applied(scheduler, run, journal, registry):
+    """Everything an absorbed message can change, for before/after."""
+    return (dict(run.obs_by_index), sorted(CampaignJournal._load_records(
+        journal)), registry.as_dict(), dict(scheduler.held), run.state,
+        run.error)
 
 
 class TestFailures:
@@ -251,33 +317,64 @@ class TestFailures:
                 runner_factory=_raising_runner_factory,
             )
 
-    @pytest.mark.parametrize("corrupt", list(_MALFORMED.values()),
-                             ids=list(_MALFORMED))
-    def test_malformed_result_applies_nothing(self, corrupt, tmp_path,
+    @pytest.mark.parametrize("case", [*_CORRUPTIONS, *_MISADDRESSED])
+    def test_malformed_result_applies_nothing(self, case, tmp_path,
                                               registry):
-        wl, specs = _tiny_specs(masks_per_site=1)
-        program, specs = HauberkProgram(wl), specs[:2]
-        scheduler = LeaseScheduler()
-        run = scheduler.open_run(
-            program, specs, "fi", CampaignOptions(run_dir=str(tmp_path)),
-            chunk_size=2,
-        )
-        lease = scheduler.grant("w0")
-        runner = build_trial_runner(program, "fi", CampaignOptions())
-        good = execute_chunk(runner, list(enumerate(specs)), lease.lease_id,
-                             run.run_id, isolate=False)
+        scheduler, run, runner, good, landed = _leased_run(tmp_path)
         journal = run.journal.path
+        before = _applied(scheduler, run, journal, registry)
+        if case in _CORRUPTIONS:
+            sender, message = "w0", _CORRUPTIONS[case](good)
+        else:
+            sender, message = _MISADDRESSED[case](good, landed)
         with pytest.raises(InjectionError, match="malformed result"):
-            scheduler.absorb(corrupt(good))
-        # no trial, journal line or metric landed; the lease is still out
-        assert run.state == "running" and run.error is None
-        assert run.obs_by_index == {}
-        assert CampaignJournal._load_records(journal) == {}
-        assert registry.get("bad") is None and registry.get("c") is None
-        assert lease.lease_id in scheduler.leases.active
-        scheduler.absorb(good)
+            scheduler.absorb(message, sender)
+        # no trial, journal line or metric landed; the leases are still out
+        assert _applied(scheduler, run, journal, registry) == before
+        assert [scheduler.held[w].lease_id for w in ("w0", "w1")] == \
+            ["L000001", "L000003"]
+        scheduler.absorb(good, "w0")
+        scheduler.absorb(_worker_result(runner, run.spec_list,
+                                        scheduler.held["w1"]), "w1")
         assert run.state == "done"
-        assert run.result.summary()["trials"] == len(specs)
+        assert run.result.summary()["trials"] == len(run.spec_list)
+
+    def test_dropped_or_retyped_key_is_malformed(self, tmp_path, registry):
+        scheduler, run, _runner, good, _landed = _leased_run(tmp_path)
+        journal = run.journal.path
+        before = _applied(scheduler, run, journal, registry)
+
+        @settings(max_examples=40, deadline=None)
+        @given(key=st.sampled_from(_RESULT_KEYS),
+               value=st.sampled_from([_DROP, None, 0, True, 1.5, "x", (),
+                                      [], {}]))
+        def check(key, value):
+            assume(type(value) is not type(good[key]))
+            message = {k: v for k, v in good.items() if k != key}
+            if value is not _DROP:
+                message[key] = value
+            with pytest.raises(InjectionError, match="malformed result"):
+                scheduler.absorb(message, "w0")
+            assert _applied(scheduler, run, journal, registry) == before
+
+        assert sorted(good) == sorted(_RESULT_KEYS)
+        check()
+
+    def test_result_after_a_worker_error_is_ignored(self, tmp_path,
+                                                    registry):
+        # in forked mode an error and another worker's result can come
+        # back in one wait() batch: the error ends the run first
+        scheduler, run, _runner, good, _landed = _leased_run(tmp_path)
+        journal = run.journal.path
+        error = ValueError("trial exploded")
+        scheduler.absorb({"type": "error", "lease": "L000003",
+                          "exception": error}, "w1")
+        assert run.state == "failed" and run.error is error
+        after_error = _applied(scheduler, run, journal, registry)
+        assert after_error[3] == {}  # the run dropped w0's lease
+        scheduler.absorb(good, "w0")
+        assert _applied(scheduler, run, journal, registry) == after_error
+        assert run.error is error
 
 
 # -- the lease scheduler, driven directly ----------------------------------
@@ -289,34 +386,13 @@ def _tiny_program_specs(n):
 
 
 class TestLeaseScheduler:
-    def test_duplicate_results_are_deduplicated(self):
-        program, specs = _tiny_program_specs(4)
-        runner = build_trial_runner(program, "fi", CampaignOptions())
-        scheduler = LeaseScheduler()
-        run = scheduler.open_run(program, specs, "fi", CampaignOptions())
-        first = True
-        while run.state == "running":
-            lease = scheduler.grant("wA")
-            message = execute_chunk(
-                runner, [(i, specs[i]) for i in lease.indices],
-                lease.lease_id, run.run_id, isolate=False,
-            )
-            scheduler.absorb(message)
-            if first:
-                # a slow twin reports the same chunk under a stale
-                # lease; the duplicate must not double-count
-                scheduler.absorb({**message, "lease": "L999999"})
-                first = False
-        assert run.result.summary()["trials"] == len(specs)
-        assert len(run.obs_by_index) == len(specs)
-
     def test_lost_multi_item_lease_splits_in_half(self, registry):
         program, specs = _tiny_program_specs(4)
         scheduler = LeaseScheduler()
         run = scheduler.open_run(program, specs, "fi", CampaignOptions(),
                                  chunk_size=4)
         assert scheduler.grant("w0").indices == (0, 1, 2, 3)
-        assert len(scheduler.release_worker("w0")) == 1
+        assert scheduler.release_worker("w0").indices == (0, 1, 2, 3)
         assert [tuple(c) for c in run.queue] == [(0, 1), (2, 3)]
         counters = registry.counter("repro_campaign_leases_total")
         assert counters.value(event="released") == 1
@@ -327,24 +403,23 @@ class TestLeaseScheduler:
         scheduler = LeaseScheduler(retry=RetryPolicy(max_deaths=2))
         run = scheduler.open_run(program, specs, "fi", CampaignOptions(),
                                  chunk_size=1)
-        # lose the singleton lease on index 0: the first loss is an
-        # attributable strike and a reissue
+        # lose the singleton lease on index 0: the first loss is a death
+        # counted against the spec, and a reissue
         assert scheduler.grant("w0").indices == (0,)
         scheduler.release_worker("w0")
-        assert run.ledger.deaths.get(0, 0) == 1
+        assert run.deaths[0] == 1
         assert 0 not in run.quarantines
         # the surviving spec runs normally in between
         runner = build_trial_runner(program, "fi", CampaignOptions())
         lease = scheduler.grant("w1")
         assert lease.indices == (1,)
         scheduler.absorb(execute_chunk(
-            runner, [(1, specs[1])], lease.lease_id, run.run_id,
-            isolate=False,
-        ))
+            runner, [(1, specs[1])], lease.lease_id, isolate=False,
+        ), "w1")
         # losing the reissued lease condemns and quarantines
         assert scheduler.grant("w0").indices == (0,)
         scheduler.release_worker("w0")
-        assert run.ledger.deaths.get(0, 0) == 2
+        assert run.deaths[0] == 2
         assert 0 in run.quarantines
         assert run.quarantines[0].note == \
             "worker lost 2x (2x running this spec alone)"
@@ -361,31 +436,14 @@ class TestLeaseScheduler:
         scheduler.grant("w1")
         start = time.monotonic()
         scheduler.absorb({
-            "type": "error", "lease": lease.lease_id, "run": run.run_id,
+            "type": "error", "lease": lease.lease_id,
             "exception": ValueError("trial exploded"),
-        })
+        }, "w0")
         assert time.monotonic() - start < 5.0
         assert run.state == "failed"
         assert isinstance(run.error, ValueError)
         assert str(run.error) == "trial exploded"
-        assert len(scheduler.leases) == 0
-
-
-class TestLeaseTable:
-    def test_grant_ids_are_sequential_and_deterministic(self):
-        table = LeaseTable()
-        a = table.grant("w0", "run-1", (0, 1))
-        b = table.grant("w1", "run-1", (2,))
-        assert (a.lease_id, b.lease_id) == ("L000001", "L000002")
-        assert len(table) == 2
-
-    def test_release_worker_drops_only_its_leases(self):
-        table = LeaseTable()
-        table.grant("w0", "run-1", (0,))
-        keep = table.grant("w1", "run-1", (1,))
-        dropped = table.release_worker("w0")
-        assert len(dropped) == 1
-        assert list(table.active) == [keep.lease_id]
+        assert scheduler.held == {}
 
 
 # -- spec planning --------------------------------------------------------

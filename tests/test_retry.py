@@ -1,7 +1,7 @@
 """Fault-tolerance layer tests: retry policy, blame, deadlines.
 
 Covers ``repro.exec.retry`` in isolation (policy, the ``trial_deadline``
-guard, the shared ``BlameLedger``) and its integration with
+guard), the scheduler's per-spec death count, and their integration with
 ``run_campaign`` (worker-killing specs quarantined into
 ``WORKER_KILLED`` trials, dead forked workers replaced, strict mode
 preserved, options object surviving the trip into forked workers).
@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.exec import (
-    BlameLedger,
     RetryPolicy,
     TrialTimeout,
     fork_available,
@@ -24,6 +23,7 @@ from repro.exec import (
 )
 from repro.swifi import CampaignOptions, FaultSpec, Outcome, run_campaign
 from repro.swifi.campaign import CampaignResult, TrialObservation
+from repro.swifi.scheduler import LeaseScheduler
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
@@ -120,11 +120,13 @@ def _specs(sites):
 
 class TestCampaignFaultTolerance:
     @needs_fork
-    def test_killer_spec_quarantined_campaign_completes(self):
+    def test_killer_spec_quarantined_campaign_completes(self,
+                                                        fix_chunk_size):
         specs = _specs([1, 2, 666, 4, 5, 6])
+        fix_chunk_size(2)
         result = run_campaign(
             None, specs,
-            options=CampaignOptions(workers=2, chunk_size=2, retry=FAST_RETRY),
+            options=CampaignOptions(workers=2, retry=FAST_RETRY),
             runner_factory=_selective_crash_factory,
         )
         summary = result.summary()
@@ -141,19 +143,20 @@ class TestCampaignFaultTolerance:
         assert report.deaths >= FAST_RETRY.max_deaths
 
     @needs_fork
-    def test_dead_workers_replaced_and_killers_quarantined(self):
+    def test_dead_workers_replaced_and_killers_quarantined(self,
+                                                           fix_chunk_size):
         from repro.obs.events import RingBufferSink, Tracer, use_tracer
         from repro.obs.metrics import fresh_registry
 
         registry = fresh_registry()
         specs = _specs([1, 666, 3, 4, 667, 6, 7])
         sink = RingBufferSink()
+        fix_chunk_size(2)
         try:
             with use_tracer(Tracer(sink)):
                 result = run_campaign(
                     None, specs,
-                    options=CampaignOptions(workers=2, chunk_size=2,
-                                            retry=FAST_RETRY),
+                    options=CampaignOptions(workers=2, retry=FAST_RETRY),
                     runner_factory=_two_killers_factory,
                 )
             names = [r["name"] for r in sink.records]
@@ -201,14 +204,14 @@ class TestCampaignFaultTolerance:
         assert outcomes.count(Outcome.MASKED) == 3
 
     @needs_fork
-    def test_options_round_trip_through_fork_workers(self):
+    def test_options_round_trip_through_fork_workers(self, fix_chunk_size):
         # the options object crosses into workers via fork; every field
         # must arrive intact (verified indirectly: the custom timeout
         # fires inside the worker)
         options = CampaignOptions(
-            workers=2, seed=3, chunk_size=1, trial_timeout=0.2,
-            retry=FAST_RETRY,
+            workers=2, seed=3, trial_timeout=0.2, retry=FAST_RETRY,
         )
+        fix_chunk_size(1)
         result = run_campaign(
             None, _specs([777, 2]), options=options,
             runner_factory=_sleepy_runner_factory,
@@ -231,7 +234,7 @@ class TestCampaignOptions:
 
     def test_pickle_round_trip(self):
         options = CampaignOptions(
-            workers=3, seed=9, chunk_size=5, differential=False,
+            workers=3, seed=9, differential=False,
             run_dir="runs", retry=RetryPolicy(max_deaths=1),
             trial_timeout=2.5,
         )
@@ -265,32 +268,36 @@ def _counting_runner_factory():
 
 
 class TestBlameLedger:
-    def test_strike_and_condemn(self):
-        ledger = BlameLedger(policy=RetryPolicy(max_deaths=2))
-        assert not ledger.condemned("spec-a")
-        ledger.strike("spec-a")
-        ledger.strike("spec-a", attributable=True)
-        # two deaths but only one isolated: condemned needs both
-        assert ledger.deaths["spec-a"] == 2
-        assert ledger.condemned("spec-a")
+    """A lost single-spec lease counts one death against its spec."""
 
-    def test_shared_strikes_never_condemn_alone(self):
-        ledger = BlameLedger(policy=RetryPolicy(max_deaths=2))
-        ledger.strike("spec-b")
-        ledger.strike("spec-b")
-        ledger.strike("spec-b")
-        assert not ledger.condemned("spec-b")  # no isolated death yet
-        ledger.strike("spec-b", attributable=True)
-        assert ledger.condemned("spec-b")
+    def test_strike_and_condemn(self):
+        scheduler = LeaseScheduler(retry=RetryPolicy(max_deaths=2))
+        run = scheduler.open_run(None, _specs([1]), "fi",
+                                 CampaignOptions(), chunk_size=1)
+        for deaths in (1, 2):
+            assert 0 not in run.quarantines
+            assert scheduler.grant("w0").indices == (0,)
+            scheduler.release_worker("w0")
+            assert run.deaths == {0: deaths}
+        # two deaths reach max_deaths: condemned
+        assert 0 in run.quarantines
 
     def test_record_carries_tallies(self):
-        ledger = BlameLedger(policy=RetryPolicy(max_deaths=1))
-        ledger.strike(7, attributable=True)
-        record = ledger.record(item="item-7", key=7, round_no=3)
-        assert record.item == "item-7"
-        assert record.deaths == 1
-        assert record.isolated_deaths == 1
-        assert record.round_no == 3
+        specs = _specs([7, 8])
+        scheduler = LeaseScheduler(retry=RetryPolicy(max_deaths=1))
+        run = scheduler.open_run(None, specs, "fi", CampaignOptions(),
+                                 chunk_size=2)
+        # a lost two-spec lease is split, not counted against either spec
+        scheduler.grant("w0")
+        scheduler.release_worker("w0")
+        assert run.deaths == {}
+        assert scheduler.grant("w0").indices == (0,)
+        scheduler.release_worker("w0")
+        report = run.quarantines[0]
+        assert report.spec == specs[0] and report.index == 0
+        assert report.deaths == 1
+        assert report.rounds == 2  # every lost lease so far
+        assert report.note == "worker lost 1x (1x running this spec alone)"
 
 
 # -- zero-trial summary regression ---------------------------------------
