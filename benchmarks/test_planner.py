@@ -1,21 +1,12 @@
-"""Statistical campaign planner — sampling accuracy and incremental reuse.
+"""Statistical campaign planner — sampling accuracy.
 
-The planner's two savings claims (``repro.swifi.planner`` +
-``repro.swifi.journal.adopt_compatible``), measured end to end:
-
-* **Stratified accuracy** — for CP and PNS, an exhaustive ``fi``
-  campaign establishes the ground-truth SDC ratio; a stratified plan
-  running at most 20% of the population must bracket that truth inside
-  its 95% confidence interval.  This is the Two-Level-Model bet: the
-  (section, sensitivity, bit-band, thread-band) strata are homogeneous
-  enough that a fifth of the trials pins the campaign-level rates.
-* **Incremental re-injection** — a three-chain synthetic kernel is run
-  exhaustively, one chain's constant is edited, and the campaign is
-  resumed.  Only the edited chain's dependency closure (the chain plus
-  the parameter section every chain reads) may re-execute — measured
-  below 50% of the trials — and every adopted record must be
-  bit-identical to the donor's, while the overall result stays
-  bit-identical to a from-scratch campaign on the edited kernel.
+The planner's savings claim (``repro.swifi.planner``), measured end to
+end: for CP and PNS, an exhaustive ``fi`` campaign establishes the
+ground-truth SDC ratio; a stratified plan running at most 20% of the
+population must bracket that truth inside its 95% confidence interval.
+This is the Two-Level-Model bet: the (section, sensitivity, bit-band,
+thread-band) strata are homogeneous enough that a fifth of the trials
+pins the campaign-level rates.
 
 Results land in ``BENCH_planner.json`` at the repo root with the
 active scale preset recorded (``scripts/bench_trend.py`` refuses
@@ -34,38 +25,24 @@ import numpy as np
 
 from repro.core.program import HauberkProgram
 from repro.harness.reporting import format_table
-from repro.kir.analysis import (
-    affected_sections,
-    kernel_sections,
-    site_section_map,
-)
-from repro.kir.types import DType
 from repro.swifi import (
     CampaignOptions,
     build_fault_specs,
-    enumerate_targets,
     run_campaign,
     select_targets,
 )
 from repro.workloads import get_workload
-from repro.workloads.base import BufferSpec, Workload, WorkloadInput
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Acceptance bar: the planned campaign may spend at most this fraction
 #: of the exhaustive population.
 BUDGET_FRACTION = 0.20
-#: Acceptance bar: the incremental resume may re-execute at most this
-#: fraction of the trials after a one-section edit.
-REEXEC_FRACTION = 0.50
 
 
 def _scale_name():
     raw = os.environ.get("REPRO_BENCH_SCALE", "").lower()
     return "smoke" if raw == "smoke" else "campaign"
-
-
-# -- stratified accuracy ---------------------------------------------------
 
 
 def _population(scale, name):
@@ -126,174 +103,10 @@ def _accuracy_entry(scale, name):
     }
 
 
-# -- incremental re-injection ----------------------------------------------
-
-_CHAIN_N = 4
-
-THREE_CHAIN_SRC = """
-kernel threechain(float* src, float* o1, float* o2, float* o3) {
-    int t1 = blockIdx.x * blockDim.x + threadIdx.x;
-    float a1 = src[t1] * 2.0;
-    float b1 = a1 + 1.0;
-    float c1 = b1 * b1;
-    float d1 = c1 - a1;
-    o1[t1] = d1;
-    __syncthreads();
-    int t2 = blockIdx.x * blockDim.x + threadIdx.x;
-    float a2 = src[t2] * 3.0;
-    float b2 = a2 + 2.0;
-    float c2 = b2 * b2;
-    float d2 = c2 - a2;
-    o2[t2] = d2;
-    __syncthreads();
-    int t3 = blockIdx.x * blockDim.x + threadIdx.x;
-    float a3 = src[t3] * 4.0;
-    float b3 = a3 + 3.0;
-    float c3 = b3 * b3;
-    float d3 = c3 - a3;
-    o3[t3] = d3;
-}
-"""
-
-
-class ThreeChainWorkload(Workload):
-    """Three dataflow-independent chains reading one shared input."""
-
-    name = "THREECHAIN"
-    source = THREE_CHAIN_SRC
-    chain2_offset = 2.0
-
-    def generate_input(self, seed: int = 0) -> WorkloadInput:
-        rng = np.random.default_rng(seed + 13)
-        src = rng.uniform(0.5, 2.0, _CHAIN_N).astype(np.float32)
-        zeros = [np.zeros(_CHAIN_N, dtype=np.float32) for _ in range(3)]
-        return WorkloadInput(
-            buffers=[
-                BufferSpec("src", DType.FLOAT32, _CHAIN_N, src),
-                BufferSpec("o1", DType.FLOAT32, _CHAIN_N, zeros[0]),
-                BufferSpec("o2", DType.FLOAT32, _CHAIN_N, zeros[1]),
-                BufferSpec("o3", DType.FLOAT32, _CHAIN_N, zeros[2]),
-            ],
-            scalars={},
-            buffer_params={"src": "src", "o1": "o1", "o2": "o2", "o3": "o3"},
-            outputs=["o1", "o2", "o3"],
-            grid=(1, 1),
-            block=(_CHAIN_N, 1),
-            meta={"src": src},
-        )
-
-    def golden(self, inp: WorkloadInput) -> np.ndarray:
-        src = inp.meta["src"]
-
-        def chain(mul, add):
-            a = src * np.float32(mul)
-            b = a + np.float32(add)
-            c = b * b
-            return (c - a).astype(np.float64)
-
-        return np.concatenate([
-            chain(2.0, 1.0),
-            chain(3.0, self.chain2_offset),
-            chain(4.0, 3.0),
-        ])
-
-
-class ThreeChainEdited(ThreeChainWorkload):
-    """Chain 2's additive constant changed; chains 1 and 3 untouched."""
-
-    source = THREE_CHAIN_SRC.replace("a2 + 2.0", "a2 + 2.5")
-    chain2_offset = 2.5
-
-
-def _three_chain_specs(wl, masks_per_site):
-    return build_fault_specs(
-        enumerate_targets(wl.kernel), n_threads=_CHAIN_N,
-        masks_per_site=masks_per_site, bit_counts=(1, 3), seed=9,
-    )
-
-
-def _counting_program(wl, executed):
-    prog = HauberkProgram(wl)
-    orig = prog.trial_runner
-
-    def counting(mode, seed):
-        base = orig(mode, seed)
-
-        def runner(spec):
-            executed.append(spec.site)
-            return base(spec)
-
-        return runner
-
-    prog.trial_runner = counting
-    return prog
-
-
-def _incremental_entry(scale, run_root):
-    masks = max(2, scale.masks_per_site)
-    wl1 = ThreeChainWorkload()
-    specs = _three_chain_specs(wl1, masks)
-    opts = CampaignOptions(workers=1, differential=False)
-
-    donor = run_campaign(HauberkProgram(wl1), specs, mode="fi",
-                         options=opts.evolve(run_dir=run_root))
-    baseline = run_campaign(HauberkProgram(ThreeChainEdited()), specs,
-                            mode="fi", options=opts)
-
-    executed = []
-    start = time.perf_counter()
-    resumed = run_campaign(
-        _counting_program(ThreeChainEdited(), executed), specs, mode="fi",
-        options=opts.evolve(resume=run_root),
-    )
-    resumed_seconds = time.perf_counter() - start
-
-    # correctness: the incremental result is bit-identical to a
-    # from-scratch campaign on the edited kernel
-    assert resumed.summary() == baseline.summary()
-    assert [t.outcome for t in resumed.trials] == \
-        [t.outcome for t in baseline.trials]
-    assert [t.observation for t in resumed.trials] == \
-        [t.observation for t in baseline.trials]
-
-    # staleness: only the edited chain's closure re-executed
-    kernel = ThreeChainEdited().kernel
-    sections = kernel_sections(kernel)
-    sec_of = site_section_map(kernel, sections)
-    donor_fp = {s.name: s.fingerprint for s in kernel_sections(wl1.kernel)}
-    changed = {s.name for s in sections
-               if s.fingerprint != donor_fp.get(s.name)}
-    stale = affected_sections(sections, changed)
-    fresh_sections = {s.name for s in sections} - stale
-
-    # adopted records are bit-identical to the donor's
-    adopted_identical = all(
-        resumed.trials[i].outcome == donor.trials[i].outcome
-        and resumed.trials[i].observation == donor.trials[i].observation
-        for i, spec in enumerate(specs)
-        if sec_of[spec.site] in fresh_sections
-    )
-    assert adopted_identical
-
-    reexec_ratio = len(executed) / len(specs)
-    return {
-        "population": len(specs),
-        "reexecuted": len(executed),
-        "reexec_ratio": round(reexec_ratio, 4),
-        "adopted": len(specs) - len(executed),
-        "reuse_ratio": round(1.0 - reexec_ratio, 4),
-        "stale_sections": sorted(stale),
-        "fresh_sections": sorted(fresh_sections),
-        "adopted_bit_identical": bool(adopted_identical),
-        "resumed_seconds": round(resumed_seconds, 4),
-    }
-
-
-def test_planner_accuracy_and_reuse(scale, report, tmp_path):
+def test_planner_accuracy(scale, report):
     workloads = {
         name: _accuracy_entry(scale, name) for name in ("CP", "PNS")
     }
-    incremental = _incremental_entry(scale, str(tmp_path / "runs"))
 
     payload = {
         "benchmark": "planner",
@@ -301,7 +114,6 @@ def test_planner_accuracy_and_reuse(scale, report, tmp_path):
         "scale": _scale_name(),
         "budget_fraction": BUDGET_FRACTION,
         "workloads": workloads,
-        "incremental": incremental,
     }
     (REPO_ROOT / "BENCH_planner.json").write_text(
         json.dumps(payload, indent=2) + "\n"
@@ -324,13 +136,6 @@ def test_planner_accuracy_and_reuse(scale, report, tmp_path):
             for name, e in workloads.items()
         ],
     ))
-    report(
-        f"incremental: {incremental['reexecuted']}/"
-        f"{incremental['population']} trials re-executed "
-        f"({incremental['reexec_ratio']:.0%}) after a one-section edit; "
-        f"{incremental['adopted']} adopted bit-identical "
-        f"(stale: {', '.join(incremental['stale_sections'])})"
-    )
 
     # acceptance: a <= 20% budget brackets the exhaustive SDC ratio
     for name, entry in workloads.items():
@@ -342,6 +147,3 @@ def test_planner_accuracy_and_reuse(scale, report, tmp_path):
             f"{name}: exhaustive sdc {entry['exhaustive_sdc_ratio']} "
             f"outside CI {entry['ci']}"
         )
-    # acceptance: the one-section edit re-executes < 50% of trials
-    assert incremental["reexec_ratio"] < REEXEC_FRACTION
-    assert incremental["adopted_bit_identical"]

@@ -19,10 +19,10 @@ script closes that loop:
   (``--no-fail`` reports but exits 0).
 
 Tracked metrics are ratios/rates where more is better
-(``trials_per_sec``, ``speedup*``, the planner's ``trials_saved_ratio``
-and ``reuse_ratio``) plus the profiler ``overhead`` where less is
-better.  Absolute wall times are *not* compared — they shift with the
-host; the ratios are what the paper's claims rest on.
+(``trials_per_sec``, ``speedup*``, the planner's ``trials_saved_ratio``)
+plus the profiler ``overhead`` where less is better.  Absolute wall
+times are *not* compared — they shift with the host; the ratios are
+what the paper's claims rest on.
 
 Payloads that record a ``scale`` preset are only compared against a
 baseline recorded at the *same* preset: a ``smoke`` payload checked
@@ -75,8 +75,7 @@ def _walk_metrics(payload: Any, prefix: str = "") -> Iterator[Tuple[str, float, 
                 yield from _walk_metrics(value, path)
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
                 leaf = key.rsplit(".", 1)[-1]
-                if (leaf in ("trials_per_sec", "trials_saved_ratio",
-                             "reuse_ratio")
+                if (leaf in ("trials_per_sec", "trials_saved_ratio")
                         or leaf.startswith("speedup")):
                     yield path, float(value), True
                 elif leaf == "overhead":

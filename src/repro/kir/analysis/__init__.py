@@ -52,18 +52,12 @@ __all__ = [
 
 from repro.kir.analysis.sections import (  # noqa: E402
     Section,
-    affected_sections,
     kernel_sections,
-    section_dependencies,
-    section_fingerprints,
     site_section_map,
 )
 
 __all__ += [
     "Section",
-    "affected_sections",
     "kernel_sections",
-    "section_dependencies",
-    "section_fingerprints",
     "site_section_map",
 ]

@@ -1,71 +1,28 @@
 """Dataflow sections: the equivalence-class partition behind campaign plans.
 
 The Two-Level Model (Hari et al., PAPERS.md) gets its injection savings
-from grouping sites whose faults behave alike; FastFlip (Joshi et al.)
-gets its incremental savings from attributing fault behaviour to
-*program sections* whose rates compose.  This pass supplies the section
-structure both need for our mini-CUDA kernels:
+from grouping sites whose faults behave alike.  This pass supplies the
+grouping for our mini-CUDA kernels: :func:`kernel_sections` partitions
+a kernel's top-level body at the natural dataflow boundaries —
+``__syncthreads()`` barriers and top-level loops — into ordered
+:class:`Section` regions.  Parameters form a dedicated leading section
+(they are defined before any statement runs).  Nested control flow
+stays inside its enclosing section: only *top-level* loop headers start
+a new region, because a loop is the unit the detectors instrument and
+the unit Figure 4 attributes cycles to.
 
-* :func:`kernel_sections` partitions a kernel's top-level body at the
-  natural dataflow boundaries — ``__syncthreads()`` barriers and
-  top-level loops — into ordered :class:`Section` regions.  Parameters
-  form a dedicated leading section (they are defined before any
-  statement runs).  Nested control flow stays inside its enclosing
-  section: only *top-level* loop headers start a new region, because a
-  loop is the unit the detectors instrument and the unit Figure 4
-  attributes cycles to.
-* Each section carries its read/write name sets (including global
-  buffer and shared-array accesses, which ``names_written_stmt`` alone
-  does not see) so :func:`section_dependencies` can build the
-  section-level def-use graph.
-* :func:`section_fingerprints` digests each section's printed source —
-  plus any detector configuration attributed to it — so the campaign
-  journal can tell *which* sections changed between two runs of "the
-  same" workload, and :func:`affected_sections` closes a changed set
-  over the dependency graph (ancestors feed the changed code, so faults
-  injected upstream now propagate into different statements;
-  descendants consume its values, so their observed outcomes may
-  differ).  Sections outside that closure are safe to replay from an
-  old journal.
-
-The partition is deliberately coarse.  Correct-but-coarse beats
-fine-but-wrong here: merging two sections can only make the staleness
-closure larger (more re-execution, never a wrong replay).
+:func:`site_section_map` maps every injection site to its section.  The
+campaign planner stratifies by it, and the journal tags each record
+with it so ``repro report`` can print per-section outcome rates.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import KIRValidationError
-from repro.kir.astnodes import (
-    AtomicAdd,
-    For,
-    Kernel,
-    SharedLoad,
-    SharedStore,
-    Stmt,
-    Store,
-    SyncThreads,
-    While,
-    child_exprs,
-    walk_exprs,
-    walk_stmts,
-)
-from repro.kir.analysis.dataflow import (
-    names_read_expr,
-    names_read_stmt,
-    names_written_stmt,
-)
-from repro.kir.printer import _stmt_lines
-
-
-def _digest(payload: object) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+from repro.kir.astnodes import For, Kernel, Stmt, SyncThreads, While, walk_stmts
 
 
 @dataclass
@@ -80,44 +37,6 @@ class Section:
     statements: List[Stmt] = field(default_factory=list)
     #: Virtual-variable sites defined inside (nested statements included).
     site_ids: List[int] = field(default_factory=list)
-    #: Names (variables, buffers, shared arrays) the section reads.
-    reads: Set[str] = field(default_factory=set)
-    #: Names the section writes — including Store/AtomicAdd buffer bases.
-    writes: Set[str] = field(default_factory=set)
-    #: Digest of the section's printed source.
-    fingerprint: str = ""
-
-
-def _buffer_reads(stmt: Stmt) -> Set[str]:
-    """Shared arrays read anywhere inside ``stmt``.
-
-    Global buffer reads already appear in ``names_read_stmt`` (the
-    pointer base is a ``Var`` inside the ``Load``); shared arrays are
-    referenced by bare name and need explicit collection.
-    """
-    names: Set[str] = set()
-    for s, _depth in walk_stmts([stmt]):
-        for e in child_exprs(s):
-            for node in walk_exprs(e):
-                if isinstance(node, SharedLoad):
-                    names.add(node.array)
-    return names
-
-
-def _buffer_writes(stmt: Stmt) -> Set[str]:
-    """Buffer/array names written anywhere inside ``stmt``."""
-    names: Set[str] = set()
-    for s, _depth in walk_stmts([stmt]):
-        if isinstance(s, Store):
-            names |= names_read_expr(s.ptr)
-        elif isinstance(s, SharedStore):
-            names.add(s.array)
-        elif isinstance(s, AtomicAdd):
-            if s.space == "shared":
-                names.add(s.array)
-            elif s.target is not None:
-                names |= names_read_expr(s.target)
-    return names
 
 
 def _section_sites(statements: Sequence[Stmt]) -> List[int]:
@@ -132,23 +51,12 @@ def _section_sites(statements: Sequence[Stmt]) -> List[int]:
 def _close_group(sections: List[Section], group: List[Stmt], kind: str) -> None:
     if not group:
         return
-    reads: Set[str] = set()
-    writes: Set[str] = set()
-    for stmt in group:
-        reads |= names_read_stmt(stmt) | _buffer_reads(stmt)
-        writes |= names_written_stmt(stmt) | _buffer_writes(stmt)
-    lines: List[str] = []
-    for stmt in group:
-        lines.extend(_stmt_lines(stmt, 0))
     sections.append(Section(
         index=len(sections),
         name=f"s{len(sections)}",
         kind=kind,
         statements=list(group),
         site_ids=_section_sites(group),
-        reads=reads,
-        writes=writes,
-        fingerprint=_digest([kind, lines]),
     ))
     group.clear()
 
@@ -169,13 +77,6 @@ def kernel_sections(kernel: Kernel) -> List[Section]:
         name="s0",
         kind="params",
         site_ids=sorted(p.site for p in kernel.params),
-        writes={p.name for p in kernel.params}
-        | {s.name for s in kernel.shared},
-        fingerprint=_digest([
-            "params",
-            [[p.name, p.dtype.value] for p in kernel.params],
-            [[s.name, s.dtype.value, s.size] for s in kernel.shared],
-        ]),
     )]
     group: List[Stmt] = []
     for stmt in kernel.body:
@@ -202,109 +103,3 @@ def site_section_map(
         for site in sec.site_ids:
             mapping[site] = sec.name
     return mapping
-
-
-def section_dependencies(sections: List[Section]) -> Dict[str, Set[str]]:
-    """Section-level def-use edges: name -> upstream sections it depends on.
-
-    A later section depends on an earlier one when it reads a name the
-    earlier one writes (flow dependence) or when both write the same
-    buffer (output dependence — the later store's observed effect rides
-    on what the earlier one left behind).  Sections only ever depend on
-    *earlier* sections; the top-level body has no backward control flow.
-    """
-    deps: Dict[str, Set[str]] = {sec.name: set() for sec in sections}
-    for j, later in enumerate(sections):
-        for earlier in sections[:j]:
-            if (earlier.writes & later.reads) or (earlier.writes & later.writes):
-                deps[later.name].add(earlier.name)
-    return deps
-
-
-def affected_sections(
-    sections: List[Section], changed: Iterable[str]
-) -> Set[str]:
-    """Directed closure of ``changed`` over the dependency graph.
-
-    Returns changed sections plus every transitive *ancestor* (a fault
-    injected there propagates through the changed code, so its recorded
-    outcome may differ) and every transitive *descendant* (it consumes
-    the changed code's values).  The two walks stay directed and never
-    mix: a sibling reachable only *through* a common ancestor — e.g.
-    two independent chains both fed by the parameter section — neither
-    feeds nor consumes the changed code, so its trials' corruption
-    paths are untouched and its journal records replay soundly.
-    """
-    deps = section_dependencies(sections)
-    children: Dict[str, Set[str]] = {name: set() for name in deps}
-    for name, parents in deps.items():
-        for parent in parents:
-            children[parent].add(name)
-
-    affected: Set[str] = set(changed)
-    for edges in (deps, children):
-        frontier = [name for name in changed if name in edges]
-        seen = set(frontier)
-        while frontier:
-            name = frontier.pop()
-            for neighbour in edges[name]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    affected.add(neighbour)
-                    frontier.append(neighbour)
-    return affected
-
-
-def _config_token(det: str, cfg) -> list:
-    """JSON-stable fingerprint of one detector configuration."""
-    return [
-        det, cfg.variable, cfg.loop_id, bool(cfg.self_accumulating),
-        bool(cfg.has_trip_check), cfg.ranges.alpha,
-        [[r.lo, r.hi] for r in cfg.ranges.ranges],
-    ]
-
-
-def section_fingerprints(kernel: Kernel, cb=None) -> Dict[str, str]:
-    """Per-section content fingerprints, detector configuration included.
-
-    The journal's incremental-resume check: two runs may replay each
-    other's records for a section only when its fingerprint matches
-    (and no changed section sits in its dependency closure — see
-    :func:`affected_sections`).  Detector configs are attributed to the
-    section defining their watched variable (falling back to the
-    section owning their loop); an unattributable config conservatively
-    taints every section.
-    """
-    sections = kernel_sections(kernel)
-    section_of_var: Dict[str, str] = {}
-    for sec in sections:
-        for top in sec.statements:
-            for stmt, _depth in walk_stmts([top]):
-                target = getattr(stmt, "name", None)
-                if stmt.site >= 0 and target and target not in section_of_var:
-                    section_of_var[target] = sec.name
-    section_of_loop: Dict[int, str] = {}
-    for sec in sections:
-        for top in sec.statements:
-            for stmt, _depth in walk_stmts([top]):
-                if isinstance(stmt, (For, While)) and \
-                        stmt.loop_id not in section_of_loop:
-                    section_of_loop[stmt.loop_id] = sec.name
-
-    tokens: Dict[str, List[list]] = {sec.name: [] for sec in sections}
-    detectors = getattr(cb, "detectors", None) or {}
-    for det, cfg in sorted(detectors.items()):
-        token = _config_token(det, cfg)
-        target = section_of_var.get(cfg.variable)
-        if target is None:
-            target = section_of_loop.get(cfg.loop_id)
-        if target is None:
-            for name in tokens:
-                tokens[name].append(token)
-        else:
-            tokens[target].append(token)
-
-    return {
-        sec.name: _digest([sec.fingerprint, sorted(map(json.dumps, tokens[sec.name]))])
-        for sec in sections
-    }

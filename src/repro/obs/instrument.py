@@ -29,7 +29,6 @@ repro_swifi_journal_replayed_total          counter    --
 repro_swifi_journal_appends_total           counter    --
 repro_swifi_plan_strata_total               counter    --
 repro_swifi_plan_trials_saved_total         counter    --
-repro_swifi_sections_stale_total            counter    --
 repro_swifi_worker_deaths_total             counter    phase
 repro_swifi_quarantined_total               counter    --
 repro_swifi_trial_timeouts_total            counter    --
@@ -217,15 +216,6 @@ def record_plan(strata: int, trials_saved: int) -> None:
             "repro_swifi_plan_trials_saved_total",
             "Enumerated trials skipped by stratified campaign plans",
         ).inc(trials_saved)
-
-
-def record_stale_sections(count: int) -> None:
-    """Sections invalidated during an incremental journal adoption."""
-    if count:
-        get_registry().counter(
-            "repro_swifi_sections_stale_total",
-            "Kernel sections found stale during incremental resume",
-        ).inc(count)
 
 
 def record_worker_death(phase: str, count: int = 1) -> None:

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import InjectionError
 from repro.obs.profile import split_phase_key
-from repro.swifi.journal import CampaignJournal, JournalRecord
+from repro.swifi.journal import CampaignJournal, JournalRecord, read_jsonl
 from repro.swifi.outcomes import Outcome
 
 REPORT_VERSION = 1
@@ -157,19 +157,10 @@ def _quarantine_timeline(records: List[JournalRecord]) -> List[Dict[str, Any]]:
 
 def _load_heartbeats(directory: Path) -> List[Dict[str, Any]]:
     path = directory / "heartbeats.jsonl"
-    beats: List[Dict[str, Any]] = []
     if not path.exists():
-        return beats
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                beats.append(json.loads(line))
-            except ValueError:
-                continue  # torn tail line, same tolerance as the journal
-    return beats
+        return []
+    # a torn or corrupt line is dropped, same tolerance as the journal
+    return list(read_jsonl(path))
 
 
 def _campaign_timing(directory: Path) -> Dict[str, Any]:
@@ -212,24 +203,16 @@ def _trace_aggregates(trace_path: str) -> Dict[str, Any]:
     forked worker's ``swifi.worker.trace`` record counts as its own."""
     spans: Dict[str, List[float]] = {}
     events: Dict[str, int] = {}
-    with open(trace_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if record.get("name") == "swifi.worker.trace":
-                record = record.get("attrs", {}).get("record", {})
-            name = record.get("name", "")
-            if record.get("type") == "span":
-                slot = spans.setdefault(name, [0.0, 0.0])
-                slot[0] += 1
-                slot[1] += float(record.get("dur", 0.0))
-            elif record.get("type") == "event":
-                events[name] = events.get(name, 0) + 1
+    for record in read_jsonl(Path(trace_path)):
+        if record.get("name") == "swifi.worker.trace":
+            record = record.get("attrs", {}).get("record", {})
+        name = record.get("name", "")
+        if record.get("type") == "span":
+            slot = spans.setdefault(name, [0.0, 0.0])
+            slot[0] += 1
+            slot[1] += float(record.get("dur", 0.0))
+        elif record.get("type") == "event":
+            events[name] = events.get(name, 0) + 1
     return {
         "spans": {
             name: {"count": int(count), "seconds": round(seconds, 6)}
@@ -264,6 +247,8 @@ def build_report(
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except ValueError:
+            continue
+        if not isinstance(meta, dict):
             continue
         components = meta.get("components", {})
         records = sorted(

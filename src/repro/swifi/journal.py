@@ -39,7 +39,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import InjectionError
 from repro.obs.profile import PHASE_JOURNAL_APPEND, get_profiler
@@ -75,16 +75,8 @@ def spec_fingerprint(spec: FaultSpec) -> str:
     ])[:12]
 
 
-def _input_digest(
-    program: "HauberkProgram", seed: int, include_golden: bool = True
-) -> str:
-    """Digest of the fixed campaign input (and usually its golden output).
-
-    ``include_golden=False`` digests the *problem* alone: the incremental
-    donor check uses it, because a kernel edit legitimately changes the
-    golden output while leaving the input — and the unaffected sections'
-    trial outcomes — untouched.
-    """
+def _input_digest(program: "HauberkProgram", seed: int) -> str:
+    """Digest of the fixed campaign input and its golden output."""
     inp, golden = program.campaign_io(seed)
     parts: List[object] = [
         sorted(inp.scalars.items()), list(inp.grid), list(inp.block),
@@ -96,8 +88,7 @@ def _input_digest(
             hashlib.sha256(data.tobytes()).hexdigest() if data is not None
             else None,
         ])
-    if include_golden:
-        parts.append(hashlib.sha256(golden.tobytes()).hexdigest())
+    parts.append(hashlib.sha256(golden.tobytes()).hexdigest())
     return _digest(parts)
 
 
@@ -115,9 +106,7 @@ def campaign_fingerprint(
     (no program) fingerprint the plan alone under a ``"<runner>"``
     program identity.
     """
-    sections: Optional[Dict[str, str]] = None
     if program is not None:
-        from repro.kir.analysis.sections import section_fingerprints
         from repro.swifi.differential import control_block_token
 
         program.build(mode)  # fift/ft: configure the control block first
@@ -129,10 +118,6 @@ def campaign_fingerprint(
             "input": _input_digest(program, seed),
             "control_block": _digest(cb_token),
         }
-        sections = section_fingerprints(
-            program.workload.kernel,
-            program.cb if mode in ("ft", "fift") else None,
-        )
     else:
         components = {"workload": "<runner>", "kernel": "", "input": "",
                       "control_block": ""}
@@ -143,15 +128,23 @@ def campaign_fingerprint(
     fingerprint = _digest(components)
     meta = {"version": JOURNAL_VERSION, "fingerprint": fingerprint,
             "components": components}
-    if sections is not None:
-        # per-section content fingerprints plus a golden-free input
-        # digest: the incremental-resume compatibility check (meta-only
-        # — not part of the campaign fingerprint, so pre-existing
-        # journals stay addressable)
-        meta["sections"] = sections
-        meta["input_data"] = _input_digest(program, seed,
-                                           include_golden=False)
     return fingerprint, meta
+
+
+def read_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
+    """Every JSON-object line of ``path``, in file order.
+
+    A line that is not UTF-8, not JSON or not an object is skipped: the
+    torn tail a kill leaves behind, or a flipped bit.
+    """
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError included
+                continue
+            if isinstance(record, dict):
+                yield record
 
 
 @dataclass
@@ -167,7 +160,8 @@ class JournalRecord:
     #: ``"full:<reason>"`` (``None`` on unprofiled records).
     served: Optional[str] = None
     #: Dataflow section of the injected site (``None`` on pre-section
-    #: records and program-less campaigns); the incremental-resume key.
+    #: records and program-less campaigns); ``repro report`` groups its
+    #: per-section rate table by it.
     section: Optional[str] = None
 
     def to_report(self, spec: FaultSpec) -> QuarantineReport:
@@ -239,12 +233,23 @@ class CampaignJournal:
                     raise InjectionError(
                         f"unreadable journal metadata at {meta_path}: {exc}"
                     ) from None
+                if not isinstance(stored, dict):
+                    raise InjectionError(
+                        f"journal metadata at {meta_path} is not a JSON object"
+                    )
                 if stored.get("fingerprint") != fingerprint:
                     raise InjectionError(
                         f"journal at {directory} belongs to a different "
                         f"campaign (fingerprint mismatch)"
                     )
                 records = cls._load_records(journal_path)
+            if journal_path.exists() and journal_path.stat().st_size:
+                # end a torn tail line, or the first new record would
+                # be glued to it and lost on the next resume
+                with open(journal_path, "rb+") as fh:
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        fh.write(b"\n")
         elif journal_path.exists():
             journal_path.unlink()
 
@@ -259,30 +264,25 @@ class CampaignJournal:
         records: Dict[Tuple[int, str], JournalRecord] = {}
         if not path.exists():
             return records
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        for raw in read_jsonl(path):
+            try:
+                body = {k: raw[k] for k in
+                        ("i", "spec", "outcome", "obs", "q", "sv", "sec")
+                        if k in raw}
+                if raw.get("dg") != _digest(body)[:12]:
                     continue
-                try:
-                    raw = json.loads(line)
-                    body = {k: raw[k] for k in
-                            ("i", "spec", "outcome", "obs", "q", "sv", "sec")
-                            if k in raw}
-                    if raw.get("dg") != _digest(body)[:12]:
-                        continue
-                    obs = _decode_observation(raw["obs"]) \
-                        if raw.get("obs") is not None else None
-                    record = JournalRecord(
-                        index=int(raw["i"]), spec_fp=str(raw["spec"]),
-                        outcome=str(raw["outcome"]), observation=obs,
-                        quarantine=raw.get("q"),
-                        served=raw.get("sv"),
-                        section=raw.get("sec"),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    continue
-                records[(record.index, record.spec_fp)] = record
+                obs = _decode_observation(raw["obs"]) \
+                    if raw.get("obs") is not None else None
+                record = JournalRecord(
+                    index=int(raw["i"]), spec_fp=str(raw["spec"]),
+                    outcome=str(raw["outcome"]), observation=obs,
+                    quarantine=raw.get("q"),
+                    served=raw.get("sv"),
+                    section=raw.get("sec"),
+                )
+            except (KeyError, TypeError, ValueError):
+                continue
+            records[(record.index, record.spec_fp)] = record
         return records
 
     # -- lookup -----------------------------------------------------------
@@ -310,7 +310,7 @@ class CampaignJournal:
 
         ``served`` is the optional differential attribution tag
         (``"diff"`` / ``"full:<reason>"``); ``section`` is the injected
-        site's dataflow section (the incremental-resume key).  The
+        site's dataflow section (for the report's per-section table).  The
         digest covers only the keys present, so tagged and untagged
         records interoperate.
         """
@@ -336,103 +336,6 @@ class CampaignJournal:
         if section is not None:
             payload["sec"] = section
         self._append(payload)
-
-    # -- incremental adoption ----------------------------------------------
-    def adopt_compatible(
-        self,
-        root: str,
-        meta: Dict[str, object],
-        wanted: List[Tuple[int, str, Optional[str]]],
-        affected_fn,
-    ) -> Tuple[Dict[int, JournalRecord], set]:
-        """Adopt replayable records from sibling journals after an edit.
-
-        ``wanted`` lists this campaign's unserved plan positions as
-        ``(index, spec fingerprint, section)``; ``affected_fn`` maps a
-        set of changed section names to the set of sections whose
-        dependency closure they touch (see
-        :func:`repro.kir.analysis.sections.affected_sections`).
-
-        A sibling journal under ``root`` is a donor when its meta
-        records the same workload, mode, and seed.  For each donor the
-        changed set is the symmetric fingerprint difference between its
-        ``sections`` map and ours; a wanted record is adopted only when
-        its spec fingerprint matches, its section tag matches, and its
-        section lies *outside* the donor's affected closure — i.e. no
-        edited code feeds the injection site or sits on the fault's
-        propagation path.  Quarantine records are never adopted (the
-        spec deserves a fresh chance under the new build).
-
-        Adopted records are re-appended to *this* journal at their new
-        plan positions, so a later plain resume replays them directly.
-        Returns ``(adopted by index, union of stale section names)``.
-        """
-        ours = meta.get("sections")
-        components = meta.get("components", {})
-        if not isinstance(ours, dict) or not wanted:
-            return {}, set()
-        adopted: Dict[int, JournalRecord] = {}
-        stale_union: set = set()
-        for directory in sorted(Path(root).iterdir()):
-            if directory == self.directory or not directory.is_dir():
-                continue
-            meta_path = directory / "meta.json"
-            try:
-                sibling = json.loads(meta_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            theirs = sibling.get("sections")
-            sib_components = sibling.get("components", {})
-            if not isinstance(theirs, dict):
-                continue
-            if any(sib_components.get(k) != components.get(k)
-                   for k in ("workload", "mode", "seed")):
-                continue
-            # the golden-free digest: an edit moves the golden output
-            # (and the full "input" component with it) without touching
-            # the problem the recorded trials actually ran on
-            if sibling.get("input_data") != meta.get("input_data") or \
-                    meta.get("input_data") is None:
-                continue
-            changed = {name for name in set(ours) | set(theirs)
-                       if ours.get(name) != theirs.get(name)}
-            stale = affected_fn(changed)
-            stale_union |= stale
-            by_fp: Dict[str, List[JournalRecord]] = {}
-            for record in sorted(
-                self._load_records(directory / "journal.jsonl").values(),
-                key=lambda r: r.index,
-            ):
-                by_fp.setdefault(record.spec_fp, []).append(record)
-            for index, spec_fp, section in wanted:
-                if index in adopted or section is None or section in stale:
-                    continue
-                candidates = by_fp.get(spec_fp, [])
-                for pos, record in enumerate(candidates):
-                    if record.section == section and \
-                            record.observation is not None:
-                        candidates.pop(pos)
-                        payload: Dict[str, object] = {
-                            "i": index, "spec": spec_fp,
-                            "outcome": record.outcome,
-                            "obs": _encode_observation(record.observation),
-                            "sec": section,
-                        }
-                        if record.served is not None:
-                            payload["sv"] = record.served
-                        self._append(payload)
-                        new_record = JournalRecord(
-                            index=index, spec_fp=spec_fp,
-                            outcome=record.outcome,
-                            observation=record.observation,
-                            served=record.served, section=section,
-                        )
-                        self._records[(index, spec_fp)] = new_record
-                        adopted[index] = new_record
-                        break
-            if len(adopted) == len(wanted):
-                break
-        return adopted, stale_union
 
     def close(self) -> None:
         if self._fh.closed:

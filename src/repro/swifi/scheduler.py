@@ -47,7 +47,6 @@ from repro.obs.instrument import (
     record_journal_activity,
     record_lease,
     record_quarantine,
-    record_stale_sections,
     record_worker_death,
 )
 from repro.obs.metrics import get_registry
@@ -82,45 +81,27 @@ from repro.swifi.outcomes import Outcome, classify_outcome
 # -- run set-up ------------------------------------------------------------
 
 
-def _section_context(program, spec_list):
-    """Per-spec section names plus the staleness-closure callback.
+def _section_of(program, spec_list) -> Optional[List[Optional[str]]]:
+    """``sec_of[i]``: the dataflow section of ``spec_list[i]``'s site.
 
-    Returns ``(sec_of, affected_fn)``: ``sec_of[i]`` is the dataflow
-    section of ``spec_list[i]``'s injection site, and ``affected_fn``
-    closes a set of changed section names over the section dependency
-    graph.  Program-less campaigns have no kernel to partition —
-    ``(None, None)``.
+    The journal tags each record with it.  Program-less campaigns have
+    no kernel to partition — ``None``.
     """
     if program is None:
-        return None, None
-    from repro.kir.analysis.sections import (
-        affected_sections,
-        kernel_sections,
-        site_section_map,
-    )
+        return None
+    from repro.kir.analysis.sections import site_section_map
 
-    kernel = program.workload.kernel
-    sections = kernel_sections(kernel)
-    site_map = site_section_map(kernel, sections)
-    sec_of = [site_map.get(spec.site) for spec in spec_list]
-
-    def affected_fn(changed):
-        return affected_sections(sections, changed)
-
-    return sec_of, affected_fn
+    site_map = site_section_map(program.workload.kernel)
+    return [site_map.get(spec.site) for spec in spec_list]
 
 
 def _open_journal(
-    program, spec_list, mode, options: CampaignOptions,
-    plan=None, sec_of=None, affected_fn=None,
+    program, spec_list, mode, options: CampaignOptions, plan=None,
 ) -> Tuple[Optional[CampaignJournal], Dict[int, JournalRecord]]:
     """Open the campaign journal and index its replayable records.
 
-    On resume, plan positions the exact-fingerprint journal cannot
-    serve are offered to sibling journals for **incremental adoption**
-    (:meth:`CampaignJournal.adopt_compatible`): records from sections
-    whose fingerprint and dependency closure survived the edit replay
-    instead of re-executing.
+    On resume, only the journal whose campaign fingerprint matches is
+    read; a plan position it cannot serve runs afresh.
     """
     root = options.journal_root
     if root is None:
@@ -138,15 +119,6 @@ def _open_journal(
         record = journal.match(i, spec_fingerprint(spec))
         if record is not None:
             replayed[i] = record
-    if options.resuming and sec_of is not None and affected_fn is not None:
-        wanted = [(i, spec_fingerprint(spec), sec_of[i])
-                  for i, spec in enumerate(spec_list) if i not in replayed]
-        if wanted:
-            adopted, stale = journal.adopt_compatible(
-                root, meta, wanted, affected_fn
-            )
-            record_stale_sections(len(stale))
-            replayed.update(adopted)
     return journal, replayed
 
 
@@ -282,10 +254,10 @@ class LeaseScheduler:
         sizes chunks for ``workers``.  The campaign fingerprint is only
         computed when a journal is open.
         """
-        sec_of, affected_fn = (None, None) if options.journal_root is None \
-            else _section_context(program, spec_list)
+        sec_of = None if options.journal_root is None \
+            else _section_of(program, spec_list)
         journal, replayed = _open_journal(
-            program, spec_list, mode, options, plan, sec_of, affected_fn,
+            program, spec_list, mode, options, plan,
         )
         monitor = _open_monitor(program, spec_list, options, journal)
         run_id = "run-001"

@@ -12,14 +12,19 @@ tests, half a record).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.program import HauberkProgram
 from repro.errors import InjectionError
 from repro.exec import RetryPolicy, fork_available
+from repro.obs.report import build_report
 from repro.swifi import (
     CampaignJournal,
     CampaignOptions,
@@ -180,6 +185,39 @@ class TestJournalMechanics:
                 str(tmp_path / "runs"), "feedfeedfeedfeed" + "0" * 48,
                 {"fingerprint": "x"}, resume=True,
             )
+
+    def test_meta_that_is_not_an_object_raises(self, tmp_path):
+        directory = tmp_path / "runs" / "feedfeedfeedfeed"
+        directory.mkdir(parents=True)
+        (directory / "meta.json").write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(InjectionError, match="not a JSON object"):
+            CampaignJournal.open(
+                str(tmp_path / "runs"), "feedfeedfeedfeed" + "0" * 48,
+                {"fingerprint": "x"}, resume=True,
+            )
+
+    def test_undecodable_line_is_dropped(self, tmp_path):
+        wl, specs = _tiny_specs(masks_per_site=1)
+        root = str(tmp_path / "runs")
+        run_campaign(HauberkProgram(wl), specs, mode="fi",
+                     options=CampaignOptions(workers=1, run_dir=root))
+        path = _journal_path(root)
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        data[10] ^= 0x80  # a high bit: the first line is no longer UTF-8
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with open(os.path.join(os.path.dirname(path), "heartbeats.jsonl"),
+                  "ab") as fh:
+            fh.write(b"\xff\xfe{}\n")
+        build_report(root)  # the report skips both bad lines too
+        resumed = run_campaign(
+            HauberkProgram(TinyWorkload()), specs, mode="fi",
+            options=CampaignOptions(workers=1, resume=root),
+        )
+        baseline = run_campaign(HauberkProgram(TinyWorkload()), specs,
+                                mode="fi", options=CampaignOptions(workers=1))
+        _assert_identical(resumed, baseline)
 
     def test_torn_tail_line_is_dropped(self, tmp_path):
         wl, specs = _tiny_specs(masks_per_site=1)
@@ -376,7 +414,7 @@ class TestResumeParity:
         assert sorted(r["i"] for r in records) == list(range(len(specs)))
 
 
-# -- section tags and incremental adoption --------------------------------
+# -- section tags; no cross-campaign adoption ------------------------------
 
 
 TWO_CHAIN_SRC = """
@@ -473,6 +511,9 @@ def _counting_program(wl, executed):
 
 
 class TestSectionAdoption:
+    """Records carry section tags, but resume never reads a sibling
+    campaign's journal, whatever its sections."""
+
     def test_records_carry_section_tags(self, tmp_path):
         wl, specs = _tiny_specs(masks_per_site=1)
         root = str(tmp_path / "runs")
@@ -481,18 +522,10 @@ class TestSectionAdoption:
         with open(_journal_path(root), encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh]
         assert all(r.get("sec", "").startswith("s") for r in records)
-        meta_path = os.path.join(os.path.dirname(_journal_path(root)),
-                                 "meta.json")
-        meta = json.loads(open(meta_path, encoding="utf-8").read())
-        assert meta["sections"]  # per-section fingerprints recorded
 
-    def test_incremental_adoption_after_edit(self, tmp_path):
-        from repro.kir.analysis import (
-            affected_sections,
-            kernel_sections,
-            site_section_map,
-        )
-
+    def test_resume_ignores_sibling_campaign(self, tmp_path):
+        """A sibling journal with the same workload, mode and seed, whose
+        kernel differs only in an independent chain, serves nothing."""
         wl1 = TwoChainWorkload()
         specs = _two_chain_specs(wl1)
         root = str(tmp_path / "runs")
@@ -512,67 +545,71 @@ class TestSectionAdoption:
             options=opts.evolve(resume=root),
         )
         _assert_identical(resumed, baseline)
+        assert sorted(executed) == sorted(s.site for s in specs)
+        assert len(os.listdir(root)) == 2  # the sibling is left as it was
 
-        # only the edited chain's closure re-executes: the params
-        # section (ancestor) and chain 2; chain 1 records are adopted
-        sections = kernel_sections(wl2.kernel)
-        sec_of = site_section_map(wl2.kernel, sections)
-        stale = affected_sections(sections, {"s2"})
-        assert stale == {"s0", "s2"}
-        expected = sorted(s.site for s in specs if sec_of[s.site] in stale)
-        assert sorted(executed) == expected
-        assert len(executed) < len(specs)
 
-    def test_dependent_edit_refuses_adoption(self, tmp_path):
-        class TinyEdited(TinyWorkload):
-            source = TinyWorkload.source.replace("v * v", "v * v * v")
+# -- robustness corpus: one corrupted byte anywhere ------------------------
 
-        wl, specs = _tiny_specs(masks_per_site=1)
-        root = str(tmp_path / "runs")
-        opts = CampaignOptions(workers=1, differential=False)
-        run_campaign(HauberkProgram(wl), specs, mode="fi",
-                     options=opts.evolve(run_dir=root))
 
-        # the edited loop feeds the whole kernel: every section is in
-        # the closure, so nothing is safe to adopt
-        executed = []
-        run_campaign(_counting_program(TinyEdited(), executed), specs,
-                     mode="fi", options=opts.evolve(resume=root))
-        assert len(executed) == len(specs)
+@functools.lru_cache(maxsize=None)
+def _journaled_campaign():
+    """``(run directory bytes by name, uninterrupted result)`` of one
+    journaled campaign, built once and copied for every example."""
+    wl, specs = _tiny_specs(masks_per_site=1)
+    with tempfile.TemporaryDirectory() as root:
+        result = run_campaign(HauberkProgram(wl), specs, mode="fi",
+                              options=CampaignOptions(workers=1,
+                                                      run_dir=root))
+        directory = os.path.dirname(_journal_path(root))
+        files = {}
+        for name in os.listdir(directory):
+            with open(os.path.join(directory, name), "rb") as fh:
+                files[name] = fh.read()
+    return os.path.basename(directory), files, specs, result
 
-    def test_resumed_journal_is_self_contained(self, tmp_path):
-        """Adopted records live in the new journal: a second resume of
-        the edited campaign replays everything without the donor."""
-        import shutil
 
-        wl1 = TwoChainWorkload()
-        specs = _two_chain_specs(wl1)
-        root = str(tmp_path / "runs")
-        opts = CampaignOptions(workers=1, differential=False)
-        run_campaign(HauberkProgram(wl1), specs, mode="fi",
-                     options=opts.evolve(run_dir=root))
-        first = run_campaign(HauberkProgram(TwoChainEdited()), specs,
-                             mode="fi", options=opts.evolve(resume=root))
-        # remove the donor directory; only the edited campaign remains
-        fp_dirs = sorted(os.listdir(root))
-        assert len(fp_dirs) == 2
-        from repro.swifi import campaign_fingerprint
+class TestCorruptJournal:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_resume_survives_one_flipped_bit_or_cut(self, data):
+        """Flip any one bit of ``journal.jsonl`` or cut it at any byte:
+        resume still reproduces the uninterrupted result, a second
+        resume executes nothing, and ``build_report`` never raises."""
+        name, files, specs, expected = _journaled_campaign()
+        journal = bytearray(files["journal.jsonl"])
+        if data.draw(st.booleans(), label="flip"):
+            bit = data.draw(st.integers(0, len(journal) * 8 - 1), label="bit")
+            journal[bit // 8] ^= 1 << (bit % 8)
+        else:
+            journal = journal[:data.draw(st.integers(0, len(journal)),
+                                         label="cut")]
+        root = tempfile.mkdtemp()
+        try:
+            directory = os.path.join(root, name)
+            os.mkdir(directory)
+            for fname, content in files.items():
+                with open(os.path.join(directory, fname), "wb") as fh:
+                    fh.write(journal if fname == "journal.jsonl" else content)
+            build_report(root)
+            resumed = run_campaign(
+                HauberkProgram(TinyWorkload()), specs, mode="fi",
+                options=CampaignOptions(workers=1, resume=root),
+            )
+            _assert_identical(resumed, expected)
+            build_report(root)
 
-        fp2, _ = campaign_fingerprint(
-            HauberkProgram(TwoChainEdited()), specs, "fi", 0
-        )
-        donor = [d for d in fp_dirs if not fp2.startswith(d)]
-        assert len(donor) == 1
-        shutil.rmtree(os.path.join(root, donor[0]))
+            def exploding_factory():
+                def runner(spec):
+                    raise AssertionError("resume should not execute trials")
 
-        def exploding_factory():
-            def runner(spec):
-                raise AssertionError("resume should not execute trials")
+                return runner
 
-            return runner
-
-        prog = HauberkProgram(TwoChainEdited())
-        prog.trial_runner = lambda mode, seed: exploding_factory()
-        again = run_campaign(prog, specs, mode="fi",
-                             options=opts.evolve(resume=root))
-        _assert_identical(again, first)
+            prog = HauberkProgram(TinyWorkload())
+            prog.trial_runner = lambda mode, seed: exploding_factory()
+            again = run_campaign(prog, specs, mode="fi",
+                                 options=CampaignOptions(workers=1,
+                                                         resume=root))
+            _assert_identical(again, expected)
+        finally:
+            shutil.rmtree(root)

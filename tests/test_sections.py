@@ -1,12 +1,9 @@
-"""Dataflow-section tests: partition, def-use graph, staleness closure.
+"""Dataflow-section tests: the partition and the site map.
 
 The contract under test (:mod:`repro.kir.analysis.sections`): a
 validated kernel partitions deterministically into ordered sections at
-top-level loops and barriers; every injection site maps to exactly one
-section; the dependency graph is directed and earlier-only; and the
-affected-set closure walks ancestors and descendants *separately* —
-two independent chains sharing only the parameter section never taint
-each other.
+top-level loops and barriers, and every injection site maps to exactly
+one section.
 """
 
 from __future__ import annotations
@@ -15,13 +12,7 @@ import pytest
 
 from repro.errors import KIRValidationError
 from repro.kir import parse_kernel
-from repro.kir.analysis import (
-    affected_sections,
-    kernel_sections,
-    section_dependencies,
-    section_fingerprints,
-    site_section_map,
-)
+from repro.kir.analysis import kernel_sections, site_section_map
 from repro.workloads import get_workload
 
 CHAIN_SRC = """
@@ -90,88 +81,3 @@ class TestPartition:
             assert len(sections) >= 3
             assert sorted(site_section_map(kernel)) == \
                 list(range(kernel.n_sites))
-
-
-class TestDependencies:
-    def test_chain_is_totally_ordered(self):
-        deps = section_dependencies(kernel_sections(parse_kernel(CHAIN_SRC)))
-        assert deps == {
-            "s0": set(),
-            "s1": {"s0"},
-            "s2": {"s0", "s1"},
-            "s3": {"s0", "s1", "s2"},
-        }
-
-    def test_independent_chains_share_only_params(self):
-        deps = section_dependencies(
-            kernel_sections(parse_kernel(TWO_CHAIN_SRC))
-        )
-        assert deps["s1"] == {"s0"}
-        assert deps["s2"] == {"s0"}
-
-
-class TestAffected:
-    def test_changed_taints_ancestors_and_descendants(self):
-        sections = kernel_sections(parse_kernel(CHAIN_SRC))
-        assert affected_sections(sections, {"s2"}) == \
-            {"s0", "s1", "s2", "s3"}
-
-    def test_sibling_chain_untouched(self):
-        sections = kernel_sections(parse_kernel(TWO_CHAIN_SRC))
-        # changing chain 2 taints its ancestor s0 but NOT the sibling
-        # chain s1 — reachable only through the common ancestor
-        assert affected_sections(sections, {"s2"}) == {"s0", "s2"}
-        assert affected_sections(sections, {"s1"}) == {"s0", "s1"}
-
-    def test_empty_change_set(self):
-        sections = kernel_sections(parse_kernel(CHAIN_SRC))
-        assert affected_sections(sections, set()) == set()
-
-    def test_unknown_section_is_inert(self):
-        sections = kernel_sections(parse_kernel(CHAIN_SRC))
-        assert affected_sections(sections, {"s99"}) == {"s99"}
-
-
-class TestFingerprints:
-    def test_stable_across_reparses(self):
-        a = section_fingerprints(parse_kernel(CHAIN_SRC))
-        b = section_fingerprints(parse_kernel(CHAIN_SRC))
-        assert a == b
-
-    def test_edit_changes_only_its_section(self):
-        base = section_fingerprints(parse_kernel(CHAIN_SRC))
-        edited = section_fingerprints(
-            parse_kernel(CHAIN_SRC.replace("acc * 0.5", "acc * 0.25"))
-        )
-        changed = {name for name in base if base[name] != edited[name]}
-        assert changed == {"s3"}
-
-    @staticmethod
-    def _cp_control_block():
-        from repro.core.controlblock import ControlBlock
-        from repro.core.translator import HauberkTranslator
-
-        wl = get_workload("CP")
-        build = HauberkTranslator().build(wl.kernel, "ft")
-        cb = ControlBlock()
-        cb.configure(build.detector_configs)
-        return wl, cb
-
-    def test_detector_config_taints_owning_section(self):
-        wl, cb = self._cp_control_block()
-        bare = section_fingerprints(wl.kernel)
-        with_cb = section_fingerprints(wl.kernel, cb)
-        changed = {n for n in bare if bare[n] != with_cb[n]}
-        # at least one loop detector exists and lands in one section
-        assert changed
-        assert changed != set(bare)
-
-    def test_config_attribution_follows_alpha(self):
-        wl, cb = self._cp_control_block()
-        base = section_fingerprints(wl.kernel, cb)
-        det, cfg = next(iter(sorted(cb.detectors.items())))
-        cfg.ranges.alpha = cfg.ranges.alpha * 3.0 + 1.0
-        bumped = section_fingerprints(wl.kernel, cb)
-        changed = {n for n in base if base[n] != bumped[n]}
-        assert changed  # the owning section's fingerprint moved
-        assert changed != set(base)  # but not every section's
