@@ -182,6 +182,7 @@ class HauberkProgram:
             launch = runtime.launch(
                 build.kernel, inp.grid, inp.block, args,
                 lib=lib, budget=budget if budget is not None else self.workload.hang_budget,
+                hang_verdicts=fault is not None,
             )
             result.launch = launch
         except KernelHang as exc:

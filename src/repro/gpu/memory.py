@@ -450,6 +450,11 @@ class ReplayMemoryGuard(WordReinterpret):
         self.deferred: Set[int] = set()
         self._dirty: Set[int] = set()
 
+    @property
+    def capacity(self) -> int:
+        """Words of the device address space (the bounds of a load)."""
+        return self.mem.capacity
+
     def _check_load(self, addr: int) -> None:
         owner = self.store_owner.get(addr)
         if owner is not None and owner > self.thread:

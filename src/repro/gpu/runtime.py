@@ -29,7 +29,11 @@ from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
 from repro.obs.events import get_tracer
-from repro.obs.instrument import record_launch, record_launch_failure
+from repro.obs.instrument import (
+    record_hang_verdict,
+    record_launch,
+    record_launch_failure,
+)
 
 Dim = Union[int, Tuple[int, int]]
 
@@ -165,6 +169,7 @@ class GPURuntime:
         lib: Optional[InstrumentationLibrary] = None,
         budget: int = 2_000_000,
         recorder=None,
+        hang_verdicts: bool = False,
     ) -> LaunchResult:
         """Run the kernel over the whole grid.
 
@@ -179,6 +184,12 @@ class GPURuntime:
         run against, and ``begin_thread(ctx)`` / ``end_thread(ctx)``
         bracket each thread.  The normal path pays nothing — the hooks
         are per-thread branches, and memory stays unwrapped.
+
+        ``hang_verdicts`` marks a fault-injection trial launch: the
+        compiled engine may raise the watchdog's ``KernelHang`` at a
+        loop head once it has decided the thread will run out its
+        budget there (same exception and ``ctx.steps``; cycles and
+        frames stay where the thread stood).
         """
         if not self.device.enabled:
             raise LaunchError(f"device {self.device.device_id} is disabled")
@@ -213,7 +224,7 @@ class GPURuntime:
             grid=[gx, gy], block=[bx, by], n_threads=n_threads,
         ) as span:
             ctx = ExecContext(self.device.memory, lib=lib, budget=budget,
-                              block_size=bx * by)
+                              block_size=bx * by, hang_verdicts=hang_verdicts)
             if recorder is not None:
                 ctx.swap_memory(recorder.attach(self.device.memory))
             try:
@@ -221,6 +232,8 @@ class GPURuntime:
                                shared_decls, recorder)
             except KernelHang as exc:
                 record_launch_failure(kernel.name, "hang")
+                if ctx.hang_verdict is not None:
+                    record_hang_verdict(kernel.name)
                 span.set(failure="hang", reason=str(exc))
                 raise
             except KernelCrash as exc:

@@ -8,29 +8,45 @@ the affine-for pattern and returns an expression for the count that is
 evaluated *before* the loop, or ``None`` when the count cannot be
 derived (e.g. the bound is written inside the body, or data-dependent
 ``break``/``while`` control).
+
+``hang_shape`` builds on it for the compiled engine's hang verdicts: a
+loop whose every iteration runs the same fixed number of statements
+and can crash only at an affine load lets a fault-injection trial
+decide arithmetically, at the loop head, that the thread will run out
+its statement budget (see ``docs/architecture.md``, "Hang verdicts").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.kir.astnodes import (
     Assign,
+    AtomicAdd,
     BinOp,
     Break,
     Call,
+    CallStmt,
     Const,
+    Continue,
     Expr,
     For,
     If,
     Kernel,
+    Load,
     Return,
+    SharedLoad,
+    SharedStore,
     Stmt,
+    Store,
+    UnOp,
     Var,
     While,
+    child_exprs,
 )
 from repro.kir.analysis.dataflow import names_read_expr, names_written_stmt
+from repro.kir.types import DType
 
 
 @dataclass
@@ -206,3 +222,277 @@ def top_level_loops(kernel: Kernel) -> List[LoopInfo]:
     """Loops not nested in another loop, in program order."""
     loops = find_loops(kernel)
     return [info for info in loops.values() if info.parent is None]
+
+
+# ---------------------------------------------------------------------------
+# Hang verdicts
+# ---------------------------------------------------------------------------
+
+INT32_MIN = -(1 << 31)
+INT32_MAX = (1 << 31) - 1
+
+#: Why a loop has no :class:`HangShape` (the value :func:`hang_shape`
+#: returns instead of one).
+NO_TRIP_COUNT = "no_trip_count"
+NESTED_LOOP = "nested_loop"
+BRANCH = "branch"
+EARLY_EXIT = "early_exit"
+STORE = "store"
+ATOMIC = "atomic"
+SHARED_MEMORY = "shared_memory"
+ITERATOR = "iterator"
+CONDITION = "condition"
+DIVISION = "division"
+INTRINSIC = "intrinsic"
+LOAD_NOT_AFFINE = "load_not_affine"
+
+#: Intrinsics whose implementation returns a value for any int32 or
+#: float argument; ``abs`` only for an int argument (it truncates
+#: through ``int()``, which raises on NaN and infinities).
+_TOTAL_INTRINSICS = frozenset({
+    "sqrt", "rsqrt", "exp", "log", "sin", "cos", "acos", "atan2", "floor",
+    "fabs", "pow", "fmin", "fmax", "min", "max", "int", "float", "__float_as_int",
+})
+
+_BODY_OBSTACLES = (
+    ((For, While), NESTED_LOOP),
+    (If, BRANCH),
+    ((Break, Continue, Return), EARLY_EXIT),
+    (Store, STORE),
+    (AtomicAdd, ATOMIC),
+    (SharedStore, SHARED_MEMORY),
+)
+
+
+def _int32(e: Expr) -> bool:
+    return e.dtype is DType.INT32
+
+
+@dataclass(frozen=True)
+class AffineLoad:
+    """A load ``ptr[index]`` of a :class:`HangShape` loop.
+
+    ``index`` is affine in the iterator: built from the iterator,
+    loop-invariant subtrees, int32 ``+``/``-``, unary ``-`` and ``*``
+    by an int constant.  ``nodes`` are its subtrees that read the
+    iterator, innermost first and the whole index last (the whole index
+    alone when it does not read the iterator); ``coefs`` are
+    their coefficients of the iterator, so node ``n`` evaluates to
+    ``coefs[n] * i + (its value at i = 0)`` as long as no node wraps.
+    """
+
+    #: the load's statement among an iteration's checked statements
+    #: (1 is the condition)
+    position: int
+    ptr: Expr
+    nodes: Tuple[Expr, ...]
+    coefs: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class HangShape:
+    """A ``for`` loop whose remaining run is arithmetic.
+
+    Every iteration runs ``period`` checked statements: the condition,
+    each body statement once, and the update.  Nothing in it can end
+    the loop but the condition, and nothing can crash but a load of an
+    address outside device memory.  The iterator moves by ``step`` and
+    the condition is ``iterator op bound`` with ``bound`` invariant.
+    """
+
+    loop_id: int
+    iter_var: str
+    step: int
+    op: str
+    bound: Expr
+    period: int
+    #: instrumentation call names in the body
+    hooks: Tuple[str, ...]
+    loads: Tuple[AffineLoad, ...]
+
+    def iterations_left(self, i: int, bound: int) -> int:
+        """Iterations whose condition holds, from iterator value ``i``
+        on, in exact arithmetic."""
+        if self.step > 0:
+            span, step = bound - i + (self.op == "<="), self.step
+        else:
+            span, step = i - bound + (self.op == ">="), -self.step
+        return max(0, -(-span // step))
+
+    def runs_out(self, ticks: int, capacity: int, i, bound, loads: tuple) -> bool:
+        """Whether the ``ticks``-th checked statement from the head of
+        an iteration comes before the loop ends or any load leaves
+        ``[0, capacity)``.
+
+        ``i`` and ``bound`` are the iterator and bound values there;
+        ``loads`` holds, per entry of :attr:`loads`, the pointer value
+        followed by each node's value at ``i = 0`` in exact arithmetic.
+        Gives False when any value is not an int, or when the iterator
+        or an index node would leave int32 before that statement, since
+        the generated code wraps where exact arithmetic does not.
+        """
+        if type(i) is not int or type(bound) is not int:
+            return False
+        period = self.period
+        if ticks > self.iterations_left(i, bound) * period + 1:
+            return False  # the condition ends the loop first
+        last = i + (ticks - 1) // period * self.step  # iterator at that tick
+        if not INT32_MIN <= last <= INT32_MAX:
+            return False
+        for load, values in zip(self.loads, loads):
+            ptr = values[0]
+            if type(ptr) is not int:
+                return False
+            for coef, at_zero in zip(load.coefs, values[1:]):
+                if type(at_zero) is not int:
+                    return False
+                lo, hi = sorted((coef * i + at_zero, coef * last + at_zero))
+                if lo < INT32_MIN or hi > INT32_MAX:
+                    return False
+            first = ptr + load.coefs[-1] * i + values[-1]
+            stride = load.coefs[-1] * self.step
+            if not 0 <= first < capacity:
+                leaves = 0
+            elif stride > 0:
+                leaves = (capacity - first + stride - 1) // stride
+            elif stride < 0:
+                leaves = first // -stride + 1
+            else:
+                continue
+            if ticks > leaves * period + load.position:
+                return False  # this load crashes first
+        return True
+
+
+def _affine(e: Expr, it: str, nodes: list) -> Optional[int]:
+    """Coefficient of ``it`` in ``e`` if ``e`` is affine in it (see
+    :class:`AffineLoad`), else None; appends each node reading ``it``
+    to ``nodes`` as ``(node, coef)``, innermost first."""
+    if it not in names_read_expr(e):
+        return 0
+    coef: Optional[int] = None
+    if isinstance(e, Var):
+        coef = 1
+    elif isinstance(e, UnOp) and e.op == "-" and _int32(e) and _int32(e.operand):
+        inner = _affine(e.operand, it, nodes)
+        coef = None if inner is None else -inner
+    elif (isinstance(e, BinOp) and e.op in ("+", "-", "*")
+          and _int32(e) and _int32(e.left) and _int32(e.right)):
+        left, right = _affine(e.left, it, nodes), _affine(e.right, it, nodes)
+        if left is None or right is None:
+            return None
+        if e.op == "+":
+            coef = left + right
+        elif e.op == "-":
+            coef = left - right
+        elif isinstance(e.left, Const) and isinstance(e.left.value, int):
+            coef = e.left.value * right
+        elif isinstance(e.right, Const) and isinstance(e.right.value, int):
+            coef = left * e.right.value
+    if coef is not None:
+        nodes.append((e, coef))
+    return coef
+
+
+def _scan(e: Expr, it: str, position: int, loads: List[AffineLoad]) -> Optional[str]:
+    """Why evaluating ``e`` could raise, other than by an affine load
+    leaving device memory, or None; collects those loads."""
+    if isinstance(e, Load):
+        nodes: list = []
+        if it in names_read_expr(e.ptr) or _affine(e.index, it, nodes) is None:
+            return LOAD_NOT_AFFINE
+        if not nodes:  # an invariant index
+            nodes.append((e.index, 0))
+        for part in (e.ptr, e.index):
+            inner: List[AffineLoad] = []
+            reason = _scan(part, it, position, inner)
+            if reason is not None:
+                return reason
+            if inner:
+                return LOAD_NOT_AFFINE
+        loads.append(AffineLoad(position, e.ptr, tuple(n for n, _ in nodes),
+                                tuple(c for _, c in nodes)))
+        return None
+    if isinstance(e, SharedLoad):
+        return SHARED_MEMORY
+    if isinstance(e, BinOp):
+        if e.op == "%" or (e.op == "/" and _int32(e) and _int32(e.left)
+                           and _int32(e.right)):
+            divisor = e.right
+            if not (isinstance(divisor, Const) and isinstance(divisor.value, int)
+                    and divisor.value != 0 and _int32(e.left)):
+                return DIVISION
+        return _scan(e.left, it, position, loads) or _scan(e.right, it, position, loads)
+    if isinstance(e, UnOp):
+        return _scan(e.operand, it, position, loads)
+    if isinstance(e, Call):
+        if e.func not in _TOTAL_INTRINSICS and not (
+                e.func == "abs" and all(_int32(a) for a in e.args)):
+            return INTRINSIC
+        for a in e.args:
+            reason = _scan(a, it, position, loads)
+            if reason is not None:
+                return reason
+    return None
+
+
+def _bound_reason(cond: Expr, it: str) -> Optional[str]:
+    """Why ``cond`` (an ``_iterator_bounds`` shape) is no plain int32
+    comparison of the iterator with an invariant, raise-free bound."""
+    if isinstance(cond, BinOp) and cond.op == "&&":
+        return _bound_reason(cond.left, it) or _bound_reason(cond.right, it)
+    bound = cond.right if isinstance(cond.left, Var) and cond.left.name == it else cond.left
+    found: List[AffineLoad] = []
+    if (not _int32(bound) or it in names_read_expr(bound)
+            or _scan(bound, it, 1, found) is not None or found):
+        return CONDITION
+    return None
+
+
+def hang_shape(loop: Stmt) -> Union[HangShape, str]:
+    """The loop's :class:`HangShape`, or why it has none.
+
+    A ``for`` loop qualifies when :func:`derive_trip_count` gives its
+    count; its iterator is an int; its body has no nested loop, no
+    ``if``, no store, atomic or shared-memory access, no
+    ``break``/``continue``/``return`` and no write to the iterator; no
+    int ``/`` or ``%`` by anything but a non-zero constant; calls only
+    intrinsics that return for every argument; and loads only at
+    addresses affine in the iterator whose other names the loop does
+    not write.
+    """
+    if not isinstance(loop, For) or derive_trip_count(loop) is None:
+        return NO_TRIP_COUNT
+    it = loop.init.name
+    for stmt in loop.body:
+        for kinds, reason in _BODY_OBSTACLES:
+            if isinstance(stmt, kinds):
+                return reason
+    if loop.init.var_dtype is not DType.INT32:
+        return ITERATOR
+    written = set()
+    for stmt in loop.body:
+        written |= names_written_stmt(stmt)
+    if it in written:
+        return ITERATOR
+    written.add(it)
+    reason = _bound_reason(loop.cond, it)
+    if reason is not None:
+        return reason
+    loads: List[AffineLoad] = []
+    for position, stmt in enumerate(loop.body + [loop.update], start=2):
+        for e in child_exprs(stmt):
+            reason = _scan(e, it, position, loads)
+            if reason is not None:
+                return reason
+    for load in loads:
+        invariant = names_read_expr(load.ptr) | names_read_expr(load.nodes[-1])
+        if (invariant - {it}) & written:
+            return LOAD_NOT_AFFINE
+    op, bound = _iterator_bounds(loop.cond, it)
+    hooks = tuple(dict.fromkeys(s.func for s in loop.body if isinstance(s, CallStmt)))
+    return HangShape(
+        loop_id=loop.loop_id, iter_var=it, step=_affine_step(loop.update, it),
+        op=op, bound=bound, period=len(loop.body) + 2, hooks=hooks,
+        loads=tuple(loads),
+    )

@@ -29,7 +29,17 @@ shape::
                 _fv.values = (v2,)
                 if _h0(ctx, _fv, 3, 'x') is RETIRE: _h0 = RETIRE
                 if _fv.written: v0, v1, v2 = _fv.reload()
-            ...
+            v3 = 0                         # a loop with a hang shape
+            _q0 = hang_verdicts            # ctx.hang_verdicts
+            while True:
+                if _q0 and _h0 is RETIRE:  # once every body hook retired
+                    _q0 = False
+                    if _hang_verdict(_k4, ctx, steps, v3, v1, ((v0, 0),)):
+                        steps = budget + 1
+                        raise KernelHang()
+                steps += 1                 # the condition
+                if steps > budget: raise KernelHang()
+                ...
         finally:
             ctx.steps = steps; ctx.cycles = cycles
             ctx.loop_cycles = loop_cycles
@@ -43,7 +53,20 @@ the Figure 4 loop fraction and the Figure 13 overheads fall out of
 execution directly.  KIR expressions become inline Python expressions
 (the int32 wrap is inline arithmetic), and ``break``/``continue``/
 ``return`` become native statements that still charge their unchecked
-step.
+step.  A float ``/`` of two float operands divides inline and calls
+``fdiv`` only for a zero divisor, and ``sqrt`` calls ``math.sqrt`` for
+an operand in ``[0, inf)`` and ``_safe_sqrt`` otherwise; a compound
+operand is evaluated once, through a ``_w<n>`` temporary, in C order.
+
+Hang verdicts.  A ``for`` loop with a
+:class:`~repro.kir.analysis.loops.HangShape` gets a check at the head
+of its ``while True:``, live only on a trial launch
+(``ctx.hang_verdicts``): at the first iteration head where every hook
+the body calls has retired, ``_hang_verdict`` decides from the locals
+whether the thread runs out its budget before the loop ends or a load
+leaves device memory, and if so the thread raises ``KernelHang()``
+with ``steps = budget + 1`` at once (``docs/architecture.md``, "Hang
+verdicts").
 
 The frame contract.  Parameters and special registers are read from
 ``fr`` when the thread starts; the names the kernel assigns start as
@@ -65,7 +88,10 @@ has its writes applied to ``fr`` when the thread ends.
 The counter contract with instrumentation hooks: ``ctx.steps`` is
 current at every hook call (``ActivationRecord.at_step`` reads it);
 ``cycles``/``loop_cycles`` reach ``ctx`` when the thread ends; hooks
-must not write any of the three.  Each instrumentation call name
+must not write any of the three.  A thread ended by a hang verdict
+leaves ``ctx.steps`` at ``budget + 1``, as the full run would, but
+``cycles``/``loop_cycles`` and its frame as they stood at the loop
+head.  Each instrumentation call name
 (``__hauberk_<op>``) has a local holding its handler, read from the
 context's per-launch hook table when the thread starts and filled by
 :meth:`~repro.kir.interp.evalcore.ExecContext.bind_hook` on the call's
@@ -96,6 +122,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.bits import bits_to_int, float_to_bits
 from repro.errors import KernelCrash, KernelHang, KIRError, KIRValidationError
+from repro.kir.analysis.loops import HangShape, hang_shape
 from repro.kir.astnodes import (
     Assign,
     AtomicAdd,
@@ -122,10 +149,13 @@ from repro.kir.astnodes import (
     While,
     defining_statements,
 )
+from repro.kir.analysis.dataflow import names_read_expr
 from repro.kir.interp.evalcore import (
+    INF,
     ExecContext,
     INTRINSIC_IMPL,
     RETIRE,
+    _safe_sqrt,
     c_int_cast,
     fdiv,
     idiv,
@@ -136,7 +166,8 @@ from repro.kir.types import DType
 ExprFn = Callable[[dict, ExecContext], object]
 
 #: Locals the thread function reads from ``ctx`` when its body uses them.
-_CTX_LOCALS = ("load_f32", "load_i32", "store_f32", "store_i32", "shared")
+_CTX_LOCALS = ("load_f32", "load_i32", "store_f32", "store_i32", "shared",
+               "hang_verdicts")
 _COMPARE = ("<", "<=", ">", ">=", "==", "!=")
 
 
@@ -263,6 +294,22 @@ class FrameView(Mapping):
         return len(self._snapshot())
 
 
+def _hang_verdict(shape: HangShape, ctx: ExecContext, steps: int, i, bound,
+                  loads: tuple) -> bool:
+    """Whether the thread, at the head of an iteration of ``shape``'s
+    loop with ``steps`` taken, runs out its budget before the loop ends
+    or crashes; notes the loop in ``ctx.hang_verdict`` when it does."""
+    if shape.runs_out(ctx.budget + 1 - steps, ctx.memory.capacity, i, bound, loads):
+        ctx.hang_verdict = shape.loop_id
+        return True
+    return False
+
+
+def _simple(e: Expr) -> bool:
+    """Whether ``e`` is emitted as a bare local or constant."""
+    return isinstance(e, (Const, Var, SpecialReg))
+
+
 def _write_back(fr: dict, names: tuple, values: tuple) -> None:
     """``fr[name] = value`` for each pair whose value is not UNSET."""
     fr.update((name, value) for name, value in zip(names, values) if value is not UNSET)
@@ -285,7 +332,8 @@ class _Emitter:
             "fdiv": fdiv, "c_int_cast": c_int_cast,
             "_shared_load": _shared_load, "_shared_oob": _shared_oob,
             "RETIRE": RETIRE, "UNSET": UNSET, "FrameView": FrameView,
-            "_write_back": _write_back,
+            "_write_back": _write_back, "_hang_verdict": _hang_verdict,
+            "INF": INF,
         }
         self._bound: Dict[int, str] = {}  # id(value) -> namespace name
         self.used = set()
@@ -301,6 +349,8 @@ class _Emitter:
         #: emitted lines; a hook call's reload is ``(indent, packed)``
         #: until the base names are known
         self.lines: list = []
+        #: number of expression temporaries (``_w<n>``) emitted so far
+        self.temps = 0
 
     # -- names ------------------------------------------------------------
     def bind(self, value) -> str:
@@ -333,6 +383,15 @@ class _Emitter:
                 self.order[name] = len(self.order)
                 self.packed.append(self.var(name))
 
+    def temp(self) -> str:
+        """A fresh local for an expression temporary."""
+        self.temps += 1
+        return f"_w{self.temps - 1}"
+
+    def hook_local(self, func: str) -> str:
+        """The thread function's local holding ``func``'s handler."""
+        return self.hooks.setdefault(func, f"_h{len(self.hooks)}")
+
     def ctx_local(self, name: str) -> str:
         if self.in_thread:
             self.used.add(name)
@@ -361,6 +420,15 @@ class _Emitter:
             if impl is None:
                 raise KIRError(f"cannot compile intrinsic {e.func!r}")
             args = ", ".join(self.expr(a) for a in e.args)
+            if impl is _safe_sqrt:
+                # the common case, a finite non-negative operand, calls
+                # math.sqrt directly; NaN, inf and negatives take the helper
+                x = args
+                if not _simple(e.args[0]):
+                    x = self.temp()
+                    args = f"({x} := {args})"
+                return (f"({self.bind(math.sqrt)}({x}) if 0.0 <= {args} < INF "
+                        f"else {self.bind(impl)}({x}))")
             return f"{self.bind(impl)}({args})"
         if isinstance(e, Load):
             load = "load_f32" if e.dtype is DType.FLOAT32 else "load_i32"
@@ -391,7 +459,11 @@ class _Emitter:
         if op in ("+", "-", "*"):
             return _wrap(f"{l} {op} {r}") if int_arith else f"({l} {op} {r})"
         if op == "/":
-            return f"idiv({l}, {r})" if int_arith else f"fdiv({l}, {r})"
+            if int_arith:
+                return f"idiv({l}, {r})"
+            if e.left.dtype is DType.FLOAT32 and e.right.dtype is DType.FLOAT32:
+                return self._fdiv(e, l, r)
+            return f"fdiv({l}, {r})"
         if op == "%":
             return f"imod({l}, {r})"
         if op in ("&", "|", "^"):
@@ -399,6 +471,25 @@ class _Emitter:
         if op in ("<<", ">>"):
             return _wrap(f"{l} {op} ({r} & 31)")
         raise KIRError(f"cannot compile operator {op!r}")
+
+    def _fdiv(self, e: BinOp, l: str, r: str) -> str:  # noqa: E741
+        """Float ``l / r`` inline, with ``fdiv`` for a zero divisor.
+
+        Each operand is evaluated once, left first: a compound operand
+        goes through a temporary, and when the dividend is compound it
+        is stored by the condition, whose ``or 1`` keeps a zero dividend
+        from deciding the branch.
+        """
+        if not _simple(e.right):
+            t = self.temp()
+            r, test = t, f"({t} := {r})"
+        else:
+            test = r
+        if not _simple(e.left):
+            t = self.temp()
+            test = f"(({t} := {l}) or 1) and {test}"
+            l = t  # noqa: E741
+        return f"({l} / {r} if {test} else fdiv({l}, {r}))"
 
     # -- statements ---------------------------------------------------------
     def emit(self, ind: int, line: str) -> None:
@@ -450,7 +541,9 @@ class _Emitter:
         elif isinstance(s, For):
             if s.init is not None:
                 self.stmt(s.init, ind, update)
-            self._loop(s.cond, s.body, ind, s.update)
+            shape = hang_shape(s)
+            self._loop(s.cond, s.body, ind, s.update,
+                       shape if isinstance(shape, HangShape) else None)
         elif isinstance(s, While):
             self._loop(s.cond, s.body, ind, None)
         elif isinstance(s, If):
@@ -470,17 +563,57 @@ class _Emitter:
         else:
             raise KIRError(f"cannot compile statement {type(s).__name__}")
 
-    def _loop(self, cond: Expr, body: List[Stmt], ind: int, update: Optional[Stmt]) -> None:
+    def _loop(self, cond: Expr, body: List[Stmt], ind: int, update: Optional[Stmt],
+              shape: Optional[HangShape] = None) -> None:
         cond_cost = self.cm.expr_cost(cond) + self.cm.branch_cost
         # a hook anywhere in the loop may follow any assignment in it
         tail = [update] if update is not None else []
         self.assigned(d.name for d, _depth in defining_statements(body + tail))
-        self.emit(ind, "while True:")
+        if shape is None:
+            self.emit(ind, "while True:")
+        else:
+            self._verdict_head(shape, ind)
         self.tick(ind + 1, cond_cost, True)
         self.emit(ind + 1, f"if not {self.cond(cond)}: break")
         self.block(body, ind + 1, update)
         if update is not None:
             self.stmt(update, ind + 1)
+
+    def _verdict_head(self, shape: HangShape, ind: int) -> None:
+        """``while True:`` with the hang-verdict check at its head.
+
+        ``_q<id>`` is true from loop entry on a trial launch until the
+        check has run once, which it does at the first iteration head
+        where every hook the body calls has retired.
+        """
+        flag = f"_q{shape.loop_id}"
+        self.used.add("hang_verdicts")
+        self.emit(ind, f"{flag} = hang_verdicts")
+        self.emit(ind, "while True:")
+        test = " and ".join([flag] + [f"{self.hook_local(f)} is RETIRE" for f in shape.hooks])
+        self.emit(ind + 1, f"if {test}:")
+        self.emit(ind + 2, f"{flag} = False")
+        loads = [
+            f"({_seq([self.expr(load.ptr)] + [self._at_zero(n, shape.iter_var) for n in load.nodes])})"
+            for load in shape.loads
+        ]
+        self.emit(ind + 2, f"if _hang_verdict({self.bind(shape)}, ctx, steps, "
+                           f"{self.var(shape.iter_var)}, {self.expr(shape.bound)}, "
+                           f"({_seq(loads) if loads else ''})):")
+        self.emit(ind + 3, "steps = budget + 1")
+        self.emit(ind + 3, "raise KernelHang()")
+
+    def _at_zero(self, e: Expr, it: str) -> str:
+        """``e`` at iterator value 0, with no int32 wrap where ``e`` reads
+        the iterator; subtrees that do not are emitted as the body
+        computes them."""
+        if it not in names_read_expr(e):
+            return self.expr(e)
+        if isinstance(e, Var):
+            return "0"
+        if isinstance(e, UnOp):
+            return f"(-{self._at_zero(e.operand, it)})"
+        return f"({self._at_zero(e.left, it)} {e.op} {self._at_zero(e.right, it)})"
 
     def _shared_slot(self, array: str, index: Expr, what: str, ind: int) -> None:
         """Bind ``_t_arr``/``_t_idx`` to a bounds-checked shared slot."""
@@ -524,7 +657,7 @@ class _Emitter:
             args = [f"_t_arg{k}" for k in range(len(args))]
         # one local per hook name, bound on the call's first execution
         # and set to RETIRE for the rest of the thread when asked
-        handler = self.hooks.setdefault(s.func, f"_h{len(self.hooks)}")
+        handler = self.hook_local(s.func)
         self.emit(ind, f"if {handler} is not RETIRE:")
         self.emit(ind + 1, "ctx.steps = steps")
         self.emit(ind + 1, f"if {handler} is None: {handler} = bind_hook({s.func!r})")

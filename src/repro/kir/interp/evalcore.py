@@ -311,7 +311,13 @@ class ExecContext:
       thread's statements against it inline and raise
       :class:`~repro.errors.KernelHang` on overrun (the watchdog);
     * ``cycles`` / ``loop_cycles`` — cost-model accounting used for
-      Figure 4 and all of Figure 13.
+      Figure 4 and all of Figure 13;
+    * ``hang_verdicts`` — set for a fault-injection trial launch: the
+      compiled engine may then raise :class:`~repro.errors.KernelHang`
+      at the head of a loop whose remaining run it can decide (see
+      :func:`repro.kir.analysis.loops.hang_shape`) instead of running
+      the budget out; ``hang_verdict`` is then that loop's id (else
+      None).
     """
 
     __slots__ = (
@@ -331,6 +337,8 @@ class ExecContext:
         "thread",
         "block",
         "block_size",
+        "hang_verdicts",
+        "hang_verdict",
     )
 
     def __init__(
@@ -339,6 +347,7 @@ class ExecContext:
         lib: Optional[InstrumentationLibrary] = None,
         budget: int = 2_000_000,
         block_size: int = 1,
+        hang_verdicts: bool = False,
     ):
         self._bind_memory(memory)
         self.lib = lib if lib is not None else NullLibrary()
@@ -352,6 +361,8 @@ class ExecContext:
         self.thread = -1
         self.block = -1
         self.block_size = block_size
+        self.hang_verdicts = hang_verdicts
+        self.hang_verdict: Optional[int] = None
 
     def bind_hook(self, func: str) -> Callable:
         """Resolve ``func`` against ``lib`` and memoize it for this launch.

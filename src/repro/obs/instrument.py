@@ -17,6 +17,7 @@ repro_launch_cycles_total                   counter    kernel
 repro_launch_failures_total                 counter    kernel, kind
 repro_launch_loop_fraction                  histogram  kernel
 repro_launch_spill_factor                   gauge      kernel
+repro_kir_hang_verdicts_total               counter    kernel
 repro_trial_outcomes_total                  counter    outcome
 repro_trial_activation_ratio                gauge      --
 repro_trial_site_faults                     histogram  --
@@ -120,6 +121,15 @@ def record_launch_failure(kernel_name: str, kind: str) -> None:
     get_registry().counter(
         "repro_launch_failures_total", "Kernel launches ending in crash or hang"
     ).inc(kernel=kernel_name, kind=kind)
+
+
+def record_hang_verdict(kernel_name: str) -> None:
+    """A hang the compiled engine decided at a loop head (one of the
+    hangs ``repro_launch_failures_total`` counts)."""
+    get_registry().counter(
+        "repro_kir_hang_verdicts_total",
+        "Trial hangs decided at a loop head instead of run to the budget",
+    ).inc(kernel=kernel_name)
 
 
 # -- fault-injection campaigns (swifi/campaign.py) ----------------------

@@ -59,6 +59,7 @@ from repro.kir.astnodes import AtomicAdd, Kernel, walk_stmts
 from repro.kir.interp.evalcore import ExecContext
 from repro.obs.instrument import (
     record_differential_trial,
+    record_hang_verdict,
     record_launch,
     record_launch_failure,
 )
@@ -325,7 +326,7 @@ class DifferentialEngine:
         )
         lib, device_cb = self._fresh_library(spec)
         ctx = ExecContext(guard, lib=lib, budget=self.workload.hang_budget,
-                          block_size=self.block_size)
+                          block_size=self.block_size, hang_verdicts=True)
 
         block, tib = divmod(target, self.block_size)
         frame = dict(self.base_frame)
@@ -354,6 +355,8 @@ class DifferentialEngine:
             guard.rollback()
             self._reapply(rec.footprint)
             record_launch_failure(self.kernel.name, failure[0])
+            if ctx.hang_verdict is not None:
+                record_hang_verdict(self.kernel.name)
             return TrialObservation(
                 failure=True, detected=False, output_ok=False,
                 activated=activated, note=failure[1],

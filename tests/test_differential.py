@@ -12,6 +12,7 @@ import pytest
 from repro.core.program import HauberkProgram
 from repro.exec.pool import fork_available
 from repro.gpu.memory import ReplayConflict, ReplayMemoryGuard
+from repro.gpu.runtime import GPURuntime
 from repro.kir import parse_kernel
 from repro.obs.metrics import fresh_registry, get_registry
 from repro.swifi.campaign import build_fault_specs
@@ -289,3 +290,59 @@ def test_ineligible_marker_records_reason():
     entry = get_engine(prog, "fi", 0)
     assert isinstance(entry, _Ineligible)
     assert entry.reason == "uses_sync"
+
+
+def _fig14_bench_plan(program):
+    """CP's Figure 14 trials at the ``BENCH`` preset, in campaign order:
+    the site draws of the benchmarks before CP come first, then one
+    campaign per error-bit count."""
+    import numpy as np
+
+    from repro.harness.config import BENCH
+    from repro.harness.fig14_coverage import NAMES
+    from repro.swifi.targets import select_targets
+
+    rng = np.random.default_rng(BENCH.seed + 14)
+    for name in NAMES[:NAMES.index("CP")]:
+        select_targets(get_workload(name).kernel, BENCH.max_targets, rng)
+    sites = select_targets(program.workload.kernel, BENCH.max_targets, rng)
+    inp, _golden = program.campaign_io(0)
+    return [spec for bits in BENCH.bit_counts for spec in build_fault_specs(
+        sites, n_threads=inp.n_threads, masks_per_site=BENCH.masks_per_site,
+        bit_counts=(bits,), seed=BENCH.seed + bits)]
+
+
+class TestHangVerdicts:
+    def test_cp_bench_hangs_match_full_runs_without_verdicts(self, monkeypatch):
+        """Every hang of CP's Figure 14 plan observes the same with
+        replay, with full runs, and with full runs that run the budget
+        out; the 16 delayed ``numatoms`` strikes are replay hits."""
+        program = HauberkProgram(get_workload("CP"))
+        program.train(seeds=[0])
+        fresh_registry()
+        runner = differential_runner(program, "fift", 0)
+        plan = _fig14_bench_plan(program)
+        hangs = [(spec, obs) for spec, obs in ((s, runner(s)) for s in plan)
+                 if obs.failure and obs.note.startswith("kernel hang")]
+        assert len(hangs) == 17
+        verdicts = get_registry().as_dict()["repro_kir_hang_verdicts_total"]
+        assert verdicts["samples"] == [{"labels": {"kernel": "cp"}, "value": 16.0}]
+
+        engine = runner.engine
+        numatoms = [spec for spec, _obs in hangs if spec.timing == "delayed"]
+        assert len(numatoms) == 16
+        assert {engine.fi.sites[s.site].name for s in numatoms} == {"numatoms"}
+        assert all(engine.run_trial(spec) is not None for spec in numatoms)
+
+        full = program.trial_runner("fift", 0)
+        assert [full(spec) for spec, _obs in hangs] == [obs for _spec, obs in hangs]
+
+        launch = GPURuntime.launch
+
+        def run_out(self, *args, hang_verdicts=False, **kwargs):
+            return launch(self, *args, **kwargs)
+
+        monkeypatch.setattr(GPURuntime, "launch", run_out)
+        fresh_registry()
+        assert [full(spec) for spec, _obs in hangs] == [obs for _spec, obs in hangs]
+        assert "repro_kir_hang_verdicts_total" not in get_registry().as_dict()

@@ -8,6 +8,7 @@ import pytest
 from repro.core.program import HauberkProgram
 from repro.errors import KernelCrash, KernelHang, KIRValidationError, LaunchError
 from repro.gpu.device import Device
+from repro.gpu.memory import GlobalMemory
 from repro.gpu.runtime import ENGINES, GPURuntime
 from repro.kir import parse_kernel
 from repro.kir.astnodes import CallStmt, Const, Kernel, KernelParam
@@ -15,6 +16,7 @@ from repro.kir.interp.codegen import CompiledKernel
 from repro.kir.interp.evalcore import (
     ExecContext,
     InstrumentationLibrary,
+    _safe_sqrt,
     c_int_cast,
     fdiv,
     idiv,
@@ -117,6 +119,81 @@ kernel k(int a, int* out) {
             {"a": 0}, out_dtype=DType.INT32,
         )
         assert out[0] == 0
+
+
+#: Dividend and divisor bit patterns of the float special cases the
+#: inline ``/`` and ``sqrt`` fast paths must hand to their helpers.
+FP_SPECIALS = {
+    "neg_zero": (0x80000000, 0x3F800000),  # -0.0, 1.0
+    "pos_inf": (0x7F800000, 0x40000000),  # +inf, 2.0
+    "neg_inf": (0xFF800000, 0x40000000),  # -inf, 2.0
+    "nan": (0x7FC00000, 0x40000000),  # NaN, 2.0
+    "zero_over_zero": (0x00000000, 0x00000000),
+    "x_over_neg_zero": (0x3F800000, 0x80000000),  # 1.0, -0.0
+    "denormals": (0x00000001, 0x807FFFFF),  # smallest and largest negative
+}
+
+#: Each ``/`` and ``sqrt`` operand shape the compiled engine emits apart
+#: (bare local, compound, load), in ``out`` order.
+FP_FORMS = """
+kernel fp(float* a, float* b, float* out) {
+    out[0] = a[0] / b[0];
+    float x = a[0];
+    float y = b[0];
+    out[1] = x / y;
+    out[2] = y / x;
+    out[3] = x / (y * 1.0);
+    out[4] = (x * 1.0) / y;
+    out[5] = sqrt(x);
+    out[6] = sqrt(x * 1.0);
+    out[7] = 1.0 / sqrt(y);
+    out[8] = sqrt(y);
+}
+"""
+
+
+class TestFloatSpecials:
+    """The inline float ``/`` and ``sqrt`` give the helpers' bits on
+    both engines for every special operand."""
+
+    @staticmethod
+    def _helpers(x, y):
+        return [fdiv(x, y), fdiv(x, y), fdiv(y, x), fdiv(x, y * 1.0), fdiv(x * 1.0, y),
+                _safe_sqrt(x), _safe_sqrt(x * 1.0), fdiv(1.0, _safe_sqrt(y)),
+                _safe_sqrt(y)]
+
+    @pytest.mark.parametrize("case", sorted(FP_SPECIALS))
+    def test_engines_match_helpers(self, case):
+        bits = np.array(FP_SPECIALS[case], dtype=np.uint32)
+        kernel = parse_kernel(FP_FORMS)
+        words = {}
+        for engine in ENGINES:
+            device = Device()
+            a = device.memory.alloc("a", 1, DType.FLOAT32)
+            b = device.memory.alloc("b", 1, DType.FLOAT32)
+            out = device.memory.alloc("out", 9, DType.FLOAT32)
+            device.memory.write_words(a.base, bits[:1])
+            device.memory.write_words(b.base, bits[1:])
+            GPURuntime(device, engine=engine).launch(
+                kernel, 1, 1, {"a": a, "b": b, "out": out})
+            words[engine] = device.memory.read_words(out.base, 9).tolist()
+        expected = GlobalMemory(16)
+        expected.write_words(0, bits)
+        x, y = expected.load_f32(0), expected.load_f32(1)
+        for k, value in enumerate(self._helpers(x, y)):
+            expected.store_f32(2 + k, value)
+        assert words["closure"] == words["lockstep"]
+        assert words["closure"] == expected.read_words(2, 9).tolist()
+
+    def test_int_operand_keeps_the_fdiv_call(self):
+        source = CompiledKernel(parse_kernel(
+            "kernel k(float a, int n, float* out) { out[0] = a / n; }"), _cm()).source
+        assert "fdiv(" in source and " / " not in source
+
+    def test_float_operands_divide_inline(self):
+        source = CompiledKernel(parse_kernel(FP_FORMS), _cm()).source
+        assert source.count("fdiv(") == 6  # only on the zero-divisor branches
+        assert "if 0.0 <= " in source
 
 
 class TestControlFlow:

@@ -3,8 +3,9 @@
 The compiled scalar engine (generated Python source, the fast path)
 and the lockstep generator interpreter implement the same semantics
 twice.  Hypothesis-generated kernels -- straight-line code, ``for``,
-``while``, ``break``/``continue`` under an ``if``, ``return``, and
-int ``/`` and ``%`` by operands that can be zero, run under a small
+``while``, ``break``/``continue`` under an ``if``, ``return``, int
+``/`` and ``%`` by operands that can be zero, and float ``/`` by a
+divisor that can be zero and ``sqrt`` of a negative, run under a small
 statement budget so some of them hang -- must give identical frames,
 output words, cycle and loop-cycle counts, exceptions, final step
 counts, and hand a recording instrumentation library the same call
@@ -19,6 +20,12 @@ stops calling ``__hauberk_fi`` in a thread once the FI library returns
 ``RETIRE``, lockstep keeps calling it, and the two must still agree on
 all of the above plus every ``ActivationRecord`` field.
 
+A third property checks hang verdicts: on generated ``for`` loops with
+affine loads, under small budgets and FI strikes on the bound or the
+iterator, a launch with ``hang_verdicts`` set and one without must end
+alike (exception, steps, activation, FI counters, recorder calls), and
+match in every observable when no verdict fires.
+
 Tier-1 runs a few dozen examples.  The ``engine-fuzz`` hypothesis
 profile (``tests/conftest.py``) runs twenty thousand::
 
@@ -29,17 +36,18 @@ profile (``tests/conftest.py``) runs twenty thousand::
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.core.program import CombinedLibrary
 from repro.gpu.device import Device
+from repro.gpu.memory import GlobalMemory
 from repro.kir.astnodes import (
-    Assign, BinOp, Break, CallStmt, Const, Continue, Decl, For, If, Kernel,
-    KernelParam, Return, Store, Var, While,
+    Assign, BinOp, Break, Call, CallStmt, Const, Continue, Decl, For, If, Kernel,
+    KernelParam, Load, Return, Store, Var, While,
 )
 from repro.kir.analysis.dataflow import collect_sites
 from repro.kir.interp.codegen import CompiledKernel
-from repro.kir.interp.evalcore import ExecContext, InstrumentationLibrary
+from repro.kir.interp.evalcore import RETIRE, ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
 from repro.kir.validate import validate_kernel
@@ -88,7 +96,9 @@ class _ControlFlowGen(_KernelGen):
     """``_KernelGen`` plus the control flow the engines compile apart:
     ``while`` loops whose increment a ``continue`` may skip (so they can
     hang), ``break``/``continue`` under an ``if`` in loop bodies,
-    ``return``, and int ``/``/``%`` whose divisor can be zero."""
+    ``return``, int ``/``/``%`` whose divisor can be zero, and float
+    ``/`` and ``sqrt``, whose inline fast paths hand zero divisors and
+    negative operands to their helpers."""
 
     def __init__(self, plan):
         super().__init__(plan)
@@ -112,6 +122,8 @@ class _ControlFlowGen(_KernelGen):
         return BinOp(op, self.int_expr_simple(), self.int_expr_simple())
 
     def divmod_decl(self):
+        if self._next() % 3 == 0:
+            return self.float_quotient_decl()
         # n is 0..6, so n - k is zero, negative or positive
         divisor = BinOp("-", Var("n"), Const(self._next() % 5))
         op = ("/", "%")[self._next() % 2]
@@ -119,6 +131,18 @@ class _ControlFlowGen(_KernelGen):
         stmt = Decl(name, DType.INT32, BinOp(op, self.int_expr_simple(), divisor))
         self.int_vars.append(name)
         return stmt
+
+    def float_quotient_decl(self):
+        # seedv - k is zero (of either sign) when seedv is k
+        value = self.float_expr()
+        if self._next() % 2:
+            divisor = BinOp("-", Var("seedv"), Const(float(self._next() % 3)))
+            value = BinOp("/", value, divisor)
+        else:
+            value = Call("sqrt", [value])
+        name = self.fresh("fq")
+        self.float_vars.append(name)
+        return Decl(name, DType.FLOAT32, value)
 
     def loop(self, depth, use_while):
         it = self.fresh("it")
@@ -305,6 +329,160 @@ def test_fi_spec_retire_agrees_with_lockstep(plan, n_stmts, n_value, seed_value,
     _assert_engines_agree(instrument_for_fi(kernel), n_value, seed_value, budget,
                           make_fi=lambda: FaultInjectionLibrary(kernel, spec),
                           n_blocks=FI_BLOCKS, plan=plan)
+
+
+#: Device words of the hang-verdict launches: loads at a base near 0
+#: or near the end leave memory within a few iterations.
+VERDICT_CAPACITY = 96
+#: Bases the verdict loops add to every load index; three put the
+#: first iterations' loads outside memory.
+VERDICT_BASES = (0, 5, VERDICT_CAPACITY - 6, VERDICT_CAPACITY + 2, -5)
+
+
+class _RetiringRecorder(_Recorder):
+    """``_Recorder`` that retires in each thread after ``live`` calls.
+
+    Both launches it serves are compiled, so what a retired call would
+    have recorded is missing from both alike."""
+
+    def __init__(self, plan, live):
+        super().__init__(plan)
+        self.live = live
+        self.per_thread = {}
+
+    def lib_rec(self, ctx, frame, *args):
+        super().lib_rec(ctx, frame, *args)
+        key = (ctx.block, ctx.thread)
+        self.per_thread[key] = self.per_thread.get(key, 0) + 1
+        return RETIRE if self.per_thread[key] >= self.live else None
+
+
+def _verdict_loop(start, step, op, loads, extras):
+    """A kernel whose one loop has a hang shape: ``acc`` sums affine
+    loads ``src[coef * i + base + offset]`` (``base - coef * i + offset``
+    when ``minus``), plus the ``extras`` forms, then stores it."""
+    it = "i"
+    body = []
+    for k, (coef, offset, minus) in enumerate(loads):
+        scaled = BinOp("*", Const(coef), Var(it)) if k % 2 else BinOp("*", Var(it), Const(coef))
+        index = BinOp("-" if minus else "+", Var("base"), scaled)
+        body.append(Decl(f"x{k}", DType.FLOAT32,
+                         Load(Var("src"), BinOp("+", index, Const(offset)))))
+        body.append(Assign("acc", BinOp("+", Var("acc"),
+                                        BinOp("*", Var(f"x{k}"), Var("seedv")))))
+    for k, form in enumerate(extras):
+        dtype, value = (
+            (DType.FLOAT32, BinOp("/", Var("acc"), BinOp("+", Var("x0"), Const(0.5)))),
+            (DType.FLOAT32, Call("sqrt", [BinOp("*", Var("x0"), Var("seedv"))])),
+            (DType.INT32, BinOp("/", Var(it), Const(3))),
+            (DType.INT32, BinOp("%", Var(it), Const(5))),
+        )[form]
+        body.append(Decl(f"e{k}", dtype, value))
+    loop = For(init=Decl(it, DType.INT32, Const(start)),
+               cond=BinOp(op, Var(it), Var("n")),
+               update=Assign(it, BinOp("+", Var(it), Const(step))), body=body)
+    kernel = Kernel(name="verdict", params=[
+        KernelParam("n", DType.INT32),
+        KernelParam("seedv", DType.FLOAT32),
+        KernelParam("out", DType.PTR_FLOAT32),
+        KernelParam("base", DType.INT32),
+        KernelParam("src", DType.PTR_FLOAT32),
+    ], body=[Decl("acc", DType.FLOAT32, Const(0.0)), loop,
+             Store(ptr=Var("out"), index=Const(0), value=Var("acc"))])
+    return _with_hooks(validate_kernel(kernel))
+
+
+def _observe_verdict(kernel, verdicts, args, budget, plan, live, fi):
+    """Run ``FI_BLOCKS`` blocks of ``kernel`` compiled, with or without
+    hang verdicts, and return what a trial can observe."""
+    memory = GlobalMemory(VERDICT_CAPACITY)
+    src = memory.alloc("src", 64, DType.FLOAT32)
+    out = memory.alloc("out", 4, DType.FLOAT32)
+    memory.memcpy_htod(src, np.linspace(-2.0, 3.0, 64))
+    rec = _RetiringRecorder(plan, live)
+    ctx = ExecContext(memory, lib=CombinedLibrary([rec, fi]), budget=budget,
+                      block_size=N_THREADS, hang_verdicts=verdicts)
+    compiled = CompiledKernel(kernel, costmodel=_cm())
+    frames = []
+    error = None
+    try:
+        for b in range(FI_BLOCKS):
+            for t, fr in enumerate(_frames(out, args["n"], args["seedv"], b, FI_BLOCKS)):
+                fr.update(base=args["base"], src=src.base)
+                frames.append(fr)
+                ctx.reset_thread(b, t)
+                compiled.run_thread(fr, ctx)
+    except Exception as exc:  # every failure must match, typed or not
+        error = (type(exc).__name__, str(exc))
+    act = fi.activation
+    return {
+        "error": error,
+        "steps": ctx.steps,
+        "calls": rec.calls,
+        "activation": None if act is None else {
+            k: repr(v) if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(act).items()},
+        "counters": dict(fi.state.counters),
+        "verdict": ctx.hang_verdict,
+        "cycles": (ctx.cycles, ctx.loop_cycles),
+        "frames": [sorted((k, repr(v)) for k, v in fr.items()) for fr in frames],
+        "out": [_canonical_nan(w) for w in
+                memory.memcpy_dtoh(out).view(np.uint32).tolist()],
+    }
+
+
+@_fuzz_settings()
+@given(
+    start=st.integers(min_value=-4, max_value=8),
+    step=st.integers(min_value=1, max_value=3),
+    increasing=st.booleans(),
+    inclusive=st.booleans(),
+    loads=st.lists(st.tuples(st.integers(min_value=-3, max_value=3),
+                             st.integers(min_value=-4, max_value=8), st.booleans()),
+                   min_size=1, max_size=3),
+    extras=st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+    n_value=st.integers(min_value=-3, max_value=14),
+    base=st.sampled_from(VERDICT_BASES),
+    seed_value=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    budget=st.integers(min_value=15, max_value=600),
+    live=st.integers(min_value=1, max_value=6),
+    plan=st.none() | st.lists(st.integers(min_value=0, max_value=1000),
+                              min_size=2, max_size=2),
+    target=st.sampled_from(["n", "i"]),
+    site_pick=st.integers(min_value=0, max_value=10),
+    timing=st.sampled_from(["definition", "delayed"]),
+    occurrence=st.integers(min_value=1, max_value=8),
+    victim=st.integers(min_value=0, max_value=FI_BLOCKS * N_THREADS - 1),
+    bits=st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=3),
+)
+def test_hang_verdict_agrees_with_full_run(start, step, increasing, inclusive, loads,
+                                           extras, n_value, base, seed_value, budget,
+                                           live, plan, target, site_pick, timing,
+                                           occurrence, victim, bits):
+    op = ("<=" if inclusive else "<") if increasing else (">=" if inclusive else ">")
+    kernel = _verdict_loop(start, step if increasing else -step, op, loads, extras)
+    sites = [s for s in collect_sites(kernel) if s.name == target]
+    mask = 0
+    for bit in bits:
+        mask |= 1 << bit
+    spec = FaultSpec(site=sites[site_pick % len(sites)].site, mask=mask, thread=victim,
+                     occurrence=occurrence, timing=timing)
+    fi_kernel = instrument_for_fi(kernel)
+    args = {"n": n_value, "base": base, "seedv": seed_value}
+    fast = _observe_verdict(fi_kernel, True, args, budget, plan, live,
+                            FaultInjectionLibrary(kernel, spec))
+    full = _observe_verdict(fi_kernel, False, args, budget, plan, live,
+                            FaultInjectionLibrary(kernel, spec))
+    event("verdict" if fast["verdict"] is not None
+          else f"no verdict, {fast['error'][0] if fast['error'] else 'no failure'}")
+    assert full["verdict"] is None
+    keys = ("error", "steps", "calls", "activation", "counters")
+    if fast["verdict"] is None:
+        keys = tuple(full)
+    else:
+        assert fast["error"] == ("KernelHang", "kernel hang: instruction budget exhausted")
+    for key in keys:
+        assert fast[key] == full[key], key
 
 
 def _kernel(*body):
