@@ -56,6 +56,13 @@ from repro.workloads.cp import CPWorkload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKER_COUNTS = (1, 2, 4)
+#: Process-time seconds each side of the profiler-overhead comparison
+#: runs at least.  ``benchmarks/test_planner.py`` times 0.5 s, but two
+#: smoke-scale CP campaigns a side (0.5 s) differed by up to 20% between
+#: interleaved sides on a shared 2-vCPU VM; five a side stayed within 3%.
+MIN_TIMED_SECONDS = 2.0
+#: Profiling may cost at most this share of a campaign's time.
+PROFILER_OVERHEAD_BOUND = 0.05
 #: The PNS pair uses single-bit flips (the paper's primary fault
 #: model).  A flip that lands in a loop bound turns the trial into a
 #: watchdog hang; PNS's loop has a branch, so no hang verdict ends it
@@ -88,23 +95,34 @@ def _timed(prog, specs, workers, differential, profile=False):
 
 
 def _profiler_overhead(prog, specs):
-    """Best-of-3 CP w1-diff wall time with the phase profiler on vs off.
+    """CP w1-diff process time per campaign with the phase profiler on
+    vs off.
 
     The acceptance bar for the flight recorder: profiling must cost
     <= 5% on the configuration campaigns actually run hot (serial
-    differential).  Best-of-N filters scheduler noise; the absolute
-    guard below keeps sub-100ms timed regions from flaking the ratio.
+    differential).  One such campaign takes a few milliseconds, so the
+    two sides alternate, campaign by campaign, until each has run
+    ``MIN_TIMED_SECONDS``; process time leaves out the time other
+    processes hold the CPU.
     """
-    off = min(_timed(prog, specs, workers=1, differential=True)[0]
-              for _ in range(3))
-    on = min(_timed(prog, specs, workers=1, differential=True,
-                    profile=True)[0]
-             for _ in range(3))
+    totals = {False: 0.0, True: 0.0}
+    runs = 0
+    while min(totals.values()) < MIN_TIMED_SECONDS:
+        for profile in (False, True):
+            options = CampaignOptions(workers=1, differential=True, profile=profile)
+            start = time.process_time()
+            run_campaign(prog, specs, mode="fift", options=options)
+            totals[profile] += time.process_time() - start
+        runs += 1
+    off, on = totals[False], totals[True]
     return {
         "workload": "CP",
         "config": "w1-diff",
-        "profile_off_seconds": round(off, 4),
-        "profile_on_seconds": round(on, 4),
+        "campaigns_per_side": runs,
+        "profile_off_seconds": round(off / runs, 5),
+        "profile_on_seconds": round(on / runs, 5),
+        "profile_off_total_seconds": round(off, 4),
+        "profile_on_total_seconds": round(on, 4),
         "overhead": round(on / off - 1.0, 4),
     }
 
@@ -301,17 +319,19 @@ def test_campaign_throughput(scale, report):
         engine_rows,
     ))
     report(
-        f"profiler overhead (CP w1-diff, best of 3): "
-        f"{overhead['overhead'] * 100:+.1f}% "
-        f"({overhead['profile_off_seconds']:.3f}s -> "
-        f"{overhead['profile_on_seconds']:.3f}s)"
+        f"profiler overhead (CP w1-diff, {overhead['campaigns_per_side']} "
+        f"interleaved campaigns a side): {overhead['overhead'] * 100:+.1f}% "
+        f"({overhead['profile_off_seconds'] * 1000:.2f}ms -> "
+        f"{overhead['profile_on_seconds'] * 1000:.2f}ms per campaign)"
     )
 
-    # flight-recorder acceptance: profiling costs <= 5% on CP w1-diff
-    # (absolute floor absorbs timer noise when the region is tiny)
-    assert (overhead["overhead"] <= 0.05
-            or overhead["profile_on_seconds"]
-            - overhead["profile_off_seconds"] <= 0.05), overhead
+    # flight-recorder acceptance: profiling costs <= 5% on CP w1-diff;
+    # the absolute escape for timer noise is 5% of one side's minimum
+    # timed region
+    assert (overhead["overhead"] <= PROFILER_OVERHEAD_BOUND
+            or overhead["profile_on_total_seconds"]
+            - overhead["profile_off_total_seconds"]
+            <= PROFILER_OVERHEAD_BOUND * MIN_TIMED_SECONDS), overhead
 
     # the differential engine's reason to exist: at least one eligible
     # workload must clear 3x over full execution (draws heavy with hangs

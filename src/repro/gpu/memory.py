@@ -24,6 +24,22 @@ device-memory views here implement the
 :class:`~repro.memspace.MemorySpace` protocol, so the footprint
 recorder and the replay guard compose as layers over
 :class:`GlobalMemory` rather than ad-hoc look-alikes.
+
+Inline loads.  The compiled engine reads most words without calling
+``load_f32``/``load_i32``.  Each space here gives an ``inline_loads``
+tuple ``(f32, i32, limit, slow)``: ``memoryview`` objects reading the
+words as binary32 and as int32, a limit, and a ``frozenset`` of
+addresses.
+For a load of ``addr`` with ``0 <= addr < limit`` and ``addr not in
+slow``, the typed accessor must return what the view holds at
+``addr`` whenever that is not a NaN.  Every other load, and every NaN,
+goes through the accessor: that is where a signaling NaN keeps its
+payload, an out-of-bounds address crashes and a layer checks or logs
+the access.  :class:`GlobalMemory` gives its ``capacity`` and an empty
+set; :class:`ReplayMemoryGuard` gives the capacity and every address a
+golden thread stored; :class:`FootprintRecordingMemory` gives limit 0,
+so it logs every load.  ``ExecContext`` copies the tuple when the space
+is installed.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.bits import bits_to_float, float_to_bits
+from repro.bits import bits_to_float, bits_to_int, float_to_bits
 from repro.errors import DeviceMemoryError, GPUError
 from repro.kir.types import DType
 from repro.memspace import MemorySpace, WordReinterpret  # noqa: F401 (re-export)
@@ -92,6 +108,10 @@ class GlobalMemory(WordReinterpret):
         self._brk = 0
         #: Highest mapped address + 1; accesses past this crash.
         self.mapped_end = 0
+        #: Views, limit and slow set of the inline-load contract (see
+        #: the module docstring): every in-bounds load may read the views.
+        self.inline_loads = (memoryview(self.f32), memoryview(self.i32),
+                             capacity_words, frozenset())
 
     # -- allocation ----------------------------------------------------
     def alloc(self, name: str, nwords: int, dtype: DType = DType.FLOAT32) -> Allocation:
@@ -360,6 +380,12 @@ class FootprintRecordingMemory(WordReinterpret):
         self.mem = mem
         self.fp = ThreadFootprint()
 
+    @property
+    def inline_loads(self) -> tuple:
+        """Limit 0: every load goes through the logging accessors."""
+        f32, i32, _limit, _slow = self.mem.inline_loads
+        return f32, i32, 0, frozenset()
+
     def begin_thread(self) -> ThreadFootprint:
         """Start a fresh footprint; returns the one just finished."""
         done = self.fp
@@ -388,10 +414,10 @@ class FootprintRecordingMemory(WordReinterpret):
 class ReplayConflict(Exception):
     """A replayed thread touched another thread's footprint.
 
-    Raised by :class:`ReplayMemoryGuard` when a faulted thread's access
-    pattern diverges into memory owned by a different thread (pointer
-    faults redirect loads/stores); the differential engine catches it
-    and falls back to full execution for that one trial.  Deliberately
+    Raised by :class:`ReplayMemoryGuard` when a faulted thread stores
+    into memory a later thread owns (pointer faults redirect stores);
+    the differential engine catches it and falls back to full
+    execution for that one trial.  Deliberately
     *not* a :class:`~repro.errors.KernelCrash`: it must not be mistaken
     for a program failure.
     """
@@ -406,11 +432,13 @@ class ReplayMemoryGuard(WordReinterpret):
     stores undone; the guard exploits the ordering to admit accesses a
     naive "never touch a foreign footprint" rule would reject:
 
-    * **Loads** — an address stored by an *earlier* thread holds its
-      golden value in both worlds (earlier threads are never faulted in
-      ``T``'s trial), so only loads of addresses owned by a *later*
-      thread conflict (memory holds that thread's future value here,
-      but the pre-launch value in the real trial).
+    * **Loads** never conflict.  An address stored by an *earlier*
+      thread holds its golden value in both worlds (earlier threads are
+      never faulted in ``T``'s trial).  An address owned by a *later*
+      thread holds that thread's future value here, but in the real
+      trial it still holds its pre-launch bits, the ``old`` bits of the
+      owner's first golden store (``pre_launch``), and the guard
+      returns those.
     * **Stores** — a store to an address owned by a later thread
       conflicts (the later thread's read-then-write could observe it);
       a store whose golden readers are all at-or-before ``T`` is
@@ -421,16 +449,19 @@ class ReplayMemoryGuard(WordReinterpret):
       :meth:`deferred_mismatch` reports the verdict.
 
     ``store_owner`` maps each golden-stored address to its storing
-    thread; ``load_readers`` maps each golden-loaded address to its
-    *latest* reading thread.  Every first store to an address is
-    journaled (addresses are unique by construction), so
-    :meth:`rollback` restores the pre-replay memory in one vectorized
-    scatter-write.
+    thread; ``pre_launch`` maps it to its bits before the launch;
+    ``load_readers`` maps each golden-loaded address to its *latest*
+    reading thread.  ``stored`` is the set of ``store_owner``'s
+    addresses, which the guard's ``inline_loads`` sends to the
+    accessors; an engine builds it once and passes it to every guard.
+    Every first store to an address is journaled (addresses are unique
+    by construction), so :meth:`rollback` restores the pre-replay
+    memory in one vectorized scatter-write.
     """
 
     __slots__ = (
-        "mem", "thread", "store_owner", "load_readers",
-        "_undo_addrs", "_undo_bits", "deferred", "_dirty",
+        "mem", "thread", "store_owner", "load_readers", "pre_launch",
+        "inline_loads", "_undo_addrs", "_undo_bits", "deferred", "_dirty",
     )
 
     def __init__(
@@ -439,11 +470,17 @@ class ReplayMemoryGuard(WordReinterpret):
         thread: int,
         store_owner: Dict[int, int],
         load_readers: Dict[int, int],
+        pre_launch: Optional[Dict[int, int]] = None,
+        stored: Optional[frozenset] = None,
     ):
         self.mem = mem
         self.thread = thread
         self.store_owner = store_owner
         self.load_readers = load_readers
+        self.pre_launch = {} if pre_launch is None else pre_launch
+        f32, i32, _limit, _slow = mem.inline_loads
+        self.inline_loads = (f32, i32, mem.capacity,
+                             frozenset(store_owner) if stored is None else stored)
         self._undo_addrs: List[int] = []
         self._undo_bits: List[int] = []
         #: Stored addresses whose golden readers include a later thread.
@@ -455,23 +492,24 @@ class ReplayMemoryGuard(WordReinterpret):
         """Words of the device address space (the bounds of a load)."""
         return self.mem.capacity
 
-    def _check_load(self, addr: int) -> None:
+    def _later_owned(self, addr: int) -> bool:
         owner = self.store_owner.get(addr)
-        if owner is not None and owner > self.thread:
-            raise ReplayConflict(f"load of address {addr} stored by thread {owner}")
+        return owner is not None and owner > self.thread
 
     def load_f32(self, addr: int) -> float:
-        self._check_load(addr)
+        if self._later_owned(addr):
+            return bits_to_float(self.pre_launch[addr])
         return self.mem.load_f32(addr)
 
     def load_i32(self, addr: int) -> int:
-        self._check_load(addr)
+        if self._later_owned(addr):
+            return bits_to_int(self.pre_launch[addr])
         return self.mem.load_i32(addr)
 
     def _check_store(self, addr: int) -> None:
-        owner = self.store_owner.get(addr)
-        if owner is not None and owner > self.thread:
-            raise ReplayConflict(f"store to address {addr} stored by thread {owner}")
+        if self._later_owned(addr):
+            raise ReplayConflict(
+                f"store to address {addr} stored by thread {self.store_owner[addr]}")
         reader = self.load_readers.get(addr)
         if reader is not None and reader > self.thread:
             self.deferred.add(addr)

@@ -14,6 +14,10 @@ loop whose every iteration runs the same fixed number of statements
 and can crash only at an affine load lets a fault-injection trial
 decide arithmetically, at the loop head, that the thread will run out
 its statement budget (see ``docs/architecture.md``, "Hang verdicts").
+``fast_iteration`` picks the loops whose iterations the compiled engine
+may run without per-statement bookkeeping once their hooks have retired
+(``docs/architecture.md``, "Fast iterations and inline loads"); both
+refuse a loop with one reason vocabulary.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ from repro.kir.astnodes import (
     Var,
     While,
     child_exprs,
+    walk_exprs,
+    walk_stmts,
 )
 from repro.kir.analysis.dataflow import names_read_expr, names_written_stmt
 from repro.kir.types import DType
@@ -231,8 +237,8 @@ def top_level_loops(kernel: Kernel) -> List[LoopInfo]:
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
 
-#: Why a loop has no :class:`HangShape` (the value :func:`hang_shape`
-#: returns instead of one).
+#: Why a loop has no :class:`HangShape` or :class:`FastIteration` (the
+#: value :func:`hang_shape` or :func:`fast_iteration` returns instead).
 NO_TRIP_COUNT = "no_trip_count"
 NESTED_LOOP = "nested_loop"
 BRANCH = "branch"
@@ -496,3 +502,80 @@ def hang_shape(loop: Stmt) -> Union[HangShape, str]:
         op=op, bound=bound, period=len(loop.body) + 2, hooks=hooks,
         loads=tuple(loads),
     )
+
+
+# ---------------------------------------------------------------------------
+# Fast iterations
+# ---------------------------------------------------------------------------
+
+#: What keeps a loop's iterations on the checked path; an ``if`` does not.
+_ITERATION_OBSTACLES = tuple(entry for entry in _BODY_OBSTACLES if entry[1] != BRANCH)
+
+
+@dataclass(frozen=True)
+class FastIteration:
+    """A loop whose iterations the compiled engine may run unchecked.
+
+    Nothing in an iteration writes memory, touches shared memory, runs
+    a nested loop or leaves the loop but the condition, so an iteration
+    that raises can be rerun from the locals and counters it started
+    from with the same result.  ``max_steps`` is the most checked
+    statements one iteration runs: the condition, each body statement
+    (an ``if`` and the longer of its arms) and the update.
+    """
+
+    loop_id: int
+    max_steps: int
+    #: instrumentation call names in the body, which must all have
+    #: retired before an iteration runs unchecked
+    hooks: Tuple[str, ...]
+
+
+def iteration_stmts(loop: Stmt) -> List[Stmt]:
+    """The statements one iteration of ``loop`` runs after its
+    condition: the body, then a ``for`` loop's update."""
+    update = loop.update if isinstance(loop, For) else None
+    return loop.body + ([update] if update is not None else [])
+
+
+def _reads_shared(stmt: Stmt) -> bool:
+    return any(isinstance(node, SharedLoad)
+               for e in child_exprs(stmt) for node in walk_exprs(e))
+
+
+def _iteration_steps(stmts: List[Stmt]) -> Union[int, str]:
+    """Most checked statements ``stmts`` run, or why one may not run
+    unchecked."""
+    steps = 0
+    for stmt in stmts:
+        for kinds, reason in _ITERATION_OBSTACLES:
+            if isinstance(stmt, kinds):
+                return reason
+        if _reads_shared(stmt):
+            return SHARED_MEMORY
+        steps += 1
+        if isinstance(stmt, If):
+            arms = (_iteration_steps(stmt.then), _iteration_steps(stmt.els))
+            for arm in arms:
+                if isinstance(arm, str):
+                    return arm
+            steps += max(arms)
+    return steps
+
+
+def fast_iteration(loop: Stmt) -> Union[FastIteration, str]:
+    """The loop's :class:`FastIteration`, or why it has none.
+
+    A ``for`` or ``while`` loop qualifies when its condition, body and
+    update have no nested loop, store, atomic, shared-memory access or
+    ``break``/``continue``/``return``; ``if`` statements, loads, calls
+    and instrumentation calls are allowed.
+    """
+    if _reads_shared(loop):
+        return SHARED_MEMORY
+    steps = _iteration_steps(iteration_stmts(loop))
+    if isinstance(steps, str):
+        return steps
+    hooks = tuple(dict.fromkeys(
+        s.func for s, _depth in walk_stmts(loop.body) if isinstance(s, CallStmt)))
+    return FastIteration(loop_id=loop.loop_id, max_steps=1 + steps, hooks=hooks)

@@ -11,6 +11,7 @@ shape::
         steps = ctx.steps; budget = ctx.budget
         cycles = ctx.cycles; loop_cycles = ctx.loop_cycles
         load_f32 = ctx.load_f32; ...       # only what the body uses
+        mem_f32 = ctx.mem_f32; mem_limit = ctx.mem_limit; ...
         v0, v1 = _k0(fr)                   # 'a', 'b': read from fr
         v2 = UNSET                         # 'x': not assigned yet
         _fv = FrameView(fr, _k1, _k2)      # only if there are hooks
@@ -37,6 +38,24 @@ shape::
                     if _hang_verdict(_k4, ctx, steps, v3, v1, ((v0, 0),)):
                         steps = budget + 1
                         raise KernelHang()
+                if (_h0 is RETIRE and steps + 4 <= budget   # one line in
+                        and cycles <= 1125899906842576.0    # the source
+                        and loop_cycles <= 1125899906842576.0):
+                    _r0 = (steps, cycles, loop_cycles, v4, v3)  # a fast iteration
+                    try:
+                        if not (v3 < v1):
+                            steps += 1; cycles += 2.0; loop_cycles += 2.0
+                            break
+                        v4 = (_lx if 0 <= (_la := v0 + v3) < mem_limit
+                              and _la not in mem_slow
+                              and (_lx := mem_f32[_la]) == _lx
+                              else load_f32(_la))   # y = src[i]
+                        _t_arg0 = ...      # a retired hook's computed arguments
+                        v3 = ...           # i++
+                        steps += 4; cycles += 48.0; loop_cycles += 48.0
+                        continue
+                    except _RERUN:
+                        steps, cycles, loop_cycles, v4, v3 = _r0  # rerun it checked
                 steps += 1                 # the condition
                 if steps > budget: raise KernelHang()
                 ...
@@ -46,9 +65,9 @@ shape::
             _write_back(fr, _k3, (v2,))    # 'x', unless still UNSET
             if _fv.written: fr.update(_fv.written)
 
-Every statement keeps its own step bump, budget check and
-``cycles``/``loop_cycles`` adds, with the costs the cost model gives
-it; loop-body and loop-condition cycles are attributed separately so
+Every statement of the checked path keeps its own step bump, budget
+check and ``cycles``/``loop_cycles`` adds, with the costs the cost model
+gives it; loop-body and loop-condition cycles are attributed separately so
 the Figure 4 loop fraction and the Figure 13 overheads fall out of
 execution directly.  KIR expressions become inline Python expressions
 (the int32 wrap is inline arithmetic), and ``break``/``continue``/
@@ -57,6 +76,28 @@ step.  A float ``/`` of two float operands divides inline and calls
 ``fdiv`` only for a zero divisor, and ``sqrt`` calls ``math.sqrt`` for
 an operand in ``[0, inf)`` and ``_safe_sqrt`` otherwise; a compound
 operand is evaluated once, through a ``_w<n>`` temporary, in C order.
+
+A device load reads the word inline, through the memory space's
+``memoryview`` (``mem_f32``/``mem_i32``), when its address is in
+``[0, mem_limit)`` and not in ``mem_slow`` and the word is not a NaN;
+otherwise it calls ``load_f32``/``load_i32``, which re-widens a NaN's
+payload, raises the out-of-bounds crash and lets a recording or
+guarding layer see the access (``gpu/memory.py``, "Inline loads").
+
+Fast iterations.  A loop with a
+:class:`~repro.kir.analysis.loops.FastIteration` (no nested loop,
+store, atomic, shared access or ``break``/``continue``/``return``), in
+a kernel whose every cycle cost is a non-negative multiple of 1/8, gets
+a second copy of its iteration at the head of its ``while True:``.
+The copy runs when every hook the body calls has retired, the budget
+covers the iteration's most checked statements and the cycle totals
+stay below ``2**50``; it charges steps and cycles once per iteration
+(and ``if`` arm) instead of per statement, and leaves out hook guards.
+One that raises restores the counters and locals it started from and
+the checked iteration below reruns it, so crash, step count, cycles and
+frame are exact (``docs/architecture.md``, "Fast iterations and inline loads").
+``tick`` and ``_call`` emit either copy from the same ``stmt``, by the
+``pending`` mode flag.
 
 Hang verdicts.  A ``for`` loop with a
 :class:`~repro.kir.analysis.loops.HangShape` gets a check at the head
@@ -122,7 +163,13 @@ from typing import Callable, Dict, List, Optional
 
 from repro.bits import bits_to_int, float_to_bits
 from repro.errors import KernelCrash, KernelHang, KIRError, KIRValidationError
-from repro.kir.analysis.loops import HangShape, hang_shape
+from repro.kir.analysis.loops import (
+    FastIteration,
+    HangShape,
+    fast_iteration,
+    hang_shape,
+    iteration_stmts,
+)
 from repro.kir.astnodes import (
     Assign,
     AtomicAdd,
@@ -148,6 +195,7 @@ from repro.kir.astnodes import (
     Var,
     While,
     defining_statements,
+    walk_stmts,
 )
 from repro.kir.analysis.dataflow import names_read_expr
 from repro.kir.interp.evalcore import (
@@ -167,7 +215,12 @@ ExprFn = Callable[[dict, ExecContext], object]
 
 #: Locals the thread function reads from ``ctx`` when its body uses them.
 _CTX_LOCALS = ("load_f32", "load_i32", "store_f32", "store_i32", "shared",
-               "hang_verdicts")
+               "hang_verdicts", "mem_f32", "mem_i32", "mem_limit", "mem_slow")
+#: What evaluating a KIR expression can raise: a fast iteration that
+#: raises one of these reruns on the checked path.
+_RERUN = (KernelCrash, ArithmeticError, ValueError, TypeError, LookupError)
+#: Cycle sums stay exact below this, for costs that are multiples of 1/8.
+_EXACT_CYCLES = 2.0 ** 50
 _COMPARE = ("<", "<=", ">", ">=", "==", "!=")
 
 
@@ -333,7 +386,7 @@ class _Emitter:
             "_shared_load": _shared_load, "_shared_oob": _shared_oob,
             "RETIRE": RETIRE, "UNSET": UNSET, "FrameView": FrameView,
             "_write_back": _write_back, "_hang_verdict": _hang_verdict,
-            "INF": INF,
+            "INF": INF, "_RERUN": _RERUN,
         }
         self._bound: Dict[int, str] = {}  # id(value) -> namespace name
         self.used = set()
@@ -351,6 +404,16 @@ class _Emitter:
         self.lines: list = []
         #: number of expression temporaries (``_w<n>``) emitted so far
         self.temps = 0
+        #: id of each statement -> its cycle charge, and whether every
+        #: charge is a multiple of 1/8, so a loop may get a fast
+        #: iteration (both set by ``thread_function``)
+        self.costs: Dict[int, Optional[float]] = {}
+        self.dyadic = False
+        #: the fast-iteration mode flag: ``[steps, cycles, loop_cycles]``
+        #: not yet charged while a fast iteration is emitted, else None
+        self.pending: Optional[list] = None
+        #: every cycle cost the fast iteration being emitted charges
+        self.fast_cycles = 0.0
 
     # -- names ------------------------------------------------------------
     def bind(self, value) -> str:
@@ -431,12 +494,27 @@ class _Emitter:
                         f"else {self.bind(impl)}({x}))")
             return f"{self.bind(impl)}({args})"
         if isinstance(e, Load):
-            load = "load_f32" if e.dtype is DType.FLOAT32 else "load_i32"
-            return f"{self.ctx_local(load)}({self.expr(e.ptr)} + {self.expr(e.index)})"
+            return self._load(e)
         if isinstance(e, SharedLoad):
             return (f"_shared_load({self.ctx_local('shared')}[{e.array!r}], "
                     f"{self.expr(e.index)}, {e.array!r}, ctx)")
         raise KIRError(f"cannot compile expression {type(e).__name__}")
+
+    def _load(self, e: Load) -> str:
+        """A device load: inline for an in-bounds address outside
+        ``mem_slow`` whose word is not a NaN, else the accessor call."""
+        addr = f"{self.expr(e.ptr)} + {self.expr(e.index)}"
+        is_float = e.dtype is DType.FLOAT32
+        load = self.ctx_local("load_f32" if is_float else "load_i32")
+        if not self.in_thread:
+            return f"{load}({addr})"
+        test = (f"0 <= (_la := {addr}) < {self.ctx_local('mem_limit')} "
+                f"and _la not in {self.ctx_local('mem_slow')}")
+        if is_float:
+            # a NaN word goes to the accessor, which keeps its payload
+            return (f"(_lx if {test} and (_lx := {self.ctx_local('mem_f32')}[_la]) == _lx "
+                    f"else {load}(_la))")
+        return f"({self.ctx_local('mem_i32')}[_la] if {test} else {load}(_la))"
 
     def cond(self, e: Expr) -> str:
         """``e`` as a Python condition: truthy exactly when ``e != 0``."""
@@ -496,7 +574,16 @@ class _Emitter:
         self.lines.append("    " * ind + line)
 
     def tick(self, ind: int, cost=None, in_loop: bool = False) -> None:
-        """One checked step, then the statement's cycle charge."""
+        """One checked step, then the statement's cycle charge; in a
+        fast iteration, both are added to ``pending`` instead."""
+        if self.pending is not None:
+            self.pending[0] += 1
+            if cost is not None:
+                self.pending[1] += cost
+                self.fast_cycles += cost
+                if in_loop:
+                    self.pending[2] += cost
+            return
         self.emit(ind, "steps += 1")
         self.emit(ind, "if steps > budget: raise KernelHang()")
         if cost is not None:
@@ -504,6 +591,44 @@ class _Emitter:
             self.emit(ind, f"cycles += {c}")
             if in_loop:
                 self.emit(ind, f"loop_cycles += {c}")
+
+    def charge(self, ind: int) -> None:
+        """Emit the steps and cycles ``pending`` holds."""
+        steps, cycles, loop_cycles = self.pending
+        if steps:
+            self.emit(ind, f"steps += {steps}")
+        if cycles:
+            self.emit(ind, f"cycles += {self.const(cycles)}")
+        if loop_cycles:
+            self.emit(ind, f"loop_cycles += {self.const(loop_cycles)}")
+
+    def cost(self, s: Stmt):
+        """The cycles ``s`` charges each time it runs (a loop: each
+        condition test), or None when it charges none."""
+        return self.costs[id(s)]
+
+    def _cost(self, s: Stmt):
+        cm = self.cm
+        if isinstance(s, (Decl, Assign)):
+            rhs = s.init if isinstance(s, Decl) else s.value
+            return (cm.expr_cost(rhs) + cm.write_cost) * s.cost_scale
+        if isinstance(s, Store):
+            return (cm.expr_cost(s.ptr) + cm.expr_cost(s.index) + cm.expr_cost(s.value)
+                    + cm.mem_global) * s.cost_scale
+        if isinstance(s, SharedStore):
+            return cm.expr_cost(s.index) + cm.expr_cost(s.value) + cm.mem_shared
+        if isinstance(s, AtomicAdd):
+            if s.space == "shared":
+                return cm.expr_cost(s.index) + cm.expr_cost(s.value) + cm.atomic_shared
+            return (cm.expr_cost(s.target) + cm.expr_cost(s.index) + cm.expr_cost(s.value)
+                    + cm.atomic_global)
+        if isinstance(s, (For, While)):
+            return cm.expr_cost(s.cond) + cm.branch_cost
+        if isinstance(s, If):
+            return (cm.expr_cost(s.cond) + cm.branch_cost) * s.cost_scale
+        if isinstance(s, CallStmt):
+            return cm.libcall_cost(s.func) * s.cost_scale or None
+        return None
 
     def block(self, stmts: List[Stmt], ind: int, update: Optional[Stmt]) -> None:
         """Emit ``stmts``; ``update`` is the innermost ``for`` loop's
@@ -514,10 +639,9 @@ class _Emitter:
             self.stmt(s, ind, update)
 
     def stmt(self, s: Stmt, ind: int, update: Optional[Stmt] = None) -> None:
-        cm = self.cm
         if isinstance(s, (Decl, Assign)):
             rhs, target = (s.init, s.var_dtype) if isinstance(s, Decl) else (s.value, s.target_dtype)
-            self.tick(ind, (cm.expr_cost(rhs) + cm.write_cost) * s.cost_scale, s.in_loop)
+            self.tick(ind, self.cost(s), s.in_loop)
             value = self.expr(rhs)
             conv = _converter(target, rhs.dtype)
             if conv is not None:
@@ -525,15 +649,12 @@ class _Emitter:
             self.assigned((s.name,))
             self.emit(ind, f"{self.var(s.name)} = {value}")
         elif isinstance(s, Store):
-            cost = (cm.expr_cost(s.ptr) + cm.expr_cost(s.index) + cm.expr_cost(s.value)
-                    + cm.mem_global) * s.cost_scale
-            self.tick(ind, cost, s.in_loop)
+            self.tick(ind, self.cost(s), s.in_loop)
             store = "store_f32" if s.ptr.dtype.element is DType.FLOAT32 else "store_i32"
             self.emit(ind, f"{self.ctx_local(store)}({self.expr(s.ptr)} + "
                            f"{self.expr(s.index)}, {self.expr(s.value)})")
         elif isinstance(s, SharedStore):
-            self.tick(ind, cm.expr_cost(s.index) + cm.expr_cost(s.value) + cm.mem_shared,
-                      s.in_loop)
+            self.tick(ind, self.cost(s), s.in_loop)
             self._shared_slot(s.array, s.index, "write", ind)
             self.emit(ind, f"_t_arr[_t_idx] = {self.expr(s.value)}")
         elif isinstance(s, AtomicAdd):
@@ -542,17 +663,16 @@ class _Emitter:
             if s.init is not None:
                 self.stmt(s.init, ind, update)
             shape = hang_shape(s)
-            self._loop(s.cond, s.body, ind, s.update,
-                       shape if isinstance(shape, HangShape) else None)
+            self._loop(s, ind, shape if isinstance(shape, HangShape) else None)
         elif isinstance(s, While):
-            self._loop(s.cond, s.body, ind, None)
+            self._loop(s, ind)
         elif isinstance(s, If):
-            self.tick(ind, (cm.expr_cost(s.cond) + cm.branch_cost) * s.cost_scale, s.in_loop)
+            self.tick(ind, self.cost(s), s.in_loop)
             self.emit(ind, f"if {self.cond(s.cond)}:")
-            self.block(s.then, ind + 1, update)
+            self._arm(s.then, ind + 1, update)
             if s.els:
                 self.emit(ind, "else:")
-                self.block(s.els, ind + 1, update)
+                self._arm(s.els, ind + 1, update)
         elif isinstance(s, (Break, Continue, Return)):
             self.emit(ind, "steps += 1")  # unchecked, and no cycles
             if isinstance(s, Continue) and update is not None:
@@ -563,21 +683,77 @@ class _Emitter:
         else:
             raise KIRError(f"cannot compile statement {type(s).__name__}")
 
-    def _loop(self, cond: Expr, body: List[Stmt], ind: int, update: Optional[Stmt],
-              shape: Optional[HangShape] = None) -> None:
-        cond_cost = self.cm.expr_cost(cond) + self.cm.branch_cost
+    def _arm(self, stmts: List[Stmt], ind: int, update: Optional[Stmt]) -> None:
+        """An ``if`` arm; in a fast iteration it charges its own steps
+        and cycles at its end."""
+        if self.pending is None:
+            self.block(stmts, ind, update)
+            return
+        outer, self.pending = self.pending, [0, 0.0, 0.0]
+        self.block(stmts, ind, update)
+        self.charge(ind)
+        self.pending = outer
+
+    def _loop(self, s: Stmt, ind: int, shape: Optional[HangShape] = None) -> None:
         # a hook anywhere in the loop may follow any assignment in it
-        tail = [update] if update is not None else []
-        self.assigned(d.name for d, _depth in defining_statements(body + tail))
+        self.assigned(d.name for d, _depth in defining_statements(iteration_stmts(s)))
         if shape is None:
             self.emit(ind, "while True:")
         else:
             self._verdict_head(shape, ind)
-        self.tick(ind + 1, cond_cost, True)
-        self.emit(ind + 1, f"if not {self.cond(cond)}: break")
-        self.block(body, ind + 1, update)
+        fast = fast_iteration(s) if self.dyadic else None
+        if isinstance(fast, FastIteration):
+            self._fast_iteration(s, fast, ind + 1)
+        self._iteration(s, ind + 1)
+
+    def _iteration(self, s: Stmt, ind: int) -> None:
+        """One iteration of loop ``s``: the condition, body and update."""
+        self.tick(ind, self.cost(s), True)
+        self.emit(ind, f"if not {self.cond(s.cond)}: break")
+        self._iteration_body(s, ind)
+
+    def _fast_iteration(self, s: Stmt, fast: FastIteration, ind: int) -> None:
+        """The iteration again, without per-statement bookkeeping, run
+        at the head when every body hook has retired, the budget covers
+        ``fast.max_steps`` more steps and the cycle totals stay exact.
+
+        Its statements charge their steps and cycles in one add each,
+        at the end of the iteration and of each ``if`` arm, and the
+        retired hook calls are left out but for their arguments.  The
+        iteration writes no memory and calls no hook, so one that
+        raises restores the counters and locals it started from (an
+        arm may have charged already) and the checked iteration after
+        it runs again and raises at the same step.
+        """
+        names = _seq(["steps", "cycles", "loop_cycles"] + list(dict.fromkeys(
+            self.var(d.name) for d, _depth in defining_statements(iteration_stmts(s)))))
+        snapshot = f"_r{fast.loop_id}"
+        head = len(self.lines)
+        self.emit(ind, "")  # the head test, once the iteration's cycles are known
+        self.emit(ind + 1, f"{snapshot} = ({names})")
+        self.emit(ind + 1, "try:")
+        self.pending, self.fast_cycles = [0, 0.0, 0.0], 0.0
+        self.tick(ind + 2, self.cost(s), True)
+        self.emit(ind + 2, f"if not {self.cond(s.cond)}:")
+        self.charge(ind + 3)
+        self.emit(ind + 3, "break")
+        self._iteration_body(s, ind + 2)
+        self.charge(ind + 2)
+        self.emit(ind + 2, "continue")
+        self.pending = None
+        self.emit(ind + 1, "except _RERUN:")
+        self.emit(ind + 2, f"{names} = {snapshot}")
+        limit = self.const(_EXACT_CYCLES - self.fast_cycles)
+        test = [f"{self.hook_local(f)} is RETIRE" for f in fast.hooks]
+        test += [f"steps + {fast.max_steps} <= budget", f"cycles <= {limit}",
+                 f"loop_cycles <= {limit}"]
+        self.lines[head] = "    " * ind + f"if {' and '.join(test)}:"
+
+    def _iteration_body(self, s: Stmt, ind: int) -> None:
+        update = s.update if isinstance(s, For) else None
+        self.block(s.body, ind, update)
         if update is not None:
-            self.stmt(update, ind + 1)
+            self.stmt(update, ind)
 
     def _verdict_head(self, shape: HangShape, ind: int) -> None:
         """``while True:`` with the hang-verdict check at its head.
@@ -623,18 +799,13 @@ class _Emitter:
                        f"_shared_oob({what!r}, {array!r}, _t_idx, ctx)")
 
     def _atomic(self, s: AtomicAdd, ind: int) -> None:
-        cm = self.cm
+        self.tick(ind, self.cost(s), s.in_loop)
         if s.space == "shared":
-            self.tick(ind, cm.expr_cost(s.index) + cm.expr_cost(s.value) + cm.atomic_shared,
-                      s.in_loop)
             self._shared_slot(s.array, s.index, "atomic", ind)
             self.emit(ind, f"_t_val = _t_arr[_t_idx] + {self.expr(s.value)}")
             self.emit(ind, f"_t_arr[_t_idx] = {_wrap('_t_val')} "
                            "if isinstance(_t_val, int) else _t_val")
             return
-        cost = (cm.expr_cost(s.target) + cm.expr_cost(s.index) + cm.expr_cost(s.value)
-                + cm.atomic_global)
-        self.tick(ind, cost, s.in_loop)
         self.emit(ind, f"_t_addr = {self.expr(s.target)} + {self.expr(s.index)}")
         value = self.expr(s.value)
         if s.target.dtype.element is DType.FLOAT32:
@@ -646,8 +817,7 @@ class _Emitter:
     def _call(self, s: CallStmt, ind: int) -> None:
         if not self.in_thread:
             raise KIRError(f"call {s.func!r} outside a thread function")
-        cost = self.cm.libcall_cost(s.func) * s.cost_scale
-        self.tick(ind, cost if cost else None, s.in_loop)
+        self.tick(ind, self.cost(s), s.in_loop)
         args = [self.expr(a) for a in s.args]
         if not all(isinstance(a, (Const, Var, SpecialReg)) for a in s.args):
             # arguments evaluate (and may crash) before the handler binds,
@@ -655,6 +825,8 @@ class _Emitter:
             for k, a in enumerate(args):
                 self.emit(ind, f"_t_arg{k} = {a}")
             args = [f"_t_arg{k}" for k in range(len(args))]
+        if self.pending is not None:
+            return  # a fast iteration runs once the handler has retired
         # one local per hook name, bound on the call's first execution
         # and set to RETIRE for the rest of the thread when asked
         handler = self.hook_local(s.func)
@@ -671,6 +843,10 @@ class _Emitter:
         """Source of ``run_thread(fr, ctx)`` for ``kernel``."""
         params = {p.name for p in kernel.params}
         assigned = {d.name for d, _depth in defining_statements(kernel.body)}
+        self.costs = {id(st): self._cost(st) for st, _depth in walk_stmts(kernel.body)}
+        # grouped cycle sums are exact only for non-negative multiples of 1/8
+        self.dyadic = all(c is None or (c >= 0 and float(c * 8).is_integer())
+                          for c in self.costs.values())
         # assigned parameters are present from the start, so every hook
         # call packs them
         self.assigned(p.name for p in kernel.params if p.name in assigned)

@@ -301,6 +301,12 @@ class ExecContext:
       in one attribute lookup (``ctx.load_f32``) instead of two
       (``ctx.memory.load_f32``), keeping the layered protocol off the
       hot path;
+    * ``mem_f32`` / ``mem_i32`` / ``mem_limit`` / ``mem_slow`` — what
+      the compiled engine needs to read a word inline, from the space's
+      ``inline_loads`` (the contract is in :mod:`repro.gpu.memory`): a
+      load of ``addr`` with ``0 <= addr < mem_limit`` and ``addr`` not
+      in ``mem_slow`` reads the view, and any other load calls the
+      accessor;
     * ``lib`` — bound instrumentation library (FI / profiler / FT);
     * ``hooks`` — call name -> handler resolved from ``lib``, filled by
       :meth:`bind_hook` the first time each call executes;
@@ -326,6 +332,10 @@ class ExecContext:
         "load_i32",
         "store_f32",
         "store_i32",
+        "mem_f32",
+        "mem_i32",
+        "mem_limit",
+        "mem_slow",
         "lib",
         "hooks",
         "budget",
@@ -391,13 +401,14 @@ class ExecContext:
         self.load_i32 = memory.load_i32
         self.store_f32 = memory.store_f32
         self.store_i32 = memory.store_i32
+        self.mem_f32, self.mem_i32, self.mem_limit, self.mem_slow = memory.inline_loads
 
     def swap_memory(self, memory):
         """Install a different memory space; returns the old one.
 
         The compiled engine copies the bound ``ctx.load_f32`` (etc.)
-        accessors into locals when a thread starts, and this rebinds
-        all four — so recording/guarded layers (footprint capture, the
+        accessors and the inline-load views into locals when a thread
+        starts, and this rebinds them all — so recording/guarded layers (footprint capture, the
         differential replay guard) slot in for one launch or one
         replayed thread without touching the zero-cost normal path.
         Swap between threads, never from inside a hook.

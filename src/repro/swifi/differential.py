@@ -25,11 +25,11 @@ Soundness gates (anything else falls back to full execution):
   one storing thread (undoing a thread's stores must be exact).
 * **Per-trial guard** — :class:`~repro.gpu.memory.ReplayMemoryGuard`
   exploits the sequential gtid execution order: accesses ordered
-  before the target thread are safe, anything a *later* thread could
-  observe (or that observes a later thread's value) aborts with
-  :class:`~repro.gpu.memory.ReplayConflict` — or is admitted
-  provisionally and value-checked against golden bits at replay end;
-  a conflicting trial re-runs through the full path.
+  before the target thread are safe, a load of a word a *later* thread
+  stores reads that word's pre-launch bits, and a store a later thread
+  could observe aborts with :class:`~repro.gpu.memory.ReplayConflict`
+  — or is admitted provisionally and value-checked against golden bits
+  at replay end; a conflicting trial re-runs through the full path.
 
 Exactness of the cycle splice: every cost-model constant is a dyadic
 rational (multiples of 1/8), so the sequential golden accumulation, the
@@ -177,6 +177,8 @@ class DifferentialEngine:
         self.handles: Dict[str, object] = {}
         self.records: List[ThreadRecord] = []
         self.store_owner: Dict[int, int] = {}
+        self.pre_launch: Dict[int, int] = {}
+        self.stored: frozenset = frozenset()
         self.load_readers: Dict[int, int] = {}
         self.golden_events: Dict[int, List[DetectionEvent]] = {}
         self.launch: Optional[LaunchResult] = None
@@ -253,16 +255,21 @@ class DifferentialEngine:
         *reads* of stored addresses are fine — execution order resolves
         them — so they index into ``load_readers`` (latest reader per
         address) for the guard's ordering checks instead of
-        disqualifying the campaign.
+        disqualifying the campaign.  The ``old`` bits of an address's
+        first store are its pre-launch bits, which a replayed thread
+        before the owner reads.
         """
         store_owner = self.store_owner
+        pre_launch = self.pre_launch
         for tid, rec in enumerate(self.records):
-            for addr, _old, _new in rec.footprint.stores:
+            for addr, old, _new in rec.footprint.stores:
                 owner = store_owner.get(addr)
                 if owner is None:
                     store_owner[addr] = tid
+                    pre_launch[addr] = old
                 elif owner != tid:
                     return "golden footprints conflict: shared store address"
+        self.stored = frozenset(store_owner)
         load_readers = self.load_readers
         for tid, rec in enumerate(self.records):
             for addr in rec.footprint.loads:
@@ -322,7 +329,8 @@ class DifferentialEngine:
         rec = self.records[target]
         self._undo(rec.footprint)
         guard = ReplayMemoryGuard(
-            self.memory, target, self.store_owner, self.load_readers
+            self.memory, target, self.store_owner, self.load_readers,
+            self.pre_launch, self.stored,
         )
         lib, device_cb = self._fresh_library(spec)
         ctx = ExecContext(guard, lib=lib, budget=self.workload.hang_budget,

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.bits import flip_float_bits, flip_int_bits
 from repro.errors import InjectionError
+from repro.exec.cache import ephemeral_cache
 from repro.gpu.faults import inject_word_faults
 from repro.kir.analysis.dataflow import SiteInfo, collect_sites
 from repro.kir.astnodes import (
@@ -46,6 +47,20 @@ from repro.kir.validate import validate_kernel
 from repro.swifi.faultmodel import ActivationRecord, FaultSpec, InjectionState
 
 FI_FUNC = "__hauberk_fi"
+
+#: Attribute on a validated kernel caching its FI site table: every
+#: full-path trial builds a library, and the table depends on the
+#: kernel alone.
+SITES_CACHE_ATTR = "_hauberk_fi_sites"
+
+
+def site_table(kernel: Kernel) -> Dict[int, SiteInfo]:
+    """Site id -> :class:`SiteInfo` of a validated kernel, built once."""
+    cache = ephemeral_cache(kernel, SITES_CACHE_ATTR)
+    table = cache.get("sites")
+    if table is None:
+        table = cache["sites"] = {s.site: s for s in collect_sites(kernel)}
+    return table
 
 
 def _hook(site: int, name: str) -> CallStmt:
@@ -139,8 +154,9 @@ class FaultInjectionLibrary(InstrumentationLibrary):
     """Runtime half of SWIFI: flips bits in live register frames."""
 
     def __init__(self, kernel: Kernel, spec: Optional[FaultSpec] = None):
-        #: Site table of the *original* kernel (pre-instrumentation).
-        self.sites: Dict[int, SiteInfo] = {s.site: s for s in collect_sites(kernel)}
+        #: Site table of the *original* kernel (pre-instrumentation);
+        #: shared by every library of the kernel, so read-only.
+        self.sites: Dict[int, SiteInfo] = site_table(kernel)
         self.state = InjectionState()
         if spec is not None:
             self.arm(spec)

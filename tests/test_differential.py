@@ -185,19 +185,32 @@ class TestPointerFaultFallback:
 
 
 class TestGuardSemantics:
-    def test_later_owner_load_conflicts(self):
+    def test_later_owner_load_reads_pre_launch_bits(self):
+        from repro.gpu.memory import GlobalMemory
+
+        mem = GlobalMemory(64)
+        mem.alloc("buf", 8)
+        mem.store_i32(5, 77)  # thread 3's golden store, now in memory
+        guard = ReplayMemoryGuard(mem, thread=1, store_owner={5: 3},
+                                  load_readers={}, pre_launch={5: 0x3FC00000})
+        # thread 1 runs before thread 3: the full run reads the word
+        # as it was before the launch
+        assert guard.load_f32(5) == 1.5
+        assert guard.load_i32(5) == 0x3FC00000
+        # earlier owners hold their golden value in both worlds
+        earlier = ReplayMemoryGuard(mem, thread=5, store_owner={5: 3},
+                                    load_readers={}, pre_launch={5: 0x3FC00000})
+        assert earlier.load_i32(5) == 77
+
+    def test_later_owner_store_conflicts(self):
         from repro.gpu.memory import GlobalMemory
 
         mem = GlobalMemory(64)
         mem.alloc("buf", 8)
         guard = ReplayMemoryGuard(mem, thread=1, store_owner={5: 3},
-                                  load_readers={})
+                                  load_readers={}, pre_launch={5: 0})
         with pytest.raises(ReplayConflict):
-            guard.load_f32(5)
-        # earlier owners hold their golden value in both worlds
-        earlier = ReplayMemoryGuard(mem, thread=5, store_owner={5: 3},
-                                    load_readers={})
-        earlier.load_f32(5)
+            guard.store_f32(5, 1.0)
 
     def test_store_rollback_restores_memory(self):
         from repro.gpu.memory import GlobalMemory
@@ -226,6 +239,31 @@ class TestGuardSemantics:
         assert not guard.deferred_mismatch(golden)
         guard.store_i32(4, 11)  # changed bits: trial must fall back
         assert guard.deferred_mismatch(golden)
+
+
+class TestLaterOwnedLoads:
+    #: the three ``numatoms`` strikes of CP's Figure 14 BENCH plan that
+    #: end (plan positions 0, 1 and 3); each victim thread, with its
+    #: atom count corrupted, reads the words a later thread stores
+    NUMATOMS = (
+        FaultSpec(site=1, mask=0x8000, thread=15, occurrence=42, timing="delayed"),
+        FaultSpec(site=1, mask=0x100, thread=4, occurrence=22, timing="delayed"),
+        FaultSpec(site=1, mask=0x100, thread=18, occurrence=22, timing="delayed"),
+    )
+
+    def test_numatoms_strikes_replay_like_the_full_run(self):
+        full_prog = HauberkProgram(get_workload("CP"))
+        diff_prog = HauberkProgram(get_workload("CP"))
+        for prog in (full_prog, diff_prog):
+            prog.build("fift")
+            prog.train(seeds=[0])
+        full = full_prog.trial_runner("fift", 0)
+        engine = get_engine(diff_prog, "fift", 0)
+        assert isinstance(engine, DifferentialEngine)
+        for spec in self.NUMATOMS:
+            replayed = engine.run_trial(spec)
+            assert replayed is not None, spec  # served by replay, no fallback
+            assert replayed == full(spec), spec
 
 
 class TestMetricsParity:

@@ -129,6 +129,13 @@ class _KernelGen:
         self.int_vars.append(name)
         return stmt
 
+    def params(self):
+        return [
+            KernelParam("n", DType.INT32),
+            KernelParam("seedv", DType.FLOAT32),
+            KernelParam("out", DType.PTR_FLOAT32),
+        ]
+
     def build(self, n_stmts):
         body = []
         for _ in range(n_stmts):
@@ -142,15 +149,7 @@ class _KernelGen:
             Store(ptr=Var("out"), index=Const(0),
                   value=Var(self.float_vars[-1]) if len(self.float_vars) > 1 else Const(1.0))
         )
-        kernel = Kernel(
-            name="gen",
-            params=[
-                KernelParam("n", DType.INT32),
-                KernelParam("seedv", DType.FLOAT32),
-                KernelParam("out", DType.PTR_FLOAT32),
-            ],
-            body=body,
-        )
+        kernel = Kernel(name="gen", params=self.params(), body=body)
         validate_kernel(kernel)
         return kernel
 

@@ -12,7 +12,13 @@ counts, and hand a recording instrumentation library the same call
 sequence at the same step counts, with the same frame at every call.
 The recorder also overwrites a frame variable now and then, on a
 schedule drawn from the generated plan, so the compiled engine's frame
-view and its write-back are fuzzed against the lockstep dict.
+view and its write-back are fuzzed against the lockstep dict, and it
+retires in a thread after a drawn number of calls, so loops whose hooks
+have all retired run fast iterations (no per-statement bookkeeping).
+Generated kernels also load from device memory a few words from its
+end, so inline loads, out-of-bounds crashes and crashes inside a fast
+iteration are fuzzed too; hypothesis's statistics report the share of
+examples that ran a fast iteration.
 
 The same kernels, passed through ``instrument_for_fi`` with a random
 ``FaultSpec`` armed, check the retire contract: the compiled engine
@@ -39,7 +45,6 @@ import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
 from repro.core.program import CombinedLibrary
-from repro.gpu.device import Device
 from repro.gpu.memory import GlobalMemory
 from repro.kir.astnodes import (
     Assign, BinOp, Break, Call, CallStmt, Const, Continue, Decl, For, If, Kernel,
@@ -54,6 +59,7 @@ from repro.kir.validate import validate_kernel
 from repro.swifi.faultmodel import FaultSpec
 from repro.swifi.injector import FaultInjectionLibrary, instrument_for_fi
 
+from test_fast_iterations import FastCounter
 from test_property_checksum import _KernelGen, _flat
 
 #: Hook cost charged per recorded call, so hook accounting is compared too.
@@ -63,6 +69,9 @@ N_THREADS = 2
 FI_BLOCKS = 2
 #: Examples per tier-1 run; the ``engine-fuzz`` profile replaces it.
 TIER1_EXAMPLES = 40
+#: Device words of the generated kernels' launches: ``out`` (4 words at
+#: address 0) and the rest of a memory whose end generated loads reach.
+GEN_CAPACITY = 12
 
 
 def _fuzz_settings():
@@ -75,14 +84,25 @@ def _fuzz_settings():
 class _Recorder(InstrumentationLibrary):
     """Records every call with the frame it is handed.  On a schedule
     drawn from the generated plan it also overwrites one variable of
-    that frame, so the engines must agree on hook writes too."""
+    that frame, so the engines must agree on hook writes too.
 
-    def __init__(self, plan=None):
+    After ``live`` calls in a thread (never, for None) it returns
+    RETIRE and ignores that thread's later calls, as the retire
+    contract asks: the compiled engine stops calling it, lockstep keeps
+    calling it, and both record the same."""
+
+    def __init__(self, plan=None, live=None):
         self.calls = []
         self.every = 2 + plan[0] % 5 if plan else 0
         self.pick = plan[1] if plan else 0
+        self.live = live
+        self.per_thread = {}
 
     def lib_rec(self, ctx, frame, *args):
+        key = (ctx.block, ctx.thread)
+        if self.live is not None and self.per_thread.get(key, 0) >= self.live:
+            return RETIRE
+        self.per_thread[key] = self.per_thread.get(key, 0) + 1
         # repr: NaN arguments and values compare equal
         items = sorted((k, repr(v)) for k, v in frame.items())
         self.calls.append((ctx.thread, ctx.steps, repr(args), items))
@@ -90,19 +110,42 @@ class _Recorder(InstrumentationLibrary):
             name = items[(self.pick + len(self.calls)) % len(items)][0]
             value = frame[name]
             frame[name] = value ^ 1 if isinstance(value, int) else value + 1.0
+        if self.live is not None and self.per_thread[key] >= self.live:
+            return RETIRE
+        return None
 
 
 class _ControlFlowGen(_KernelGen):
     """``_KernelGen`` plus the control flow the engines compile apart:
     ``while`` loops whose increment a ``continue`` may skip (so they can
     hang), ``break``/``continue`` under an ``if`` in loop bodies,
-    ``return``, int ``/``/``%`` whose divisor can be zero, and float
-    ``/`` and ``sqrt``, whose inline fast paths hand zero divisors and
-    negative operands to their helpers."""
+    ``return``, int ``/``/``%`` whose divisor can be zero, float ``/``
+    and ``sqrt``, whose inline fast paths hand zero divisors and
+    negative operands to their helpers, and float and int loads at a
+    variable plus an offset, which reach the end of device memory
+    (``GEN_CAPACITY``) when the variable is a loop iterator."""
 
     def __init__(self, plan):
         super().__init__(plan)
         self.loop_depth = 0
+
+    def params(self):
+        # ``ints`` aliases ``out``: int loads read the same words
+        return super().params() + [KernelParam("ints", DType.PTR_INT32)]
+
+    def float_expr(self):
+        if self._next() % 6 == 0:
+            return self.load("out")
+        return super().float_expr()
+
+    def int_expr(self):
+        if self._next() % 8 == 0:
+            return self.load("ints")
+        return super().int_expr()
+
+    def load(self, ptr):
+        var = Var(self.int_vars[-1 - self._next() % len(self.int_vars)])
+        return Load(Var(ptr), BinOp("+", var, Const(self._next() % GEN_CAPACITY)))
 
     def statement(self, depth):
         kind = self._next() % 12
@@ -198,6 +241,7 @@ def _frames(out_alloc, n, seedv, block=0, n_blocks=1):
         "n": n,
         "seedv": seedv,
         "out": out_alloc.base,
+        "ints": out_alloc.base,
         "gridDim.x": n_blocks,
         "gridDim.y": 1,
         "blockDim.x": N_THREADS,
@@ -230,19 +274,22 @@ def _canonical_nan(word):
 
 def _observe(kernel, engine, n, seedv, budget, plan, fi=None, n_blocks=1):
     """Run ``n_blocks`` blocks of ``kernel`` and return everything
-    observable; ``fi`` is a fresh armed FI library, or None."""
-    device = Device()
-    out = device.memory.alloc("out", 4, DType.FLOAT32)
-    rec = _Recorder(plan)
+    observable; ``fi`` is a fresh armed FI library, or None.  The
+    compiled run also reports its completed fast iterations."""
+    memory = GlobalMemory(GEN_CAPACITY)
+    out = memory.alloc("out", 4, DType.FLOAT32)
+    rec = _Recorder(plan, (plan[2] % 8 or None) if plan else None)
     lib = rec if fi is None else CombinedLibrary([rec, fi])
-    ctx = ExecContext(device.memory, lib=lib, budget=budget, block_size=N_THREADS)
+    ctx = ExecContext(memory, lib=lib, budget=budget, block_size=N_THREADS)
     frames = []
     error = None
+    counter = None
     try:
         if engine == "lockstep":
             prog = LockstepProgram(kernel, costmodel=_cm())
         else:
             compiled = CompiledKernel(kernel, costmodel=_cm())
+            counter = FastCounter(compiled)
         for b in range(n_blocks):
             ctx.block = b
             block_frames = _frames(out, n, seedv, b, n_blocks)
@@ -252,7 +299,8 @@ def _observe(kernel, engine, n, seedv, budget, plan, fi=None, n_blocks=1):
                 continue
             for t, fr in enumerate(block_frames):
                 ctx.reset_thread(b, t)
-                compiled.run_thread(fr, ctx)
+                with counter:
+                    compiled.run_thread(fr, ctx)
     except Exception as exc:  # every failure must match, typed or not
         error = (type(exc).__name__, str(exc))
     seen = {
@@ -264,7 +312,7 @@ def _observe(kernel, engine, n, seedv, budget, plan, fi=None, n_blocks=1):
         # repr: NaN compares equal, -0.0 differs from 0.0
         "frames": [sorted((k, repr(v)) for k, v in fr.items()) for fr in frames],
         "out": [_canonical_nan(w) for w in
-                device.memory.memcpy_dtoh(out).view(np.uint32).tolist()],
+                memory.memcpy_dtoh(out).view(np.uint32).tolist()],
     }
     if fi is not None:
         act = fi.activation
@@ -272,13 +320,17 @@ def _observe(kernel, engine, n, seedv, budget, plan, fi=None, n_blocks=1):
             k: repr(v) if isinstance(v, float) else v
             for k, v in dataclasses.asdict(act).items()}
         seen["counters"] = dict(fi.state.counters)
+    if counter is not None:
+        seen["fast"] = counter.count
     return seen
 
 
 def _assert_engines_agree(kernel, n, seedv, budget=2_000_000, make_fi=None, n_blocks=1,
                           plan=None):
     """``make_fi`` builds a fresh FI library per engine, or is None;
-    ``plan`` schedules the recorder's frame writes (None: no writes)."""
+    ``plan`` schedules the recorder's frame writes and retirement
+    (None: neither).  Returns the compiled run's observations, with its
+    completed fast iterations under ``"fast"``."""
     fast = _observe(kernel, "codegen", n, seedv, budget, plan, make_fi and make_fi(),
                     n_blocks)
     slow = _observe(kernel, "lockstep", n, seedv, budget, plan, make_fi and make_fi(),
@@ -299,7 +351,8 @@ def _assert_engines_agree(kernel, n, seedv, budget=2_000_000, make_fi=None, n_bl
 )
 def test_compiler_and_lockstep_agree(plan, n_stmts, n_value, seed_value, budget):
     kernel = _with_hooks(_ControlFlowGen(plan).build(n_stmts))
-    _assert_engines_agree(kernel, n_value, seed_value, budget, plan=plan)
+    seen = _assert_engines_agree(kernel, n_value, seed_value, budget, plan=plan)
+    event("fast iteration" if seen["fast"] else "no fast iteration")
 
 
 @_fuzz_settings()
@@ -326,9 +379,10 @@ def test_fi_spec_retire_agrees_with_lockstep(plan, n_stmts, n_value, seed_value,
     sites = collect_sites(kernel)
     spec = FaultSpec(site=sites[site_pick % len(sites)].site, mask=1 << bit,
                      thread=victim, occurrence=occurrence, burst=burst, timing=timing)
-    _assert_engines_agree(instrument_for_fi(kernel), n_value, seed_value, budget,
-                          make_fi=lambda: FaultInjectionLibrary(kernel, spec),
-                          n_blocks=FI_BLOCKS, plan=plan)
+    seen = _assert_engines_agree(instrument_for_fi(kernel), n_value, seed_value, budget,
+                                 make_fi=lambda: FaultInjectionLibrary(kernel, spec),
+                                 n_blocks=FI_BLOCKS, plan=plan)
+    event("fast iteration" if seen["fast"] else "no fast iteration")
 
 
 #: Device words of the hang-verdict launches: loads at a base near 0
@@ -337,24 +391,6 @@ VERDICT_CAPACITY = 96
 #: Bases the verdict loops add to every load index; three put the
 #: first iterations' loads outside memory.
 VERDICT_BASES = (0, 5, VERDICT_CAPACITY - 6, VERDICT_CAPACITY + 2, -5)
-
-
-class _RetiringRecorder(_Recorder):
-    """``_Recorder`` that retires in each thread after ``live`` calls.
-
-    Both launches it serves are compiled, so what a retired call would
-    have recorded is missing from both alike."""
-
-    def __init__(self, plan, live):
-        super().__init__(plan)
-        self.live = live
-        self.per_thread = {}
-
-    def lib_rec(self, ctx, frame, *args):
-        super().lib_rec(ctx, frame, *args)
-        key = (ctx.block, ctx.thread)
-        self.per_thread[key] = self.per_thread.get(key, 0) + 1
-        return RETIRE if self.per_thread[key] >= self.live else None
 
 
 def _verdict_loop(start, step, op, loads, extras):
@@ -399,7 +435,7 @@ def _observe_verdict(kernel, verdicts, args, budget, plan, live, fi):
     src = memory.alloc("src", 64, DType.FLOAT32)
     out = memory.alloc("out", 4, DType.FLOAT32)
     memory.memcpy_htod(src, np.linspace(-2.0, 3.0, 64))
-    rec = _RetiringRecorder(plan, live)
+    rec = _Recorder(plan, live)
     ctx = ExecContext(memory, lib=CombinedLibrary([rec, fi]), budget=budget,
                       block_size=N_THREADS, hang_verdicts=verdicts)
     compiled = CompiledKernel(kernel, costmodel=_cm())

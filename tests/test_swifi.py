@@ -228,6 +228,27 @@ class TestCampaign:
         assert result.by_bits(1).counts.total == 2  # mask 3 has two bits
 
 
+    def test_full_trials_build_the_site_table_at_most_once(self, monkeypatch):
+        from repro.core.program import HauberkProgram
+        from repro.swifi import injector
+        from repro.swifi.options import CampaignOptions
+        from repro.workloads import get_workload
+
+        built = []
+        collect = injector.collect_sites
+        monkeypatch.setattr(injector, "collect_sites",
+                            lambda kernel: built.append(kernel) or collect(kernel))
+        # a kernel parsed anew, so no earlier test has built its table
+        base = type(get_workload("CP"))
+        fresh = type(base.__name__, (base,), {"source": base.source + "\n// site table\n"})()
+        prog = HauberkProgram(fresh)
+        specs = build_fault_specs(enumerate_targets(fresh.kernel), n_threads=64,
+                                  masks_per_site=1, seed=3)[:6]
+        result = run_campaign(prog, specs, "fi", CampaignOptions(differential=False))
+        assert len(result.trials) == 6
+        assert len(built) == 1
+
+
 class TestTracing:
     def test_trace_collects_values(self):
         device, runtime, kernel, args, _ = _setup()
