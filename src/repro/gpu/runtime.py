@@ -278,6 +278,7 @@ class GPURuntime:
         """
         no_shared = {} if not shared_decls else None
         lockstep = isinstance(prog, LockstepProgram)
+        ctx.keep_frames = False  # each frame is dropped when its thread ends
         run_thread = None if lockstep else prog.run_thread
         for block_y in range(gy):
             for block_x in range(gx):
@@ -336,7 +337,11 @@ class GPURuntime:
             elif p.dtype is DType.FLOAT32:
                 frame[p.name] = float(value)
             else:
-                frame[p.name] = int(value)
+                value = int(value)
+                if not -(2**31) <= value < 2**31:
+                    raise LaunchError(f"int argument {p.name!r} = {value} "
+                                      "is outside the int32 range")
+                frame[p.name] = value
         extra = set(args) - {p.name for p in kernel.params}
         if extra:
             raise LaunchError(f"unknown kernel arguments {sorted(extra)}")

@@ -62,20 +62,21 @@ shape::
         finally:
             ctx.steps = steps; ctx.cycles = cycles
             ctx.loop_cycles = loop_cycles
-            _write_back(fr, _k3, (v2,))    # 'x', unless still UNSET
-            if _fv.written: fr.update(_fv.written)
+            if ctx.keep_frames:
+                _write_back(fr, _k3, (v2,))    # 'x', unless still UNSET
+                if _fv.written: fr.update(_fv.written)
 
 Every statement of the checked path keeps its own step bump, budget
 check and ``cycles``/``loop_cycles`` adds, with the costs the cost model
 gives it; loop-body and loop-condition cycles are attributed separately so
 the Figure 4 loop fraction and the Figure 13 overheads fall out of
-execution directly.  KIR expressions become inline Python expressions
-(the int32 wrap is inline arithmetic), and ``break``/``continue``/
-``return`` become native statements that still charge their unchecked
-step.  A float ``/`` of two float operands divides inline and calls
-``fdiv`` only for a zero divisor, and ``sqrt`` calls ``math.sqrt`` for
-an operand in ``[0, inf)`` and ``_safe_sqrt`` otherwise; a compound
-operand is evaluated once, through a ``_w<n>`` temporary, in C order.
+execution directly.  KIR expressions become inline Python expressions,
+and ``break``/``continue``/``return`` become native statements that
+still charge their unchecked step.  A float ``/`` of two float
+operands divides inline and calls ``fdiv`` only for a zero divisor,
+and ``sqrt`` calls ``math.sqrt`` for an operand in ``[0, inf)`` and
+``_safe_sqrt`` otherwise; a compound operand is evaluated once,
+through a ``_w<n>`` temporary, in C order.
 
 A device load reads the word inline, through the memory space's
 ``memoryview`` (``mem_f32``/``mem_i32``), when its address is in
@@ -83,6 +84,24 @@ A device load reads the word inline, through the memory space's
 otherwise it calls ``load_f32``/``load_i32``, which re-widens a NaN's
 payload, raises the out-of-bounds crash and lets a recording or
 guarding layer see the access (``gpu/memory.py``, "Inline loads").
+
+Int32 arithmetic.  Every int32 value a thread holds is in
+``[-2**31, 2**31)``: validation bounds literals, the launch bounds
+arguments, and every helper, load and hook write yields an in-range int
+(``docs/architecture.md``, "Int32 arithmetic").  So ``&``, ``|``,
+``^``, ``>>`` (by ``r & 31``) and ``~`` compile bare, and ``+``, ``-``,
+``*``, ``<<`` and unary ``-`` wrap through a range test that does the
+allocating two's-complement arithmetic only on overflow::
+
+    (_i if -2147483648 <= (_i := v0 * v1) <= 2147483647
+     else ((_i + 2147483648 & 4294967295) - 2147483648))
+
+``__float_as_int(x)`` reinterprets inline when ``x`` is in
+``[-FLT_MAX, FLT_MAX]`` and calls ``_float_as_int`` otherwise, which
+keeps a NaN's payload and saturates an operand beyond float32 range::
+
+    (_unpack_i32(_pack_f32(v2))[0] if (-FLT_MAX) <= v2 <= FLT_MAX
+     else _float_as_int(v2))            # FLT_MAX as a literal
 
 Fast iterations.  A loop with a
 :class:`~repro.kir.analysis.loops.FastIteration` (no nested loop,
@@ -113,7 +132,10 @@ The frame contract.  Parameters and special registers are read from
 ``fr`` when the thread starts; the names the kernel assigns start as
 :data:`UNSET`.  When the thread ends, by return, crash or hang, the
 locals of the names it assigned are written back to ``fr``, so the
-final frame is the lockstep interpreter's dict.  A live hook call
+final frame is the lockstep interpreter's dict; the write-back runs
+only while ``ctx.keep_frames`` is set, as it is by default, and a grid
+launch and a differential replay, which drop each frame when its
+thread ends, clear it.  A live hook call
 sees the frame through a :class:`FrameView`: before the call the
 thread stores the locals of every name it may have assigned by then
 (in program order, and every name a loop assigns once the loop is
@@ -149,14 +171,16 @@ Identifiers and ``str`` constants enter the source only through
 only in the frame reads and writes.  Intrinsics, and constants that
 are not a finite ``int``, ``float`` or ``str``, are bound in the
 function's namespace.  CPython limits static nesting (about 20 loops
-deep) and parenthesis depth (200; an int operation takes three), so a
-kernel nested deeper than that raises
+deep) and parenthesis depth (200, and its parser stack overflows, as a
+``MemoryError``, a little before that; a wrapped int operation takes
+two), so a kernel nested deeper than that raises
 :class:`~repro.errors.KIRValidationError`.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Mapping
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional
@@ -230,8 +254,10 @@ def _seq(items: List[str]) -> str:
 
 
 def _wrap(src: str) -> str:
-    """Inline int32 two's-complement wrap of ``src`` (``wrap_i32``)."""
-    return f"((({src}) + 2147483648 & 4294967295) - 2147483648)"
+    """Inline int32 two's-complement wrap of ``src`` (``wrap_i32``): the
+    value itself when it is in range, so only an overflow allocates."""
+    return (f"(_i if -2147483648 <= (_i := {src}) <= 2147483647 "
+            f"else ((_i + 2147483648 & 4294967295) - 2147483648))")
 
 
 def _shared_oob(what: str, name: str, idx: int, ctx: ExecContext) -> None:
@@ -246,6 +272,13 @@ def _shared_load(arr: list, idx: int, name: str, ctx: ExecContext):
 
 def _float_as_int(x) -> int:
     return bits_to_int(float_to_bits(float(x)))
+
+
+#: Largest finite binary32 value: ``__float_as_int`` of an operand in
+#: ``[-FLT_MAX, FLT_MAX]`` reinterprets inline through ``struct``.
+FLT_MAX = float.fromhex("0x1.fffffep+127")
+_pack_f32 = struct.Struct("<f").pack
+_unpack_i32 = struct.Struct("<i").unpack
 
 
 def _converter(target: DType, source: DType):
@@ -386,7 +419,8 @@ class _Emitter:
             "_shared_load": _shared_load, "_shared_oob": _shared_oob,
             "RETIRE": RETIRE, "UNSET": UNSET, "FrameView": FrameView,
             "_write_back": _write_back, "_hang_verdict": _hang_verdict,
-            "INF": INF, "_RERUN": _RERUN,
+            "INF": INF, "_RERUN": _RERUN, "_float_as_int": _float_as_int,
+            "_pack_f32": _pack_f32, "_unpack_i32": _unpack_i32,
         }
         self._bound: Dict[int, str] = {}  # id(value) -> namespace name
         self.used = set()
@@ -476,10 +510,12 @@ class _Emitter:
             if e.op == "-":
                 return _wrap(f"-{x}") if e.dtype is DType.INT32 else f"(-{x})"
             if e.op == "~":
-                return _wrap(f"~{x}")
+                return f"(~{x})"  # in range for an in-range operand
             raise KIRError(f"cannot compile unary {e.op!r}")
         if isinstance(e, Call):
-            impl = _float_as_int if e.func == "__float_as_int" else INTRINSIC_IMPL.get(e.func)
+            if e.func == "__float_as_int":
+                return self._bitcast(e.args[0])
+            impl = INTRINSIC_IMPL.get(e.func)
             if impl is None:
                 raise KIRError(f"cannot compile intrinsic {e.func!r}")
             args = ", ".join(self.expr(a) for a in e.args)
@@ -499,6 +535,18 @@ class _Emitter:
             return (f"_shared_load({self.ctx_local('shared')}[{e.array!r}], "
                     f"{self.expr(e.index)}, {e.array!r}, ctx)")
         raise KIRError(f"cannot compile expression {type(e).__name__}")
+
+    def _bitcast(self, arg: Expr) -> str:
+        """``__float_as_int``: one ``struct`` reinterpretation for an
+        operand in ``[-FLT_MAX, FLT_MAX]``; NaN, an operand beyond
+        binary32 range and anything else take ``_float_as_int``, which
+        keeps a signaling NaN's payload and saturates to infinity."""
+        x = test = self.expr(arg)
+        if not _simple(arg):
+            x = self.temp()
+            test = f"({x} := {test})"
+        return (f"(_unpack_i32(_pack_f32({x}))[0] if {self.const(-FLT_MAX)} <= {test} "
+                f"<= {self.const(FLT_MAX)} else _float_as_int({x}))")
 
     def _load(self, e: Load) -> str:
         """A device load: inline for an in-bounds address outside
@@ -544,10 +592,13 @@ class _Emitter:
             return f"fdiv({l}, {r})"
         if op == "%":
             return f"imod({l}, {r})"
+        # int32 operands give an int32 result: no wrap
         if op in ("&", "|", "^"):
-            return _wrap(f"{l} {op} {r}")
-        if op in ("<<", ">>"):
-            return _wrap(f"{l} {op} ({r} & 31)")
+            return f"({l} {op} {r})"
+        if op == ">>":
+            return f"({l} >> ({r} & 31))"
+        if op == "<<":
+            return _wrap(f"{l} << ({r} & 31)")
         raise KIRError(f"cannot compile operator {op!r}")
 
     def _fdiv(self, e: BinOp, l: str, r: str) -> str:  # noqa: E741
@@ -891,13 +942,16 @@ class _Emitter:
         self.emit(1, "finally:")
         for name in ("steps", "cycles", "loop_cycles"):
             self.emit(2, f"ctx.{name} = {name}")
-        # write back what the thread assigned, then what a hook that
-        # raised wrote before its locals were reloaded
+        # when the launch keeps frames, write back what the thread
+        # assigned, then what a hook that raised wrote before its locals
+        # were reloaded
+        if self.order or self.hooks:
+            self.emit(2, "if ctx.keep_frames:")
         if self.order:
-            self.emit(2, f"_write_back(fr, {self.bind(tuple(self.order))}, "
+            self.emit(3, f"_write_back(fr, {self.bind(tuple(self.order))}, "
                          f"({_seq(self.packed)}))")
         if self.hooks:
-            self.emit(2, "if _fv.written: fr.update(_fv.written)")
+            self.emit(3, "if _fv.written: fr.update(_fv.written)")
         return "\n".join(self.lines) + "\n"
 
 
@@ -906,8 +960,11 @@ def _compile(source: str, what: str, mode: str):
     indentation, parentheses, recursion) as a typed error."""
     try:
         return compile(source, f"<{what}>", mode)
-    except (SyntaxError, RecursionError) as exc:
-        raise KIRValidationError(f"{what} is nested too deeply to compile: {exc}") from exc
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # a deep enough expression overflows the parser's stack, which
+        # CPython reports as MemoryError
+        raise KIRValidationError(f"{what} is nested too deeply to compile: "
+                                 f"{str(exc) or type(exc).__name__}") from exc
 
 
 def compile_expr(e: Expr) -> ExprFn:

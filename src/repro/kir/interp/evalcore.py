@@ -240,6 +240,10 @@ class InstrumentationLibrary:
     * ``frame[name] = value`` writes, and the next KIR statement of the
       thread reads the new value; writing any name is allowed, a
       parameter or one the call does not mention included;
+    * a hook that writes an int32 name writes an int in
+      ``[-2**31, 2**31)``: the compiled engine relies on every int32
+      value being in range (``docs/architecture.md``, "Int32
+      arithmetic");
     * deleting a name is not supported, and the mapping is only valid
       for the duration of the call: read it then, do not keep it.
 
@@ -323,7 +327,10 @@ class ExecContext:
       at the head of a loop whose remaining run it can decide (see
       :func:`repro.kir.analysis.loops.hang_shape`) instead of running
       the budget out; ``hang_verdict`` is then that loop's id (else
-      None).
+      None);
+    * ``keep_frames`` — whether the compiled engine writes a finished
+      thread's locals back to its frame dict (on by default); a launch
+      that drops each frame when its thread ends turns it off.
     """
 
     __slots__ = (
@@ -349,6 +356,7 @@ class ExecContext:
         "block_size",
         "hang_verdicts",
         "hang_verdict",
+        "keep_frames",
     )
 
     def __init__(
@@ -373,6 +381,7 @@ class ExecContext:
         self.block_size = block_size
         self.hang_verdicts = hang_verdicts
         self.hang_verdict: Optional[int] = None
+        self.keep_frames = True
 
     def bind_hook(self, func: str) -> Callable:
         """Resolve ``func`` against ``lib`` and memoize it for this launch.

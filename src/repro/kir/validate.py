@@ -118,6 +118,11 @@ class _Validator:
             if isinstance(e.value, float):
                 return DType.FLOAT32
             if isinstance(e.value, int):
+                # the compiled engine relies on every int32 value being
+                # in range, literals included
+                if not -(2**31) <= e.value < 2**31:
+                    raise KIRValidationError(
+                        f"int literal {e.value} is outside the int32 range")
                 return DType.INT32
             if isinstance(e.value, str):
                 return DType.STR

@@ -335,6 +335,7 @@ class DifferentialEngine:
         lib, device_cb = self._fresh_library(spec)
         ctx = ExecContext(guard, lib=lib, budget=self.workload.hang_budget,
                           block_size=self.block_size, hang_verdicts=True)
+        ctx.keep_frames = False  # the replayed frame is dropped
 
         block, tib = divmod(target, self.block_size)
         frame = dict(self.base_frame)

@@ -156,6 +156,15 @@ class TestRuntime:
                 args={"x": 0, "y": 0, "a": 1.0, "n": 1, "zz": 3},
             )
 
+    @pytest.mark.parametrize("n", [2**31, -(2**31) - 1, 0xFFFFFFFF])
+    def test_int_argument_outside_int32_rejected(self, runtime, saxpy_kernel, n):
+        with pytest.raises(LaunchError, match="outside the int32 range"):
+            runtime.launch(saxpy_kernel, 1, 32, args={"x": 0, "y": 0, "a": 1.0, "n": n})
+
+    def test_int_argument_at_int32_limits_accepted(self, runtime, saxpy_kernel):
+        for n in (-(2**31), 2**31 - 1):
+            runtime.launch(saxpy_kernel, 1, 32, args={"x": 0, "y": 0, "a": 1.0, "n": n})
+
     def test_block_size_limit(self, runtime, saxpy_kernel):
         with pytest.raises(LaunchError):
             runtime.launch(saxpy_kernel, 1, 1024, args={})

@@ -36,7 +36,7 @@ from repro.gpu.runtime import GPURuntime
 from repro.kir import parse_kernel
 from repro.kir.astnodes import CallStmt, Const
 from repro.kir.interp.codegen import _Emitter
-from repro.kir.interp.evalcore import RETIRE, InstrumentationLibrary
+from repro.kir.interp.evalcore import RETIRE, ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
 from repro.swifi.faultmodel import FaultSpec
@@ -256,11 +256,13 @@ def _site(kernel, name, kind):
 
 def _watch(prog, seen):
     """Wrap ``prog``'s entry point to keep every thread frame and the
-    final ``ctx.steps``; returns the undo."""
+    final ``ctx.steps``; returns the undo.  A grid launch drops each
+    frame when its thread ends, so the wrapper asks for frames back."""
     attr = "run_block" if isinstance(prog, LockstepProgram) else "run_thread"
     inner = getattr(prog, attr)
 
     def watched(frames, ctx):
+        ctx.keep_frames = True
         seen["frames"].extend(frames if attr == "run_block" else [frames])
         try:
             inner(frames, ctx)
@@ -512,3 +514,22 @@ class TestFrameWriteBack:
         assert seen["error"][0] == "KernelCrash"
         assert ("acc", "-7.0") in seen["frames"][1]
         assert ("n", "99") in seen["frames"][1]
+
+    def test_write_back_only_while_the_context_keeps_frames(self):
+        device = Device()
+        runtime = GPURuntime(device)
+        kernel = parse_kernel("kernel p(int n, int* out) { int x = n + 1; out[0] = x; }")
+        out = device.memory.alloc("out", 1, DType.INT32)
+        prog = runtime.prepare(kernel)[0]
+        for keep in (True, False):
+            frame = {"n": 2, "out": out.base}
+            ctx = ExecContext(device.memory)
+            ctx.keep_frames = keep
+            prog.run_thread(frame, ctx)
+            assert ("x" in frame) is keep
+        # a grid launch drops every frame, so it asks for none
+        asked = []
+        inner = prog.run_thread
+        prog.run_thread = lambda frame, ctx: asked.append(ctx.keep_frames) or inner(frame, ctx)
+        runtime.launch(kernel, 1, 2, {"n": 2, "out": out})
+        assert asked == [False, False]

@@ -335,9 +335,10 @@ class TestCompileLimits:
 
     @pytest.mark.parametrize("engine", ["closure", "lockstep"])
     def test_deep_expression_raises_typed_error(self, engine):
-        # CPython allows 200 nested parentheses; an int add takes three
+        # CPython allows 200 nested parentheses, and its parser stack
+        # overflows (MemoryError) a little before that; an int add takes two
         k = parse_kernel("kernel deep(int n, int* out) { out[0] = "
-                         + " + ".join(["n"] * 100) + "; }")
+                         + " + ".join(["n"] * 150) + "; }")
         device = Device()
         out = device.memory.alloc("out", 1, DType.INT32)
         with pytest.raises(KIRValidationError, match="nested too deeply"):

@@ -131,6 +131,25 @@ class TestTypeRules:
         k = parse_kernel("kernel p(int n) { int x = 0; x = n; }")
         assert k.body[1].target_dtype is DType.INT32
 
+    @pytest.mark.parametrize("literal", ["0xFFFFFFFF", "2147483648", "0x80000000",
+                                         "-2147483649", "4294967296"])
+    def test_int_literal_outside_int32_rejected(self, literal):
+        with pytest.raises(KIRValidationError, match="outside the int32 range"):
+            parse_kernel(f"kernel p(int* o) {{ o[0] = {literal}; }}")
+
+    @pytest.mark.parametrize("value", [2**31, -(2**31) - 1, 2**40])
+    def test_built_int_constant_outside_int32_rejected(self, value):
+        kernel = Kernel(name="big", params=[], body=[Decl("x", DType.INT32, Const(value))])
+        with pytest.raises(KIRValidationError, match="outside the int32 range"):
+            validate_kernel(kernel)
+
+    @pytest.mark.parametrize("literal, value", [("-2147483648", -(2**31)),
+                                                ("2147483647", 2**31 - 1),
+                                                ("0x7FFFFFFF", 2**31 - 1)])
+    def test_int32_limits_accepted(self, literal, value):
+        k = parse_kernel(f"kernel p(int* o) {{ o[0] = {literal}; }}")
+        assert k.body[0].value.value == value
+
 
 class TestKernelLevelChecks:
     def test_duplicate_params(self):

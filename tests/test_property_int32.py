@@ -1,0 +1,277 @@
+"""Int32 arithmetic and ``__float_as_int`` against independent references.
+
+The engine-parity fuzz cannot catch a wrong int32 wrap rule: lockstep
+evaluates expressions through the same emitter as the compiled engine.
+So the property here checks both compiled forms -- a lone expression
+(``compile_expr``, which lockstep uses) and a statement of a compiled
+thread function -- against a tree-walker written in this file, which
+applies ``wrap_i32`` after every operation and C's truncating ``/`` and
+``%``.  Operands are drawn from the int32 boundary values, where a
+missing or misplaced wrap shows.
+
+Tier-1 runs a few dozen examples; the ``engine-fuzz`` hypothesis
+profile (``tests/conftest.py``) runs twenty thousand::
+
+    PYTHONPATH=src python -m pytest tests/test_property_int32.py \\
+        --hypothesis-profile engine-fuzz
+
+The ``__float_as_int`` table pins the bit cast at its edges (signed
+zeros, infinities, NaN payloads, denormals, the float32 range limit)
+for the compiled engine's inline form, its helper and lockstep.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.bits import bits_to_float, bits_to_int, float_to_bits, wrap_i32
+from repro.errors import KernelCrash
+from repro.gpu.memory import GlobalMemory
+from repro.kir.astnodes import (
+    BinOp, Call, Const, Decl, Kernel, KernelParam, Store, UnOp, Var,
+)
+from repro.kir.interp.codegen import FLT_MAX, compile_expr, compile_kernel
+from repro.kir.interp.evalcore import ExecContext
+from repro.kir.interp.lockstep import LockstepProgram
+from repro.kir.types import DType
+from repro.kir.validate import validate_kernel
+
+INT_MIN = -(2**31)
+INT_MAX = 2**31 - 1
+#: Operands: the int32 limits, the values next to zero, +-2**30 (whose
+#: sum and products overflow) and shift counts that C masks (32, -1).
+BOUNDARY = (INT_MIN, INT_MAX, INT_MIN + 1, INT_MAX - 1, -1, 0, 1, 2**30, -(2**30),
+            31, 32, -32)
+#: Int parameters of the generated kernels; their values are drawn too.
+PARAMS = ("a", "b", "c")
+BINARY = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
+          "<", "<=", ">", ">=", "==", "!=")
+#: Examples per tier-1 run; the ``engine-fuzz`` profile replaces it.
+TIER1_EXAMPLES = 60
+
+
+def _fuzz_settings():
+    long_run = settings.get_profile("engine-fuzz")
+    if settings.default is long_run:
+        return settings(long_run)
+    return settings(max_examples=TIER1_EXAMPLES, deadline=None)
+
+
+# -- expression trees: tuples, turned into KIR per example --------------------
+
+_leaves = st.one_of(
+    st.tuples(st.just("const"), st.sampled_from(BOUNDARY)),
+    st.tuples(st.just("var"), st.sampled_from(PARAMS)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.just("bin"), st.sampled_from(BINARY), children, children),
+        st.tuples(st.just("un"), st.sampled_from(("-", "~")), children),
+        st.tuples(st.just("call"), st.sampled_from(("min", "max")), children, children),
+        st.tuples(st.just("call"), st.sampled_from(("abs", "int")), children),
+    )
+
+
+trees = st.recursive(_leaves, _extend, max_leaves=10)
+
+
+def _kir(tree):
+    kind = tree[0]
+    if kind == "const":
+        return Const(tree[1])
+    if kind == "var":
+        return Var(tree[1])
+    if kind == "bin":
+        return BinOp(tree[1], _kir(tree[2]), _kir(tree[3]))
+    if kind == "un":
+        return UnOp(tree[1], _kir(tree[2]))
+    return Call(tree[1], [_kir(t) for t in tree[2:]])
+
+
+def _c_div(a, b):
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+def _c_mod(a, b):
+    r = abs(a) % abs(b)
+    return r if a >= 0 else -r
+
+
+def _reference(tree, env):
+    """C int32 semantics: every operation's result wrapped to int32;
+    raises ``ZeroDivisionError`` where the kernel crashes."""
+    kind = tree[0]
+    if kind == "const":
+        return tree[1]
+    if kind == "var":
+        return env[tree[1]]
+    args = [_reference(t, env) for t in tree[2:]]
+    op = tree[1]
+    if kind == "un":
+        (x,) = args
+        return wrap_i32(-x if op == "-" else ~x)
+    if kind == "call":
+        if op in ("min", "max"):
+            return (min if op == "min" else max)(*args)
+        return wrap_i32(abs(args[0]) if op == "abs" else args[0])
+    a, b = args
+    if op in ("/", "%"):
+        if b == 0:
+            raise ZeroDivisionError
+        return wrap_i32(_c_div(a, b) if op == "/" else _c_mod(a, b))
+    if op in ("<<", ">>"):
+        b &= 31
+        return wrap_i32(a << b if op == "<<" else a >> b)
+    compare = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "==": a == b,
+               "!=": a != b}
+    if op in compare:
+        return int(compare[op])
+    return wrap_i32({"+": a + b, "-": a - b, "*": a * b, "&": a & b, "|": a | b,
+                     "^": a ^ b}[op])
+
+
+def _int_kernel(expr):
+    """``r = expr; o[0] = r`` over the int parameters, validated."""
+    params = [KernelParam(p, DType.INT32) for p in PARAMS]
+    params.append(KernelParam("o", DType.PTR_INT32))
+    kernel = Kernel(name="oracle", params=params, body=[
+        Decl("r", DType.INT32, expr),
+        Store(ptr=Var("o"), index=Const(0), value=Var("r")),
+    ])
+    return validate_kernel(kernel)
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except (KernelCrash, ZeroDivisionError):
+        return ("crash", None)
+
+
+#: Every operation that can leave the int32 range, at its edge: these
+#: run first on every run, whatever hypothesis draws.
+OVERFLOWS = [
+    ("bin", "+", ("const", INT_MAX), ("var", "a")),
+    ("bin", "-", ("const", INT_MIN), ("var", "a")),
+    ("bin", "*", ("const", 2**30), ("bin", "+", ("var", "a"), ("var", "a"))),
+    ("bin", "<<", ("var", "a"), ("const", 31)),
+    ("bin", "<<", ("const", -(2**30)), ("const", 2)),
+    ("un", "-", ("const", INT_MIN)),
+    ("call", "abs", ("const", INT_MIN)),
+    ("bin", "/", ("const", INT_MIN), ("var", "c")),
+]
+
+
+def _with_overflow_examples(test):
+    for tree in OVERFLOWS:
+        test = example(tree=tree, values=(1, 0, -1))(test)
+    return test
+
+
+@_fuzz_settings()
+@given(tree=trees, values=st.tuples(*[st.sampled_from(BOUNDARY)] * len(PARAMS)))
+@_with_overflow_examples
+def test_int32_expressions_match_the_reference(tree, values):
+    env = dict(zip(PARAMS, values))
+    expected = _outcome(lambda: _reference(tree, env))
+    kernel = _int_kernel(_kir(tree))
+    memory = GlobalMemory(4)
+    out = memory.alloc("o", 1, DType.INT32)
+
+    lone = compile_expr(kernel.body[0].init)
+    assert _outcome(lambda: lone(dict(env), ExecContext(memory))) == expected
+
+    compiled = compile_kernel(kernel)
+    frame = dict(env, o=out.base)
+
+    def thread():
+        compiled.run_thread(frame, ExecContext(memory))
+        return memory.load_i32(out.base)
+
+    got = _outcome(thread)
+    assert got == expected
+    if got[0] == "value":
+        assert frame["r"] == got[1]
+
+
+# -- __float_as_int -----------------------------------------------------------
+
+_SNAN = bits_to_float(0x7F800001)
+_QNAN_PAYLOAD = bits_to_float(0xFFC12345)
+_SNAN_PAYLOAD = bits_to_float(0x7FA00005)
+
+#: (label, operand, expected int32 bit pattern)
+FLOAT_AS_INT_CASES = [
+    ("zero", 0.0, 0),
+    ("negative zero", -0.0, INT_MIN),
+    ("one", 1.0, 0x3F800000),
+    ("inf", math.inf, 0x7F800000),
+    ("negative inf", -math.inf, bits_to_int(0xFF800000)),
+    ("quiet NaN", math.nan, 0x7FC00000),
+    ("quiet NaN, negative, payload", _QNAN_PAYLOAD, bits_to_int(0xFFC12345)),
+    ("signaling NaN", _SNAN, 0x7F800001),
+    ("signaling NaN, payload", _SNAN_PAYLOAD, 0x7FA00005),
+    ("smallest denormal", bits_to_float(1), 1),
+    ("largest denormal", bits_to_float(0x007FFFFF), 0x007FFFFF),
+    ("negative denormal", bits_to_float(0x80000003), bits_to_int(0x80000003)),
+    ("float64 below float32 denormals", 1e-300, 0),
+    ("negative float64 below float32 denormals", -1e-300, INT_MIN),
+    ("FLT_MAX", FLT_MAX, 0x7F7FFFFF),
+    ("-FLT_MAX", -FLT_MAX, bits_to_int(0xFF7FFFFF)),
+    ("float64 that rounds down to FLT_MAX", FLT_MAX + 2.0**102, 0x7F7FFFFF),
+    ("float64 that rounds to inf", FLT_MAX + 2.0**103, 0x7F800000),
+    ("negative float64 that rounds to -inf", -(FLT_MAX + 2.0**104),
+     bits_to_int(0xFF800000)),
+    ("float64 beyond float32", 1e300, 0x7F800000),
+    ("int operand", 3, 0x40400000),
+    ("int operand that rounds", INT_MAX, 0x4F000000),
+    ("negative int operand", INT_MIN, bits_to_int(0xCF000000)),
+]
+
+
+def _bits_kernel(operand):
+    """``r = __float_as_int(operand); o[0] = r``, over a float ``x``
+    and an int ``k`` parameter."""
+    kernel = Kernel(name="bits", params=[
+        KernelParam("x", DType.FLOAT32),
+        KernelParam("k", DType.INT32),
+        KernelParam("o", DType.PTR_INT32),
+    ], body=[
+        Decl("r", DType.INT32, Call("__float_as_int", [operand])),
+        Store(ptr=Var("o"), index=Const(0), value=Var("r")),
+    ])
+    return validate_kernel(kernel)
+
+
+def _operands(value):
+    """The forms the operand is compiled in: a parameter, a constant,
+    and a compound expression (which goes through a temporary): a cast
+    to the operand's own type, which keeps -0.0 and NaN payloads."""
+    param = Var("k") if isinstance(value, int) else Var("x")
+    cast = "int" if isinstance(value, int) else "float"
+    return {"param": param, "const": Const(value), "compound": Call(cast, [param])}
+
+
+@pytest.mark.parametrize("label, value, expected", FLOAT_AS_INT_CASES,
+                         ids=[case[0] for case in FLOAT_AS_INT_CASES])
+@pytest.mark.parametrize("form", ["param", "const", "compound"])
+def test_float_as_int_table(label, value, expected, form):
+    assert bits_to_int(float_to_bits(float(value))) == expected
+    kernel = _bits_kernel(_operands(value)[form])
+    args = {"x": 0.0, "k": 0, ("k" if isinstance(value, int) else "x"): value}
+    results = {}
+    for engine in ("inline", "lockstep"):
+        memory = GlobalMemory(4)
+        out = memory.alloc("o", 1, DType.INT32)
+        frame = dict(args, o=out.base)
+        ctx = ExecContext(memory)
+        if engine == "inline":
+            compile_kernel(kernel).run_thread(frame, ctx)
+        else:
+            LockstepProgram(kernel).run_block([frame], ctx)
+        results[engine] = (frame["r"], memory.load_i32(out.base))
+    assert results == {"inline": (expected, expected), "lockstep": (expected, expected)}
