@@ -6,7 +6,7 @@ parameter of [the] GPU kernel.  Placed error detectors use this passed
 control block and mark detection results."
 
 Isolation is modeled faithfully: :meth:`copy_to_device` hands the FT
-library a deep working copy before launch, and only a *successful*
+library a working copy before launch, and only a *successful*
 kernel completion copies results back — a crashed kernel's partial
 detection state is lost exactly as it would be on hardware (Figure 6's
 isolated execution / deferred checking model).
@@ -88,12 +88,13 @@ class ControlBlock:
 
     # -- launch-boundary copies --------------------------------------------
     def copy_to_device(self) -> "ControlBlock":
-        """Fresh working copy for one kernel launch (clears results)."""
-        device_cb = copy.deepcopy(self)
-        device_cb.events = []
-        device_cb.sdc_bit = False
-        device_cb.updated_ranges = {}
-        return device_cb
+        """Fresh working copy for one kernel launch (clears results).
+
+        Each detector config is copied shallowly: the device side only
+        reads ``cfg.ranges``, and range sets are replaced, never
+        mutated, so the copy may share them with the host.
+        """
+        return ControlBlock(detectors={det: copy.copy(cfg) for det, cfg in self.detectors.items()})
 
     def copy_from_device(self, device_cb: "ControlBlock") -> None:
         """Absorb results after a *successful* kernel completion."""

@@ -88,9 +88,20 @@ class RangeSet:
         An empty range set admits nothing (an unprofiled detector
         always alarms, prompting on-line learning).
         """
-        if value != value or math.isinf(value):
+        if value != value or math.isinf(value) or not self.ranges:
             return False
-        return any(r.scaled(self.alpha).contains(value) for r in self.ranges)
+        alpha = self.alpha
+        if alpha < 1.0:
+            raise ReproError(f"alpha must be >= 1, got {alpha}")
+        for r in self.ranges:
+            # ValueRange.scaled's bounds, without building the range
+            hi = r.hi * alpha if r.hi > 0 else r.hi / alpha
+            lo = r.lo / alpha if r.lo > 0 else r.lo * alpha
+            if lo != lo or hi != hi:
+                raise ReproError("NaN range bound")
+            if lo <= value <= hi:
+                return True
+        return False
 
     def learn(self, value: float) -> "RangeSet":
         """Absorb an observed-legitimate value (on-line learning).

@@ -11,6 +11,9 @@ These are the analyses the paper's translator needs:
 * :mod:`repro.kir.analysis.liveness` — live-range overlap as a
   register-pressure estimate (drives spill cost in the GPU model,
   Section V.A's motivation for checksum duplication).
+* :mod:`repro.kir.analysis.intervals` — range guards and the int32
+  operations a fast loop iteration of the compiled engine may compute
+  without the wrap.
 """
 
 from repro.kir.analysis.dataflow import (

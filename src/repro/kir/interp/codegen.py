@@ -40,18 +40,19 @@ shape::
                         raise KernelHang()
                 if (_h0 is RETIRE and steps + 4 <= budget   # one line in
                         and cycles <= 1125899906842576.0    # the source
-                        and loop_cycles <= 1125899906842576.0):
+                        and loop_cycles <= 1125899906842576.0
+                        and v3 <= 2147483646):              # a range guard
                     _r0 = (steps, cycles, loop_cycles, v4, v3)  # a fast iteration
                     try:
                         if not (v3 < v1):
                             steps += 1; cycles += 2.0; loop_cycles += 2.0
                             break
-                        v4 = (_lx if 0 <= (_la := v0 + v3) < mem_limit
+                        v4 = (_lx if 0 <= (_la := (_w0 := v0 + v3)) < mem_limit
                               and _la not in mem_slow
                               and (_lx := mem_f32[_la]) == _lx
                               else load_f32(_la))   # y = src[i]
                         _t_arg0 = ...      # a retired hook's computed arguments
-                        v3 = ...           # i++
+                        v3 = (v3 + 1)      # i++, bare under the guard
                         steps += 4; cycles += 48.0; loop_cycles += 48.0
                         continue
                     except _RERUN:
@@ -96,6 +97,16 @@ allocating two's-complement arithmetic only on overflow::
     (_i if -2147483648 <= (_i := v0 * v1) <= 2147483647
      else ((_i + 2147483648 & 4294967295) - 2147483648))
 
+A fast iteration (below) computes them bare where
+:func:`~repro.kir.analysis.intervals.iteration_ranges` proves them in
+range while the guards its head test adds hold.  In CP's, the head
+test ends ``and (-536870912) <= v27 <= 536870911 and v25 <=
+2147483646`` (``atomid``, ``__cnt0``), so ``atominfo[atomid * 4 + 1]``
+reads at ``(_w0 := v2 + (v27 * 4)) + 1``, and the next loads of the
+iteration at ``_w0 + 2``, ``_w0`` and ``_w0 + 3``.  ``int(x)`` of an
+int is ``x``; of a float it is ``int(x)`` when ``-2147483649.0 < x <
+2147483648.0``, else ``c_int_cast(x)``.
+
 ``__float_as_int(x)`` reinterprets inline when ``x`` is in
 ``[-FLT_MAX, FLT_MAX]`` and calls ``_float_as_int`` otherwise, which
 keeps a NaN's payload and saturates an operand beyond float32 range::
@@ -110,8 +121,9 @@ a kernel whose every cycle cost is a non-negative multiple of 1/8, gets
 a second copy of its iteration at the head of its ``while True:``.
 The copy runs when every hook the body calls has retired, the budget
 covers the iteration's most checked statements and the cycle totals
-stay below ``2**50``; it charges steps and cycles once per iteration
-(and ``if`` arm) instead of per statement, and leaves out hook guards.
+stay below ``2**50`` and every range guard holds; it charges steps and
+cycles once per iteration (and ``if`` arm) instead of per statement,
+leaves out hook guards and computes guarded int arithmetic bare.
 One that raises restores the counters and locals it started from and
 the checked iteration below reruns it, so crash, step count, cycles and
 frame are exact (``docs/architecture.md``, "Fast iterations and inline loads").
@@ -187,7 +199,10 @@ from typing import Callable, Dict, List, Optional
 
 from repro.bits import bits_to_int, float_to_bits
 from repro.errors import KernelCrash, KernelHang, KIRError, KIRValidationError
+from repro.kir.analysis.intervals import Guard, iteration_ranges
 from repro.kir.analysis.loops import (
+    INT32_MAX,
+    INT32_MIN,
     FastIteration,
     HangShape,
     fast_iteration,
@@ -448,6 +463,11 @@ class _Emitter:
         self.pending: Optional[list] = None
         #: every cycle cost the fast iteration being emitted charges
         self.fast_cycles = 0.0
+        #: ids of the int32 operations that fast iteration computes bare
+        self.bare: frozenset = frozenset()
+        #: its address terms: ``ptr + index`` text -> the temporary
+        #: holding it and the KIR names it reads
+        self.memo: Dict[str, tuple] = {}
 
     # -- names ------------------------------------------------------------
     def bind(self, value) -> str:
@@ -508,13 +528,15 @@ class _Emitter:
                 return f"(0 if {self.cond(e.operand)} else 1)"
             x = self.expr(e.operand)
             if e.op == "-":
-                return _wrap(f"-{x}") if e.dtype is DType.INT32 else f"(-{x})"
+                return self._int32(e, f"-{x}") if e.dtype is DType.INT32 else f"(-{x})"
             if e.op == "~":
                 return f"(~{x})"  # in range for an in-range operand
             raise KIRError(f"cannot compile unary {e.op!r}")
         if isinstance(e, Call):
             if e.func == "__float_as_int":
                 return self._bitcast(e.args[0])
+            if e.func == "int":
+                return self._int_cast(e.args[0])
             impl = INTRINSIC_IMPL.get(e.func)
             if impl is None:
                 raise KIRError(f"cannot compile intrinsic {e.func!r}")
@@ -548,14 +570,30 @@ class _Emitter:
         return (f"(_unpack_i32(_pack_f32({x}))[0] if {self.const(-FLT_MAX)} <= {test} "
                 f"<= {self.const(FLT_MAX)} else _float_as_int({x}))")
 
+    def _int_cast(self, arg: Expr) -> str:
+        """``int(x)``: an int32 operand is its own value, a pointer in
+        int32 is too, and a float strictly between -2**31 - 1 and 2**31
+        truncates inline; NaN, infinities and anything beyond take
+        ``c_int_cast``, which maps NaN to 0, saturates a float and wraps
+        a pointer."""
+        x = test = self.expr(arg)
+        if arg.dtype is DType.INT32:
+            return x
+        if not _simple(arg):
+            x = self.temp()
+            test = f"({x} := {test})"
+        if arg.dtype.is_pointer:
+            return f"({x} if -2147483648 <= {test} <= 2147483647 else c_int_cast({x}))"
+        return f"(int({x}) if -2147483649.0 < {test} < 2147483648.0 else c_int_cast({x}))"
+
     def _load(self, e: Load) -> str:
         """A device load: inline for an in-bounds address outside
         ``mem_slow`` whose word is not a NaN, else the accessor call."""
-        addr = f"{self.expr(e.ptr)} + {self.expr(e.index)}"
         is_float = e.dtype is DType.FLOAT32
         load = self.ctx_local("load_f32" if is_float else "load_i32")
         if not self.in_thread:
-            return f"{load}({addr})"
+            return f"{load}({self.expr(e.ptr)} + {self.expr(e.index)})"
+        addr = self._address(e.ptr, e.index)
         test = (f"0 <= (_la := {addr}) < {self.ctx_local('mem_limit')} "
                 f"and _la not in {self.ctx_local('mem_slow')}")
         if is_float:
@@ -564,13 +602,39 @@ class _Emitter:
                     f"else {load}(_la))")
         return f"({self.ctx_local('mem_i32')}[_la] if {test} else {load}(_la))"
 
+    def _address(self, ptr: Expr, index: Expr) -> str:
+        """``ptr + index``.  In a fast iteration, an index ``base + c``
+        whose add is bare is exact, so the address is ``(ptr + base) +
+        c``, and ``ptr + base`` is computed once, into a temporary that
+        later loads reuse until an operand is reassigned (CP's four
+        ``atominfo[atomid * 4 + k]`` share ``atominfo + atomid * 4``)."""
+        if self.pending is None:
+            return f"{self.expr(ptr)} + {self.expr(index)}"
+        base, offset = index, 0
+        if (isinstance(index, BinOp) and index.op in ("+", "-") and id(index) in self.bare
+                and isinstance(index.right, Const)):
+            base, offset = index.left, index.right.value * (1 if index.op == "+" else -1)
+        key = f"{self.expr(ptr)} + {self.expr(base)}"
+        if key in self.memo:
+            term = self.memo[key][0]
+        else:
+            term = self.temp()
+            self.memo[key] = (term, names_read_expr(ptr) | names_read_expr(base))
+            term = f"({term} := {key})"
+        return f"{term} + {self.const(offset)}" if offset else term
+
     def cond(self, e: Expr) -> str:
         """``e`` as a Python condition: truthy exactly when ``e != 0``."""
         if isinstance(e, BinOp) and e.op in _COMPARE:
             return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"
         if isinstance(e, BinOp) and e.op in ("&&", "||"):
             op = "and" if e.op == "&&" else "or"
-            return f"({self.cond(e.left)} {op} {self.cond(e.right)})"
+            left, memo = self.cond(e.left), self.memo
+            # an address term the right operand computes may not run
+            self.memo = dict(memo)
+            right = self.cond(e.right)
+            self.memo = memo
+            return f"({left} {op} {right})"
         if isinstance(e, UnOp) and e.op == "!":
             return f"(not {self.cond(e.operand)})"
         return self.expr(e)
@@ -583,7 +647,7 @@ class _Emitter:
         int_arith = (e.dtype is DType.INT32 and e.left.dtype is DType.INT32
                      and e.right.dtype is DType.INT32)
         if op in ("+", "-", "*"):
-            return _wrap(f"{l} {op} {r}") if int_arith else f"({l} {op} {r})"
+            return self._int32(e, f"{l} {op} {r}") if int_arith else f"({l} {op} {r})"
         if op == "/":
             if int_arith:
                 return f"idiv({l}, {r})"
@@ -598,8 +662,15 @@ class _Emitter:
         if op == ">>":
             return f"({l} >> ({r} & 31))"
         if op == "<<":
-            return _wrap(f"{l} << ({r} & 31)")
+            return self._int32(e, f"{l} << ({r} & 31)")
         raise KIRError(f"cannot compile operator {op!r}")
+
+    def _int32(self, e: Expr, src: str) -> str:
+        """An int32 ``+ - * <<`` or unary ``-``: bare in a fast
+        iteration whose guards keep it in range, else wrapped."""
+        if self.pending is not None and id(e) in self.bare:
+            return f"({src})"
+        return _wrap(src)
 
     def _fdiv(self, e: BinOp, l: str, r: str) -> str:  # noqa: E741
         """Float ``l / r`` inline, with ``fdiv`` for a zero divisor.
@@ -693,12 +764,17 @@ class _Emitter:
         if isinstance(s, (Decl, Assign)):
             rhs, target = (s.init, s.var_dtype) if isinstance(s, Decl) else (s.value, s.target_dtype)
             self.tick(ind, self.cost(s), s.in_loop)
-            value = self.expr(rhs)
             conv = _converter(target, rhs.dtype)
-            if conv is not None:
-                value = f"{self.bind(conv)}({value})"
+            if conv is c_int_cast:
+                value = self._int_cast(rhs)
+            elif conv is not None:
+                value = f"{self.bind(conv)}({self.expr(rhs)})"
+            else:
+                value = self.expr(rhs)
             self.assigned((s.name,))
             self.emit(ind, f"{self.var(s.name)} = {value}")
+            # address terms that read the name are stale now
+            self.memo = {k: m for k, m in self.memo.items() if s.name not in m[1]}
         elif isinstance(s, Store):
             self.tick(ind, self.cost(s), s.in_loop)
             store = "store_f32" if s.ptr.dtype.element is DType.FLOAT32 else "store_i32"
@@ -741,9 +817,13 @@ class _Emitter:
             self.block(stmts, ind, update)
             return
         outer, self.pending = self.pending, [0, 0.0, 0.0]
+        memo, self.memo = self.memo, dict(self.memo)
         self.block(stmts, ind, update)
         self.charge(ind)
         self.pending = outer
+        # after the arm, only the address terms from before it that it
+        # left standing hold
+        self.memo = {k: m for k, m in memo.items() if self.memo.get(k) == m}
 
     def _loop(self, s: Stmt, ind: int, shape: Optional[HangShape] = None) -> None:
         # a hook anywhere in the loop may follow any assignment in it
@@ -783,7 +863,9 @@ class _Emitter:
         self.emit(ind, "")  # the head test, once the iteration's cycles are known
         self.emit(ind + 1, f"{snapshot} = ({names})")
         self.emit(ind + 1, "try:")
+        ranges = iteration_ranges(s)
         self.pending, self.fast_cycles = [0, 0.0, 0.0], 0.0
+        self.bare, self.memo = ranges.bare, {}
         self.tick(ind + 2, self.cost(s), True)
         self.emit(ind + 2, f"if not {self.cond(s.cond)}:")
         self.charge(ind + 3)
@@ -791,14 +873,22 @@ class _Emitter:
         self._iteration_body(s, ind + 2)
         self.charge(ind + 2)
         self.emit(ind + 2, "continue")
-        self.pending = None
+        self.pending, self.bare, self.memo = None, frozenset(), {}
         self.emit(ind + 1, "except _RERUN:")
         self.emit(ind + 2, f"{names} = {snapshot}")
         limit = self.const(_EXACT_CYCLES - self.fast_cycles)
         test = [f"{self.hook_local(f)} is RETIRE" for f in fast.hooks]
         test += [f"steps + {fast.max_steps} <= budget", f"cycles <= {limit}",
                  f"loop_cycles <= {limit}"]
+        test += [self._guard(g) for g in ranges.guards]
         self.lines[head] = "    " * ind + f"if {' and '.join(test)}:"
+
+    def _guard(self, g: Guard) -> str:
+        """``lo <= v <= hi``, leaving out a side at an int32 limit,
+        which every int32 value meets."""
+        lo = f"{self.const(g.lo)} <= " if g.lo > INT32_MIN else ""
+        hi = f" <= {self.const(g.hi)}" if g.hi < INT32_MAX else ""
+        return f"{lo}{self.var(g.name)}{hi}"
 
     def _iteration_body(self, s: Stmt, ind: int) -> None:
         update = s.update if isinstance(s, For) else None

@@ -47,6 +47,16 @@ class TestControlBlock:
         assert cb.sdc_bit and cb.alarm_raised
         assert cb.events_of_kind("range")
 
+    def test_device_copy_shares_nothing_the_device_writes(self):
+        cb = self._cb()
+        dev = cb.copy_to_device()
+        assert dev.detectors == cb.detectors
+        assert dev.detectors[0] is not cb.detectors[0]
+        assert dev.events is not cb.events
+        assert dev.updated_ranges is not cb.updated_ranges
+        dev.detectors[0].ranges = RangeSet()
+        assert cb.detectors[0].ranges.contains(5.0)
+
     def test_clear_results(self):
         cb = self._cb()
         cb.sdc_bit = True
@@ -174,6 +184,19 @@ class TestHauberkProgram:
         prog.build("ft")
         result = prog.run(mode="ft", seed=0)
         assert result.alarm  # empty range sets admit nothing
+
+    def test_alarming_learning_launch_leaves_host_configs_unchanged(self):
+        import copy
+
+        prog = HauberkProgram(get_workload("MRI-Q"))
+        prog.build("ft")
+        before = copy.deepcopy(prog.cb.detectors)
+        ranges = {det: cfg.ranges for det, cfg in prog.cb.detectors.items()}
+        result = prog.run(mode="ft", seed=0)
+        assert result.status is RunStatus.OK and result.alarm
+        assert prog.cb.updated_ranges  # the detectors learned on-line
+        assert prog.cb.detectors == before
+        assert all(prog.cb.detectors[det].ranges is rs for det, rs in ranges.items())
 
     def test_fault_requires_fi_mode(self):
         wl = get_workload("CP")

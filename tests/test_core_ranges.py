@@ -18,6 +18,49 @@ finite_floats = st.floats(
 )
 
 
+#: Ranges of every shape: positive, negative, straddling zero, touching
+#: zero, points (zero among them), and float32-extreme bounds.
+CONTAINS_RANGES = [
+    ValueRange(2.0, 5.0), ValueRange(-5.0, -2.0), ValueRange(-3.0, 4.0),
+    ValueRange(0.0, 3.0), ValueRange(-3.0, 0.0), ValueRange(1.5, 1.5),
+    ValueRange(-1.5, -1.5), ValueRange(0.0, 0.0), ValueRange(1e-30, 3e38),
+]
+CONTAINS_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 2.0, 5.0, -5.0, 1.9999999, 5.0000001,
+    0.75, 0.7500001, -0.75, 10.0, -10.0, 12.5, -12.5, 25.0, 3.4e38, 1e-31,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.0000001, 2.0, 5.0, 1e30, float("inf")])
+def test_range_set_contains_matches_scaled_ranges(alpha):
+    """``RangeSet.contains`` scales bounds inline; it must answer, and
+    raise, exactly as checking each ``ValueRange.scaled`` range does."""
+    def reference(rs, value):
+        if value != value or value in (float("inf"), float("-inf")):
+            return False
+        return any(r.scaled(rs.alpha).contains(value) for r in rs.ranges)
+
+    sets = [[r] for r in CONTAINS_RANGES] + [
+        CONTAINS_RANGES[:3], [CONTAINS_RANGES[1], CONTAINS_RANGES[5], CONTAINS_RANGES[0]], []]
+    for ranges in sets:
+        rs = RangeSet(ranges=list(ranges), alpha=alpha)
+        for value in CONTAINS_VALUES:
+            outcomes = []
+            for check in (rs.contains, lambda v: reference(rs, v)):
+                try:
+                    outcomes.append(check(value))
+                except ReproError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (ranges, alpha, value)
+
+
+def test_range_set_contains_rejects_alpha_below_one():
+    with pytest.raises(ReproError, match="alpha must be >= 1"):
+        RangeSet(ranges=[ValueRange(0.0, 1.0)], alpha=0.5).contains(0.5)
+    assert not RangeSet(alpha=0.5).contains(0.5)  # no range to scale
+
+
 class TestValueRange:
     def test_contains(self):
         r = ValueRange(-2.0, 3.0)

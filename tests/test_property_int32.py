@@ -17,25 +17,42 @@ profile (``tests/conftest.py``) runs twenty thousand::
 
 The ``__float_as_int`` table pins the bit cast at its edges (signed
 zeros, infinities, NaN payloads, denormals, the float32 range limit)
-for the compiled engine's inline form, its helper and lockstep.
+for the compiled engine's inline form, its helper and lockstep; the
+``int()`` table pins the inline conversion against ``c_int_cast``.
+
+The guard-edge property runs int arithmetic inside a loop that gets a
+fast iteration, whose bare operations rely on the range guards of its
+head test (``kir/analysis/intervals.py``): the iterator, a counter and
+a loop invariant start at, next to and beyond each guard bound and the
+int32 limits, so fast iterations with bare arithmetic and iterations
+whose guard fails (and which run checked) both occur, and the compiled
+engine must match lockstep in exception, steps, cycles, frame and
+memory.  The ``engine-fuzz`` profile runs it at twenty thousand
+examples too::
+
+    PYTHONPATH=src python -m pytest tests/test_property_int32.py \\
+        -k guard_edges --hypothesis-profile engine-fuzz
 """
 
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro.bits import bits_to_float, bits_to_int, float_to_bits, wrap_i32
 from repro.errors import KernelCrash
 from repro.gpu.memory import GlobalMemory
+from repro.kir.analysis.intervals import iteration_ranges
 from repro.kir.astnodes import (
-    BinOp, Call, Const, Decl, Kernel, KernelParam, Store, UnOp, Var,
+    Assign, BinOp, Call, Const, Decl, For, If, Kernel, KernelParam, Store, UnOp, Var,
 )
 from repro.kir.interp.codegen import FLT_MAX, compile_expr, compile_kernel
-from repro.kir.interp.evalcore import ExecContext
+from repro.kir.interp.evalcore import ExecContext, c_int_cast
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
 from repro.kir.validate import validate_kernel
+
+from test_fast_iterations import _run
 
 INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1
@@ -275,3 +292,176 @@ def test_float_as_int_table(label, value, expected, form):
             LockstepProgram(kernel).run_block([frame], ctx)
         results[engine] = (frame["r"], memory.load_i32(out.base))
     assert results == {"inline": (expected, expected), "lockstep": (expected, expected)}
+
+
+# -- int() ----------------------------------------------------------------------
+
+#: (label, operand, its type): floats at the truncation and saturation
+#: edges, ints and pointers
+INT_CAST_CASES = [
+    ("zero", 0.0, DType.FLOAT32), ("negative zero", -0.0, DType.FLOAT32),
+    ("half", 0.5, DType.FLOAT32), ("negative half", -0.5, DType.FLOAT32),
+    ("below INT_MAX + 1", 2147483647.5, DType.FLOAT32),
+    ("above INT_MIN - 1", -2147483648.9, DType.FLOAT32),
+    ("INT_MAX + 1", 2147483648.0, DType.FLOAT32), ("INT_MIN - 1", -2147483649.0, DType.FLOAT32),
+    ("inf", math.inf, DType.FLOAT32), ("negative inf", -math.inf, DType.FLOAT32),
+    ("NaN", math.nan, DType.FLOAT32),
+    ("int", 7, DType.INT32), ("INT_MIN", INT_MIN, DType.INT32), ("INT_MAX", INT_MAX, DType.INT32),
+    ("pointer", 40, DType.PTR_FLOAT32), ("pointer beyond int32", 2**31 + 5, DType.PTR_FLOAT32),
+]
+#: every operand through ``int()`` directly and on a compound operand,
+#: and each float through an implicit conversion too
+INT_CAST_FORMS = [(label, value, dtype, form) for label, value, dtype in INT_CAST_CASES
+                  for form in ("call", "compound", "assign")
+                  if form != "assign" or dtype is DType.FLOAT32]
+
+
+def _int_cast_kernel(dtype, form):
+    """``r = int(x)`` (``call``) or ``r = x`` (``assign``, an implicit
+    float-to-int conversion) over a parameter ``x`` of ``dtype``, then
+    ``o[0] = r``; ``compound`` casts an expression of ``x``, which goes
+    through a temporary."""
+    operand = Var("x")
+    if form == "compound":
+        operand = (BinOp("*", Var("x"), Const(1.0)) if dtype is DType.FLOAT32
+                   else BinOp("+", Var("x"), Const(0)))
+    init = operand if form == "assign" else Call("int", [operand])
+    kernel = Kernel(name="cast", params=[
+        KernelParam("x", dtype), KernelParam("o", DType.PTR_INT32),
+    ], body=[
+        Decl("r", DType.INT32, init),
+        Store(ptr=Var("o"), index=Const(0), value=Var("r")),
+    ])
+    return validate_kernel(kernel)
+
+
+@pytest.mark.parametrize("label, value, dtype, form", INT_CAST_FORMS,
+                         ids=[f"{label}-{form}" for label, _, _, form in INT_CAST_FORMS])
+def test_int_cast_table(label, value, dtype, form):
+    expected = c_int_cast(value)
+    kernel = _int_cast_kernel(dtype, form)
+    for engine in ("compiled", "lockstep"):
+        memory = GlobalMemory(4)
+        out = memory.alloc("o", 1, DType.INT32)
+        frame = {"x": value, "o": out.base}
+        if engine == "compiled":
+            compile_kernel(kernel).run_thread(frame, ExecContext(memory))
+        else:
+            LockstepProgram(kernel).run_block([frame], ExecContext(memory))
+        assert (type(frame["r"]), frame["r"]) == (int, expected), engine
+        assert memory.load_i32(out.base) == expected
+
+
+# -- guard edges of fast iterations ------------------------------------------------
+
+#: Locals of the generated loop: the iterator, a counter it carries,
+#: and a loop invariant; each starts from the parameter beside it.
+LOOP_LOCALS = {"i": "s", "cnt": "c", "k": "k"}
+LOOP_OPS = ("+", "-", "*", "<<", "&", ">>", "%")
+#: Constants of the generated arithmetic: scales whose guards sit at
+#: different powers of two, shift counts and a divisor of zero.
+LOOP_CONSTS = (0, 1, 2, 3, 4, 5, 7, 31, 100, 4096, 2**20, 2**30)
+#: Start values drawn whatever the guards are.
+EXTREMES = (INT_MIN, INT_MIN + 1, INT_MIN + 2, -1, 0, 1, INT_MAX - 2, INT_MAX - 1, INT_MAX)
+#: Statements a generated loop may run before its thread hangs.
+LOOP_BUDGET = 400
+#: Iterator start at CP's guard bound: ``i * 4 + 3`` is bare for
+#: ``i`` in ``[-2**29, 2**29 - 1]``.
+I4_HI, I4_LO = 2**29 - 1, -(2**29)
+
+_loop_const = st.tuples(st.just("const"), st.sampled_from(LOOP_CONSTS))
+_loop_leaves = st.one_of(st.tuples(st.just("var"), st.sampled_from(tuple(LOOP_LOCALS))),
+                         _loop_const)
+
+
+def _loop_extend(children):
+    op = st.sampled_from(LOOP_OPS)
+    return st.one_of(
+        st.tuples(st.just("bin"), op, children, _loop_const),
+        st.tuples(st.just("bin"), op, _loop_const, children),
+        st.tuples(st.just("bin"), op, children, children),
+        st.tuples(st.just("un"), st.just("-"), children),
+    )
+
+
+loop_trees = st.recursive(_loop_leaves, _loop_extend, max_leaves=6)
+#: A start value: ``("edge", side, delta)`` is ``delta`` past the lo or
+#: hi bound of the local's guard (``delta`` itself when it has none);
+#: ``("abs", v)`` is ``v``.
+starts = st.one_of(
+    st.tuples(st.just("edge"), st.sampled_from(("lo", "hi")), st.integers(-2, 2)),
+    st.tuples(st.just("abs"), st.sampled_from(EXTREMES)),
+)
+
+
+def _guarded_loop(trees, cond, step, with_if):
+    """``for (int i = s; i cond e; i = i + 1)`` over int parameters:
+    ``t = tree0``, an optional ``if`` whose arms combine ``tree1`` and
+    ``tree2`` into ``acc``, ``acc ^= t`` and ``cnt += step``; ``acc`` and
+    ``cnt`` are stored after the loop."""
+    t0, t1, t2 = (_kir(t) for t in trees)
+    body = [Decl("t", DType.INT32, t0)]
+    if with_if:
+        body.append(If(cond=BinOp("<", t1, Var("k")),
+                       then=[Assign("acc", BinOp("^", Var("acc"), t2))],
+                       els=[Assign("acc", BinOp("+", Var("acc"), Const(1)))]))
+    body += [Assign("acc", BinOp("^", Var("acc"), Var("t"))),
+             Assign("cnt", BinOp("+", Var("cnt"), Const(step)))]
+    loop = For(init=Decl("i", DType.INT32, Var("s")), cond=BinOp(cond, Var("i"), Var("e")),
+               update=Assign("i", BinOp("+", Var("i"), Const(1))), body=body)
+    kernel = Kernel(name="edges", params=[
+        KernelParam("out", DType.PTR_INT32), *[KernelParam(p, DType.INT32) for p in "seck"],
+    ], body=[
+        Decl("cnt", DType.INT32, Var("c")),
+        Decl("acc", DType.INT32, Const(0)),
+        loop,
+        Store(ptr=Var("out"), index=Const(0), value=Var("acc")),
+        Store(ptr=Var("out"), index=Const(1), value=Var("cnt")),
+    ])
+    return validate_kernel(kernel), loop
+
+
+def _start(spec, guards, local):
+    if spec[0] == "abs":
+        return spec[1]
+    _, side, delta = spec
+    guard = guards.get(local)
+    if guard is None:
+        return delta
+    return min(max((guard.lo if side == "lo" else guard.hi) + delta, INT_MIN), INT_MAX)
+
+
+def _with_guard_edge_examples(test):
+    i4 = ("bin", "+", ("bin", "*", ("var", "i"), ("const", 4)), ("const", 3))
+    cnt = ("bin", "+", ("var", "cnt"), ("const", 1))
+    zero = ("const", 0)
+    for start in (I4_HI, I4_HI + 1, I4_LO, I4_LO - 1):
+        # the iterator at either bound of its guard, and one past it
+        test = example(trees=(i4, zero, zero), shape=("<", 1, 3, False),
+                       values=(("abs", start), ("abs", 0), ("abs", 5)))(test)
+    for start in (INT_MAX - 1, INT_MAX):
+        # the counter at its guard bound, ``cnt <= INT_MAX - 1``, and past it
+        test = example(trees=(i4, cnt, zero), shape=("<", 1, 3, True),
+                       values=(("abs", 0), ("abs", start), ("abs", 5)))(test)
+    return test
+
+
+@_fuzz_settings()
+@given(trees=st.tuples(loop_trees, loop_trees, loop_trees),
+       shape=st.tuples(st.sampled_from(("<", "<=")), st.sampled_from((1, 2, -1)),
+                       st.integers(0, 4), st.booleans()),
+       values=st.tuples(starts, starts, starts))
+@_with_guard_edge_examples
+def test_guard_edges_match_lockstep(trees, shape, values):
+    """Fast iterations with bare arithmetic, and iterations whose guard
+    fails, against lockstep."""
+    cond, step, trips, with_if = shape
+    kernel, loop = _guarded_loop(trees, cond, step, with_if)
+    guards = {g.name: g for g in iteration_ranges(loop).guards}
+    s, c, k = (_start(spec, guards, local) for spec, local in zip(values, LOOP_LOCALS))
+    args = {"s": s, "e": min(s + trips, INT_MAX), "c": c, "k": k}
+    seen, fast = _run(kernel, "compiled", args, LOOP_BUDGET)
+    ref, _ = _run(kernel, "lockstep", args, LOOP_BUDGET)
+    assert seen == ref
+    event(f"guards: {len(guards)}")
+    event(f"ran a fast iteration: {bool(fast)}")
