@@ -27,19 +27,26 @@ recorder and the replay guard compose as layers over
 
 Inline loads.  The compiled engine reads most words without calling
 ``load_f32``/``load_i32``.  Each space here gives an ``inline_loads``
-tuple ``(f32, i32, limit, slow)``: ``memoryview`` objects reading the
-words as binary32 and as int32, a limit, and a ``frozenset`` of
-addresses.
+tuple ``(f32, i32, limit, slow, slow_lo, slow_hi)``: ``memoryview``
+objects reading the words as binary32 and as int32, a limit, a
+``frozenset`` of addresses and that set's bounds (:func:`slow_bounds`).
 For a load of ``addr`` with ``0 <= addr < limit`` and ``addr not in
 slow``, the typed accessor must return what the view holds at
 ``addr`` whenever that is not a NaN.  Every other load, and every NaN,
 goes through the accessor: that is where a signaling NaN keeps its
 payload, an out-of-bounds address crashes and a layer checks or logs
-the access.  :class:`GlobalMemory` gives its ``capacity`` and an empty
-set; :class:`ReplayMemoryGuard` gives the capacity and every address a
+the access.  Every address of ``slow`` lies in ``[slow_lo, slow_hi]``,
+so a counted run of loop iterations may read a whole span of addresses
+inline once the span is in ``[0, limit)`` and misses that interval;
+an empty set gives ``(limit, -1)``.  The bounds are computed once per
+slow set, never per thread.  The views hold fewer than ``2**31``
+words, so an address that a wrapped int32 index moves by a multiple of
+``2**32`` is outside them and a read there raises ``IndexError``.
+:class:`GlobalMemory` gives its ``capacity`` and an empty set;
+:class:`ReplayMemoryGuard` gives the capacity and every address a
 golden thread stored; :class:`FootprintRecordingMemory` gives limit 0,
-so it logs every load.  ``ExecContext`` copies the tuple when the space
-is installed.
+so it logs every load.  ``ExecContext`` copies the tuple when the
+space is installed.
 """
 
 from __future__ import annotations
@@ -60,6 +67,15 @@ from repro.memspace import MemorySpace, WordReinterpret  # noqa: F401 (re-export
 #: through the dtype view; anything else (±huge, NaN) takes the exact
 #: struct-based slow path.
 _F32_MAX = 3.4028234663852886e38
+
+
+def slow_bounds(slow: frozenset, limit: int) -> Tuple[int, int]:
+    """``(slow_lo, slow_hi)`` of the inline-load contract: the least
+    address of ``slow``, at most ``limit``, and the greatest, or
+    ``(limit, -1)`` when ``slow`` is empty."""
+    if not slow:
+        return limit, -1
+    return min(min(slow), limit), max(slow)
 
 
 @dataclass
@@ -91,7 +107,7 @@ class GlobalMemory(WordReinterpret):
     """
 
     def __init__(self, capacity_words: int = 1 << 20):
-        if capacity_words <= 0:
+        if not 0 < capacity_words < 1 << 31:  # the inline-load contract
             raise GPUError(f"invalid memory capacity {capacity_words}")
         self.capacity = capacity_words
         #: Raw 32-bit word patterns — the single backing store.
@@ -111,7 +127,7 @@ class GlobalMemory(WordReinterpret):
         #: Views, limit and slow set of the inline-load contract (see
         #: the module docstring): every in-bounds load may read the views.
         self.inline_loads = (memoryview(self.f32), memoryview(self.i32),
-                             capacity_words, frozenset())
+                             capacity_words, frozenset(), capacity_words, -1)
 
     # -- allocation ----------------------------------------------------
     def alloc(self, name: str, nwords: int, dtype: DType = DType.FLOAT32) -> Allocation:
@@ -383,8 +399,8 @@ class FootprintRecordingMemory(WordReinterpret):
     @property
     def inline_loads(self) -> tuple:
         """Limit 0: every load goes through the logging accessors."""
-        f32, i32, _limit, _slow = self.mem.inline_loads
-        return f32, i32, 0, frozenset()
+        f32, i32 = self.mem.inline_loads[:2]
+        return f32, i32, 0, frozenset(), 0, -1
 
     def begin_thread(self) -> ThreadFootprint:
         """Start a fresh footprint; returns the one just finished."""
@@ -453,7 +469,8 @@ class ReplayMemoryGuard(WordReinterpret):
     ``load_readers`` maps each golden-loaded address to its *latest*
     reading thread.  ``stored`` is the set of ``store_owner``'s
     addresses, which the guard's ``inline_loads`` sends to the
-    accessors; an engine builds it once and passes it to every guard.
+    accessors, and ``stored_bounds`` its :func:`slow_bounds`; an engine
+    builds both once and passes them to every guard.
     Every first store to an address is journaled (addresses are unique
     by construction), so :meth:`rollback` restores the pre-replay
     memory in one vectorized scatter-write.
@@ -472,15 +489,19 @@ class ReplayMemoryGuard(WordReinterpret):
         load_readers: Dict[int, int],
         pre_launch: Optional[Dict[int, int]] = None,
         stored: Optional[frozenset] = None,
+        stored_bounds: Optional[Tuple[int, int]] = None,
     ):
         self.mem = mem
         self.thread = thread
         self.store_owner = store_owner
         self.load_readers = load_readers
         self.pre_launch = {} if pre_launch is None else pre_launch
-        f32, i32, _limit, _slow = mem.inline_loads
-        self.inline_loads = (f32, i32, mem.capacity,
-                             frozenset(store_owner) if stored is None else stored)
+        if stored is None:
+            stored = frozenset(store_owner)
+        if stored_bounds is None:
+            stored_bounds = slow_bounds(stored, mem.capacity)
+        f32, i32 = mem.inline_loads[:2]
+        self.inline_loads = (f32, i32, mem.capacity, stored, *stored_bounds)
         self._undo_addrs: List[int] = []
         self._undo_bits: List[int] = []
         #: Stored addresses whose golden readers include a later thread.

@@ -38,6 +38,14 @@ guard would fail on ordinary data and send every iteration down the
 checked path.  A guard is kept only when the wraps it removes hold more
 comparisons than it adds: each wrap is a two-sided range test, and a
 guard adds one comparison per side that is not an int32 limit.
+
+The same walk gives each guarded local's *delta*: the constant its
+value moves by in one iteration (``atomid++`` moves ``atomid`` by 1),
+or None when its value at the end of the iteration is no head value
+plus a constant.  While every guard holds, the walk's affine values are
+exact, so a counted run of iterations
+(:mod:`~repro.kir.interp.codegen`) can tell from the deltas how many
+more heads each guard holds at.
 """
 
 from __future__ import annotations
@@ -102,6 +110,9 @@ class IterationRanges:
     #: ids of the iteration's int ``+ - * <<`` and unary ``-`` nodes
     #: whose exact result is in int32 whenever every guard holds
     bare: FrozenSet[int]
+    #: per guard, what one iteration adds to its local, or None when
+    #: that is no constant
+    deltas: Tuple[Optional[int], ...]
 
 
 def _hull(*points: int) -> Tuple[dict, int, int]:
@@ -292,6 +303,14 @@ def _int_reads(loop: Stmt) -> List[str]:
     return list(dict.fromkeys(names))
 
 
+def _delta(v: str, end: Value) -> Optional[int]:
+    """What an iteration adds to ``v``, from its value ``end`` at the
+    end of the asks walk: ``v``'s head value plus a constant, or None."""
+    if end is None or end[0] != {v: 1} or end[1] != end[2]:
+        return None
+    return end[1]
+
+
 def iteration_ranges(loop: Stmt) -> IterationRanges:
     """The guards and bare operations of one fast iteration of ``loop``
     (a loop :func:`~repro.kir.analysis.loops.fast_iteration` accepts)."""
@@ -306,6 +325,7 @@ def iteration_ranges(loop: Stmt) -> IterationRanges:
                 if 2 * removed[v] <= Guard(v, *guards[v]).comparisons]
         if not weak:
             return IterationRanges(
-                tuple(Guard(v, lo, hi) for v, (lo, hi) in guards.items()), bare)
+                tuple(Guard(v, lo, hi) for v, (lo, hi) in guards.items()), bare,
+                tuple(_delta(v, asks.env.get(v)) for v in guards))
         for v in weak:
             del guards[v]

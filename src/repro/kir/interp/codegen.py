@@ -34,26 +34,36 @@ shape::
             _q0 = hang_verdicts            # ctx.hang_verdicts
             while True:
                 if _q0 and _h0 is RETIRE:  # once every body hook retired
-                    _q0 = False
-                    if _hang_verdict(_k4, ctx, steps, v3, v1, ((v0, 0),)):
+                    _q0 = False            # no call when the budget covers the loop
+                    if budget - steps <= max(0, v1 - v3) * 4 and _hang_verdict(
+                            _k4, ctx, steps, v3, v1, ((v0, 0),)):
                         steps = budget + 1
                         raise KernelHang()
                 if (_h0 is RETIRE and steps + 4 <= budget   # one line in
                         and cycles <= 1125899906842576.0    # the source
                         and loop_cycles <= 1125899906842576.0
                         and v3 <= 2147483646):              # a range guard
-                    _r0 = (steps, cycles, loop_cycles, v4, v3)  # a fast iteration
+                    _r0 = (steps, cycles, loop_cycles, v4, v3)  # a counted run
                     try:
                         if not (v3 < v1):
                             steps += 1; cycles += 2.0; loop_cycles += 2.0
                             break
-                        v4 = (_lx if 0 <= (_la := (_w0 := v0 + v3)) < mem_limit
-                              and _la not in mem_slow
-                              and (_lx := mem_f32[_la]) == _lx
-                              else load_f32(_la))   # y = src[i]
-                        _t_arg0 = ...      # a retired hook's computed arguments
-                        v3 = (v3 + 1)      # i++, bare under the guard
-                        steps += 4; cycles += 48.0; loop_cycles += 48.0
+                        _n0 = min(v1 - v3, (budget - steps) // 4,  # one line
+                                  int((1125899906842624.0 - cycles) // 48.0),
+                                  int((1125899906842624.0 - loop_cycles) // 48.0),
+                                  (mem_slow_lo if _w1 < mem_slow_lo else mem_limit)
+                                  - _w1,           # the load span src + i
+                                  2147483646 - v3 + 1,               # the guard
+                                  ) if (_b0 := (_w1 := v0 + v3) < mem_limit and (
+                                      0 <= _w1 and _w1 < mem_slow_lo
+                                      or mem_slow_hi < _w1)) else 1
+                        for _ in (range(_n0) if _b0 else _ONCE):
+                            v4 = (_lx if _b0 and (_lx := mem_f32[(_w0 := v0 + v3)]) == _lx
+                                  else load_f32((_w0 := v0 + v3)))  # y = src[i]
+                            _t_arg0 = ...  # a retired hook's computed arguments
+                            v3 = (v3 + 1)  # i++, bare under the guard
+                        steps += 4 * _n0; cycles += 48.0 * _n0
+                        loop_cycles += 48.0 * _n0
                         continue
                     except _RERUN:
                         steps, cycles, loop_cycles, v4, v3 = _r0  # rerun it checked
@@ -130,6 +140,20 @@ frame are exact (``docs/architecture.md``, "Fast iterations and inline loads").
 ``tick`` and ``_call`` emit either copy from the same ``stmt``, by the
 ``pending`` mode flag.
 
+A loop that also has a hang shape gets a counted run as that copy
+(above): the head computes ``_n<id>``, the least of the iterations
+left, those the budget, the cycle totals and each guard's delta allow,
+and those before each load span leaves memory or meets
+``[mem_slow_lo, mem_slow_hi]``; the run's loads are then bare but for
+the NaN test.  CP's run head reads ``_n0 = min(v3 - v27, (budget -
+steps) // 19, ..., ((mem_slow_lo if _w5 + 3 < mem_slow_lo else
+mem_limit) - (_w5 + 3) - 1) // 4 + 1, 536870911 - v27 + 1, 2147483646 -
+v25 + 1) if (_b0 := (_w5 := v2 + (v27 * 4)) + 3 < mem_limit and ...)
+else 1``, and ``atominfo[atomid * 4 + 2]`` reads ``(_lx if _b0 and (_lx
+:= mem_f32[_w0 + 2]) == _lx else load_f32(_w0 + 2))`` in it.  A span
+that is not clean makes the run one iteration whose loads call the
+accessors.
+
 Hang verdicts.  A ``for`` loop with a
 :class:`~repro.kir.analysis.loops.HangShape` gets a check at the head
 of its ``while True:``, live only on a trial launch
@@ -138,7 +162,9 @@ the body calls has retired, ``_hang_verdict`` decides from the locals
 whether the thread runs out its budget before the loop ends or a load
 leaves device memory, and if so the thread raises ``KernelHang()``
 with ``steps = budget + 1`` at once (``docs/architecture.md``, "Hang
-verdicts").
+verdicts").  The head skips the call when the budget covers every
+iteration left and the condition test that ends the loop: the verdict
+would be False.
 
 The frame contract.  Parameters and special registers are read from
 ``fr`` when the thread starts; the names the kernel assigns start as
@@ -254,7 +280,8 @@ ExprFn = Callable[[dict, ExecContext], object]
 
 #: Locals the thread function reads from ``ctx`` when its body uses them.
 _CTX_LOCALS = ("load_f32", "load_i32", "store_f32", "store_i32", "shared",
-               "hang_verdicts", "mem_f32", "mem_i32", "mem_limit", "mem_slow")
+               "hang_verdicts", "mem_f32", "mem_i32", "mem_limit", "mem_slow",
+               "mem_slow_lo", "mem_slow_hi")
 #: What evaluating a KIR expression can raise: a fast iteration that
 #: raises one of these reruns on the checked path.
 _RERUN = (KernelCrash, ArithmeticError, ValueError, TypeError, LookupError)
@@ -411,6 +438,16 @@ def _simple(e: Expr) -> bool:
     return isinstance(e, (Const, Var, SpecialReg))
 
 
+def _heads(limit: str, start: str, d: int, below: bool = False) -> str:
+    """Text of how many ``j >= 0`` have ``start + d * j <= limit`` (or
+    ``< limit``, when ``below``), for ``d > 0`` and ``start`` within."""
+    if " " in start:
+        start = f"({start})"
+    if below:
+        return f"{limit} - {start}" if d == 1 else f"({limit} - {start} - 1) // {d} + 1"
+    return f"{limit} - {start} + 1" if d == 1 else f"({limit} - {start}) // {d} + 1"
+
+
 def _write_back(fr: dict, names: tuple, values: tuple) -> None:
     """``fr[name] = value`` for each pair whose value is not UNSET."""
     fr.update((name, value) for name, value in zip(names, values) if value is not UNSET)
@@ -435,7 +472,7 @@ class _Emitter:
             "RETIRE": RETIRE, "UNSET": UNSET, "FrameView": FrameView,
             "_write_back": _write_back, "_hang_verdict": _hang_verdict,
             "INF": INF, "_RERUN": _RERUN, "_float_as_int": _float_as_int,
-            "_pack_f32": _pack_f32, "_unpack_i32": _unpack_i32,
+            "_pack_f32": _pack_f32, "_unpack_i32": _unpack_i32, "_ONCE": (None,),
         }
         self._bound: Dict[int, str] = {}  # id(value) -> namespace name
         self.used = set()
@@ -468,6 +505,9 @@ class _Emitter:
         #: its address terms: ``ptr + index`` text -> the temporary
         #: holding it and the KIR names it reads
         self.memo: Dict[str, tuple] = {}
+        #: while a counted run's body is emitted, the local that is true
+        #: when every load span of the run is clean, else None
+        self.run: Optional[str] = None
 
     # -- names ------------------------------------------------------------
     def bind(self, value) -> str:
@@ -594,13 +634,18 @@ class _Emitter:
         if not self.in_thread:
             return f"{load}({self.expr(e.ptr)} + {self.expr(e.index)})"
         addr = self._address(e.ptr, e.index)
+        view = self.ctx_local("mem_f32" if is_float else "mem_i32")
+        if self.run is not None:
+            # a counted run reads bare when its head found every load
+            # span clean, and calls the accessor otherwise
+            if is_float:  # a NaN word goes to the accessor, which keeps its payload
+                return f"(_lx if {self.run} and (_lx := {view}[{addr}]) == _lx else {load}({addr}))"
+            return f"({view}[{addr}] if {self.run} else {load}({addr}))"
         test = (f"0 <= (_la := {addr}) < {self.ctx_local('mem_limit')} "
                 f"and _la not in {self.ctx_local('mem_slow')}")
         if is_float:
-            # a NaN word goes to the accessor, which keeps its payload
-            return (f"(_lx if {test} and (_lx := {self.ctx_local('mem_f32')}[_la]) == _lx "
-                    f"else {load}(_la))")
-        return f"({self.ctx_local('mem_i32')}[_la] if {test} else {load}(_la))"
+            return f"(_lx if {test} and (_lx := {view}[_la]) == _lx else {load}(_la))"
+        return f"({view}[_la] if {test} else {load}(_la))"
 
     def _address(self, ptr: Expr, index: Expr) -> str:
         """``ptr + index``.  In a fast iteration, an index ``base + c``
@@ -610,10 +655,7 @@ class _Emitter:
         ``atominfo[atomid * 4 + k]`` share ``atominfo + atomid * 4``)."""
         if self.pending is None:
             return f"{self.expr(ptr)} + {self.expr(index)}"
-        base, offset = index, 0
-        if (isinstance(index, BinOp) and index.op in ("+", "-") and id(index) in self.bare
-                and isinstance(index.right, Const)):
-            base, offset = index.left, index.right.value * (1 if index.op == "+" else -1)
+        base, offset = self._split(index)
         key = f"{self.expr(ptr)} + {self.expr(base)}"
         if key in self.memo:
             term = self.memo[key][0]
@@ -622,6 +664,15 @@ class _Emitter:
             self.memo[key] = (term, names_read_expr(ptr) | names_read_expr(base))
             term = f"({term} := {key})"
         return f"{term} + {self.const(offset)}" if offset else term
+
+    def _split(self, index: Expr) -> tuple:
+        """``(base, offset)`` with ``index == base + offset`` exactly: an
+        index ``base + c`` or ``base - c`` whose operation is bare, else
+        ``(index, 0)``."""
+        if (isinstance(index, BinOp) and index.op in ("+", "-") and id(index) in self.bare
+                and isinstance(index.right, Const)):
+            return index.left, index.right.value * (1 if index.op == "+" else -1)
+        return index, 0
 
     def cond(self, e: Expr) -> str:
         """``e`` as a Python condition: truthy exactly when ``e != 0``."""
@@ -714,15 +765,17 @@ class _Emitter:
             if in_loop:
                 self.emit(ind, f"loop_cycles += {c}")
 
-    def charge(self, ind: int) -> None:
-        """Emit the steps and cycles ``pending`` holds."""
+    def charge(self, ind: int, times: str = "") -> None:
+        """Emit the steps and cycles ``pending`` holds, ``times`` times
+        (a local holding the count) when given."""
+        by = f" * {times}" if times else ""
         steps, cycles, loop_cycles = self.pending
         if steps:
-            self.emit(ind, f"steps += {steps}")
+            self.emit(ind, f"steps += {steps}{by}")
         if cycles:
-            self.emit(ind, f"cycles += {self.const(cycles)}")
+            self.emit(ind, f"cycles += {self.const(cycles)}{by}")
         if loop_cycles:
-            self.emit(ind, f"loop_cycles += {self.const(loop_cycles)}")
+            self.emit(ind, f"loop_cycles += {self.const(loop_cycles)}{by}")
 
     def cost(self, s: Stmt):
         """The cycles ``s`` charges each time it runs (a loop: each
@@ -834,7 +887,7 @@ class _Emitter:
             self._verdict_head(shape, ind)
         fast = fast_iteration(s) if self.dyadic else None
         if isinstance(fast, FastIteration):
-            self._fast_iteration(s, fast, ind + 1)
+            self._fast_iteration(s, fast, ind + 1, shape)
         self._iteration(s, ind + 1)
 
     def _iteration(self, s: Stmt, ind: int) -> None:
@@ -843,10 +896,12 @@ class _Emitter:
         self.emit(ind, f"if not {self.cond(s.cond)}: break")
         self._iteration_body(s, ind)
 
-    def _fast_iteration(self, s: Stmt, fast: FastIteration, ind: int) -> None:
+    def _fast_iteration(self, s: Stmt, fast: FastIteration, ind: int,
+                        shape: Optional[HangShape]) -> None:
         """The iteration again, without per-statement bookkeeping, run
         at the head when every body hook has retired, the budget covers
-        ``fast.max_steps`` more steps and the cycle totals stay exact.
+        ``fast.max_steps`` more steps, the cycle totals stay exact and
+        every range guard holds.
 
         Its statements charge their steps and cycles in one add each,
         at the end of the iteration and of each ``if`` arm, and the
@@ -854,7 +909,9 @@ class _Emitter:
         iteration writes no memory and calls no hook, so one that
         raises restores the counters and locals it started from (an
         arm may have charged already) and the checked iteration after
-        it runs again and raises at the same step.
+        it runs again and raises at the same step.  A loop with a
+        ``shape`` runs a counted run of iterations instead
+        (:meth:`_run`).
         """
         names = _seq(["steps", "cycles", "loop_cycles"] + list(dict.fromkeys(
             self.var(d.name) for d, _depth in defining_statements(iteration_stmts(s)))))
@@ -870,8 +927,11 @@ class _Emitter:
         self.emit(ind + 2, f"if not {self.cond(s.cond)}:")
         self.charge(ind + 3)
         self.emit(ind + 3, "break")
-        self._iteration_body(s, ind + 2)
-        self.charge(ind + 2)
+        if shape is None:
+            self._iteration_body(s, ind + 2)
+            self.charge(ind + 2)
+        else:
+            self._run(s, shape, ranges, ind + 2)
         self.emit(ind + 2, "continue")
         self.pending, self.bare, self.memo = None, frozenset(), {}
         self.emit(ind + 1, "except _RERUN:")
@@ -882,6 +942,105 @@ class _Emitter:
                  f"loop_cycles <= {limit}"]
         test += [self._guard(g) for g in ranges.guards]
         self.lines[head] = "    " * ind + f"if {' and '.join(test)}:"
+
+    def _run(self, s: For, shape: HangShape, ranges, ind: int) -> None:
+        """A counted run: ``K >= 1`` iterations of a loop with a hang
+        shape, after the head test has passed and the condition held.
+
+        ``K`` is the least of the iterations left, the iterations the
+        budget and each cycle total's headroom below ``2**50`` cover,
+        the heads each range guard still holds at (from its local's
+        delta) and, per load span, the iterations before it leaves
+        ``[0, mem_limit)`` or reaches ``[mem_slow_lo, mem_slow_hi]``.
+        Each of them is at least 1 here.  The run tests no condition,
+        reads every load bare but for the NaN test, and charges its
+        steps and cycles once, ``K`` times an iteration's: every partial
+        sum is a multiple of 1/8 below ``2**50``, so the total is what
+        per-statement adds give.  When some load span is not clean, the
+        run is one iteration whose loads call the accessors.
+        """
+        loop_id = shape.loop_id
+        count, self.run = f"_n{loop_id}", f"_b{loop_id}"
+        line = len(self.lines)
+        self.emit(ind, "")  # the count, once the iteration's cycles are known
+        # the one iteration of a run whose spans are not clean (each of
+        # the footprint recorder's) loops without a range() call
+        runs = f"(range({count}) if {self.run} else _ONCE)" if shape.loads else f"range({count})"
+        self.emit(ind, f"for _ in {runs}:")
+        self.memo = {}  # address terms are computed afresh in each iteration
+        self._iteration_body(s, ind + 1)
+        self.charge(ind, count)
+        clean, terms = self._spans(shape)
+        it = self.var(shape.iter_var)
+        terms[:0] = [self._trip(shape, it, self.expr(shape.bound)),
+                     f"(budget - steps) // {shape.period}"] + [
+            f"int(({self.const(_EXACT_CYCLES)} - {total}) // {self.const(cost)})"
+            for total, cost in (("cycles", self.pending[1]), ("loop_cycles", self.pending[2]))
+            if cost]
+        for g, delta in zip(ranges.guards, ranges.deltas):
+            local = self.var(g.name)
+            if delta is None:
+                terms.append("1")
+            elif delta > 0:
+                terms.append(_heads(self.const(g.hi), local, delta))
+            elif delta < 0:
+                terms.append(_heads(local, self.const(g.lo), -delta))
+        least = f"min({', '.join(terms)})"
+        text = f"{least} if ({self.run} := {' and '.join(clean)}) else 1" if clean else least
+        self.lines[line] = "    " * ind + f"{count} = {text}"
+        self.run = None
+
+    def _spans(self, shape: HangShape) -> tuple:
+        """(clean tests, count terms) of the run's load spans.
+
+        Loads that share a pointer, a base index and a stride form one
+        span: ``[s + lo, s + hi]`` at the head, ``s`` the pointer plus
+        the base and ``lo``/``hi`` their least and greatest constant
+        offsets, moving by the stride in each iteration.  A span is
+        clean when it lies in ``[0, mem_slow_lo)`` or in ``(mem_slow_hi,
+        mem_limit)``; it then counts the iterations before it leaves
+        that interval.  An index the body wraps moves by the stride
+        until it wraps, and a wrap moves its address by a multiple of
+        ``2**32``, past the end of a view of fewer than ``2**31``
+        words, whose bare read raises ``IndexError``.
+        """
+        spans: Dict[tuple, List[int]] = {}
+        for load in shape.loads:
+            base, offset = self._split(load.nodes[-1])
+            key = (self.expr(load.ptr), self.expr(base), load.coefs[-1] * shape.step)
+            spans.setdefault(key, []).append(offset)
+        limit, slow_lo, slow_hi = (self.ctx_local(n)
+                                   for n in ("mem_limit", "mem_slow_lo", "mem_slow_hi"))
+        clean: List[str] = []
+        terms: List[str] = []
+        for (ptr, base, stride), offsets in spans.items():
+            at = self.temp()
+            lo = f"{at} + {self.const(min(offsets))}" if min(offsets) else at
+            hi = f"{at} + {self.const(max(offsets))}" if max(offsets) else at
+            first = f"({at} := {ptr} + {base})"
+            if max(offsets):
+                first += f" + {self.const(max(offsets))}"
+            # the limit first: a limit-0 space fails at once
+            clean.append(f"{first} < {limit} and (0 <= {lo} and {hi} < {slow_lo} "
+                         f"or {slow_hi} < {lo})")
+            if stride > 0:
+                end = f"({slow_lo} if {hi} < {slow_lo} else {limit})"
+                terms.append(_heads(end, hi, stride, below=True))
+            elif stride < 0:
+                start = f"(0 if {hi} < {slow_lo} else {slow_hi} + 1)"
+                terms.append(_heads(lo, start, -stride))
+        return clean, terms
+
+    def _trip(self, shape: HangShape, it: str, bound: str) -> str:
+        """Iterations left from iterator ``it`` against ``bound``, in
+        exact arithmetic (not positive once the loop ends)."""
+        if shape.step > 0:
+            left, right, step = bound, it, shape.step
+        else:
+            left, right, step = it, bound, -shape.step
+        extra = step - 1 + (shape.op in ("<=", ">="))
+        span = f"{left} - {right}" + (f" + {extra}" if extra else "")
+        return span if step == 1 else f"({span}) // {step}"
 
     def _guard(self, g: Guard) -> str:
         """``lo <= v <= hi``, leaving out a side at an int32 limit,
@@ -914,9 +1073,12 @@ class _Emitter:
             f"({_seq([self.expr(load.ptr)] + [self._at_zero(n, shape.iter_var) for n in load.nodes])})"
             for load in shape.loads
         ]
-        self.emit(ind + 2, f"if _hang_verdict({self.bind(shape)}, ctx, steps, "
-                           f"{self.var(shape.iter_var)}, {self.expr(shape.bound)}, "
-                           f"({_seq(loads) if loads else ''})):")
+        it, bound = self.var(shape.iter_var), self.expr(shape.bound)
+        # a verdict is False when the budget covers every iteration
+        # left and the condition test that ends the loop
+        self.emit(ind + 2, f"if budget - steps <= max(0, {self._trip(shape, it, bound)}) "
+                           f"* {shape.period} and _hang_verdict({self.bind(shape)}, ctx, "
+                           f"steps, {it}, {bound}, ({_seq(loads) if loads else ''})):")
         self.emit(ind + 3, "steps = budget + 1")
         self.emit(ind + 3, "raise KernelHang()")
 

@@ -305,12 +305,13 @@ class ExecContext:
       in one attribute lookup (``ctx.load_f32``) instead of two
       (``ctx.memory.load_f32``), keeping the layered protocol off the
       hot path;
-    * ``mem_f32`` / ``mem_i32`` / ``mem_limit`` / ``mem_slow`` — what
-      the compiled engine needs to read a word inline, from the space's
-      ``inline_loads`` (the contract is in :mod:`repro.gpu.memory`): a
-      load of ``addr`` with ``0 <= addr < mem_limit`` and ``addr`` not
-      in ``mem_slow`` reads the view, and any other load calls the
-      accessor;
+    * ``mem_f32`` / ``mem_i32`` / ``mem_limit`` / ``mem_slow`` /
+      ``mem_slow_lo`` / ``mem_slow_hi`` — what the compiled engine needs
+      to read a word inline, from the space's ``inline_loads`` (the
+      contract is in :mod:`repro.gpu.memory`): a load of ``addr`` with
+      ``0 <= addr < mem_limit`` and ``addr`` not in ``mem_slow`` reads
+      the view, and any other load calls the accessor; every address of
+      ``mem_slow`` is in ``[mem_slow_lo, mem_slow_hi]``;
     * ``lib`` — bound instrumentation library (FI / profiler / FT);
     * ``hooks`` — call name -> handler resolved from ``lib``, filled by
       :meth:`bind_hook` the first time each call executes;
@@ -343,6 +344,8 @@ class ExecContext:
         "mem_i32",
         "mem_limit",
         "mem_slow",
+        "mem_slow_lo",
+        "mem_slow_hi",
         "lib",
         "hooks",
         "budget",
@@ -410,7 +413,8 @@ class ExecContext:
         self.load_i32 = memory.load_i32
         self.store_f32 = memory.store_f32
         self.store_i32 = memory.store_i32
-        self.mem_f32, self.mem_i32, self.mem_limit, self.mem_slow = memory.inline_loads
+        (self.mem_f32, self.mem_i32, self.mem_limit, self.mem_slow,
+         self.mem_slow_lo, self.mem_slow_hi) = memory.inline_loads
 
     def swap_memory(self, memory):
         """Install a different memory space; returns the old one.

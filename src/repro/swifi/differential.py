@@ -53,6 +53,7 @@ from repro.gpu.memory import (
     ReplayConflict,
     ReplayMemoryGuard,
     ThreadFootprint,
+    slow_bounds,
 )
 from repro.gpu.runtime import GPURuntime, LaunchResult
 from repro.kir.astnodes import AtomicAdd, Kernel, walk_stmts
@@ -179,6 +180,7 @@ class DifferentialEngine:
         self.store_owner: Dict[int, int] = {}
         self.pre_launch: Dict[int, int] = {}
         self.stored: frozenset = frozenset()
+        self.stored_bounds: Tuple[int, int] = (0, -1)
         self.load_readers: Dict[int, int] = {}
         self.golden_events: Dict[int, List[DetectionEvent]] = {}
         self.launch: Optional[LaunchResult] = None
@@ -270,6 +272,7 @@ class DifferentialEngine:
                 elif owner != tid:
                     return "golden footprints conflict: shared store address"
         self.stored = frozenset(store_owner)
+        self.stored_bounds = slow_bounds(self.stored, self.memory.capacity)
         load_readers = self.load_readers
         for tid, rec in enumerate(self.records):
             for addr in rec.footprint.loads:
@@ -330,7 +333,7 @@ class DifferentialEngine:
         self._undo(rec.footprint)
         guard = ReplayMemoryGuard(
             self.memory, target, self.store_owner, self.load_readers,
-            self.pre_launch, self.stored,
+            self.pre_launch, self.stored, self.stored_bounds,
         )
         lib, device_cb = self._fresh_library(spec)
         ctx = ExecContext(guard, lib=lib, budget=self.workload.hang_budget,

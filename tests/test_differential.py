@@ -7,6 +7,9 @@ differential path on independent programs and compares trial-by-trial.
 
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
 
 from repro.core.program import HauberkProgram
@@ -264,6 +267,75 @@ class TestLaterOwnedLoads:
             replayed = engine.run_trial(spec)
             assert replayed is not None, spec  # served by replay, no fallback
             assert replayed == full(spec), spec
+
+
+class _Runs:
+    """Records each counted run a compiled kernel completes while active
+    (a ``with`` block): its count, whether its load spans were clean,
+    and where its first load span started."""
+
+    def __init__(self, compiled):
+        self.filename = f"<kernel {compiled.kernel.name}>"
+        source = compiled.source
+        # a run charges its steps once, ``steps += P * _n<id>``; its
+        # head holds the first span's start in ``(_b<id> := (_w<k> := ``
+        self.marks = {n: m.group(1) for n, line in enumerate(source.splitlines(), 1)
+                      if (m := re.fullmatch(r"\s*steps \+= \d+ \* _n(\d+)", line))}
+        self.spans = dict(re.findall(r"\(_b(\d+) := \((_w\d+) := ", source))
+        self.runs = []
+
+    def _line(self, frame, event, arg):
+        if event == "line" and frame.f_lineno in self.marks:
+            loop_id, local = self.marks[frame.f_lineno], frame.f_locals
+            self.runs.append((local[f"_n{loop_id}"], local[f"_b{loop_id}"],
+                              local[self.spans[loop_id]]))
+        return self._line
+
+    def _call(self, frame, event, arg):
+        return self._line if frame.f_code.co_filename == self.filename else None
+
+    def __enter__(self):
+        self._previous = sys.gettrace()
+        sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc_info):
+        sys.settrace(self._previous)
+
+
+class TestRunsAcrossStoredWords:
+    def test_a_corrupted_loop_runs_up_to_steps_through_and_resumes_past_them(self):
+        # numatoms struck (TestLaterOwnedLoads): thread 4 reads atominfo
+        # on past its end, through every word energygrid's threads store
+        # (the guard's slow set), and beyond
+        spec = TestLaterOwnedLoads.NUMATOMS[1]
+        full_prog = HauberkProgram(get_workload("CP"))
+        diff_prog = HauberkProgram(get_workload("CP"))
+        for prog in (full_prog, diff_prog):
+            prog.build("fift")
+            prog.train(seeds=[0])
+        engine = get_engine(diff_prog, "fift", 0)
+        assert isinstance(engine, DifferentialEngine)
+        slow_lo, slow_hi = engine.stored_bounds
+        assert (slow_lo, slow_hi) == (min(engine.stored), max(engine.stored))
+        with _Runs(engine.compiled) as tracer:
+            replayed = engine.run_trial(spec)
+        assert replayed is not None and replayed == full_prog.trial_runner("fift", 0)(spec)
+        # each run: (count, clean, start of its first atominfo[4i .. 4i + 3])
+        runs = tracer.runs
+        crossing = [k for k, (_n, clean, _at) in enumerate(runs) if not clean]
+        first, last = crossing[0], crossing[-1]
+        assert crossing == list(range(first, last + 1)) and first > 0 and last < len(runs) - 1
+        # a clean run stops short of the stored words: its last span ends
+        # below them and the next one would not
+        count, _clean, at = runs[first - 1]
+        assert count > 1 and at + 4 * (count - 1) + 3 < slow_lo <= at + 4 * count + 3
+        # one iteration, through the accessors, per span that meets them
+        assert all(count == 1 and at + 3 >= slow_lo and at <= slow_hi
+                   for count, _clean, at in runs[first:last + 1])
+        # and clean runs resume past them
+        count, clean, at = runs[last + 1]
+        assert clean and count > 1 and at > slow_hi
 
 
 class TestMetricsParity:

@@ -7,7 +7,8 @@ boundary case here runs one thread on the compiled engine and on the
 lockstep interpreter, which has neither.  The two must end alike:
 exception and message, ``ctx.steps``, cycles, frame, memory and hook
 calls.  A line tracer (:class:`FastCounter`) counts the fast
-iterations that completed, so each case also pins which path ran.
+iterations that completed, those of a counted run included, so each
+case also pins which path ran.
 """
 
 import sys
@@ -56,19 +57,21 @@ HANG = ("KernelHang", "kernel hang: instruction budget exhausted")
 
 class FastCounter:
     """Counts the fast iterations of ``compiled`` that complete while
-    the counter is active (a ``with`` block); tracing only."""
+    the counter is active (a ``with`` block); tracing only.  A counted
+    run completes ``_n<id>`` iterations at once."""
 
     def __init__(self, compiled: CompiledKernel):
         self.filename = f"<kernel {compiled.kernel.name}>"
-        # a fast iteration ends with the ``continue`` just before its
-        # ``except _RERUN:``
-        self.marks = {n - 1 for n, line in enumerate(compiled.source.splitlines(), 1)
-                      if line.strip() == "except _RERUN:"}
+        # a fast iteration or run ends with the ``continue`` just before
+        # its ``except _RERUN:``, whose next line restores ``_r<id>``
+        lines = compiled.source.splitlines()
+        self.marks = {n - 1: "_n" + lines[n].rsplit("_r", 1)[1]
+                      for n, line in enumerate(lines, 1) if line.strip() == "except _RERUN:"}
         self.count = 0
 
     def _line(self, frame, event, arg):
         if event == "line" and frame.f_lineno in self.marks:
-            self.count += 1
+            self.count += frame.f_locals.get(self.marks[frame.f_lineno], 1)
         return self._line
 
     def _call(self, frame, event, arg):
@@ -115,11 +118,13 @@ class _CountingMemory(GlobalMemory):
         return super().load_i32(addr)
 
 
-def _run(kernel, engine, args, budget, lib=None, memory=None, words=None):
+def _run(kernel, engine, args, budget, lib=None, memory=None, words=None,
+         cycles=(0.0, 0.0)):
     memory = memory if memory is not None else GlobalMemory(CAPACITY)
     for addr, bits in (words or {}).items():
         memory.store_word(addr, bits)
     ctx = ExecContext(memory, lib=lib, budget=budget)
+    ctx.cycles, ctx.loop_cycles = cycles
     frame = {"src": 0, "out": 40, **args}
     fast = None
     error = None

@@ -26,6 +26,7 @@ from repro.kir.analysis.loops import (
     find_loops,
     hang_shape,
 )
+from repro.kir.interp import codegen
 from repro.kir.interp.codegen import compile_kernel
 from repro.kir.interp.evalcore import RETIRE, ExecContext, InstrumentationLibrary
 from repro.workloads import get_workload
@@ -177,6 +178,42 @@ class TestBoundaries:
         src = SUM.replace("int i = 0", "int i = 2147483000")
         seen = _both(src, {"n": INT_MAX, "base": -2147483000}, budget=200)
         assert seen["error"] == HANG and seen["verdict"] is not None
+
+
+class TestCoveredLoops:
+    """A loop head whose budget covers every iteration left and the
+    condition test that ends the loop makes no verdict call: the
+    verdict would be False."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = codegen._hang_verdict
+
+        def counting(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(codegen, "_hang_verdict", counting)
+        return calls
+
+    def test_a_covered_loop_makes_no_verdict_call(self, calls):
+        n = 5
+        seen = _both(SUM, {"n": n, "base": 0}, budget=HEAD + n * PERIOD + 1)
+        assert seen["verdict"] is None and calls == []
+
+    def test_one_step_short_of_covering_calls_the_verdict(self, calls):
+        n = 5
+        seen = _both(SUM, {"n": n, "base": 0}, budget=HEAD + n * PERIOD)
+        assert seen["verdict"] is not None and calls == [True]
+
+    @pytest.mark.parametrize("budget, verdict", [
+        (HEAD + 5 * PERIOD - 1, True),   # runs out before the load leaves memory
+        (HEAD + 5 * PERIOD + 2, False),  # the crash comes first
+    ])
+    def test_an_uncovered_loop_still_asks(self, calls, budget, verdict):
+        _both(SUM, {"n": 100, "base": CAPACITY - 5}, budget=budget)
+        assert calls == [verdict]
 
 
 def _loop(src):

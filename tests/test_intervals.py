@@ -86,9 +86,15 @@ class TestCP:
         head, body = _fast_copy(source)
         assert head.endswith("and (-536870912) <= v27 <= 536870911 and v25 <= 2147483646:")
         assert WRAP not in body
-        # atominfo + atomid * 4, computed once and reused by three loads
-        assert len(re.findall(r"\(_w\d+ := v2 \+ \(v27 \* 4\)\)", body)) == 1
-        assert len(re.findall(r"_la := _w\d+( \+ [123])?\)", body)) == 3
+        # a counted run: its count computes atominfo + atomid * 4 once for
+        # the load span, and each iteration computes it once, in the
+        # first load's view read and accessor call, and reuses it in the
+        # view reads of three loads
+        run_head, run = re.split(r"for _ in .*:\n", body)
+        term = r"\((_w\d+) := v2 \+ \(v27 \* 4\)\)"
+        assert len(re.findall(term, run_head)) == 1
+        assert len(set(re.findall(term, run))) == 1 and len(re.findall(term, run)) == 2
+        assert len(re.findall(r"mem_f32\[_w\d+( \+ [123])?\]", run)) == 3
         # the checked iteration keeps every wrap
         checked = source.split("except _RERUN:")[1]
         assert checked.count(WRAP) >= 9

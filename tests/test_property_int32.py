@@ -32,21 +32,33 @@ examples too::
 
     PYTHONPATH=src python -m pytest tests/test_property_int32.py \\
         -k guard_edges --hypothesis-profile engine-fuzz
+
+The counted-run property draws loops with a hang shape whose run count
+(``kir/interp/codegen.py``) each of its terms decides in turn: the trip
+count, the budget, each cycle total started near ``2**50``, the
+iterator's and a counter's guards, the end of memory, zero and either
+side of a slow span, over global, slow-set and limit-0 memory; pinned
+examples put each term one iteration short of, at and past the others.
+It runs at twenty thousand examples under ``-k counted_runs``.
 """
 
 import math
+import re
 
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from repro.bits import bits_to_float, bits_to_int, float_to_bits, wrap_i32
 from repro.errors import KernelCrash
-from repro.gpu.memory import GlobalMemory
+from repro.gpu.costmodel import CostModel
+from repro.gpu.memory import FootprintRecordingMemory, GlobalMemory
+from repro.kir import parse_kernel
 from repro.kir.analysis.intervals import iteration_ranges
+from repro.kir.analysis.loops import find_loops
 from repro.kir.astnodes import (
     Assign, BinOp, Call, Const, Decl, For, If, Kernel, KernelParam, Store, UnOp, Var,
 )
-from repro.kir.interp.codegen import FLT_MAX, compile_expr, compile_kernel
+from repro.kir.interp.codegen import FLT_MAX, CompiledKernel, compile_expr, compile_kernel
 from repro.kir.interp.evalcore import ExecContext, c_int_cast
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
@@ -465,3 +477,175 @@ def test_guard_edges_match_lockstep(trees, shape, values):
     assert seen == ref
     event(f"guards: {len(guards)}")
     event(f"ran a fast iteration: {bool(fast)}")
+
+
+# -- counted runs at every edge of their count ----------------------------------------
+
+#: A loop with a hang shape over ``src``: a span of two loads
+#: (``i * a`` and ``i * a + 2``), a load whose index ``i * a + p`` the
+#: engine wraps (two locals), an invariant load of ``tab`` and a
+#: guarded counter.
+RUN_KERNEL = """
+kernel runs(float* src, float* tab, float* out, int s, int e, int c, int p, int q) {{
+    float acc = 0.0;
+    int cnt = c;
+    for (int i = s; i {op} e; i = i {sign} {mag}) {{
+        float x = src[i * {a} + p];
+        float y = src[i * {a} + 2];
+        float z = src[i * {a}];
+        float w = tab[q];
+        acc = acc + x * y + z - w;
+        cnt = cnt + 1;
+    }}
+    out[0] = acc;
+}}
+"""
+#: Statements before the loop head, and per iteration.
+RUN_HEAD, RUN_PERIOD = 3, 8
+#: Device words of the run cases, and the slow set of their slow
+#: space: a span ``[24, 31]`` with addresses missing from the set.
+RUN_CAPACITY, RUN_SLOW = 64, frozenset({24, 27, 31})
+EXACT = 2.0 ** 50
+
+
+class _SlowMemory(GlobalMemory):
+    """A space whose accessors answer differently from its views at the
+    addresses of :data:`RUN_SLOW`, so an inline read there shows."""
+
+    def __init__(self):
+        super().__init__(RUN_CAPACITY)
+        self.inline_loads = self.inline_loads[:3] + (RUN_SLOW, min(RUN_SLOW), max(RUN_SLOW))
+
+    def load_f32(self, addr):
+        value = super().load_f32(addr)
+        return value - 1000.0 if addr in RUN_SLOW else value
+
+
+def _run_memory(kind):
+    if kind == "slow":
+        return _SlowMemory()
+    memory = GlobalMemory(RUN_CAPACITY)
+    return FootprintRecordingMemory(memory) if kind == "limit0" else memory
+
+
+def _run_case(case):
+    """(kernel, args, budget, start cycles) of a drawn case.
+
+    The load span ``[src + i*a, src + i*a + 2]`` meets ``case["edge"]``
+    (the end of memory, or the slow span, in the direction it moves)
+    in iteration ``k``, give or take ``nudge``; the trip count, the
+    budget, the counter's and the iterator's guards and each cycle
+    total leave about their ``*_room``/``*_iters`` iterations (None:
+    plenty).
+    """
+    a, step, k, nudge = case["a"], case["step"], case["k"], case["nudge"]
+    src = RUN_KERNEL.format(op=("<" if step > 0 else ">") + ("=" * case["inclusive"]),
+                            sign="+" if step > 0 else "-", mag=abs(step), a=a)
+    kernel = parse_kernel(src)
+    (info,) = find_loops(kernel).values()
+    # a cost with eighths, so a sum past 2**50 rounds
+    info.stmt.body[-1].cost_scale = case["scale"]
+    s = case["s"]
+    if case["i_room"] is not None:  # the iterator near its guard bound
+        (guard,) = [g for g in iteration_ranges(info.stmt).guards if g.name == "i"]
+        s = (guard.hi if step > 0 else guard.lo) - step * case["i_room"] + nudge
+    s = min(max(s, INT_MIN), INT_MAX)
+    e = (INT_MAX if step > 0 else INT_MIN) if case["trips"] is None else s + step * case["trips"]
+    e = min(max(e + nudge, INT_MIN), INT_MAX)
+    d = a * step
+    while True:
+        if d >= 0:  # the span's top moves up to the memory end or the slow span
+            lo = (RUN_CAPACITY if case["edge"] == "memory" else min(RUN_SLOW)) - d * k + nudge - 2
+        else:  # its bottom moves down to -1 or the slow span
+            lo = (-1 if case["edge"] == "memory" else max(RUN_SLOW)) - d * k + nudge
+        if k == 0 or 0 <= lo < RUN_CAPACITY - 2:
+            break
+        k -= 1  # start the span in memory
+    args = {"src": lo - a * s, "tab": 0, "s": s, "e": e, "c": INT_MAX - 1 - case["c_room"],
+            "p": case["p"], "q": case["q"]}
+    budget = (2000 if case["budget_iters"] is None
+              else RUN_HEAD + RUN_PERIOD * case["budget_iters"] + case["budget_rest"])
+    # an iteration's cycles, and those of the statements before the loop
+    source = CompiledKernel(kernel, CostModel()).source
+    cost = float(re.search(r"cycles \+= ([0-9.]+) \* _n0", source).group(1))
+    head = sum(map(float, re.findall(r"^\s*cycles \+= ([0-9.]+)$",
+                                     source.split("while True:")[0], re.M)))
+    cycles = tuple(0.0 if room is None else EXACT - cost * room - case["cycles_rest"] - before
+                   for room, before in ((case["cycles_room"], head),
+                                        (case["loop_cycles_room"], 0.0)))
+    return kernel, args, budget, cycles
+
+
+_rooms = st.one_of(st.none(), st.integers(0, 5))
+run_cases = st.fixed_dictionaries({
+    "a": st.sampled_from((-4, -1, 0, 1, 4)),
+    "step": st.sampled_from((1, 2, -1, -3)),
+    "inclusive": st.booleans(),
+    "edge": st.sampled_from(("memory", "slow")),
+    "k": st.integers(0, 5),
+    "nudge": st.integers(-1, 1),
+    "s": st.integers(-3, 3),
+    "i_room": _rooms,
+    "trips": _rooms,
+    "c_room": st.one_of(st.just(10**6), st.integers(-1, 4)),
+    "p": st.integers(-1, 3),
+    "q": st.sampled_from((0, 5, 24, 25, 27, 31, 40, 63, 64, -1)),
+    "budget_iters": _rooms,
+    "budget_rest": st.integers(0, RUN_PERIOD - 1),
+    "cycles_room": _rooms,
+    "loop_cycles_room": _rooms,
+    "cycles_rest": st.sampled_from((0.0, 0.125, 1.0)),
+    "scale": st.sampled_from((1.0, 1.0625, 1.1875)),
+    "memory": st.sampled_from(("global", "slow", "limit0")),
+})
+#: A case whose every count term leaves plenty, over global memory.
+_PLENTY = {"a": 4, "step": 1, "inclusive": False, "edge": "memory", "k": 5, "nudge": 0, "s": 0,
+           "i_room": None, "trips": 8, "c_room": 10**6, "p": 1, "q": 5, "budget_iters": None,
+           "budget_rest": 0, "cycles_room": None, "loop_cycles_room": None,
+           "cycles_rest": 0.0, "scale": 1.0, "memory": "global"}
+
+
+def _with_run_edge_examples(test):
+    """Cases at each count term's edge, with the other terms looser:
+    the term one short of, at and past the iterations the loop has."""
+    edges = [{"trips": 3}, {"budget_iters": 3, "budget_rest": RUN_PERIOD - 1},
+             {"budget_iters": 3, "budget_rest": 0}, {"c_room": 2}, {"c_room": -1},
+             {"c_room": 2, "trips": 4},  # the loop ends as the counter passes its guard
+             {"cycles_room": 2}, {"cycles_room": 2, "cycles_rest": 0.125},
+             # a sum past 2**50 that rounds twice when added per statement
+             {"cycles_room": 2, "scale": 1.1875, "cycles_rest": 0.125},
+             {"loop_cycles_room": 2, "scale": 1.1875, "cycles_rest": 0.125},
+             {"loop_cycles_room": 3, "cycles_rest": 1.0}, {"i_room": 2}, {"i_room": 0},
+             # the iterator's guard alone binds, up and down
+             {"a": 1, "p": -1, "i_room": 2},
+             {"a": 1, "p": 3, "i_room": 1},  # i + p wraps within the run
+             {"a": 1, "step": -1, "p": 1, "i_room": 2, "inclusive": True},
+             {"k": 3, "nudge": -1}, {"k": 3, "nudge": 1}, {"step": -1, "k": 2},
+             {"edge": "slow", "memory": "slow", "k": 2},
+             {"edge": "slow", "memory": "slow", "k": 2, "nudge": -1},
+             {"edge": "slow", "memory": "slow", "step": -1, "k": 2},
+             {"edge": "slow", "memory": "slow", "step": -1, "k": 2, "nudge": 1},
+             {"memory": "limit0"}, {"a": 0, "q": 27, "memory": "slow"},
+             {"a": -4, "step": -3, "inclusive": True, "trips": 4}]
+    for edge in edges:
+        test = example(case={**_PLENTY, **edge})(test)
+    return test
+
+
+@_fuzz_settings()
+@given(case=run_cases)
+@_with_run_edge_examples
+def test_counted_runs_match_lockstep(case):
+    """Counted runs whose count each term in turn decides: trip count,
+    budget, cycle totals near ``2**50``, range guards, memory end, zero
+    and either side of a slow span; against lockstep in exception,
+    steps, cycles, frame and memory."""
+    kernel, args, budget, cycles = _run_case(case)
+    assume(all(INT_MIN <= args[name] <= INT_MAX for name in "secpq"))
+    words = {addr: float_to_bits(0.25 * addr + 1.0) for addr in range(RUN_CAPACITY)}
+    seen, fast = _run(kernel, "compiled", args, budget, memory=_run_memory(case["memory"]),
+                      words=words, cycles=cycles)
+    ref, _ = _run(kernel, "lockstep", args, budget, memory=_run_memory(case["memory"]),
+                  words=words, cycles=cycles)
+    assert seen == ref
+    event(f"fast iterations: {min(fast, 3)}{'+' if fast > 3 else ''}")
