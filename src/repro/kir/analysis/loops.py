@@ -16,14 +16,17 @@ decide arithmetically, at the loop head, that the thread will run out
 its statement budget (see ``docs/architecture.md``, "Hang verdicts").
 ``fast_iteration`` picks the loops whose iterations the compiled engine
 may run without per-statement bookkeeping once their hooks have retired
-(``docs/architecture.md``, "Fast iterations and inline loads"); both
-refuse a loop with one reason vocabulary.
+(``docs/architecture.md``, "Fast iterations and inline loads"), and
+``numpy_run`` those whose long counted runs it may compute as array
+operations instead (the same section, "NumPy runs"); all three refuse a
+loop with one reason vocabulary.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.kir.astnodes import (
     Assign,
@@ -34,6 +37,7 @@ from repro.kir.astnodes import (
     CallStmt,
     Const,
     Continue,
+    Decl,
     Expr,
     For,
     If,
@@ -42,6 +46,7 @@ from repro.kir.astnodes import (
     Return,
     SharedLoad,
     SharedStore,
+    SpecialReg,
     Stmt,
     Store,
     UnOp,
@@ -579,3 +584,137 @@ def fast_iteration(loop: Stmt) -> Union[FastIteration, str]:
     hooks = tuple(dict.fromkeys(
         s.func for s, _depth in walk_stmts(loop.body) if isinstance(s, CallStmt)))
     return FastIteration(loop_id=loop.loop_id, max_steps=1 + steps, hooks=hooks)
+
+
+# ---------------------------------------------------------------------------
+# NumPy runs
+# ---------------------------------------------------------------------------
+
+#: Why a counted run has no :class:`NumpyRun` (the value
+#: :func:`numpy_run` returns instead), besides :data:`INTRINSIC`: a
+#: local carried from one iteration to the next that is no affine
+#: induction and no single-op reduction read only by its update; an
+#: operation with no exact array form (a comparison, ``&&``, ``||``,
+#: ``!``, ``%``, an int ``/``, a float-to-int conversion).
+RECURRENCE = "recurrence"
+OPERATOR = "operator"
+
+#: One-argument float intrinsics an array form computes by calling
+#: their scalar helper on each element (``sqrt`` it computes with NumPy:
+#: a square root is correctly rounded in both).
+MAPPED_INTRINSICS = frozenset({"rsqrt", "exp", "log", "sin", "cos", "acos", "floor", "fabs"})
+_ARRAY_OPS = ("+", "-", "*", "/", "&", "|", "^", "<<", ">>")
+
+
+@dataclass(frozen=True)
+class NumpyRun:
+    """A counted run whose iterations can be computed as array operations.
+
+    Every local an iteration assigns is one of three kinds: assigned
+    before the iteration reads it (its value in the last iteration is
+    its final value); an *induction*, an int local assigned once by
+    ``v = v + c`` or ``v = v - c`` that computes bare, so its value in
+    iteration ``j`` is ``v + c * j``; or a *reduction*, assigned once by
+    ``v = v op e`` (``op`` one of ``+ - *``; ``e op v`` for ``+`` and
+    ``*``) with ``e`` not reading ``v`` and no other statement reading
+    it, whose values a left-to-right ``accumulate`` gives.
+    """
+
+    loop_id: int
+    #: (name, what one iteration adds to it)
+    inductions: Tuple[Tuple[str, int], ...]
+    #: (name, its operator)
+    reductions: Tuple[Tuple[str, str], ...]
+
+
+def _array_reason(node: Expr) -> Optional[str]:
+    """Why expression node ``node`` has no exact array form, or None."""
+    if isinstance(node, BinOp):
+        if node.op not in _ARRAY_OPS or (node.op == "/" and _int32(node.left)
+                                         and _int32(node.right)):
+            return OPERATOR
+    elif isinstance(node, UnOp) and node.op == "!":
+        return OPERATOR
+    elif isinstance(node, Call):
+        if node.func in ("int", "__float_as_int"):
+            return OPERATOR
+        if not (node.func in ("sqrt", "float") or (
+                node.func in MAPPED_INTRINSICS and len(node.args) == 1)):
+            return INTRINSIC
+    elif isinstance(node, SharedLoad):
+        return SHARED_MEMORY
+    return None
+
+
+def _carried(name: str, s: Stmt, rhs: Expr, reads: Counter,
+             bare: FrozenSet[int]) -> Optional[tuple]:
+    """``("induction", c)`` or ``("reduction", op)`` for the one
+    assignment ``s`` of a local the iteration reads before assigning,
+    or None."""
+    target = s.var_dtype if isinstance(s, Decl) else s.target_dtype
+    if not isinstance(rhs, BinOp) or rhs.op not in ("+", "-", "*") or rhs.dtype is not target:
+        return None
+    left, right = (isinstance(x, Var) and x.name == name for x in (rhs.left, rhs.right))
+    if left and not right:
+        other = rhs.right
+    elif right and not left and rhs.op != "-":
+        other = rhs.left
+    else:
+        return None
+    if _int32(rhs) and id(rhs) not in bare:
+        return None  # its int operation may wrap within the run
+    if (_int32(rhs) and rhs.op != "*" and isinstance(other, Const)
+            and isinstance(other.value, int)):
+        return "induction", other.value * (-1 if rhs.op == "-" else 1)
+    if reads[name] == 1:  # read by this operand alone
+        return "reduction", rhs.op
+    return None
+
+
+def numpy_run(loop: Stmt, bare: FrozenSet[int]) -> Union[NumpyRun, str]:
+    """The :class:`NumpyRun` of a loop with a :class:`HangShape`, or why
+    it has none; ``bare`` holds the ids of the int operations its fast
+    iteration computes without the int32 wrap
+    (:func:`~repro.kir.analysis.intervals.iteration_ranges`)."""
+    stmts = iteration_stmts(loop)
+    reads: List[set] = []  # per statement, the names it reads
+    counts: Counter = Counter()
+    for s in stmts:
+        names = []
+        for e in child_exprs(s):
+            for node in walk_exprs(e):
+                reason = _array_reason(node)
+                if reason is not None:
+                    return reason
+                if isinstance(node, (Var, SpecialReg)):
+                    names.append(node.name)
+        counts.update(names)
+        reads.append(set(names))
+    writes = Counter(s.name for s in stmts if isinstance(s, (Decl, Assign)))
+    kinds: Dict[str, tuple] = {}
+    assigned: set = set()
+    for s, names in zip(stmts, reads):
+        if not isinstance(s, (Decl, Assign)):
+            continue
+        rhs, target = (s.init, s.var_dtype) if isinstance(s, Decl) else (s.value, s.target_dtype)
+        if target is DType.INT32 and rhs.dtype is DType.FLOAT32:
+            return OPERATOR  # a float-to-int conversion
+        if s.name in names and s.name not in assigned:
+            kind = _carried(s.name, s, rhs, counts, bare) if writes[s.name] == 1 else None
+            if kind is None:
+                return RECURRENCE
+            kinds[s.name] = kind
+        assigned.add(s.name)
+    # any other local read before the statement assigning it carries
+    # its value from the iteration before
+    assigned.clear()
+    for s, names in zip(stmts, reads):
+        if (names & writes.keys()) - assigned - kinds.keys():
+            return RECURRENCE
+        if isinstance(s, (Decl, Assign)):
+            assigned.add(s.name)
+    return NumpyRun(
+        loop_id=loop.loop_id,
+        inductions=tuple((n, k[1]) for n, k in kinds.items() if k[0] == "induction"),
+        reductions=tuple((n, k[1]) for n, k in kinds.items() if k[0] == "reduction"),
+    )

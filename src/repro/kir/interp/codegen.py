@@ -154,6 +154,32 @@ else 1``, and ``atominfo[atomid * 4 + 2]`` reads ``(_lx if _b0 and (_lx
 that is not clean makes the run one iteration whose loads call the
 accessors.
 
+NumPy runs.  A loop whose every assigned local is iteration-local, an
+affine induction or a single-op reduction, and whose expressions have
+an exact array form (:func:`~repro.kir.analysis.loops.numpy_run`), also
+gets a NumPy form, ``_npf<id>``: one function that computes K
+iterations of a run at once, each operation over an int64 or float64
+array (loads widened before any arithmetic, reductions by a
+left-to-right ``accumulate``, transcendentals by the scalar helper on
+each element).  A run with clean spans and ``_n<id> >=``
+:data:`NUMPY_RUN_MIN` calls it instead of ``range(_n<id>)``; the count
+gains the term :data:`NUMPY_RUN_MAX`.  CP's run reads::
+
+    if _b0 and _n0 >= 128 and (_v0 := _k3(_n0, v19, v2, v27, mem_f32,
+                                          v17, v21, v23, v24, v25)) is not None:
+        v28, v29, v30, v31, v32, v23, v24, v25, v27 = _v0
+    else:
+        for _ in (range(_n0) if _b0 else _ONCE):
+            ...                            # the scalar run
+
+``_k3`` is a :class:`_NumpyForm`, which compiles the form's source on
+its first call and records ``repro_kir_numpy_runs_total``.  The form
+never raises: it gives None, and the scalar run computes the same
+iterations, where a loaded word is a NaN, a divisor is zero, an index
+leaves the view or a float local is not finite (``docs/architecture.md``,
+"Fast iterations and inline loads", NumPy runs).  ``_vexpr``,
+``_vload`` and ``_numpy_form`` emit it, by the ``vec`` mode flag.
+
 Hang verdicts.  A ``for`` loop with a
 :class:`~repro.kir.analysis.loops.HangShape` gets a check at the head
 of its ``while True:``, live only on a trial launch
@@ -223,6 +249,8 @@ from collections.abc import Mapping
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.bits import bits_to_int, float_to_bits
 from repro.errors import KernelCrash, KernelHang, KIRError, KIRValidationError
 from repro.kir.analysis.intervals import Guard, iteration_ranges
@@ -231,9 +259,11 @@ from repro.kir.analysis.loops import (
     INT32_MIN,
     FastIteration,
     HangShape,
+    NumpyRun,
     fast_iteration,
     hang_shape,
     iteration_stmts,
+    numpy_run,
 )
 from repro.kir.astnodes import (
     Assign,
@@ -275,6 +305,7 @@ from repro.kir.interp.evalcore import (
     imod,
 )
 from repro.kir.types import DType
+from repro.obs.instrument import record_numpy_run
 
 ExprFn = Callable[[dict, ExecContext], object]
 
@@ -288,6 +319,21 @@ _RERUN = (KernelCrash, ArithmeticError, ValueError, TypeError, LookupError)
 #: Cycle sums stay exact below this, for costs that are multiples of 1/8.
 _EXACT_CYCLES = 2.0 ** 50
 _COMPARE = ("<", "<=", ">", ">=", "==", "!=")
+#: A counted run this long computes through its loop's NumPy form,
+#: where the loop has one: about where the form's fixed cost is
+#: repaid.
+NUMPY_RUN_MIN = 128
+#: Most iterations one call of a NumPy form computes, so its arrays
+#: stay small; a longer run continues from the loop head.
+NUMPY_RUN_MAX = 1 << 16
+#: Names a NumPy form's source reads from the function's namespace.
+_NUMPY_NS = {
+    "_errstate": np.errstate, "_asarray": np.asarray, "_arange": np.arange,
+    "_full": np.full, "_cat": np.concatenate, "_fromiter": np.fromiter,
+    "_isnan": np.isnan, "_isfinite": np.isfinite, "_sqrt": np.sqrt,
+    "_add": np.add, "_sub": np.subtract, "_mul": np.multiply,
+    "_f64": np.float64, "_i64": np.int64,
+}
 
 
 def _seq(items: List[str]) -> str:
@@ -422,6 +468,34 @@ class FrameView(Mapping):
         return len(self._snapshot())
 
 
+class _NumpyForm:
+    """The NumPy form of one loop, called by the thread function for a
+    counted run of at least :data:`NUMPY_RUN_MIN` iterations.
+
+    Its source is compiled on the first call, so a kernel whose runs
+    stay short never pays for it.  A call gives the final values of the
+    locals the loop assigns, or None when the scalar run must compute
+    them; it records which in ``repro_kir_numpy_runs_total``.
+    """
+
+    __slots__ = ("source", "ns", "name", "kernel", "fn")
+
+    def __init__(self, source: str, ns: dict, name: str, kernel: str):
+        self.source, self.ns, self.name, self.kernel = source, ns, name, kernel
+        self.fn = None
+
+    def __call__(self, k: int, *args):
+        if self.fn is None:
+            exec(_compile(self.source, f"NumPy form of kernel {self.kernel}", "exec"), self.ns)
+            self.fn = self.ns[self.name]
+        out = self.fn(k, *args)
+        if type(out) is str:  # why the scalar run computes it
+            record_numpy_run(self.kernel, out)
+            return None
+        record_numpy_run(self.kernel, "ran")
+        return out
+
+
 def _hang_verdict(shape: HangShape, ctx: ExecContext, steps: int, i, bound,
                   loads: tuple) -> bool:
     """Whether the thread, at the head of an iteration of ``shape``'s
@@ -508,6 +582,20 @@ class _Emitter:
         #: while a counted run's body is emitted, the local that is true
         #: when every load span of the run is clean, else None
         self.run: Optional[str] = None
+        #: the NumPy-form mode flag: while a form is emitted, each KIR
+        #: name the iteration has assigned so far -> the text of its
+        #: value and whether that is an array, else None
+        self.vec: Optional[Dict[str, tuple]] = None
+        #: the form's inductions -> (their step, whether the iteration
+        #: has updated them yet); its operations' text -> the temporary
+        #: holding the result; and the locals it takes, in first-use order
+        self.vec_steps: Dict[str, list] = {}
+        self.vec_memo: Dict[str, str] = {}
+        self.vec_args: Dict[str, None] = {}
+        #: number of the form's temporaries (``_u<n>``)
+        self.vec_temps = 0
+        #: the kernel being compiled, for the forms' metric label
+        self.kernel_name = ""
 
     # -- names ------------------------------------------------------------
     def bind(self, value) -> str:
@@ -957,18 +1045,32 @@ class _Emitter:
         steps and cycles once, ``K`` times an iteration's: every partial
         sum is a multiple of 1/8 below ``2**50``, so the total is what
         per-statement adds give.  When some load span is not clean, the
-        run is one iteration whose loads call the accessors.
+        run is one iteration whose loads call the accessors.  A loop
+        with a :class:`NumpyRun` computes a clean run of at least
+        :data:`NUMPY_RUN_MIN` iterations through its NumPy form
+        (:meth:`_numpy_form`) when that gives values, and caps ``K`` at
+        :data:`NUMPY_RUN_MAX`.
         """
         loop_id = shape.loop_id
         count, self.run = f"_n{loop_id}", f"_b{loop_id}"
         line = len(self.lines)
         self.emit(ind, "")  # the count, once the iteration's cycles are known
+        form = numpy_run(s, ranges.bare)
+        body = ind
+        if isinstance(form, NumpyRun):
+            call, targets = self._numpy_form(s, form, count)
+            clean = f"{self.run} and " if shape.loads else ""
+            self.emit(ind, f"if {clean}{count} >= {NUMPY_RUN_MIN} and "
+                           f"(_v{loop_id} := {call}) is not None:")
+            self.emit(ind + 1, f"{targets} = _v{loop_id}")
+            self.emit(ind, "else:")
+            body = ind + 1
         # the one iteration of a run whose spans are not clean (each of
         # the footprint recorder's) loops without a range() call
         runs = f"(range({count}) if {self.run} else _ONCE)" if shape.loads else f"range({count})"
-        self.emit(ind, f"for _ in {runs}:")
+        self.emit(body, f"for _ in {runs}:")
         self.memo = {}  # address terms are computed afresh in each iteration
-        self._iteration_body(s, ind + 1)
+        self._iteration_body(s, body + 1)
         self.charge(ind, count)
         clean, terms = self._spans(shape)
         it = self.var(shape.iter_var)
@@ -985,10 +1087,183 @@ class _Emitter:
                 terms.append(_heads(self.const(g.hi), local, delta))
             elif delta < 0:
                 terms.append(_heads(local, self.const(g.lo), -delta))
+        if isinstance(form, NumpyRun):
+            terms.append(str(NUMPY_RUN_MAX))
         least = f"min({', '.join(terms)})"
         text = f"{least} if ({self.run} := {' and '.join(clean)}) else 1" if clean else least
         self.lines[line] = "    " * ind + f"{count} = {text}"
         self.run = None
+
+    # -- NumPy forms ----------------------------------------------------------
+    def _numpy_form(self, s: For, form: NumpyRun, count: str) -> tuple:
+        """``(the text of the call of loop s's NumPy form, the locals
+        its result unpacks into)``.
+
+        The form ``_npf<id>(K, <the views and locals it reads>)`` computes K
+        iterations of a counted run whose load spans are clean, each
+        operation once for all K as an array operation.  Every array is
+        int64 or float64 and every other value a Python int or float,
+        so each operation rounds as the scalar run's does; a reduction
+        takes a left-to-right ``accumulate``.  The form gives up, with
+        the reason, where the scalar run could differ: a NaN word, a
+        zero divisor, an index outside the view, or a float local that
+        is not finite.
+        """
+        lines, self.lines = self.lines, []
+        self.vec, self.vec_memo, self.vec_args, self.vec_temps = {}, {}, {}, 0
+        self.vec_steps = {name: [step, False] for name, step in form.inductions}
+        reductions = dict(form.reductions)
+        finals: Dict[str, str] = {}
+        for st in iteration_stmts(s):
+            if not isinstance(st, (Decl, Assign)):
+                continue  # a retired hook call: its arguments cannot raise here
+            name = st.name
+            rhs, target = (st.init, st.var_dtype) if isinstance(st, Decl) else (st.value, st.target_dtype)
+            if name in self.vec_steps:
+                self.vec_steps[name][1] = True
+                finals[name] = f"{self._varg(name)} + {self.const(self.vec_steps[name][0])} * K"
+            elif name in reductions:
+                mine = isinstance(rhs.left, Var) and rhs.left.name == name
+                e, is_array = self._vexpr(rhs.right if mine else rhs.left)
+                op = {"+": "_add", "-": "_sub", "*": "_mul"}[reductions[name]]
+                acc = self._vtemp()
+                self.emit(2, f"{acc} = {op}.accumulate(_cat((({self._varg(name)},), "
+                             f"{e if is_array else f'_full(K, {e})'})))")
+                if target is DType.FLOAT32:  # a non-finite partial sum stays so
+                    self.emit(2, f"if not _isfinite({acc}[-1]): return 'nonfinite'")
+                finals[name] = f"{acc}[-1].item()"
+            else:
+                value, is_array = self._vexpr(rhs)
+                if target is DType.FLOAT32 and rhs.dtype is DType.INT32:
+                    value = self._vop(f"{value}.astype(_f64)" if is_array else f"float({value})")
+                if is_array and target is DType.FLOAT32:
+                    self.emit(2, f"if not _isfinite({value}).all(): return 'nonfinite'")
+                self.vec[name] = (value, is_array)
+                finals[name] = f"{value}[-1].item()" if is_array else value
+        names = list(dict.fromkeys(d.name for d, _depth in defining_statements(iteration_stmts(s))))
+        body, self.lines = self.lines, lines
+        args = list(self.vec_args)
+        fn = f"_npf{form.loop_id}"
+        source = "\n".join([f"def {fn}({', '.join(['K'] + args)}):",
+                            "    with _errstate(all='ignore'):", *body,
+                            f"        return ({_seq([finals[n] for n in names])})", ""])
+        self.vec = None
+        self.ns.update(_NUMPY_NS)
+        call = self.bind(_NumpyForm(source, self.ns, fn, self.kernel_name))
+        return f"{call}({', '.join([count] + args)})", _seq([self.var(n) for n in names])
+
+    def _varg(self, name: str) -> str:
+        """The local holding ``name`` at the head of the run, which the
+        form takes as an argument."""
+        local = self.var(name)
+        self.vec_args[local] = None
+        return local
+
+    def _vtemp(self) -> str:
+        self.vec_temps += 1
+        return f"_u{self.vec_temps - 1}"
+
+    def _vop(self, text: str) -> str:
+        """A form temporary holding ``text``, computed once."""
+        t = self.vec_memo.get(text)
+        if t is None:
+            t = self.vec_memo[text] = self._vtemp()
+            self.emit(2, f"{t} = {text}")
+        return t
+
+    def _vwrap(self, e: Expr, text: str) -> str:
+        """An int32 ``+ - * <<`` or unary ``-``: int64 holds its exact
+        result, which wraps as ``_wrap`` does unless it is bare."""
+        t = self._vop(text)
+        if id(e) in self.bare:
+            return t
+        return self._vop(f"(({t} + 2147483648) & 4294967295) - 2147483648")
+
+    def _vexpr(self, e: Expr) -> tuple:
+        """``(text, whether it is an array)`` of ``e`` in a NumPy form:
+        a temporary, a local or a constant."""
+        if isinstance(e, Const):
+            return self.const(e.value), False
+        if isinstance(e, (Var, SpecialReg)):
+            if e.name in self.vec:
+                return self.vec[e.name]
+            local = self._varg(e.name)
+            if e.name not in self.vec_steps:
+                return local, False
+            step, updated = self.vec_steps[e.name]
+            self._vstart("_j", "_arange(K)")
+            c = self.const(step)
+            start = f"({local} + {c})" if updated else local
+            return self._vop(f"{start} + _j" if step == 1 else f"{start} + _j * {c}"), True
+        if isinstance(e, Load):
+            return self._vload(e)
+        if isinstance(e, UnOp):
+            x, is_array = self._vexpr(e.operand)
+            if e.op == "~":
+                return self._vop(f"~{x}"), is_array
+            if e.dtype is DType.INT32:
+                return self._vwrap(e, f"-{x}"), is_array
+            return self._vop(f"-{x}"), is_array
+        if isinstance(e, Call):
+            x, is_array = self._vexpr(e.args[0])
+            if e.func == "float":
+                if e.args[0].dtype is not DType.INT32:
+                    return x, is_array
+                return self._vop(f"{x}.astype(_f64)" if is_array else f"float({x})"), is_array
+            impl = INTRINSIC_IMPL[e.func]
+            if is_array and impl is _safe_sqrt:
+                return self._vop(f"_sqrt({x})"), True
+            if is_array:  # the exact scalar helper, element by element
+                return self._vop(f"_fromiter(map({self.bind(impl)}, {x}.tolist()), _f64, K)"), True
+            return self._vop(f"{self.bind(impl)}({x})"), False
+        (l, l_array), (r, r_array) = self._vexpr(e.left), self._vexpr(e.right)  # noqa: E741
+        is_array = l_array or r_array
+        op = e.op
+        if op == "/":
+            self.emit(2, f"if not {r}.all(): return 'zero_divisor'" if r_array
+                         else f"if {r} == 0: return 'zero_divisor'")
+        if op in (">>", "<<"):
+            r = self._vop(f"{r} & 31")
+        text = f"{l} {op} {r}"
+        if op in ("+", "-", "*", "<<") and e.dtype is DType.INT32 and e.left.dtype is DType.INT32:
+            return self._vwrap(e, text), is_array
+        return self._vop(text), is_array
+
+    def _vload(self, e: Load) -> tuple:
+        """A gather from the view of device memory: bare words, after
+        the index and NaN tests the scalar run's loads need."""
+        base, offset = self._split(e.index)
+        (ptr, p_array), (at, b_array) = self._vexpr(e.ptr), self._vexpr(base)
+        addr = self._vop(f"{ptr} + {at}")
+        if offset:
+            addr = self._vop(f"{addr} + {self.const(offset)}")
+        is_float = e.dtype is DType.FLOAT32
+        view = "_mf" if is_float else "_mi"
+        local = self.ctx_local("mem_f32" if is_float else "mem_i32")
+        self.vec_args[local] = None
+        self._vstart(view, f"_asarray({local})")
+        key = f"{view}[{addr}]"
+        if key in self.vec_memo:
+            return self.vec_memo[key], p_array or b_array
+        word = self.vec_memo[key] = self._vtemp()
+        if p_array or b_array:
+            # NumPy reads a negative index from the end: test both sides
+            self.emit(2, f"if {addr}.min() < 0 or {addr}.max() >= {view}.shape[0]: return 'index'")
+            self.emit(2, f"{word} = {key}.astype({'_f64' if is_float else '_i64'})")
+            if is_float:
+                self.emit(2, f"if _isnan({word}).any(): return 'nan_word'")
+            return word, True
+        self.emit(2, f"if not 0 <= {addr} < {view}.shape[0]: return 'index'")
+        self.emit(2, f"{word} = {key}.item()")
+        if is_float:
+            self.emit(2, f"if {word} != {word}: return 'nan_word'")
+        return word, False
+
+    def _vstart(self, name: str, text: str) -> None:
+        """``name = text`` at the start of the form, once."""
+        if name not in self.vec_memo:
+            self.vec_memo[name] = name
+            self.lines.insert(0, f"        {name} = {text}")
 
     def _spans(self, shape: HangShape) -> tuple:
         """(clean tests, count terms) of the run's load spans.
@@ -1153,6 +1428,7 @@ class _Emitter:
         # assigned parameters are present from the start, so every hook
         # call packs them
         self.assigned(p.name for p in kernel.params if p.name in assigned)
+        self.kernel_name = kernel.name
         self.block(kernel.body, 2, None)
         body, self.lines = self.lines, []
         # base names: the parameters and special registers the kernel
@@ -1231,7 +1507,8 @@ class CompiledKernel:
 
     ``run_thread(frame, ctx)`` executes one thread to completion (or
     crash/hang); it is the generated function itself, so the grid loop
-    calls it with no method dispatch.  ``source`` holds its text.
+    calls it with no method dispatch.  ``source`` holds its text, and
+    ``form_sources`` that of each loop's NumPy form by its name.
     """
 
     def __init__(self, kernel: Kernel, costmodel):
@@ -1247,6 +1524,8 @@ class CompiledKernel:
         self.source = em.thread_function(kernel)
         exec(_compile(self.source, f"kernel {kernel.name}", "exec"), em.ns)
         self.run_thread: Callable[[dict, ExecContext], None] = em.ns["run_thread"]
+        self.form_sources = {form.name: form.source for form in em.ns.values()
+                             if isinstance(form, _NumpyForm)}
 
     def run_thread_at(self, frame: dict, ctx: ExecContext, block: int,
                       thread: int) -> None:

@@ -18,6 +18,7 @@ repro_launch_failures_total                 counter    kernel, kind
 repro_launch_loop_fraction                  histogram  kernel
 repro_launch_spill_factor                   gauge      kernel
 repro_kir_hang_verdicts_total               counter    kernel
+repro_kir_numpy_runs_total                  counter    kernel, result
 repro_trial_outcomes_total                  counter    outcome
 repro_trial_activation_ratio                gauge      --
 repro_trial_site_faults                     histogram  --
@@ -130,6 +131,17 @@ def record_hang_verdict(kernel_name: str) -> None:
         "repro_kir_hang_verdicts_total",
         "Trial hangs decided at a loop head instead of run to the budget",
     ).inc(kernel=kernel_name)
+
+
+def record_numpy_run(kernel_name: str, result: str) -> None:
+    """One counted run long enough for its loop's NumPy form
+    (``kir/interp/codegen.py``): ``result`` is ``ran``, or why the
+    scalar run computed it instead (``nan_word``, ``nonfinite``,
+    ``zero_divisor``, ``index``)."""
+    get_registry().counter(
+        "repro_kir_numpy_runs_total",
+        "Counted loop runs long enough to compute as array operations, by result",
+    ).inc(kernel=kernel_name, result=result)
 
 
 # -- fault-injection campaigns (swifi/campaign.py) ----------------------

@@ -40,10 +40,20 @@ iterator's and a counter's guards, the end of memory, zero and either
 side of a slow span, over global, slow-set and limit-0 memory; pinned
 examples put each term one iteration short of, at and past the others.
 It runs at twenty thousand examples under ``-k counted_runs``.
+
+The NumPy-run property patches ``NUMPY_RUN_MIN`` to 1, so every clean
+counted run of a loop with a NumPy form takes it, and draws the same
+loops (the one refused a form, and one with a form) over words that
+are NaNs, infinities, signed zeros under a divisor, negative
+square-root operands and subnormals; pinned examples reach each result
+the form can give (``ran``, ``nan_word``, ``nonfinite``,
+``zero_divisor``, ``index``).  It runs at twenty thousand examples
+under ``-k numpy_runs``.
 """
 
 import math
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -58,11 +68,13 @@ from repro.kir.analysis.loops import find_loops
 from repro.kir.astnodes import (
     Assign, BinOp, Call, Const, Decl, For, If, Kernel, KernelParam, Store, UnOp, Var,
 )
+from repro.kir.interp import codegen
 from repro.kir.interp.codegen import FLT_MAX, CompiledKernel, compile_expr, compile_kernel
 from repro.kir.interp.evalcore import ExecContext, c_int_cast
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
 from repro.kir.validate import validate_kernel
+from repro.obs.metrics import fresh_registry
 
 from test_fast_iterations import _run
 
@@ -488,20 +500,29 @@ def test_guard_edges_match_lockstep(trees, shape, values):
 RUN_KERNEL = """
 kernel runs(float* src, float* tab, float* out, int s, int e, int c, int p, int q) {{
     float acc = 0.0;
+    float acc2 = 0.0;
+    float acc3 = 0.0;
     int cnt = c;
     for (int i = s; i {op} e; i = i {sign} {mag}) {{
         float x = src[i * {a} + p];
         float y = src[i * {a} + 2];
         float z = src[i * {a}];
         float w = tab[q];
-        acc = acc + x * y + z - w;
+        {acc}
+        acc2 = acc2 + x * y;
+        acc3 = acc3 - z;
         cnt = cnt + 1;
     }}
     out[0] = acc;
 }}
 """
+#: ``acc``'s update in :data:`RUN_KERNEL`: this one rounds three times
+#: in an iteration, so the loop has no NumPy form; :data:`ELIGIBLE_ACC`
+#: is a single-op reduction that divides and takes a square root.
+INELIGIBLE_ACC = "acc = acc + x * y + z - w;"
+ELIGIBLE_ACC = "acc = acc + sqrt(y) / z;"
 #: Statements before the loop head, and per iteration.
-RUN_HEAD, RUN_PERIOD = 3, 8
+RUN_HEAD, RUN_PERIOD = 5, 10
 #: Device words of the run cases, and the slow set of their slow
 #: space: a span ``[24, 31]`` with addresses missing from the set.
 RUN_CAPACITY, RUN_SLOW = 64, frozenset({24, 27, 31})
@@ -528,8 +549,9 @@ def _run_memory(kind):
     return FootprintRecordingMemory(memory) if kind == "limit0" else memory
 
 
-def _run_case(case):
-    """(kernel, args, budget, start cycles) of a drawn case.
+def _run_case(case, acc=INELIGIBLE_ACC):
+    """(kernel, args, budget, start cycles) of a drawn case, whose loop
+    updates ``acc`` by the statement ``acc``.
 
     The load span ``[src + i*a, src + i*a + 2]`` meets ``case["edge"]``
     (the end of memory, or the slow span, in the direction it moves)
@@ -540,7 +562,7 @@ def _run_case(case):
     """
     a, step, k, nudge = case["a"], case["step"], case["k"], case["nudge"]
     src = RUN_KERNEL.format(op=("<" if step > 0 else ">") + ("=" * case["inclusive"]),
-                            sign="+" if step > 0 else "-", mag=abs(step), a=a)
+                            sign="+" if step > 0 else "-", mag=abs(step), a=a, acc=acc)
     kernel = parse_kernel(src)
     (info,) = find_loops(kernel).values()
     # a cost with eighths, so a sum past 2**50 rounds
@@ -649,3 +671,79 @@ def test_counted_runs_match_lockstep(case):
                   words=words, cycles=cycles)
     assert seen == ref
     event(f"fast iterations: {min(fast, 3)}{'+' if fast > 3 else ''}")
+
+
+# -- NumPy runs against lockstep ------------------------------------------------------
+
+#: Words a NumPy form must leave to the scalar run or compute exactly:
+#: quiet, signalling and negative NaNs, infinities, zeros of either
+#: sign (divisors), -2.0 (a negative square-root operand), subnormals
+#: and FLT_MAX (whose products overflow).
+SPECIAL_WORDS = (0x7FC00000, 0x7FA00001, 0xFFC00001, 0x7F800000, 0xFF800000,
+                 0x00000000, 0x80000000, 0xC0000000, 0x00000001, 0x807FFFFF, 0x7F7FFFFF)
+
+
+def _with_numpy_examples(test):
+    """One case per result of a NumPy form.  A special word is ``(j,
+    offset, bits)``: the word ``offset`` past the start of iteration
+    ``j``'s span, which in the plenty case holds ``z`` at offset 0,
+    ``x`` at 1 and ``y`` at 2."""
+    pins = [({}, [], "ran"),
+            ({}, [(0, 2, 0x7FA00001)], "nan_word"),
+            ({}, [(1, 2, 0xC0000000)], "nonfinite"),  # sqrt(-2.0)
+            ({}, [(0, 1, 0x7F800000)], "nonfinite"),  # x * y is +inf
+            ({}, [(2, 0, 0x80000000)], "zero_divisor"),
+            # i + p wraps within the run: x's address leaves the view
+            ({"a": 1, "p": 3, "i_room": 1}, [], "index")]
+    for edge, specials, expect in pins:
+        case = {**_PLENTY, **edge, "expect": expect}
+        test = example(case=case, eligible=True, specials=specials)(test)
+    return example(case=_PLENTY, eligible=False, specials=[])(test)
+
+
+#: Cases whose count terms mostly leave plenty, so long clean runs,
+#: which take the form, are common.
+_plenty_cases = st.fixed_dictionaries({
+    **{key: st.just(value) for key, value in _PLENTY.items()},
+    "a": st.sampled_from((-4, -1, 1, 4)), "step": st.sampled_from((1, 2, -1)),
+    "k": st.integers(0, 5), "nudge": st.integers(-1, 1), "s": st.integers(-3, 3),
+    "trips": st.one_of(st.none(), st.integers(0, 12)), "p": st.integers(0, 3),
+    "q": st.sampled_from((0, 5, 27, 63)), "i_room": _rooms,
+    "memory": st.sampled_from(("global", "global", "slow")),
+})
+
+
+@_fuzz_settings()
+@given(case=st.one_of(run_cases, _plenty_cases), eligible=st.booleans(),
+       specials=st.lists(st.tuples(st.integers(0, 5), st.integers(-1, 3),
+                                   st.sampled_from(SPECIAL_WORDS)), max_size=2))
+@_with_numpy_examples
+def test_numpy_runs_match_lockstep(case, eligible, specials):
+    """Every clean counted run takes the NumPy form (the threshold is
+    1): runs of a loop with a form, and of one refused a form, over
+    words with NaNs, infinities, zero divisors, negative square-root
+    operands and subnormals, and indices the engine wraps; against
+    lockstep in exception, steps, cycles, frame and memory."""
+    kernel, args, budget, cycles = _run_case(case, ELIGIBLE_ACC if eligible else INELIGIBLE_ACC)
+    assume(all(INT_MIN <= args[name] <= INT_MAX for name in "secpq"))
+    words = {addr: float_to_bits(0.25 * addr + 1.0) for addr in range(RUN_CAPACITY)}
+    first = args["src"] + case["a"] * args["s"]  # where the first span starts
+    for j, offset, bits in specials:
+        addr = first + case["a"] * case["step"] * j + offset
+        if 0 <= addr < RUN_CAPACITY:
+            words[addr] = bits
+    registry = fresh_registry()
+    with patch.object(codegen, "NUMPY_RUN_MIN", 1):
+        seen, _fast = _run(kernel, "compiled", args, budget, memory=_run_memory(case["memory"]),
+                           words=words, cycles=cycles)
+    ref, _ = _run(kernel, "lockstep", args, budget, memory=_run_memory(case["memory"]),
+                  words=words, cycles=cycles)
+    assert seen == ref
+    runs = registry.as_dict().get("repro_kir_numpy_runs_total", {"samples": []})["samples"]
+    results = {sample["labels"]["result"] for sample in runs}
+    for result in sorted(results) or ["none"]:
+        event(f"NumPy run: {result}")
+    if not eligible:
+        assert not results
+    if "expect" in case:
+        assert case["expect"] in results
