@@ -239,7 +239,9 @@ class HauberkProgram:
         record = self._trial_io.get(seed)
         if record is None:
             inp = self.workload.generate_input(seed)
-            record = GoldenRecord(inp=inp, golden=self.workload.golden(inp))
+            golden = self.workload.golden(inp)
+            record = GoldenRecord(inp=inp, golden=golden,
+                                  output_ok=self.workload.spec.checker(golden))
             self._trial_io[seed] = record
         return record
 
@@ -254,7 +256,8 @@ class HauberkProgram:
         The input (and its golden output) is fixed across the campaign;
         each call runs the whole program once with the given fault.
         """
-        inp, golden = self.campaign_io(seed)
+        record = self.golden_record(seed)
+        inp, output_ok = record.inp, record.output_ok
         run_mode = mode
 
         def runner(spec: Optional[FaultSpec]) -> TrialObservation:
@@ -268,7 +271,7 @@ class HauberkProgram:
             ok = (
                 not failure
                 and result.output is not None
-                and self.workload.spec.check(result.output, golden)
+                and output_ok(result.output)
             )
             activated = bool(result.activation) or spec is None
             return TrialObservation(

@@ -174,7 +174,8 @@ class DifferentialEngine:
         self.kernel = build.kernel
         self.compiled, self.pressure = program.runtime.prepare(self.kernel)
         self.fi = FaultInjectionLibrary(self.workload.kernel)
-        self.inp, self.golden = program.campaign_io(seed)
+        record = program.golden_record(seed)
+        self.inp, self.output_ok = record.inp, record.output_ok
         self.handles: Dict[str, object] = {}
         self.records: List[ThreadRecord] = []
         self.store_owner: Dict[int, int] = {}
@@ -244,6 +245,8 @@ class DifferentialEngine:
             for event in device_cb.events:
                 gtid = event.block * block_size + event.thread
                 self.golden_events.setdefault(gtid, []).append(event)
+            # by thread id, the order a splice walks them in
+            self.golden_events = dict(sorted(self.golden_events.items()))
 
         self._golden_words = self.memory.snapshot()
         return None
@@ -409,7 +412,7 @@ class DifferentialEngine:
                 self._splice_control_block(target, device_cb.events)
             )
             detected = self.program.cb.alarm_raised
-        ok = self.workload.spec.check(output, self.golden)
+        ok = self.output_ok(output)
         return TrialObservation(
             failure=False, detected=detected, output_ok=ok,
             activated=activated, note="",
@@ -422,17 +425,22 @@ class DifferentialEngine:
 
         Event firing is thread-local (detectors check against the static
         configured ranges), so non-target threads contribute exactly
-        their golden events; ``sdc_bit`` and the on-line ``updated_ranges``
-        learning are order-respecting folds over the spliced stream,
-        reproducing what the device copy would have held.
+        their golden events, in thread order (``golden_events`` holds
+        only the threads that have any, sorted); ``sdc_bit`` and the
+        on-line ``updated_ranges`` learning are order-respecting folds
+        over the spliced stream, reproducing what the device copy would
+        have held.
         """
         events: List[DetectionEvent] = []
-        golden_events = self.golden_events
-        for tid in range(self.n_threads):
-            if tid == target:
+        spliced = False
+        for tid, golden in self.golden_events.items():
+            if tid >= target and not spliced:
                 events.extend(replay_events)
-            else:
-                events.extend(golden_events.get(tid, ()))
+                spliced = True
+            if tid != target:
+                events.extend(golden)
+        if not spliced:
+            events.extend(replay_events)
         updated: Dict[int, object] = {}
         detectors = self.program.cb.detectors
         for event in events:

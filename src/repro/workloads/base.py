@@ -18,7 +18,7 @@ back and concatenated in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -87,6 +87,9 @@ class GoldenRecord:
 
     inp: WorkloadInput
     golden: np.ndarray
+    #: the workload spec's check against ``golden`` (``spec.checker``),
+    #: built once for every trial of every campaign on this seed
+    output_ok: Callable[[np.ndarray], bool]
     #: (mode, cb_token) -> DifferentialEngine | _Ineligible
     exec_states: Dict[tuple, object] = field(default_factory=dict)
 

@@ -11,6 +11,7 @@ SDC, a 10,000-value stripe is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +68,11 @@ class PerceptualSpec:
     def check(self, output: np.ndarray, golden: np.ndarray) -> bool:
         stats = frame_corruption_stats(output, golden, self.min_levels)
         return stats.corrupted_fraction < self.noticeable_fraction
+
+    def checker(self, golden: np.ndarray) -> Callable[[np.ndarray], bool]:
+        """:meth:`check` against a fixed golden, as
+        :meth:`ToleranceSpec.checker <repro.workloads.spec.ToleranceSpec.checker>`."""
+        return lambda output: self.check(output, golden)
 
     def violations(self, output: np.ndarray, golden: np.ndarray) -> int:
         return frame_corruption_stats(output, golden, self.min_levels).corrupted_pixels

@@ -15,6 +15,7 @@ element" as SDC, which the remaining FP programs use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,15 +52,25 @@ class ToleranceSpec:
 
     def check(self, output: np.ndarray, golden: np.ndarray) -> bool:
         """True when the output meets the correctness requirement."""
-        out = np.asarray(output, dtype=np.float64)
+        return self.checker(golden)(output)
+
+    def checker(self, golden: np.ndarray) -> Callable[[np.ndarray], bool]:
+        """:meth:`check` against a fixed golden, whose tolerance array is
+        computed once: a campaign checks every trial's output against
+        the same golden."""
         gold = np.asarray(golden, dtype=np.float64)
-        if out.shape != gold.shape:
-            return False
-        if not np.isfinite(out).all():
-            return False
-        if self.abs_const == self.rel == self.global_rel == 0.0:
-            return bool(np.array_equal(out, gold))
-        return bool((np.abs(out - gold) <= self.tolerance(gold)).all())
+        exact = self.abs_const == self.rel == self.global_rel == 0.0
+        tolerance = None if exact else self.tolerance(gold)
+
+        def check(output: np.ndarray) -> bool:
+            out = np.asarray(output, dtype=np.float64)
+            if out.shape != gold.shape or not np.isfinite(out).all():
+                return False
+            if exact:
+                return bool(np.array_equal(out, gold))
+            return bool((np.abs(out - gold) <= tolerance).all())
+
+        return check
 
     def violations(self, output: np.ndarray, golden: np.ndarray) -> int:
         """Number of out-of-tolerance elements (diagnostics)."""

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.controlblock import ControlBlock, DetectionEvent, DetectorConfig
 from repro.core.program import HauberkProgram
+from repro.core.ranges import RangeSet, ValueRange
 from repro.exec.pool import fork_available
 from repro.gpu.memory import ReplayConflict, ReplayMemoryGuard
 from repro.gpu.runtime import GPURuntime
@@ -393,6 +396,52 @@ class TestParallelComposition:
         metrics = get_registry().as_dict()
         assert "repro_swifi_diff_hits_total" not in metrics
         assert "repro_swifi_diff_fallbacks_total" not in metrics
+
+
+class TestControlBlockSplice:
+    """The replayed thread's events take the place of its golden ones,
+    in thread order, and the range learning folds over the result."""
+
+    @staticmethod
+    def _engine(golden_events, n_threads=8):
+        engine = DifferentialEngine.__new__(DifferentialEngine)
+        ranges = RangeSet(ranges=[ValueRange(0.0, 1.0)])
+        engine.program = SimpleNamespace(cb=ControlBlock(detectors={
+            d: DetectorConfig(detector=d, ranges=ranges) for d in (0, 1)}))
+        engine.n_threads = n_threads
+        engine.golden_events = dict(sorted(golden_events.items()))
+        return engine
+
+    @staticmethod
+    def _walk_every_thread(engine, target, replay_events):
+        """The splice as a walk over every thread of the grid."""
+        events = []
+        for tid in range(engine.n_threads):
+            events.extend(replay_events if tid == target
+                          else engine.golden_events.get(tid, ()))
+        updated = {}
+        for event in events:
+            if event.kind == "range":
+                base = updated.get(event.detector, engine.program.cb.detectors[event.detector].ranges)
+                updated[event.detector] = base.learn(event.value)
+        return events, bool(events), updated
+
+    @pytest.mark.parametrize("target", [0, 2, 3, 5, 7])
+    @pytest.mark.parametrize("replayed", [[], [("range", 0, 9.0), ("trip", 1, 0.0)]])
+    def test_splice_matches_a_walk_over_every_thread(self, target, replayed):
+        def event(tid, kind, detector, value):
+            return DetectionEvent(detector=detector, kind=kind, value=value,
+                                  block=tid // 4, thread=tid % 4)
+
+        # golden events on threads before and after the target, and on it
+        golden = {5: [event(5, "range", 0, -4.0), event(5, "range", 1, 3.0)],
+                  1: [event(1, "range", 0, 2.5)], 3: [event(3, "checksum", 1, 0.0)],
+                  2: [event(2, "range", 1, 40.0), event(2, "range", 0, 5.0)]}
+        engine = self._engine(golden)
+        replay = [event(target, *e) for e in replayed]
+        cb = engine._splice_control_block(target, replay)
+        assert (cb.events, cb.sdc_bit, cb.updated_ranges) == \
+            self._walk_every_thread(engine, target, replay)
 
 
 def test_ineligible_marker_records_reason():

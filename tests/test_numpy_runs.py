@@ -3,7 +3,8 @@
 A counted run of at least ``NUMPY_RUN_MIN`` iterations with clean load
 spans computes through its loop's NumPy form, when the loop has one.
 Here: which ``fift`` loops get a form and why the others do not, the
-left-to-right reductions the exactness argument rests on, and the
+left-to-right reductions the exactness argument rests on, a form
+call's memory, which blocks keep from growing with the run, and the
 runaway trial of CP's Figure 14 plan (``numatoms`` struck with mask
 ``0x8000`` in thread 15, so its atom loop runs 32,788 iterations),
 which must end bit-identical with its form and with the threshold
@@ -12,6 +13,7 @@ raised above the run, through replay and through a full launch.
 
 import functools
 import operator
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -155,6 +157,46 @@ kernel sum(float* src, float* out, float big, int n) {
         assert acc == scalar_acc == 1e16
         assert rest == scalar_rest
         assert ran == {"ran": 1} and none == {}
+
+
+class TestBlocks:
+    def test_cp_reads_its_atoms_as_strided_slices(self):
+        build = HauberkProgram(get_workload("CP")).build("fift")
+        (source,) = CompiledKernel(build.kernel, CostModel()).form_sources.values()
+        assert f"for _s in range(0, K, {codegen.NUMPY_BLOCK}):" in source
+        # atominfo[atomid * 4 + k], k = 0..3: no index arrays, no gathers
+        assert source.count(":4].astype(_f64)") == 4
+        assert "_arange" not in source and ".min()" not in source
+
+    def test_a_form_call_takes_no_more_memory_for_a_longer_run(self):
+        # CP's atom loop in one thread, numatoms iterations in one run
+        compiled = CompiledKernel(parse_kernel(get_workload("CP").source), CostModel())
+        block = codegen.NUMPY_BLOCK
+        memory = GlobalMemory(4 * 8 * block + 64)
+        memory.f32[:] = 1.0
+        peaks = {}
+        form_call = codegen._NumpyForm.__call__
+
+        def traced(form, k, *args):
+            tracemalloc.start()
+            try:
+                out = form_call(form, k, *args)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out is not None
+            return out
+
+        with patch.object(codegen._NumpyForm, "__call__", traced):
+            for n in (block, block, 8 * block):  # the first call compiles the form
+                frame = {"atominfo": 0, "numatoms": n, "energygrid": 4 * 8 * block,
+                         "gridspacing": 0.5, "volx": 16, "blockIdx.x": 0, "blockIdx.y": 0,
+                         "blockDim.x": 8, "blockDim.y": 8, "threadIdx.x": 1, "threadIdx.y": 1}
+                ctx = ExecContext(memory, budget=10**9)
+                ctx.reset_thread(0, 0)
+                compiled.run_thread(frame, ctx)
+        assert frame["atomid"] == 8 * block
+        assert peaks[8 * block] <= 1.25 * peaks[block]
 
 
 class TestRunawayTrial:

@@ -42,13 +42,15 @@ examples put each term one iteration short of, at and past the others.
 It runs at twenty thousand examples under ``-k counted_runs``.
 
 The NumPy-run property patches ``NUMPY_RUN_MIN`` to 1, so every clean
-counted run of a loop with a NumPy form takes it, and draws the same
-loops (the one refused a form, and one with a form) over words that
-are NaNs, infinities, signed zeros under a divisor, negative
-square-root operands and subnormals; pinned examples reach each result
-the form can give (``ran``, ``nan_word``, ``nonfinite``,
-``zero_divisor``, ``index``).  It runs at twenty thousand examples
-under ``-k numpy_runs``.
+counted run of a loop with a NumPy form takes it, and ``NUMPY_BLOCK``
+to 3, so runs cross block boundaries; it draws the same loops (the one
+refused a form, and one with a form) over words that are NaNs,
+infinities, signed zeros under a divisor, negative square-root
+operands and subnormals, with load strides of either sign; pinned
+examples reach each result the form can give (``ran``, ``nan_word``,
+``nonfinite``, ``zero_divisor``, ``index``), the failing tests in a
+later block than the first, and a falling slice that reads address 0.
+It runs at twenty thousand examples under ``-k numpy_runs``.
 """
 
 import math
@@ -598,24 +600,39 @@ def _run_case(case, acc=INELIGIBLE_ACC):
     return kernel, args, budget, cycles
 
 
+#: How much more often a value that lets a run complete is drawn than
+#: one that ends the fast path first: each of the nine terms below has
+#: such values, and drawn evenly they left about half the examples
+#: without a run.
+WEIGHT = 8
+
+
+def _mostly(common, rare):
+    """``common`` values, each :data:`WEIGHT` times as often as each
+    ``rare`` one, the values that end the fast path before a run."""
+    return st.sampled_from(tuple(common) * WEIGHT + tuple(rare))
+
+
 _rooms = st.one_of(st.none(), st.integers(0, 5))
+_run_rooms = _mostly((None,) * 5 + (1, 2, 3, 4, 5), (0,))  # None half the time, as _rooms
 run_cases = st.fixed_dictionaries({
-    "a": st.sampled_from((-4, -1, 0, 1, 4)),
+    # a = 0: a span that does not move, at the memory end or the slow span
+    "a": _mostly((-4, -1, 1, 4), (0,)),
     "step": st.sampled_from((1, 2, -1, -3)),
     "inclusive": st.booleans(),
     "edge": st.sampled_from(("memory", "slow")),
-    "k": st.integers(0, 5),
+    "k": _mostly((1, 2, 3, 4, 5), (0,)),
     "nudge": st.integers(-1, 1),
     "s": st.integers(-3, 3),
-    "i_room": _rooms,
-    "trips": _rooms,
-    "c_room": st.one_of(st.just(10**6), st.integers(-1, 4)),
+    "i_room": _run_rooms,
+    "trips": _run_rooms,
+    "c_room": _mostly((10**6, 0, 1, 2, 3, 4), (-1,)),
     "p": st.integers(-1, 3),
-    "q": st.sampled_from((0, 5, 24, 25, 27, 31, 40, 63, 64, -1)),
-    "budget_iters": _rooms,
+    "q": _mostly((0, 5, 24, 25, 27, 31, 40, 63), (64, -1)),  # tab[q] outside memory
+    "budget_iters": _run_rooms,
     "budget_rest": st.integers(0, RUN_PERIOD - 1),
-    "cycles_room": _rooms,
-    "loop_cycles_room": _rooms,
+    "cycles_room": _run_rooms,
+    "loop_cycles_room": _run_rooms,
     "cycles_rest": st.sampled_from((0.0, 0.125, 1.0)),
     "scale": st.sampled_from((1.0, 1.0625, 1.1875)),
     "memory": st.sampled_from(("global", "slow", "limit0")),
@@ -684,7 +701,8 @@ SPECIAL_WORDS = (0x7FC00000, 0x7FA00001, 0xFFC00001, 0x7F800000, 0xFF800000,
 
 
 def _with_numpy_examples(test):
-    """One case per result of a NumPy form.  A special word is ``(j,
+    """One case per result of a NumPy form, and cases that a later
+    block than the first decides (blocks of 3).  A special word is ``(j,
     offset, bits)``: the word ``offset`` past the start of iteration
     ``j``'s span, which in the plenty case holds ``z`` at offset 0,
     ``x`` at 1 and ``y`` at 2."""
@@ -694,7 +712,14 @@ def _with_numpy_examples(test):
             ({}, [(0, 1, 0x7F800000)], "nonfinite"),  # x * y is +inf
             ({}, [(2, 0, 0x80000000)], "zero_divisor"),
             # i + p wraps within the run: x's address leaves the view
-            ({"a": 1, "p": 3, "i_room": 1}, [], "index")]
+            ({"a": 1, "p": 3, "i_room": 1}, [], "index"),
+            # with blocks of 3: in the last of two blocks, iterations 3 and 4
+            ({}, [(4, 2, 0x7FA00001)], "nan_word"),
+            ({"a": 1, "p": 3, "i_room": 3}, [], "index"),  # i + p wraps in iteration 3
+            # a reduction's partial sum is NaN in the middle of three blocks
+            ({"k": 8}, [(4, 2, 0xC0000000)], "nonfinite"),
+            # stride -4 down to address 0: the last block's slice ends at None
+            ({"step": -1, "k": 4, "nudge": 1}, [], "ran")]
     for edge, specials, expect in pins:
         case = {**_PLENTY, **edge, "expect": expect}
         test = example(case=case, eligible=True, specials=specials)(test)
@@ -720,7 +745,7 @@ _plenty_cases = st.fixed_dictionaries({
 @_with_numpy_examples
 def test_numpy_runs_match_lockstep(case, eligible, specials):
     """Every clean counted run takes the NumPy form (the threshold is
-    1): runs of a loop with a form, and of one refused a form, over
+    1), in blocks of 3: runs of a loop with a form, and of one refused a form, over
     words with NaNs, infinities, zero divisors, negative square-root
     operands and subnormals, and indices the engine wraps; against
     lockstep in exception, steps, cycles, frame and memory."""
@@ -733,7 +758,7 @@ def test_numpy_runs_match_lockstep(case, eligible, specials):
         if 0 <= addr < RUN_CAPACITY:
             words[addr] = bits
     registry = fresh_registry()
-    with patch.object(codegen, "NUMPY_RUN_MIN", 1):
+    with patch.object(codegen, "NUMPY_RUN_MIN", 1), patch.object(codegen, "NUMPY_BLOCK", 3):
         seen, _fast = _run(kernel, "compiled", args, budget, memory=_run_memory(case["memory"]),
                            words=words, cycles=cycles)
     ref, _ = _run(kernel, "lockstep", args, budget, memory=_run_memory(case["memory"]),

@@ -62,6 +62,28 @@ class TestToleranceSpec:
         out = np.array([1.0, 2.0, 1.0, 3.0])
         assert spec.violations(out, g) == 2
 
+    @pytest.mark.parametrize("spec", [percent_spec(0.01), PNS_SPEC, RPES_SPEC, MRIQ_SPEC,
+                                      get_workload("SAD").spec])
+    def test_checker_agrees_with_the_elementwise_rule(self, spec):
+        # one golden, many outputs: the checker computes its tolerance once
+        g = np.array([100.0, -3.0, 0.0, 1e-3, 7.5])
+        tol = spec.tolerance(g)
+        check = spec.checker(g)
+        outputs = [g.copy(), np.where(g == 0.0, -0.0, g)]
+        for i in range(g.size):  # one element at its tolerance edge, or past it
+            for value in (g[i] + tol[i], g[i] - tol[i], np.nextafter(g[i] + tol[i], np.inf),
+                          np.nan, np.inf, -np.inf):
+                out = g.copy()
+                out[i] = value
+                outputs.append(out)
+        outputs += [g[:4], g.reshape(1, 5), g.astype(np.float32), g + 1e-12]
+        for out in outputs:
+            out64 = np.asarray(out, dtype=np.float64)
+            expected = (out64.shape == g.shape and bool(np.isfinite(out64).all()) and (
+                bool(np.array_equal(out64, g)) if spec == exact_spec()
+                else bool((np.abs(out64 - g) <= tol).all())))
+            assert check(out) == spec.check(out, g) == expected
+
     def test_invalid_spec(self):
         with pytest.raises(WorkloadError):
             ToleranceSpec(mode="bogus")
