@@ -57,9 +57,9 @@ from repro.workloads.cp import CPWorkload
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKER_COUNTS = (1, 2, 4)
 #: Process-time seconds each side of the profiler-overhead comparison
-#: runs at least.  ``benchmarks/test_planner.py`` times 0.5 s, but two
-#: smoke-scale CP campaigns a side (0.5 s) differed by up to 20% between
-#: interleaved sides on a shared 2-vCPU VM; five a side stayed within 3%.
+#: runs at least.  Two smoke-scale CP campaigns a side (0.5 s) differed
+#: by up to 20% between interleaved sides on a shared 2-vCPU VM; five a
+#: side stayed within 3%.
 MIN_TIMED_SECONDS = 2.0
 #: Profiling may cost at most this share of a campaign's time.
 PROFILER_OVERHEAD_BOUND = 0.05

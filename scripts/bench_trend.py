@@ -2,8 +2,7 @@
 """Benchmark trend tracking: append snapshots, fail on regressions.
 
 The benchmark suites write point-in-time payloads (``BENCH_campaign.json``,
-``BENCH_memory.json``, ``BENCH_planner.json``) at the repo root and
-overwrite them on every run,
+``BENCH_memory.json``) at the repo root and overwrite them on every run,
 so a perf regression is invisible unless someone diffs by hand.  This
 script closes that loop:
 
@@ -19,7 +18,7 @@ script closes that loop:
   (``--no-fail`` reports but exits 0).
 
 Tracked metrics are ratios/rates where more is better
-(``trials_per_sec``, ``speedup*``, the planner's ``trials_saved_ratio``)
+(``trials_per_sec``, ``speedup*``)
 plus the profiler ``overhead`` where less is better.  Absolute wall
 times are *not* compared — they shift with the host; the ratios are
 what the paper's claims rest on.
@@ -53,7 +52,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_FILES = {
     "campaign": "BENCH_campaign.json",
     "memory": "BENCH_memory.json",
-    "planner": "BENCH_planner.json",
 }
 
 #: Minimum baseline magnitude for a ratio check; metrics smaller than
@@ -75,8 +73,7 @@ def _walk_metrics(payload: Any, prefix: str = "") -> Iterator[Tuple[str, float, 
                 yield from _walk_metrics(value, path)
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
                 leaf = key.rsplit(".", 1)[-1]
-                if (leaf in ("trials_per_sec", "trials_saved_ratio")
-                        or leaf.startswith("speedup")):
+                if leaf == "trials_per_sec" or leaf.startswith("speedup"):
                     yield path, float(value), True
                 elif leaf == "overhead":
                     yield path, float(value), False

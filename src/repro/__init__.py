@@ -38,7 +38,6 @@ from repro.swifi.journal import (
 )
 from repro.swifi.options import CampaignOptions
 from repro.swifi.parallel import run_campaign
-from repro.swifi.planner import CampaignPlan
 
 __version__ = "1.0.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "run_campaign",
     "CampaignOptions",
     "CampaignResult",
-    "CampaignPlan",
     "CampaignJournal",
     "TrialObservation",
     "campaign_fingerprint",

@@ -75,17 +75,6 @@ def _campaign_parent() -> argparse.ArgumentParser:
     grp.add_argument("--profile", action="store_true",
                      help="attribute wall-clock to campaign phases; "
                           "journaled campaigns also write profile.json")
-    grp.add_argument("--budget", type=int, metavar="N",
-                     help="plan campaigns statistically: run only N trials "
-                          "per campaign, allocated across strata, and "
-                          "extrapolate rates to the full fault population")
-    grp.add_argument("--plan", choices=("stratified", "neyman"),
-                     help="budget allocation method (default stratified; "
-                          "neyman runs a quarter-budget pilot first and "
-                          "weights strata by observed SDC variance)")
-    grp.add_argument("--confidence", type=float, metavar="LEVEL",
-                     help="confidence level for planned-campaign interval "
-                          "estimates, in (0, 1) (default 0.95)")
     return parent
 
 
@@ -111,12 +100,6 @@ def _resolve_scale(args):
         changes["retry"] = RetryPolicy(max_deaths=retries)
     if getattr(args, "trial_timeout", None) is not None:
         changes["trial_timeout"] = args.trial_timeout
-    if getattr(args, "budget", None) is not None:
-        changes["budget"] = args.budget
-    if getattr(args, "plan", None):
-        changes["plan"] = args.plan
-    if getattr(args, "confidence", None) is not None:
-        changes["confidence"] = args.confidence
     if getattr(args, "progress", False):
         changes["progress"] = True
     if getattr(args, "profile", False):

@@ -1,4 +1,4 @@
-"""Dataflow sections: the equivalence-class partition behind campaign plans.
+"""Dataflow sections: the partition of a kernel into dataflow regions.
 
 The Two-Level Model (Hari et al., PAPERS.md) gets its injection savings
 from grouping sites whose faults behave alike.  This pass supplies the
@@ -12,8 +12,8 @@ a new region, because a loop is the unit the detectors instrument and
 the unit Figure 4 attributes cycles to.
 
 :func:`site_section_map` maps every injection site to its section.  The
-campaign planner stratifies by it, and the journal tags each record
-with it so ``repro report`` can print per-section outcome rates.
+journal tags each record with it so ``repro report`` can print
+per-section outcome rates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class Section:
     """One contiguous dataflow region of a kernel's top-level body."""
 
     index: int
-    #: Stable name ("s0", "s1", ...) used in journal records and strata.
+    #: Stable name ("s0", "s1", ...) used in journal records and reports.
     name: str
     #: ``"params"`` | ``"straight"`` | ``"loop"``.
     kind: str

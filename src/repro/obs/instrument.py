@@ -29,8 +29,6 @@ repro_swifi_diff_hits_total                 counter    --
 repro_swifi_diff_fallbacks_total            counter    reason
 repro_swifi_journal_replayed_total          counter    --
 repro_swifi_journal_appends_total           counter    --
-repro_swifi_plan_strata_total               counter    --
-repro_swifi_plan_trials_saved_total         counter    --
 repro_swifi_worker_deaths_total             counter    phase
 repro_swifi_quarantined_total               counter    --
 repro_swifi_trial_timeouts_total            counter    --
@@ -219,25 +217,6 @@ def record_journal_activity(replayed: int = 0, appended: int = 0) -> None:
             "repro_swifi_journal_appends_total",
             "Trial records appended to campaign journals",
         ).inc(appended)
-
-
-def record_plan(strata: int, trials_saved: int) -> None:
-    """One stratified campaign plan built (swifi/planner.py).
-
-    ``strata`` is the number of equivalence classes the spec population
-    partitioned into; ``trials_saved`` the population minus the sampled
-    budget — the enumeration the planner avoided executing.
-    """
-    reg = get_registry()
-    reg.counter(
-        "repro_swifi_plan_strata_total",
-        "Strata across stratified campaign plans",
-    ).inc(strata)
-    if trials_saved:
-        reg.counter(
-            "repro_swifi_plan_trials_saved_total",
-            "Enumerated trials skipped by stratified campaign plans",
-        ).inc(trials_saved)
 
 
 def record_worker_death(phase: str, count: int = 1) -> None:

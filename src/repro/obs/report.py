@@ -32,8 +32,9 @@ speeds (e.g. resumed vs. uninterrupted).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InjectionError
 from repro.obs.profile import split_phase_key
@@ -78,9 +79,28 @@ def _summarize_records(records: List[JournalRecord]) -> Dict[str, Any]:
     }
 
 
-def _section_table(
-    records: List[JournalRecord], confidence: float = 0.95
-) -> Dict[str, Any]:
+#: Two-sided 95% normal quantile (Acklam's rational approximation of
+#: the inverse CDF at 0.975; report JSON is pinned to this value).
+_Z95 = 1.959963986120195
+
+
+def _wilson_interval(k: int, n: int) -> Tuple[float, float]:
+    """95% Wilson score interval for ``k`` successes in ``n`` trials.
+
+    Unlike the normal interval it never collapses to a point at
+    ``k == 0`` or ``k == n``; ``n == 0`` returns the vacuous ``(0, 1)``.
+    """
+    if n <= 0:
+        return 0.0, 1.0
+    p = k / n
+    z2 = _Z95 * _Z95
+    denom = 1.0 + z2 / n
+    centre = (p + z2 / (2 * n)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n)) / denom
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
+def _section_table(records: List[JournalRecord]) -> Dict[str, Any]:
     """Per-section outcome rates with Wilson CIs, from section tags.
 
     Records without a section tag (pre-section journals, program-less
@@ -88,8 +108,6 @@ def _section_table(
     name order for determinism.  Quarantined placeholders are excluded
     from the rate denominators (operational, not fault-model).
     """
-    from repro.swifi.planner import wilson_interval
-
     killed = Outcome.WORKER_KILLED.value
     by_section: Dict[str, List[JournalRecord]] = {}
     for record in records:
@@ -105,7 +123,7 @@ def _section_table(
             if r.outcome in (Outcome.DETECTED.value,
                              Outcome.DETECTED_MASKED.value)
         )
-        lo, hi = wilson_interval(sdc, n, confidence)
+        lo, hi = _wilson_interval(sdc, n)
         table[section] = {
             "trials": n,
             "sdc_ratio": sdc / n if n else 0.0,
@@ -269,14 +287,8 @@ def build_report(
             "differential": _differential_attribution(records),
             "quarantine": _quarantine_timeline(records),
         }
-        plan = meta.get("plan")
-        if isinstance(plan, dict):
-            entry["plan"] = plan
         if any(r.section is not None for r in records):
-            confidence = 0.95
-            if isinstance(plan, dict):
-                confidence = float(plan.get("confidence", 0.95))
-            entry["sections"] = _section_table(records, confidence)
+            entry["sections"] = _section_table(records)
         if include_timing:
             entry["timing"] = _campaign_timing(directory)
         campaigns.append(entry)
@@ -344,18 +356,6 @@ def render_markdown(report: Dict[str, Any]) -> str:
             f"- quarantined: {summary['quarantined']}",
             "",
         ])
-        plan = campaign.get("plan")
-        if plan:
-            out.append("### Plan")
-            out.append("")
-            out.append(
-                f"{plan.get('method', '?')} sampling: "
-                f"{plan.get('budget', 0)}/{plan.get('population', 0)} trials "
-                f"across {plan.get('strata', 0)} strata "
-                f"({int(plan.get('confidence', 0.95) * 100)}% confidence, "
-                f"seed {plan.get('seed', 0)})."
-            )
-            out.append("")
         sections = campaign.get("sections")
         if sections:
             out.append("### Sections")

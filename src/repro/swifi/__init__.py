@@ -26,15 +26,6 @@ from repro.swifi.journal import (
     spec_fingerprint,
 )
 from repro.swifi.parallel import run_campaign
-from repro.swifi.planner import (
-    CampaignPlan,
-    StratumKey,
-    Stratum,
-    build_plan,
-    compose_rates,
-    estimate_plan,
-    wilson_interval,
-)
 from repro.swifi.differential import (
     DifferentialEngine,
     differential_runner,
@@ -62,11 +53,4 @@ __all__ = [
     "TrialResult",
     "build_fault_specs",
     "run_campaign",
-    "CampaignPlan",
-    "StratumKey",
-    "Stratum",
-    "build_plan",
-    "compose_rates",
-    "estimate_plan",
-    "wilson_interval",
 ]

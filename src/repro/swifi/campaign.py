@@ -13,7 +13,7 @@ seeded; see ``repro.harness.config.ExperimentScale``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -75,9 +75,6 @@ class CampaignResult:
     #: Reports for specs quarantined by the scheduler; their
     #: trials carry :data:`Outcome.WORKER_KILLED` in :attr:`trials`.
     quarantined: List[QuarantineReport] = field(default_factory=list)
-    #: Planner payload (:func:`repro.swifi.planner.estimate_plan`) when
-    #: the campaign ran under a stratified budget; ``None`` otherwise.
-    plan: Optional[dict] = None
 
     def add(self, trial: TrialResult) -> None:
         self.trials.append(trial)
@@ -106,16 +103,14 @@ class CampaignResult:
         Used by the metrics layer and the figure harnesses instead of
         re-counting outcomes ad hoc; keys: ``trials``, ``outcomes`` (by
         class name), ``activation_ratio``, ``coverage``, ``sdc_ratio``,
-        ``failure_ratio``, ``quarantined``, plus ``plan`` (per-stratum
-        and per-section estimates with confidence intervals) when the
-        campaign ran under a stratified budget.
+        ``failure_ratio`` and ``quarantined``.
 
         A zero-trial campaign reports every ratio as 0.0 — including
         ``coverage``, which would otherwise read 1 - 0/0 and claim
         perfect detection for an experiment that measured nothing.
         """
         empty = not self.trials
-        out = {
+        return {
             "trials": len(self.trials),
             "outcomes": {o.value: self.counts.counts[o] for o in Outcome},
             "activation_ratio": self.activation_ratio,
@@ -124,9 +119,6 @@ class CampaignResult:
             "failure_ratio": self.counts.failure_ratio,
             "quarantined": len(self.quarantined),
         }
-        if self.plan is not None:
-            out["plan"] = self.plan
-        return out
 
     def filter(self, predicate: Callable[[TrialResult], bool]) -> "CampaignResult":
         """Sub-campaign of the trials satisfying ``predicate``.
@@ -135,8 +127,6 @@ class CampaignResult:
         ``WORKER_KILLED`` placeholder passes the predicate appears in
         the view's ``quarantined`` list too, so filtered summaries
         keep accounting for specs that never produced an observation.
-        The planner payload does *not* carry over — its population
-        weights describe the whole campaign, not the subset.
         """
         sub = CampaignResult()
         for t in self.trials:

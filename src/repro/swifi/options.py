@@ -65,17 +65,6 @@ class CampaignOptions:
     #: tallies) on stderr while the campaign runs.  Never affects
     #: results: progress-on campaigns are bit-identical to progress-off.
     progress: bool = False
-    #: Stratified trial budget: run at most this many trials, sampled
-    #: across fault strata by :mod:`repro.swifi.planner`, and report
-    #: population-extrapolated estimates with confidence intervals.
-    #: ``None`` (the default) runs the full enumerated plan.
-    budget: Optional[int] = None
-    #: Budget allocation method: ``"stratified"`` (proportional, the
-    #: default when ``budget`` is set) or ``"neyman"`` (variance-based,
-    #: runs a small pilot campaign first).
-    plan: Optional[str] = None
-    #: Confidence level for the planner's reported intervals.
-    confidence: float = 0.95
 
     def __post_init__(self) -> None:
         if self.trial_timeout is not None and self.trial_timeout <= 0:
@@ -85,16 +74,6 @@ class CampaignOptions:
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError(
                 f"retry must be a RetryPolicy, got {type(self.retry).__name__}"
-            )
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
-        if self.plan is not None and self.plan not in ("stratified", "neyman"):
-            raise ValueError(
-                f"plan must be 'stratified' or 'neyman', got {self.plan!r}"
-            )
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(
-                f"confidence must be in (0, 1), got {self.confidence}"
             )
 
     @property

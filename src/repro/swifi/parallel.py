@@ -5,8 +5,8 @@ per application (Section VIII); every trial is an independent program
 execution, which makes campaigns embarrassingly parallel.
 :func:`run_campaign` with a :class:`~repro.swifi.options.CampaignOptions`
 is the single entry point every campaign-driven harness uses.  It does
-the set-up once — statistical plan, phase profiler, journal and
-heartbeats (via :meth:`LeaseScheduler.open_run
+the set-up once — phase profiler, journal and heartbeats (via
+:meth:`LeaseScheduler.open_run
 <repro.swifi.scheduler.LeaseScheduler.open_run>`) — and then drives the
 one lease scheduler (:mod:`repro.swifi.scheduler`) with one of two
 kinds of worker, both running the same lease → :func:`execute_chunk` →
@@ -54,7 +54,6 @@ from repro.exec.retry import TrialTimeout, trial_deadline
 from repro.obs.events import RingBufferSink, Tracer, get_tracer, set_tracer, use_tracer
 from repro.obs.instrument import (
     record_parallel_campaign,
-    record_plan,
     record_trial_timeout,
 )
 from repro.obs.metrics import fresh_registry
@@ -323,45 +322,8 @@ def _drive_forked(scheduler: LeaseScheduler, run: CampaignRun,
 # -- the entry point -------------------------------------------------------
 
 
-def _build_campaign_plan(program, spec_list, mode, options: CampaignOptions,
-                         runner_factory):
-    """Build the stratified plan for ``options.budget``, piloting if asked.
-
-    Neyman allocation needs per-stratum variance, which only exists
-    after observing outcomes — so ``plan="neyman"`` first runs a small
-    proportional pilot (a quarter of the budget, serial, unjournaled,
-    unprofiled) and feeds its per-stratum SDC tallies into the
-    allocator.  The pilot is extra execution cost on top of the
-    budget; it buys tighter intervals when strata variances differ.
-    """
-    from repro.swifi.planner import build_plan, pilot_tallies
-
-    kernel = program.workload.kernel if program is not None else None
-    method = options.plan or "stratified"
-    pilot = None
-    if method == "neyman":
-        pilot_budget = max(1, options.budget // 4)
-        pilot_plan = build_plan(
-            spec_list, pilot_budget, kernel=kernel, method="stratified",
-            confidence=options.confidence, seed=options.seed + 1,
-        )
-        pilot_options = options.evolve(
-            budget=None, plan=None, run_dir=None, resume=None,
-            profile=False, progress=False, workers=1,
-        )
-        pilot_result = run_campaign(
-            program, pilot_plan.selected_specs(spec_list), mode,
-            pilot_options, runner_factory=runner_factory,
-        )
-        pilot = pilot_tallies(pilot_plan, pilot_result.trials)
-    return build_plan(
-        spec_list, options.budget, kernel=kernel, method=method,
-        confidence=options.confidence, seed=options.seed, pilot=pilot,
-    )
-
-
 def _run_local(program, spec_list, mode, options: CampaignOptions,
-               runner_factory, plan, profiler) -> CampaignResult:
+               runner_factory, profiler) -> CampaignResult:
     """Open one scheduler run and drive it with in-process or forked workers."""
     n_workers = resolve_workers(options.workers) if fork_available() else 1
     scheduler = LeaseScheduler(retry=options.retry)
@@ -372,7 +334,6 @@ def _run_local(program, spec_list, mode, options: CampaignOptions,
         run = scheduler.open_run(
             program, spec_list, mode, options,
             chunk_size=1 if n_workers == 1 else None, workers=n_workers,
-            plan=plan,
         )
         journal_dir = run.journal.directory if run.journal is not None else None
         span.set(replayed=len(run.replayed))
@@ -431,40 +392,14 @@ def run_campaign(
       of aborting the campaign (``RetryPolicy(max_deaths=0)`` restores
       the strict crash-surfacing behaviour).
 
-    With ``options.budget`` the enumerated ``specs`` become a
-    *population*: a seeded stratified plan
-    (:mod:`repro.swifi.planner`) samples ``budget`` of them, the
-    campaign runs only the sample, and the result carries
-    population-extrapolated estimates with confidence intervals in
-    ``result.plan`` / ``summary()["plan"]``.
-
     ``runner_factory`` overrides ``program.trial_runner`` (used by
     tests to exercise the scheduler without a full program; the factory
     is called once per worker, inside the worker).
     """
     if options is None:
         options = CampaignOptions()
-    spec_list = list(specs)
-    plan = None
-    if options.budget is not None and spec_list:
-        plan = _build_campaign_plan(
-            program, spec_list, mode, options, runner_factory
-        )
-        record_plan(len(plan.strata), plan.trials_saved)
-        get_tracer().event(
-            "swifi.plan", method=plan.method, budget=plan.budget,
-            population=plan.population, strata=len(plan.strata),
-            trials_saved=plan.trials_saved,
-        )
-        spec_list = plan.selected_specs(spec_list)
     profiler = PhaseProfiler() if options.profile else None
     with use_profiler(profiler):
-        result = _run_local(
-            program, spec_list, mode, options, runner_factory, plan,
-            profiler,
+        return _run_local(
+            program, list(specs), mode, options, runner_factory, profiler,
         )
-    if plan is not None:
-        from repro.swifi.planner import estimate_plan
-
-        result.plan = estimate_plan(plan, result.trials)
-    return result

@@ -96,7 +96,7 @@ def _section_of(program, spec_list) -> Optional[List[Optional[str]]]:
 
 
 def _open_journal(
-    program, spec_list, mode, options: CampaignOptions, plan=None,
+    program, spec_list, mode, options: CampaignOptions,
 ) -> Tuple[Optional[CampaignJournal], Dict[int, JournalRecord]]:
     """Open the campaign journal and index its replayable records.
 
@@ -109,8 +109,6 @@ def _open_journal(
     fingerprint, meta = campaign_fingerprint(
         program, spec_list, mode, options.seed
     )
-    if plan is not None:
-        meta["plan"] = plan.meta()
     journal = CampaignJournal.open(
         root, fingerprint, meta, resume=options.resuming
     )
@@ -245,7 +243,7 @@ class LeaseScheduler:
     def open_run(
         self, program, spec_list: List[Any], mode: str,
         options: CampaignOptions, *, chunk_size: Optional[int] = None,
-        workers: int = 1, plan=None,
+        workers: int = 1,
     ) -> CampaignRun:
         """Register the campaign: journal, heartbeats, queued chunks.
 
@@ -257,7 +255,7 @@ class LeaseScheduler:
         sec_of = None if options.journal_root is None \
             else _section_of(program, spec_list)
         journal, replayed = _open_journal(
-            program, spec_list, mode, options, plan,
+            program, spec_list, mode, options,
         )
         monitor = _open_monitor(program, spec_list, options, journal)
         run_id = "run-001"

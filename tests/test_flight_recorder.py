@@ -39,7 +39,9 @@ from repro.obs.profile import (
     use_profiler,
 )
 from repro.obs.progress import Heartbeat, HeartbeatMonitor, ProgressRenderer
-from repro.obs.report import build_report, render_json, render_markdown
+from repro.obs.report import (
+    _wilson_interval, build_report, render_json, render_markdown,
+)
 from repro.swifi import CampaignJournal, CampaignOptions, run_campaign
 from repro.swifi.journal import spec_fingerprint
 from repro.workloads.base import _PARSE_CACHE
@@ -507,9 +509,34 @@ class TestReport:
         root, _specs, _result = _run_journaled(tmp_path)
         text = render_markdown(build_report(str(root)))
         for heading in ("# Campaign report", "### Outcomes",
+                        "### Sections",
                         "### Differential attribution",
                         "### Time where it went"):
             assert heading in text
+
+    def test_section_table_partitions_journaled_trials(self, tmp_path):
+        root, _specs, _result = _run_journaled(tmp_path)
+        (campaign,) = build_report(str(root))["campaigns"]
+        sections = campaign["sections"]
+        assert sum(s["trials"] for s in sections.values()) == \
+            campaign["journaled_trials"]
+        for s in sections.values():
+            lo, hi = s["sdc_ci"]
+            assert lo <= s["sdc_ratio"] <= hi
+
+    def test_wilson_contains_point_estimate(self):
+        for k, n in [(0, 10), (3, 10), (10, 10), (1, 1)]:
+            lo, hi = _wilson_interval(k, n)
+            assert 0.0 <= lo <= k / n <= hi <= 1.0
+            assert hi - lo > 0.0  # never a point interval
+
+    def test_wilson_vacuous_on_empty(self):
+        assert _wilson_interval(0, 0) == (0.0, 1.0)
+
+    def test_wilson_narrows_with_n(self):
+        lo1, hi1 = _wilson_interval(5, 10)
+        lo2, hi2 = _wilson_interval(500, 1000)
+        assert hi2 - lo2 < hi1 - lo1
 
     def test_cli_report_roundtrip(self, tmp_path, capsys):
         from repro.__main__ import main
