@@ -7,7 +7,9 @@ script performs the real experiment CI runs:
 1. spawn a child process running a journaled campaign
    (``CampaignOptions(run_dir=...)``) over a small but non-trivial
    workload;
-2. poll the journal and ``SIGKILL`` the child's whole process group
+2. let the child stop itself once ``KILL_AFTER_RECORDS`` trials are
+   journaled (each of its trial runners waits before starting a trial
+   past that point), then ``SIGKILL`` its whole process group
    mid-campaign — no atexit, no flush-on-close, exactly the failure the
    journal exists for;
 3. resume the campaign in this process (``CampaignOptions(resume=...)``)
@@ -18,7 +20,8 @@ victim (the parent runs every trial itself) and once with a
 ``workers=2`` victim, whose forked lease workers die in the same
 ``killpg``; each resume uses the victim's worker count.
 
-Exit status 0 on parity, 1 on any mismatch.  Usage::
+Exit status 0 on parity, 1 on any mismatch or when the kill did not
+land mid-campaign.  Usage::
 
     PYTHONPATH=src python scripts/resume_parity_check.py
 """
@@ -37,7 +40,10 @@ import numpy as np
 
 from repro.core.program import HauberkProgram
 from repro.kir.types import DType
-from repro.swifi import CampaignOptions, build_fault_specs, enumerate_targets, run_campaign
+from repro.swifi import (
+    CampaignOptions, build_fault_specs, differential_runner, enumerate_targets,
+    run_campaign,
+)
 from repro.workloads.base import BufferSpec, Workload, WorkloadInput
 
 KERNEL_SRC = """
@@ -60,7 +66,7 @@ KILL_DEADLINE_S = 120.0
 
 
 class ParityWorkload(Workload):
-    """Small looped workload: slow enough to kill mid-campaign."""
+    """Small looped workload, whose campaign the child stops midway."""
 
     name = "PARITY"
     source = KERNEL_SRC
@@ -125,10 +131,30 @@ def _journal_lines(root: str) -> int:
 
 
 def run_child(root: str, workers: int) -> int:
-    """Child mode: run the journaled campaign to completion (if allowed)."""
+    """Child mode: run the journaled campaign until it has
+    ``KILL_AFTER_RECORDS`` records, then wait to be killed.
+
+    Every trial runner (the process itself, or each forked worker)
+    checks the journal before each trial, so the campaign stops a few
+    records past the mark whatever the trial speed; a forked worker
+    finishes at most the chunk it holds.
+    """
     wl, specs = _specs()
-    run_campaign(HauberkProgram(wl), specs, mode="fi",
-                 options=_options(workers, run_dir=root))
+    program = HauberkProgram(wl)
+
+    def runner_factory():
+        runner = differential_runner(program, "fi", 0)
+
+        def stopping(spec):
+            if _journal_lines(root) >= KILL_AFTER_RECORDS:
+                time.sleep(KILL_DEADLINE_S)  # the parent kills us here
+            return runner(spec)
+
+        return stopping
+
+    run_campaign(program, specs, mode="fi",
+                 options=_options(workers, run_dir=root),
+                 runner_factory=runner_factory)
     return 0
 
 
@@ -168,14 +194,10 @@ def run_check(root: str, workers: int = 1) -> int:
         return 1
 
     journaled = _journal_lines(root)
-    if child.returncode == 0:
-        print(f"[parity] WARNING: child finished before the kill "
-              f"({journaled} records); resume degenerates to full replay")
-    else:
-        print(f"[parity] child SIGKILLed with {journaled}/{len(specs)} "
-              f"records journaled (exit {child.returncode})")
-    if journaled == 0:
-        print("[parity] FAIL: no durable records survived the kill")
+    print(f"[parity] child exited {child.returncode} with "
+          f"{journaled}/{len(specs)} records journaled")
+    if not 0 < journaled < len(specs):
+        print("[parity] FAIL: the kill did not land mid-campaign")
         return 1
 
     resumed = run_campaign(HauberkProgram(ParityWorkload()), specs, mode="fi",

@@ -470,7 +470,8 @@ class ReplayMemoryGuard(WordReinterpret):
     reading thread.  ``stored`` is the set of ``store_owner``'s
     addresses, which the guard's ``inline_loads`` sends to the
     accessors, and ``stored_bounds`` its :func:`slow_bounds`; an engine
-    builds both once and passes them to every guard.
+    builds both, and one guard, once, and :meth:`retarget` readies the
+    guard for each trial.
     Every first store to an address is journaled (addresses are unique
     by construction), so :meth:`rollback` restores the pre-replay
     memory in one vectorized scatter-write.
@@ -543,6 +544,22 @@ class ReplayMemoryGuard(WordReinterpret):
             self._undo_addrs.append(addr)
             self._undo_bits.append(mem.load_word(addr))
         mem.store_word(addr, bits)
+
+    def retarget(self, thread: int) -> None:
+        """Ready the guard to replay ``thread``: forget the stores and
+        deferred checks of the last replay, which an interrupted replay
+        can leave behind (device memory is the caller's to heal)."""
+        self.thread = thread
+        self._undo_addrs.clear()
+        self._undo_bits.clear()
+        self._dirty.clear()
+        self.deferred.clear()
+
+    @property
+    def written_addrs(self) -> List[int]:
+        """Every address this guard let a store through to, since the
+        last :meth:`rollback` (each once, in first-store order)."""
+        return self._undo_addrs
 
     def deferred_mismatch(self, golden_words: np.ndarray) -> bool:
         """Whether any later-read stored address ended up non-golden.

@@ -293,8 +293,9 @@ class NullLibrary(InstrumentationLibrary):
 class ExecContext:
     """Mutable per-launch execution state shared by all threads.
 
-    One is built per grid launch and per differentially replayed
-    trial, so hook bindings never outlive the library they came from.
+    One is built per grid launch, and one per differential replay
+    engine, which keeps the same library objects for all its trials; so
+    hook bindings never outlive the library they came from.
 
     Attributes of note:
 

@@ -160,12 +160,11 @@ def record_trial(outcome, spec) -> None:
 def record_campaign(result) -> None:
     """Campaign-level aggregates from a finished CampaignResult."""
     reg = get_registry()
-    summary = result.summary()
     reg.counter("repro_campaigns_total", "Completed FI campaigns").inc()
     reg.gauge(
         "repro_trial_activation_ratio",
         "Activated-fault fraction of the last campaign",
-    ).set(summary["activation_ratio"])
+    ).set(result.activation_ratio)
 
 
 def record_parallel_campaign(workers: int, chunks: int) -> None:

@@ -31,8 +31,27 @@ LabelKey = Tuple[Tuple[str, str], ...]
 DEFAULT_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
 
+#: Raw label items (call order) -> their sorted, stringified key.  One
+#: cache for every registry: a key depends on the labels alone.  Only
+#: label sets whose values are all plain ``str`` enter it, since values
+#: that compare equal can render apart (``1``, ``1.0`` and ``True``).
+_LABEL_KEYS: Dict[tuple, LabelKey] = {}
+#: Entries kept at most; label sets past it are keyed anew each time.
+LABEL_KEYS_MAX = 4096
+
+
 def _labelkey(labels: Dict[str, Any]) -> LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    items = tuple(labels.items())
+    try:
+        key = _LABEL_KEYS.get(items)
+    except TypeError:  # an unhashable value
+        return tuple(sorted((k, str(v)) for k, v in items))
+    if key is None:
+        key = tuple(sorted((k, str(v)) for k, v in items))
+        if len(_LABEL_KEYS) < LABEL_KEYS_MAX and \
+                all(type(v) is str for _k, v in items):
+            _LABEL_KEYS[items] = key
+    return key
 
 
 def _labelstr(key: LabelKey) -> str:
@@ -283,7 +302,11 @@ class MetricsRegistry:
 
         A dry run into empty copies of this registry's metrics (same
         kinds and buckets) raises ``ValueError`` here, changing nothing.
+        An empty snapshot (every in-process chunk ships one) merges
+        nothing and needs no dry run.
         """
+        if not snapshot:
+            return _merge_nothing
         scratch = MetricsRegistry()
         try:
             for name in set(snapshot) & set(self._metrics):
@@ -334,6 +357,10 @@ class MetricsRegistry:
                     )
             else:
                 raise ValueError(f"cannot merge metric {name!r} of kind {kind!r}")
+
+
+def _merge_nothing() -> None:
+    """The merge of an empty snapshot."""
 
 
 _default_registry = MetricsRegistry()

@@ -14,7 +14,16 @@ loop-cycle / step totals plus a global-memory footprint (addresses read;
 3. splicing the replayed cycles/steps/events into the cached grid
    totals to synthesize a bit-identical
    :class:`~repro.gpu.runtime.LaunchResult` and
-   :class:`~repro.swifi.campaign.TrialObservation`.
+   :class:`~repro.swifi.campaign.TrialObservation`, with the output
+   verdict taken from the output words the thread could change.
+
+Per engine, not per trial: the FI (and, for ``fift``, FT) library, the
+replay guard, the :class:`~repro.kir.interp.evalcore.ExecContext` with
+the guard installed and its hook table, and the golden device output
+with its verdict.  Each trial re-arms the FI library, binds the FT
+library to a fresh device control block (a new event list over the
+engine's read-only detector configs), retargets the guard and resets
+the context's counters.
 
 Soundness gates (anything else falls back to full execution):
 
@@ -45,7 +54,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.controlblock import ControlBlock, DetectionEvent
+from repro.core.controlblock import ControlBlock, DetectionEvent, DetectorConfig
 from repro.core.ftlib import HauberkFTLibrary
 from repro.errors import KernelCrash, KernelHang
 from repro.gpu.memory import (
@@ -58,6 +67,7 @@ from repro.gpu.memory import (
 from repro.gpu.runtime import GPURuntime, LaunchResult
 from repro.kir.astnodes import AtomicAdd, Kernel, walk_stmts
 from repro.kir.interp.evalcore import ExecContext
+from repro.kir.types import DType
 from repro.obs.instrument import (
     record_differential_trial,
     record_hang_verdict,
@@ -173,7 +183,20 @@ class DifferentialEngine:
         build = program.build(mode)
         self.kernel = build.kernel
         self.compiled, self.pressure = program.runtime.prepare(self.kernel)
+        # the library pair, built once; _arm readies it for each run
         self.fi = FaultInjectionLibrary(self.workload.kernel)
+        self.ft: Optional[HauberkFTLibrary] = None
+        self.lib = self.fi
+        self._detectors: Dict[int, DetectorConfig] = {}
+        if mode == "fift":
+            from repro.core.program import CombinedLibrary  # lazy: import cycle
+
+            self.ft = HauberkFTLibrary()
+            self.lib = CombinedLibrary([self.ft, self.fi])
+            # the device side only reads them (see copy_to_device)
+            self._detectors = program.cb.copy_to_device().detectors
+        self.guard: Optional[ReplayMemoryGuard] = None
+        self.ctx: Optional[ExecContext] = None
         record = program.golden_record(seed)
         self.inp, self.output_ok = record.inp, record.output_ok
         self.handles: Dict[str, object] = {}
@@ -186,6 +209,13 @@ class DifferentialEngine:
         self.golden_events: Dict[int, List[DetectionEvent]] = {}
         self.launch: Optional[LaunchResult] = None
         self._golden_words: np.ndarray = np.empty(0, dtype=np.uint32)
+        #: the golden launch's device output and its verdict
+        self._base_output: np.ndarray = np.empty(0)
+        self._base_ok = False
+        #: ``(lo, hi, first element, load)`` per output buffer
+        self._out_spans: List[tuple] = []
+        #: thread id -> the addresses its golden run stored
+        self._stored_addrs: Dict[int, List[int]] = {}
 
     # -- golden recording -------------------------------------------------
     def record_golden(self) -> Optional[str]:
@@ -200,19 +230,21 @@ class DifferentialEngine:
         self.n_threads = inp.n_threads
 
         args, handles = self.workload.setup_memory(self.device, inp)
-        lib, device_cb = self._fresh_library(None)
+        device_cb = self._arm(None)
         recorder = _GoldenRecorder()
         try:
             self.launch = self.program.runtime.launch(
                 self.kernel, inp.grid, inp.block, args,
-                lib=lib, budget=self.workload.hang_budget, recorder=recorder,
+                lib=self.lib, budget=self.workload.hang_budget,
+                recorder=recorder,
             )
         except (KernelHang, KernelCrash) as exc:
             return f"golden run failed: {exc}"
 
-        self.handles = handles
         self._probe_name = inp.buffers[0].name
-        self._probe_alloc = handles[self._probe_name]
+        self._bind_handles(handles)
+        self._base_output = self.workload.read_output(self.device, inp, handles)
+        self._base_ok = self.output_ok(self._base_output)
         self.records = recorder.threads
         if len(self.records) != self.n_threads:
             return "recorder thread-count mismatch"
@@ -239,6 +271,14 @@ class DifferentialEngine:
         reason = self._build_conflict_maps()
         if reason is not None:
             return reason
+        self.guard = ReplayMemoryGuard(
+            self.memory, -1, self.store_owner, self.load_readers,
+            self.pre_launch, self.stored, self.stored_bounds,
+        )
+        self.ctx = ExecContext(self.guard, lib=self.lib,
+                               budget=self.workload.hang_budget,
+                               block_size=self.block_size, hang_verdicts=True)
+        self.ctx.keep_frames = False  # the replayed frame is dropped
 
         if device_cb is not None:
             block_size = self.block_size
@@ -284,22 +324,66 @@ class DifferentialEngine:
         return None
 
     # -- per-trial machinery ----------------------------------------------
-    def _fresh_library(self, spec: Optional[FaultSpec]):
-        """(library, device control block) exactly as the full path builds them."""
-        self.fi.arm(spec)
-        if self.mode != "fift":
-            return self.fi, None
-        from repro.core.program import CombinedLibrary  # lazy: import cycle
+    def _arm(self, spec: Optional[FaultSpec]) -> Optional[ControlBlock]:
+        """Ready the library pair for one run, as the full path builds it.
 
-        device_cb = self.program.cb.copy_to_device()
-        return CombinedLibrary([HauberkFTLibrary(device_cb), self.fi]), device_cb
+        Returns the device control block the FT library now reports
+        to (``None`` outside ``fift``): a fresh event list over the
+        engine's detector configs, as ``ControlBlock.copy_to_device``
+        gives.
+        """
+        self.fi.arm(spec)
+        if self.ft is None:
+            return None
+        device_cb = ControlBlock(detectors=self._detectors)
+        self.ft.bind(device_cb)
+        return device_cb
+
+    def _bind_handles(self, handles) -> None:
+        self.handles = handles
+        self._probe_alloc = handles[self._probe_name]
+        spans, at = [], 0
+        for name in self.inp.outputs:
+            alloc = handles[name]
+            # memcpy_dtoh's reading of the buffer
+            load = (self.memory.load_f32
+                    if alloc.dtype in (DType.FLOAT32, DType.PTR_FLOAT32)
+                    else self.memory.load_i32)
+            spans.append((alloc.base, alloc.end, at, load))
+            at += alloc.nwords
+        self._out_spans = spans
 
     def restore_memory(self) -> None:
         """Re-establish the golden-final device state after a foreign run."""
         _args, handles = self.workload.setup_memory(self.device, self.inp)
         self.memory.restore(self._golden_words)
-        self.handles = handles
-        self._probe_alloc = handles[self._probe_name]
+        self._bind_handles(handles)
+
+    def _changed_output(self, target: int, footprint: ThreadFootprint
+                        ) -> Tuple[List[int], List[float]]:
+        """``(output indices, values)`` of every output word a replay
+        can have changed, read before the guard's rollback.
+
+        Device memory then differs from the golden-final state only at
+        the target's golden store addresses (undone, maybe stored
+        again) and the addresses the guard let a store through to; so
+        the output is the golden device output patched there.
+        """
+        stored = self._stored_addrs.get(target)
+        if stored is None:
+            stored = self._stored_addrs[target] = \
+                footprint.net_store_arrays()[0].tolist()
+        changed = dict.fromkeys(stored)
+        changed.update(dict.fromkeys(self.guard.written_addrs))
+        idx: List[int] = []
+        values: List[float] = []
+        for addr in changed:
+            for lo, hi, at, load in self._out_spans:
+                if lo <= addr < hi:
+                    idx.append(at + addr - lo)
+                    values.append(float(load(addr)))
+                    break
+        return idx, values
 
     def _undo(self, footprint: ThreadFootprint) -> None:
         """Back out the thread's golden stores (one scatter-write).
@@ -334,14 +418,12 @@ class DifferentialEngine:
 
         rec = self.records[target]
         self._undo(rec.footprint)
-        guard = ReplayMemoryGuard(
-            self.memory, target, self.store_owner, self.load_readers,
-            self.pre_launch, self.stored, self.stored_bounds,
-        )
-        lib, device_cb = self._fresh_library(spec)
-        ctx = ExecContext(guard, lib=lib, budget=self.workload.hang_budget,
-                          block_size=self.block_size, hang_verdicts=True)
-        ctx.keep_frames = False  # the replayed frame is dropped
+        guard = self.guard
+        guard.retarget(target)
+        device_cb = self._arm(spec)
+        ctx = self.ctx
+        ctx.cycles = ctx.loop_cycles = 0.0
+        ctx.hang_verdict = None
 
         block, tib = divmod(target, self.block_size)
         frame = dict(self.base_frame)
@@ -402,17 +484,22 @@ class DifferentialEngine:
         )
         record_launch(result)
 
-        output = self.workload.read_output(self.device, self.inp, self.handles)
+        idx, values = self._changed_output(target, rec.footprint)
         guard.rollback()
         self._reapply(rec.footprint)
 
         detected = False
-        if self.mode == "fift":
-            self.program.cb.copy_from_device(
-                self._splice_control_block(target, device_cb.events)
-            )
-            detected = self.program.cb.alarm_raised
-        ok = self.output_ok(output)
+        if device_cb is not None:
+            host_cb = self.program.cb
+            if device_cb.events or self.golden_events:
+                host_cb.copy_from_device(
+                    self._splice_control_block(target, device_cb.events)
+                )
+                detected = host_cb.alarm_raised
+            else:
+                host_cb.clear_results()  # what an empty splice copies back
+        ok = self.output_ok.check_changed(self._base_output, self._base_ok,
+                                          idx, values)
         return TrialObservation(
             failure=False, detected=detected, output_ok=ok,
             activated=activated, note="",

@@ -359,7 +359,8 @@ def _run_local(program, spec_list, mode, options: CampaignOptions,
                     json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8",
                 )
-        span.set(**run.result.summary())
+        if tracer.enabled:  # a disabled tracer's span drops its attributes
+            span.set(**run.result.summary())
     return run.result
 
 

@@ -213,14 +213,15 @@ def _check_result(run: CampaignRun, lease: Lease,
         and type(message.get("pid")) is int
         and isinstance(message.get("trace"), list)
         and isinstance(message.get("metrics"), dict))
-    problem = (f"a result needs lease {lease.lease_id}'s indices "
-               f"{list(lease.indices)}, one observation and cost per spec, "
-               "an int pid, a list trace and a metrics dict")
     if well_formed:
         try:
             return get_registry().prepare_merge(message["metrics"])
         except ValueError as exc:
             problem = f"metrics: {exc}"
+    else:
+        problem = (f"a result needs lease {lease.lease_id}'s indices "
+                   f"{list(lease.indices)}, one observation and cost per "
+                   "spec, an int pid, a list trace and a metrics dict")
     raise InjectionError(f"malformed result for {run.run_id}: {problem}")
 
 

@@ -18,7 +18,7 @@ back and concatenated in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.gpu.memory import Allocation
 from repro.kir.astnodes import Kernel
 from repro.kir.parser import parse_kernel
 from repro.kir.types import DType
-from repro.workloads.spec import ToleranceSpec
+from repro.workloads.spec import OutputCheck, ToleranceSpec
 
 
 @dataclass
@@ -89,7 +89,7 @@ class GoldenRecord:
     golden: np.ndarray
     #: the workload spec's check against ``golden`` (``spec.checker``),
     #: built once for every trial of every campaign on this seed
-    output_ok: Callable[[np.ndarray], bool]
+    output_ok: OutputCheck
     #: (mode, cb_token) -> DifferentialEngine | _Ineligible
     exec_states: Dict[tuple, object] = field(default_factory=dict)
 

@@ -11,9 +11,10 @@ SDC, a 10,000-value stripe is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+
+from repro.workloads.spec import OutputCheck
 
 
 @dataclass
@@ -69,10 +70,26 @@ class PerceptualSpec:
         stats = frame_corruption_stats(output, golden, self.min_levels)
         return stats.corrupted_fraction < self.noticeable_fraction
 
-    def checker(self, golden: np.ndarray) -> Callable[[np.ndarray], bool]:
+    def checker(self, golden: np.ndarray) -> "PerceptualCheck":
         """:meth:`check` against a fixed golden, as
         :meth:`ToleranceSpec.checker <repro.workloads.spec.ToleranceSpec.checker>`."""
-        return lambda output: self.check(output, golden)
+        return PerceptualCheck(self, golden)
 
     def violations(self, output: np.ndarray, golden: np.ndarray) -> int:
         return frame_corruption_stats(output, golden, self.min_levels).corrupted_pixels
+
+
+class PerceptualCheck(OutputCheck):
+    """:meth:`PerceptualSpec.check` against a fixed golden.
+
+    The corrupted-pixel fraction counts the whole frame, so
+    :meth:`~repro.workloads.spec.OutputCheck.check_changed` keeps its
+    patch-and-check form.
+    """
+
+    def __init__(self, spec: PerceptualSpec, golden: np.ndarray):
+        self.spec = spec
+        self.golden = golden
+
+    def __call__(self, output: np.ndarray) -> bool:
+        return self.spec.check(output, self.golden)

@@ -14,8 +14,9 @@ element" as SDC, which the remaining FP programs use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -54,23 +55,11 @@ class ToleranceSpec:
         """True when the output meets the correctness requirement."""
         return self.checker(golden)(output)
 
-    def checker(self, golden: np.ndarray) -> Callable[[np.ndarray], bool]:
+    def checker(self, golden: np.ndarray) -> "ToleranceCheck":
         """:meth:`check` against a fixed golden, whose tolerance array is
         computed once: a campaign checks every trial's output against
         the same golden."""
-        gold = np.asarray(golden, dtype=np.float64)
-        exact = self.abs_const == self.rel == self.global_rel == 0.0
-        tolerance = None if exact else self.tolerance(gold)
-
-        def check(output: np.ndarray) -> bool:
-            out = np.asarray(output, dtype=np.float64)
-            if out.shape != gold.shape or not np.isfinite(out).all():
-                return False
-            if exact:
-                return bool(np.array_equal(out, gold))
-            return bool((np.abs(out - gold) <= tolerance).all())
-
-        return check
+        return ToleranceCheck(self, golden)
 
     def violations(self, output: np.ndarray, golden: np.ndarray) -> int:
         """Number of out-of-tolerance elements (diagnostics)."""
@@ -80,6 +69,74 @@ class ToleranceSpec:
             return max(out.size, gold.size)
         bad = ~np.isfinite(out) | (np.abs(out - gold) > self.tolerance(gold))
         return int(bad.sum())
+
+
+class OutputCheck:
+    """A spec's check of outputs against one fixed golden output.
+
+    Calling it checks a whole output.  :meth:`check_changed` checks an
+    output that equals a known ``base`` except at some elements: the
+    differential engine knows which output words a replayed thread can
+    have changed, so it need not read the rest back.
+    """
+
+    def __call__(self, output: np.ndarray) -> bool:
+        raise NotImplementedError
+
+    def check_changed(self, base: np.ndarray, base_ok: bool,
+                      idx: Sequence[int], values: Sequence[float]) -> bool:
+        """``self(out)`` for ``out``, ``base`` with ``out[idx] = values``.
+
+        ``base_ok`` must be ``self(base)``.  This form patches a copy of
+        ``base`` and checks it whole.
+        """
+        out = base.copy()
+        out[list(idx)] = values
+        return self(out)
+
+
+class ToleranceCheck(OutputCheck):
+    """:meth:`ToleranceSpec.check` against a fixed golden."""
+
+    def __init__(self, spec: ToleranceSpec, golden: np.ndarray):
+        self.gold = np.asarray(golden, dtype=np.float64)
+        self.exact = spec.abs_const == spec.rel == spec.global_rel == 0.0
+        self.tolerance = None if self.exact else spec.tolerance(self.gold)
+        #: ``gold`` and ``tolerance`` as Python floats, for
+        #: :meth:`check_changed`; built on its first call.
+        self._lists: Optional[tuple] = None
+
+    def __call__(self, output: np.ndarray) -> bool:
+        gold = self.gold
+        out = np.asarray(output, dtype=np.float64)
+        if out.shape != gold.shape or not np.isfinite(out).all():
+            return False
+        if self.exact:
+            return bool(np.array_equal(out, gold))
+        return bool((np.abs(out - gold) <= self.tolerance).all())
+
+    def check_changed(self, base: np.ndarray, base_ok: bool,
+                      idx: Sequence[int], values: Sequence[float]) -> bool:
+        """The requirement is per element, so when ``base`` passes only
+        the changed elements need checking, each as ``__call__`` would
+        (finite, then within its tolerance, or equal when exact)."""
+        if not base_ok:
+            return super().check_changed(base, base_ok, idx, values)
+        if self._lists is None:
+            tol: List[float] = ([] if self.exact
+                                else self.tolerance.reshape(-1).tolist())
+            self._lists = (self.gold.reshape(-1).tolist(), tol)
+        gold, tol = self._lists
+        isfinite = math.isfinite
+        for i, value in zip(idx, values):
+            if not isfinite(value):
+                return False
+            if self.exact:
+                if value != gold[i]:
+                    return False
+            elif not abs(value - gold[i]) <= tol[i]:
+                return False
+        return True
 
 
 def exact_spec() -> ToleranceSpec:

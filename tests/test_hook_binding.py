@@ -43,6 +43,7 @@ from repro.swifi.faultmodel import FaultSpec
 from repro.swifi.injector import FaultInjectionLibrary, instrument_for_fi
 from repro.swifi.targets import enumerate_targets
 from repro.workloads import get_workload
+from repro.workloads.base import BufferSpec, Workload, WorkloadInput
 
 ENGINES = ("closure", "lockstep")
 
@@ -122,6 +123,55 @@ class TestHookBinding:
         _launch(src, {"n": 2, "x": 1.25}, lib, engine)
         assert lib.calls == [(7, "m", 2.5), (7, "m", 2.5, 4)]
         assert [type(v) for v in lib.calls[1]] == [int, str, float, int]
+
+
+class _LazyWorkload(Workload):
+    """Four threads; a call no library handles sits in a branch that
+    only a fault on ``m`` takes."""
+
+    name = "LAZY"
+    source = """
+    kernel lazy(float* out, int n) {
+        int tid = blockIdx.x * blockDim.x + threadIdx.x;
+        int m = n;
+        if (m > 100) { __hauberk_nothing(m); __other(m); }
+        out[tid] = float(m + tid);
+    }
+    """
+
+    def generate_input(self, seed=0):
+        return WorkloadInput(
+            buffers=[BufferSpec("out", DType.FLOAT32, 4)], scalars={"n": 1},
+            buffer_params={"out": "out"}, outputs=["out"],
+            grid=(1, 1), block=(4, 1))
+
+    def golden(self, inp):
+        return np.arange(4) + 1.0
+
+
+class TestReplayHookBinding:
+    """A differential replay engine keeps one hook table across its
+    trials, filled as calls first execute: the unbound call in the
+    untaken branch crashes only the trials that reach it."""
+
+    def test_unbound_call_in_untaken_branch_across_replays(self):
+        from repro.swifi.differential import differential_runner
+
+        program = HauberkProgram(_LazyWorkload())
+        runner = differential_runner(program, "fi", 0)
+        full = program.trial_runner("fi", 0)
+        (m_site,) = [s.site for s in enumerate_targets(program.workload.kernel)
+                     if s.name == "m"]
+        clean = FaultSpec(site=m_site, mask=1 << 1, thread=2)   # m = 3
+        taken = FaultSpec(site=m_site, mask=1 << 7, thread=1)   # m = 129
+        for spec in (clean, taken, clean, taken, clean):
+            obs = runner(spec)
+            assert runner.engine.run_trial(spec) == obs == full(spec)
+            assert obs.failure == (spec is taken)
+            assert set(runner.engine.ctx.hooks) == {"__hauberk_fi"}
+        assert obs.output_ok is False and not obs.failure
+        assert full(taken).note.startswith(
+            "kernel crash: library has no handler for __hauberk_nothing")
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,66 @@ class TestMetrics:
         assert data["g"]["samples"][0]["value"] == 2.5
         assert data["h"]["samples"][0]["count"] == 1
 
+    def test_label_order_does_not_split_a_sample(self):
+        reg = MetricsRegistry()
+        c = reg.counter("c")
+        c.inc(a="x", b="y")
+        c.inc(b="y", a="x")
+        assert c.value(a="x", b="y") == c.value(b="y", a="x") == 2.0
+        assert len(reg.as_dict()["c"]["samples"]) == 1
+
+    def test_equal_values_of_other_types_keep_their_own_labels(self):
+        # 1, 1.0 and True hash and compare alike but render apart
+        reg = MetricsRegistry()
+        c = reg.counter("c")
+        for value in ("1", 1, 1.0, True, "1", 1):
+            c.inc(x=value)
+        samples = {s["labels"]["x"]: s["value"]
+                   for s in reg.as_dict()["c"]["samples"]}
+        assert samples == {"1": 4.0, "1.0": 1.0, "True": 1.0}
+
+    def test_unhashable_label_value_still_records(self):
+        reg = MetricsRegistry()
+        c = reg.counter("c")
+        c.inc(tags=["a", "b"])
+        c.inc(tags=["a", "b"])
+        assert c.value(tags=["a", "b"]) == 2.0
+        assert reg.as_dict()["c"]["samples"] == [
+            {"labels": {"tags": "['a', 'b']"}, "value": 2.0}]
+
+    def test_label_sets_past_the_cache_bound_still_record(self, monkeypatch):
+        import repro.obs.metrics as metrics
+
+        monkeypatch.setattr(metrics, "_LABEL_KEYS", {})
+        monkeypatch.setattr(metrics, "LABEL_KEYS_MAX", 2)
+        c = MetricsRegistry().counter("c")
+        for i in range(5):
+            c.inc(i=str(i), kind="k")
+            c.inc(kind="k", i=str(i))
+        assert len(metrics._LABEL_KEYS) == 2
+        assert [c.value(i=str(i), kind="k") for i in range(5)] == [2.0] * 5
+
+    def test_records_go_to_the_current_registry(self):
+        from repro.obs.instrument import record_lease
+
+        name = "repro_campaign_leases_total"
+        first = fresh_registry()
+        record_lease("granted")
+        second = fresh_registry()
+        record_lease("granted", 2)
+        assert set_registry(first) is first
+        record_lease("granted")
+        assert first.counter(name).value(event="granted") == 2.0
+        assert second.counter(name).value(event="granted") == 2.0
+
+    def test_empty_snapshot_merges_nothing(self):
+        reg = MetricsRegistry()
+        reg.counter("c").inc(kind="k")
+        before = reg.as_dict()
+        reg.prepare_merge({})()
+        reg.merge_dict({})
+        assert reg.as_dict() == before
+
     def test_traced_decorator_spans(self):
         sink = RingBufferSink()
         with use_tracer(Tracer(sink)):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.program import HauberkProgram, RunStatus
 from repro.errors import WorkloadError
 from repro.workloads import all_workloads, get_workload
+from repro.workloads.graphics import PerceptualSpec
 from repro.workloads.spec import (
     MRIQ_SPEC,
     PNS_SPEC,
@@ -83,6 +84,31 @@ class TestToleranceSpec:
                 bool(np.array_equal(out64, g)) if spec == exact_spec()
                 else bool((np.abs(out64 - g) <= tol).all())))
             assert check(out) == spec.check(out, g) == expected
+
+    @pytest.mark.parametrize("spec", [percent_spec(0.01), PNS_SPEC, RPES_SPEC, MRIQ_SPEC,
+                                      exact_spec(), PerceptualSpec()])
+    def test_changed_elements_check_as_the_whole_output(self, spec):
+        """``check_changed(base, base_ok, idx, values)`` is the check of
+        ``base`` patched at ``idx``, for a passing and a failing base."""
+        rng = np.random.default_rng(3)
+        g = rng.uniform(0.0, 1.0, 40)
+        check = spec.checker(g)
+        # a step of about the tolerance (a level for the perceptual spec)
+        step = (np.maximum(spec.tolerance(g), 1e-6) if isinstance(spec, ToleranceSpec)
+                else np.full(40, 0.01))
+        for base in (g.copy(), np.where(np.arange(40) == 7, g + 0.5, g)):
+            base_ok = check(base)
+            for _ in range(60):
+                idx = rng.choice(40, int(rng.integers(0, 5)), replace=False)
+                values = g[idx] + rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0],
+                                             idx.size) * step[idx]
+                values = np.where(rng.random(idx.size) < 0.1, np.nan, values)
+                values = np.where(rng.random(idx.size) < 0.1, -np.inf, values)
+                patched = base.copy()
+                patched[idx] = values
+                assert check.check_changed(base, base_ok, idx.tolist(), values.tolist()) \
+                    == check(patched)
+        assert check.check_changed(g, True, [], []) == check(g)
 
     def test_invalid_spec(self):
         with pytest.raises(WorkloadError):
