@@ -472,14 +472,14 @@ class ReplayMemoryGuard(WordReinterpret):
     accessors, and ``stored_bounds`` its :func:`slow_bounds`; an engine
     builds both, and one guard, once, and :meth:`retarget` readies the
     guard for each trial.
-    Every first store to an address is journaled (addresses are unique
-    by construction), so :meth:`rollback` restores the pre-replay
-    memory in one vectorized scatter-write.
+    The first store to each address is journaled with the bits it
+    found (:attr:`written`), so the differential engine can put each
+    written word back after the replay.
     """
 
     __slots__ = (
         "mem", "thread", "store_owner", "load_readers", "pre_launch",
-        "inline_loads", "_undo_addrs", "_undo_bits", "deferred", "_dirty",
+        "inline_loads", "written", "deferred",
     )
 
     def __init__(
@@ -503,11 +503,13 @@ class ReplayMemoryGuard(WordReinterpret):
             stored_bounds = slow_bounds(stored, mem.capacity)
         f32, i32 = mem.inline_loads[:2]
         self.inline_loads = (f32, i32, mem.capacity, stored, *stored_bounds)
-        self._undo_addrs: List[int] = []
-        self._undo_bits: List[int] = []
+        #: Every address this guard let a store through to since the
+        #: last :meth:`retarget`, in first-store order -> the bits it
+        #: held before that store; its owner clears it once the words
+        #: are back.
+        self.written: Dict[int, int] = {}
         #: Stored addresses whose golden readers include a later thread.
         self.deferred: Set[int] = set()
-        self._dirty: Set[int] = set()
 
     @property
     def capacity(self) -> int:
@@ -539,10 +541,8 @@ class ReplayMemoryGuard(WordReinterpret):
     def store_word(self, addr: int, bits: int) -> None:
         self._check_store(addr)
         mem = self.mem
-        if addr not in self._dirty and 0 <= addr < mem.capacity:
-            self._dirty.add(addr)
-            self._undo_addrs.append(addr)
-            self._undo_bits.append(mem.load_word(addr))
+        if addr not in self.written and 0 <= addr < mem.capacity:
+            self.written[addr] = mem.load_word(addr)
         mem.store_word(addr, bits)
 
     def retarget(self, thread: int) -> None:
@@ -550,16 +550,8 @@ class ReplayMemoryGuard(WordReinterpret):
         deferred checks of the last replay, which an interrupted replay
         can leave behind (device memory is the caller's to heal)."""
         self.thread = thread
-        self._undo_addrs.clear()
-        self._undo_bits.clear()
-        self._dirty.clear()
+        self.written.clear()
         self.deferred.clear()
-
-    @property
-    def written_addrs(self) -> List[int]:
-        """Every address this guard let a store through to, since the
-        last :meth:`rollback` (each once, in first-store order)."""
-        return self._undo_addrs
 
     def deferred_mismatch(self, golden_words: np.ndarray) -> bool:
         """Whether any later-read stored address ended up non-golden.
@@ -576,15 +568,3 @@ class ReplayMemoryGuard(WordReinterpret):
             return True
         golden_bits = np.asarray(golden_words, dtype=np.uint32)[addrs]
         return not np.array_equal(self.mem.gather_words(addrs), golden_bits)
-
-    def rollback(self) -> None:
-        """Reverse every store this guard let through (one scatter)."""
-        if self._undo_addrs:
-            n = len(self._undo_addrs)
-            self.mem.scatter_words(
-                np.fromiter(self._undo_addrs, np.int64, count=n),
-                np.fromiter(self._undo_bits, np.uint32, count=n),
-            )
-        self._undo_addrs.clear()
-        self._undo_bits.clear()
-        self._dirty.clear()

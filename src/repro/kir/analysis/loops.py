@@ -317,8 +317,8 @@ class HangShape:
     op: str
     bound: Expr
     period: int
-    #: instrumentation call names in the body
-    hooks: Tuple[str, ...]
+    #: the instrumentation call statements of the body
+    calls: Tuple[CallStmt, ...]
     loads: Tuple[AffineLoad, ...]
 
     def iterations_left(self, i: int, bound: int) -> int:
@@ -501,10 +501,10 @@ def hang_shape(loop: Stmt) -> Union[HangShape, str]:
         if (invariant - {it}) & written:
             return LOAD_NOT_AFFINE
     op, bound = _iterator_bounds(loop.cond, it)
-    hooks = tuple(dict.fromkeys(s.func for s in loop.body if isinstance(s, CallStmt)))
+    calls = tuple(s for s in loop.body if isinstance(s, CallStmt))
     return HangShape(
         loop_id=loop.loop_id, iter_var=it, step=_affine_step(loop.update, it),
-        op=op, bound=bound, period=len(loop.body) + 2, hooks=hooks,
+        op=op, bound=bound, period=len(loop.body) + 2, calls=calls,
         loads=tuple(loads),
     )
 
@@ -531,9 +531,10 @@ class FastIteration:
 
     loop_id: int
     max_steps: int
-    #: instrumentation call names in the body, which must all have
-    #: retired before an iteration runs unchecked
-    hooks: Tuple[str, ...]
+    #: the instrumentation call statements of the body, which must all
+    #: have retired (by name or by statement) before an iteration runs
+    #: unchecked
+    calls: Tuple[CallStmt, ...]
 
 
 def iteration_stmts(loop: Stmt) -> List[Stmt]:
@@ -581,9 +582,8 @@ def fast_iteration(loop: Stmt) -> Union[FastIteration, str]:
     steps = _iteration_steps(iteration_stmts(loop))
     if isinstance(steps, str):
         return steps
-    hooks = tuple(dict.fromkeys(
-        s.func for s, _depth in walk_stmts(loop.body) if isinstance(s, CallStmt)))
-    return FastIteration(loop_id=loop.loop_id, max_steps=1 + steps, hooks=hooks)
+    calls = tuple(s for s, _depth in walk_stmts(loop.body) if isinstance(s, CallStmt))
+    return FastIteration(loop_id=loop.loop_id, max_steps=1 + steps, calls=calls)
 
 
 # ---------------------------------------------------------------------------

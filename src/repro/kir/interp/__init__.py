@@ -21,6 +21,7 @@ from repro.kir.interp.evalcore import (
     ExecContext,
     InstrumentationLibrary,
     RETIRE,
+    RETIRE_CALL,
     BreakSignal,
     ContinueSignal,
     ReturnSignal,
@@ -32,6 +33,7 @@ __all__ = [
     "ExecContext",
     "InstrumentationLibrary",
     "RETIRE",
+    "RETIRE_CALL",
     "BreakSignal",
     "ContinueSignal",
     "ReturnSignal",

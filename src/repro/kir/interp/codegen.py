@@ -31,16 +31,18 @@ shape::
                 if _h0(ctx, _fv, 3, 'x') is RETIRE: _h0 = RETIRE
                 if _fv.written: v0, v1, v2 = _fv.reload()
             v3 = 0                         # a loop with a hang shape
+            _c0 = None                     # its hook statement's last answer
             _q0 = hang_verdicts            # ctx.hang_verdicts
-            while True:
-                if _q0 and _h0 is RETIRE:  # once every body hook retired
+            while True:   # once every body hook retired, by name or statement:
+                if _q0 and (_h0 is RETIRE or _c0 is RETIRE_CALL):
                     _q0 = False            # no call when the budget covers the loop
                     if budget - steps <= max(0, v1 - v3) * 4 and _hang_verdict(
                             _k4, ctx, steps, v3, v1, ((v0, 0),)):
                         steps = budget + 1
                         raise KernelHang()
-                if (_h0 is RETIRE and steps + 4 <= budget   # one line in
-                        and cycles <= 1125899906842576.0    # the source
+                if ((_h0 is RETIRE or _c0 is RETIRE_CALL)   # one line in
+                        and steps + 4 <= budget             # the source
+                        and cycles <= 1125899906842576.0
                         and loop_cycles <= 1125899906842576.0
                         and v3 <= 2147483646):              # a range guard
                     _r0 = (steps, cycles, loop_cycles, v4, v3)  # a counted run
@@ -232,7 +234,16 @@ harmless.  A handler that returns
 thread: its local becomes ``RETIRE``, and the guard skips the call
 (and the frame view with it) while the statement's step, budget check
 and cycle charge, which sit outside the guard, still run.  The local
-is re-read from the hook table when the next thread starts.
+is re-read from the hook table when the next thread starts.  A hook
+statement inside a loop also has a local ``_c<n>`` holding its
+handler's last answer, set to None where the thread enters the
+outermost loop around it: once that is
+:data:`~repro.kir.interp.evalcore.RETIRE_CALL`, the guard ``if _h0 is
+not RETIRE and _c<n> is not RETIRE_CALL:`` skips that statement alone,
+and a loop whose every hook statement retired, by name or by
+statement, may run fast iterations, counted runs and its hang verdict
+(``_retired``).  A statement outside every loop runs once a thread, so
+its answer is not kept.
 
 Identifiers and ``str`` constants enter the source only through
 ``repr()``: a KIR name becomes a local ``v<n>`` and appears as text
@@ -302,6 +313,7 @@ from repro.kir.interp.evalcore import (
     ExecContext,
     INTRINSIC_IMPL,
     RETIRE,
+    RETIRE_CALL,
     _safe_sqrt,
     c_int_cast,
     fdiv,
@@ -549,7 +561,8 @@ class _Emitter:
             "KernelHang": KernelHang, "idiv": idiv, "imod": imod,
             "fdiv": fdiv, "c_int_cast": c_int_cast,
             "_shared_load": _shared_load, "_shared_oob": _shared_oob,
-            "RETIRE": RETIRE, "UNSET": UNSET, "FrameView": FrameView,
+            "RETIRE": RETIRE, "RETIRE_CALL": RETIRE_CALL, "UNSET": UNSET,
+            "FrameView": FrameView,
             "_write_back": _write_back, "_hang_verdict": _hang_verdict,
             "INF": INF, "_RERUN": _RERUN, "_float_as_int": _float_as_int,
             "_pack_f32": _pack_f32, "_unpack_i32": _unpack_i32, "_ONCE": (None,),
@@ -558,6 +571,9 @@ class _Emitter:
         self.used = set()
         #: hook name -> the thread function's local holding its handler
         self.hooks: Dict[str, str] = {}
+        #: id of each hook call statement inside a loop -> the local
+        #: holding its handler's last answer (``_c<n>``)
+        self.call_flags: Dict[int, str] = {}
         #: KIR name -> the thread function's local holding it
         self.locals: Dict[str, str] = {}
         #: assigned KIR names -> position in a frame view's ``values``,
@@ -980,6 +996,13 @@ class _Emitter:
     def _loop(self, s: Stmt, ind: int, shape: Optional[HangShape] = None) -> None:
         # a hook anywhere in the loop may follow any assignment in it
         self.assigned(d.name for d, _depth in defining_statements(iteration_stmts(s)))
+        # a thread enters an outermost loop at most once: the answers of
+        # the hook statements in it (none yet flagged) start there
+        flags = [self.call_flags.setdefault(id(st), f"_c{len(self.call_flags)}")
+                 for st, _depth in walk_stmts(s.body)
+                 if isinstance(st, CallStmt) and id(st) not in self.call_flags]
+        if flags:
+            self.emit(ind, f"{' = '.join(flags)} = None")
         if shape is None:
             self.emit(ind, "while True:")
         else:
@@ -988,6 +1011,17 @@ class _Emitter:
         if isinstance(fast, FastIteration):
             self._fast_iteration(s, fast, ind + 1, shape)
         self._iteration(s, ind + 1)
+
+    def _retired(self, calls) -> List[str]:
+        """Tests that every call statement in ``calls`` has retired: for
+        each hook name, its local is ``RETIRE`` or each of its call
+        statements answered ``RETIRE_CALL`` last."""
+        by_name: Dict[str, List[str]] = {}
+        for call in calls:
+            by_name.setdefault(call.func, []).append(self.call_flags[id(call)])
+        return [f"({self.hook_local(func)} is RETIRE or "
+                f"{' and '.join(f'{flag} is RETIRE_CALL' for flag in flags)})"
+                for func, flags in by_name.items()]
 
     def _iteration(self, s: Stmt, ind: int) -> None:
         """One iteration of loop ``s``: the condition, body and update."""
@@ -1036,7 +1070,7 @@ class _Emitter:
         self.emit(ind + 1, "except _RERUN:")
         self.emit(ind + 2, f"{names} = {snapshot}")
         limit = self.const(_EXACT_CYCLES - self.fast_cycles)
-        test = [f"{self.hook_local(f)} is RETIRE" for f in fast.hooks]
+        test = self._retired(fast.calls)
         test += [f"steps + {fast.max_steps} <= budget", f"cycles <= {limit}",
                  f"loop_cycles <= {limit}"]
         test += [self._guard(g) for g in ranges.guards]
@@ -1432,7 +1466,7 @@ class _Emitter:
         self.used.add("hang_verdicts")
         self.emit(ind, f"{flag} = hang_verdicts")
         self.emit(ind, "while True:")
-        test = " and ".join([flag] + [f"{self.hook_local(f)} is RETIRE" for f in shape.hooks])
+        test = " and ".join([flag] + self._retired(shape.calls))
         self.emit(ind + 1, f"if {test}:")
         self.emit(ind + 2, f"{flag} = False")
         loads = [
@@ -1497,15 +1531,21 @@ class _Emitter:
         if self.pending is not None:
             return  # a fast iteration runs once the handler has retired
         # one local per hook name, bound on the call's first execution
-        # and set to RETIRE for the rest of the thread when asked
+        # and set to RETIRE for the rest of the thread when asked; in a
+        # loop, one more per call statement, holding its last answer
         handler = self.hook_local(s.func)
-        self.emit(ind, f"if {handler} is not RETIRE:")
+        flag = self.call_flags.get(id(s))
+        call = f"{handler}(ctx, _fv{''.join(', ' + a for a in args)})"
+        if flag is None:
+            self.emit(ind, f"if {handler} is not RETIRE:")
+        else:
+            self.emit(ind, f"if {handler} is not RETIRE and {flag} is not RETIRE_CALL:")
+            call = f"({flag} := {call})"
         self.emit(ind + 1, "ctx.steps = steps")
         self.emit(ind + 1, f"if {handler} is None: {handler} = bind_hook({s.func!r})")
         # the handler sees the frame through _fv; reload after it writes
         self.emit(ind + 1, f"_fv.values = ({_seq(self.packed)})")
-        self.emit(ind + 1, f"if {handler}(ctx, _fv{''.join(', ' + a for a in args)}) "
-                           f"is RETIRE: {handler} = RETIRE")
+        self.emit(ind + 1, f"if {call} is RETIRE: {handler} = RETIRE")
         self.lines.append((ind + 1, list(self.packed)))
 
     def thread_function(self, kernel: Kernel) -> str:

@@ -251,12 +251,18 @@ class InstrumentationLibrary:
     return value is ignored) when every later call of the same call
     name in the running thread would be a no-op: it would write no
     frame slot, change no library state that can be observed, and
-    raise nothing.  The compiled engine then stops calling that
-    handler until the thread ends; the call's step, budget check and
-    cycle charge still run, and so does evaluating its arguments.
-    The next thread calls it again.  The lockstep interpreter ignores
-    the return value and calls every hook, so each engine-parity test
-    checks every ``RETIRE`` claim a library makes.
+    raise nothing.  It returns :data:`RETIRE_CALL` when that holds
+    for every later call *from the same call statement* in the
+    running thread, while calls from other statements of that name
+    may still act.  The compiled engine then stops calling that
+    handler until the thread ends, from every statement or from that
+    one; the call's step, budget check and cycle charge still run, and
+    so does evaluating its arguments.  It keeps a call statement's
+    answer only for statements inside a loop, the only ones that run
+    more than once in a thread.  The next thread calls it again.  The
+    lockstep interpreter ignores the return value and calls every
+    hook, so each engine-parity test checks every ``RETIRE`` and
+    ``RETIRE_CALL`` claim a library makes.
     """
 
     PREFIX = "__hauberk_"
@@ -272,6 +278,9 @@ class InstrumentationLibrary:
 #: are all no-ops (see :class:`InstrumentationLibrary`); compared by
 #: identity.
 RETIRE = object()
+#: Returned by a hook handler whose later calls from the same call
+#: statement in the running thread are all no-ops; compared by identity.
+RETIRE_CALL = object()
 
 
 def _no_hook(ctx: "ExecContext", frame: dict, *args) -> None:

@@ -5,7 +5,12 @@ Call-sites in ``gpu/runtime.py``, ``swifi/campaign.py``,
 invoke these one-liners; each resolves the process-wide tracer and
 registry at call time, so everything stays a no-op-speed path under the
 default :class:`~repro.obs.events.NullTracer` and costs one dict update
-per observation when enabled.
+per observation when enabled.  The records every fault-injection trial
+makes (``record_launch``, ``record_trial``, ``record_lease`` and
+``record_differential_trial``) look their metrics and label keys up
+once per registry and label set
+(:meth:`~repro.obs.metrics.MetricsRegistry.bound`), and then cost one
+bound call per observation.
 
 Metric namespace (all Prometheus-style, prefix ``repro_``):
 
@@ -63,7 +68,7 @@ import functools
 from typing import Any, Callable, Optional
 
 from repro.obs.events import get_tracer
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 #: Unit-interval buckets for fraction-valued histograms (loop share).
 FRACTION_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
@@ -98,21 +103,30 @@ def traced(name: Optional[str] = None, **static_attrs: Any) -> Callable:
 
 # -- kernel launches (gpu/runtime.py) -----------------------------------
 
+def _launch_metrics(reg: MetricsRegistry, kernel: str) -> tuple:
+    return (
+        reg.counter("repro_launch_total", "Kernel launches").bind(kernel=kernel),
+        reg.counter(
+            "repro_launch_cycles_total", "Simulated thread-cycles across launches"
+        ).bind(kernel=kernel),
+        reg.histogram(
+            "repro_launch_loop_fraction", "Fraction of launch cycles inside loops",
+            buckets=FRACTION_BUCKETS,
+        ).bind(kernel=kernel),
+        reg.gauge(
+            "repro_launch_spill_factor", "Register-spill slowdown of the last launch"
+        ).bind(kernel=kernel),
+    )
+
+
 def record_launch(result) -> None:
     """One successful :class:`~repro.gpu.runtime.LaunchResult`."""
-    reg = get_registry()
-    kernel = result.kernel_name
-    reg.counter("repro_launch_total", "Kernel launches").inc(kernel=kernel)
-    reg.counter(
-        "repro_launch_cycles_total", "Simulated thread-cycles across launches"
-    ).inc(result.total_cycles, kernel=kernel)
-    reg.histogram(
-        "repro_launch_loop_fraction", "Fraction of launch cycles inside loops",
-        buckets=FRACTION_BUCKETS,
-    ).observe(result.loop_fraction, kernel=kernel)
-    reg.gauge(
-        "repro_launch_spill_factor", "Register-spill slowdown of the last launch"
-    ).set(result.spill_factor, kernel=kernel)
+    launches, cycles, loop_fraction, spill = get_registry().bound(
+        _launch_metrics, result.kernel_name)
+    launches()
+    cycles(result.total_cycles)
+    loop_fraction(result.loop_fraction)
+    spill(result.spill_factor)
 
 
 def record_launch_failure(kernel_name: str, kind: str) -> None:
@@ -144,17 +158,24 @@ def record_numpy_run(kernel_name: str, result: str) -> None:
 
 # -- fault-injection campaigns (swifi/campaign.py) ----------------------
 
+def _outcome_metric(reg: MetricsRegistry, outcome: str) -> Callable:
+    return reg.counter(
+        "repro_trial_outcomes_total", "Campaign trials by outcome class"
+    ).bind(outcome=outcome)
+
+
+def _site_metric(reg: MetricsRegistry) -> Callable:
+    return reg.histogram(
+        "repro_trial_site_faults", "Injected faults by virtual-variable site",
+        buckets=SITE_BUCKETS,
+    ).bind()
+
+
 def record_trial(outcome, spec) -> None:
     """One classified campaign trial."""
-    reg = get_registry()
-    reg.counter(
-        "repro_trial_outcomes_total", "Campaign trials by outcome class"
-    ).inc(outcome=outcome.value)
+    get_registry().bound(_outcome_metric, outcome.value)()
     if spec is not None:
-        reg.histogram(
-            "repro_trial_site_faults", "Injected faults by virtual-variable site",
-            buckets=SITE_BUCKETS,
-        ).observe(spec.site)
+        get_registry().bound(_site_metric)(spec.site)
 
 
 def record_campaign(result) -> None:
@@ -179,6 +200,20 @@ def record_parallel_campaign(workers: int, chunks: int) -> None:
     ).inc(chunks)
 
 
+def _diff_hit_metric(reg: MetricsRegistry) -> Callable:
+    return reg.counter(
+        "repro_swifi_diff_hits_total",
+        "Campaign trials served by differential single-thread replay",
+    ).bind()
+
+
+def _diff_fallback_metric(reg: MetricsRegistry, reason: str) -> Callable:
+    return reg.counter(
+        "repro_swifi_diff_fallbacks_total",
+        "Campaign trials that fell back to full execution",
+    ).bind(reason=reason)
+
+
 def record_differential_trial(hit: bool, reason: str = "") -> None:
     """One trial routed by the differential engine (swifi/differential.py).
 
@@ -186,17 +221,10 @@ def record_differential_trial(hit: bool, reason: str = "") -> None:
     fell back to full execution for ``reason`` (kernel ineligibility,
     footprint conflicts, or a per-trial ``replay_conflict``).
     """
-    reg = get_registry()
     if hit:
-        reg.counter(
-            "repro_swifi_diff_hits_total",
-            "Campaign trials served by differential single-thread replay",
-        ).inc()
+        get_registry().bound(_diff_hit_metric)()
     else:
-        reg.counter(
-            "repro_swifi_diff_fallbacks_total",
-            "Campaign trials that fell back to full execution",
-        ).inc(reason=reason or "ineligible")
+        get_registry().bound(_diff_fallback_metric, reason or "ineligible")()
 
 
 def record_journal_activity(replayed: int = 0, appended: int = 0) -> None:
@@ -247,6 +275,13 @@ def record_trial_timeout() -> None:
 
 # -- campaign scheduler leases ---------------------------------------------
 
+def _lease_metric(reg: MetricsRegistry, event: str) -> Callable:
+    return reg.counter(
+        "repro_campaign_leases_total",
+        "Campaign chunk-lease lifecycle events",
+    ).bind(event=event)
+
+
 def record_lease(event: str, count: int = 1) -> None:
     """One lease lifecycle event of the campaign scheduler.
 
@@ -254,10 +289,7 @@ def record_lease(event: str, count: int = 1) -> None:
     (its result landed), ``released`` (a forked worker's process ended
     while holding it), or ``reissued`` (a lost chunk requeued).
     """
-    get_registry().counter(
-        "repro_campaign_leases_total",
-        "Campaign chunk-lease lifecycle events",
-    ).inc(count, event=event)
+    get_registry().bound(_lease_metric, event)(count)
 
 
 # -- guardian supervision (core/guardian.py) ----------------------------

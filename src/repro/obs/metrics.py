@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import json
 from bisect import bisect_left
+from functools import partial
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -94,10 +95,16 @@ class Counter(Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        self._inc(_labelkey(labels), amount)
+
+    def _inc(self, key: LabelKey, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
-        key = _labelkey(labels)
         self._samples[key] = self._samples.get(key, 0.0) + amount
+
+    def bind(self, **labels: Any) -> Callable[..., None]:
+        """:meth:`inc` with ``labels`` fixed, their key built once."""
+        return partial(self._inc, _labelkey(labels))
 
     def value(self, **labels: Any) -> float:
         return self._samples.get(_labelkey(labels), 0.0)
@@ -119,7 +126,14 @@ class Gauge(Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        self._samples[_labelkey(labels)] = float(value)
+        self._set(_labelkey(labels), value)
+
+    def _set(self, key: LabelKey, value: float) -> None:
+        self._samples[key] = float(value)
+
+    def bind(self, **labels: Any) -> Callable[[float], None]:
+        """:meth:`set` with ``labels`` fixed, their key built once."""
+        return partial(self._set, _labelkey(labels))
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         key = _labelkey(labels)
@@ -156,7 +170,13 @@ class Histogram(Metric):
         self.buckets = tuple(bounds)
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _labelkey(labels)
+        self._observe(_labelkey(labels), value)
+
+    def bind(self, **labels: Any) -> Callable[[float], None]:
+        """:meth:`observe` with ``labels`` fixed, their key built once."""
+        return partial(self._observe, _labelkey(labels))
+
+    def _observe(self, key: LabelKey, value: float) -> None:
         state = self._samples.get(key)
         if state is None:
             state = {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
@@ -229,6 +249,8 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: Dict[str, Metric] = {}
+        #: ``(maker, *args)`` -> what :meth:`bound` made of it
+        self._bound: Dict[tuple, Any] = {}
 
     def _register(self, cls, name: str, help: str, **kwargs) -> Metric:
         existing = self._metrics.get(name)
@@ -251,6 +273,19 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         return self._register(Histogram, name, help, buckets=buckets)
+
+    def bound(self, maker: Callable[..., Any], *args: Any) -> Any:
+        """``maker(self, *args)``, made on the first call with these
+        arguments: a caller that records into the same metrics and label
+        sets over and over looks them up once per registry, through
+        each metric's ``bind``.  A maker should register only the
+        metrics its caller records into, as ``as_dict()`` lists every
+        registered one."""
+        key = (maker, *args)
+        made = self._bound.get(key)
+        if made is None:
+            made = self._bound[key] = maker(self, *args)
+        return made
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)

@@ -214,8 +214,9 @@ class DifferentialEngine:
         self._base_ok = False
         #: ``(lo, hi, first element, load)`` per output buffer
         self._out_spans: List[tuple] = []
-        #: thread id -> the addresses its golden run stored
-        self._stored_addrs: Dict[int, List[int]] = {}
+        #: thread id -> the addresses its golden run stored, their bits
+        #: before its first store and after its last
+        self._stores: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
 
     # -- golden recording -------------------------------------------------
     def record_golden(self) -> Optional[str]:
@@ -359,22 +360,27 @@ class DifferentialEngine:
         self.memory.restore(self._golden_words)
         self._bind_handles(handles)
 
-    def _changed_output(self, target: int, footprint: ThreadFootprint
-                        ) -> Tuple[List[int], List[float]]:
+    def _thread_stores(self, target: int) -> Tuple[List[int], List[int], List[int]]:
+        """``(addresses, bits before, bits after)`` of the target's
+        golden stores, one entry per address (built once per thread)."""
+        stores = self._stores.get(target)
+        if stores is None:
+            addrs, old_bits, new_bits = self.records[target].footprint.net_store_arrays()
+            stores = self._stores[target] = (
+                addrs.tolist(), old_bits.tolist(), new_bits.tolist())
+        return stores
+
+    def _changed_output(self, stored: List[int]) -> Tuple[List[int], List[float]]:
         """``(output indices, values)`` of every output word a replay
-        can have changed, read before the guard's rollback.
+        can have changed, read before :meth:`_restore`.
 
         Device memory then differs from the golden-final state only at
-        the target's golden store addresses (undone, maybe stored
-        again) and the addresses the guard let a store through to; so
-        the output is the golden device output patched there.
+        the target's golden store addresses ``stored`` (undone, maybe
+        stored again) and the addresses the guard let a store through
+        to; so the output is the golden device output patched there.
         """
-        stored = self._stored_addrs.get(target)
-        if stored is None:
-            stored = self._stored_addrs[target] = \
-                footprint.net_store_arrays()[0].tolist()
         changed = dict.fromkeys(stored)
-        changed.update(dict.fromkeys(self.guard.written_addrs))
+        changed.update(self.guard.written)
         idx: List[int] = []
         values: List[float] = []
         for addr in changed:
@@ -385,21 +391,36 @@ class DifferentialEngine:
                     break
         return idx, values
 
-    def _undo(self, footprint: ThreadFootprint) -> None:
-        """Back out the thread's golden stores (one scatter-write).
+    def _undo(self, addrs: List[int], old_bits: List[int]) -> None:
+        """Back out the target's golden stores.
 
         Equivalent to replaying ``(addr, old, new)`` in reverse: each
         address ends at the ``old`` bits of its first store.
         """
-        addrs, old_bits, _new_bits = footprint.net_store_arrays()
-        if addrs.size:
-            self.memory.scatter_words(addrs, old_bits)
+        store = self.memory.store_word
+        for addr, bits in zip(addrs, old_bits):
+            store(addr, bits)
 
-    def _reapply(self, footprint: ThreadFootprint) -> None:
-        """Re-establish the thread's golden stores (one scatter-write)."""
-        addrs, _old_bits, new_bits = footprint.net_store_arrays()
-        if addrs.size:
-            self.memory.scatter_words(addrs, new_bits)
+    def _restore(self, addrs: List[int], new_bits: List[int]) -> None:
+        """Put every word the replay touched back to its golden-final
+        bits, whichever way it ended.
+
+        Those are the target's golden store addresses ``addrs``, whose
+        golden-final bits are those of its last store (``new_bits``),
+        and the words the guard let a store through to, whose bits are
+        in the golden snapshot; a guarded word past the snapshot's
+        allocations gets back the bits the guard journaled.
+        """
+        store = self.memory.store_word
+        for addr, bits in zip(addrs, new_bits):
+            store(addr, bits)
+        guard = self.guard
+        if guard.written:
+            golden = self._golden_words
+            n = len(golden)
+            for addr, bits in guard.written.items():
+                store(addr, golden.item(addr) if addr < n else bits)
+            guard.written.clear()
 
     def run_trial(self, spec: FaultSpec) -> Optional[TrialObservation]:
         """Serve one trial by replaying the faulted thread, or None to fall back.
@@ -417,7 +438,8 @@ class DifferentialEngine:
             self.restore_memory()
 
         rec = self.records[target]
-        self._undo(rec.footprint)
+        stored, old_bits, new_bits = self._thread_stores(target)
+        self._undo(stored, old_bits)
         guard = self.guard
         guard.retarget(target)
         device_cb = self._arm(spec)
@@ -436,8 +458,7 @@ class DifferentialEngine:
         try:
             self.compiled.run_thread_at(frame, ctx, block, tib)
         except ReplayConflict:
-            guard.rollback()
-            self._reapply(rec.footprint)
+            self._restore(stored, new_bits)
             return None
         except KernelHang as exc:
             failure = ("hang", str(exc))
@@ -449,8 +470,7 @@ class DifferentialEngine:
             # the grid launch would have died inside this thread; threads
             # before it ran exactly as in the golden run (no conflicts),
             # threads after it never ran — same observation either way
-            guard.rollback()
-            self._reapply(rec.footprint)
+            self._restore(stored, new_bits)
             record_launch_failure(self.kernel.name, failure[0])
             if ctx.hang_verdict is not None:
                 record_hang_verdict(self.kernel.name)
@@ -461,8 +481,7 @@ class DifferentialEngine:
 
         if guard.deferred and guard.deferred_mismatch(self._golden_words):
             # a later thread would read a changed value: not replayable
-            guard.rollback()
-            self._reapply(rec.footprint)
+            self._restore(stored, new_bits)
             return None
 
         # splice the replayed thread into the cached grid totals
@@ -484,9 +503,8 @@ class DifferentialEngine:
         )
         record_launch(result)
 
-        idx, values = self._changed_output(target, rec.footprint)
-        guard.rollback()
-        self._reapply(rec.footprint)
+        idx, values = self._changed_output(stored)
+        self._restore(stored, new_bits)
 
         detected = False
         if device_cb is not None:

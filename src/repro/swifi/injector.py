@@ -42,7 +42,7 @@ from repro.kir.astnodes import (
     Stmt,
     While,
 )
-from repro.kir.interp.evalcore import RETIRE, ExecContext, InstrumentationLibrary
+from repro.kir.interp.evalcore import RETIRE, RETIRE_CALL, ExecContext, InstrumentationLibrary
 from repro.kir.validate import validate_kernel
 from repro.swifi.faultmodel import ActivationRecord, FaultSpec, InjectionState
 
@@ -177,7 +177,12 @@ class FaultInjectionLibrary(InstrumentationLibrary):
 
         Returns :data:`RETIRE` once no later call in this thread can
         act: nothing is armed, the thread is not the victim, or the
-        fault has struck for the last time.
+        fault has struck for the last time.  Returns
+        :data:`RETIRE_CALL` for a definition-timed fault at a call of
+        another site: every call from the same statement passes that
+        site again, since ``instrument_for_fi`` plants it as a constant,
+        and no such call ever acts.  A delayed fault counts every hook
+        event of the victim, so its calls before the strike return None.
         """
         spec = self.state.spec
         if spec is None:
@@ -187,7 +192,7 @@ class FaultInjectionLibrary(InstrumentationLibrary):
         if spec.timing == "delayed":
             return self._delayed(ctx, frame, spec)
         if site != spec.site:
-            return None
+            return RETIRE_CALL
         # a transient fault hits one occurrence; an intermittent fault
         # stays active for `burst` consecutive occurrences (Section II.A);
         # the counter stops at the last one

@@ -11,6 +11,7 @@ import re
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.controlblock import ControlBlock, DetectionEvent, DetectorConfig
@@ -33,7 +34,9 @@ from repro.swifi.faultmodel import FaultSpec
 from repro.swifi.options import CampaignOptions
 from repro.swifi.parallel import run_campaign
 from repro.swifi.targets import enumerate_targets
+from repro.kir.types import DType
 from repro.workloads import all_workloads, get_workload
+from repro.workloads.base import BufferSpec, Workload, WorkloadInput
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
@@ -218,7 +221,7 @@ class TestGuardSemantics:
         with pytest.raises(ReplayConflict):
             guard.store_f32(5, 1.0)
 
-    def test_store_rollback_restores_memory(self):
+    def test_store_journal_keeps_the_bits_each_first_store_found(self):
         from repro.gpu.memory import GlobalMemory
 
         mem = GlobalMemory(64)
@@ -227,9 +230,11 @@ class TestGuardSemantics:
         guard = ReplayMemoryGuard(mem, thread=0, store_owner={}, load_readers={})
         guard.store_i32(2, 99)
         guard.store_i32(3, 7)
-        guard.rollback()
-        assert mem.load_i32(2) == 41
-        assert mem.load_i32(3) == 0
+        guard.store_i32(2, 5)
+        assert guard.written == {2: 41, 3: 0}
+        assert (mem.load_i32(2), mem.load_i32(3)) == (5, 7)
+        guard.retarget(1)
+        assert guard.written == {}
 
     def test_deferred_store_checked_against_golden(self):
         from repro.gpu.memory import GlobalMemory
@@ -362,6 +367,44 @@ def _fig14_specs(program, scale):
         bit_counts=(bits,), seed=scale.seed + bits)]
 
 
+_COPY_DATA = np.arange(1.0, 9.0, dtype=np.float32)
+
+
+class _Copy(Workload):
+    """Eight threads each copy one word of ``src`` (addresses 0-7) to
+    ``out`` (8-15), which starts as ``START``: a copy already."""
+
+    name = "COPY"
+    START = _COPY_DATA
+    source = """
+    kernel copy(float* src, float* out) {
+        int tid = blockIdx.x * blockDim.x + threadIdx.x;
+        int i = tid;
+        out[i] = src[tid];
+    }
+    """
+
+    def generate_input(self, seed=0):
+        return WorkloadInput(
+            buffers=[BufferSpec("src", DType.FLOAT32, 8, _COPY_DATA),
+                     BufferSpec("out", DType.FLOAT32, 8, self.START)],
+            scalars={}, buffer_params={"src": "src", "out": "out"},
+            outputs=["out"], grid=(1, 1), block=(8, 1))
+
+    def golden(self, inp):
+        return _COPY_DATA.astype(np.float64)
+
+
+class _CopyIntoZeros(_Copy):
+    START = np.zeros(8, dtype=np.float32)
+
+
+def _copy_index_site(program):
+    """The FI site of ``_Copy``'s store index ``i``."""
+    (site,) = [s.site for s in enumerate_targets(program.workload.kernel) if s.name == "i"]
+    return site
+
+
 class TestChangedWordVerdict:
     """A replay's output verdict checks only the output words the thread
     could change (its golden store addresses and the guard's writes);
@@ -395,40 +438,11 @@ class TestChangedWordVerdict:
         """The output starts as a copy of the input, so a thread whose
         store index is struck leaves its own word golden and corrupts
         an earlier thread's: only the guard's writes show it."""
-        import numpy as np
-
-        from repro.kir.types import DType
-        from repro.workloads.base import BufferSpec, Workload, WorkloadInput
-
-        data = np.arange(1.0, 9.0, dtype=np.float32)
-
-        class Copy(Workload):
-            name = "COPY"
-            source = """
-            kernel copy(float* src, float* out) {
-                int tid = blockIdx.x * blockDim.x + threadIdx.x;
-                int i = tid;
-                out[i] = src[tid];
-            }
-            """
-
-            def generate_input(self, seed=0):
-                return WorkloadInput(
-                    buffers=[BufferSpec("src", DType.FLOAT32, 8, data),
-                             BufferSpec("out", DType.FLOAT32, 8, data)],
-                    scalars={}, buffer_params={"src": "src", "out": "out"},
-                    outputs=["out"], grid=(1, 1), block=(8, 1))
-
-            def golden(self, inp):
-                return data.astype(np.float64)
-
-        program = HauberkProgram(Copy())
-        (i_site,) = [s.site for s in enumerate_targets(program.workload.kernel)
-                     if s.name == "i"]
+        program = HauberkProgram(_Copy())
         engine = get_engine(program, "fi", 0)
-        full = HauberkProgram(Copy()).trial_runner("fi", 0)
+        full = HauberkProgram(_Copy()).trial_runner("fi", 0)
         for thread, bit in ((7, 0), (5, 2), (3, 1)):  # onto 6, 1 and 1
-            spec = FaultSpec(site=i_site, mask=1 << bit, thread=thread)
+            spec = FaultSpec(site=_copy_index_site(program), mask=1 << bit, thread=thread)
             obs = engine.run_trial(spec)
             assert obs == full(spec)
             assert not obs.output_ok
@@ -545,6 +559,32 @@ class TestEngineReuse:
         assert set(engine.ctx.hooks) == {
             "__hauberk_fi", "__hauberk_check_range", "__hauberk_check_equal",
             "__hauberk_checksum_validate"}
+
+    def test_every_exit_puts_the_touched_words_back(self):
+        """A replay that ends in a result, a crash, a replay conflict or
+        a deferred mismatch leaves device memory golden, a word past the
+        allocations included."""
+        program = HauberkProgram(_CopyIntoZeros())
+        engine = get_engine(program, "fi", 0)
+        full = HauberkProgram(_CopyIntoZeros()).trial_runner("fi", 0)
+        site = _copy_index_site(program)
+        # as 32-bit masks of i: thread 1's store goes to word 17, past
+        # out; to src[5], which thread 5 reads later; off the device;
+        # to out[6], which thread 6 stores later
+        cases = ((1, 1 << 3, "result"), (1, 0xFFFFFFFC, "deferred"),
+                 (1, 1 << 30, "crash"), (1, 0x7, "conflict"))
+        beyond = engine.memory.mapped_end + 1
+        for thread, mask, end in cases:
+            spec = FaultSpec(site=site, mask=mask, thread=thread)
+            obs = engine.run_trial(spec)
+            if end in ("deferred", "conflict"):
+                assert obs is None
+            else:
+                assert obs == full(spec)
+                assert obs.failure is (end == "crash")
+            assert (engine.memory.snapshot() == engine._golden_words).all(), end
+            assert engine.memory.load_word(beyond) == 0, end
+            assert not engine.guard.written
 
     def test_golden_state_is_untouched_by_a_campaign(self):
         program = _trained("CP")

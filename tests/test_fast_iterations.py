@@ -312,14 +312,15 @@ def _loop(src):
 
 class TestStaticRule:
     def test_sum_loop_qualifies(self):
-        assert _loop(SUM) == FastIteration(loop_id=0, max_steps=PERIOD, hooks=())
+        assert _loop(SUM) == FastIteration(loop_id=0, max_steps=PERIOD, calls=())
 
     def test_max_steps_take_the_longer_arm_and_hooks_are_named(self):
         fast = _loop(SUM.replace("acc = acc + x * y;", """
             if (x > y) { acc = acc + x; __hauberk_probe(i); } else { acc = acc - y; }
         """))
         # the if and its longer arm replace one statement
-        assert fast.max_steps == PERIOD + 2 and fast.hooks == ("__hauberk_probe",)
+        assert fast.max_steps == PERIOD + 2
+        assert [call.func for call in fast.calls] == ["__hauberk_probe"]
 
     @pytest.mark.parametrize("body, reason", [
         ("out[i] = x;", STORE),

@@ -9,10 +9,12 @@ including the calling thread's live statement count in ``ctx.steps``,
 which ``ActivationRecord.at_step`` records.
 
 A handler that returns ``RETIRE`` is not called again in its thread by
-the compiled engine; lockstep ignores the return value.  The retire
-tests below run fault-injection launches on both engines and compare
-everything observable, so each ``RETIRE`` the FI library returns is
-checked against a run that kept calling it.
+the compiled engine, and one that returns ``RETIRE_CALL`` is not called
+again from that call statement; lockstep ignores the return value.  The
+retire tests below run fault-injection launches on both engines and
+compare everything observable, so each ``RETIRE`` and ``RETIRE_CALL``
+the FI library returns is checked against a run that kept calling it;
+they also count the calls each engine makes.
 
 The compiled engine keeps KIR variables in Python locals and hands a
 live hook a ``FrameView`` of them; the write-back tests below check
@@ -22,7 +24,9 @@ interpreter's dict.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,7 +40,9 @@ from repro.gpu.runtime import GPURuntime
 from repro.kir import parse_kernel
 from repro.kir.astnodes import CallStmt, Const
 from repro.kir.interp.codegen import _Emitter
-from repro.kir.interp.evalcore import RETIRE, ExecContext, InstrumentationLibrary
+from repro.kir.interp.evalcore import (
+    RETIRE, RETIRE_CALL, ExecContext, InstrumentationLibrary,
+)
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
 from repro.swifi.faultmodel import FaultSpec
@@ -44,6 +50,8 @@ from repro.swifi.injector import FaultInjectionLibrary, instrument_for_fi
 from repro.swifi.targets import enumerate_targets
 from repro.workloads import get_workload
 from repro.workloads.base import BufferSpec, Workload, WorkloadInput
+
+from test_fast_iterations import FastCounter
 
 ENGINES = ("closure", "lockstep")
 
@@ -238,10 +246,114 @@ class TestRetiringLibrary:
     def test_lockstep_ignores_retire(self):
         assert self._run("lockstep", limit=2) == self._run("closure", limit=99)
 
+    def test_retired_hook_leaves_the_loop_to_fast_iterations(self):
+        device = Device()
+        out = device.memory.alloc("out", 6, DType.INT32)
+        runtime = GPURuntime(device)
+        kernel = parse_kernel(RETIRE_SRC)
+        counter = FastCounter(runtime.prepare(kernel)[0])
+        with counter:
+            runtime.launch(kernel, 2, 3, {"n": 4, "out": out}, lib=_Retiring(2))
+        # 'other' never retires, so no iteration runs unchecked
+        assert counter.count == 0
+
     def test_call_outside_a_thread_function_is_rejected(self):
         call = CallStmt(func="__hauberk_probe", args=[Const(1)])
         with pytest.raises(KIRError, match="outside a thread function"):
             _Emitter(CostModel()).stmt(call, 0)
+
+
+class _CallRetiring(InstrumentationLibrary):
+    """``probe(tag, i)`` answers ``RETIRE_CALL`` at each call statement
+    after ``limits[tag]`` of its calls in a thread (never, for None) and
+    ignores that statement's later calls; ``made`` counts every call
+    that reaches the handler."""
+
+    def __init__(self, limits):
+        self.limits = limits
+        self.calls = []
+        self.made = Counter()
+        self.per_call = Counter()
+
+    def lib_probe(self, ctx, frame, tag, i):
+        key = (ctx.block, ctx.thread, tag)
+        self.made[tag] += 1
+        limit = self.limits[tag]
+        if limit is not None and self.per_call[key] >= limit:
+            return RETIRE_CALL
+        self.per_call[key] += 1
+        self.calls.append((tag, ctx.block, ctx.thread, i, ctx.steps))
+        if limit is not None and self.per_call[key] >= limit:
+            return RETIRE_CALL
+        return None
+
+
+CALL_RETIRE_SRC = """
+kernel k(int n, int* out) {
+    int acc = 0;
+    __hauberk_probe(2, n);
+    for (int i = 0; i < n; i++) {
+        __hauberk_probe(0, i);
+        acc = acc + i;
+        __hauberk_probe(1, i);
+    }
+    __hauberk_probe(3, acc);
+    out[blockIdx.x * blockDim.x + threadIdx.x] = acc;
+}
+"""
+
+
+class TestCallRetirement:
+    """``RETIRE_CALL`` retires one call statement of a thread; the
+    other statements of the same hook name keep being called."""
+
+    @staticmethod
+    def _run(engine, limits, n=5):
+        device = Device()
+        out = device.memory.alloc("out", 6, DType.INT32)
+        runtime = GPURuntime(device, engine=engine)
+        kernel = parse_kernel(CALL_RETIRE_SRC)
+        lib = _CallRetiring(limits)
+        counter = None if engine == "lockstep" else FastCounter(runtime.prepare(kernel)[0])
+        with counter or contextlib.nullcontext():
+            result = runtime.launch(kernel, 2, 3, {"n": n, "out": out}, lib=lib)
+        seen = (result, device.memory.memcpy_dtoh(out).tolist(), lib.calls)
+        return seen, lib.made, counter and counter.count
+
+    @pytest.mark.parametrize("limits", [
+        {0: 2, 1: None, 2: 1, 3: 1},
+        {0: 1, 1: 3, 2: None, 3: None},
+        {0: None, 1: None, 2: 1, 3: 1},
+    ])
+    def test_both_engines_record_the_same(self, limits):
+        fast, made, _fast = self._run("closure", limits)
+        slow, slow_made, _slow = self._run("lockstep", limits)
+        assert fast == slow
+        # lockstep calls every statement on every iteration
+        assert slow_made == {0: 30, 1: 30, 2: 6, 3: 6}
+        for tag in (0, 1):
+            limit = limits[tag]
+            assert made[tag] == (30 if limit is None else 6 * limit)
+        # statements outside the loop run once a thread either way
+        assert made[2] == made[3] == 6
+
+    def test_one_statement_retired_keeps_the_other_called(self):
+        (_result, _words, calls), made, fast = self._run("closure", {0: 2, 1: None,
+                                                                      2: 1, 3: 1})
+        assert [c[3] for c in calls if c[0] == 1 and c[1:3] == (0, 0)] == [0, 1, 2, 3, 4]
+        assert made[0] == 12
+        assert fast == 0  # statement 1 is live in every iteration
+
+    def test_loop_whose_every_call_retired_runs_counted(self):
+        (result, words, calls), made, fast = self._run("closure", {0: 1, 1: 2,
+                                                                    2: None, 3: None})
+        # each thread checks two iterations, then runs the other three
+        # in one counted run
+        assert fast == 6 * 3
+        assert made == {0: 6, 1: 12, 2: 6, 3: 6}
+        reference, _made, _fast = self._run("closure", {0: None, 1: None,
+                                                        2: None, 3: None})
+        assert (result, words) == reference[:2]
 
 
 HAND_SRC = """
@@ -349,9 +461,19 @@ def _observe_launch(kernel, engine, grid, block, setup, lib, budget):
     }
 
 
-def _observe_fi(build, engine, spec):
-    """Launch ``build`` with ``spec`` armed; everything observable."""
+def _observe_fi(build, engine, spec, fi_calls=None):
+    """Launch ``build`` with ``spec`` armed; everything observable.
+    ``fi_calls``, a ``Counter``, counts the calls that reach the FI
+    handler by (thread id, site)."""
     lib, fi, cb = build.library(spec)
+    if fi_calls is not None:
+        handler = fi.lib_fi
+
+        def counted(ctx, frame, site, name):
+            fi_calls[ctx.block * ctx.block_size + ctx.thread, site] += 1
+            return handler(ctx, frame, site, name)
+
+        fi.lib_fi = counted
     seen = _observe_launch(build.fi_kernel, engine, build.grid, build.block, build.setup,
                            lib, build.budget)
     # every ActivationRecord field; repr: a NaN value compares equal
@@ -383,6 +505,11 @@ RETIRE_CASES = {
         ("delayed-pointer-crash", "out", "param",
          dict(timing="delayed", occurrence=5, thread=2, mask=1 << 28),
          "DeviceMemoryError", "out", 1),
+        ("after-loop", "late", "decl", dict(thread=4, mask=1 << 5), None, "late", 1),
+        ("transient-late-in-loop", "acc", "assign",
+         dict(occurrence=5, thread=0, mask=1 << 20), None, "acc", 1),
+        ("delayed-in-loop", "acc", "assign",
+         dict(timing="delayed", occurrence=9, thread=5, mask=1 << 3), None, "acc", 1),
         ("unarmed", None, None, None, None, None, None),
     ],
     "cp": [
@@ -396,6 +523,13 @@ RETIRE_CASES = {
          dict(occurrence=1, thread="last", mask=1 << 29), None, "energyx2", 1),
         ("victim-outside-grid", "dx2", "decl", dict(thread="outside", mask=1),
          None, None, None),
+        ("after-loop", "outidx", "decl", dict(thread=7, mask=1 << 2), None, "outidx", 1),
+        ("transient-late-in-loop", "charge", "decl",
+         dict(occurrence=7, thread=12, mask=1 << 21), None, "charge", 1),
+        ("intermittent-burst-in-loop", "dx2", "decl",
+         dict(occurrence=4, burst=3, thread=20, mask=1 << 25), None, "dx2", 3),
+        ("delayed-in-loop", "dx2", "decl",
+         dict(timing="delayed", occurrence=30, thread=3, mask=1 << 12), None, "dx2", 1),
         ("unarmed", None, None, None, None, None, None),
     ],
 }
@@ -415,8 +549,9 @@ def test_fi_retire_matches_lockstep(build_name, name, kind, spec_kw, error, vari
         thread = spec_kw.pop("thread")
         thread = {"last": build.n_threads - 1, "outside": build.n_threads + 5}.get(thread, thread)
         spec = FaultSpec(site=_site(build.kernel, name, kind), thread=thread, **spec_kw)
-    fast = _observe_fi(build, "closure", spec)
-    slow = _observe_fi(build, "lockstep", spec)
+    fast_calls, slow_calls = Counter(), Counter()
+    fast = _observe_fi(build, "closure", spec, fast_calls)
+    slow = _observe_fi(build, "lockstep", spec, slow_calls)
     for key in slow:
         assert fast[key] == slow[key], key
     # the case does what its name says
@@ -426,6 +561,61 @@ def test_fi_retire_matches_lockstep(build_name, name, kind, spec_kw, error, vari
     else:
         assert fast["activation"]["variable"] == variable
         assert fast["activation"]["n_injections"] == n_injections
+    _check_fi_calls(spec, fast_calls, slow_calls, fast["counters"])
+
+
+def _check_fi_calls(spec, fast, slow, counters):
+    """The compiled engine's FI calls by (thread id, site) against
+    lockstep's, which calls every hook statement it reaches."""
+    assert all(n <= slow[key] for key, n in fast.items())
+    victim = None if spec is None else spec.thread
+    per_thread = Counter()
+    for (tid, _site), n in fast.items():
+        per_thread[tid] += n
+    # a thread that is not the victim retires the hook at its first call
+    assert all(n == 1 for tid, n in per_thread.items() if tid != victim)
+    if victim not in per_thread:
+        return
+    if spec.timing == "delayed":
+        # every hook event counts towards the strike: none retires early
+        assert per_thread[victim] == counters[("__events__", victim)]
+        return
+    # each FI call statement is one site: before the strike, each other
+    # site's statement is called once, the armed one up to its last hit
+    for (tid, site), n in fast.items():
+        if tid == victim:
+            last = spec.occurrence + spec.burst - 1
+            assert n == 1 if site != spec.site else n <= last, site
+
+
+def test_after_loop_victim_skips_its_loop_hooks_and_runs_counted():
+    """CP's ``outidx`` (site 21, after the atom loop) as the target: the
+    victim calls each of its loop's nine FI statements once, lockstep
+    every iteration, and the victim's loop runs counted after its
+    first iteration."""
+    build = _CPBuild()
+    spec = FaultSpec(site=_site(build.kernel, "outidx", "decl"), thread=7, mask=1 << 2)
+    fast_calls, slow_calls = Counter(), Counter()
+    _observe_fi(build, "closure", spec, fast_calls)
+    _observe_fi(build, "lockstep", spec, slow_calls)
+    atoms = build.inp.scalars["numatoms"]
+    loop_sites = range(12, 21)
+    victim_fast = {site: n for (tid, site), n in fast_calls.items() if tid == 7}
+    victim_slow = {site: n for (tid, site), n in slow_calls.items() if tid == 7}
+    assert victim_fast == dict.fromkeys(range(22), 1)
+    assert victim_slow == {site: atoms if site in loop_sites else 1 for site in range(22)}
+    device = Device()
+    runtime = GPURuntime(device)
+    args = build.setup(device)
+    lib, fi, _cb = build.library(spec)
+    counter = FastCounter(runtime.prepare(build.fi_kernel)[0])
+    with counter:
+        runtime.launch(build.fi_kernel, build.grid, build.block, args, lib=lib,
+                       budget=build.budget)
+    assert fi.activation.variable == "outidx"
+    # every thread's loop runs counted, the victim's from its second
+    # iteration on
+    assert counter.count == atoms * build.n_threads - 1
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,48 @@ class TestMetrics:
         assert first.counter(name).value(event="granted") == 2.0
         assert second.counter(name).value(event="granted") == 2.0
 
+    def test_bound_metrics_record_as_their_unbound_calls(self):
+        bound, plain = MetricsRegistry(), MetricsRegistry()
+        for reg in (bound, plain):
+            reg.counter("c")
+            reg.gauge("g")
+            reg.histogram("h", buckets=(1.0, 2.0))
+        inc, set_, observe = (bound.counter("c").bind(kind="k", at="x"),
+                              bound.gauge("g").bind(kind="k"), bound.histogram("h").bind())
+        for value in (0.5, 1.5, 7.0):
+            inc()
+            inc(value)
+            set_(value)
+            observe(value)
+            plain.counter("c").inc(at="x", kind="k")
+            plain.counter("c").inc(value, kind="k", at="x")
+            plain.gauge("g").set(value, kind="k")
+            plain.histogram("h").observe(value)
+        assert bound.as_dict() == plain.as_dict()
+        with pytest.raises(ValueError, match="cannot decrease"):
+            inc(-1.0)
+
+    def test_bound_records_are_made_once_per_registry(self):
+        from repro.obs.instrument import record_trial
+        from repro.swifi.outcomes import Outcome
+
+        made = []
+
+        def maker(reg, label):
+            made.append((reg, label))
+            return reg.counter("c").bind(label=label)
+
+        first, second = MetricsRegistry(), MetricsRegistry()
+        for reg in (first, second, first):
+            reg.bound(maker, "a")()
+            reg.bound(maker, "b")()
+        assert made == [(first, "a"), (first, "b"), (second, "a"), (second, "b")]
+        assert first.counter("c").value(label="a") == 2.0
+        # a record registers only the metrics it records into
+        reg = fresh_registry()
+        record_trial(Outcome.MASKED, None)
+        assert reg.names() == ["repro_trial_outcomes_total"]
+
     def test_empty_snapshot_merges_nothing(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(kind="k")

@@ -13,8 +13,10 @@ sequence at the same step counts, with the same frame at every call.
 The recorder also overwrites a frame variable now and then, on a
 schedule drawn from the generated plan, so the compiled engine's frame
 view and its write-back are fuzzed against the lockstep dict, and it
-retires in a thread after a drawn number of calls, so loops whose hooks
-have all retired run fast iterations (no per-statement bookkeeping).
+retires in a thread after a drawn number of calls, and each of its call
+statements after a drawn number of that statement's calls
+(``RETIRE_CALL``), so loops whose hook calls have all retired, by name
+or by statement, run fast iterations (no per-statement bookkeeping).
 Generated kernels also load from device memory a few words from its
 end, so inline loads, out-of-bounds crashes and crashes inside a fast
 iteration are fuzzed too; hypothesis's statistics report the share of
@@ -23,12 +25,14 @@ examples that ran a fast iteration.
 The same kernels, passed through ``instrument_for_fi`` with a random
 ``FaultSpec`` armed, check the retire contract: the compiled engine
 stops calling ``__hauberk_fi`` in a thread once the FI library returns
-``RETIRE``, lockstep keeps calling it, and the two must still agree on
-all of the above plus every ``ActivationRecord`` field.
+``RETIRE``, and from one call statement once it returns
+``RETIRE_CALL`` there, lockstep keeps calling it, and the two must
+still agree on all of the above plus every ``ActivationRecord`` field.
 
 A third property checks hang verdicts: on generated ``for`` loops with
 affine loads, under small budgets and FI strikes on the bound or the
-iterator, a launch with ``hang_verdicts`` set and one without must end
+iterator, and with the recorder's calls retiring by name and by
+statement, a launch with ``hang_verdicts`` set and one without must end
 alike (exception, steps, activation, FI counters, recorder calls), and
 match in every observable when no verdict fires.
 
@@ -52,7 +56,7 @@ from repro.kir.astnodes import (
 )
 from repro.kir.analysis.dataflow import collect_sites
 from repro.kir.interp.codegen import CompiledKernel
-from repro.kir.interp.evalcore import RETIRE, ExecContext, InstrumentationLibrary
+from repro.kir.interp.evalcore import RETIRE, RETIRE_CALL, ExecContext, InstrumentationLibrary
 from repro.kir.interp.lockstep import LockstepProgram
 from repro.kir.types import DType
 from repro.kir.validate import validate_kernel
@@ -89,19 +93,31 @@ class _Recorder(InstrumentationLibrary):
     After ``live`` calls in a thread (never, for None) it returns
     RETIRE and ignores that thread's later calls, as the retire
     contract asks: the compiled engine stops calling it, lockstep keeps
-    calling it, and both record the same."""
+    calling it, and both record the same.  ``schedule`` does the same
+    per call statement (told apart by its first two arguments): the
+    statement tagged ``t`` answers ``RETIRE_CALL`` after
+    ``schedule[t % len(schedule)]`` calls in a thread (never, for 0),
+    and the recorder ignores its later calls."""
 
-    def __init__(self, plan=None, live=None):
+    def __init__(self, plan=None, live=None, schedule=()):
         self.calls = []
         self.every = 2 + plan[0] % 5 if plan else 0
         self.pick = plan[1] if plan else 0
         self.live = live
+        self.schedule = schedule
         self.per_thread = {}
+        self.per_call = {}
 
     def lib_rec(self, ctx, frame, *args):
         key = (ctx.block, ctx.thread)
         if self.live is not None and self.per_thread.get(key, 0) >= self.live:
             return RETIRE
+        call = (*key, args[0], args[1])
+        made = self.per_call.get(call, 0)
+        limit = self.schedule[args[0] % len(self.schedule)] if self.schedule else 0
+        if limit and made >= limit:
+            return RETIRE_CALL
+        self.per_call[call] = made + 1
         self.per_thread[key] = self.per_thread.get(key, 0) + 1
         # repr: NaN arguments and values compare equal
         items = sorted((k, repr(v)) for k, v in frame.items())
@@ -112,6 +128,8 @@ class _Recorder(InstrumentationLibrary):
             frame[name] = value ^ 1 if isinstance(value, int) else value + 1.0
         if self.live is not None and self.per_thread[key] >= self.live:
             return RETIRE
+        if limit and made + 1 >= limit:
+            return RETIRE_CALL
         return None
 
 
@@ -278,7 +296,8 @@ def _observe(kernel, engine, n, seedv, budget, plan, fi=None, n_blocks=1):
     compiled run also reports its completed fast iterations."""
     memory = GlobalMemory(GEN_CAPACITY)
     out = memory.alloc("out", 4, DType.FLOAT32)
-    rec = _Recorder(plan, (plan[2] % 8 or None) if plan else None)
+    rec = _Recorder(plan, (plan[2] % 8 or None) if plan else None,
+                    tuple(v % 4 for v in plan[3:6]) if plan else ())
     lib = rec if fi is None else CombinedLibrary([rec, fi])
     ctx = ExecContext(memory, lib=lib, budget=budget, block_size=N_THREADS)
     frames = []
@@ -428,14 +447,14 @@ def _verdict_loop(start, step, op, loads, extras):
     return _with_hooks(validate_kernel(kernel))
 
 
-def _observe_verdict(kernel, verdicts, args, budget, plan, live, fi):
+def _observe_verdict(kernel, verdicts, args, budget, plan, live, schedule, fi):
     """Run ``FI_BLOCKS`` blocks of ``kernel`` compiled, with or without
     hang verdicts, and return what a trial can observe."""
     memory = GlobalMemory(VERDICT_CAPACITY)
     src = memory.alloc("src", 64, DType.FLOAT32)
     out = memory.alloc("out", 4, DType.FLOAT32)
     memory.memcpy_htod(src, np.linspace(-2.0, 3.0, 64))
-    rec = _Recorder(plan, live)
+    rec = _Recorder(plan, live, tuple(schedule))
     ctx = ExecContext(memory, lib=CombinedLibrary([rec, fi]), budget=budget,
                       block_size=N_THREADS, hang_verdicts=verdicts)
     compiled = CompiledKernel(kernel, costmodel=_cm())
@@ -482,6 +501,7 @@ def _observe_verdict(kernel, verdicts, args, budget, plan, live, fi):
     seed_value=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
     budget=st.integers(min_value=15, max_value=600),
     live=st.integers(min_value=1, max_value=6),
+    schedule=st.lists(st.integers(min_value=0, max_value=3), max_size=3),
     plan=st.none() | st.lists(st.integers(min_value=0, max_value=1000),
                               min_size=2, max_size=2),
     target=st.sampled_from(["n", "i"]),
@@ -493,7 +513,7 @@ def _observe_verdict(kernel, verdicts, args, budget, plan, live, fi):
 )
 def test_hang_verdict_agrees_with_full_run(start, step, increasing, inclusive, loads,
                                            extras, n_value, base, seed_value, budget,
-                                           live, plan, target, site_pick, timing,
+                                           live, schedule, plan, target, site_pick, timing,
                                            occurrence, victim, bits):
     op = ("<=" if inclusive else "<") if increasing else (">=" if inclusive else ">")
     kernel = _verdict_loop(start, step if increasing else -step, op, loads, extras)
@@ -505,9 +525,9 @@ def test_hang_verdict_agrees_with_full_run(start, step, increasing, inclusive, l
                      occurrence=occurrence, timing=timing)
     fi_kernel = instrument_for_fi(kernel)
     args = {"n": n_value, "base": base, "seedv": seed_value}
-    fast = _observe_verdict(fi_kernel, True, args, budget, plan, live,
+    fast = _observe_verdict(fi_kernel, True, args, budget, plan, live, schedule,
                             FaultInjectionLibrary(kernel, spec))
-    full = _observe_verdict(fi_kernel, False, args, budget, plan, live,
+    full = _observe_verdict(fi_kernel, False, args, budget, plan, live, schedule,
                             FaultInjectionLibrary(kernel, spec))
     event("verdict" if fast["verdict"] is not None
           else f"no verdict, {fast['error'][0] if fast['error'] else 'no failure'}")
