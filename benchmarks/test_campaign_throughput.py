@@ -26,10 +26,9 @@ Measures trials/second for seeded fault-injection campaigns run through
 
 Every configuration of a workload must produce the same ``summary()``
 (the determinism contract); results land in ``BENCH_campaign.json`` at
-the repo root.  The payload records the active scale preset: comparing
-a ``smoke`` payload against a ``campaign`` baseline produces phantom
-regressions (trial counts differ), which is what
-``scripts/bench_trend.py``'s scale guard exists to catch.
+the repo root.  The payload records the active scale preset, since a
+``smoke`` payload and a ``campaign`` one differ in trial counts and do
+not compare.
 """
 
 from __future__ import annotations

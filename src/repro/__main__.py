@@ -66,9 +66,6 @@ def _campaign_parent() -> argparse.ArgumentParser:
     grp.add_argument("--retries", type=int, metavar="N",
                      help="worker deaths tolerated per fault spec before "
                           "quarantine (0 = fail the campaign; default 2)")
-    grp.add_argument("--trial-timeout", type=float, metavar="SECONDS",
-                     help="per-trial wall-clock budget; a trial exceeding "
-                          "it is classified as a hang")
     grp.add_argument("--progress", action="store_true",
                      help="render a live progress line (bar, trials/sec, "
                           "ETA, outcome tallies) on stderr")
@@ -98,8 +95,6 @@ def _resolve_scale(args):
         from repro.exec import RetryPolicy
 
         changes["retry"] = RetryPolicy(max_deaths=retries)
-    if getattr(args, "trial_timeout", None) is not None:
-        changes["trial_timeout"] = args.trial_timeout
     if getattr(args, "progress", False):
         changes["progress"] = True
     if getattr(args, "profile", False):

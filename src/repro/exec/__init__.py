@@ -8,8 +8,7 @@ per worker:
   the ``fork`` start-method probe (for warm local workers).
 * :mod:`repro.exec.retry` — the fault-tolerance vocabulary:
   :class:`RetryPolicy`, how many worker deaths a spec may cause before
-  it is quarantined, and :func:`trial_deadline`, a wall-clock budget
-  that degrades hung work items to a catchable timeout.
+  it is quarantined.
 * :mod:`repro.exec.cache` — :class:`EphemeralCache`, a dict that
   resets itself across ``deepcopy`` and pickling so hot-path caches
   can live *on* the objects they describe (kernels) without leaking
@@ -23,7 +22,7 @@ from repro.exec.pool import (
     fork_available,
     resolve_workers,
 )
-from repro.exec.retry import RetryPolicy, TrialTimeout, trial_deadline
+from repro.exec.retry import RetryPolicy
 
 __all__ = [
     "EphemeralCache",
@@ -33,6 +32,4 @@ __all__ = [
     "fork_available",
     "resolve_workers",
     "RetryPolicy",
-    "TrialTimeout",
-    "trial_deadline",
 ]

@@ -335,47 +335,32 @@ class ThreadFootprint:
 
     ``stores`` keeps program order and raw bit patterns, so undoing a
     thread (reverse replay of ``(addr, old, new)``) and re-applying it
-    (forward replay of ``new``) are both exact.  The *net* effect of
-    those replays — first-store ``old`` and last-store ``new`` per
-    unique address — is materialized once as NumPy scatter arrays, so
-    per-trial undo/reapply are single vectorized writes.
+    (forward replay of ``new``) are both exact.  :meth:`net_stores`
+    collapses those replays to one store per unique address.
     """
 
     loads: Set[int] = field(default_factory=set)
     stores: List[Tuple[int, int, int]] = field(default_factory=list)
-    #: Lazily-built (addrs, first_old_bits, last_new_bits) arrays.
-    _net: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def store_addrs(self) -> Set[int]:
         return {addr for addr, _old, _new in self.stores}
 
-    def net_store_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scatter arrays ``(addrs, old_bits, new_bits)`` — net effect.
+    def net_stores(self) -> Tuple[List[int], List[int], List[int]]:
+        """``(addrs, old_bits, new_bits)``, one entry per unique address.
 
         Reverse replay of the program-ordered store list leaves each
         address holding the ``old`` bits of its *first* store; forward
-        replay leaves the ``new`` bits of its *last* store.  Collapsing
-        to unique addresses keeps the vectorized scatter well-defined
-        (NumPy fancy assignment with duplicate indices is unordered).
+        replay leaves the ``new`` bits of its *last* store.
         """
-        if self._net is None:
-            first_old: Dict[int, int] = {}
-            last_new: Dict[int, int] = {}
-            for addr, old, new in self.stores:
-                if addr not in first_old:
-                    first_old[addr] = old
-                last_new[addr] = new
-            n = len(first_old)
-            self._net = (
-                np.fromiter(first_old.keys(), dtype=np.int64, count=n),
-                np.fromiter(first_old.values(), dtype=np.uint32, count=n),
-                np.fromiter((last_new[a] for a in first_old), dtype=np.uint32,
-                            count=n),
-            )
-        return self._net
+        first_old: Dict[int, int] = {}
+        last_new: Dict[int, int] = {}
+        for addr, old, new in self.stores:
+            if addr not in first_old:
+                first_old[addr] = old
+            last_new[addr] = new
+        return (list(first_old), list(first_old.values()),
+                [last_new[a] for a in first_old])
 
 
 class FootprintRecordingMemory(WordReinterpret):
@@ -547,8 +532,8 @@ class ReplayMemoryGuard(WordReinterpret):
 
     def retarget(self, thread: int) -> None:
         """Ready the guard to replay ``thread``: forget the stores and
-        deferred checks of the last replay, which an interrupted replay
-        can leave behind (device memory is the caller's to heal)."""
+        deferred checks of the last replay, which a replay that ended
+        early (a conflict or a kernel failure) leaves behind."""
         self.thread = thread
         self.written.clear()
         self.deferred.clear()

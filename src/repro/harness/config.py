@@ -41,9 +41,9 @@ class ExperimentScale:
     #: Workload construction overrides per name (bigger = closer to
     #: the paper's loop fractions, slower to simulate).
     workload_kwargs: Dict[str, dict] = field(default_factory=dict)
-    #: Campaign execution options — workers, chunking, differential
-    #: replay, journaling/resume, retry policy, trial timeout — in one
-    #: :class:`~repro.swifi.options.CampaignOptions`.  The CLI's
+    #: Campaign execution options — workers, seed, differential
+    #: replay, journaling/resume, retry policy, profiling, progress —
+    #: in one :class:`~repro.swifi.options.CampaignOptions`.  The CLI's
     #: campaign flags and ``REPRO_BENCH_WORKERS`` override this via
     #: ``dataclasses.replace(scale, campaign=scale.campaign.evolve(...))``.
     campaign: CampaignOptions = field(default_factory=CampaignOptions)

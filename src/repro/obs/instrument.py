@@ -6,7 +6,8 @@ invoke these one-liners; each resolves the process-wide tracer and
 registry at call time, so everything stays a no-op-speed path under the
 default :class:`~repro.obs.events.NullTracer` and costs one dict update
 per observation when enabled.  The records every fault-injection trial
-makes (``record_launch``, ``record_trial``, ``record_lease`` and
+makes (``record_launch``, ``record_launch_failure``,
+``record_hang_verdict``, ``record_trial``, ``record_lease`` and
 ``record_differential_trial``) look their metrics and label keys up
 once per registry and label set
 (:meth:`~repro.obs.metrics.MetricsRegistry.bound`), and then cost one
@@ -36,7 +37,6 @@ repro_swifi_journal_replayed_total          counter    --
 repro_swifi_journal_appends_total           counter    --
 repro_swifi_worker_deaths_total             counter    phase
 repro_swifi_quarantined_total               counter    --
-repro_swifi_trial_timeouts_total            counter    --
 repro_campaign_leases_total                 counter    event
 repro_guardian_attempts_total               counter    --
 repro_guardian_restarts_total               counter    --
@@ -129,20 +129,29 @@ def record_launch(result) -> None:
     spill(result.spill_factor)
 
 
+def _launch_failure_metric(reg: MetricsRegistry, kernel: str,
+                           kind: str) -> Callable:
+    return reg.counter(
+        "repro_launch_failures_total", "Kernel launches ending in crash or hang"
+    ).bind(kernel=kernel, kind=kind)
+
+
 def record_launch_failure(kernel_name: str, kind: str) -> None:
     """A crash/hang the GPU runtime or watchdog detected."""
-    get_registry().counter(
-        "repro_launch_failures_total", "Kernel launches ending in crash or hang"
-    ).inc(kernel=kernel_name, kind=kind)
+    get_registry().bound(_launch_failure_metric, kernel_name, kind)()
+
+
+def _hang_verdict_metric(reg: MetricsRegistry, kernel: str) -> Callable:
+    return reg.counter(
+        "repro_kir_hang_verdicts_total",
+        "Trial hangs decided at a loop head instead of run to the budget",
+    ).bind(kernel=kernel)
 
 
 def record_hang_verdict(kernel_name: str) -> None:
     """A hang the compiled engine decided at a loop head (one of the
     hangs ``repro_launch_failures_total`` counts)."""
-    get_registry().counter(
-        "repro_kir_hang_verdicts_total",
-        "Trial hangs decided at a loop head instead of run to the budget",
-    ).inc(kernel=kernel_name)
+    get_registry().bound(_hang_verdict_metric, kernel_name)()
 
 
 def record_numpy_run(kernel_name: str, result: str) -> None:
@@ -262,14 +271,6 @@ def record_quarantine() -> None:
     get_registry().counter(
         "repro_swifi_quarantined_total",
         "Fault specs quarantined for killing worker processes",
-    ).inc()
-
-
-def record_trial_timeout() -> None:
-    """One trial degraded to the hang class by the wall-clock deadline."""
-    get_registry().counter(
-        "repro_swifi_trial_timeouts_total",
-        "Campaign trials that exceeded the per-trial wall-clock budget",
     ).inc()
 
 

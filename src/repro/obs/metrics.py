@@ -32,27 +32,8 @@ LabelKey = Tuple[Tuple[str, str], ...]
 DEFAULT_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
 
-#: Raw label items (call order) -> their sorted, stringified key.  One
-#: cache for every registry: a key depends on the labels alone.  Only
-#: label sets whose values are all plain ``str`` enter it, since values
-#: that compare equal can render apart (``1``, ``1.0`` and ``True``).
-_LABEL_KEYS: Dict[tuple, LabelKey] = {}
-#: Entries kept at most; label sets past it are keyed anew each time.
-LABEL_KEYS_MAX = 4096
-
-
 def _labelkey(labels: Dict[str, Any]) -> LabelKey:
-    items = tuple(labels.items())
-    try:
-        key = _LABEL_KEYS.get(items)
-    except TypeError:  # an unhashable value
-        return tuple(sorted((k, str(v)) for k, v in items))
-    if key is None:
-        key = tuple(sorted((k, str(v)) for k, v in items))
-        if len(_LABEL_KEYS) < LABEL_KEYS_MAX and \
-                all(type(v) is str for _k, v in items):
-            _LABEL_KEYS[items] = key
-    return key
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
 def _labelstr(key: LabelKey) -> str:

@@ -365,9 +365,7 @@ class DifferentialEngine:
         golden stores, one entry per address (built once per thread)."""
         stores = self._stores.get(target)
         if stores is None:
-            addrs, old_bits, new_bits = self.records[target].footprint.net_store_arrays()
-            stores = self._stores[target] = (
-                addrs.tolist(), old_bits.tolist(), new_bits.tolist())
+            stores = self._stores[target] = self.records[target].footprint.net_stores()
         return stores
 
     def _changed_output(self, stored: List[int]) -> Tuple[List[int], List[float]]:
@@ -587,7 +585,7 @@ def _build_engine(program: "HauberkProgram", mode: str, seed: int):
 
 
 def differential_runner(program: "HauberkProgram", mode: str, seed: int = 0):
-    """A ``Campaign``-compatible runner serving trials differentially.
+    """A campaign trial runner serving trials differentially.
 
     Drop-in replacement for ``program.trial_runner(mode, seed)``:
     eligible trials replay one thread; everything else (ineligible
@@ -627,7 +625,4 @@ def differential_runner(program: "HauberkProgram", mode: str, seed: int = 0):
         prof.note_served("diff")
         return obs
 
-    # Exposed so the trial-deadline guard (swifi/parallel.py) can heal
-    # device memory after a timeout lands mid-replay.
-    runner.engine = engine
     return runner

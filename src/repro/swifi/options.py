@@ -1,10 +1,10 @@
 """`CampaignOptions` — the single parameter object for campaign runs.
 
 Campaign execution grew knob by knob — worker counts, differential
-replay, and now journaling, retries, and trial timeouts —
-and each knob was threaded separately through ``run_campaign``,
-``ExperimentScale``, and the CLI.  This module collapses them into one
-frozen, picklable dataclass: harnesses carry a ``CampaignOptions``,
+replay, journaling and retries — and each knob was threaded
+separately through ``run_campaign``, ``ExperimentScale``, and the
+CLI.  This module collapses them into one frozen, picklable
+dataclass: harnesses carry a ``CampaignOptions``,
 ``ExperimentScale.campaign`` holds one, the CLI parses straight into
 one, and forked workers inherit the same object their parent planned
 with.
@@ -53,10 +53,6 @@ class CampaignOptions:
     #: ``RetryPolicy(max_deaths=0)`` fails the campaign at the first
     #: lost worker instead of retrying and quarantining.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Per-trial wall-clock budget in seconds; a trial exceeding it is
-    #: classified as a hang (the existing failure class).  ``None``
-    #: disables the deadline.
-    trial_timeout: Optional[float] = None
     #: Attribute wall-clock to campaign phases with a
     #: :class:`repro.obs.profile.PhaseProfiler`; journaled campaigns
     #: additionally persist ``profile.json`` next to the journal.
@@ -67,10 +63,6 @@ class CampaignOptions:
     progress: bool = False
 
     def __post_init__(self) -> None:
-        if self.trial_timeout is not None and self.trial_timeout <= 0:
-            raise ValueError(
-                f"trial_timeout must be positive, got {self.trial_timeout}"
-            )
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError(
                 f"retry must be a RetryPolicy, got {type(self.retry).__name__}"

@@ -13,11 +13,10 @@ kinds of worker, both running the same lease → :func:`execute_chunk` →
 result loop:
 
 * ``workers=1`` — the parent itself, leasing one trial at a time on the
-  main thread: each trial is journaled the moment it lands, the
-  ``SIGALRM`` trial deadline works, the trial runner is only built once
-  a trial needs it (a fully journaled resume builds nothing), and an
-  exception raised inside a trial propagates unchanged.  No process,
-  pipe or thread is created.
+  main thread: each trial is journaled the moment it lands, the trial
+  runner is only built once a trial needs it (a fully journaled resume
+  builds nothing), and an exception raised inside a trial propagates
+  unchanged.  No process, pipe or thread is created.
 * ``workers=N`` — N children forked after the parent warmed its caches
   (instrumented build, compiled kernel, campaign input, golden launch),
   so each child inherits them instead of rebuilding.  Each child leases
@@ -50,12 +49,8 @@ from typing import (
 
 from repro.errors import InjectionError
 from repro.exec.pool import fork_available, resolve_workers
-from repro.exec.retry import TrialTimeout, trial_deadline
 from repro.obs.events import RingBufferSink, Tracer, get_tracer, set_tracer, use_tracer
-from repro.obs.instrument import (
-    record_parallel_campaign,
-    record_trial_timeout,
-)
+from repro.obs.instrument import record_parallel_campaign
 from repro.obs.metrics import fresh_registry
 from repro.obs.profile import (
     PHASE_FULL_RUN,
@@ -103,54 +98,21 @@ def _make_runner(program, mode, seed, differential):
     return full_runner
 
 
-def _guarded_runner(runner, timeout: Optional[float]):
-    """Wrap a trial runner in the per-trial wall-clock deadline.
-
-    A trial that exceeds ``timeout`` seconds is degraded to the
-    existing hang classification (``failure=True`` → ``FAILURE``) —
-    the same class the watchdog budget assigns to in-model hangs.  The
-    differential engine's device-memory state is healed first (the
-    interrupt may have landed mid-replay, between the golden-store undo
-    and its reapply).
-    """
-    if not timeout:
-        return runner
-
-    def guarded(spec):
-        try:
-            with trial_deadline(timeout):
-                return runner(spec)
-        except TrialTimeout as exc:
-            engine = getattr(runner, "engine", None)
-            if engine is not None:
-                engine.restore_memory()
-            record_trial_timeout()
-            return TrialObservation(
-                failure=True, detected=False, output_ok=False,
-                activated=False, note=f"hang: {exc}",
-            )
-
-    return guarded
-
-
 def build_trial_runner(
     program, mode: str, options: CampaignOptions,
     runner_factory: Optional[Callable[[], Callable]] = None,
 ) -> Callable[[Optional[FaultSpec]], TrialObservation]:
-    """Build the deadline-guarded trial runner every worker kind uses.
+    """Build (or accept) the trial runner every worker kind uses.
 
-    Build (or accept) the base runner, then wrap it in
-    ``options.trial_timeout``.  The forked driver calls this parent-side
-    first so the build/golden caches are warm in every child.
+    The forked driver calls this parent-side first so the build/golden
+    caches are warm in every child.
     """
     if runner_factory is not None:
-        base = runner_factory()
-    else:
-        with get_profiler().phase(PHASE_PARSE_BUILD):
-            build = program.build(mode)
-            program.runtime.prepare(build.kernel)
-        base = _make_runner(program, mode, options.seed, options.differential)
-    return _guarded_runner(base, options.trial_timeout)
+        return runner_factory()
+    with get_profiler().phase(PHASE_PARSE_BUILD):
+        build = program.build(mode)
+        program.runtime.prepare(build.kernel)
+    return _make_runner(program, mode, options.seed, options.differential)
 
 
 def execute_chunk(
@@ -378,7 +340,7 @@ def run_campaign(
     frozen v1 surface: every execution knob lives on
     :class:`~repro.swifi.options.CampaignOptions` (workers, seed,
     differential replay, journal/resume directories, retry policy,
-    trial timeout).
+    profiling, progress).
 
     Guarantees, for any worker count:
 

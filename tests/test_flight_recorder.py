@@ -18,10 +18,8 @@ Three contracts under test:
 
 from __future__ import annotations
 
-import importlib.util
 import io
 import json
-import os
 
 import pytest
 
@@ -548,45 +546,6 @@ class TestReport:
         report = json.loads(out.read_text())
         assert report["campaigns"][0]["summary"] == result.summary()
         assert main(["report", str(tmp_path / "missing")]) == 2
-
-    def test_bench_trend_gates_regressions(self, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "bench_trend",
-            os.path.join(os.path.dirname(__file__), os.pardir,
-                         "scripts", "bench_trend.py"),
-        )
-        bench_trend = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_trend)
-
-        payload = {
-            "benchmark": "campaign_throughput",
-            "workloads": {"CP": {"configs": {"w1-diff": {
-                "seconds": 0.1, "trials_per_sec": 100.0,
-                "speedup_vs_serial_full": 10.0,
-            }}}},
-            "overhead": {"overhead": 0.01},
-        }
-        root = tmp_path
-        bench = root / "BENCH_campaign.json"
-        bench.write_text(json.dumps(payload))
-        argv = ["--root", str(root)]
-        assert bench_trend.main(argv + ["--record"]) == 0
-        assert bench_trend.main(argv) == 0  # same payload: no regression
-
-        worse = json.loads(bench.read_text())
-        worse["workloads"]["CP"]["configs"]["w1-diff"]["trials_per_sec"] = 50.0
-        worse["overhead"]["overhead"] = 0.5
-        # absolute wall time shifting is environment, not regression
-        worse["workloads"]["CP"]["configs"]["w1-diff"]["seconds"] = 9.9
-        bench.write_text(json.dumps(worse))
-        assert bench_trend.main(argv) == 1
-        assert bench_trend.main(argv + ["--no-fail"]) == 0
-        err = capsys.readouterr().err
-        assert "trials_per_sec" in err and "overhead" in err
-        assert "seconds" not in err
-
-        history = (root / "bench_results" / "campaign.trend.jsonl")
-        assert len(history.read_text().splitlines()) == 4  # every invocation
 
     def test_trace_aggregates_join(self, tmp_path):
         root, _specs, _result = _run_journaled(tmp_path)

@@ -163,10 +163,11 @@ class TestReplayHookBinding:
     untaken branch crashes only the trials that reach it."""
 
     def test_unbound_call_in_untaken_branch_across_replays(self):
-        from repro.swifi.differential import differential_runner
+        from repro.swifi.differential import differential_runner, get_engine
 
         program = HauberkProgram(_LazyWorkload())
         runner = differential_runner(program, "fi", 0)
+        engine = get_engine(program, "fi", 0)
         full = program.trial_runner("fi", 0)
         (m_site,) = [s.site for s in enumerate_targets(program.workload.kernel)
                      if s.name == "m"]
@@ -174,9 +175,9 @@ class TestReplayHookBinding:
         taken = FaultSpec(site=m_site, mask=1 << 7, thread=1)   # m = 129
         for spec in (clean, taken, clean, taken, clean):
             obs = runner(spec)
-            assert runner.engine.run_trial(spec) == obs == full(spec)
+            assert engine.run_trial(spec) == obs == full(spec)
             assert obs.failure == (spec is taken)
-            assert set(runner.engine.ctx.hooks) == {"__hauberk_fi"}
+            assert set(engine.ctx.hooks) == {"__hauberk_fi"}
         assert obs.output_ok is False and not obs.failure
         assert full(taken).note.startswith(
             "kernel crash: library has no handler for __hauberk_nothing")

@@ -334,8 +334,8 @@ class TestFootprintNetArrays:
     def test_net_arrays_collapse_duplicate_addresses(self):
         fp = ThreadFootprint()
         fp.stores = [(5, 10, 11), (6, 20, 21), (5, 11, 12)]
-        addrs, old_bits, new_bits = fp.net_store_arrays()
-        by_addr = {int(a): (int(o), int(n)) for a, o, n in zip(addrs, old_bits, new_bits)}
+        addrs, old_bits, new_bits = fp.net_stores()
+        by_addr = {a: (o, n) for a, o, n in zip(addrs, old_bits, new_bits)}
         # first-store old, last-store new per address
         assert by_addr == {5: (10, 12), 6: (20, 21)}
 
@@ -347,8 +347,9 @@ class TestFootprintNetArrays:
         rec.store_i32(3, 100)
         rec.store_i32(3, 200)
         rec.store_i32(4, 300)
-        addrs, old_bits, _new = fp.net_store_arrays()
-        mem.words[addrs] = old_bits  # vectorized undo
+        addrs, old_bits, _new = fp.net_stores()
+        for addr, bits in zip(addrs, old_bits):  # undo
+            mem.store_word(addr, bits)
         assert mem.load_i32(3) == 0 and mem.load_i32(4) == 0
 
 

@@ -218,18 +218,6 @@ class TestMetrics:
         assert reg.as_dict()["c"]["samples"] == [
             {"labels": {"tags": "['a', 'b']"}, "value": 2.0}]
 
-    def test_label_sets_past_the_cache_bound_still_record(self, monkeypatch):
-        import repro.obs.metrics as metrics
-
-        monkeypatch.setattr(metrics, "_LABEL_KEYS", {})
-        monkeypatch.setattr(metrics, "LABEL_KEYS_MAX", 2)
-        c = MetricsRegistry().counter("c")
-        for i in range(5):
-            c.inc(i=str(i), kind="k")
-            c.inc(kind="k", i=str(i))
-        assert len(metrics._LABEL_KEYS) == 2
-        assert [c.value(i=str(i), kind="k") for i in range(5)] == [2.0] * 5
-
     def test_records_go_to_the_current_registry(self):
         from repro.obs.instrument import record_lease
 

@@ -1,26 +1,20 @@
-"""Fault-tolerance layer tests: retry policy, blame, deadlines.
+"""Fault-tolerance layer tests: retry policy and blame.
 
-Covers ``repro.exec.retry`` in isolation (policy, the ``trial_deadline``
-guard), the scheduler's per-spec death count, and their integration with
-``run_campaign`` (worker-killing specs quarantined into
-``WORKER_KILLED`` trials, dead forked workers replaced, strict mode
-preserved, options object surviving the trip into forked workers).
+Covers ``repro.exec.retry`` in isolation, the scheduler's per-spec
+death count, and their integration with ``run_campaign``
+(worker-killing specs quarantined into ``WORKER_KILLED`` trials, dead
+forked workers replaced, strict mode preserved, options object
+surviving the trip into forked workers).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import time
 
 import pytest
 
-from repro.exec import (
-    RetryPolicy,
-    TrialTimeout,
-    fork_available,
-    trial_deadline,
-)
+from repro.exec import RetryPolicy, fork_available
 from repro.swifi import CampaignOptions, FaultSpec, Outcome, run_campaign
 from repro.swifi.campaign import CampaignResult, TrialObservation
 from repro.swifi.scheduler import LeaseScheduler
@@ -49,35 +43,6 @@ class TestRetryPolicy:
             RetryPolicy(max_deaths=-1)
 
 
-# -- trial_deadline -------------------------------------------------------
-
-
-class TestTrialDeadline:
-    def test_expires_into_trial_timeout(self):
-        with pytest.raises(TrialTimeout):
-            with trial_deadline(0.05):
-                time.sleep(5)
-
-    def test_fast_block_unaffected(self):
-        with trial_deadline(5):
-            value = 1 + 1
-        assert value == 2
-
-    def test_none_and_zero_are_noops(self):
-        with trial_deadline(None):
-            pass
-        with trial_deadline(0):
-            pass
-
-    def test_timer_cleared_after_block(self):
-        import signal
-
-        with trial_deadline(0.2):
-            pass
-        time.sleep(0.25)  # would fire if the timer leaked
-        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-
-
 # -- run_campaign integration --------------------------------------------
 
 
@@ -98,17 +63,6 @@ def _two_killers_factory():
             os._exit(13)
         return TrialObservation(
             failure=False, detected=True, output_ok=False, activated=True
-        )
-
-    return runner
-
-
-def _sleepy_runner_factory():
-    def runner(spec):
-        if spec.site == 777:
-            time.sleep(30)
-        return TrialObservation(
-            failure=False, detected=False, output_ok=True, activated=True
         )
 
     return runner
@@ -178,45 +132,28 @@ class TestCampaignFaultTolerance:
         assert names.count("swifi.quarantine") == 2
         assert death_count == 6
 
-    def test_serial_trial_timeout_degrades_to_hang(self):
-        specs = _specs([1, 777, 3])
-        result = run_campaign(
-            None, specs,
-            options=CampaignOptions(workers=1, trial_timeout=0.2),
-            runner_factory=_sleepy_runner_factory,
-        )
-        assert [t.outcome for t in result.trials] == [
-            Outcome.MASKED, Outcome.FAILURE, Outcome.MASKED,
-        ]
-        assert result.trials[1].observation.note.startswith("hang:")
-
-    @needs_fork
-    def test_pooled_trial_timeout_degrades_to_hang(self):
-        specs = _specs([1, 777, 3, 4])
-        result = run_campaign(
-            None, specs,
-            options=CampaignOptions(workers=2, trial_timeout=0.2,
-                                    retry=FAST_RETRY),
-            runner_factory=_sleepy_runner_factory,
-        )
-        outcomes = [t.outcome for t in result.trials]
-        assert outcomes[1] is Outcome.FAILURE
-        assert outcomes.count(Outcome.MASKED) == 3
-
     @needs_fork
     def test_options_round_trip_through_fork_workers(self, fix_chunk_size):
         # the options object crosses into workers via fork; every field
-        # must arrive intact (verified indirectly: the custom timeout
-        # fires inside the worker)
-        options = CampaignOptions(
-            workers=2, seed=3, trial_timeout=0.2, retry=FAST_RETRY,
-        )
+        # must arrive intact (verified indirectly: a worker profiles its
+        # trials only when it sees profile=True, and the parent turns
+        # each shipped cost record into a profile.trial event)
+        from repro.obs.events import RingBufferSink, Tracer, use_tracer
+
+        specs = _specs([1, 2, 3])
         fix_chunk_size(1)
-        result = run_campaign(
-            None, _specs([777, 2]), options=options,
-            runner_factory=_sleepy_runner_factory,
-        )
-        assert result.trials[0].outcome is Outcome.FAILURE
+        sink = RingBufferSink()
+        with use_tracer(Tracer(sink)):
+            result = run_campaign(
+                None, specs,
+                options=CampaignOptions(workers=2, seed=3, retry=FAST_RETRY,
+                                        profile=True),
+                runner_factory=_counting_runner_factory,
+            )
+        costs = [r["attrs"] for r in sink.records
+                 if r["name"] == "profile.trial"]
+        assert sorted(c["index"] for c in costs) == [0, 1, 2]
+        assert [t.spec for t in result.trials] == specs
 
 
 # -- CampaignOptions ------------------------------------------------------
@@ -236,7 +173,7 @@ class TestCampaignOptions:
         options = CampaignOptions(
             workers=3, seed=9, differential=False,
             run_dir="runs", retry=RetryPolicy(max_deaths=1),
-            trial_timeout=2.5,
+            profile=True, progress=True,
         )
         clone = pickle.loads(pickle.dumps(options))
         assert clone == options
@@ -249,8 +186,6 @@ class TestCampaignOptions:
         assert not CampaignOptions(run_dir="a").resuming
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CampaignOptions(trial_timeout=-1)
         with pytest.raises(TypeError):
             CampaignOptions(retry="twice")
 
