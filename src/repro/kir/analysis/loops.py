@@ -591,33 +591,35 @@ def fast_iteration(loop: Stmt) -> Union[FastIteration, str]:
 # ---------------------------------------------------------------------------
 
 #: Why a counted run has no :class:`NumpyRun` (the value
-#: :func:`numpy_run` returns instead), besides :data:`INTRINSIC`: a
-#: local carried from one iteration to the next that is no affine
-#: induction and no single-op reduction read only by its update; an
-#: operation with no exact array form (a comparison, ``&&``, ``||``,
-#: ``!``, ``%``, an int ``/``, a float-to-int conversion).
+#: :func:`numpy_run` returns instead), besides :data:`INTRINSIC` (a call
+#: other than ``sqrt``) and :data:`LOAD_NOT_AFFINE` (a load whose
+#: address is no bare affine index of an induction): a local carried
+#: from one iteration to the next that is no affine induction and no
+#: single-op reduction read only by its update; an int value outside a
+#: load address other than an induction's update, or a float operation
+#: other than ``+ - * /`` and negation.
 RECURRENCE = "recurrence"
 OPERATOR = "operator"
-
-#: One-argument float intrinsics an array form computes by calling
-#: their scalar helper on each element (``sqrt`` it computes with NumPy:
-#: a square root is correctly rounded in both).
-MAPPED_INTRINSICS = frozenset({"rsqrt", "exp", "log", "sin", "cos", "acos", "floor", "fabs"})
-_ARRAY_OPS = ("+", "-", "*", "/", "&", "|", "^", "<<", ">>")
 
 
 @dataclass(frozen=True)
 class NumpyRun:
-    """A counted run whose iterations can be computed as array operations.
+    """A counted run whose iterations can be computed as float64 array
+    operations, each correctly rounded as the scalar run's is.
 
-    Every local an iteration assigns is one of three kinds: assigned
-    before the iteration reads it (its value in the last iteration is
-    its final value); an *induction*, an int local assigned once by
-    ``v = v + c`` or ``v = v - c`` that computes bare, so its value in
-    iteration ``j`` is ``v + c * j``; or a *reduction*, assigned once by
-    ``v = v op e`` (``op`` one of ``+ - *``; ``e op v`` for ``+`` and
-    ``*``) with ``e`` not reading ``v`` and no other statement reading
-    it, whose values a left-to-right ``accumulate`` gives.
+    Every local an iteration assigns is one of three kinds: a float
+    local assigned before the iteration reads it (its value in the last
+    iteration is its final value); an *induction*, an int local
+    assigned once by ``v = v + c`` or ``v = v - c`` that computes bare,
+    so its value in iteration ``j`` is ``v + c * j``; or a float
+    *reduction*, assigned once by ``v = v op e`` (``op`` one of
+    ``+ - *``; ``e op v`` for ``+`` and ``*``) with ``e`` not reading
+    ``v`` and no other statement reading it, whose values a
+    left-to-right ``accumulate`` gives.  Their right-hand sides compute
+    with float ``+ - * /``, negation and ``sqrt`` on float constants,
+    locals and loads; an int appears only in a load's address, which is
+    an induction with a non-zero step under bare ``+ - *`` by int
+    constants, so the load reads a strided slice.
     """
 
     loop_id: int
@@ -627,23 +629,44 @@ class NumpyRun:
     reductions: Tuple[Tuple[str, str], ...]
 
 
-def _array_reason(node: Expr) -> Optional[str]:
-    """Why expression node ``node`` has no exact array form, or None."""
-    if isinstance(node, BinOp):
-        if node.op not in _ARRAY_OPS or (node.op == "/" and _int32(node.left)
-                                         and _int32(node.right)):
-            return OPERATOR
-    elif isinstance(node, UnOp) and node.op == "!":
-        return OPERATOR
-    elif isinstance(node, Call):
-        if node.func in ("int", "__float_as_int"):
-            return OPERATOR
-        if not (node.func in ("sqrt", "float") or (
-                node.func in MAPPED_INTRINSICS and len(node.args) == 1)):
-            return INTRINSIC
-    elif isinstance(node, SharedLoad):
-        return SHARED_MEMORY
-    return None
+def _stride(e: Expr, steps: Dict[str, int], bare: FrozenSet[int]) -> Optional[int]:
+    """What int expression ``e`` gains per iteration when it is a bare
+    affine index (see :class:`NumpyRun`), else None."""
+    if isinstance(e, Var):
+        return steps.get(e.name) or None
+    if not (isinstance(e, BinOp) and e.op in ("+", "-", "*") and id(e) in bare):
+        return None
+    left = _stride(e.left, steps, bare)
+    stride, other = (left, e.right) if left is not None else (_stride(e.right, steps, bare), e.left)
+    if stride is None or not isinstance(other, Const):
+        return None
+    if e.op == "*":
+        return stride * other.value or None
+    return -stride if e.op == "-" and left is None else stride
+
+
+def _array_reason(e: Expr, steps: Dict[str, int], bare: FrozenSet[int]) -> Optional[str]:
+    """Why float expression ``e`` has no exact array form (see
+    :class:`NumpyRun`), or None."""
+    if e.dtype is not DType.FLOAT32:
+        return OPERATOR  # an int value
+    if isinstance(e, (Const, Var)):
+        return None
+    if isinstance(e, Load):
+        if isinstance(e.ptr, Var) and _stride(e.index, steps, bare):
+            return None
+        return LOAD_NOT_AFFINE
+    if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
+        return _array_reason(e.left, steps, bare) or _array_reason(e.right, steps, bare)
+    if isinstance(e, UnOp) and e.op == "-":
+        return _array_reason(e.operand, steps, bare)
+    if isinstance(e, Call):
+        for a in e.args:
+            reason = _array_reason(a, steps, bare)
+            if reason is not None:
+                return reason
+        return None if e.func == "sqrt" else INTRINSIC
+    return OPERATOR
 
 
 def _carried(name: str, s: Stmt, rhs: Expr, reads: Counter,
@@ -675,31 +698,27 @@ def numpy_run(loop: Stmt, bare: FrozenSet[int]) -> Union[NumpyRun, str]:
     """The :class:`NumpyRun` of a loop with a :class:`HangShape`, or why
     it has none; ``bare`` holds the ids of the int operations its fast
     iteration computes without the int32 wrap
-    (:func:`~repro.kir.analysis.intervals.iteration_ranges`)."""
+    (:func:`~repro.kir.analysis.intervals.iteration_ranges`).  A retired
+    hook call's arguments are read but not computed: in a loop with a
+    hang shape they cannot raise."""
     stmts = iteration_stmts(loop)
     reads: List[set] = []  # per statement, the names it reads
     counts: Counter = Counter()
     for s in stmts:
-        names = []
-        for e in child_exprs(s):
-            for node in walk_exprs(e):
-                reason = _array_reason(node)
-                if reason is not None:
-                    return reason
-                if isinstance(node, (Var, SpecialReg)):
-                    names.append(node.name)
+        names = [node.name for e in child_exprs(s) for node in walk_exprs(e)
+                 if isinstance(node, (Var, SpecialReg))]
         counts.update(names)
         reads.append(set(names))
-    writes = Counter(s.name for s in stmts if isinstance(s, (Decl, Assign)))
+    assigns = [(s, s.init if isinstance(s, Decl) else s.value)
+               for s in stmts if isinstance(s, (Decl, Assign))]
+    writes = Counter(s.name for s, _rhs in assigns)
     kinds: Dict[str, tuple] = {}
     assigned: set = set()
     for s, names in zip(stmts, reads):
         if not isinstance(s, (Decl, Assign)):
             continue
-        rhs, target = (s.init, s.var_dtype) if isinstance(s, Decl) else (s.value, s.target_dtype)
-        if target is DType.INT32 and rhs.dtype is DType.FLOAT32:
-            return OPERATOR  # a float-to-int conversion
         if s.name in names and s.name not in assigned:
+            rhs = s.init if isinstance(s, Decl) else s.value
             kind = _carried(s.name, s, rhs, counts, bare) if writes[s.name] == 1 else None
             if kind is None:
                 return RECURRENCE
@@ -713,8 +732,16 @@ def numpy_run(loop: Stmt, bare: FrozenSet[int]) -> Union[NumpyRun, str]:
             return RECURRENCE
         if isinstance(s, (Decl, Assign)):
             assigned.add(s.name)
+    steps = {n: k[1] for n, k in kinds.items() if k[0] == "induction"}
+    for s, rhs in assigns:
+        if s.name in steps:
+            continue
+        target = s.var_dtype if isinstance(s, Decl) else s.target_dtype
+        reason = OPERATOR if target is not DType.FLOAT32 else _array_reason(rhs, steps, bare)
+        if reason is not None:
+            return reason
     return NumpyRun(
         loop_id=loop.loop_id,
-        inductions=tuple((n, k[1]) for n, k in kinds.items() if k[0] == "induction"),
+        inductions=tuple(steps.items()),
         reductions=tuple((n, k[1]) for n, k in kinds.items() if k[0] == "reduction"),
     )

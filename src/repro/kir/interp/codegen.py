@@ -157,18 +157,20 @@ that is not clean makes the run one iteration whose loads call the
 accessors.
 
 NumPy runs.  A loop whose every assigned local is iteration-local, an
-affine induction or a single-op reduction, and whose expressions have
-an exact array form (:func:`~repro.kir.analysis.loops.numpy_run`), also
-gets a NumPy form, ``_npf<id>``: one function that computes the K
+affine induction or a float reduction, whose float operations are
+``+ - * /``, negation and ``sqrt``, and whose ints appear only as
+inductions and in load addresses affine in them
+(:func:`~repro.kir.analysis.loops.numpy_run`, which decides it all),
+also gets a NumPy form, ``_npf<id>``: one function that computes the K
 iterations of a run in blocks of :data:`NUMPY_BLOCK`, each operation
-once a block over an int64 or float64 array (loads widened before any
-arithmetic, reductions by a left-to-right ``accumulate`` carried from
-block to block, transcendentals by the scalar helper on each element).
-A load whose address is affine in the iteration reads a strided slice,
-``_mf[_u3:_u5 + 1:4]`` for CP's ``atominfo[atomid * 4 + 1]``, tested
-at the block's first and last address; any other load gathers.  A run
-with clean spans and ``_n<id> >=`` :data:`NUMPY_RUN_MIN` calls it
-instead of ``range(_n<id>)``.  CP's run reads::
+once a block over a float64 array, which rounds it correctly as the
+scalar run does, loads widened before any arithmetic and reductions by
+a left-to-right ``accumulate`` carried from block to block.  Each load
+reads a strided slice, ``_mf[_u3:_u4 + 1:4]`` for CP's
+``atominfo[atomid * 4 + 1]``, tested at the block's first and last
+address.  A run with clean spans and ``_n<id> >=``
+:data:`NUMPY_RUN_MIN` calls it instead of ``range(_n<id>)``.  CP's run
+reads::
 
     if _b0 and _n0 >= 128 and (_v0 := _k3(_n0, v19, v2, v27, mem_f32,
                                           v17, v21, v23, v24, v25)) is not None:
@@ -184,7 +186,7 @@ iterations, where a loaded word is a NaN, a divisor is zero, an index
 leaves the view or a float local is not finite in any block
 (``docs/architecture.md``, "Fast iterations and inline loads", NumPy
 runs).  ``_vexpr``, ``_vaffine``, ``_vload`` and ``_numpy_form`` emit
-it, by the ``vec`` mode flag.
+it.
 
 Hang verdicts.  A ``for`` loop with a
 :class:`~repro.kir.analysis.loops.HangShape` gets a check at the head
@@ -336,9 +338,8 @@ _RERUN = (KernelCrash, ArithmeticError, ValueError, TypeError, LookupError)
 _EXACT_CYCLES = 2.0 ** 50
 _COMPARE = ("<", "<=", ">", ">=", "==", "!=")
 #: A counted run this long computes through its loop's NumPy form,
-#: where the loop has one: about where the form's fixed cost is repaid
-#: (measured break-even: some 100 iterations on CP, 120 on MRI-Q and
-#: OCEAN, 190 on RPES, whose scalar iteration is the cheapest).
+#: where the loop has one: a little above where the form's fixed cost is
+#: repaid (measured break-even: some 100 iterations of CP's atom loop).
 NUMPY_RUN_MIN = 128
 #: Iterations a NumPy form computes per block: its float64 temporaries
 #: stay well below the allocator's 128 KiB ``mmap`` threshold, so a call
@@ -346,11 +347,10 @@ NUMPY_RUN_MIN = 128
 NUMPY_BLOCK = 8192
 #: Names a NumPy form's source reads from the function's namespace.
 _NUMPY_NS = {
-    "_errstate": np.errstate, "_asarray": np.asarray, "_arange": np.arange,
-    "_full": np.full, "_cat": np.concatenate, "_fromiter": np.fromiter,
-    "_isnan": np.isnan, "_isfinite": np.isfinite, "_sqrt": np.sqrt,
-    "_add": np.add, "_sub": np.subtract, "_mul": np.multiply,
-    "_f64": np.float64, "_i64": np.int64,
+    "_errstate": np.errstate, "_asarray": np.asarray, "_full": np.full,
+    "_cat": np.concatenate, "_isnan": np.isnan, "_isfinite": np.isfinite,
+    "_sqrt": np.sqrt, "_add": np.add, "_sub": np.subtract, "_mul": np.multiply,
+    "_f64": np.float64,
 }
 
 
@@ -604,9 +604,9 @@ class _Emitter:
         #: while a counted run's body is emitted, the local that is true
         #: when every load span of the run is clean, else None
         self.run: Optional[str] = None
-        #: the NumPy-form mode flag: while a form is emitted, each KIR
-        #: name the iteration has assigned so far -> the text of its
-        #: value and whether that is an array, else None
+        #: while a NumPy form is emitted, each KIR name the iteration has
+        #: assigned so far -> the text of its value and whether that is
+        #: an array, else None
         self.vec: Optional[Dict[str, tuple]] = None
         #: the form's inductions -> (their step, whether the iteration
         #: has updated them yet); its operations' text -> the temporary
@@ -614,11 +614,6 @@ class _Emitter:
         self.vec_steps: Dict[str, list] = {}
         self.vec_memo: Dict[str, str] = {}
         self.vec_args: Dict[str, None] = {}
-        #: the int locals the iteration has assigned an affine value
-        #: (see ``_vaffine``) -> its ``(a0, a1)``; and the lines the form
-        #: runs once, before its first block
-        self.vec_aff: Dict[str, tuple] = {}
-        self.vec_head: List[str] = []
         #: number of the form's temporaries (``_u<n>``)
         self.vec_temps = 0
         #: the kernel being compiled, for the forms' metric label
@@ -1143,19 +1138,16 @@ class _Emitter:
 
         The form ``_npf<id>(K, <the views and locals it reads>)`` computes K
         iterations of a counted run whose load spans are clean, in blocks
-        of :data:`NUMPY_BLOCK`, each operation once per block as an array
-        operation.  Every array is int64 or float64 and every other value
-        a Python int or float, so each operation rounds as the scalar
+        of :data:`NUMPY_BLOCK`, each float operation once per block on a
+        float64 array or a Python float, so each rounds as the scalar
         run's does; a reduction takes a left-to-right ``accumulate`` from
-        the block before's last partial.  A load whose address is affine
-        in the iteration reads a strided slice of the view.  The form
-        gives up, with the reason, where the scalar run could differ: a
-        NaN word, a zero divisor, an index outside the view, or a float
-        local that is not finite, tested on every block.
+        the block before's last partial, and a load reads a strided slice
+        of the view.  The form gives up, with the reason, where the scalar
+        run could differ: a NaN word, a zero divisor, an index outside the
+        view, or a float local that is not finite, tested on every block.
         """
         lines, self.lines = self.lines, []
         self.vec, self.vec_memo, self.vec_args, self.vec_temps = {}, {}, {}, 0
-        self.vec_aff, self.vec_head = {}, []
         self.vec_steps = {name: [step, False] for name, step in form.inductions}
         reductions = dict(form.reductions)
         finals: Dict[str, str] = {}
@@ -1163,7 +1155,7 @@ class _Emitter:
             if not isinstance(st, (Decl, Assign)):
                 continue  # a retired hook call: its arguments cannot raise here
             name = st.name
-            rhs, target = (st.init, st.var_dtype) if isinstance(st, Decl) else (st.value, st.target_dtype)
+            rhs = st.init if isinstance(st, Decl) else st.value
             if name in self.vec_steps:
                 self.vec_steps[name][1] = True
                 finals[name] = f"{self._varg(name)} + {self.const(self.vec_steps[name][0])} * K"
@@ -1174,19 +1166,13 @@ class _Emitter:
                 acc, carry = self._vtemp(), self._varg(name)  # no other statement reads it
                 self.emit(3, f"{acc} = {op}.accumulate(_cat((({carry},), "
                              f"{e if is_array else f'_full(_m, {e})'})))")
-                if target is DType.FLOAT32:  # a non-finite partial sum stays so
-                    self.emit(3, f"if not _isfinite({acc}[-1]): return 'nonfinite'")
+                # a non-finite partial sum stays so
+                self.emit(3, f"if not _isfinite({acc}[-1]): return 'nonfinite'")
                 self.emit(3, f"{carry} = {acc}[-1].item()")
                 finals[name] = carry
-            elif target is DType.INT32 and (aff := self._vaffine(rhs)) is not None:
-                self.vec_aff[name] = aff  # an array only where one is needed
-                finals[name] = f"{aff[0]} + {self.const(aff[1])} * (_m - 1)"
             else:
                 value, is_array = self._vexpr(rhs)
-                self.vec_aff.pop(name, None)
-                if target is DType.FLOAT32 and rhs.dtype is DType.INT32:
-                    value = self._vop(f"{value}.astype(_f64)" if is_array else f"float({value})")
-                if is_array and target is DType.FLOAT32:
+                if is_array:
                     self.emit(3, f"if not _isfinite({value}).all(): return 'nonfinite'")
                 self.vec[name] = (value, is_array)
                 finals[name] = f"{value}[-1].item()" if is_array else value
@@ -1194,8 +1180,9 @@ class _Emitter:
         body, self.lines = self.lines, lines
         args = list(self.vec_args)
         fn = f"_npf{form.loop_id}"
+        view = ["        _mf = _asarray(mem_f32)"] if "mem_f32" in self.vec_args else []
         source = "\n".join([f"def {fn}({', '.join(['K'] + args)}):",
-                            "    with _errstate(all='ignore'):", *self.vec_head,
+                            "    with _errstate(all='ignore'):", *view,
                             f"        for _s in range(0, K, {NUMPY_BLOCK}):",
                             f"            _m = min(K - _s, {NUMPY_BLOCK})", *body,
                             f"        return ({_seq([finals[n] for n in names])})", ""])
@@ -1223,46 +1210,26 @@ class _Emitter:
             self.emit(3, f"{t} = {text}")
         return t
 
-    def _vwrap(self, e: Expr, text: str) -> str:
-        """An int32 ``+ - * <<`` or unary ``-``: int64 holds its exact
-        result, which wraps as ``_wrap`` does unless it is bare."""
-        t = self._vop(text)
-        if id(e) in self.bare:
-            return t
-        return self._vop(f"(({t} + 2147483648) & 4294967295) - 2147483648")
-
     def _vaffine(self, e: Expr) -> Optional[tuple]:
-        """``(a0, a1)`` when int expression ``e`` is ``a0 + a1 * j`` in
-        iteration ``j`` of a block, ``a0`` a scalar temporary and ``a1``
-        a nonzero int: an induction, or one after bare ``+ - *`` by
-        constants and ``+ -`` scalars; else None."""
-        if isinstance(e, (Var, SpecialReg)):
-            if e.name in self.vec_aff:
-                return self.vec_aff[e.name]
-            if e.name in self.vec or e.name not in self.vec_steps or not self.vec_steps[e.name][0]:
-                return None  # an array, a scalar, or an induction that does not move
-            return self._vstep(e.name)
-        if not (isinstance(e, BinOp) and e.op in ("+", "-", "*") and e.dtype is DType.INT32
-                and e.left.dtype is DType.INT32 and id(e) in self.bare):
+        """``(a0, a1)`` when int expression ``e``, a part of a load's
+        index, reads an induction: it is then ``a0 + a1 * j`` in
+        iteration ``j`` of a block, ``a0`` a scalar temporary
+        (:func:`~repro.kir.analysis.loops.numpy_run` admits only one
+        induction under ``+ - *`` by constants); else None."""
+        if isinstance(e, Var):
+            return self._vstep(e.name) if e.name in self.vec_steps else None
+        if not isinstance(e, BinOp):
             return None
         left = self._vaffine(e.left)
-        aff, other = (left, e.right) if left is not None else (self._vaffine(e.right), e.left)
-        if aff is None:
-            return None
-        a0, a1 = aff
+        (a0, a1), c = (left, e.right.value) if left is not None else (
+            self._vaffine(e.right), e.left.value)
         if e.op == "*":
-            if not (isinstance(other, Const) and isinstance(other.value, int) and other.value):
-                return None
-            c = self.const(other.value)
-            return self._vop(f"{a0} * {c}"), a1 * other.value
-        x, is_array = self._vexpr(other)
-        if is_array:
-            return None
+            return self._vop(f"{a0} * {self.const(c)}"), a1 * c
         if e.op == "+":
-            return self._vop(f"{a0} + {x}"), a1
+            return self._vop(f"{a0} + {self.const(c)}"), a1
         if left is not None:
-            return self._vop(f"{a0} - {x}"), a1
-        return self._vop(f"{x} - {a0}"), -a1
+            return self._vop(f"{a0} - {self.const(c)}"), a1
+        return self._vop(f"{self.const(c)} - {a0}"), -a1
 
     def _vstep(self, name: str) -> tuple:
         """``(a0, c)`` of induction ``name``: ``v + c * _s`` at the start
@@ -1272,123 +1239,53 @@ class _Emitter:
         start = f"{local} + {c}" if updated else local
         return self._vop(f"{start} + _s" if step == 1 else f"{start} + {c} * _s"), step
 
-    def _vmat(self, a0: str, a1: int) -> str:
-        """The int64 array of an affine value over the block."""
-        self._vstart("_j", "_arange(_m)", block=True)
-        return self._vop(f"{a0} + _j" if a1 == 1 else f"{a0} + _j * {self.const(a1)}")
-
     def _vexpr(self, e: Expr) -> tuple:
-        """``(text, whether it is an array)`` of ``e`` in a NumPy form:
-        a temporary, a local or a constant."""
+        """``(text, whether it is an array)`` of float expression ``e``
+        in a NumPy form: a temporary, a local or a constant."""
         if isinstance(e, Const):
             return self.const(e.value), False
-        if isinstance(e, (Var, SpecialReg)):
-            if e.name in self.vec_aff:
-                return self._vmat(*self.vec_aff[e.name]), True
-            if e.name in self.vec:
-                return self.vec[e.name]
-            if e.name not in self.vec_steps:
-                return self._varg(e.name), False
-            return self._vmat(*self._vstep(e.name)), True
+        if isinstance(e, Var):
+            return self.vec[e.name] if e.name in self.vec else (self._varg(e.name), False)
         if isinstance(e, Load):
             return self._vload(e)
-        if isinstance(e, UnOp):
+        if isinstance(e, UnOp):  # a negation
             x, is_array = self._vexpr(e.operand)
-            if e.op == "~":
-                return self._vop(f"~{x}"), is_array
-            if e.dtype is DType.INT32:
-                return self._vwrap(e, f"-{x}"), is_array
             return self._vop(f"-{x}"), is_array
-        if isinstance(e, Call):
+        if isinstance(e, Call):  # sqrt: correctly rounded in both
             x, is_array = self._vexpr(e.args[0])
-            if e.func == "float":
-                if e.args[0].dtype is not DType.INT32:
-                    return x, is_array
-                return self._vop(f"{x}.astype(_f64)" if is_array else f"float({x})"), is_array
-            impl = INTRINSIC_IMPL[e.func]
-            if is_array and impl is _safe_sqrt:
-                return self._vop(f"_sqrt({x})"), True
-            if is_array:  # the exact scalar helper, element by element
-                return self._vop(f"_fromiter(map({self.bind(impl)}, {x}.tolist()), _f64, _m)"), True
-            return self._vop(f"{self.bind(impl)}({x})"), False
-        aff = self._vaffine(e)
-        if aff is not None:
-            return self._vmat(*aff), True
+            return self._vop(f"_sqrt({x})" if is_array else f"{self.bind(_safe_sqrt)}({x})"), is_array
         (l, l_array), (r, r_array) = self._vexpr(e.left), self._vexpr(e.right)  # noqa: E741
-        is_array = l_array or r_array
-        op = e.op
-        if op == "/":
+        if e.op == "/":
             self.emit(3, f"if not {r}.all(): return 'zero_divisor'" if r_array
                          else f"if {r} == 0: return 'zero_divisor'")
-        if op in (">>", "<<"):
-            r = self._vop(f"{r} & 31")
-        text = f"{l} {op} {r}"
-        if op in ("+", "-", "*", "<<") and e.dtype is DType.INT32 and e.left.dtype is DType.INT32:
-            return self._vwrap(e, text), is_array
-        return self._vop(text), is_array
+        return self._vop(f"{l} {e.op} {r}"), l_array or r_array
 
     def _vload(self, e: Load) -> tuple:
-        """Bare words of the view of device memory, after the index and
-        NaN tests the scalar run's loads need: a strided slice where the
-        address is affine (its test compares the block's first and last
-        addresses with the view), else a gather."""
+        """Bare words of the float view of device memory as a strided
+        slice, after the index test (the block's first and last
+        addresses against the view) and the NaN test the scalar run's
+        loads need."""
         base, offset = self._split(e.index)
-        ptr, p_array = self._vexpr(e.ptr)
-        aff = None if p_array else self._vaffine(base)
-        is_float = e.dtype is DType.FLOAT32
-        view = "_mf" if is_float else "_mi"
-        local = self.ctx_local("mem_f32" if is_float else "mem_i32")
-        self.vec_args[local] = None
-        self._vstart(view, f"_asarray({local})")
-        cast = "_f64" if is_float else "_i64"
-        if aff is not None:
-            a0, a1 = aff
-            first = self._vop(f"{ptr} + {a0}")
-            if offset:
-                first = self._vop(f"{first} + {self.const(offset)}")
-            key = f"{view}[{first}::{a1}]"
-            if key in self.vec_memo:
-                return self.vec_memo[key], True
-            last = self._vop(f"{first} + _m - 1" if a1 == 1
-                             else f"{first} + {self.const(a1)} * (_m - 1)")
-            word = self.vec_memo[key] = self._vtemp()
-            lo, hi = (first, last) if a1 > 0 else (last, first)
-            self.emit(3, f"if {lo} < 0 or {hi} >= {view}.shape[0]: return 'index'")
-            # a slice down to address 0 ends at None, not -1
-            end = f"{last} + 1" if a1 > 0 else f"({last} - 1 if {last} else None)"
-            step = "" if a1 == 1 else f":{a1}"
-            self.emit(3, f"{word} = {view}[{first}:{end}{step}].astype({cast})")
-        else:
-            at, b_array = self._vexpr(base)
-            addr = self._vop(f"{ptr} + {at}")
-            if offset:
-                addr = self._vop(f"{addr} + {self.const(offset)}")
-            key = f"{view}[{addr}]"
-            if key in self.vec_memo:
-                return self.vec_memo[key], p_array or b_array
-            word = self.vec_memo[key] = self._vtemp()
-            if not (p_array or b_array):
-                self.emit(3, f"if not 0 <= {addr} < {view}.shape[0]: return 'index'")
-                self.emit(3, f"{word} = {key}.item()")
-                if is_float:
-                    self.emit(3, f"if {word} != {word}: return 'nan_word'")
-                return word, False
-            # NumPy reads a negative index from the end: test both sides
-            self.emit(3, f"if {addr}.min() < 0 or {addr}.max() >= {view}.shape[0]: return 'index'")
-            self.emit(3, f"{word} = {key}.astype({cast})")
-        if is_float:
-            self.emit(3, f"if _isnan({word}).any(): return 'nan_word'")
+        ptr = self._vexpr(e.ptr)[0]
+        a0, a1 = self._vaffine(base)
+        self.vec_args[self.ctx_local("mem_f32")] = None
+        first = self._vop(f"{ptr} + {a0}")
+        if offset:
+            first = self._vop(f"{first} + {self.const(offset)}")
+        key = f"_mf[{first}::{a1}]"
+        if key in self.vec_memo:
+            return self.vec_memo[key], True
+        last = self._vop(f"{first} + _m - 1" if a1 == 1
+                         else f"{first} + {self.const(a1)} * (_m - 1)")
+        word = self.vec_memo[key] = self._vtemp()
+        lo, hi = (first, last) if a1 > 0 else (last, first)
+        self.emit(3, f"if {lo} < 0 or {hi} >= _mf.shape[0]: return 'index'")
+        # a slice down to address 0 ends at None, not -1
+        end = f"{last} + 1" if a1 > 0 else f"({last} - 1 if {last} else None)"
+        step = "" if a1 == 1 else f":{a1}"
+        self.emit(3, f"{word} = _mf[{first}:{end}{step}].astype(_f64)")
+        self.emit(3, f"if _isnan({word}).any(): return 'nan_word'")
         return word, True
-
-    def _vstart(self, name: str, text: str, block: bool = False) -> None:
-        """``name = text`` once, at the start of the form or, when
-        ``block``, of each block."""
-        if name not in self.vec_memo:
-            self.vec_memo[name] = name
-            if block:
-                self.lines.insert(0, f"            {name} = {text}")
-            else:
-                self.vec_head.append(f"        {name} = {text}")
 
     def _spans(self, shape: HangShape) -> tuple:
         """(clean tests, count terms) of the run's load spans.

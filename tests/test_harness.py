@@ -1,5 +1,7 @@
 """Smoke tests for every figure driver at SMOKE scale, plus reporting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,13 @@ class TestFig15:
             assert huge == sorted(huge)  # monotone in bit count
         # huge original values almost always change hugely
         assert result.huge_change_fraction("1E+15~1E+45", 15) > 0.95
+
+    def test_signalling_nans_raise_no_warning(self):
+        from repro.harness.fig15_bitflip import run_fig15
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # as under -W error::RuntimeWarning
+            run_fig15(SMOKE)
 
 
 class TestSec9d:

@@ -13,6 +13,7 @@ raised above the run, through replay and through a full launch.
 
 import functools
 import operator
+import re
 import tracemalloc
 from unittest.mock import patch
 
@@ -27,6 +28,7 @@ from repro.kir import parse_kernel
 from repro.kir.analysis.intervals import iteration_ranges
 from repro.kir.analysis.loops import (
     INTRINSIC,
+    LOAD_NOT_AFFINE,
     OPERATOR,
     RECURRENCE,
     HangShape,
@@ -45,6 +47,17 @@ from repro.workloads import get_workload
 from repro.workloads.base import _PARSE_CACHE
 
 
+SUM = """
+kernel sum(float* src, float* out, float big, int n) {
+    float acc = big;
+    for (int i = 0; i < n; i++) {
+        acc = acc + src[i];
+    }
+    out[0] = acc;
+}
+"""
+
+
 def _form(kernel):
     """numpy_run of the kernel's one loop with a hang shape."""
     (loop,) = [info.stmt for info in find_loops(kernel).values()
@@ -58,32 +71,25 @@ def _results(registry) -> dict:
 
 
 class TestEligibility:
-    @pytest.mark.parametrize("name, inductions, reductions", [
-        ("CP", {"atomid", "__cnt0"}, {"energyx1", "energyx2"}),
-        ("RPES", {"i", "__cnt0"}, {"acc"}),
-        ("MRI-Q", {"k", "__cnt0"}, {"qr", "qi"}),
-        ("OCEAN", {"w", "__cnt0"}, {"h"}),
+    @pytest.mark.parametrize("name, reason", [
+        ("CP", None),
+        ("MRI-Q", INTRINSIC),  # sin and cos, which np.sin and np.cos do not round as libm
+        ("RPES", OPERATOR),  # float(i)
+        ("OCEAN", INTRINSIC),  # cos
     ])
-    def test_fift_loops_with_a_form(self, name, inductions, reductions):
+    def test_fift_loops_with_a_form(self, name, reason):
         build = HauberkProgram(get_workload(name)).build("fift")
         form = _form(build.kernel)
-        assert isinstance(form, NumpyRun)
-        assert {n for n, _step in form.inductions} == inductions
-        assert {n for n, _op in form.reductions} == reductions
-        assert all(step == 1 for _n, step in form.inductions)
         compiled = CompiledKernel(build.kernel, CostModel())
+        if reason is not None:
+            assert form == reason
+            assert "_v0 :=" not in compiled.source and not compiled.form_sources
+            return
+        assert dict(form.inductions) == {"atomid": 1, "__cnt0": 1}
+        assert dict(form.reductions) == {"energyx1": "+", "energyx2": "+"}
         assert "(_v0 := " in compiled.source
         (source,) = compiled.form_sources.values()
         assert ".accumulate(" in source and ".sum(" not in source and "reduce" not in source
-
-    @pytest.mark.parametrize("name", ["MRI-Q", "OCEAN"])
-    def test_transcendentals_map_the_exact_scalar_helper(self, name):
-        # np.sin and np.cos are not bit-equal to libm: the form calls
-        # the scalar engine's own helper on each element
-        build = HauberkProgram(get_workload(name)).build("fift")
-        (source,) = CompiledKernel(build.kernel, CostModel()).form_sources.values()
-        assert "_fromiter(map(" in source
-        assert "np.sin" not in source and "np.cos" not in source
 
     def test_mri_fhd_rounds_its_reduction_twice(self):
         # rfh = rfh + rmu * c - imu * s is (rfh + a) - b
@@ -99,12 +105,20 @@ class TestEligibility:
         ("acc = acc + (src[i] < 1.0);", OPERATOR),
         ("acc = acc + float(int(src[i]));", OPERATOR),
         ("acc = acc + pow(src[i], 2.0);", INTRINSIC),
-        ("acc = acc + cos(src[i]) * sqrt(src[i]) / float(i);", None),
+        ("acc = acc + cos(src[i]);", INTRINSIC),
+        ("acc = acc + float(i);", OPERATOR),
+        ("acc = acc + src[-i + 3];", LOAD_NOT_AFFINE),  # a gather
+        ("acc = acc + src[i + n];", LOAD_NOT_AFFINE),  # the index may wrap
+        ("acc = acc + src[i] * src[n];", LOAD_NOT_AFFINE),  # an invariant load
+        ("acc = acc + src[i] * float(n + 1);", OPERATOR),
+        ("acc = acc + float(idx[i]);", OPERATOR),
+        ("acc = acc + float(n ^ 3);", OPERATOR),
+        ("acc = acc + -src[2 * i + 1] * sqrt(src[3 - i]) / prev;", None),
         ("t = src[i]; acc = acc * t; t = t + 1.0;", None),
     ])
     def test_reasons(self, body, reason):
         kernel = parse_kernel(f"""
-kernel k(float* src, float* out, int n) {{
+kernel k(float* src, int* idx, float* out, int n) {{
     float acc = 0.0;
     float prev = 0.0;
     float t = 0.0;
@@ -130,15 +144,7 @@ class TestExactness:
         assert np.add.reduce(values) == 1.0000000000000988e16
 
     def test_a_long_sum_rounds_as_the_scalar_run(self):
-        kernel = parse_kernel("""
-kernel sum(float* src, float* out, float big, int n) {
-    float acc = big;
-    for (int i = 0; i < n; i++) {
-        acc = acc + src[i];
-    }
-    out[0] = acc;
-}
-""")
+        kernel = parse_kernel(SUM)
         results = []
         for minimum in (codegen.NUMPY_RUN_MIN, 10**9):
             memory = GlobalMemory(2048)
@@ -167,6 +173,22 @@ class TestBlocks:
         # atominfo[atomid * 4 + k], k = 0..3: no index arrays, no gathers
         assert source.count(":4].astype(_f64)") == 4
         assert "_arange" not in source and ".min()" not in source
+
+    def test_a_slice_outside_the_view_leaves_the_run_to_the_scalar_engine(self):
+        # a run's span terms keep its slices in the view, so only a
+        # direct call reaches the form's index test
+        (source,) = CompiledKernel(parse_kernel(SUM), CostModel()).form_sources.values()
+        # src, i, the view, acc
+        name = re.match(r"def (_npf\d+)\(K, v\d+, v\d+, mem_f32, v\d+\):", source).group(1)
+        form = codegen._NumpyForm(source, dict(codegen._NUMPY_NS), name, "sum")
+        memory = GlobalMemory(16)
+        memory.f32[:] = 1.0
+        view = memory.inline_loads[0]
+        registry = fresh_registry()
+        assert form(16, 0, 0, view, 0.5) == (16.5, 16)
+        assert form(8, 9, 0, view, 0.5) is None  # the last word is past the end
+        assert form(8, -1, 0, view, 0.5) is None  # the first is below 0
+        assert _results(registry) == {"ran": 1, "index": 2}
 
     def test_a_form_call_takes_no_more_memory_for_a_longer_run(self):
         # CP's atom loop in one thread, numatoms iterations in one run

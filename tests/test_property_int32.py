@@ -47,10 +47,13 @@ to 3, so runs cross block boundaries; it draws the same loops (the one
 refused a form, and one with a form) over words that are NaNs,
 infinities, signed zeros under a divisor, negative square-root
 operands and subnormals, with load strides of either sign; pinned
-examples reach each result the form can give (``ran``, ``nan_word``,
-``nonfinite``, ``zero_divisor``, ``index``), the failing tests in a
+examples reach each result a run's form can give (``ran``,
+``nan_word``, ``nonfinite``, ``zero_divisor``), the failing tests in a
 later block than the first, and a falling slice that reads address 0.
-It runs at twenty thousand examples under ``-k numpy_runs``.
+The form's ``index`` test no run reaches, since a run's span terms keep
+its bare addresses in the view; ``tests/test_numpy_runs.py`` calls a
+form directly for it.  It runs at twenty thousand examples under ``-k
+numpy_runs``.
 """
 
 import math
@@ -496,9 +499,9 @@ def test_guard_edges_match_lockstep(trees, shape, values):
 # -- counted runs at every edge of their count ----------------------------------------
 
 #: A loop with a hang shape over ``src``: a span of two loads
-#: (``i * a`` and ``i * a + 2``), a load whose index ``i * a + p`` the
-#: engine wraps (two locals), an invariant load of ``tab`` and a
-#: guarded counter.
+#: (``i * a`` and ``i * a + 2``), a guarded counter and, as
+#: :data:`INELIGIBLE` completes it, a load whose index ``i * a + p``
+#: the engine wraps (two locals) and an invariant load of ``tab``.
 RUN_KERNEL = """
 kernel runs(float* src, float* tab, float* out, int s, int e, int c, int p, int q) {{
     float acc = 0.0;
@@ -506,10 +509,10 @@ kernel runs(float* src, float* tab, float* out, int s, int e, int c, int p, int 
     float acc3 = 0.0;
     int cnt = c;
     for (int i = s; i {op} e; i = i {sign} {mag}) {{
-        float x = src[i * {a} + p];
+        float x = src[i * {a} + {x}];
         float y = src[i * {a} + 2];
         float z = src[i * {a}];
-        float w = tab[q];
+        float w = {w};
         {acc}
         acc2 = acc2 + x * y;
         acc3 = acc3 - z;
@@ -518,11 +521,15 @@ kernel runs(float* src, float* tab, float* out, int s, int e, int c, int p, int 
     out[0] = acc;
 }}
 """
-#: ``acc``'s update in :data:`RUN_KERNEL`: this one rounds three times
-#: in an iteration, so the loop has no NumPy form; :data:`ELIGIBLE_ACC`
-#: is a single-op reduction that divides and takes a square root.
-INELIGIBLE_ACC = "acc = acc + x * y + z - w;"
-ELIGIBLE_ACC = "acc = acc + sqrt(y) / z;"
+#: ``acc``'s update and the sources of ``x`` and ``w`` in
+#: :data:`RUN_KERNEL`.  This ``acc`` rounds three times in an iteration,
+#: so the loop has no NumPy form.
+INELIGIBLE = {"acc": "acc = acc + x * y + z - w;", "x": "p", "w": "tab[q]"}
+#: The loop with a NumPy form: ``acc`` is a single-op reduction that
+#: divides and takes a square root, ``x`` joins the span at offset 1 and
+#: ``w`` negates it (the form reads no wrapped index and no invariant
+#: load).
+ELIGIBLE = {"acc": "acc = acc + sqrt(y) / z;", "x": "1", "w": "-x"}
 #: Statements before the loop head, and per iteration.
 RUN_HEAD, RUN_PERIOD = 5, 10
 #: Device words of the run cases, and the slow set of their slow
@@ -551,9 +558,9 @@ def _run_memory(kind):
     return FootprintRecordingMemory(memory) if kind == "limit0" else memory
 
 
-def _run_case(case, acc=INELIGIBLE_ACC):
+def _run_case(case, body=INELIGIBLE):
     """(kernel, args, budget, start cycles) of a drawn case, whose loop
-    updates ``acc`` by the statement ``acc``.
+    body is :data:`RUN_KERNEL` completed by ``body``.
 
     The load span ``[src + i*a, src + i*a + 2]`` meets ``case["edge"]``
     (the end of memory, or the slow span, in the direction it moves)
@@ -564,7 +571,7 @@ def _run_case(case, acc=INELIGIBLE_ACC):
     """
     a, step, k, nudge = case["a"], case["step"], case["k"], case["nudge"]
     src = RUN_KERNEL.format(op=("<" if step > 0 else ">") + ("=" * case["inclusive"]),
-                            sign="+" if step > 0 else "-", mag=abs(step), a=a, acc=acc)
+                            sign="+" if step > 0 else "-", mag=abs(step), a=a, **body)
     kernel = parse_kernel(src)
     (info,) = find_loops(kernel).values()
     # a cost with eighths, so a sum past 2**50 rounds
@@ -711,11 +718,9 @@ def _with_numpy_examples(test):
             ({}, [(1, 2, 0xC0000000)], "nonfinite"),  # sqrt(-2.0)
             ({}, [(0, 1, 0x7F800000)], "nonfinite"),  # x * y is +inf
             ({}, [(2, 0, 0x80000000)], "zero_divisor"),
-            # i + p wraps within the run: x's address leaves the view
-            ({"a": 1, "p": 3, "i_room": 1}, [], "index"),
             # with blocks of 3: in the last of two blocks, iterations 3 and 4
             ({}, [(4, 2, 0x7FA00001)], "nan_word"),
-            ({"a": 1, "p": 3, "i_room": 3}, [], "index"),  # i + p wraps in iteration 3
+            ({}, [(3, 1, 0x7F800000)], "nonfinite"),  # x is +inf in iteration 3
             # a reduction's partial sum is NaN in the middle of three blocks
             ({"k": 8}, [(4, 2, 0xC0000000)], "nonfinite"),
             # stride -4 down to address 0: the last block's slice ends at None
@@ -747,9 +752,9 @@ def test_numpy_runs_match_lockstep(case, eligible, specials):
     """Every clean counted run takes the NumPy form (the threshold is
     1), in blocks of 3: runs of a loop with a form, and of one refused a form, over
     words with NaNs, infinities, zero divisors, negative square-root
-    operands and subnormals, and indices the engine wraps; against
-    lockstep in exception, steps, cycles, frame and memory."""
-    kernel, args, budget, cycles = _run_case(case, ELIGIBLE_ACC if eligible else INELIGIBLE_ACC)
+    operands and subnormals; against lockstep in exception, steps,
+    cycles, frame and memory."""
+    kernel, args, budget, cycles = _run_case(case, ELIGIBLE if eligible else INELIGIBLE)
     assume(all(INT_MIN <= args[name] <= INT_MAX for name in "secpq"))
     words = {addr: float_to_bits(0.25 * addr + 1.0) for addr in range(RUN_CAPACITY)}
     first = args["src"] + case["a"] * args["s"]  # where the first span starts
