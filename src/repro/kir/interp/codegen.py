@@ -200,6 +200,21 @@ verdicts").  The head skips the call when the budget covers every
 iteration left and the condition test that ends the loop: the verdict
 would be False.
 
+Resume entries.  Each loop among the kernel's top-level statements gets
+one (:class:`ResumeEntry`): the code before top-level loop ``j`` runs
+under ``if _ra < j:``, ``_ra`` being ``ctx.resume_at`` (-1 unless a
+differential replay resumes the thread), and its ``else:`` (``elif _ra
+== j:`` before a later loop, which then runs under ``if _ra <= j:``)
+binds ``steps, cycles, loop_cycles``, the locals assigned by then and
+the loop's ``_c<n>`` answers from ``ctx.resume`` and enters the loop at
+its head.  CP's reads ``else: steps, cycles, loop_cycles, (v0, v1, v10,
+..., v32), (_c0, ..., _c8) = ctx.resume`` before ``_q0 =
+hang_verdicts``.  :attr:`CompiledKernel.record_source` is the same
+function, ``record_thread(fr, ctx, _head)``, with ``_head(j, steps,
+cycles, loop_cycles, (<those locals>))`` at the head of each iteration
+of top-level loop ``j``: what a replay records its golden checkpoints
+with.
+
 The frame contract.  Parameters and special registers are read from
 ``fr`` when the thread starts; the names the kernel assigns start as
 :data:`UNSET`.  When the thread ends, by return, crash or hang, the
@@ -264,7 +279,7 @@ import math
 import struct
 from collections.abc import Mapping
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -490,17 +505,25 @@ class _NumpyForm:
     """The NumPy form of one loop, called by the thread function for a
     counted run of at least :data:`NUMPY_RUN_MIN` iterations.
 
-    Its source is compiled on the first call, so a kernel whose runs
-    stay short never pays for it.  A call gives the final values of the
-    locals the loop assigns, or None when the scalar run must compute
-    them; it records which in ``repro_kir_numpy_runs_total``.
+    Its source is the text ``source`` gives, or ``source()`` gives when
+    it is first read, and it is compiled on the first call, so a kernel
+    whose runs stay short never pays for either.  A call gives the final
+    values of the locals the loop assigns, or None when the scalar run
+    must compute them; it records which in ``repro_kir_numpy_runs_total``.
     """
 
-    __slots__ = ("source", "ns", "name", "kernel", "fn")
+    __slots__ = ("build", "text", "ns", "name", "kernel", "fn")
 
-    def __init__(self, source: str, ns: dict, name: str, kernel: str):
-        self.source, self.ns, self.name, self.kernel = source, ns, name, kernel
+    def __init__(self, source, ns: dict, name: str, kernel: str):
+        self.ns, self.name, self.kernel = ns, name, kernel
+        self.text, self.build = (source, None) if type(source) is str else (None, source)
         self.fn = None
+
+    @property
+    def source(self) -> str:
+        if self.text is None:
+            self.text, self.build = self.build(), None
+        return self.text
 
     def __call__(self, k: int, *args):
         if self.fn is None:
@@ -538,6 +561,23 @@ def _heads(limit: str, start: str, d: int, below: bool = False) -> str:
     if below:
         return f"{limit} - {start}" if d == 1 else f"({limit} - {start} - 1) // {d} + 1"
     return f"{limit} - {start} + 1" if d == 1 else f"({limit} - {start}) // {d} + 1"
+
+
+class ResumeEntry(NamedTuple):
+    """The resume entry of one top-level loop of a thread function.
+
+    A thread started with ``ctx.resume_at = index`` and ``ctx.resume =
+    (steps, cycles, loop_cycles, values, answers)`` skips the code
+    before the loop and enters it at its head with those counters,
+    ``values`` bound to the locals of the names it may have assigned by
+    then (what ``record_thread`` hands its ``head`` there; the rest stay
+    unassigned) and ``answers`` as the last answers of the loop's hook
+    call statements, whose call names and first arguments (an int
+    constant, else None) ``calls`` gives in order.
+    """
+
+    index: int
+    calls: Tuple[Tuple[str, Optional[int]], ...]
 
 
 def _write_back(fr: dict, names: tuple, values: tuple) -> None:
@@ -618,6 +658,12 @@ class _Emitter:
         self.vec_temps = 0
         #: the kernel being compiled, for the forms' metric label
         self.kernel_name = ""
+        #: ``(index, whether last, line count)`` of the top-level loop
+        #: whose resume entry comes next, and the entries emitted so far
+        self.entry: Optional[tuple] = None
+        self.entries: List[ResumeEntry] = []
+        #: the text of ``record_thread``, once ``thread_function`` has run
+        self.record_source = ""
 
     # -- names ------------------------------------------------------------
     def bind(self, value) -> str:
@@ -993,19 +1039,71 @@ class _Emitter:
         self.assigned(d.name for d, _depth in defining_statements(iteration_stmts(s)))
         # a thread enters an outermost loop at most once: the answers of
         # the hook statements in it (none yet flagged) start there
-        flags = [self.call_flags.setdefault(id(st), f"_c{len(self.call_flags)}")
-                 for st, _depth in walk_stmts(s.body)
+        calls = [st for st, _depth in walk_stmts(s.body)
                  if isinstance(st, CallStmt) and id(st) not in self.call_flags]
+        flags = [self.call_flags.setdefault(id(st), f"_c{len(self.call_flags)}") for st in calls]
         if flags:
             self.emit(ind, f"{' = '.join(flags)} = None")
-        if shape is None:
-            self.emit(ind, "while True:")
-        else:
-            self._verdict_head(shape, ind)
+        entry, self.entry = self.entry, None
+        if entry is not None:
+            ind = self._resume_entry(entry, ind, calls, flags)
+        if shape is not None:
+            self.used.add("hang_verdicts")
+            self.emit(ind, f"_q{shape.loop_id} = hang_verdicts")
+        self.emit(ind, "while True:")
+        if entry is not None:  # the recording function's call at the head
+            self.lines.append((ind + 1, entry[0], list(self.packed)))
+        if shape is not None:
+            self._verdict_check(shape, ind + 1)
         fast = fast_iteration(s) if self.dyadic else None
         if isinstance(fast, FastIteration):
             self._fast_iteration(s, fast, ind + 1, shape)
         self._iteration(s, ind + 1)
+
+    def _top(self, body: List[Stmt]) -> None:
+        """The thread function's body, with a resume entry at each loop
+        of ``body`` (the kernel's top-level statements).
+
+        The code before top-level loop ``j`` runs when ``_ra`` (the
+        context's ``resume_at``) is below ``j``; when it is ``j``, the
+        thread binds its counters, the locals assigned so far and the
+        loop's call-statement answers from ``ctx.resume`` instead, and
+        enters the loop at its head.  A loop before the last is skipped
+        when ``_ra`` is past it.  So a thread that does not resume pays
+        one test per loop, and nothing per iteration.
+        """
+        loops = [i for i, st in enumerate(body) if isinstance(st, (For, While))]
+        start = 0
+        for j, i in enumerate(loops):
+            self.emit(2, f"if _ra < {j}:")
+            mark = len(self.lines)
+            for st in body[start:i]:
+                self.stmt(st, 3)
+            # only the loop itself takes the entry, not one in a branch before it
+            self.entry = (j, j == len(loops) - 1, mark)
+            self.stmt(body[i], 3)
+            start = i + 1
+        for st in body[start:]:
+            self.stmt(st, 2)
+
+    def _resume_entry(self, entry: tuple, ind: int, calls: List[CallStmt],
+                      flags: List[str]) -> int:
+        """The resume entry of top-level loop ``entry[0]``, emitted after
+        the code before the loop (at ``ind``); returns the indentation of
+        the loop itself."""
+        j, last, mark = entry
+        if len(self.lines) == mark:
+            self.emit(ind, "pass")
+        self.emit(ind - 1, "else:" if last else f"elif _ra == {j}:")
+        self.emit(ind, f"steps, cycles, loop_cycles, ({_seq(self.packed)}), "
+                       f"({_seq(flags)}) = ctx.resume")
+        self.entries.append(ResumeEntry(j, tuple(
+            (st.func, st.args[0].value if st.args and isinstance(st.args[0], Const)
+             and type(st.args[0].value) is int else None) for st in calls)))
+        if last:
+            return ind - 1
+        self.emit(ind - 1, f"if _ra <= {j}:")
+        return ind
 
     def _retired(self, calls) -> List[str]:
         """Tests that every call statement in ``calls`` has retired: for
@@ -1134,7 +1232,59 @@ class _Emitter:
     # -- NumPy forms ----------------------------------------------------------
     def _numpy_form(self, s: For, form: NumpyRun, count: str) -> tuple:
         """``(the text of the call of loop s's NumPy form, the locals
-        its result unpacks into)``.
+        its result unpacks into)``; the form's own text is emitted by
+        :meth:`_numpy_text` when it is first read."""
+        args = self._numpy_args(s, form)
+        fn, bare = f"_npf{form.loop_id}", self.bare
+        names = dict.fromkeys(d.name for d, _depth in defining_statements(iteration_stmts(s)))
+        call = self.bind(_NumpyForm(lambda: self._numpy_text(s, form, bare, args), self.ns,
+                                    fn, self.kernel_name))
+        return f"{call}({', '.join([count] + args)})", _seq([self.var(n) for n in names])
+
+    def _numpy_args(self, s: For, form: NumpyRun) -> List[str]:
+        """The views and locals the form of loop ``s`` reads, in the order
+        :meth:`_numpy_text` first reaches them: each statement's operands
+        left to right (a load's pointer, then its induction, then the
+        view), an induction's or reduction's own local after them; a
+        local the iteration assigned before is computed, not read."""
+        args: Dict[str, None] = {}
+        inductions = {name for name, _step in form.inductions}
+        reductions = dict(form.reductions)
+        computed = set()
+
+        def reads(e: Expr) -> None:
+            if isinstance(e, Var):
+                if e.name not in computed:
+                    args[self.var(e.name)] = None
+            elif isinstance(e, Load):
+                reads(e.ptr)
+                base = self._split(e.index)[0]
+                args.update((self.var(n), None) for n in sorted(names_read_expr(base) & inductions))
+                args[self.ctx_local("mem_f32")] = None
+            elif isinstance(e, UnOp):
+                reads(e.operand)
+            elif isinstance(e, Call):
+                reads(e.args[0])
+            elif isinstance(e, BinOp):
+                reads(e.left)
+                reads(e.right)
+
+        for st in iteration_stmts(s):
+            if not isinstance(st, (Decl, Assign)):
+                continue
+            rhs = st.init if isinstance(st, Decl) else st.value
+            if st.name in reductions:
+                mine = isinstance(rhs.left, Var) and rhs.left.name == st.name
+                reads(rhs.right if mine else rhs.left)
+            elif st.name not in inductions:
+                reads(rhs)
+                computed.add(st.name)
+                continue
+            args[self.var(st.name)] = None
+        return list(args)
+
+    def _numpy_text(self, s: For, form: NumpyRun, bare: frozenset, args: List[str]) -> str:
+        """The source of loop ``s``'s NumPy form.
 
         The form ``_npf<id>(K, <the views and locals it reads>)`` computes K
         iterations of a counted run whose load spans are clean, in blocks
@@ -1146,7 +1296,7 @@ class _Emitter:
         run could differ: a NaN word, a zero divisor, an index outside the
         view, or a float local that is not finite, tested on every block.
         """
-        lines, self.lines = self.lines, []
+        lines, self.lines, outer_bare, self.bare = self.lines, [], self.bare, bare
         self.vec, self.vec_memo, self.vec_args, self.vec_temps = {}, {}, {}, 0
         self.vec_steps = {name: [step, False] for name, step in form.inductions}
         reductions = dict(form.reductions)
@@ -1177,19 +1327,18 @@ class _Emitter:
                 self.vec[name] = (value, is_array)
                 finals[name] = f"{value}[-1].item()" if is_array else value
         names = list(dict.fromkeys(d.name for d, _depth in defining_statements(iteration_stmts(s))))
-        body, self.lines = self.lines, lines
-        args = list(self.vec_args)
-        fn = f"_npf{form.loop_id}"
+        body, self.lines, self.bare = self.lines, lines, outer_bare
+        if list(self.vec_args) != args:
+            raise KIRError(f"NumPy form of loop {form.loop_id} reads {list(self.vec_args)}, "
+                           f"its call passes {args}")
         view = ["        _mf = _asarray(mem_f32)"] if "mem_f32" in self.vec_args else []
-        source = "\n".join([f"def {fn}({', '.join(['K'] + args)}):",
-                            "    with _errstate(all='ignore'):", *view,
-                            f"        for _s in range(0, K, {NUMPY_BLOCK}):",
-                            f"            _m = min(K - _s, {NUMPY_BLOCK})", *body,
-                            f"        return ({_seq([finals[n] for n in names])})", ""])
         self.vec = None
         self.ns.update(_NUMPY_NS)
-        call = self.bind(_NumpyForm(source, self.ns, fn, self.kernel_name))
-        return f"{call}({', '.join([count] + args)})", _seq([self.var(n) for n in names])
+        return "\n".join([f"def _npf{form.loop_id}({', '.join(['K'] + args)}):",
+                          "    with _errstate(all='ignore'):", *view,
+                          f"        for _s in range(0, K, {NUMPY_BLOCK}):",
+                          f"            _m = min(K - _s, {NUMPY_BLOCK})", *body,
+                          f"        return ({_seq([finals[n] for n in names])})", ""])
 
     def _varg(self, name: str) -> str:
         """The local holding ``name`` at the head of the run, which the
@@ -1352,20 +1501,17 @@ class _Emitter:
         if update is not None:
             self.stmt(update, ind)
 
-    def _verdict_head(self, shape: HangShape, ind: int) -> None:
-        """``while True:`` with the hang-verdict check at its head.
+    def _verdict_check(self, shape: HangShape, ind: int) -> None:
+        """The hang-verdict check at the head of ``shape``'s loop.
 
         ``_q<id>`` is true from loop entry on a trial launch until the
         check has run once, which it does at the first iteration head
         where every hook the body calls has retired.
         """
         flag = f"_q{shape.loop_id}"
-        self.used.add("hang_verdicts")
-        self.emit(ind, f"{flag} = hang_verdicts")
-        self.emit(ind, "while True:")
         test = " and ".join([flag] + self._retired(shape.calls))
-        self.emit(ind + 1, f"if {test}:")
-        self.emit(ind + 2, f"{flag} = False")
+        self.emit(ind, f"if {test}:")
+        self.emit(ind + 1, f"{flag} = False")
         loads = [
             f"({_seq([self.expr(load.ptr)] + [self._at_zero(n, shape.iter_var) for n in load.nodes])})"
             for load in shape.loads
@@ -1373,11 +1519,11 @@ class _Emitter:
         it, bound = self.var(shape.iter_var), self.expr(shape.bound)
         # a verdict is False when the budget covers every iteration
         # left and the condition test that ends the loop
-        self.emit(ind + 2, f"if budget - steps <= max(0, {self._trip(shape, it, bound)}) "
+        self.emit(ind + 1, f"if budget - steps <= max(0, {self._trip(shape, it, bound)}) "
                            f"* {shape.period} and _hang_verdict({self.bind(shape)}, ctx, "
                            f"steps, {it}, {bound}, ({_seq(loads) if loads else ''})):")
-        self.emit(ind + 3, "steps = budget + 1")
-        self.emit(ind + 3, "raise KernelHang()")
+        self.emit(ind + 2, "steps = budget + 1")
+        self.emit(ind + 2, "raise KernelHang()")
 
     def _at_zero(self, e: Expr, it: str) -> str:
         """``e`` at iterator value 0, with no int32 wrap where ``e`` reads
@@ -1457,15 +1603,16 @@ class _Emitter:
         # call packs them
         self.assigned(p.name for p in kernel.params if p.name in assigned)
         self.kernel_name = kernel.name
-        self.block(kernel.body, 2, None)
+        self._top(kernel.body)
         body, self.lines = self.lines, []
         # base names: the parameters and special registers the kernel
         # reads and never assigns, which stay current in fr
         base_names = [n for n in self.locals if n not in self.order]
         base = [self.locals[n] for n in base_names]
-        self.emit(0, "def run_thread(fr, ctx):")
         for name in ("steps", "budget", "cycles", "loop_cycles"):
             self.emit(1, f"{name} = ctx.{name}")
+        if self.entries:
+            self.emit(1, "_ra = ctx.resume_at")
         for name in _CTX_LOCALS:
             if name in self.used:
                 self.emit(1, f"{name} = ctx.{name}")
@@ -1488,13 +1635,18 @@ class _Emitter:
         for func, handler in self.hooks.items():
             self.emit(1, f"{handler} = ctx.hooks.get({func!r})")
         self.emit(1, "try:")
+        heads = []
         for line in body:
-            if type(line) is tuple:  # a hook call's reload
+            if type(line) is not tuple:
+                self.lines.append(line)
+            elif len(line) == 3:  # a top-level loop head: recorded only
+                ind, index, packed = line
+                heads.append((len(self.lines), "    " * ind + f"_head({index}, steps, cycles, "
+                                                             f"loop_cycles, ({_seq(packed)}))"))
+            else:  # a hook call's reload
                 ind, packed = line
                 if base or packed:
                     self.emit(ind, f"if _fv.written: {_seq(base + packed)} = _fv.reload()")
-            else:
-                self.lines.append(line)
         self.emit(1, "finally:")
         for name in ("steps", "cycles", "loop_cycles"):
             self.emit(2, f"ctx.{name} = {name}")
@@ -1508,7 +1660,16 @@ class _Emitter:
                          f"({_seq(self.packed)}))")
         if self.hooks:
             self.emit(3, "if _fv.written: fr.update(_fv.written)")
-        return "\n".join(self.lines) + "\n"
+        # record_thread(fr, ctx, _head) is run_thread calling _head at
+        # each top-level loop head
+        record = ["def record_thread(fr, ctx, _head):"]
+        at = 0
+        for i, line in heads:
+            record += self.lines[at:i]
+            record.append(line)
+            at = i
+        self.record_source = "\n".join(record + self.lines[at:]) + "\n"
+        return "\n".join(["def run_thread(fr, ctx):"] + self.lines) + "\n"
 
 
 def _compile(source: str, what: str, mode: str):
@@ -1552,8 +1713,28 @@ class CompiledKernel:
         self.source = em.thread_function(kernel)
         exec(_compile(self.source, f"kernel {kernel.name}", "exec"), em.ns)
         self.run_thread: Callable[[dict, ExecContext], None] = em.ns["run_thread"]
-        self.form_sources = {form.name: form.source for form in em.ns.values()
-                             if isinstance(form, _NumpyForm)}
+        #: one per top-level loop, in order
+        self.entries: Tuple[ResumeEntry, ...] = tuple(em.entries)
+        self.record_source = em.record_source
+        self._ns = em.ns
+        self._record: Optional[Callable] = None
+
+    @property
+    def form_sources(self) -> Dict[str, str]:
+        """Each loop's NumPy form's text by the form's name."""
+        return {form.name: form.source for form in list(self._ns.values())
+                if isinstance(form, _NumpyForm)}
+
+    @property
+    def record_thread(self) -> Callable:
+        """``record_thread(fr, ctx, head)``: ``run_thread`` that calls
+        ``head(index, steps, cycles, loop_cycles, values)`` at the head
+        of each iteration of top-level loop ``index`` (``values`` as a
+        :class:`ResumeEntry` binds them), compiled on first use."""
+        if self._record is None:
+            exec(_compile(self.record_source, f"kernel {self.kernel.name}", "exec"), self._ns)
+            self._record = self._ns["record_thread"]
+        return self._record
 
     def run_thread_at(self, frame: dict, ctx: ExecContext, block: int,
                       thread: int) -> None:

@@ -341,7 +341,12 @@ class ExecContext:
       None);
     * ``keep_frames`` — whether the compiled engine writes a finished
       thread's locals back to its frame dict (on by default); a launch
-      that drops each frame when its thread ends turns it off.
+      that drops each frame when its thread ends turns it off;
+    * ``resume_at`` / ``resume`` — the top-level loop whose head the
+      compiled engine's next thread starts at, and the counters, locals
+      and call answers it starts with there
+      (:class:`~repro.kir.interp.codegen.ResumeEntry`); ``-1`` (the
+      default) starts every thread at its first statement.
     """
 
     __slots__ = (
@@ -370,6 +375,8 @@ class ExecContext:
         "hang_verdicts",
         "hang_verdict",
         "keep_frames",
+        "resume_at",
+        "resume",
     )
 
     def __init__(
@@ -395,6 +402,8 @@ class ExecContext:
         self.hang_verdicts = hang_verdicts
         self.hang_verdict: Optional[int] = None
         self.keep_frames = True
+        self.resume_at = -1
+        self.resume: Optional[tuple] = None
 
     def bind_hook(self, func: str) -> Callable:
         """Resolve ``func`` against ``lib`` and memoize it for this launch.

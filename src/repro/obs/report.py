@@ -135,22 +135,28 @@ def _section_table(records: List[JournalRecord]) -> Dict[str, Any]:
 
 
 def _differential_attribution(records: List[JournalRecord]) -> Dict[str, Any]:
-    """Replay-hit vs. fallback tallies from the journal's served tags."""
+    """Replay-hit vs. fallback tallies from the journal's served tags,
+    and where replayed victims started (``diff:<start>``)."""
     hits = 0
     fallbacks: Dict[str, int] = {}
+    starts: Dict[str, int] = {}
     untagged = 0
     for record in records:
         tag = record.served
         if tag is None:
             untagged += 1
-        elif tag == "diff":
+            continue
+        served, _, reason = tag.partition(":")
+        if served == "diff":
             hits += 1
+            if reason:
+                starts[reason] = starts.get(reason, 0) + 1
         else:
-            served, _, reason = tag.partition(":")
             reason = reason or served
             fallbacks[reason] = fallbacks.get(reason, 0) + 1
     return {
         "replay_hits": hits,
+        "replay_starts": dict(sorted(starts.items())),
         "fallbacks": dict(sorted(fallbacks.items())),
         "untagged": untagged,
     }
@@ -373,6 +379,8 @@ def render_markdown(report: Dict[str, Any]) -> str:
         out.append("### Differential attribution")
         out.append("")
         rows: List[List[Any]] = [["replay hit", diff["replay_hits"]]]
+        rows += [[f"replay hit ({start})", count]
+                 for start, count in diff["replay_starts"].items()]
         rows += [[f"full ({reason})", count]
                  for reason, count in diff["fallbacks"].items()]
         if diff["untagged"]:

@@ -17,6 +17,13 @@ loop-cycle / step totals plus a global-memory footprint (addresses read;
    :class:`~repro.swifi.campaign.TrialObservation`, with the output
    verdict taken from the output words the thread could change.
 
+Until its strike the victim is the golden run, so where the compiled
+thread function has a top-level loop the replay resumes it at its
+golden state at the last loop head before the strike (a
+:class:`Checkpoint`, recorded on demand by a golden-prefix run with FI
+calls counted and never acting) instead of at its first statement;
+:meth:`DifferentialEngine._resume_point` says where, or why not.
+
 Per engine, not per trial: the FI (and, for ``fift``, FT) library, the
 replay guard, the :class:`~repro.kir.interp.evalcore.ExecContext` with
 the guard installed and its hook table, and the golden device output
@@ -50,7 +57,7 @@ synthesized totals equal the full run's bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -65,7 +72,7 @@ from repro.gpu.memory import (
     slow_bounds,
 )
 from repro.gpu.runtime import GPURuntime, LaunchResult
-from repro.kir.astnodes import AtomicAdd, Kernel, walk_stmts
+from repro.kir.astnodes import AtomicAdd, For, Kernel, While, walk_stmts
 from repro.kir.interp.evalcore import ExecContext
 from repro.kir.types import DType
 from repro.obs.instrument import (
@@ -82,7 +89,7 @@ from repro.obs.profile import (
 )
 from repro.swifi.campaign import TrialObservation
 from repro.swifi.faultmodel import FaultSpec
-from repro.swifi.injector import FaultInjectionLibrary
+from repro.swifi.injector import FI_FUNC, FaultInjectionLibrary, SiteCounter
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.core.program
     from repro.core.program import HauberkProgram
@@ -93,6 +100,18 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with repro.core.program
 OBSTACLE_SYNC = "uses_sync"
 OBSTACLE_SHARED = "shared_memory"
 OBSTACLE_ATOMICS = "atomics"
+
+
+#: Where a replayed victim starts, the reason of its served-by tag
+#: (``diff:<start>``): at a golden checkpoint, or at its first
+#: statement because the kernel has no loop, or only loops inside a
+#: branch, or two hook statements of a top-level loop share an FI site
+#: (or have none), or the strike comes before the first loop head.
+START_RESUMED = "resume"
+START_NO_LOOP = "no_loop"
+START_BRANCH = "branch"
+START_SITES = "site_constants"
+START_PROLOGUE = "prologue"
 
 
 def replay_obstacle(kernel: Kernel) -> Optional[str]:
@@ -126,6 +145,80 @@ class ThreadRecord:
     loop_cycles: float
     steps: int
     footprint: ThreadFootprint
+
+
+class Checkpoint(NamedTuple):
+    """A victim thread's golden state at the head of an iteration of a
+    top-level loop, as its resume entry binds it
+    (:class:`~repro.kir.interp.codegen.ResumeEntry`)."""
+
+    #: the loop's index among the thread function's top-level loops
+    loop: int
+    steps: int
+    cycles: float
+    loop_cycles: float
+    #: the locals of the entry's names
+    values: tuple
+    #: how many of the thread's golden stores it has made
+    stores: int
+    #: how many golden FT events it has raised
+    ft_events: int
+    #: its FI calls so far, per site and in all
+    sites: Dict[int, int]
+    events: int
+    #: its FI calls per site when it entered the loop
+    entered: Dict[int, int]
+
+
+class _Resume(NamedTuple):
+    """What a trial needs to resume its victim at a checkpoint: the
+    loop, the ``ctx.resume`` state (with the call answers), the golden
+    stores to re-apply as ``(addr, bits)``, the golden FT events so far
+    and the FI counts the injector continues from."""
+
+    loop: int
+    state: tuple
+    stores: List[Tuple[int, int]]
+    ft_events: list
+    sites: Dict[int, int]
+    events: int
+
+
+class _Heads:
+    """The checkpoints kept for one victim thread, by the ordinal of
+    their head among the top-level loop heads the thread passes."""
+
+    __slots__ = ("kept", "last")
+
+    def __init__(self) -> None:
+        self.kept: Dict[int, Checkpoint] = {}
+        #: the ordinal of the thread's last head (-1: it passes none),
+        #: once a recording has run to the thread's end
+        self.last: Optional[int] = None
+
+
+class _Stop(Exception):
+    """Ends a recording run at the first head past the one it sought."""
+
+
+class _CountedStores:
+    """The replay guard, counting the stores made through it: where a
+    recording run stands in its thread's golden store footprint."""
+
+    __slots__ = ("guard", "n", "load_f32", "load_i32", "inline_loads", "capacity")
+
+    def __init__(self, guard: ReplayMemoryGuard):
+        self.guard, self.n = guard, 0
+        self.load_f32, self.load_i32 = guard.load_f32, guard.load_i32
+        self.inline_loads, self.capacity = guard.inline_loads, guard.capacity
+
+    def store_f32(self, addr: int, value: float) -> None:
+        self.n += 1
+        self.guard.store_f32(addr, value)
+
+    def store_i32(self, addr: int, value: int) -> None:
+        self.n += 1
+        self.guard.store_i32(addr, value)
 
 
 def control_block_token(cb: ControlBlock) -> tuple:
@@ -217,6 +310,16 @@ class DifferentialEngine:
         #: thread id -> the addresses its golden run stored, their bits
         #: before its first store and after its last
         self._stores: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
+        #: where the last trial's victim started (a ``START_*`` value)
+        self.start = START_RESUMED
+        #: thread id -> its checkpoints; (thread, site or None for a
+        #: delayed fault, occurrence) -> how a victim resumes, or why it
+        #: starts from the top
+        self._heads: Dict[int, _Heads] = {}
+        self._points: Dict[tuple, object] = {}
+        self._counter = SiteCounter()
+        self._rctx: Optional[ExecContext] = None
+        self._refusal = self._resume_refusal()
 
     # -- golden recording -------------------------------------------------
     def record_golden(self) -> Optional[str]:
@@ -324,6 +427,165 @@ class DifferentialEngine:
                     load_readers[addr] = tid
         return None
 
+    # -- golden checkpoints -------------------------------------------------
+    def _resume_refusal(self) -> Optional[str]:
+        """Why no victim of this kernel resumes (None when they may)."""
+        entries = self.compiled.entries
+        if not entries:
+            loops = any(isinstance(st, (For, While)) for st, _depth in walk_stmts(self.kernel.body))
+            return START_BRANCH if loops else START_NO_LOOP
+        for entry in entries:
+            sites = [site for func, site in entry.calls if func == FI_FUNC]
+            if None in sites or len(set(sites)) != len(sites):
+                return START_SITES
+        return None
+
+    def _resume_point(self, target: int, spec: FaultSpec):
+        """How the victim of ``spec`` resumes at its checkpoint (a
+        :class:`_Resume`), or the ``START_*`` reason it starts at its
+        first statement.
+
+        The checkpoint is at the last top-level loop head before the
+        strike: the last where a definition-timed fault's site has run
+        fewer than ``occurrence`` times, or a delayed fault's victim has
+        made fewer than ``occurrence`` FI calls.  There the victim has
+        answered each call statement of the loop it has run as
+        :meth:`FaultInjectionLibrary.answer_before_strike` says.
+        """
+        if self._refusal is not None:
+            return self._refusal
+        delayed = spec.timing == "delayed"
+        key = (target, None if delayed else spec.site, spec.occurrence)
+        point = self._points.get(key)
+        if point is None:
+            k, site = spec.occurrence, spec.site
+            if delayed:
+                cp = self._head_before(target, lambda cp: cp.events < k)
+            else:
+                cp = self._head_before(target, lambda cp: cp.sites.get(site, 0) < k)
+            if type(cp) is str:
+                point = cp
+            else:
+                answers = tuple(
+                    FaultInjectionLibrary.answer_before_strike(spec, s)
+                    if func == FI_FUNC and cp.sites.get(s, 0) > cp.entered.get(s, 0) else None
+                    for func, s in self.compiled.entries[cp.loop].calls)
+                point = _Resume(
+                    cp.loop, (cp.steps, cp.cycles, cp.loop_cycles, cp.values, answers),
+                    [(addr, new) for addr, _old, new in
+                     self.records[target].footprint.stores[:cp.stores]],
+                    self.golden_events.get(target, [])[:cp.ft_events], cp.sites, cp.events)
+            self._points[key] = point
+        return point
+
+    def _head_before(self, target: int, ahead):
+        """The thread's checkpoint at its last head where ``ahead`` (the
+        strike is still to come) holds, or :data:`START_PROLOGUE`.
+
+        Kept checkpoints answer when the next head is kept too (and
+        ``ahead`` fails there) or is the thread's last; otherwise a
+        recording run extends from the deepest kept head that is still
+        ahead, or starts at the first statement.
+        """
+        heads = self._heads.get(target)
+        if heads is None:
+            heads = self._heads[target] = _Heads()
+        kept = heads.kept
+        before = [o for o, cp in kept.items() if ahead(cp)]
+        if not before:
+            if 0 in kept or heads.last == -1:
+                return START_PROLOGUE
+            return self._record(target, heads, None, ahead)
+        o = max(before)
+        if o == heads.last or (o + 1 in kept and not ahead(kept[o + 1])):
+            return kept[o]
+        return self._record(target, heads, o, ahead)
+
+    def _record(self, target: int, heads: _Heads, start: Optional[int], ahead):
+        """Run the thread's golden prefix from head ordinal ``start`` (or
+        its first statement) to the first head where ``ahead`` fails,
+        with FI calls counted and never acting; keep that head and the
+        one before it, and return the one before (or
+        :data:`START_PROLOGUE`)."""
+        rec, kept = self.records[target], heads.kept
+        stored, old_bits, new_bits = self._thread_stores(target)
+        self._undo(stored, old_bits)
+        guard = self.guard
+        guard.retarget(target)
+        ctx = self._recorder()
+        mem, counter = ctx.memory, self._counter
+        cb = ControlBlock(detectors=self._detectors)
+        if self.ft is not None:
+            self.ft.bind(cb)
+        cp0 = kept[start] if start is not None else None
+        ordinal, prev = start or 0, None
+        if cp0 is None:
+            loop, entered, ft0 = -1, {}, 0
+            counter.sites, counter.events, mem.n = {}, 0, 0
+            ctx.resume_at = -1
+        else:
+            loop, entered, ft0 = cp0.loop, cp0.entered, cp0.ft_events
+            counter.sites, counter.events, mem.n = dict(cp0.sites), cp0.events, cp0.stores
+            for addr, _old, new in rec.footprint.stores[:cp0.stores]:
+                guard.store_word(addr, new)
+            ctx.resume_at = cp0.loop
+            ctx.resume = (cp0.steps, cp0.cycles, cp0.loop_cycles, cp0.values,
+                          (None,) * len(self.compiled.entries[cp0.loop].calls))
+
+        def head(index, steps, cycles, loop_cycles, values):
+            nonlocal loop, entered, ordinal, prev
+            if index != loop:
+                loop, entered = index, dict(counter.sites)
+            cp = Checkpoint(index, steps, cycles, loop_cycles, values, mem.n,
+                            ft0 + len(cb.events), dict(counter.sites), counter.events, entered)
+            if not ahead(cp):
+                kept[ordinal] = cp
+                raise _Stop()
+            prev = ordinal, cp
+            ordinal += 1
+
+        ctx.cycles = ctx.loop_cycles = 0.0
+        block, tib = divmod(target, self.block_size)
+        ctx.reset_thread(block, tib)
+        try:
+            self.compiled.record_thread(self._frame(block, tib), ctx, head)
+            heads.last = -1 if prev is None else prev[0]
+        except _Stop:
+            pass
+        finally:
+            ctx.resume_at, ctx.resume = -1, None
+            self._restore(stored, new_bits)
+        if prev is None:
+            return START_PROLOGUE
+        kept[prev[0]] = prev[1]
+        return prev[1]
+
+    def _recorder(self) -> ExecContext:
+        """The context of recording runs (built on first use): the
+        guard with its stores counted, and the FI calls counted."""
+        if self._rctx is None:
+            counter = self._counter
+            if self.ft is not None:
+                from repro.core.program import CombinedLibrary  # lazy: import cycle
+
+                lib = CombinedLibrary([self.ft, counter])
+            else:
+                lib = counter
+            self._rctx = ExecContext(_CountedStores(self.guard), lib=lib,
+                                     budget=self.workload.hang_budget,
+                                     block_size=self.block_size, hang_verdicts=True)
+            self._rctx.keep_frames = False
+        return self._rctx
+
+    def _frame(self, block: int, tib: int) -> dict:
+        """The frame a thread of (block, thread-in-block) starts with."""
+        frame = dict(self.base_frame)
+        frame["blockIdx.x"] = block % self.gx
+        frame["blockIdx.y"] = block // self.gx
+        frame["threadIdx.x"] = tib % self.bx
+        frame["threadIdx.y"] = tib // self.bx
+        return frame
+
     # -- per-trial machinery ----------------------------------------------
     def _arm(self, spec: Optional[FaultSpec]) -> Optional[ControlBlock]:
         """Ready the library pair for one run, as the full path builds it.
@@ -420,12 +682,15 @@ class DifferentialEngine:
                 store(addr, golden.item(addr) if addr < n else bits)
             guard.written.clear()
 
-    def run_trial(self, spec: FaultSpec) -> Optional[TrialObservation]:
+    def run_trial(self, spec: FaultSpec, resume: bool = True) -> Optional[TrialObservation]:
         """Serve one trial by replaying the faulted thread, or None to fall back.
 
         Returns the same :class:`TrialObservation` full execution would
         produce; ``None`` means the replay aborted (foreign-footprint
         touch, unknown thread) and the caller must run the full trial.
+        The victim resumes at its golden checkpoint before the strike
+        (:meth:`_resume_point`) unless ``resume`` is off; :attr:`start`
+        says where it started.
         """
         target = spec.thread
         if not 0 <= target < self.n_threads:
@@ -434,6 +699,8 @@ class DifferentialEngine:
         # device memory since our snapshot: detect and self-heal
         if self.memory.allocations.get(self._probe_name) is not self._probe_alloc:
             self.restore_memory()
+        point = self._resume_point(target, spec) if resume else START_PROLOGUE
+        self.start = START_RESUMED if type(point) is _Resume else point
 
         rec = self.records[target]
         stored, old_bits, new_bits = self._thread_stores(target)
@@ -444,17 +711,22 @@ class DifferentialEngine:
         ctx = self.ctx
         ctx.cycles = ctx.loop_cycles = 0.0
         ctx.hang_verdict = None
+        if type(point) is _Resume:
+            # the victim's golden prefix, as it left memory, its FT
+            # events and its FI counts
+            for addr, bits in point.stores:
+                guard.store_word(addr, bits)
+            if point.ft_events:
+                device_cb.events.extend(point.ft_events)
+            self.fi.resume(point.sites, point.events)
+            ctx.resume_at, ctx.resume = point.loop, point.state
+        else:
+            ctx.resume_at = -1
 
         block, tib = divmod(target, self.block_size)
-        frame = dict(self.base_frame)
-        frame["blockIdx.x"] = block % self.gx
-        frame["blockIdx.y"] = block // self.gx
-        frame["threadIdx.x"] = tib % self.bx
-        frame["threadIdx.y"] = tib // self.bx
-
         failure: Optional[Tuple[str, str]] = None
         try:
-            self.compiled.run_thread_at(frame, ctx, block, tib)
+            self.compiled.run_thread_at(self._frame(block, tib), ctx, block, tib)
         except ReplayConflict:
             self._restore(stored, new_bits)
             return None
@@ -622,7 +894,7 @@ def differential_runner(program: "HauberkProgram", mode: str, seed: int = 0):
             with prof.phase(PHASE_FULL_RUN, reason="replay_conflict"):
                 return full(spec)
         record_differential_trial(True)
-        prof.note_served("diff")
+        prof.note_served("diff", engine.start)
         return obs
 
     return runner

@@ -150,6 +150,25 @@ class MemoryFaultInjector:
             self.memory.scatter_words(addr_arr, old_bits)
 
 
+class SiteCounter(InstrumentationLibrary):
+    """Counts the FI calls of the running thread, per site and in all,
+    and acts on none of them.
+
+    A golden-prefix run of a replay victim uses it in place of the armed
+    :class:`FaultInjectionLibrary`: the counts at a loop head are what
+    :meth:`FaultInjectionLibrary.resume` continues from.  Every call
+    answers None, so every FI statement runs its call.
+    """
+
+    def __init__(self) -> None:
+        self.sites: Dict[int, int] = {}
+        self.events = 0
+
+    def lib_fi(self, ctx: ExecContext, frame: dict, site: int, name: str) -> None:
+        self.sites[site] = self.sites.get(site, 0) + 1
+        self.events += 1
+
+
 class FaultInjectionLibrary(InstrumentationLibrary):
     """Runtime half of SWIFI: flips bits in live register frames."""
 
@@ -170,6 +189,24 @@ class FaultInjectionLibrary(InstrumentationLibrary):
     @property
     def activation(self) -> Optional[ActivationRecord]:
         return self.state.activation
+
+    def resume(self, sites: Dict[int, int], events: int) -> None:
+        """Continue the armed run from a golden checkpoint of the victim,
+        which has made ``events`` FI calls by then, ``sites[s]`` of them
+        at site ``s``; the fault has not struck yet."""
+        spec = self.state.spec
+        if spec.timing == "delayed":
+            self.state.counters[("__events__", spec.thread)] = events
+        else:
+            self.state.counters[(spec.site, spec.thread)] = sites.get(spec.site, 0)
+
+    @staticmethod
+    def answer_before_strike(spec: FaultSpec, site: int):
+        """What :meth:`lib_fi` last answered the victim of ``spec`` from
+        a call statement at ``site`` that ran before the strike:
+        :data:`RETIRE_CALL` for a definition-timed fault at another
+        site, else None."""
+        return RETIRE_CALL if spec.timing != "delayed" and site != spec.site else None
 
     # -- instrumentation entry point ------------------------------------
     def lib_fi(self, ctx: ExecContext, frame: dict, site: int, name: str):

@@ -169,13 +169,15 @@ class Workload:
         self, device: Device, inp: WorkloadInput, handles: Dict[str, Allocation]
     ) -> np.ndarray:
         outputs = inp.outputs
-        if len(outputs) == 1:
-            # the common case (one output buffer): skip the concatenate
-            return device.memory.memcpy_dtoh(handles[outputs[0]]).astype(np.float64)
-        parts = [
-            device.memory.memcpy_dtoh(handles[name]).astype(np.float64)
-            for name in outputs
-        ]
+        # a faulted run may leave a signaling NaN, which widens quiet
+        with np.errstate(invalid="ignore"):
+            if len(outputs) == 1:
+                # the common case (one output buffer): skip the concatenate
+                return device.memory.memcpy_dtoh(handles[outputs[0]]).astype(np.float64)
+            parts = [
+                device.memory.memcpy_dtoh(handles[name]).astype(np.float64)
+                for name in outputs
+            ]
         return np.concatenate(parts) if parts else np.empty(0)
 
     # -- memory accounting (Figure 2) ---------------------------------------------

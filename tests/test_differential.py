@@ -772,3 +772,46 @@ class TestHangVerdicts:
         fresh_registry()
         assert [full(spec) for spec, _obs in hangs] == [obs for _spec, obs in hangs]
         assert "repro_kir_hang_verdicts_total" not in get_registry().as_dict()
+
+
+class TestResumedVictims:
+    """Where a replayed victim starts, and what its checkpoints cost."""
+
+    def test_cp_victims_resume_after_the_prologue_on_demand(self):
+        program = _trained("CP")
+        engine = get_engine(program, "fift", 0)
+        assert engine._heads == {}  # the golden record keeps no checkpoint
+        full = program.trial_runner("fift", 0)
+        dy = FaultSpec(site=13, mask=1 << 30, thread=5, occurrence=7)
+        coorx = FaultSpec(site=7, mask=1 << 3, thread=5)
+        late = FaultSpec(site=1, mask=1 << 15, thread=5, occurrence=42, timing="delayed")
+        for spec, start in ((dy, "resume"), (coorx, "prologue"), (late, "resume")):
+            assert engine.run_trial(spec) == full(spec)
+            assert engine.start == start
+        # dy's 7th execution follows the 7th head: heads 6 and 7 are kept,
+        # with the counts the injector resumes from
+        kept = engine._heads[5].kept
+        assert kept[6].sites[13] == 6 and kept[7].sites[13] == 7
+        assert kept[6].steps < kept[7].steps and kept[6].stores == 0
+
+    def test_a_kernel_whose_loop_sits_in_a_branch_replays_from_the_top(self):
+        program = _trained("SAD")
+        engine = get_engine(program, "fift", 0)
+        spec = _fig14_specs(program, _smoke())[0]
+        engine.run_trial(spec)
+        assert engine.start == "branch" and engine._heads == {}
+
+    def test_the_report_counts_each_start_as_a_replay_hit(self):
+        from repro.obs.report import _differential_attribution
+
+        records = [SimpleNamespace(served=tag) for tag in (
+            "diff:resume", "diff:resume", "diff:prologue", "diff", "full:replay_conflict", None)]
+        assert _differential_attribution(records) == {
+            "replay_hits": 4, "replay_starts": {"prologue": 1, "resume": 2},
+            "fallbacks": {"replay_conflict": 1}, "untagged": 1}
+
+
+def _smoke():
+    from repro.harness.config import SMOKE
+
+    return SMOKE

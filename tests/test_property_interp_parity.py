@@ -29,6 +29,12 @@ stops calling ``__hauberk_fi`` in a thread once the FI library returns
 ``RETIRE_CALL`` there, lockstep keeps calling it, and the two must
 still agree on all of the above plus every ``ActivationRecord`` field.
 
+Another resumes a generated kernel's thread at a random head of a
+top-level loop, through the loop's resume entry, with the state
+``record_thread`` reported there (counters, locals, the recorder's
+per-statement answers, the frame and device memory), and compares its
+end with the run from the first statement.
+
 A third property checks hang verdicts: on generated ``for`` loops with
 affine loads, under small budgets and FI strikes on the bound or the
 iterator, and with the recorder's calls retiring by name and by
@@ -402,6 +408,88 @@ def test_fi_spec_retire_agrees_with_lockstep(plan, n_stmts, n_value, seed_value,
                                  make_fi=lambda: FaultInjectionLibrary(kernel, spec),
                                  n_blocks=FI_BLOCKS, plan=plan)
     event("fast iteration" if seen["fast"] else "no fast iteration")
+
+
+def _resume_run(compiled, t, n, seedv, budget, plan, at=None):
+    """Thread ``t`` of a generated kernel on the compiled engine: from
+    its first statement through ``record_thread``, keeping every
+    top-level loop head's state (the thread's, its frame's, memory's
+    and the recorder's), or resumed at one such head ``at``.  Returns
+    (observations, heads)."""
+    memory = GlobalMemory(GEN_CAPACITY)
+    out = memory.alloc("out", 4, DType.FLOAT32)
+    schedule = tuple(v % 4 for v in plan[3:6])
+    rec = _Recorder(plan, None, schedule)
+    ctx = ExecContext(memory, lib=rec, budget=budget, block_size=N_THREADS)
+    fr = _frames(out, n, seedv)[t]
+    heads = []
+
+    def head(j, steps, cycles, loop_cycles, values):
+        # a tagged call statement's last answer: RETIRE_CALL once it
+        # reached its limit (the entry call passes no name)
+        limits = {(tag, made >= schedule[tag % len(schedule)])
+                  for (_b, _t, tag, name), made in rec.per_call.items()
+                  if type(name) is str and schedule and schedule[tag % len(schedule)]}
+        answers = tuple(RETIRE_CALL if (tag, True) in limits else None
+                        for _func, tag in compiled.entries[j].calls)
+        heads.append((j, (steps, cycles, loop_cycles, values, answers), dict(fr),
+                      memory.snapshot(), list(rec.calls), dict(rec.per_call),
+                      dict(rec.per_thread)))
+
+    ctx.reset_thread(0, t)
+    error = None
+    try:
+        if at is None:
+            compiled.record_thread(fr, ctx, head)
+        else:
+            j, state, frame, words, calls, per_call, per_thread = at
+            fr = dict(frame)
+            memory.restore(words)
+            rec.calls, rec.per_call, rec.per_thread = list(calls), dict(per_call), dict(per_thread)
+            ctx.resume_at, ctx.resume = j, state
+            compiled.run_thread(fr, ctx)
+    except Exception as exc:  # every failure must match, typed or not
+        error = (type(exc).__name__, str(exc))
+    seen = {
+        "error": error, "steps": ctx.steps, "cycles": ctx.cycles,
+        "loop_cycles": ctx.loop_cycles, "calls": rec.calls,
+        "frame": sorted((k, repr(v)) for k, v in fr.items()),
+        "out": [_canonical_nan(w) for w in memory.memcpy_dtoh(out).view(np.uint32).tolist()],
+    }
+    return seen, heads
+
+
+@_fuzz_settings()
+@given(
+    plan=st.lists(st.integers(min_value=0, max_value=1000), min_size=30, max_size=120),
+    n_stmts=st.integers(min_value=1, max_value=5),
+    n_value=st.integers(min_value=0, max_value=6),
+    seed_value=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    budget=st.integers(min_value=10, max_value=400),
+    thread=st.integers(min_value=0, max_value=N_THREADS - 1),
+    head_pick=st.integers(min_value=0, max_value=1000),
+)
+def test_thread_resumed_at_a_loop_head_agrees_with_its_full_run(
+        plan, n_stmts, n_value, seed_value, budget, thread, head_pick):
+    """A generated kernel's thread resumed at any head of a top-level
+    loop, with its counters, locals and call answers bound by the
+    loop's resume entry, ends as its run from the first statement does:
+    same exception, steps, cycles, frame, output words and recorded
+    calls (the recorder writes frames and retires per statement)."""
+    kernel = _with_hooks(_ControlFlowGen(plan).build(n_stmts))
+    compiled = CompiledKernel(kernel, costmodel=_cm())
+    if not compiled.entries:
+        event("no top-level loop")
+        return
+    full, heads = _resume_run(compiled, thread, n_value, seed_value, budget, plan)
+    if not heads:
+        event("no loop head reached")
+        return
+    at = heads[head_pick % len(heads)]
+    event(f"resumed at top-level loop {at[0]}")
+    resumed, _ = _resume_run(compiled, thread, n_value, seed_value, budget, plan, at)
+    for key in full:
+        assert resumed[key] == full[key], key
 
 
 #: Device words of the hang-verdict launches: loads at a base near 0
