@@ -8,20 +8,16 @@ records the full paper-vs-measured story.
 
 Scale: set ``REPRO_BENCH_SCALE=smoke`` for a fast pass; the default
 ``campaign`` preset keeps the whole suite in the tens of minutes while
-staying statistically meaningful.  ``REPRO_BENCH_WORKERS=N`` (or
-``auto``) runs the campaign figures through the parallel execution
-engine (``repro.swifi.parallel``).
+staying statistically meaningful.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pathlib
 
 import pytest
 
-from repro.exec import resolve_workers
 from repro.harness.config import SMOKE, ExperimentScale
 
 #: Default benchmark scale: bigger than SMOKE, smaller than the paper's
@@ -43,16 +39,9 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench_results"
 
 @pytest.fixture(scope="session")
 def scale() -> ExperimentScale:
-    preset = SMOKE \
+    return SMOKE \
         if os.environ.get("REPRO_BENCH_SCALE", "").lower() == "smoke" \
         else CAMPAIGN
-    raw = os.environ.get("REPRO_BENCH_WORKERS", "").strip()
-    if raw:
-        workers = resolve_workers(raw if raw == "auto" else int(raw))
-        preset = dataclasses.replace(
-            preset, campaign=preset.campaign.evolve(workers=workers)
-        )
-    return preset
 
 
 @pytest.fixture

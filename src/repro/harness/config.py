@@ -44,7 +44,7 @@ class ExperimentScale:
     #: Campaign execution options — workers, seed, differential
     #: replay, journaling/resume, retry policy, profiling, progress —
     #: in one :class:`~repro.swifi.options.CampaignOptions`.  The CLI's
-    #: campaign flags and ``REPRO_BENCH_WORKERS`` override this via
+    #: campaign flags override this via
     #: ``dataclasses.replace(scale, campaign=scale.campaign.evolve(...))``.
     campaign: CampaignOptions = field(default_factory=CampaignOptions)
     seed: int = 2011

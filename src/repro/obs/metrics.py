@@ -59,9 +59,6 @@ class Metric:
         self.help = help
         self._samples: Dict[LabelKey, Any] = {}
 
-    def labelsets(self) -> List[Dict[str, str]]:
-        return [dict(key) for key in self._samples]
-
     # subclasses implement value access / rendering
     def _render_samples(self) -> Iterable[str]:
         raise NotImplementedError
@@ -193,6 +190,11 @@ class Histogram(Metric):
     def sum(self, **labels: Any) -> float:
         state = self._samples.get(_labelkey(labels))
         return state["sum"] if state else 0.0
+
+    def rows(self) -> Dict[LabelKey, Tuple[int, float]]:
+        """``{label key: (count, sum)}`` of every label set observed."""
+        return {key: (state["count"], state["sum"])
+                for key, state in self._samples.items()}
 
     def _render_samples(self) -> Iterable[str]:
         for key in sorted(self._samples):

@@ -1,9 +1,9 @@
 """Phase profiler: where campaign wall-clock actually goes.
 
-``BENCH_campaign.json`` says *that* a PNS full campaign takes 12.5s and
-a CP differential one 0.09s, but not *where* those seconds go — parse
-and build?  golden recording?  replay?  journal I/O?  The
-:class:`PhaseProfiler` answers that with a fixed phase taxonomy
+A campaign's wall time says *that* trials take long, but not *where*
+those seconds go — parse and build?  golden recording?  replay?
+journal I/O?  The :class:`PhaseProfiler` answers that with a fixed
+phase taxonomy
 (:data:`PHASES`), attributing wall-clock to each phase of the campaign
 stack:
 
@@ -38,16 +38,18 @@ The module mirrors the tracer's process-global pattern: a zero-overhead
 :class:`NullPhaseProfiler` is installed by default, call-sites resolve
 the profiler at call time, and :class:`use_profiler` scopes a real one.
 Overhead with profiling *on* is two ``perf_counter`` calls plus a few
-dict updates per phase — measured at well under 5% on the CP w1-diff
-configuration (the ``overhead`` entry of ``BENCH_campaign.json``).
+dict updates per phase, through one reusable handle per phase key.
+``benchmarks/test_profiler_overhead.py`` bounds it at 5% of CP's
+Figure 14 campaigns served by replay; e2ebench's ``--trace 1`` run
+reports the per-layer ledger of the same traffic.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import LabelKey, get_registry
 
 PHASE_PARSE_BUILD = "parse_build"
 PHASE_GOLDEN_RECORD = "golden_record"
@@ -88,24 +90,59 @@ def split_phase_key(key: str) -> tuple:
     return phase, reason
 
 
-class _PhaseHandle:
-    """Context manager timing one phase occurrence."""
+def _phase_observer(registry, phase: str, reason: str):
+    """``observe`` of one ``(phase, reason)`` row (for ``registry.bound``)."""
+    return registry.histogram(
+        PHASE_HISTOGRAM,
+        "Wall-clock seconds attributed to campaign phases",
+        buckets=PHASE_SECONDS_BUCKETS,
+    ).bind(phase=phase, reason=reason)
 
-    __slots__ = ("profiler", "phase", "reason", "_t0")
+
+def _phase_rows(registry) -> Dict[LabelKey, Tuple[int, float]]:
+    """``{label key: (count, seconds)}`` of every row ``registry`` holds."""
+    histogram = registry.get(PHASE_HISTOGRAM)
+    return histogram.rows() if histogram is not None else {}
+
+
+class _PhaseHandle:
+    """Context manager timing the occurrences of one ``(phase, reason)``.
+
+    A profiler makes one per key and hands it out again, so timing a
+    phase allocates nothing; the start times stack, so occurrences of
+    one key may nest.
+    """
+
+    __slots__ = ("profiler", "phase", "reason", "key", "_starts",
+                 "_registry", "_observe")
 
     def __init__(self, profiler: "PhaseProfiler", phase: str, reason: str):
         self.profiler = profiler
         self.phase = phase
         self.reason = reason
+        self.key = phase_key(phase, reason)
+        self._starts: List[float] = []
+        self._registry = self._observe = None
 
     def __enter__(self) -> "_PhaseHandle":
-        self._t0 = self.profiler._clock()
+        self._starts.append(self.profiler._clock())
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.profiler.add(
-            self.phase, self.profiler._clock() - self._t0, reason=self.reason
-        )
+        self.record(self.profiler._clock() - self._starts.pop())
+
+    def record(self, seconds: float) -> None:
+        """Add one occurrence of ``seconds`` to the trial and the registry."""
+        trial = self.profiler._trial
+        if trial is not None:
+            phases = trial["phases"]
+            phases[self.key] = phases.get(self.key, 0.0) + seconds
+        registry = get_registry()
+        if registry is not self._registry:
+            self._registry = registry
+            self._observe = registry.bound(_phase_observer, self.phase,
+                                           self.reason)
+        self._observe(seconds)
 
 
 class _NullPhase:
@@ -135,52 +172,48 @@ class PhaseProfiler:
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
+        self._handles: Dict[Tuple[str, str], _PhaseHandle] = {}
         self._trial: Optional[Dict[str, Any]] = None
+        self._trial_t0 = 0.0
         # rows recorded before this profiler existed are not its own
-        self._baseline = (get_registry(), {})
-        self._baseline = (get_registry(), self.totals)
+        self._registry = get_registry()
+        self._base = _phase_rows(self._registry)
 
     @property
     def totals(self) -> Dict[str, List[float]]:
         """``{phase_key: [count, seconds]}`` recorded since creation."""
-        registry, base = self._baseline
-        if registry is not get_registry():
-            registry, base = get_registry(), {}
-        histogram = registry.get(PHASE_HISTOGRAM)
+        registry = get_registry()
+        base = self._base if registry is self._registry else {}
         totals: Dict[str, List[float]] = {}
-        for labels in histogram.labelsets() if histogram else ():
-            key = phase_key(labels["phase"], labels.get("reason", ""))
-            count0, seconds0 = base.get(key, (0, 0.0))
-            count = histogram.count(**labels) - count0
-            if count:
-                totals[key] = [count, histogram.sum(**labels) - seconds0]
+        for labelkey, (count, seconds) in _phase_rows(registry).items():
+            count0, seconds0 = base.get(labelkey, (0, 0.0))
+            if count > count0:
+                labels = dict(labelkey)
+                key = phase_key(labels["phase"], labels.get("reason", ""))
+                totals[key] = [count - count0, seconds - seconds0]
         return totals
 
     # -- phase accounting -------------------------------------------------
     def phase(self, phase: str, reason: str = "") -> _PhaseHandle:
         """Time a phase occurrence; use as a context manager."""
-        return _PhaseHandle(self, phase, reason)
+        handle = self._handles.get((phase, reason))
+        if handle is None:
+            handle = self._handles[phase, reason] = \
+                _PhaseHandle(self, phase, reason)
+        return handle
 
     def add(self, phase: str, seconds: float, reason: str = "") -> None:
         """Record ``seconds`` of ``phase`` directly (known-duration work)."""
-        trial = self._trial
-        if trial is not None:
-            key = phase_key(phase, reason)
-            phases = trial["phases"]
-            phases[key] = phases.get(key, 0.0) + seconds
-        get_registry().histogram(
-            PHASE_HISTOGRAM,
-            "Wall-clock seconds attributed to campaign phases",
-            buckets=PHASE_SECONDS_BUCKETS,
-        ).observe(seconds, phase=phase, reason=reason)
+        self.phase(phase, reason).record(seconds)
 
     # -- per-trial cost records -------------------------------------------
     def begin_trial(self, index: int) -> None:
         """Start accumulating one trial's cost record."""
         self._trial = {
-            "index": index, "phases": {}, "served": "", "reason": "",
-            "t0": self._clock(),
+            "index": index, "dur": 0.0, "served": "", "reason": "",
+            "phases": {},
         }
+        self._trial_t0 = self._clock()
 
     def note_served(self, served: str, reason: str = "") -> None:
         """Tag the current trial with how it was served (diff/full)."""
@@ -199,13 +232,8 @@ class PhaseProfiler:
         if trial is None:
             return None
         self._trial = None
-        return {
-            "index": trial["index"],
-            "dur": self._clock() - trial["t0"],
-            "served": trial["served"],
-            "reason": trial["reason"],
-            "phases": trial["phases"],
-        }
+        trial["dur"] = self._clock() - self._trial_t0
+        return trial
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """JSON-ready view of the totals (``profile.json`` payload)."""
@@ -219,6 +247,9 @@ class NullPhaseProfiler(PhaseProfiler):
     """Zero-overhead profiler: every operation is a no-op."""
 
     enabled = False
+
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
+        self._clock = clock
 
     @property
     def totals(self) -> Dict[str, List[float]]:

@@ -856,6 +856,14 @@ def _build_engine(program: "HauberkProgram", mode: str, seed: int):
     return engine
 
 
+def serve_full(full, spec: FaultSpec, reason: str) -> TrialObservation:
+    """``full(spec)``, profiled as a full run served for ``reason``."""
+    prof = get_profiler()
+    prof.note_served("full", reason)
+    with prof.phase(PHASE_FULL_RUN, reason=reason):
+        return full(spec)
+
+
 def differential_runner(program: "HauberkProgram", mode: str, seed: int = 0):
     """A campaign trial runner serving trials differentially.
 
@@ -873,10 +881,7 @@ def differential_runner(program: "HauberkProgram", mode: str, seed: int = 0):
             if spec is None:
                 return full(spec)
             record_differential_trial(False, reason)
-            prof = get_profiler()
-            prof.note_served("full", reason)
-            with prof.phase(PHASE_FULL_RUN, reason=reason):
-                return full(spec)
+            return serve_full(full, spec, reason)
 
         return fallback_runner
 
@@ -890,9 +895,7 @@ def differential_runner(program: "HauberkProgram", mode: str, seed: int = 0):
             obs = engine.run_trial(spec)
         if obs is None:
             record_differential_trial(False, "replay_conflict")
-            prof.note_served("full", "replay_conflict")
-            with prof.phase(PHASE_FULL_RUN, reason="replay_conflict"):
-                return full(spec)
+            return serve_full(full, spec, "replay_conflict")
         record_differential_trial(True)
         prof.note_served("diff", engine.start)
         return obs

@@ -53,7 +53,6 @@ from repro.obs.events import RingBufferSink, Tracer, get_tracer, set_tracer, use
 from repro.obs.instrument import record_parallel_campaign
 from repro.obs.metrics import fresh_registry
 from repro.obs.profile import (
-    PHASE_FULL_RUN,
     PHASE_PARSE_BUILD,
     PhaseProfiler,
     get_profiler,
@@ -81,19 +80,16 @@ def _make_runner(program, mode, seed, differential):
     fork warms every worker — each child's own call here is a cache hit
     that launches nothing.
     """
-    if differential:
-        from repro.swifi.differential import differential_runner
+    from repro.swifi.differential import differential_runner, serve_full
 
+    if differential:
         return differential_runner(program, mode, seed)
     full = program.trial_runner(mode, seed)
 
     def full_runner(spec):
         if spec is None:
             return full(spec)
-        prof = get_profiler()
-        prof.note_served("full", "differential_off")
-        with prof.phase(PHASE_FULL_RUN, reason="differential_off"):
-            return full(spec)
+        return serve_full(full, spec, "differential_off")
 
     return full_runner
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.program import HauberkProgram
@@ -40,8 +41,12 @@ from repro.obs.progress import Heartbeat, HeartbeatMonitor, ProgressRenderer
 from repro.obs.report import (
     _wilson_interval, build_report, render_json, render_markdown,
 )
-from repro.swifi import CampaignJournal, CampaignOptions, run_campaign
+from repro.swifi import (
+    CampaignJournal, CampaignOptions, FaultSpec, build_fault_specs,
+    enumerate_targets, run_campaign, select_targets,
+)
 from repro.swifi.journal import spec_fingerprint
+from repro.workloads import get_workload
 from repro.workloads.base import _PARSE_CACHE
 
 from test_journal import _assert_identical, _truncate_journal
@@ -330,19 +335,38 @@ class TestCampaignFlightRecorder:
         # strictly increasing sequence from 1, not two concatenated runs.
         assert seqs == list(range(1, len(seqs) + 1))
 
-    def test_served_tags_attribute_differential_path(self, tmp_path):
-        wl, specs = _tiny_specs(masks_per_site=1)
+    @pytest.mark.parametrize("name, differential, tag", [
+        ("CP", False, "full:differential_off"),
+        ("TPACF", True, "full:uses_sync"),
+        ("CP-pointer", True, "full:replay_conflict"),
+    ])
+    def test_served_tags_name_each_full_run_reason(self, tmp_path, name,
+                                                   differential, tag):
+        wl = get_workload(name.split("-")[0])
+        if name == "CP-pointer":
+            # a low-bit flip of CP's second pointer redirects thread 0's
+            # accesses onto words other threads touch: the replay
+            # conflicts and the trial runs in full
+            ptr = [s for s in enumerate_targets(wl.kernel)
+                   if s.dtype.is_pointer][1]
+            specs = [FaultSpec(site=ptr.site, mask=1 << 1, thread=0,
+                               timing="delayed")]
+        else:
+            specs = build_fault_specs(
+                select_targets(wl.kernel, 2, np.random.default_rng(0)),
+                n_threads=wl.generate_input(0).n_threads, masks_per_site=1,
+                bit_counts=(1,), seed=1,
+            )
         root = tmp_path / "runs"
         run_campaign(
             HauberkProgram(wl), specs, mode="fi",
             options=CampaignOptions(
-                run_dir=str(root), profile=True, differential=False
+                run_dir=str(root), profile=True, differential=differential
             ),
         )
         (entry,) = [d for d in root.iterdir() if d.is_dir()]
         records = CampaignJournal._load_records(entry / "journal.jsonl")
-        assert all(r.served == "full:differential_off"
-                   for r in records.values())
+        assert {r.served for r in records.values()} == {tag}
 
     @needs_fork
     def test_pooled_profile_merges_worker_phase_totals(self, tmp_path,

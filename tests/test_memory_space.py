@@ -301,6 +301,17 @@ class TestBulkInjection:
         assert list(old_bits) == [0x1234_5670 + a for a in addrs]
         assert list(new_bits) == [single.load_word(a) for a in addrs]
 
+    def test_golden_diff_counts_the_corrupted_words(self):
+        rng = np.random.default_rng(1234)
+        nwords = 1 << 12
+        mem = GlobalMemory(capacity_words=nwords)
+        mem.alloc("state", nwords, DType.FLOAT32)
+        mem.words[:] = rng.integers(0, 1 << 32, size=nwords, dtype=np.uint32)
+        golden = mem.snapshot()
+        corrupt = np.unique(rng.integers(0, nwords, size=64))
+        inject_word_faults(mem, corrupt, [1 << 20] * len(corrupt))
+        assert np.count_nonzero(mem.snapshot() != golden) == len(corrupt)
+
     def test_repeated_address_undo_is_exact(self):
         mem = fresh_memory()
         mem.store_word(5, QNAN_BITS)

@@ -41,6 +41,22 @@ class TestInventory:
         for path in re.findall(r"`examples/([a-z_]+\.py)`", readme):
             assert (ROOT / "examples" / path).exists(), path
 
+    def test_named_checks_exist(self):
+        """Every test, benchmark or script file and every ``BENCH_*.json``
+        that CI or a document names is there: a deleted check leaves no
+        dangling step or citation."""
+        named = re.compile(
+            r"(?<![\w/.-])((?:benchmarks|scripts|tests)/[\w./-]*\w|BENCH_\w+\.json)")
+        missing = []
+        for doc in (ROOT / ".github" / "workflows" / "ci.yml",
+                    ROOT / "README.md", ROOT / "EXPERIMENTS.md",
+                    ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md")),
+                    ROOT / ".claude" / "skills" / "verify" / "SKILL.md"):
+            for path in named.findall(doc.read_text()):
+                if not (ROOT / path).exists():
+                    missing.append(f"{doc.relative_to(ROOT)}: {path}")
+        assert not missing, missing
+
     def test_docs_exist(self):
         for doc in ("architecture.md", "kir-language.md", "fault-model.md",
                     "detectors.md"):
